@@ -130,6 +130,15 @@ class GrassmannElement:
     def norm_max(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
+    def to_vector(self) -> np.ndarray:
+        """Dense coefficients, length 4**m, monomial (bar, unbar) at bar * 2**m + unbar."""
+        vec = np.zeros(1 << (2 * self.m), dtype=complex)
+        n = len(self.terms)
+        if n:
+            idx = np.fromiter(((k.bar << self.m) | k.unbar for k in self.terms), np.intp, n)
+            vec[idx] = np.fromiter(self.terms.values(), complex, n)
+        return vec
+
 
 def _acc(d: dict, key: Monomial, val: complex) -> None:
     c = d.get(key)
@@ -339,46 +348,89 @@ def trace_integral(a: GrassmannElement) -> complex:
     return tot
 
 
-def pair_integral_closed_form(a: Monomial, b: Monomial, m: int) -> complex:
-    """Closed form of trace_integral(star_monomials(a, b)).
+def _pair_trace(I: int, J: int, K: int, L: int, m: int) -> int:
+    """trace_integral(star_monomials((I, J), (K, L))) as an exact integer.
 
-    Vanishes unless the index sets interlock (I\\T = J\\S and L\\T = K\\S for
-    S = J&K, T = I&L); otherwise the value is a signed power of two.  Serves
-    as the fast path for star-then-trace and as the sign-convention oracle.
+    Zero unless the index sets interlock (I\\T = J\\S and L\\T = K\\S for
+    S = J&K, T = I&L); otherwise a signed power of two.  The one sign kernel
+    behind pair_integral_closed_form, star_trace and moment_rows;
+    _interlocking enumerates the pairs where it is nonzero.
     """
-    _check_m(m, ELEMENT_CAP)
-    I, J = a.bar, a.unbar
-    K, L = b.bar, b.unbar
     S = J & K
     T = I & L
     if (I & ~T) != (J & ~S) or (L & ~T) != (K & ~S):
-        return 0j
-    exp = J.bit_count() * (J.bit_count() - 1) // 2 + L.bit_count() * (L.bit_count() - 1) // 2
-    sign = -1 if exp & 1 else 1
+        return 0
+    nj = J.bit_count()
+    nl = L.bit_count()
+    sign = -1 if (nj * (nj - 1) // 2 + nl * (nl - 1) // 2) & 1 else 1
     sign *= _merge_sign(S, J & ~S) * _merge_sign(S, K & ~S)
     sign *= _merge_sign(T, I & ~T) * _merge_sign(T, L & ~T)
-    return complex(sign * (1 << (m - (I | K).bit_count())))
+    return sign * (1 << (m - (I | K).bit_count()))
+
+
+def pair_integral_closed_form(a: Monomial, b: Monomial, m: int) -> complex:
+    """Closed form of trace_integral(star_monomials(a, b)).
+
+    Vanishes unless the index sets interlock; otherwise the value is a signed
+    power of two.  Serves as the sign-convention oracle.
+    """
+    _check_m(m, ELEMENT_CAP)
+    return complex(_pair_trace(a.bar, a.unbar, b.bar, b.unbar, m))
+
+
+def _interlocking(K: int, L: int, m: int):
+    """The 2**(m - |K ^ L|) monomials (I, J) whose pair trace with (K, L) is nonzero.
+
+    They are I = (L & ~K) | s and J = (K & ~L) | s for every s inside the
+    bits where K and L agree.
+    """
+    free = ((1 << m) - 1) & ~(K ^ L)
+    only_l = L & ~K
+    only_k = K & ~L
+    sub = free
+    while True:
+        yield only_l | sub, only_k | sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & free
 
 
 def star_trace(a: GrassmannElement, b: GrassmannElement) -> complex:
-    """trace_integral(star(a, b)) evaluated pairwise without expanding the star."""
+    """trace_integral(star(a, b)) evaluated without expanding the star.
+
+    The trace is cyclic, so the monomials t of the element with fewer terms
+    are walked and only the monomials of the other that interlock with t are
+    looked up.
+    """
     _same_m(a, b)
     m = a.m
+    if len(a.terms) < len(b.terms):
+        a, b = b, a
+    terms = a.terms
     tot = 0j
-    merge = _merge_sign
-    for (I, J), ca in a.terms.items():
-        for (K, L), cb in b.terms.items():
-            S = J & K
-            T = I & L
-            if (I & ~T) != (J & ~S) or (L & ~T) != (K & ~S):
-                continue
-            nj = J.bit_count()
-            nl = L.bit_count()
-            sign = -1 if (nj * (nj - 1) // 2 + nl * (nl - 1) // 2) & 1 else 1
-            sign *= merge(S, J & ~S) * merge(S, K & ~S)
-            sign *= merge(T, I & ~T) * merge(T, L & ~T)
-            tot += ca * cb * (sign * (1 << (m - (I | K).bit_count())))
+    for (K, L), cb in b.terms.items():
+        for I, J in _interlocking(K, L, m):
+            ca = terms.get((I, J))
+            if ca is not None:
+                tot += ca * cb * _pair_trace(I, J, K, L, m)
     return tot
+
+
+def moment_rows(monomials: Iterable[Monomial], m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The functionals a -> star_trace(a, t), t in `monomials`, as sparse rows.
+
+    Returns COO arrays (row, col, val) over a.to_vector(): row r holds the
+    monomials (I, J) that interlock with the r-th monomial t = (K, L), each
+    valued by the pair kernel.
+    """
+    rows, cols, vals = [], [], []
+    for r, (K, L) in enumerate(monomials):
+        for I, J in _interlocking(K, L, m):
+            rows.append(r)
+            cols.append((I << m) | J)
+            vals.append(_pair_trace(I, J, K, L, m))
+    return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+            np.array(vals, dtype=float))
 
 
 def expectation(density: GrassmannElement, observable: GrassmannElement, tol: float = 1e-8) -> complex:

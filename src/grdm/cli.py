@@ -2,14 +2,12 @@
 construction, and the sign-convention selftest.
 
 Exit codes: 0 all checks pass, 1 a condition failed, 2 usage or input error.
-GRDM_THREADS caps internal parallelism (fuzz trials); output files are
-written atomically.
+Output files are written atomically.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 import time
@@ -36,13 +34,6 @@ from .algebra import (
     trace_weight,
     unit,
 )
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("GRDM_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_check_input(path: str):
@@ -99,8 +90,7 @@ def cmd_fuzz(args) -> int:
         print("error: trials must be >= 1", file=sys.stderr)
         return 2
     try:
-        summary = cond.fuzz_conditions(args.m, args.trials, args.seed,
-                                       sector=args.sector, threads=_threads())
+        summary = cond.fuzz_conditions(args.m, args.trials, args.seed, sector=args.sector)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -127,11 +117,11 @@ def cmd_quasifree(args) -> int:
         return 2
     try:
         spec, kappa = quasifree.build_quasifree(gamma)
+        pdm_dev = float(np.max(np.abs(cond.pdm1_from_density(kappa) - gamma)))
+        wick_dev = quasifree.verify_quasifree(kappa, spec, max_points=args.max_points)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    pdm_dev = float(np.max(np.abs(cond.pdm1_from_density(kappa) - gamma)))
-    wick_dev = quasifree.verify_quasifree(kappa, spec, max_points=args.max_points)
     points = sum(1 for _ in quasifree.generator_words(m, args.max_points))
     payload = {
         "element": serialize.element_to_dict(kappa),

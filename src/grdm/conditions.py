@@ -3,7 +3,10 @@
 Each condition comes in two independent realizations that are cross-validated
 against each other: a closed-form matrix inequality in the one- and two-body
 matrices (gamma, Gamma), and positivity of a quadratic form evaluated by star
-products against the density element itself.
+products against the density element itself.  The Grassmann-side quantities
+(pdms and forms) are linear in the density, so each is a sparse map built
+once from the star-product and pair-trace kernels and applied to the
+density's coefficient vector.
 
 Index conventions (0-based in code): gamma[k, l] is the expectation of
 pbar_{l+1} * p_{k+1}; two-body indices flatten row-major, (k, l) -> k*m + l,
@@ -20,9 +23,11 @@ fixed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,12 +36,12 @@ from .algebra import (
     Monomial,
     _mono_mul,
     involution,
+    moment_rows,
     monomial_element,
     multiply,
     psi,
     psibar,
     star,
-    star_trace,
     trace_integral,
     unit,
 )
@@ -110,25 +115,56 @@ def _validate_pair(gamma: np.ndarray, Gamma: np.ndarray) -> tuple[np.ndarray, np
 
 
 # ---------------------------------------------------------------------------
-# pdm extraction from a density element
+# Grassmann-side quantities as linear maps on the density's coefficients
 
-def pdm1_from_density(kappa: GrassmannElement) -> np.ndarray:
-    """One-body matrix gamma[k, l] = <pbar_{l+1} * p_{k+1}> by star-trace."""
-    _validate_density_element(kappa)
-    m = kappa.m
-    gamma = np.empty((m, m), dtype=complex)
+class _LinearMap(NamedTuple):
+    """A linear map kappa -> array of `shape`: out = W @ (M @ kappa.to_vector()).
+
+    `moments` (M) holds the rows star_trace(kappa, t) of the `n_moments`
+    monomials t the output reads; `combine` (W) sums them, with coefficients,
+    into the flattened output.  Both are read-only COO triples (row, col, val)
+    whose duplicate entries add up.
+    """
+
+    moments: tuple
+    n_moments: int
+    combine: tuple
+    shape: tuple
+
+    def apply(self, kappa: GrassmannElement) -> np.ndarray:
+        moments = _coo_apply(*self.moments, kappa.to_vector(), self.n_moments)
+        return _coo_apply(*self.combine, moments, math.prod(self.shape)).reshape(self.shape)
+
+
+def _coo_apply(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, vec: np.ndarray,
+               n: int) -> np.ndarray:
+    prod = vals * vec[cols]
+    return np.bincount(rows, prod.real, n) + 1j * np.bincount(rows, prod.imag, n)
+
+
+def _linear_map(entries, shape: tuple, m: int) -> _LinearMap:
+    """The map out[row] = sum of coeff * star_trace(kappa, t) over (row, t, coeff) entries."""
+    index: dict = {}
+    rows, cols, vals = [], [], []
+    for row, t, coeff in entries:
+        rows.append(row)
+        cols.append(index.setdefault(t, len(index)))
+        vals.append(coeff)
+    moments = moment_rows(index, m)
+    combine = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+               np.array(vals, dtype=complex))
+    for arr in moments + combine:
+        arr.setflags(write=False)
+    return _LinearMap(moments, len(index), combine, shape)
+
+
+def _pdm1_entries(m: int):
     for k in range(m):
         for l in range(m):
-            probe = monomial_element(Monomial(1 << l, 1 << k), m)
-            gamma[k, l] = star_trace(kappa, probe)
-    return gamma
+            yield k * m + l, Monomial(1 << l, 1 << k), 1.0
 
 
-def pdm2_from_density(kappa: GrassmannElement) -> np.ndarray:
-    """Two-body matrix by star-trace against normal-ordered generator words."""
-    _validate_density_element(kappa)
-    m = kappa.m
-    Gamma = np.zeros((m * m, m * m), dtype=complex)
+def _pdm2_entries(m: int):
     for i in range(m):
         for j in range(m):
             if i == j:
@@ -138,17 +174,61 @@ def pdm2_from_density(kappa: GrassmannElement) -> np.ndarray:
                     if k == l:
                         continue
                     # word pbar_l pbar_k p_i p_j, canonicalized
-                    mm = _mono_mul(1 << l, 0, 1 << k, 0)
-                    sign, bar, _ = mm
-                    mm2 = _mono_mul(0, 1 << i, 0, 1 << j)
-                    sign *= mm2[0]
-                    probe = monomial_element(Monomial(bar, mm2[2]), m)
-                    Gamma[i * m + j, k * m + l] = sign * star_trace(kappa, probe)
-    return Gamma
+                    sign, bar, _ = _mono_mul(1 << l, 0, 1 << k, 0)
+                    sign2, _, ub = _mono_mul(0, 1 << i, 0, 1 << j)
+                    yield (i * m + j) * m * m + k * m + l, Monomial(bar, ub), float(sign * sign2)
 
 
-# ---------------------------------------------------------------------------
-# quadratic forms evaluated against the density element
+def _form_entries(probes: list[GrassmannElement], mode: str):
+    """F[a, b] = tr(kappa * X_ab), X_ab = b_a* * b_b (+ b_b * b_a*), expanded once."""
+    n = len(probes)
+    bstars = [involution(b) for b in probes]
+    for a in range(n):
+        for b in range(n):
+            x = star(bstars[a], probes[b])
+            if mode == "anticommutator":
+                x = x + star(probes[b], bstars[a])
+            for t, c in x.terms.items():
+                yield a * n + b, t, c
+
+
+@functools.lru_cache(maxsize=16)
+def _probe_set_map(kind: str, m: int) -> _LinearMap:
+    """The map of one fixed probe set at one m; the cache holds at most 16 maps."""
+    if kind == "pdm1":
+        return _linear_map(_pdm1_entries(m), (m, m), m)
+    if kind == "pdm2":
+        return _linear_map(_pdm2_entries(m), (m * m, m * m), m)
+    probes = {"T1": _t1_probe_elements, "T2": _t2_probe_elements}[kind](m)
+    return _linear_map(_form_entries(probes, "anticommutator"), (len(probes),) * 2, m)
+
+
+def pdm1_from_density(kappa: GrassmannElement) -> np.ndarray:
+    """One-body matrix gamma[k, l] = <pbar_{l+1} * p_{k+1}> by star-trace."""
+    _validate_density_element(kappa)
+    return _probe_set_map("pdm1", kappa.m).apply(kappa)
+
+
+def pdm2_from_density(kappa: GrassmannElement) -> np.ndarray:
+    """Two-body matrix by star-trace against normal-ordered generator words."""
+    _validate_density_element(kappa)
+    return _probe_set_map("pdm2", kappa.m).apply(kappa)
+
+
+def _hermitian_form(F: np.ndarray) -> np.ndarray:
+    scale = 1.0 + float(np.max(np.abs(F)))
+    dev = np.max(np.abs(F - F.conj().T))
+    if dev > 1e-12 * scale:
+        raise ValueError(f"quadratic form failed hermiticity check ({dev:.3e})")
+    return (F + F.conj().T) / 2
+
+
+def _probe_set_report(condition: str, kappa: GrassmannElement) -> ConditionReport:
+    """Margin of the cached anticommutator form of the T1 or T2 probe set."""
+    _validate_density_element(kappa)
+    F = _hermitian_form(_probe_set_map(condition, kappa.m).apply(kappa))
+    return report_from_form(condition, F, "grassmann-form")
+
 
 def quadratic_form_matrix(kappa: GrassmannElement, probes: list[GrassmannElement],
                           mode: str = "plain") -> np.ndarray:
@@ -166,22 +246,8 @@ def quadratic_form_matrix(kappa: GrassmannElement, probes: list[GrassmannElement
         if b.m != kappa.m:
             raise ValueError("probe generator count differs from density")
     n = len(probes)
-    bstars = [involution(b) for b in probes]
-    left = [star(kappa, bs) for bs in bstars]
-    F = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            F[i, j] = star_trace(left[i], probes[j])
-    if mode == "anticommutator":
-        right = [star(kappa, b) for b in probes]
-        for i in range(n):
-            for j in range(n):
-                F[i, j] += star_trace(right[j], bstars[i])
-    scale = 1.0 + float(np.max(np.abs(F)))
-    dev = np.max(np.abs(F - F.conj().T))
-    if dev > 1e-12 * scale:
-        raise ValueError(f"quadratic form failed hermiticity check ({dev:.3e})")
-    return (F + F.conj().T) / 2
+    form = _linear_map(_form_entries(probes, mode), (n, n), kappa.m)
+    return _hermitian_form(form.apply(kappa))
 
 
 def monomial_basis(m: int, order: int) -> list[GrassmannElement]:
@@ -334,15 +400,19 @@ def _t1_unit_tensor(triple: tuple[int, int, int], m: int) -> np.ndarray:
 
 
 def t1_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
-    """T1 anticommutator form over ordered cubic probes, built from (gamma, Gamma)."""
+    """T1 anticommutator form over ordered cubic probes, built from (gamma, Gamma).
+
+    All entries 3 * t1_bilinear(E_a, E_b) at once: the unit tensors E are
+    stacked, each term is applied to the stack and contracted against its
+    conjugate, so no intermediate exceeds n * m**3 entries.
+    """
     gamma, Gamma, m = _validate_pair(gamma, Gamma)
-    triples = list(combinations(range(m), 3))
-    tensors = [_t1_unit_tensor(t, m) for t in triples]
-    n = len(tensors)
-    F = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            F[a, b] = 3 * t1_bilinear(tensors[a], tensors[b], gamma, Gamma)
+    E = np.array([_t1_unit_tensor(t, m) for t in combinations(range(m), 3)],
+                 dtype=complex).reshape(-1, m, m, m)
+    n = E.shape[0]
+    g4 = Gamma.reshape(m, m, m, m)
+    right = 2 * E - 6 * (E @ gamma) + 3 * np.einsum("biqk,ikjl->bjql", E, g4)
+    F = 3 * (E.reshape(n, m ** 3).conj() @ right.reshape(n, m ** 3).T)
     return (F + F.conj().T) / 2
 
 
@@ -351,8 +421,7 @@ def check_T1_full(kappa: GrassmannElement) -> ConditionReport:
     m = kappa.m
     if m < 3:
         return ConditionReport("T1", math.inf, True, 0.0, "grassmann-form")
-    F = quadratic_form_matrix(kappa, _t1_probe_elements(m), "anticommutator")
-    return report_from_form("T1", F, "grassmann-form")
+    return _probe_set_report("T1", kappa)
 
 
 def t2_bilinear(Tp: np.ndarray, ap: np.ndarray, T: np.ndarray, a: np.ndarray,
@@ -414,16 +483,25 @@ def _t2_probe_elements(m: int) -> list[GrassmannElement]:
 
 
 def t2_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
-    """Generalized T2 anticommutator form over cubic and linear probes."""
+    """Generalized T2 anticommutator form over cubic and linear probes.
+
+    All entries t2_bilinear(probe_x, probe_y) at once, term by term on the
+    stacked probes; no intermediate exceeds n * m**3 entries.
+    """
     gamma, Gamma, m = _validate_pair(gamma, Gamma)
     probes = _t2_probes(m)
     n = len(probes)
-    F = np.empty((n, n), dtype=complex)
-    for x in range(n):
-        Tx, ax = probes[x]
-        for y in range(n):
-            Ty, ay = probes[y]
-            F[x, y] = t2_bilinear(Tx, ax, Ty, ay, gamma, Gamma)
+    T = np.array([p[0] for p in probes])
+    a = np.array([p[1] for p in probes])
+    TA = (T - T.transpose(0, 2, 1, 3)) / 2
+    g4 = Gamma.reshape(m, m, m, m)
+    pair_term = np.einsum("ijkl,yklq->yijq", g4, T)
+    trace_terms = 4 * np.einsum("yqab,bjka->yjqk", TA, g4) + 2 * (T @ gamma)
+    c = np.einsum("xqji,ji->xq", TA.conj(), gamma)
+    d = np.einsum("yqij,ji->yq", TA, gamma)
+    F = (T.reshape(n, -1).conj() @ pair_term.reshape(n, -1).T
+         + TA.reshape(n, -1).conj() @ trace_terms.reshape(n, -1).T
+         + 2 * c @ a.T + a.conj() @ (2 * d + a).T)
     return (F + F.conj().T) / 2
 
 
@@ -432,8 +510,7 @@ def check_T2_full(kappa: GrassmannElement) -> ConditionReport:
     m = kappa.m
     if m < 2:
         return ConditionReport("T2", math.inf, True, 0.0, "grassmann-form")
-    F = quadratic_form_matrix(kappa, _t2_probe_elements(m), "anticommutator")
-    return report_from_form("T2", F, "grassmann-form")
+    return _probe_set_report("T2", kappa)
 
 
 def t2a_value(gamma: np.ndarray, Gamma: np.ndarray, T: np.ndarray) -> float:
@@ -515,25 +592,18 @@ def _fuzz_trial(m: int, trial_seed, sector: int | None):
     return dev, cdev, reports
 
 
-def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None,
-                    threads: int = 1) -> FuzzSummary:
+def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -> FuzzSummary:
     """Run the condition battery on `trials` random genuine densities.
 
     Per-trial seeds derive deterministically from the master seed, so the
-    summary is reproducible for any thread count.
+    summary is reproducible.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if m > fock.THETA_CAP:
         raise ValueError(f"mode count {m} exceeds oracle cap {fock.THETA_CAP}")
     children = np.random.SeedSequence(seed).spawn(trials)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda s: _fuzz_trial(m, s, sector), children))
-    else:
-        results = [_fuzz_trial(m, s, sector) for s in children]
+    results = [_fuzz_trial(m, s, sector) for s in children]
     worst: dict = {}
     failures = 0
     pdm_dev = 0.0

@@ -93,12 +93,15 @@ def matrix_from_dict(d: dict, expect_kind: str | None = None) -> tuple[np.ndarra
     re = _need(d, "re", list, f"{kind} matrix")
     im = _need(d, "im", list, f"{kind} matrix")
     try:
-        mat = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+        parts = {"re": np.asarray(re, dtype=float), "im": np.asarray(im, dtype=float)}
     except (TypeError, ValueError) as exc:
         raise FormatError(f"fields 're'/'im' are not numeric matrices: {exc}") from exc
-    if mat.ndim != 2 or mat.shape != (dim, dim):
-        raise FormatError(f"fields 're'/'im' have shape {mat.shape}, expected ({dim}, {dim})")
-    return mat, kind, m
+    for name, part in parts.items():
+        if part.shape != (dim, dim):
+            raise FormatError(f"field '{name}' has shape {part.shape}, expected ({dim}, {dim})")
+        if not np.isfinite(part).all():
+            raise FormatError(f"field '{name}' of the {kind} matrix holds a non-finite value")
+    return parts["re"] + 1j * parts["im"], kind, m
 
 
 def atomic_write_json(path: str, obj) -> None:

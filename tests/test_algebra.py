@@ -16,6 +16,7 @@ from grdm.algebra import (
     involution,
     make_element,
     max_coeff_difference,
+    moment_rows,
     monomial_element,
     multiply,
     pair_integral_closed_form,
@@ -224,10 +225,59 @@ class TestIntegrals:
                 direct = trace_integral(star_monomials(a, b, m))
                 assert closed == direct
 
+    def test_moment_rows_exhaustive(self):
+        # every monomial pair for m <= 3: the rows hold exactly the nonzero
+        # pair traces, 6**m of them over the whole map
+        for m in (1, 2, 3):
+            monos = [Monomial(K, L) for K in range(1 << m) for L in range(1 << m)]
+            rows, cols, vals = moment_rows(monos, m)
+            dense = np.zeros((len(monos), 1 << (2 * m)))
+            np.add.at(dense, (rows, cols), vals)
+            assert len(vals) == 6 ** m and np.all(vals != 0)
+            for r, t in enumerate(monos):
+                assert np.count_nonzero(dense[r]) == 2 ** (m - (t.bar ^ t.unbar).bit_count())
+                for k in monos:
+                    want = trace_integral(star_monomials(k, t, m))
+                    assert dense[r, (k.bar << m) | k.unbar] == want
+                    assert star_trace(monomial_element(k, m), monomial_element(t, m)) == want
+
+    def test_moment_rows_random_pairs(self, rng):
+        for m in (4, 5, 6):
+            monos = [Monomial(int(rng.integers(1 << m)), int(rng.integers(1 << m)))
+                     for _ in range(40)]
+            rows, cols, vals = moment_rows(monos, m)
+            stored = {(int(r), int(c)): v for r, c, v in zip(rows, cols, vals)}
+            # every stored entry is a nonzero pair trace ...
+            for (r, c), v in stored.items():
+                k = Monomial(c >> m, c & ((1 << m) - 1))
+                assert v != 0 and v == trace_integral(star_monomials(k, monos[r], m))
+            # ... and random pairs missing from the rows trace to zero
+            for r, t in enumerate(monos):
+                for _ in range(10):
+                    k = Monomial(int(rng.integers(1 << m)), int(rng.integers(1 << m)))
+                    want = star_trace(monomial_element(k, m), monomial_element(t, m))
+                    assert stored.get((r, (k.bar << m) | k.unbar), 0) == want
+
+    def test_to_vector_layout(self, rng):
+        for m in (1, 3, 5):
+            a = rand_element(rng, m, nterms=7)
+            vec = a.to_vector()
+            assert vec.shape == (4 ** m,)
+            want = np.zeros(4 ** m, dtype=complex)
+            for k, c in a.terms.items():
+                want[k.bar * 2 ** m + k.unbar] = c
+            assert np.array_equal(vec, want)
+        assert not zero(2).to_vector().any()
+
     def test_star_trace_equals_trace_of_star(self, rng):
         for _ in range(30):
             a, b = rand_element(rng, 3), rand_element(rng, 3)
             assert abs(star_trace(a, b) - trace_integral(star(a, b))) < 1e-12
+        # unequal sizes, so both elements take the walked side
+        for m in (3, 4):
+            a, b = rand_element(rng, m, nterms=2), rand_element(rng, m, nterms=20)
+            assert abs(star_trace(a, b) - trace_integral(star(a, b))) < 1e-12
+            assert abs(star_trace(b, a) - trace_integral(star(b, a))) < 1e-12
 
     def test_cyclicity(self, rng):
         for _ in range(50):

@@ -109,6 +109,21 @@ class TestCheck:
         assert rc == 2
         assert "'im'" in capsys.readouterr().err
 
+    def test_non_finite_gamma_exit_2(self, pdm_file, tmp_path, capsys):
+        _, gamma, Gamma = pdm_file
+        gamma = gamma.copy()
+        gamma[0, 0] = np.nan
+        bad = tmp_path / "nan.json"
+        serialize.atomic_write_json(str(bad), {
+            "gamma": serialize.matrix_to_dict(gamma, "gamma", 3),
+            "Gamma": serialize.matrix_to_dict(Gamma, "Gamma", 3),
+        })
+        rc = cli.main(["check", "--in", str(bad)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert "'re'" in err and "non-finite" in err
+        assert "PASS" not in out and "FAIL" not in out
+
     def test_missing_file_exit_2(self, tmp_path):
         rc = cli.main(["check", "--in", str(tmp_path / "nope.json")])
         assert rc == 2
@@ -173,6 +188,17 @@ class TestQuasifreeCmd:
         serialize.atomic_write_json(str(gpath),
                                     serialize.matrix_to_dict(np.diag([1.4, 0.0]), "gamma", 2))
         assert cli.main(["quasifree", "--in", str(gpath)]) == 2
+
+
+    def test_non_finite_gamma_exit_2(self, tmp_path, capsys):
+        gamma = np.diag([0.3, 0.7]).astype(complex)
+        gamma[0, 1] = complex(0.0, np.inf)
+        gpath = tmp_path / "gamma.json"
+        serialize.atomic_write_json(str(gpath), serialize.matrix_to_dict(gamma, "gamma", 2))
+        out = tmp_path / "qf.json"
+        assert cli.main(["quasifree", "--in", str(gpath), "--out", str(out)]) == 2
+        assert "'im'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSelftest:
