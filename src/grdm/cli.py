@@ -62,13 +62,13 @@ def cmd_check(args) -> int:
     try:
         reports.append(cond.first_order_report(gamma))
         if Gamma is not None:
-            reports.append(cond.check_P(gamma, Gamma, args.tol))
-            reports.append(cond.check_Q(gamma, Gamma, args.tol))
-            reports.append(cond.check_G(gamma, Gamma, args.tol))
+            reports.append(cond.check_P(gamma, Gamma))
+            reports.append(cond.check_Q(gamma, Gamma))
+            reports.append(cond.check_G(gamma, Gamma))
             reports.append(cond.report_from_form("T1", cond.t1_form_from_pdms(gamma, Gamma),
-                                        "closed-form", args.tol))
+                                                 "closed-form"))
             reports.append(cond.report_from_form("T2", cond.t2_form_from_pdms(gamma, Gamma),
-                                        "closed-form", args.tol))
+                                                 "closed-form"))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

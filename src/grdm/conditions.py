@@ -600,8 +600,8 @@ def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if m > fock.THETA_CAP:
-        raise ValueError(f"mode count {m} exceeds oracle cap {fock.THETA_CAP}")
+    if m > fock.FOCK_CAP:
+        raise ValueError(f"mode count {m} exceeds oracle cap {fock.FOCK_CAP}")
     children = np.random.SeedSequence(seed).spawn(trials)
     results = [_fuzz_trial(m, s, sector) for s in children]
     worst: dict = {}

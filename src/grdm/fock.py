@@ -7,7 +7,10 @@ carry Jordan-Wigner sign strings over the lower bits, which realizes the
 anticommutation relations with exact integer entries.
 
 Everything here is brute force on 2^m x 2^m matrices and exists to
-cross-validate the Grassmann-side computations at small mode counts.
+cross-validate the Grassmann-side computations at small mode counts, m <= 6
+in both directions.  to_operator multiplies ladder matrices; from_operator is
+its closed-form inverse, a signed Moebius inversion over subsets of modes
+applied as one precomputed sparse map of 5^m entries, cached per m.
 """
 
 from __future__ import annotations
@@ -15,19 +18,17 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
-from .algebra import GrassmannElement, Monomial, prune
+from .algebra import GrassmannElement, Monomial, _half_pair_sign, _merge_sign, prune
 
-FOCK_CAP = 6   # trace-only paths
-THETA_CAP = 5  # operator -> element direction needs a 4^m x 4^m solve
+FOCK_CAP = 6
 
 
-def _check_mode_count(m: int, cap: int = FOCK_CAP) -> None:
+def _check_mode_count(m: int) -> None:
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"mode count must be a positive integer, got {m!r}")
-    if m > cap:
-        raise ValueError(f"mode count {m} exceeds oracle cap {cap}")
+    if m > FOCK_CAP:
+        raise ValueError(f"mode count {m} exceeds oracle cap {FOCK_CAP}")
 
 
 def _infer_m(mat: np.ndarray) -> int:
@@ -111,37 +112,61 @@ def to_operator(a: GrassmannElement) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _basis_solver(m: int):
-    """LU factorization of the normal-ordered operator basis, vectorized columnwise."""
-    cs_prod, an_prod = _ordered_products(m)
+@functools.lru_cache(maxsize=FOCK_CAP)
+def _element_map(m: int):
+    """Read-only (dst, src, sign) arrays with coeffs[dst] += sign * op.ravel()[src].
+
+    The matrix unit |x><y| is C*_x prod_k (1 - n_k) (C*_y)^dagger with
+    n_k = pbar_k p_k, so it feeds the monomial (x | Z, y | Z) for every Z
+    disjoint from x | y: 2^(m - |x | y|) entries per (x, y), 5^m in all.
+    """
     dim = 1 << m
-    nb = dim * dim
-    basis = np.zeros((nb, nb), dtype=complex)
-    for bar in range(dim):
-        left = cs_prod[bar]
-        for ub in range(dim):
-            basis[:, bar * dim + ub] = (left @ an_prod[ub]).ravel()
-    return lu_factor(basis)
+    full = dim - 1
+    dst, src, sign = [], [], []
+    for x in range(dim):
+        for y in range(dim):
+            hy = _half_pair_sign(y.bit_count())
+            free = full & ~(x | y)
+            z = free
+            while True:
+                nz = z.bit_count()
+                s = (-1) ** nz * _half_pair_sign(nz) * hy * _merge_sign(x, z) * _merge_sign(z, y)
+                dst.append(((x | z) << m) | y | z)
+                src.append((x << m) | y)
+                sign.append(s)
+                if z == 0:
+                    break
+                z = (z - 1) & free
+    out = (np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp),
+           np.array(sign, dtype=float))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def from_operator(op: np.ndarray) -> GrassmannElement:
     """Expand a Fock operator over the normal-ordered basis and map it to an element.
 
-    Inverse of to_operator up to solver roundoff; capped at m <= THETA_CAP by
-    the 4^m x 4^m change-of-basis solve.
+    The coefficient of pbar_I p_J is, with h(n) = (-1)^(n(n-1)/2) and
+    merge(A, B) the sign that sorts the concatenation of A and B,
+
+        c_IJ = sum over Z within I & J of (-1)^|Z| h(|Z|) h(|J - Z|)
+               * merge(I - Z, Z) * merge(Z, J - Z) * op[I - Z, J - Z],
+
+    the Moebius inversion of to_operator on the subset lattice.  Exact up to
+    the roundoff of those sums; pruned at 1e-13 relative.
     """
     op = np.asarray(op, dtype=complex)
     m = _infer_m(op)
-    _check_mode_count(m, THETA_CAP)
-    dim = 1 << m
-    coeffs = lu_solve(_basis_solver(m), op.ravel())
-    terms = {}
-    for bar in range(dim):
-        for ub in range(dim):
-            c = coeffs[bar * dim + ub]
-            if c != 0:
-                terms[Monomial(bar, ub)] = complex(c)
+    _check_mode_count(m)
+    dst, src, sign = _element_map(m)
+    vals = op.ravel()[src] * sign
+    nb = 1 << (2 * m)
+    coeffs = np.bincount(dst, vals.real, nb) + 1j * np.bincount(dst, vals.imag, nb)
+    idx = np.flatnonzero(coeffs)
+    mask = (1 << m) - 1
+    terms = {Monomial(k >> m, k & mask): c
+             for k, c in zip(idx.tolist(), coeffs[idx].tolist())}
     return prune(GrassmannElement(m, terms), 1e-13)
 
 

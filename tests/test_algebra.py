@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grdm import fock
 from grdm.algebra import (
     GrassmannElement,
     Monomial,
@@ -397,3 +398,23 @@ def test_hypothesis_associativity(a, b, c):
 def test_hypothesis_trace_cyclicity(a, b):
     scale = (1.0 + a.norm_max()) * (1.0 + b.norm_max())
     assert abs(star_trace(a, b) - star_trace(b, a)) <= 1e-10 * scale * 4
+
+
+oracle_m = st.integers(min_value=1, max_value=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_m.flatmap(lambda m: elements(m=m)))
+def test_hypothesis_operator_roundtrip(a):
+    back = fock.from_operator(fock.to_operator(a))
+    assert max_coeff_difference(back, a) <= 1e-12 * max(a.norm_max(), 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_m.flatmap(lambda m: st.tuples(elements(m=m), elements(m=m))))
+def test_hypothesis_operator_homomorphism(pair):
+    a, b = pair
+    lhs = fock.from_operator(fock.to_operator(a) @ fock.to_operator(b))
+    rhs = star(a, b)
+    scale = (1.0 + a.norm_max()) * (1.0 + b.norm_max())
+    assert max_coeff_difference(lhs, rhs) <= 1e-10 * scale

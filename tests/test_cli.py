@@ -1,10 +1,14 @@
 """CLI exit-code contract, JSON schemas, and report round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import grdm
 from grdm import cli, fock, serialize
 from grdm.algebra import make_element
 from conftest import rand_element
@@ -129,11 +133,20 @@ class TestCheck:
         assert rc == 2
 
     def test_tol_override(self, pdm_file, tmp_path):
-        path, _, _ = pdm_file
+        path, gamma, Gamma = pdm_file
         out = tmp_path / "r.json"
         rc = cli.main(["check", "--in", str(path), "--out", str(out), "--tol", "1e-3"])
         assert rc == 0
         assert all(r["tol"] == 1e-3 for r in json.loads(out.read_text()))
+        shifted = tmp_path / "shifted.json"
+        serialize.atomic_write_json(str(shifted), {
+            "gamma": serialize.matrix_to_dict(gamma, "gamma", 3),
+            "Gamma": serialize.matrix_to_dict(Gamma - 0.05 * np.eye(9), "Gamma", 3),
+        })
+        assert cli.main(["check", "--in", str(shifted)]) == 1
+        rc = cli.main(["check", "--in", str(shifted), "--out", str(out), "--tol", "0.1"])
+        assert rc == 0
+        assert all(r["tol"] == 0.1 for r in json.loads(out.read_text()))
 
 
 class TestFuzz:
@@ -152,8 +165,9 @@ class TestFuzz:
         cli.main(["fuzz", "--m", "2", "--trials", "4", "--seed", "3", "--out", str(b)])
         assert a.read_text() == b.read_text()
 
-    def test_cap_exceeded_exit_2(self):
+    def test_cap_exceeded_exit_2(self, capsys):
         assert cli.main(["fuzz", "--m", "7", "--trials", "2"]) == 2
+        assert "cap 6" in capsys.readouterr().err
 
     def test_zero_trials_exit_2(self):
         assert cli.main(["fuzz", "--m", "2", "--trials", "0"]) == 2
@@ -223,3 +237,15 @@ class TestSelftest:
 def test_usage_error_exit_2():
     assert cli.main(["check"]) == 2
     assert cli.main(["frobnicate"]) == 2
+
+
+def test_import_pulls_no_scipy():
+    # grdm depends on numpy alone; importing the CLI must not load scipy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(grdm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, grdm.cli; "
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -351,25 +351,28 @@ class TestT2:
 
 
 def test_grassmann_forms_match_closed_forms_at_m6(rng):
-    # at the star-product cap: a quasifree density (no Fock-to-element
-    # solve exists at m = 6) against the Fock oracle and the closed forms
+    # at the star-product cap: a quasifree density built on the Grassmann side
+    # and a random Fock density mapped by from_operator, each against the
+    # Fock oracle and the closed forms
     m = 6
     u = random_unitary(rng, m)
-    _, kappa = quasifree.build_quasifree(u @ np.diag(rng.uniform(0.05, 0.95, m)) @ u.conj().T)
-    gamma = cond.pdm1_from_density(kappa)
-    Gamma = cond.pdm2_from_density(kappa)
-    gamma_o, Gamma_o = fock.pdms_from_rho(fock.to_operator(kappa))
-    assert np.max(np.abs(gamma - gamma_o)) <= 1e-10
-    assert np.max(np.abs(Gamma - Gamma_o)) <= 1e-10
-    for name, probes, closed, full in (
-            ("T1", cond._t1_probe_elements(m), cond.t1_form_from_pdms, cond.check_T1_full),
-            ("T2", cond._t2_probe_elements(m), cond.t2_form_from_pdms, cond.check_T2_full)):
-        F = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
-        C = closed(gamma, Gamma)
-        assert np.max(np.abs(F - C)) <= 1e-10, name
-        rep = full(kappa)
-        assert rep.passed, rep
-        assert abs(rep.margin - cond.report_from_form(name, C, "closed-form").margin) <= 1e-8
+    _, quasi = quasifree.build_quasifree(u @ np.diag(rng.uniform(0.05, 0.95, m)) @ u.conj().T)
+    dense = fock.random_density(m, 83)
+    for kappa, rho in ((quasi, fock.to_operator(quasi)), (fock.from_operator(dense), dense)):
+        gamma = cond.pdm1_from_density(kappa)
+        Gamma = cond.pdm2_from_density(kappa)
+        gamma_o, Gamma_o = fock.pdms_from_rho(rho)
+        assert np.max(np.abs(gamma - gamma_o)) <= 1e-10
+        assert np.max(np.abs(Gamma - Gamma_o)) <= 1e-10
+        for name, probes, closed, full in (
+                ("T1", cond._t1_probe_elements(m), cond.t1_form_from_pdms, cond.check_T1_full),
+                ("T2", cond._t2_probe_elements(m), cond.t2_form_from_pdms, cond.check_T2_full)):
+            F = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
+            C = closed(gamma, Gamma)
+            assert np.max(np.abs(F - C)) <= 1e-10, name
+            rep = full(kappa)
+            assert rep.passed, rep
+            assert abs(rep.margin - cond.report_from_form(name, C, "closed-form").margin) <= 1e-8
 
 
 class TestFuzz:
@@ -379,14 +382,16 @@ class TestFuzz:
         assert a == b
 
     def test_all_pass_small(self):
-        summary = cond.fuzz_conditions(3, 10, seed=1)
-        assert summary.all_pass
-        assert summary.pdm_max_dev < 1e-10
+        for m, trials in ((3, 10), (6, 1)):
+            summary = cond.fuzz_conditions(m, trials, seed=1)
+            assert summary.all_pass
+            assert summary.pdm_max_dev < 1e-10
 
     def test_sector_exercises_contraction(self):
-        summary = cond.fuzz_conditions(4, 4, seed=2, sector=2)
-        assert summary.all_pass
-        assert summary.contraction_max_dev < 1e-10
+        for m, trials, sector in ((4, 4, 2), (6, 2, 3)):
+            summary = cond.fuzz_conditions(m, trials, seed=2, sector=sector)
+            assert summary.all_pass
+            assert summary.contraction_max_dev < 1e-10
 
     def test_corrupted_gamma2_reports_failure(self):
         _, kappa, gamma, Gamma = genuine(3, 71)
@@ -395,7 +400,7 @@ class TestFuzz:
         assert any(not r.passed for r in reports)
 
     def test_caps_and_trials_validated(self):
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(ValueError, match="cap 6"):
             cond.fuzz_conditions(7, 3, seed=0)
         with pytest.raises(ValueError, match="trials"):
             cond.fuzz_conditions(2, 0, seed=0)
