@@ -277,10 +277,11 @@ def star(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     _check_m(a.m, STAR_CAP)
     m = a.m
     out: dict = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
+    b_terms = [(bar, unbar, cb) for (bar, unbar), cb in b.terms.items()]
+    for (a_bar, a_unbar), ca in a.terms.items():
+        for b_bar, b_unbar, cb in b_terms:
             c = ca * cb
-            for km, cm in _star_monomials_terms(ka.bar, ka.unbar, kb.bar, kb.unbar, m):
+            for km, cm in _star_monomials_terms(a_bar, a_unbar, b_bar, b_unbar, m):
                 _acc(out, km, c * cm)
     return GrassmannElement(m, out)
 
@@ -466,9 +467,12 @@ def change_generators(a: GrassmannElement, u: np.ndarray, tol: float = 1e-10) ->
     ubar = u.conj()
     col_subsets = {k: list(combinations(range(m), k)) for k in range(m + 1)}
 
-    def block(mat, rows):
+    @functools.cache
+    def block(barred, mask):
         # antisymmetric expansion of an ordered generator block: minors over
-        # all ascending column subsets of matching size
+        # all ascending column subsets of matching size, once per (side, rows)
+        mat = ubar if barred else u
+        rows = [i - 1 for i in _indices(mask)]
         out = []
         for cols in col_subsets[len(rows)]:
             if rows:
@@ -476,19 +480,16 @@ def change_generators(a: GrassmannElement, u: np.ndarray, tol: float = 1e-10) ->
             else:
                 d = 1.0 + 0j
             if d != 0:
-                mask = 0
+                cmask = 0
                 for cidx in cols:
-                    mask |= 1 << cidx
-                out.append((mask, d))
+                    cmask |= 1 << cidx
+                out.append((cmask, d))
         return out
 
     out: dict = {}
     for (bar, ub), c in a.terms.items():
-        rows_b = [i - 1 for i in _indices(bar)]
-        rows_u = [i - 1 for i in _indices(ub)]
-        bar_parts = block(ubar, rows_b)
-        ub_parts = block(u, rows_u)
-        for bmask, bdet in bar_parts:
+        ub_parts = block(False, ub)
+        for bmask, bdet in block(True, bar):
             cb = c * bdet
             for umask, udet in ub_parts:
                 _acc(out, Monomial(bmask, umask), cb * udet)

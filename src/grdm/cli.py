@@ -122,7 +122,7 @@ def cmd_quasifree(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    points = sum(1 for _ in quasifree.generator_words(m, args.max_points))
+    points = quasifree.words_checked(m, args.max_points)
     payload = {
         "element": serialize.element_to_dict(kappa),
         "report": {

@@ -7,10 +7,17 @@ at the boundary of [0, 1] are snapped to exact projector factors (empty or
 occupied mode); interior eigenvalues lambda use the exponent
 q = ln((1 - lambda)/lambda), so each factor is (e^{-q} - 1) nbar n + 1 up to
 normalization.
+
+Verification compares, word by word, star-product expectations with Wick
+pairing sums.  The star side is linear in the density, so for each
+(m, max_points) it is built once as a sparse map over the generator words,
+from the Grassmann kernels alone (`star`, `algebra.moment_rows`), and cached;
+`star_word_expectation` is the per-word reference it is tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -30,7 +37,7 @@ from .algebra import (
     trace_integral,
     unit,
 )
-from .conditions import _require_hermitian
+from .conditions import _LinearMap, _linear_map, _require_hermitian
 
 BOUNDARY_TOL = 1e-10
 
@@ -177,20 +184,59 @@ def star_word_expectation(kappa: GrassmannElement, word) -> complex:
     return star_trace(acc, last)
 
 
+def _word_product_entries(m: int, max_points: int):
+    """(row, t, coeff) of each word product g1 * ... * gk, rows in generator_words order.
+
+    Each product is the product of its one-shorter prefix (built earlier, as
+    the words come shortest first) and one generator; products of full length
+    are never reused, so only the shorter ones are kept, and only while the
+    map is built.
+    """
+    gens = {(i, barred): psibar(i, m) if barred else psi(i, m)
+            for i in range(1, m + 1) for barred in (True, False)}
+    prefixes = {(): unit(m)}
+    for row, word in enumerate(generator_words(m, max_points)):
+        product = star(prefixes[word[:-1]], gens[word[-1]])
+        if len(word) < max_points:
+            prefixes[word] = product
+        for t, c in product.terms.items():
+            yield row, t, c
+
+
+@functools.lru_cache(maxsize=8)
+def _star_word_map(m: int, max_points: int) -> _LinearMap:
+    """kd -> star_trace(kd, g1 * ... * gk) over every word; the cache holds at most 8 maps."""
+    if max_points < 1:
+        raise ValueError(f"max_points must be at least 1, got {max_points}")
+    n_words = sum(math.perm(2 * m, k) for k in range(1, max_points + 1))
+    return _linear_map(_word_product_entries(m, max_points), (n_words,), m)
+
+
+def words_checked(m: int, max_points: int) -> int:
+    """Number of generator words `verify_quasifree` compares at this m and max_points."""
+    return _star_word_map(m, max_points).shape[0]
+
+
 def verify_quasifree(kappa: GrassmannElement, spec: QuasifreeSpec, max_points: int = 6) -> float:
     """Max deviation between star-product and Wick expectations over all words.
 
-    Enumerates every word of distinct generators up to max_points and compares
-    the integral expectation (density rotated to the eigenbasis) against the
-    pairing sum; quasifree densities stay at roundoff, generic ones do not.
+    Compares, on every word of distinct generators up to max_points, the
+    integral expectation of the density rotated to the eigenbasis (kd) against
+    the pairing sum; quasifree densities stay at roundoff, generic ones do not.
+    By associativity the star side of word g1...gk is star_trace(kd,
+    g1 * ... * gk), a fixed linear functional of kd, so all words are one
+    cached sparse map applied to kd.to_vector() (`_star_word_map`); the Wick
+    side stays the per-word pairing sum.  The map has one row per word,
+    sum_k (2m)!/(2m-k)! of them, and its memory grows with that count, at
+    about 50-80 bytes a word: 0.11 MB for the 2080 words at m = 4 with 4
+    points, 0.8 MB for the 13,344 at m = 6.  Raises ValueError when
+    max_points < 1.
     """
-    kd = change_generators(kappa, spec.u)
-    worst = 0.0
-    for word in generator_words(spec.m, max_points):
-        lhs = star_word_expectation(kd, list(word))
-        rhs = wick_expectation(spec, word)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    word_map = _star_word_map(spec.m, max_points)
+    lhs = word_map.apply(change_generators(kappa, spec.u))
+    rhs = np.array([wick_expectation(spec, word) for word in generator_words(spec.m, max_points)],
+                   dtype=complex)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def quasifree_from_lambdas(lambdas, m: int) -> tuple[QuasifreeSpec, GrassmannElement]:

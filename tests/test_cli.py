@@ -197,6 +197,30 @@ class TestQuasifreeCmd:
         el = serialize.element_from_dict(payload["element"])
         assert el.m == 2
 
+    def test_points_checked_counts_words(self, tmp_path):
+        gpath = tmp_path / "gamma.json"
+        serialize.atomic_write_json(str(gpath),
+                                    serialize.matrix_to_dict(np.diag([0.3, 0.7]), "gamma", 2))
+        out = tmp_path / "qf.json"
+        assert cli.main(["quasifree", "--in", str(gpath), "--out", str(out),
+                         "--max-points", "2"]) == 0
+        # 4 one-generator words and 4 * 3 two-generator words
+        assert json.loads(out.read_text())["report"]["points_checked"] == 16
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_max_points_below_one_exit_2(self, tmp_path, capsys, points):
+        gpath = tmp_path / "gamma.json"
+        serialize.atomic_write_json(str(gpath),
+                                    serialize.matrix_to_dict(np.diag([0.3, 0.7]), "gamma", 2))
+        out = tmp_path / "qf.json"
+        rc = cli.main(["quasifree", "--in", str(gpath), "--out", str(out),
+                       "--max-points", points])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "max_points" in captured.err
+        assert "wick_max_dev" not in captured.out
+        assert not out.exists()
+
     def test_bad_spectrum_exit_2(self, tmp_path):
         gpath = tmp_path / "gamma.json"
         serialize.atomic_write_json(str(gpath),

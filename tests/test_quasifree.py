@@ -146,20 +146,43 @@ class TestWick:
             qf.wick_expectation(spec, [(3, True), (3, False)])
 
     def test_verify_quasifree_small_dev(self, rng):
-        m = 3
-        gamma = random_gamma(rng, m)
-        spec, kappa = qf.build_quasifree(gamma)
-        assert qf.verify_quasifree(kappa, spec, max_points=6) < 1e-9
+        for m, points in ((3, 6), (5, 4), (6, 4)):
+            gamma = random_gamma(rng, m)
+            spec, kappa = qf.build_quasifree(gamma)
+            assert qf.verify_quasifree(kappa, spec, max_points=points) < 1e-9
 
     def test_generic_density_violates_wick(self):
-        m = 3
-        rho = fock.random_density(m, 77)
-        kappa = fock.from_operator(rho)
-        gamma = cond.pdm1_from_density(kappa)
-        lam, v = np.linalg.eigh(gamma)
-        spec = qf.QuasifreeSpec(m, v, np.clip(lam.real, 0, 1),
-                                np.log((1 - lam.real) / lam.real))
-        assert qf.verify_quasifree(kappa, spec, max_points=4) > 1e-3
+        for m, seed in ((3, 77), (5, 78)):
+            rho = fock.random_density(m, seed)
+            kappa = fock.from_operator(rho)
+            gamma = cond.pdm1_from_density(kappa)
+            lam, v = np.linalg.eigh(gamma)
+            spec = qf.QuasifreeSpec(m, v, np.clip(lam.real, 0, 1),
+                                    np.log((1 - lam.real) / lam.real))
+            assert qf.verify_quasifree(kappa, spec, max_points=4) > 1e-3
+
+    def test_max_points_below_one_rejected(self):
+        spec, kappa = qf.quasifree_from_lambdas([0.4, 0.6], 2)
+        for points in (0, -3):
+            with pytest.raises(ValueError, match="max_points"):
+                qf.verify_quasifree(kappa, spec, max_points=points)
+
+    def test_words_checked_counts_generator_words(self):
+        for m, points in ((2, 4), (3, 6), (4, 4), (2, 9)):
+            assert qf.words_checked(m, points) == sum(1 for _ in qf.generator_words(m, points))
+
+    @pytest.mark.parametrize("m, points", [(2, 4), (3, 6), (4, 4)])
+    def test_word_map_matches_per_word_reference(self, rng, m, points):
+        # the generic density is no quasifree state, so a map that only
+        # reproduced the Wick values would miss its reference values
+        _, quasi = qf.build_quasifree(random_gamma(rng, m))
+        generic = fock.from_operator(fock.random_density(m, 40 + m))
+        words = list(qf.generator_words(m, points))
+        for kappa in (quasi, generic):
+            got = qf._star_word_map(m, points).apply(kappa)
+            assert got.shape == (len(words),)
+            want = np.array([qf.star_word_expectation(kappa, list(w)) for w in words])
+            assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_pull_through_identity(self):
         m = 3
