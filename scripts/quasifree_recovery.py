@@ -3,8 +3,8 @@
 
 Samples random one-body matrices with eigenvalues drawn from progressively
 wider windows (approaching the projector boundary), rebuilds the quasifree
-density, and reports worst-case one-body recovery and Wick-factorization
-deviations.
+density, and reports worst-case one-body recovery, two-body agreement with
+the Wick closed form (`wick_pdms`) and Wick-factorization deviations.
 """
 
 import argparse
@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from grdm.conditions import pdm1_from_density
-from grdm.quasifree import build_quasifree, verify_quasifree
+from grdm.conditions import pdm1_from_density, pdm2_from_density
+from grdm.quasifree import build_quasifree, verify_quasifree, wick_pdms
 
 
 def random_unitary(rng, m):
@@ -32,9 +32,10 @@ def main() -> int:
 
     rng = np.random.default_rng(args.seed)
     windows = [(0.2, 0.8), (0.05, 0.95), (1e-3, 1 - 1e-3), (1e-8, 1 - 1e-8)]
-    print(f"{'window':>22} {'pdm1 dev':>12} {'wick dev':>12}")
+    print(f"{'window':>22} {'pdm1 dev':>12} {'pdm2 dev':>12} {'wick dev':>12}")
     for lo, hi in windows:
         pdm_worst = 0.0
+        pdm2_worst = 0.0
         wick_worst = 0.0
         for _ in range(args.samples):
             v = random_unitary(rng, args.m)
@@ -42,8 +43,10 @@ def main() -> int:
             gamma = v @ np.diag(lam) @ v.conj().T
             spec, kappa = build_quasifree(gamma)
             pdm_worst = max(pdm_worst, float(np.max(np.abs(pdm1_from_density(kappa) - gamma))))
+            pdm2_dev = np.max(np.abs(pdm2_from_density(kappa) - wick_pdms(gamma)[1]))
+            pdm2_worst = max(pdm2_worst, float(pdm2_dev))
             wick_worst = max(wick_worst, verify_quasifree(kappa, spec, args.max_points))
-        print(f"[{lo:9.1e}, {hi:9.7f}] {pdm_worst:>12.3e} {wick_worst:>12.3e}")
+        print(f"[{lo:9.1e}, {hi:9.7f}] {pdm_worst:>12.3e} {pdm2_worst:>12.3e} {wick_worst:>12.3e}")
     return 0
 
 

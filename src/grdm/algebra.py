@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -275,6 +276,15 @@ def star(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     """
     _same_m(a, b)
     _check_m(a.m, STAR_CAP)
+    return _star(a, b)
+
+
+def _star(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
+    """`star` without the STAR_CAP check, for map builds whose factors are short words.
+
+    The cost is the number of monomial pairs, so products of a few generators
+    stay cheap at any m up to ELEMENT_CAP.
+    """
     m = a.m
     out: dict = {}
     b_terms = [(bar, unbar, cb) for (bar, unbar), cb in b.terms.items()]
@@ -447,16 +457,41 @@ def expectation(density: GrassmannElement, observable: GrassmannElement, tol: fl
     return star_trace(density, observable)
 
 
+@functools.lru_cache(maxsize=ELEMENT_CAP + 1)
+def _degree_order(m: int) -> tuple:
+    """The 2**m subset masks sorted by size, and per size k its (slice, index rows).
+
+    `order[slice]` lists the subsets of size k as bitmasks and `rows` (n_k, k)
+    as ascending 0-based index tuples, in the same order.
+    """
+    groups = []
+    start = 0
+    for k in range(m + 1):
+        subsets = list(combinations(range(m), k))
+        rows = np.array(subsets, dtype=np.intp).reshape(len(subsets), k)
+        rows.setflags(write=False)
+        groups.append((slice(start, start + len(subsets)), rows))
+        start += len(subsets)
+    order = np.concatenate([(1 << rows).sum(axis=1) for _, rows in groups])
+    order.setflags(write=False)
+    return order, tuple(groups)
+
+
 def change_generators(a: GrassmannElement, u: np.ndarray, tol: float = 1e-10) -> GrassmannElement:
     """Rewrite `a` under the substitution chi_i = sum_j u[i, j] psi_j.
 
     The coefficients of `a` are read as coefficients over the chi generators
-    (conjugate matrix for the barred ones) and expanded over the psi basis via
-    minor determinants.  `u` must be unitary within tol; both integrals are
-    invariant under this map.
+    (conjugate matrix for the barred ones) and expanded over the psi basis.
+    An ordered block chi_J expands as sum_K det(u[J, K]) psi_K, so with C the
+    2**m x 2**m coefficient matrix (rows barred, columns plain) the new one
+    is the compound-matrix product conj(U)^T C U, U[J, K] = det(u[J, K]) for
+    |J| = |K|.  It is taken block by block over the subset sizes, with the
+    minors of each size from one batched determinant, so no product exceeds
+    C(m, m/2) squared (20 x 20 at m = 6); blocks of C that hold no term are
+    skipped and stay exactly zero, and only exactly-zero coefficients are
+    dropped from the result.  `u` must be unitary within tol; both integrals
+    are invariant under this map.
     """
-    from itertools import combinations
-
     m = a.m
     u = np.asarray(u, dtype=complex)
     if u.shape != (m, m):
@@ -464,36 +499,19 @@ def change_generators(a: GrassmannElement, u: np.ndarray, tol: float = 1e-10) ->
     dev = np.max(np.abs(u.conj().T @ u - np.eye(m)))
     if dev > tol:
         raise ValueError(f"matrix is not unitary: max |u*u - 1| = {dev:.3e}")
-    ubar = u.conj()
-    col_subsets = {k: list(combinations(range(m), k)) for k in range(m + 1)}
-
-    @functools.cache
-    def block(barred, mask):
-        # antisymmetric expansion of an ordered generator block: minors over
-        # all ascending column subsets of matching size, once per (side, rows)
-        mat = ubar if barred else u
-        rows = [i - 1 for i in _indices(mask)]
-        out = []
-        for cols in col_subsets[len(rows)]:
-            if rows:
-                d = complex(np.linalg.det(mat[np.ix_(rows, cols)]))
-            else:
-                d = 1.0 + 0j
-            if d != 0:
-                cmask = 0
-                for cidx in cols:
-                    cmask |= 1 << cidx
-                out.append((cmask, d))
-        return out
-
-    out: dict = {}
-    for (bar, ub), c in a.terms.items():
-        ub_parts = block(False, ub)
-        for bmask, bdet in block(True, bar):
-            cb = c * bdet
-            for umask, udet in ub_parts:
-                _acc(out, Monomial(bmask, umask), cb * udet)
-    return GrassmannElement(m, out)
+    order, groups = _degree_order(m)
+    minors = [np.linalg.det(u[rows[:, None, :, None], rows[None, :, None, :]])
+              for _, rows in groups]
+    coeffs = a.to_vector().reshape(1 << m, 1 << m)[np.ix_(order, order)]
+    out = np.zeros_like(coeffs)
+    for (bars, _), bar_minors in zip(groups, minors):
+        for (ubs, _), ub_minors in zip(groups, minors):
+            c = coeffs[bars, ubs]
+            if c.any():
+                out[bars, ubs] = bar_minors.conj().T @ c @ ub_minors
+    bar, ub = np.nonzero(out)
+    return GrassmannElement(m, dict(zip(map(Monomial, order[bar].tolist(), order[ub].tolist()),
+                                        out[bar, ub].tolist())))
 
 
 def elements_close(a: GrassmannElement, b: GrassmannElement, tol: float = 1e-12) -> bool:

@@ -5,9 +5,17 @@ integral literally on a doubled algebra: the original generators occupy the
 low index block, the integration generators the high block, and the
 convolution weight is multiplied out before a left-derivative Berezin
 integral eliminates the high block.
+
+The reference generator change expands every term over each pair of minor
+determinants, one accumulation per (barred minor, plain minor) pair.
 """
 
-from grdm.algebra import GrassmannElement, Monomial, _acc, multiply
+import functools
+from itertools import combinations
+
+import numpy as np
+
+from grdm.algebra import GrassmannElement, Monomial, _acc, _indices, multiply
 
 
 def _lift_left(a, m):
@@ -68,4 +76,34 @@ def star_reference(a, b):
     for (bar, ub), c in reduced.terms.items():
         assert bar & ~low == 0 and ub & ~low == 0
         out[Monomial(bar, ub)] = c
+    return GrassmannElement(m, out)
+
+
+def change_generators_reference(a, u):
+    """change_generators term by term: every term times every pair of nonzero minors."""
+    m = a.m
+    u = np.asarray(u, dtype=complex)
+    ubar = u.conj()
+    col_subsets = {k: list(combinations(range(m), k)) for k in range(m + 1)}
+
+    @functools.cache
+    def block(barred, mask):
+        # antisymmetric expansion of an ordered generator block: minors over
+        # all ascending column subsets of matching size, once per (side, rows)
+        mat = ubar if barred else u
+        rows = [i - 1 for i in _indices(mask)]
+        out = []
+        for cols in col_subsets[len(rows)]:
+            d = complex(np.linalg.det(mat[np.ix_(rows, cols)])) if rows else 1.0 + 0j
+            if d != 0:
+                out.append((sum(1 << c for c in cols), d))
+        return out
+
+    out: dict = {}
+    for (bar, ub), c in a.terms.items():
+        ub_parts = block(False, ub)
+        for bmask, bdet in block(True, bar):
+            cb = c * bdet
+            for umask, udet in ub_parts:
+                _acc(out, Monomial(bmask, umask), cb * udet)
     return GrassmannElement(m, out)

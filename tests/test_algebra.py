@@ -33,7 +33,7 @@ from grdm.algebra import (
     unit,
     zero,
 )
-from _reference import star_reference
+from _reference import change_generators_reference, star_reference
 from conftest import rand_element, random_unitary
 
 
@@ -346,6 +346,26 @@ class TestChangeGenerators:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             change_generators(unit(2), np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_minor_loop_reference(self, rng, m):
+        # every coefficient at m <= 5, 300 random ones at m = 6 (the loop
+        # takes about 1 s on a dense m = 6 element)
+        n = 1 << m
+        keys = ([Monomial(i, j) for i in range(n) for j in range(n)] if m <= 5 else
+                [Monomial(int(i), int(j)) for i, j in rng.integers(0, n, (300, 2))])
+        a = GrassmannElement(m, {k: complex(*rng.standard_normal(2)) for k in keys})
+        conserving = GrassmannElement(m, {k: c for k, c in a.terms.items()
+                                          if k.bar.bit_count() == k.unbar.bit_count()})
+        perm = np.eye(m)[rng.permutation(m)]
+        for el, u in ((a, random_unitary(rng, m)), (conserving, random_unitary(rng, m)),
+                      (a, perm)):
+            got, want = change_generators(el, u), change_generators_reference(el, u)
+            assert max_coeff_difference(got, want) <= 1e-12 * want.norm_max()
+            if el is conserving:
+                assert set(got.terms) == set(want.terms)
+        # a permutation moves each coefficient exactly, so both drop the same exact zeros
+        assert change_generators(a, perm).terms == change_generators_reference(a, perm).terms
 
     def test_star_compatible(self, rng):
         # substitution is an algebra map: CG(a * b) = CG(a) * CG(b)

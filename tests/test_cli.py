@@ -221,6 +221,15 @@ class TestQuasifreeCmd:
         assert "wick_max_dev" not in captured.out
         assert not out.exists()
 
+    def test_mode_count_past_cap_exit_2(self, tmp_path, capsys):
+        gpath = tmp_path / "gamma.json"
+        serialize.atomic_write_json(str(gpath),
+                                    serialize.matrix_to_dict(0.5 * np.eye(9), "gamma", 9))
+        out = tmp_path / "qf.json"
+        assert cli.main(["quasifree", "--in", str(gpath), "--out", str(out)]) == 2
+        assert "cap 8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_spectrum_exit_2(self, tmp_path):
         gpath = tmp_path / "gamma.json"
         serialize.atomic_write_json(str(gpath),

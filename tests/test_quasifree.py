@@ -167,6 +167,46 @@ class TestWick:
             with pytest.raises(ValueError, match="max_points"):
                 qf.verify_quasifree(kappa, spec, max_points=points)
 
+    def test_word_map_cap_named(self):
+        # build_quasifree's cap is pinned through `grdm quasifree` (test_cli)
+        with pytest.raises(ValueError, match="cap 8"):
+            qf.words_checked(9, 2)
+
+    def test_density_and_spec_m_must_agree(self, rng):
+        spec, _ = qf.build_quasifree(random_gamma(rng, 3))
+        _, kappa = qf.build_quasifree(random_gamma(rng, 4))
+        with pytest.raises(ValueError, match="m = 4.*m = 3"):
+            qf.verify_quasifree(kappa, spec, max_points=2)
+
+    def test_batched_wick_matches_per_word_reference(self):
+        m = 3
+        lam = np.array([0.15, 0.5, 0.8])
+        spec = qf.QuasifreeSpec(m, np.eye(m, dtype=complex), lam, np.log((1 - lam) / lam))
+        want = np.array([qf.wick_expectation(spec, w) for w in qf.generator_words(m, 6)])
+        got = qf._wick_word_values(spec, 6)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_wick_pdms_match_both_realizations(self, rng):
+        for m in (4, 5, 6):
+            gamma = random_gamma(rng, m)
+            _, kappa = qf.build_quasifree(gamma)
+            gamma_w, Gamma_w = qf.wick_pdms(gamma)
+            assert np.array_equal(gamma_w, gamma)
+            assert np.max(np.abs(cond.pdm2_from_density(kappa) - Gamma_w)) <= 1e-12
+            if m == 4:
+                _, Gamma_o = fock.pdms_from_rho(fock.to_operator(kappa))
+                assert np.max(np.abs(Gamma_o - Gamma_w)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_past_the_fock_cap(self, m):
+        # beyond the Fock oracle the Wick closed forms are the second realization
+        rng = np.random.default_rng(700 + m)
+        gamma = random_gamma(rng, m)
+        spec, kappa = qf.build_quasifree(gamma)
+        assert np.max(np.abs(cond.pdm1_from_density(kappa) - gamma)) <= 1e-9
+        assert qf.verify_quasifree(kappa, spec, max_points=4) <= 1e-9
+        assert np.max(np.abs(cond.pdm2_from_density(kappa) - qf.wick_pdms(gamma)[1])) <= 1e-12
+
     def test_words_checked_counts_generator_words(self):
         for m, points in ((2, 4), (3, 6), (4, 4), (2, 9)):
             assert qf.words_checked(m, points) == sum(1 for _ in qf.generator_words(m, points))
@@ -217,11 +257,13 @@ class TestModeProduct:
         assert el.terms == {Monomial(0, 0): 1 + 0j, Monomial(1, 1): pytest.approx(r)}
 
     def test_matches_star_fold(self, rng):
-        for m in (1, 2, 3):
+        for m in (1, 2, 3, 4):
             r = rng.uniform(-1.5, 1.5, m)
-            closed = qf.mode_product_expansion(r)
-            folded = unit(m)
-            for i in range(m):
-                factor = unit(m) + r[i] * monomial_element(Monomial(1 << i, 1 << i), m)
-                folded = star(folded, factor)
-            assert max_coeff_difference(closed, folded) < 1e-12
+            for occupied in (np.zeros(m, bool), rng.random(m) < 0.5, np.ones(m, bool)):
+                closed = qf.mode_product_expansion(r, occupied=occupied)
+                folded = unit(m)
+                for i in range(m):
+                    nbar_n = monomial_element(Monomial(1 << i, 1 << i), m)
+                    factor = nbar_n if occupied[i] else unit(m) + r[i] * nbar_n
+                    folded = star(folded, factor)
+                assert max_coeff_difference(closed, folded) < 1e-12

@@ -15,6 +15,7 @@ def test_scripts_exit_0():
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     runs = [
         ["quasifree_recovery.py", "--m", "3", "--samples", "2"],
+        ["quasifree_recovery.py", "--m", "7", "--samples", "1"],
         ["fuzz_campaign.py", "--trials", "1", "--max-m", "2"],
     ]
     procs = [subprocess.Popen([sys.executable, os.path.join(ROOT, "scripts", script), *args],
@@ -24,3 +25,5 @@ def test_scripts_exit_0():
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, f"{script} exited {proc.returncode}: {err}"
         assert out.strip(), f"{script} printed nothing"
+        if script == "quasifree_recovery.py":
+            assert "pdm2 dev" in out
