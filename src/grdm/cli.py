@@ -58,17 +58,8 @@ def cmd_check(args) -> int:
     except (OSError, serialize.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reports = []
     try:
-        reports.append(cond.first_order_report(gamma))
-        if Gamma is not None:
-            reports.append(cond.check_P(gamma, Gamma))
-            reports.append(cond.check_Q(gamma, Gamma))
-            reports.append(cond.check_G(gamma, Gamma))
-            reports.append(cond.report_from_form("T1", cond.t1_form_from_pdms(gamma, Gamma),
-                                                 "closed-form"))
-            reports.append(cond.report_from_form("T2", cond.t2_form_from_pdms(gamma, Gamma),
-                                                 "closed-form"))
+        reports = cond.condition_battery(gamma, Gamma)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,12 +1,14 @@
 """Reduced density matrices of Grassmann densities and representability checks.
 
-Each condition comes in two independent realizations that are cross-validated
-against each other: a closed-form matrix inequality in the one- and two-body
-matrices (gamma, Gamma), and positivity of a quadratic form evaluated by star
-products against the density element itself.  The Grassmann-side quantities
-(pdms and forms) are linear in the density, so each is a sparse map built
-once from the star-product and pair-trace kernels and applied to the
-density's coefficient vector.
+Each condition P, Q, G, T1, T2 is positivity of one form with two independent
+realizations, cross-validated against each other.  The table CONDITIONS maps
+each name to its closed-form matrix in the one- and two-body matrices
+(gamma, Gamma) and to the probes b_a and mode of its star-product form on the
+density element, F[a, b] = <b_a* b_b> (plain: P, Q, G) or <b_a* b_b + b_b b_a*>
+(anticommutator: T1, T2); G also subtracts the product of its probes' means.
+The Grassmann-side pdms and forms are linear in the density, so each is a
+sparse map built once per m from the star-product and pair-trace kernels and
+applied to the density's coefficient vector.
 
 Index conventions (0-based in code): gamma[k, l] is the expectation of
 pbar_{l+1} * p_{k+1}; two-body indices flatten row-major, (k, l) -> k*m + l,
@@ -27,7 +29,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,12 +45,12 @@ from .algebra import (
     psibar,
     star,
     trace_integral,
-    unit,
 )
 from . import fock
 
 DENSITY_TRACE_TOL = 1e-8
 HERMITIAN_INPUT_TOL = 1e-8
+FORM_HERMITIAN_TOL = 1e-10  # relative to 1 + max-norm, for every form matrix
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ def report_from_form(condition: str, matrix: np.ndarray, method: str,
     herm = (matrix + matrix.conj().T) / 2
     dev = np.max(np.abs(matrix - herm)) if matrix.size else 0.0
     scale = 1.0 + (float(np.max(np.abs(matrix))) if matrix.size else 0.0)
-    if dev > 1e-10 * scale:
+    if dev > FORM_HERMITIAN_TOL * scale:
         raise ValueError(f"{condition}: form matrix is not Hermitian (deviation {dev:.3e})")
     margin = float(np.linalg.eigvalsh(herm).min()) if matrix.size else math.inf
     if tol is None:
@@ -194,13 +196,13 @@ def _form_entries(probes: list[GrassmannElement], mode: str):
 
 @functools.lru_cache(maxsize=16)
 def _probe_set_map(kind: str, m: int) -> _LinearMap:
-    """The map of one fixed probe set at one m; the cache holds at most 16 maps."""
+    """The map of pdm1, pdm2 or a table condition's form at one m; at most 16 are cached."""
     if kind == "pdm1":
         return _linear_map(_pdm1_entries(m), (m, m), m)
     if kind == "pdm2":
         return _linear_map(_pdm2_entries(m), (m * m, m * m), m)
-    probes = {"T1": _t1_probe_elements, "T2": _t2_probe_elements}[kind](m)
-    return _linear_map(_form_entries(probes, "anticommutator"), (len(probes),) * 2, m)
+    probes = CONDITIONS[kind].probes(m)
+    return _linear_map(_form_entries(probes, CONDITIONS[kind].mode), (len(probes),) * 2, m)
 
 
 def pdm1_from_density(kappa: GrassmannElement) -> np.ndarray:
@@ -215,27 +217,12 @@ def pdm2_from_density(kappa: GrassmannElement) -> np.ndarray:
     return _probe_set_map("pdm2", kappa.m).apply(kappa)
 
 
-def _hermitian_form(F: np.ndarray) -> np.ndarray:
-    scale = 1.0 + float(np.max(np.abs(F)))
-    dev = np.max(np.abs(F - F.conj().T))
-    if dev > 1e-12 * scale:
-        raise ValueError(f"quadratic form failed hermiticity check ({dev:.3e})")
-    return (F + F.conj().T) / 2
-
-
-def _probe_set_report(condition: str, kappa: GrassmannElement) -> ConditionReport:
-    """Margin of the cached anticommutator form of the T1 or T2 probe set."""
-    _validate_density_element(kappa)
-    F = _hermitian_form(_probe_set_map(condition, kappa.m).apply(kappa))
-    return report_from_form(condition, F, "grassmann-form")
-
-
 def quadratic_form_matrix(kappa: GrassmannElement, probes: list[GrassmannElement],
                           mode: str = "plain") -> np.ndarray:
-    """Hermitian form F[a, b] = <b_a* * b_b> (plain) or the anticommutator version.
+    """Form F[a, b] = <b_a* * b_b> (plain) or the anticommutator version.
 
     Probes may be arbitrary elements over the density's generator count; the
-    form is PSD whenever kappa is a genuine Grassmann density.
+    form is PSD (up to roundoff) whenever kappa is a genuine Grassmann density.
     """
     if mode not in ("plain", "anticommutator"):
         raise ValueError(f"unknown form mode {mode!r}")
@@ -245,9 +232,7 @@ def quadratic_form_matrix(kappa: GrassmannElement, probes: list[GrassmannElement
     for b in probes:
         if b.m != kappa.m:
             raise ValueError("probe generator count differs from density")
-    n = len(probes)
-    form = _linear_map(_form_entries(probes, mode), (n, n), kappa.m)
-    return _hermitian_form(form.apply(kappa))
+    return _linear_map(_form_entries(probes, mode), (len(probes),) * 2, kappa.m).apply(kappa)
 
 
 def monomial_basis(m: int, order: int) -> list[GrassmannElement]:
@@ -310,36 +295,15 @@ def g_condition_matrix(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
 
 
 def check_P(gamma: np.ndarray, Gamma: np.ndarray, tol: float | None = None) -> ConditionReport:
-    _, Gamma, _ = _validate_pair(gamma, Gamma)
-    return report_from_form("P", Gamma, "closed-form", tol)
+    return closed_form_report("P", gamma, Gamma, tol)
 
 
 def check_Q(gamma: np.ndarray, Gamma: np.ndarray, tol: float | None = None) -> ConditionReport:
-    return report_from_form("Q", q_condition_matrix(gamma, Gamma), "closed-form", tol)
+    return closed_form_report("Q", gamma, Gamma, tol)
 
 
 def check_G(gamma: np.ndarray, Gamma: np.ndarray, tol: float | None = None) -> ConditionReport:
-    return report_from_form("G", g_condition_matrix(gamma, Gamma), "closed-form", tol)
-
-
-def condition_form_report(kappa: GrassmannElement, condition: str) -> ConditionReport:
-    """P/Q/G margins recomputed as star-product quadratic forms."""
-    m = kappa.m
-    if condition == "P":
-        probes = [multiply(psi(k, m), psi(l, m)) for k in range(1, m + 1) for l in range(1, m + 1)]
-    elif condition == "Q":
-        probes = [multiply(psibar(k, m), psibar(l, m)) for k in range(1, m + 1) for l in range(1, m + 1)]
-    elif condition == "G":
-        gamma = pdm1_from_density(kappa)
-        probes = []
-        for k in range(m):
-            for l in range(m):
-                shift = complex(gamma[l, k])
-                probes.append(monomial_element(Monomial(1 << k, 1 << l), m) - shift * unit(m))
-    else:
-        raise ValueError(f"unknown condition {condition!r}")
-    F = quadratic_form_matrix(kappa, probes, "plain")
-    return report_from_form(condition, F, "grassmann-form")
+    return closed_form_report("G", gamma, Gamma, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +382,7 @@ def t1_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
 
 def check_T1_full(kappa: GrassmannElement) -> ConditionReport:
     """T1 as min eigenvalue of the anticommutator form over all cubic probes."""
-    m = kappa.m
-    if m < 3:
-        return ConditionReport("T1", math.inf, True, 0.0, "grassmann-form")
-    return _probe_set_report("T1", kappa)
+    return condition_form_report(kappa, "T1")
 
 
 def t2_bilinear(Tp: np.ndarray, ap: np.ndarray, T: np.ndarray, a: np.ndarray,
@@ -507,10 +468,7 @@ def t2_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
 
 def check_T2_full(kappa: GrassmannElement) -> ConditionReport:
     """Generalized T2 as min eigenvalue of the anticommutator form."""
-    m = kappa.m
-    if m < 2:
-        return ConditionReport("T2", math.inf, True, 0.0, "grassmann-form")
-    return _probe_set_report("T2", kappa)
+    return condition_form_report(kappa, "T2")
 
 
 def t2a_value(gamma: np.ndarray, Gamma: np.ndarray, T: np.ndarray) -> float:
@@ -534,6 +492,59 @@ def t2a_value(gamma: np.ndarray, Gamma: np.ndarray, T: np.ndarray) -> float:
         total += 4 * np.einsum("ki,jl,klij->", tq.conj(), tq, g4)
         total += 2 * np.trace(tq.conj().T @ tq @ gamma)
     return float(total.real)
+
+
+# ---------------------------------------------------------------------------
+# the condition table
+
+class Condition(NamedTuple):
+    """closed(gamma, Gamma) and the `mode` form of probes(m) on kappa are one matrix."""
+
+    closed: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    probes: Callable[[int], list[GrassmannElement]]
+    mode: str
+
+
+def _pair_probes(generator, m: int) -> list[GrassmannElement]:
+    """The m * m products generator_k generator_l, in pair order (k, l) -> k*m + l."""
+    return [multiply(generator(k, m), generator(l, m))
+            for k in range(1, m + 1) for l in range(1, m + 1)]
+
+
+def _one_body_probes(m: int) -> list[GrassmannElement]:
+    """The monomials pbar_{k+1} p_{l+1}, in pair order; their means are gamma[l, k]."""
+    return [monomial_element(Monomial(1 << k, 1 << l), m) for k in range(m) for l in range(m)]
+
+
+CONDITIONS = {
+    "P": Condition(lambda gamma, Gamma: _validate_pair(gamma, Gamma)[1],
+                   lambda m: _pair_probes(psi, m), "plain"),
+    "Q": Condition(q_condition_matrix, lambda m: _pair_probes(psibar, m), "plain"),
+    "G": Condition(g_condition_matrix, _one_body_probes, "plain"),
+    "T1": Condition(t1_form_from_pdms, _t1_probe_elements, "anticommutator"),
+    "T2": Condition(t2_form_from_pdms, _t2_probe_elements, "anticommutator"),
+}
+
+
+def closed_form_report(condition: str, gamma: np.ndarray, Gamma: np.ndarray,
+                       tol: float | None = None) -> ConditionReport:
+    """Margin of a table condition's closed-form matrix in (gamma, Gamma)."""
+    return report_from_form(condition, CONDITIONS[condition].closed(gamma, Gamma),
+                            "closed-form", tol)
+
+
+def condition_form_report(kappa: GrassmannElement, condition: str) -> ConditionReport:
+    """Margin of a table condition's star-product form on kappa, from the cached map.
+
+    G's probes are centred, b_a - <b_a>, so its form is the plain form minus
+    outer(conj(s), s) with s_a = <b_a> the pdm1 entries.
+    """
+    _validate_density_element(kappa)
+    F = _probe_set_map(condition, kappa.m).apply(kappa)
+    if condition == "G":
+        s = _probe_set_map("pdm1", kappa.m).apply(kappa).T.reshape(-1)
+        F -= np.outer(s.conj(), s)
+    return report_from_form(condition, F, "grassmann-form")
 
 
 # ---------------------------------------------------------------------------
@@ -568,28 +579,20 @@ class FuzzSummary:
         }
 
 
-def condition_battery(kappa: GrassmannElement, gamma: np.ndarray, Gamma: np.ndarray) -> list[ConditionReport]:
-    """The standard six checks run by the fuzzer and the CLI."""
-    return [
-        first_order_report(gamma),
-        check_P(gamma, Gamma),
-        check_Q(gamma, Gamma),
-        check_G(gamma, Gamma),
-        check_T1_full(kappa),
-        check_T2_full(kappa),
-    ]
+def condition_battery(gamma: np.ndarray, Gamma: np.ndarray | None = None,
+                      kappa: GrassmannElement | None = None) -> list[ConditionReport]:
+    """First-order, then the table conditions in order: the battery of check and fuzz.
 
-
-def _fuzz_trial(m: int, trial_seed, sector: int | None):
-    rho = fock.random_density(m, trial_seed, sector=sector)
-    kappa = fock.from_operator(rho)
-    gamma = pdm1_from_density(kappa)
-    Gamma = pdm2_from_density(kappa)
-    gamma_o, Gamma_o = fock.pdms_from_rho(rho)
-    dev = max(np.max(np.abs(gamma - gamma_o)), np.max(np.abs(Gamma - Gamma_o)))
-    reports = condition_battery(kappa, gamma, Gamma)
-    cdev = fock.contraction_check(rho) if sector is not None and sector >= 2 else 0.0
-    return dev, cdev, reports
+    P/Q/G run in closed form when Gamma is given.  T1/T2 run on kappa's
+    Grassmann form when kappa is given and in closed form otherwise.
+    """
+    reports = [first_order_report(gamma)]
+    for name in CONDITIONS:
+        if kappa is not None and name in ("T1", "T2"):
+            reports.append(condition_form_report(kappa, name))
+        elif Gamma is not None:
+            reports.append(closed_form_report(name, gamma, Gamma))
+    return reports
 
 
 def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -> FuzzSummary:
@@ -602,16 +605,21 @@ def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -
         raise ValueError("trials must be >= 1")
     if m > fock.FOCK_CAP:
         raise ValueError(f"mode count {m} exceeds oracle cap {fock.FOCK_CAP}")
-    children = np.random.SeedSequence(seed).spawn(trials)
-    results = [_fuzz_trial(m, s, sector) for s in children]
     worst: dict = {}
     failures = 0
     pdm_dev = 0.0
     cdev_max = 0.0
-    for dev, cdev, reports in results:
-        pdm_dev = max(pdm_dev, float(dev))
-        cdev_max = max(cdev_max, float(cdev))
-        for rep in reports:
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rho = fock.random_density(m, child, sector=sector)
+        kappa = fock.from_operator(rho)
+        gamma = pdm1_from_density(kappa)
+        Gamma = pdm2_from_density(kappa)
+        gamma_o, Gamma_o = fock.pdms_from_rho(rho)
+        pdm_dev = max(pdm_dev, float(np.max(np.abs(gamma - gamma_o))),
+                      float(np.max(np.abs(Gamma - Gamma_o))))
+        if sector is not None and sector >= 2:
+            cdev_max = max(cdev_max, float(fock.contraction_check(rho)))
+        for rep in condition_battery(gamma, Gamma, kappa):
             prev = worst.get(rep.condition)
             if prev is None or rep.margin < prev:
                 worst[rep.condition] = rep.margin

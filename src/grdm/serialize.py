@@ -109,8 +109,7 @@ def atomic_write_json(path: str, obj) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(obj, indent=2) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -163,7 +163,7 @@ def test_criterion_07_necessary_condition_suite():
                 gamma = cond.pdm1_from_density(kappa)
                 Gamma = cond.pdm2_from_density(kappa)
                 tol = 1e-9 * (1.0 + float(np.max(np.abs(Gamma))))
-                for rep in cond.condition_battery(kappa, gamma, Gamma):
+                for rep in cond.condition_battery(gamma, Gamma, kappa):
                     assert rep.margin >= -tol, (m, trial, rep)
                 for name, closed in (("P", cond.check_P(gamma, Gamma)),
                                      ("Q", cond.check_Q(gamma, Gamma)),

@@ -73,6 +73,14 @@ class TestSerialize:
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
 
+    def test_atomic_write_bytes(self, tmp_path, rng):
+        path = tmp_path / "out.json"
+        obj = {"element": serialize.element_to_dict(rand_element(rng, 3)),
+               "report": {"dev": 1e-300, "zero": -0.0, "pass": True, "seed": None, "name": "G"},
+               "rows": [[], [0.1, 2], {}]}
+        serialize.atomic_write_json(str(path), obj)
+        assert path.read_bytes() == (json.dumps(obj, indent=2) + "\n").encode()
+
 
 class TestCheck:
     def test_genuine_passes(self, pdm_file, tmp_path):

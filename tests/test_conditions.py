@@ -142,7 +142,7 @@ class TestPQG:
     def test_genuine_passes_all(self):
         for m, seed in [(2, 21), (3, 22), (4, 23)]:
             _, kappa, gamma, Gamma = genuine(m, seed)
-            for rep in cond.condition_battery(kappa, gamma, Gamma):
+            for rep in cond.condition_battery(gamma, Gamma, kappa):
                 assert rep.passed, rep
 
     def test_slater_passes_all(self, rng):
@@ -152,11 +152,11 @@ class TestPQG:
         rho = np.outer(state, state.conj())
         kappa = fock.from_operator(rho)
         gamma, Gamma = fock.pdms_from_rho(rho)
-        for rep in cond.condition_battery(kappa, gamma, Gamma):
+        for rep in cond.condition_battery(gamma, Gamma, kappa):
             assert rep.passed and rep.margin >= -1e-10, rep
 
     def test_closed_vs_form_margins(self):
-        for m, seed in [(2, 31), (3, 32), (4, 33)]:
+        for m, seed in [(2, 31), (3, 32), (4, 33), (5, 34)]:
             _, kappa, gamma, Gamma = genuine(m, seed)
             closed = {
                 "P": cond.check_P(gamma, Gamma),
@@ -166,6 +166,14 @@ class TestPQG:
             for name, rep in closed.items():
                 form = cond.condition_form_report(kappa, name)
                 assert abs(rep.margin - form.margin) < 1e-8, (name, rep, form)
+
+    def test_form_report_reuses_cached_map(self):
+        _, kappa, _, _ = genuine(3, 35)
+        cond.condition_form_report(kappa, "P")
+        before = cond._probe_set_map.cache_info()
+        cond.condition_form_report(kappa, "P")
+        after = cond._probe_set_map.cache_info()
+        assert after.misses == before.misses and after.hits == before.hits + 1
 
     def test_q_matrix_halffilled_uncorrelated(self):
         # gamma = I/2, Gamma = 0 at m = 2: Q matrix is (1 - Ex) * 0 ... check value
@@ -348,6 +356,18 @@ class TestT2:
             cond.check_T2_generalized(gamma, Gamma, np.zeros((2, 2, 2)), np.zeros(3))
         with pytest.raises(ValueError, match="shape"):
             cond.check_T2_generalized(gamma, Gamma, np.zeros((3, 3, 3)), np.zeros(2))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_table_realizations_agree(m):
+    # an empty form (T1 below m = 3) has margin inf on both sides; T2 at m = 1
+    # is the 1 x 1 form of the linear probe, margin 1
+    _, kappa, gamma, Gamma = genuine(m, 90 + m)
+    for name in cond.CONDITIONS:
+        closed = cond.closed_form_report(name, gamma, Gamma)
+        form = cond.condition_form_report(kappa, name)
+        assert (closed.margin == form.margin == np.inf
+                or abs(closed.margin - form.margin) <= 1e-8), (name, closed, form)
 
 
 def test_grassmann_forms_match_closed_forms_at_m6(rng):
