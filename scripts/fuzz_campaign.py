@@ -2,13 +2,15 @@
 """Sweep the condition battery over mode counts and particle sectors.
 
 Prints a table of worst margins per condition; any failure on a genuine
-density indicates a sign-convention bug and exits nonzero.
+density indicates a sign-convention bug and exits 1.  Bad arguments exit 2
+before any job runs.
 """
 
 import argparse
 import sys
 
 from grdm.conditions import fuzz_conditions
+from grdm.fock import FOCK_CAP
 
 
 def main() -> int:
@@ -17,6 +19,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-m", type=int, default=4)
     args = parser.parse_args()
+    if args.trials < 1:
+        parser.error(f"--trials must be >= 1, got {args.trials}")
+    if not 2 <= args.max_m <= FOCK_CAP:
+        parser.error(f"--max-m must lie in [2, {FOCK_CAP}], got {args.max_m}")
 
     jobs = [(m, None) for m in range(2, args.max_m + 1)]
     jobs += [(m, n) for m in range(3, args.max_m + 1) for n in range(2, m)]

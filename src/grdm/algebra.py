@@ -444,6 +444,13 @@ def moment_rows(monomials: Iterable[Monomial], m: int) -> tuple[np.ndarray, np.n
             np.array(vals, dtype=float))
 
 
+def _coo_apply(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, vec: np.ndarray,
+               n: int) -> np.ndarray:
+    """out[rows] += vals * vec[cols] over COO arrays, duplicates summed in array order."""
+    prod = vals * vec[cols]
+    return np.bincount(rows, prod.real, n) + 1j * np.bincount(rows, prod.imag, n)
+
+
 def expectation(density: GrassmannElement, observable: GrassmannElement, tol: float = 1e-8) -> complex:
     """Trace of density * observable under the star product.
 

@@ -34,17 +34,21 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .algebra import (
+    ELEMENT_CAP,
+    STAR_CAP,
     GrassmannElement,
     Monomial,
+    _check_m,
+    _coo_apply,
+    _half_pair_sign,
     _mono_mul,
+    _star,
     involution,
     moment_rows,
     monomial_element,
     multiply,
     psi,
     psibar,
-    star,
-    trace_integral,
 )
 from . import fock
 
@@ -91,10 +95,26 @@ def report_from_form(condition: str, matrix: np.ndarray, method: str,
     return ConditionReport(condition, margin, margin >= -tol, tol, method)
 
 
-def _validate_density_element(kappa: GrassmannElement) -> None:
-    tr = trace_integral(kappa)
+@functools.lru_cache(maxsize=ELEMENT_CAP)
+def _trace_row(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """trace_integral as a row on to_vector(): the diagonal monomials (I, I) and their weights."""
+    diag = [(bar << m) | bar for bar in range(1 << m)]
+    weights = [_half_pair_sign(bar.bit_count()) * float(1 << (m - bar.bit_count()))
+               for bar in range(1 << m)]
+    out = np.array(diag, dtype=np.intp), np.array(weights)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _density_vector(kappa: GrassmannElement) -> np.ndarray:
+    """kappa.to_vector(), once its trace_integral is checked to be 1."""
+    vec = kappa.to_vector()
+    diag, weights = _trace_row(kappa.m)
+    tr = complex(vec[diag] @ weights)
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise ValueError(f"density element is not normalized: trace_integral = {tr}")
+    return vec
 
 
 def _require_hermitian(mat: np.ndarray, name: str, tol: float = HERMITIAN_INPUT_TOL) -> np.ndarray:
@@ -133,15 +153,10 @@ class _LinearMap(NamedTuple):
     combine: tuple
     shape: tuple
 
-    def apply(self, kappa: GrassmannElement) -> np.ndarray:
-        moments = _coo_apply(*self.moments, kappa.to_vector(), self.n_moments)
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """The map on a coefficient vector, kappa.to_vector()."""
+        moments = _coo_apply(*self.moments, vec, self.n_moments)
         return _coo_apply(*self.combine, moments, math.prod(self.shape)).reshape(self.shape)
-
-
-def _coo_apply(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, vec: np.ndarray,
-               n: int) -> np.ndarray:
-    prod = vals * vec[cols]
-    return np.bincount(rows, prod.real, n) + 1j * np.bincount(rows, prod.imag, n)
 
 
 def _linear_map(entries, shape: tuple, m: int) -> _LinearMap:
@@ -182,14 +197,19 @@ def _pdm2_entries(m: int):
 
 
 def _form_entries(probes: list[GrassmannElement], mode: str):
-    """F[a, b] = tr(kappa * X_ab), X_ab = b_a* * b_b (+ b_b * b_a*), expanded once."""
+    """F[a, b] = tr(kappa * X_ab), X_ab = b_a* * b_b (+ b_b * b_a*), expanded once.
+
+    Uses the uncapped `_star`: the table probes are words of at most three
+    generators, cheap at any m; quadratic_form_matrix checks STAR_CAP for
+    arbitrary probes itself.
+    """
     n = len(probes)
     bstars = [involution(b) for b in probes]
     for a in range(n):
         for b in range(n):
-            x = star(bstars[a], probes[b])
+            x = _star(bstars[a], probes[b])
             if mode == "anticommutator":
-                x = x + star(probes[b], bstars[a])
+                x = x + _star(probes[b], bstars[a])
             for t, c in x.terms.items():
                 yield a * n + b, t, c
 
@@ -207,14 +227,12 @@ def _probe_set_map(kind: str, m: int) -> _LinearMap:
 
 def pdm1_from_density(kappa: GrassmannElement) -> np.ndarray:
     """One-body matrix gamma[k, l] = <pbar_{l+1} * p_{k+1}> by star-trace."""
-    _validate_density_element(kappa)
-    return _probe_set_map("pdm1", kappa.m).apply(kappa)
+    return _probe_set_map("pdm1", kappa.m).apply(_density_vector(kappa))
 
 
 def pdm2_from_density(kappa: GrassmannElement) -> np.ndarray:
     """Two-body matrix by star-trace against normal-ordered generator words."""
-    _validate_density_element(kappa)
-    return _probe_set_map("pdm2", kappa.m).apply(kappa)
+    return _probe_set_map("pdm2", kappa.m).apply(_density_vector(kappa))
 
 
 def quadratic_form_matrix(kappa: GrassmannElement, probes: list[GrassmannElement],
@@ -228,11 +246,12 @@ def quadratic_form_matrix(kappa: GrassmannElement, probes: list[GrassmannElement
         raise ValueError(f"unknown form mode {mode!r}")
     if not probes:
         raise ValueError("probe list is empty")
-    _validate_density_element(kappa)
+    _check_m(kappa.m, STAR_CAP)
+    vec = _density_vector(kappa)
     for b in probes:
         if b.m != kappa.m:
             raise ValueError("probe generator count differs from density")
-    return _linear_map(_form_entries(probes, mode), (len(probes),) * 2, kappa.m).apply(kappa)
+    return _linear_map(_form_entries(probes, mode), (len(probes),) * 2, kappa.m).apply(vec)
 
 
 def monomial_basis(m: int, order: int) -> list[GrassmannElement]:
@@ -539,10 +558,10 @@ def condition_form_report(kappa: GrassmannElement, condition: str) -> ConditionR
     G's probes are centred, b_a - <b_a>, so its form is the plain form minus
     outer(conj(s), s) with s_a = <b_a> the pdm1 entries.
     """
-    _validate_density_element(kappa)
-    F = _probe_set_map(condition, kappa.m).apply(kappa)
+    vec = _density_vector(kappa)
+    F = _probe_set_map(condition, kappa.m).apply(vec)
     if condition == "G":
-        s = _probe_set_map("pdm1", kappa.m).apply(kappa).T.reshape(-1)
+        s = _probe_set_map("pdm1", kappa.m).apply(vec).T.reshape(-1)
         F -= np.outer(s.conj(), s)
     return report_from_form(condition, F, "grassmann-form")
 

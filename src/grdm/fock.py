@@ -1,16 +1,22 @@
-"""Dense Fock-space oracle: ladder operators, the operator/element correspondence,
+"""Fock-space oracle: ladder operators, the operator/element correspondence,
 and reduced density matrices by direct traces.
 
 Basis convention: basis state index n encodes occupations, bit i-1 of n being
-the occupation of mode i (1-based), so index 0 is the vacuum.  Ladder matrices
-carry Jordan-Wigner sign strings over the lower bits, which realizes the
-anticommutation relations with exact integer entries.
+the occupation of mode i (1-based), so index 0 is the vacuum.  Ladder
+operators carry Jordan-Wigner sign strings over the lower bits, which
+realizes the anticommutation relations with exact integer entries.
 
-Everything here is brute force on 2^m x 2^m matrices and exists to
-cross-validate the Grassmann-side computations at small mode counts, m <= 6
-in both directions.  to_operator multiplies ladder matrices; from_operator is
-its closed-form inverse, a signed Moebius inversion over subsets of modes
-applied as one precomputed sparse map of 5^m entries, cached per m.
+The oracle works on occupation bitstrings, not on matrix products: a ladder
+word maps each basis state to at most one basis state with a sign, so
+`_jordan_wigner` applies a word to all states at once from bit parities, and
+to_operator and pdms_from_rho are signed gathers over those (target, sign)
+pairs, precomputed per m and applied with np.bincount.  from_operator is the
+closed-form inverse of to_operator, a signed Moebius inversion over subsets
+of modes whose signs come from the algebra module's kernels, so the round
+trip compares two separate sign derivations.  Everything serves to
+cross-validate the Grassmann-side computations, up to m = FOCK_CAP = 8 in
+both directions; the dense 2^m x 2^m ladder matrices remain only behind
+creation, annihilation and slater_state.
 """
 
 from __future__ import annotations
@@ -19,9 +25,9 @@ import functools
 
 import numpy as np
 
-from .algebra import GrassmannElement, Monomial, _half_pair_sign, _merge_sign, prune
+from .algebra import GrassmannElement, Monomial, _coo_apply, _half_pair_sign, _merge_sign, prune
 
-FOCK_CAP = 6
+FOCK_CAP = 8
 
 
 def _check_mode_count(m: int) -> None:
@@ -84,32 +90,62 @@ def number_operator(m: int) -> np.ndarray:
     return np.diag([float(n.bit_count()) for n in range(dim)]).astype(complex)
 
 
-@functools.lru_cache(maxsize=None)
-def _ordered_products(m: int):
-    """C*_I and C_J for every index mask, factors in ascending index order."""
-    crt, ann = _ladders(m)
-    dim = 1 << m
-    eye = np.eye(dim, dtype=complex)
-    cs_prod = {0: eye}
-    an_prod = {0: eye}
-    for mask in range(1, dim):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        cs_prod[mask] = crt[i] @ cs_prod[mask ^ low]
-        an_prod[mask] = ann[i] @ an_prod[mask ^ low]
-    return cs_prod, an_prod
+def _jordan_wigner(bar, unbar, states, m: int):
+    """Apply the ladder word C*_bar C_unbar to occupation bitstrings, all at once.
+
+    C*_bar and C_unbar are the creators and the annihilators of the masks'
+    modes in ascending index order.  Every state must survive the word:
+    unbar inside the state, bar outside what the annihilators leave.  The
+    arguments broadcast against each other; returns the target states and
+    the signs, +1 or -1.  A ladder operator on mode b counts the occupied
+    modes below b, so the annihilators, applied highest first, see the
+    occupations of the state and the creators those of the state minus
+    unbar; only the m modes are looped over.
+    """
+    states = np.asarray(states)
+    mid = states ^ unbar
+    parity = below = below_mid = 0  # parities of the occupations below mode b
+    for b in range(m):
+        parity ^= ((unbar >> b) & below) ^ ((bar >> b) & below_mid)
+        below ^= (states >> b) & 1
+        below_mid ^= (mid >> b) & 1
+    return mid | bar, 1 - 2 * parity
+
+
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=FOCK_CAP)
+def _operator_map(m: int):
+    """Read-only (dst, src, sign) arrays with op.ravel()[dst] += sign * coeffs[src].
+
+    Monomial (I, J) sends state n to +-|n'> when J lies inside n and I
+    outside n - J, so per mode (in I, in J, occupied in n) takes one of five
+    patterns: 5^m entries in all, one per (I, J, n).  `coeffs` is the
+    element's to_vector(); the entries run in its order, so every operator
+    entry sums its terms in ascending monomial order.
+    """
+    bar = unbar = states = np.zeros(1, dtype=np.intp)
+    patterns = np.array([(0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 1), (1, 1, 1)], dtype=np.intp)
+    for b in range(m):
+        bar, unbar, states = ((x[:, None] | (patterns[:, c] << b)).ravel()
+                              for c, x in enumerate((bar, unbar, states)))
+    src = (bar << m) | unbar
+    order = np.argsort(src, kind="stable")
+    bar, unbar, states, src = bar[order], unbar[order], states[order], src[order]
+    targets, sign = _jordan_wigner(bar, unbar, states, m)
+    return _read_only((targets << m) | states, src, sign.astype(float))
 
 
 def to_operator(a: GrassmannElement) -> np.ndarray:
     """Map an element to its Fock operator: sum of coeff * C*_I C_J per monomial."""
     m = a.m
     _check_mode_count(m)
-    cs_prod, an_prod = _ordered_products(m)
     dim = 1 << m
-    out = np.zeros((dim, dim), dtype=complex)
-    for (bar, ub), c in a.terms.items():
-        out += c * (cs_prod[bar] @ an_prod[ub])
-    return out
+    return _coo_apply(*_operator_map(m), a.to_vector(), dim * dim).reshape(dim, dim)
 
 
 @functools.lru_cache(maxsize=FOCK_CAP)
@@ -137,11 +173,8 @@ def _element_map(m: int):
                 if z == 0:
                     break
                 z = (z - 1) & free
-    out = (np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp),
-           np.array(sign, dtype=float))
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    return _read_only(np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp),
+                      np.array(sign, dtype=float))
 
 
 def from_operator(op: np.ndarray) -> GrassmannElement:
@@ -159,10 +192,7 @@ def from_operator(op: np.ndarray) -> GrassmannElement:
     op = np.asarray(op, dtype=complex)
     m = _infer_m(op)
     _check_mode_count(m)
-    dst, src, sign = _element_map(m)
-    vals = op.ravel()[src] * sign
-    nb = 1 << (2 * m)
-    coeffs = np.bincount(dst, vals.real, nb) + 1j * np.bincount(dst, vals.imag, nb)
+    coeffs = _coo_apply(*_element_map(m), op.ravel(), 1 << (2 * m))
     idx = np.flatnonzero(coeffs)
     mask = (1 << m) - 1
     terms = {Monomial(k >> m, k & mask): c
@@ -185,32 +215,53 @@ def validate_density(rho: np.ndarray, tol: float = 1e-10) -> None:
         raise ValueError(f"density has negative eigenvalue {low:.3e}")
 
 
+def _trace_map(rows: np.ndarray, bar: np.ndarray, unbar: np.ndarray, order: np.ndarray,
+               m: int):
+    """(dst, src, sign) with out[rows[w]] = order[w] * tr(rho C*_bar[w] C_unbar[w]).
+
+    tr(rho W) = sum over the states n that W sends to s_n |n'> of
+    s_n * rho[n, n'], read from rho.ravel() at n * 2^m + n'.
+    """
+    states = np.arange(1 << m)
+    bar, unbar = bar[:, None], unbar[:, None]
+    word, n = np.nonzero(((states & unbar) == unbar) & ((states & ~unbar & bar) == 0))
+    targets, sign = _jordan_wigner(bar[word, 0], unbar[word, 0], n, m)
+    return _read_only(rows[word], (n << m) | targets, (sign * order[word]).astype(float))
+
+
+@functools.lru_cache(maxsize=FOCK_CAP)
+def _pdm_maps(m: int):
+    """The gathers of gamma (words c*_l c_k) and Gamma (words c*_l c*_k c_i c_j) from rho.
+
+    A two-body word puts its creators and its annihilators in ascending
+    order at a sign -1 per swapped pair; the words with i = j or k = l vanish.
+    """
+    modes = np.arange(m)
+    k, l = (x.ravel() for x in np.meshgrid(modes, modes, indexing="ij"))
+    gamma = _trace_map(k * m + l, 1 << l, 1 << k, np.ones_like(k), m)
+    i, j, k, l = (x.ravel() for x in np.meshgrid(modes, modes, modes, modes, indexing="ij"))
+    keep = (i != j) & (k != l)
+    i, j, k, l = i[keep], j[keep], k[keep], l[keep]
+    Gamma = _trace_map((i * m + j) * m * m + k * m + l, (1 << k) | (1 << l),
+                       (1 << i) | (1 << j), np.where((l > k) ^ (i > j), -1, 1), m)
+    return gamma, Gamma
+
+
 def pdms_from_rho(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One- and two-particle density matrices of a Fock-space density by direct traces.
 
     gamma[k, l] = tr(rho c*_{l+1} c_{k+1}); the two-body matrix uses the
     row-major pair flattening (k, l) -> k*m + l, with
     Gamma[(i, j), (k, l)] = tr(rho c*_{l+1} c*_{k+1} c_{i+1} c_{j+1}).
+    Each is one signed gather of the entries of rho, cached per m.
     """
     rho = np.asarray(rho, dtype=complex)
     m = _infer_m(rho)
     _check_mode_count(m)
-    crt, ann = _ladders(m)
-    gamma = np.empty((m, m), dtype=complex)
-    for k in range(m):
-        for l in range(m):
-            gamma[k, l] = np.trace(rho @ crt[l] @ ann[k])
-    dim = 1 << m
-    # stack annihilator pairs A[(i,j)] and rho-weighted creator pairs B[(k,l)]
-    A = np.empty((m * m, dim, dim), dtype=complex)
-    B = np.empty((m * m, dim, dim), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            A[i * m + j] = ann[i] @ ann[j]
-    for k in range(m):
-        for l in range(m):
-            B[k * m + l] = rho @ crt[l] @ crt[k]
-    Gamma = np.einsum("bxy,ayx->ab", B, A)
+    flat = rho.ravel()
+    gamma_map, Gamma_map = _pdm_maps(m)
+    gamma = _coo_apply(*gamma_map, flat, m * m).reshape(m, m)
+    Gamma = _coo_apply(*Gamma_map, flat, m ** 4).reshape(m * m, m * m)
     return gamma, Gamma
 
 

@@ -336,7 +336,7 @@ def verify_quasifree(kappa: GrassmannElement, spec: QuasifreeSpec, max_points: i
     """
     if kappa.m != spec.m:
         raise ValueError(f"density has m = {kappa.m} but spec has m = {spec.m}")
-    lhs = _star_word_map(spec.m, max_points).apply(kappa)
+    lhs = _star_word_map(spec.m, max_points).apply(kappa.to_vector())
     rhs = _wick_word_values(spec, max_points)
     return float(np.max(np.abs(lhs - rhs)))
 

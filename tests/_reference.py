@@ -8,6 +8,10 @@ integral eliminates the high block.
 
 The reference generator change expands every term over each pair of minor
 determinants, one accumulation per (barred minor, plain minor) pair.
+
+The dense Fock references multiply the 2^m x 2^m ladder matrices: to_operator
+as a sum of ordered ladder products, one matrix product per monomial, and
+the pdms as traces of rho times ladder words.
 """
 
 import functools
@@ -15,6 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
+from grdm import fock
 from grdm.algebra import GrassmannElement, Monomial, _acc, _indices, multiply
 
 
@@ -107,3 +112,55 @@ def change_generators_reference(a, u):
             for umask, udet in ub_parts:
                 _acc(out, Monomial(bmask, umask), cb * udet)
     return GrassmannElement(m, out)
+
+
+@functools.cache
+def _ordered_products(m):
+    """C*_I and C_J for every index mask, factors in ascending index order."""
+    crt = [fock.creation(i, m) for i in range(1, m + 1)]
+    ann = [fock.annihilation(i, m) for i in range(1, m + 1)]
+    dim = 1 << m
+    eye = np.eye(dim, dtype=complex)
+    cs_prod = {0: eye}
+    an_prod = {0: eye}
+    for mask in range(1, dim):
+        low = mask & -mask
+        i = low.bit_length() - 1
+        cs_prod[mask] = crt[i] @ cs_prod[mask ^ low]
+        an_prod[mask] = ann[i] @ an_prod[mask ^ low]
+    return cs_prod, an_prod
+
+
+def to_operator_reference(a):
+    """Fock operator of an element: coeff * C*_I C_J summed in term order."""
+    m = a.m
+    cs_prod, an_prod = _ordered_products(m)
+    dim = 1 << m
+    out = np.zeros((dim, dim), dtype=complex)
+    for (bar, ub), c in a.terms.items():
+        out += c * (cs_prod[bar] @ an_prod[ub])
+    return out
+
+
+def pdms_from_rho_reference(rho):
+    """gamma[k, l] = tr(rho c*_l c_k), Gamma[(i, j), (k, l)] = tr(rho c*_l c*_k c_i c_j)."""
+    rho = np.asarray(rho, dtype=complex)
+    m = rho.shape[0].bit_length() - 1
+    crt = [fock.creation(i, m) for i in range(1, m + 1)]
+    ann = [fock.annihilation(i, m) for i in range(1, m + 1)]
+    gamma = np.empty((m, m), dtype=complex)
+    for k in range(m):
+        for l in range(m):
+            gamma[k, l] = np.trace(rho @ crt[l] @ ann[k])
+    dim = 1 << m
+    # stack annihilator pairs A[(i,j)] and rho-weighted creator pairs B[(k,l)]
+    A = np.empty((m * m, dim, dim), dtype=complex)
+    B = np.empty((m * m, dim, dim), dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            A[i * m + j] = ann[i] @ ann[j]
+    for k in range(m):
+        for l in range(m):
+            B[k * m + l] = rho @ crt[l] @ crt[k]
+    Gamma = np.einsum("bxy,ayx->ab", B, A)
+    return gamma, Gamma

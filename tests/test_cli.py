@@ -174,8 +174,8 @@ class TestFuzz:
         assert a.read_text() == b.read_text()
 
     def test_cap_exceeded_exit_2(self, capsys):
-        assert cli.main(["fuzz", "--m", "7", "--trials", "2"]) == 2
-        assert "cap 6" in capsys.readouterr().err
+        assert cli.main(["fuzz", "--m", "9", "--trials", "2"]) == 2
+        assert "cap 8" in capsys.readouterr().err
 
     def test_zero_trials_exit_2(self):
         assert cli.main(["fuzz", "--m", "2", "--trials", "0"]) == 2

@@ -7,7 +7,17 @@ import pytest
 
 from grdm import conditions as cond
 from grdm import fock, quasifree
-from grdm.algebra import involution, psi, psibar, star, star_trace, unit
+from grdm.algebra import (
+    GrassmannElement,
+    Monomial,
+    involution,
+    psi,
+    psibar,
+    star,
+    star_trace,
+    trace_integral,
+    unit,
+)
 from conftest import rand_element, random_unitary
 
 
@@ -63,6 +73,16 @@ class TestPdmExtraction:
         with pytest.raises(ValueError, match="not normalized"):
             cond.pdm1_from_density(unit(2))
 
+    def test_trace_row_is_trace_integral(self, rng):
+        # random terms rarely sit on the diagonal, so a third of it is added
+        for m in range(1, 7):
+            diag, weights = cond._trace_row(m)
+            terms = dict(rand_element(rng, m, nterms=12).terms)
+            terms.update({Monomial(bar, bar): complex(rng.standard_normal(), 1.0)
+                          for bar in range(0, 1 << m, 3)})
+            a = GrassmannElement(m, terms)
+            assert abs(a.to_vector()[diag] @ weights - trace_integral(a)) <= 1e-12 * (1 << m)
+
 
 class TestQuadraticForm:
     def test_unit_probe(self):
@@ -114,6 +134,12 @@ class TestQuadraticForm:
         _, kappa, _, _ = genuine(2, 7)
         with pytest.raises(ValueError, match="mode"):
             cond.quadratic_form_matrix(kappa, [unit(2)], mode="weird")
+
+    def test_arbitrary_probes_keep_star_cap(self):
+        # the table maps build past STAR_CAP; arbitrary probes do not
+        m = 7
+        with pytest.raises(ValueError, match="cap 6"):
+            cond.quadratic_form_matrix(2.0 ** -m * unit(m), [unit(m)])
 
 
 class TestOrderN:
@@ -419,8 +445,16 @@ class TestFuzz:
         reports = [cond.check_P(gamma, bad), cond.check_Q(gamma, bad), cond.check_G(gamma, bad)]
         assert any(not r.passed for r in reports)
 
+    @pytest.mark.parametrize("m, seed", [(7, 17), (8, 18)])
+    def test_all_pass_past_the_star_cap(self, m, seed):
+        # the sparse oracle and the uncapped table maps reach the Fock cap
+        summary = cond.fuzz_conditions(m, 1, seed=seed)
+        assert summary.all_pass, summary
+        assert summary.pdm_max_dev <= 1e-12
+        assert set(summary.worst_margins) == {"first-order", *cond.CONDITIONS}
+
     def test_caps_and_trials_validated(self):
-        with pytest.raises(ValueError, match="cap 6"):
-            cond.fuzz_conditions(7, 3, seed=0)
+        with pytest.raises(ValueError, match="cap 8"):
+            cond.fuzz_conditions(9, 3, seed=0)
         with pytest.raises(ValueError, match="trials"):
             cond.fuzz_conditions(2, 0, seed=0)

@@ -7,6 +7,7 @@ import pytest
 
 from grdm import fock
 from grdm.algebra import (
+    GrassmannElement,
     Monomial,
     involution,
     make_element,
@@ -17,6 +18,7 @@ from grdm.algebra import (
     unit,
 )
 from conftest import rand_element, random_unitary
+from _reference import pdms_from_rho_reference, to_operator_reference
 
 
 class TestLadders:
@@ -124,13 +126,54 @@ class TestCorrespondence:
             assert abs(trace_integral(el) - 1.0) < 1e-12
 
     def test_theta_cap(self):
-        # the operator -> element direction shares the oracle cap m <= 6
-        with pytest.raises(ValueError, match="cap 6"):
-            fock.from_operator(np.eye(1 << 7))
+        # the operator -> element direction shares the oracle cap m <= 8
+        with pytest.raises(ValueError, match="cap 8"):
+            fock.from_operator(np.eye(1 << 9))
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError, match="power of two"):
             fock.from_operator(np.eye(5))
+
+
+def _all_terms(m, keep, rng):
+    """Element with a random coefficient on every monomial that `keep` accepts, in index order."""
+    terms = {}
+    for bar in range(1 << m):
+        for ub in range(1 << m):
+            if keep(bar, ub):
+                terms[Monomial(bar, ub)] = complex(rng.standard_normal(), rng.standard_normal())
+    return GrassmannElement(m, terms)
+
+
+class TestSignedGathers:
+    """The Jordan-Wigner gathers against the dense ladder-matrix references."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_pdms_match_dense_traces(self, m, rng):
+        dim = 1 << m
+        generic = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for rho in (fock.random_density(m, 50 + m), generic / dim):
+            gamma, Gamma = fock.pdms_from_rho(rho)
+            gamma_r, Gamma_r = pdms_from_rho_reference(rho)
+            assert np.max(np.abs(gamma - gamma_r)) <= 1e-13
+            assert np.max(np.abs(Gamma - Gamma_r)) <= 1e-13
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_to_operator_equals_ordered_products(self, m, rng):
+        # every entry sums its terms in the same order, so the match is exact
+        dense = _all_terms(m, lambda bar, ub: True, rng)
+        nonconserving = _all_terms(m, lambda bar, ub: bar.bit_count() != ub.bit_count(), rng)
+        for a in (dense, nonconserving):
+            assert np.array_equal(fock.to_operator(a), to_operator_reference(a))
+
+    def test_maps_are_read_only(self):
+        gathers = [*fock._operator_map(3), *(arr for g in fock._pdm_maps(3) for arr in g)]
+        assert not any(arr.flags.writeable for arr in gathers)
+
+    def test_roundtrip_at_the_cap(self, rng):
+        for m in (7, 8):
+            a = rand_element(rng, m, nterms=40)
+            assert max_coeff_difference(fock.from_operator(fock.to_operator(a)), a) < 1e-12
 
 
 class TestPdms:

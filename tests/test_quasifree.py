@@ -199,13 +199,17 @@ class TestWick:
 
     @pytest.mark.parametrize("m", [7, 8])
     def test_past_the_fock_cap(self, m):
-        # beyond the Fock oracle the Wick closed forms are the second realization
+        # past the star-product cap the Wick closed forms and the sparse Fock
+        # oracle are the second and third realizations
         rng = np.random.default_rng(700 + m)
         gamma = random_gamma(rng, m)
         spec, kappa = qf.build_quasifree(gamma)
         assert np.max(np.abs(cond.pdm1_from_density(kappa) - gamma)) <= 1e-9
         assert qf.verify_quasifree(kappa, spec, max_points=4) <= 1e-9
-        assert np.max(np.abs(cond.pdm2_from_density(kappa) - qf.wick_pdms(gamma)[1])) <= 1e-12
+        Gamma_w = qf.wick_pdms(gamma)[1]
+        assert np.max(np.abs(cond.pdm2_from_density(kappa) - Gamma_w)) <= 1e-12
+        _, Gamma_o = fock.pdms_from_rho(fock.to_operator(kappa))
+        assert np.max(np.abs(Gamma_o - Gamma_w)) <= 1e-12
 
     def test_words_checked_counts_generator_words(self):
         for m, points in ((2, 4), (3, 6), (4, 4), (2, 9)):
@@ -219,7 +223,7 @@ class TestWick:
         generic = fock.from_operator(fock.random_density(m, 40 + m))
         words = list(qf.generator_words(m, points))
         for kappa in (quasi, generic):
-            got = qf._star_word_map(m, points).apply(kappa)
+            got = qf._star_word_map(m, points).apply(kappa.to_vector())
             assert got.shape == (len(words),)
             want = np.array([qf.star_word_expectation(kappa, list(w)) for w in words])
             assert np.max(np.abs(got - want)) <= 1e-12

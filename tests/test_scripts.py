@@ -10,20 +10,41 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(grdm.__file__)))
 
 
-def test_scripts_exit_0():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+
+
+def _start(runs):
+    return [subprocess.Popen([sys.executable, os.path.join(ROOT, "scripts", script), *args],
+                             env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for script, *args in runs]
+
+
+def test_scripts_exit_0():
     runs = [
         ["quasifree_recovery.py", "--m", "3", "--samples", "2"],
         ["quasifree_recovery.py", "--m", "7", "--samples", "1"],
         ["fuzz_campaign.py", "--trials", "1", "--max-m", "2"],
     ]
-    procs = [subprocess.Popen([sys.executable, os.path.join(ROOT, "scripts", script), *args],
-                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-             for script, *args in runs]
-    for (script, *_), proc in zip(runs, procs):
+    for (script, *_), proc in zip(runs, _start(runs)):
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, f"{script} exited {proc.returncode}: {err}"
         assert out.strip(), f"{script} printed nothing"
         if script == "quasifree_recovery.py":
             assert "pdm2 dev" in out
+
+
+def test_fuzz_campaign_bad_arguments_exit_2():
+    # each is rejected before any job runs, so not even the table header prints
+    cases = [
+        ("--max-m", ["--trials", "1", "--max-m", "9"]),
+        ("--max-m", ["--trials", "1", "--max-m", "1"]),
+        ("--trials", ["--trials", "0", "--max-m", "2"]),
+    ]
+    procs = _start([["fuzz_campaign.py", *args] for _, args in cases])
+    for (flag, args), proc in zip(cases, procs):
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 2, (args, proc.returncode, err)
+        assert not out
+        assert flag in err, err
