@@ -4,7 +4,8 @@
 Samples random one-body matrices with eigenvalues drawn from progressively
 wider windows (approaching the projector boundary), rebuilds the quasifree
 density, and reports worst-case one-body recovery, two-body agreement with
-the Wick closed form (`wick_pdms`) and Wick-factorization deviations.
+the Wick closed form (`wick_pdms`) and Wick-factorization deviations.  Bad
+arguments exit 2 before the table header prints.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 
 from grdm.conditions import pdm1_from_density, pdm2_from_density
-from grdm.quasifree import build_quasifree, verify_quasifree, wick_pdms
+from grdm.quasifree import QUASIFREE_CAP, build_quasifree, verify_quasifree, wick_pdms
 
 
 def random_unitary(rng, m):
@@ -29,6 +30,12 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-points", type=int, default=4)
     args = parser.parse_args()
+    if not 1 <= args.m <= QUASIFREE_CAP:
+        parser.error(f"--m must lie in [1, {QUASIFREE_CAP}], got {args.m}")
+    if args.samples < 1:
+        parser.error(f"--samples must be >= 1, got {args.samples}")
+    if args.max_points < 1:
+        parser.error(f"--max-points must be >= 1, got {args.max_points}")
 
     rng = np.random.default_rng(args.seed)
     windows = [(0.2, 0.8), (0.05, 0.95), (1e-3, 1 - 1e-3), (1e-8, 1 - 1e-8)]

@@ -444,6 +444,12 @@ def moment_rows(monomials: Iterable[Monomial], m: int) -> tuple[np.ndarray, np.n
             np.array(vals, dtype=float))
 
 
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 def _coo_apply(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, vec: np.ndarray,
                n: int) -> np.ndarray:
     """out[rows] += vals * vec[cols] over COO arrays, duplicates summed in array order."""

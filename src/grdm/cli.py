@@ -53,6 +53,9 @@ def _load_check_input(path: str):
 
 
 def cmd_check(args) -> int:
+    if args.tol is not None and not 0 <= args.tol < np.inf:
+        print(f"error: --tol must be finite and >= 0, got {args.tol}", file=sys.stderr)
+        return 2
     try:
         gamma, Gamma, m = _load_check_input(args.infile)
     except (OSError, serialize.FormatError) as exc:
@@ -77,9 +80,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    if args.trials < 1:
-        print("error: trials must be >= 1", file=sys.stderr)
-        return 2
     try:
         summary = cond.fuzz_conditions(args.m, args.trials, args.seed, sector=args.sector)
     except ValueError as exc:

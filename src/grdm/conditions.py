@@ -7,8 +7,9 @@ each name to its closed-form matrix in the one- and two-body matrices
 density element, F[a, b] = <b_a* b_b> (plain: P, Q, G) or <b_a* b_b + b_b b_a*>
 (anticommutator: T1, T2); G also subtracts the product of its probes' means.
 The Grassmann-side pdms and forms are linear in the density, so each is a
-sparse map built once per m from the star-product and pair-trace kernels and
-applied to the density's coefficient vector.
+fixed combination of its moments star_trace(kappa, t), |bar| = |unbar| <= 2
+for t, which one cached map per m reads off the coefficient vector; moment 0
+is the trace that every density check reads, and Gamma is P's form transposed.
 
 Index conventions (0-based in code): gamma[k, l] is the expectation of
 pbar_{l+1} * p_{k+1}; two-body indices flatten row-major, (k, l) -> k*m + l,
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -40,8 +41,7 @@ from .algebra import (
     Monomial,
     _check_m,
     _coo_apply,
-    _half_pair_sign,
-    _mono_mul,
+    _read_only,
     _star,
     involution,
     moment_rows,
@@ -95,28 +95,6 @@ def report_from_form(condition: str, matrix: np.ndarray, method: str,
     return ConditionReport(condition, margin, margin >= -tol, tol, method)
 
 
-@functools.lru_cache(maxsize=ELEMENT_CAP)
-def _trace_row(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """trace_integral as a row on to_vector(): the diagonal monomials (I, I) and their weights."""
-    diag = [(bar << m) | bar for bar in range(1 << m)]
-    weights = [_half_pair_sign(bar.bit_count()) * float(1 << (m - bar.bit_count()))
-               for bar in range(1 << m)]
-    out = np.array(diag, dtype=np.intp), np.array(weights)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
-def _density_vector(kappa: GrassmannElement) -> np.ndarray:
-    """kappa.to_vector(), once its trace_integral is checked to be 1."""
-    vec = kappa.to_vector()
-    diag, weights = _trace_row(kappa.m)
-    tr = complex(vec[diag] @ weights)
-    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
-        raise ValueError(f"density element is not normalized: trace_integral = {tr}")
-    return vec
-
-
 def _require_hermitian(mat: np.ndarray, name: str, tol: float = HERMITIAN_INPUT_TOL) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -145,7 +123,7 @@ class _LinearMap(NamedTuple):
     `moments` (M) holds the rows star_trace(kappa, t) of the `n_moments`
     monomials t the output reads; `combine` (W) sums them, with coefficients,
     into the flattened output.  Both are read-only COO triples (row, col, val)
-    whose duplicate entries add up.
+    whose duplicate entries add up; the table maps share `_moment_map`'s M.
     """
 
     moments: tuple
@@ -153,47 +131,57 @@ class _LinearMap(NamedTuple):
     combine: tuple
     shape: tuple
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """The map on a coefficient vector, kappa.to_vector()."""
-        moments = _coo_apply(*self.moments, vec, self.n_moments)
+    def combine_moments(self, moments: np.ndarray) -> np.ndarray:
+        """The map on kappa's moments, M @ kappa.to_vector()."""
         return _coo_apply(*self.combine, moments, math.prod(self.shape)).reshape(self.shape)
 
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """The map on a coefficient vector, kappa.to_vector()."""
+        return self.combine_moments(_coo_apply(*self.moments, vec, self.n_moments))
 
-def _linear_map(entries, shape: tuple, m: int) -> _LinearMap:
-    """The map out[row] = sum of coeff * star_trace(kappa, t) over (row, t, coeff) entries."""
-    index: dict = {}
+
+def _linear_map(entries, shape: tuple, m: int, shared: bool = False) -> _LinearMap:
+    """The map out[row] = sum of coeff * star_trace(kappa, t) over (row, t, coeff) entries.
+
+    A shared map reads the moments of `_moment_map(m)`, which must cover
+    every t; any other gets moment rows of just the t its entries name.
+    """
+    moments, index = _moment_map(m) if shared else (None, {})
     rows, cols, vals = [], [], []
     for row, t, coeff in entries:
         rows.append(row)
-        cols.append(index.setdefault(t, len(index)))
+        cols.append(index[t] if shared else index.setdefault(t, len(index)))
         vals.append(coeff)
-    moments = moment_rows(index, m)
-    combine = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-               np.array(vals, dtype=complex))
-    for arr in moments + combine:
-        arr.setflags(write=False)
+    if not shared:
+        moments = _read_only(*moment_rows(index, m))
+    combine = _read_only(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+                         np.array(vals, dtype=complex))
     return _LinearMap(moments, len(index), combine, shape)
 
 
-def _pdm1_entries(m: int):
-    for k in range(m):
-        for l in range(m):
-            yield k * m + l, Monomial(1 << l, 1 << k), 1.0
+@functools.lru_cache(maxsize=ELEMENT_CAP)
+def _moment_map(m: int) -> tuple[tuple, dict]:
+    """The moment rows of every table quantity at m, and each monomial's row.
+
+    The monomials are those with |bar| = |unbar| <= 2, which is all that the
+    pdms and the five table forms read (the anticommutator cancels the T1/T2
+    three-body terms exactly): the unit first, so moment 0 is the trace; then
+    pbar_{k+1} p_{l+1} at row 1 + k*m + l; then the two-body monomials.
+    """
+    ones = [1 << k for k in range(m)]
+    twos = [(1 << k) | (1 << l) for k, l in combinations(range(m), 2)]
+    monomials = [Monomial(0, 0)] + [Monomial(bar, ub) for block in (ones, twos)
+                                    for bar in block for ub in block]
+    return _read_only(*moment_rows(monomials, m)), {t: r for r, t in enumerate(monomials)}
 
 
-def _pdm2_entries(m: int):
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            for k in range(m):
-                for l in range(m):
-                    if k == l:
-                        continue
-                    # word pbar_l pbar_k p_i p_j, canonicalized
-                    sign, bar, _ = _mono_mul(1 << l, 0, 1 << k, 0)
-                    sign2, _, ub = _mono_mul(0, 1 << i, 0, 1 << j)
-                    yield (i * m + j) * m * m + k * m + l, Monomial(bar, ub), float(sign * sign2)
+def _moments(vec: np.ndarray, m: int) -> np.ndarray:
+    """The `_moment_map` moments of a density's to_vector(), once its trace is checked to be 1."""
+    rows, index = _moment_map(m)
+    moments = _coo_apply(*rows, vec, len(index))
+    if abs(moments[0] - 1.0) > DENSITY_TRACE_TOL:
+        raise ValueError(f"density element is not normalized: trace_integral = {complex(moments[0])}")
+    return moments
 
 
 def _form_entries(probes: list[GrassmannElement], mode: str):
@@ -215,24 +203,30 @@ def _form_entries(probes: list[GrassmannElement], mode: str):
 
 
 @functools.lru_cache(maxsize=16)
-def _probe_set_map(kind: str, m: int) -> _LinearMap:
-    """The map of pdm1, pdm2 or a table condition's form at one m; at most 16 are cached."""
-    if kind == "pdm1":
-        return _linear_map(_pdm1_entries(m), (m, m), m)
-    if kind == "pdm2":
-        return _linear_map(_pdm2_entries(m), (m * m, m * m), m)
-    probes = CONDITIONS[kind].probes(m)
-    return _linear_map(_form_entries(probes, CONDITIONS[kind].mode), (len(probes),) * 2, m)
+def _probe_set_map(condition: str, m: int) -> _LinearMap:
+    """A table condition's form at one m, on the shared moments; at most 16 are cached."""
+    probes = CONDITIONS[condition].probes(m)
+    return _linear_map(_form_entries(probes, CONDITIONS[condition].mode), (len(probes),) * 2, m,
+                       shared=True)
+
+
+def _pdm1(moments: np.ndarray, m: int) -> np.ndarray:
+    return np.ascontiguousarray(moments[1:1 + m * m].reshape(m, m).T)
+
+
+def _pdm2(moments: np.ndarray, m: int) -> np.ndarray:
+    """Gamma[(i, j), (k, l)] = <pbar_{l+1} pbar_{k+1} p_{i+1} p_{j+1}>, P's form transposed."""
+    return np.ascontiguousarray(_probe_set_map("P", m).combine_moments(moments).T)
 
 
 def pdm1_from_density(kappa: GrassmannElement) -> np.ndarray:
     """One-body matrix gamma[k, l] = <pbar_{l+1} * p_{k+1}> by star-trace."""
-    return _probe_set_map("pdm1", kappa.m).apply(_density_vector(kappa))
+    return _pdm1(_moments(kappa.to_vector(), kappa.m), kappa.m)
 
 
 def pdm2_from_density(kappa: GrassmannElement) -> np.ndarray:
     """Two-body matrix by star-trace against normal-ordered generator words."""
-    return _probe_set_map("pdm2", kappa.m).apply(_density_vector(kappa))
+    return _pdm2(_moments(kappa.to_vector(), kappa.m), kappa.m)
 
 
 def quadratic_form_matrix(kappa: GrassmannElement, probes: list[GrassmannElement],
@@ -247,7 +241,8 @@ def quadratic_form_matrix(kappa: GrassmannElement, probes: list[GrassmannElement
     if not probes:
         raise ValueError("probe list is empty")
     _check_m(kappa.m, STAR_CAP)
-    vec = _density_vector(kappa)
+    vec = kappa.to_vector()
+    _moments(vec, kappa.m)  # the trace check
     for b in probes:
         if b.m != kappa.m:
             raise ValueError("probe generator count differs from density")
@@ -552,18 +547,22 @@ def closed_form_report(condition: str, gamma: np.ndarray, Gamma: np.ndarray,
                             "closed-form", tol)
 
 
-def condition_form_report(kappa: GrassmannElement, condition: str) -> ConditionReport:
-    """Margin of a table condition's star-product form on kappa, from the cached map.
+def _form_report(condition: str, moments: np.ndarray, m: int) -> ConditionReport:
+    """Margin of a table condition's star-product form, combined from the shared moments.
 
     G's probes are centred, b_a - <b_a>, so its form is the plain form minus
-    outer(conj(s), s) with s_a = <b_a> the pdm1 entries.
+    outer(conj(s), s) with s_a = <b_a>, the one-body moments.
     """
-    vec = _density_vector(kappa)
-    F = _probe_set_map(condition, kappa.m).apply(vec)
+    F = _probe_set_map(condition, m).combine_moments(moments)
     if condition == "G":
-        s = _probe_set_map("pdm1", kappa.m).apply(vec).T.reshape(-1)
+        s = moments[1:1 + m * m]
         F -= np.outer(s.conj(), s)
     return report_from_form(condition, F, "grassmann-form")
+
+
+def condition_form_report(kappa: GrassmannElement, condition: str) -> ConditionReport:
+    """Margin of a table condition's star-product form on kappa, from the cached map."""
+    return _form_report(condition, _moments(kappa.to_vector(), kappa.m), kappa.m)
 
 
 # ---------------------------------------------------------------------------
@@ -585,17 +584,7 @@ class FuzzSummary:
         return self.failures == 0
 
     def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "trials": self.trials,
-            "seed": self.seed,
-            "sector": self.sector,
-            "worst_margins": dict(self.worst_margins),
-            "pdm_max_dev": self.pdm_max_dev,
-            "contraction_max_dev": self.contraction_max_dev,
-            "failures": self.failures,
-            "all_pass": self.all_pass,
-        }
+        return {**asdict(self), "all_pass": self.all_pass}
 
 
 def condition_battery(gamma: np.ndarray, Gamma: np.ndarray | None = None,
@@ -605,10 +594,17 @@ def condition_battery(gamma: np.ndarray, Gamma: np.ndarray | None = None,
     P/Q/G run in closed form when Gamma is given.  T1/T2 run on kappa's
     Grassmann form when kappa is given and in closed form otherwise.
     """
+    if kappa is None:
+        return _battery(gamma, Gamma, None, None)
+    return _battery(gamma, Gamma, _moments(kappa.to_vector(), kappa.m), kappa.m)
+
+
+def _battery(gamma, Gamma, moments, m) -> list[ConditionReport]:
+    """condition_battery with kappa given by its moments at m, or None."""
     reports = [first_order_report(gamma)]
     for name in CONDITIONS:
-        if kappa is not None and name in ("T1", "T2"):
-            reports.append(condition_form_report(kappa, name))
+        if moments is not None and name in ("T1", "T2"):
+            reports.append(_form_report(name, moments, m))
         elif Gamma is not None:
             reports.append(closed_form_report(name, gamma, Gamma))
     return reports
@@ -618,7 +614,8 @@ def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -
     """Run the condition battery on `trials` random genuine densities.
 
     Per-trial seeds derive deterministically from the master seed, so the
-    summary is reproducible.
+    summary is reproducible.  Each density's moments are computed once and
+    serve its pdms and its Grassmann forms.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -630,15 +627,15 @@ def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -
     cdev_max = 0.0
     for child in np.random.SeedSequence(seed).spawn(trials):
         rho = fock.random_density(m, child, sector=sector)
-        kappa = fock.from_operator(rho)
-        gamma = pdm1_from_density(kappa)
-        Gamma = pdm2_from_density(kappa)
+        moments = _moments(fock.from_operator(rho).to_vector(), m)
+        gamma = _pdm1(moments, m)
+        Gamma = _pdm2(moments, m)
         gamma_o, Gamma_o = fock.pdms_from_rho(rho)
         pdm_dev = max(pdm_dev, float(np.max(np.abs(gamma - gamma_o))),
                       float(np.max(np.abs(Gamma - Gamma_o))))
         if sector is not None and sector >= 2:
             cdev_max = max(cdev_max, float(fock.contraction_check(rho)))
-        for rep in condition_battery(gamma, Gamma, kappa):
+        for rep in _battery(gamma, Gamma, moments, m):
             prev = worst.get(rep.condition)
             if prev is None or rep.margin < prev:
                 worst[rep.condition] = rep.margin

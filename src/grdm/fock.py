@@ -25,7 +25,7 @@ import functools
 
 import numpy as np
 
-from .algebra import GrassmannElement, Monomial, _coo_apply, _half_pair_sign, _merge_sign, prune
+from .algebra import GrassmannElement, Monomial, _coo_apply, _half_pair_sign, _merge_sign, _read_only
 
 FOCK_CAP = 8
 
@@ -112,12 +112,6 @@ def _jordan_wigner(bar, unbar, states, m: int):
     return mid | bar, 1 - 2 * parity
 
 
-def _read_only(*arrays):
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
-
-
 @functools.lru_cache(maxsize=FOCK_CAP)
 def _operator_map(m: int):
     """Read-only (dst, src, sign) arrays with op.ravel()[dst] += sign * coeffs[src].
@@ -187,17 +181,19 @@ def from_operator(op: np.ndarray) -> GrassmannElement:
                * merge(I - Z, Z) * merge(Z, J - Z) * op[I - Z, J - Z],
 
     the Moebius inversion of to_operator on the subset lattice.  Exact up to
-    the roundoff of those sums; pruned at 1e-13 relative.
+    the roundoff of those sums; coefficients at or below 1e-13 of the largest
+    magnitude are dropped.
     """
     op = np.asarray(op, dtype=complex)
     m = _infer_m(op)
     _check_mode_count(m)
     coeffs = _coo_apply(*_element_map(m), op.ravel(), 1 << (2 * m))
-    idx = np.flatnonzero(coeffs)
+    size = np.abs(coeffs)
+    idx = np.flatnonzero(size > 1e-13 * size.max())
     mask = (1 << m) - 1
     terms = {Monomial(k >> m, k & mask): c
              for k, c in zip(idx.tolist(), coeffs[idx].tolist())}
-    return prune(GrassmannElement(m, terms), 1e-13)
+    return GrassmannElement(m, terms)
 
 
 def validate_density(rho: np.ndarray, tol: float = 1e-10) -> None:

@@ -156,6 +156,17 @@ class TestCheck:
         assert rc == 0
         assert all(r["tol"] == 0.1 for r in json.loads(out.read_text()))
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_exit_2(self, pdm_file, tmp_path, capsys, tol):
+        out = tmp_path / "r.json"
+        rc = cli.main(["check", "--in", str(pdm_file[0]), "--out", str(out), "--tol", tol,
+                       "--verbose"])
+        stdout, err = capsys.readouterr()
+        assert rc == 2
+        assert "--tol" in err
+        assert "PASS" not in stdout and "FAIL" not in stdout
+        assert not out.exists()
+
 
 class TestFuzz:
     def test_small_campaign_passes(self, tmp_path):
@@ -177,8 +188,9 @@ class TestFuzz:
         assert cli.main(["fuzz", "--m", "9", "--trials", "2"]) == 2
         assert "cap 8" in capsys.readouterr().err
 
-    def test_zero_trials_exit_2(self):
+    def test_zero_trials_exit_2(self, capsys):
         assert cli.main(["fuzz", "--m", "2", "--trials", "0"]) == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
 
     def test_sector_campaign(self, tmp_path):
         out = tmp_path / "fz.json"

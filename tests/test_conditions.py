@@ -10,6 +10,7 @@ from grdm import fock, quasifree
 from grdm.algebra import (
     GrassmannElement,
     Monomial,
+    _coo_apply,
     involution,
     psi,
     psibar,
@@ -73,15 +74,36 @@ class TestPdmExtraction:
         with pytest.raises(ValueError, match="not normalized"):
             cond.pdm1_from_density(unit(2))
 
-    def test_trace_row_is_trace_integral(self, rng):
+    def test_moment_zero_is_trace_integral(self, rng):
         # random terms rarely sit on the diagonal, so a third of it is added
         for m in range(1, 7):
-            diag, weights = cond._trace_row(m)
+            rows, index = cond._moment_map(m)
             terms = dict(rand_element(rng, m, nterms=12).terms)
             terms.update({Monomial(bar, bar): complex(rng.standard_normal(), 1.0)
                           for bar in range(0, 1 << m, 3)})
             a = GrassmannElement(m, terms)
-            assert abs(a.to_vector()[diag] @ weights - trace_integral(a)) <= 1e-12 * (1 << m)
+            moment0 = _coo_apply(*rows, a.to_vector(), len(index))[0]
+            assert abs(moment0 - trace_integral(a)) <= 1e-12 * (1 << m)
+
+    def test_table_maps_share_one_moment_map(self):
+        for m in (2, 3, 5):
+            rows, index = cond._moment_map(m)
+            assert len(index) == 1 + m * m + (m * (m - 1) // 2) ** 2
+            for name in cond.CONDITIONS:
+                table_map = cond._probe_set_map(name, m)
+                assert table_map.moments is rows and table_map.n_moments == len(index)
+
+    def test_fuzz_trial_converts_density_once(self, monkeypatch):
+        calls = []
+        to_vector = GrassmannElement.to_vector
+
+        def counted(self):
+            calls.append(self.m)
+            return to_vector(self)
+
+        monkeypatch.setattr(GrassmannElement, "to_vector", counted)
+        cond.fuzz_conditions(5, 1, 3)
+        assert calls == [5]
 
 
 class TestQuadraticForm:

@@ -38,13 +38,17 @@ def test_scripts_exit_0():
 def test_fuzz_campaign_bad_arguments_exit_2():
     # each is rejected before any job runs, so not even the table header prints
     cases = [
-        ("--max-m", ["--trials", "1", "--max-m", "9"]),
-        ("--max-m", ["--trials", "1", "--max-m", "1"]),
-        ("--trials", ["--trials", "0", "--max-m", "2"]),
+        ("fuzz_campaign.py", "--max-m", ["--trials", "1", "--max-m", "9"]),
+        ("fuzz_campaign.py", "--max-m", ["--trials", "1", "--max-m", "1"]),
+        ("fuzz_campaign.py", "--trials", ["--trials", "0", "--max-m", "2"]),
+        ("quasifree_recovery.py", "--m", ["--m", "9"]),
+        ("quasifree_recovery.py", "--m", ["--m", "0"]),
+        ("quasifree_recovery.py", "--samples", ["--samples", "0"]),
+        ("quasifree_recovery.py", "--max-points", ["--max-points", "0"]),
     ]
-    procs = _start([["fuzz_campaign.py", *args] for _, args in cases])
-    for (flag, args), proc in zip(cases, procs):
+    procs = _start([[script, *args] for script, _, args in cases])
+    for (script, flag, args), proc in zip(cases, procs):
         out, err = proc.communicate(timeout=120)
-        assert proc.returncode == 2, (args, proc.returncode, err)
+        assert proc.returncode == 2, (script, args, proc.returncode, err)
         assert not out
         assert flag in err, err
