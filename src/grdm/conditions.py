@@ -10,6 +10,11 @@ The Grassmann-side pdms and forms are linear in the density, so each is a
 fixed combination of its moments star_trace(kappa, t), |bar| = |unbar| <= 2
 for t, which one cached map per m reads off the coefficient vector; moment 0
 is the trace that every density check reads, and Gamma is P's form transposed.
+The closed T1/T2 forms are linear in (Gamma, gamma) too: each is one cached
+index map per m (`_index_map`) whose entries are single Gamma and gamma
+entries times probe coefficients, built from the nonzeros of the probe
+tensors and calling no star product, with `t1_bilinear` / `t2_bilinear` as
+the per-pair references.
 
 Index conventions (0-based in code): gamma[k, l] is the expectation of
 pbar_{l+1} * p_{k+1}; two-body indices flatten row-major, (k, l) -> k*m + l,
@@ -380,18 +385,10 @@ def _t1_unit_tensor(triple: tuple[int, int, int], m: int) -> np.ndarray:
 def t1_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
     """T1 anticommutator form over ordered cubic probes, built from (gamma, Gamma).
 
-    All entries 3 * t1_bilinear(E_a, E_b) at once: the unit tensors E are
-    stacked, each term is applied to the stack and contracted against its
-    conjugate, so no intermediate exceeds n * m**3 entries.
+    Entry (a, b) is 3 * t1_bilinear(E_a, E_b) for the unit tensors E, read
+    off the cached index map `_index_map("T1", m)`.
     """
-    gamma, Gamma, m = _validate_pair(gamma, Gamma)
-    E = np.array([_t1_unit_tensor(t, m) for t in combinations(range(m), 3)],
-                 dtype=complex).reshape(-1, m, m, m)
-    n = E.shape[0]
-    g4 = Gamma.reshape(m, m, m, m)
-    right = 2 * E - 6 * (E @ gamma) + 3 * np.einsum("biqk,ikjl->bjql", E, g4)
-    F = 3 * (E.reshape(n, m ** 3).conj() @ right.reshape(n, m ** 3).T)
-    return (F + F.conj().T) / 2
+    return _index_form("T1", gamma, Gamma)
 
 
 def check_T1_full(kappa: GrassmannElement) -> ConditionReport:
@@ -460,24 +457,10 @@ def _t2_probe_elements(m: int) -> list[GrassmannElement]:
 def t2_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
     """Generalized T2 anticommutator form over cubic and linear probes.
 
-    All entries t2_bilinear(probe_x, probe_y) at once, term by term on the
-    stacked probes; no intermediate exceeds n * m**3 entries.
+    Entry (x, y) is t2_bilinear(probe_x, probe_y) for the probes of
+    `_t2_probes`, read off the cached index map `_index_map("T2", m)`.
     """
-    gamma, Gamma, m = _validate_pair(gamma, Gamma)
-    probes = _t2_probes(m)
-    n = len(probes)
-    T = np.array([p[0] for p in probes])
-    a = np.array([p[1] for p in probes])
-    TA = (T - T.transpose(0, 2, 1, 3)) / 2
-    g4 = Gamma.reshape(m, m, m, m)
-    pair_term = np.einsum("ijkl,yklq->yijq", g4, T)
-    trace_terms = 4 * np.einsum("yqab,bjka->yjqk", TA, g4) + 2 * (T @ gamma)
-    c = np.einsum("xqji,ji->xq", TA.conj(), gamma)
-    d = np.einsum("yqij,ji->yq", TA, gamma)
-    F = (T.reshape(n, -1).conj() @ pair_term.reshape(n, -1).T
-         + TA.reshape(n, -1).conj() @ trace_terms.reshape(n, -1).T
-         + 2 * c @ a.T + a.conj() @ (2 * d + a).T)
-    return (F + F.conj().T) / 2
+    return _index_form("T2", gamma, Gamma)
 
 
 def check_T2_full(kappa: GrassmannElement) -> ConditionReport:
@@ -506,6 +489,95 @@ def t2a_value(gamma: np.ndarray, Gamma: np.ndarray, T: np.ndarray) -> float:
         total += 4 * np.einsum("ki,jl,klij->", tq.conj(), tq, g4)
         total += 2 * np.trace(tq.conj().T @ tq @ gamma)
     return float(total.real)
+
+
+# ---------------------------------------------------------------------------
+# closed third-order forms as index maps on (Gamma, gamma)
+
+def _t1_stacks(m: int) -> dict:
+    E = np.array([_t1_unit_tensor(t, m) for t in combinations(range(m), 3)],
+                 dtype=complex).reshape(-1, m, m, m)
+    return {"E": E}
+
+
+def _t2_stacks(m: int) -> dict:
+    probes = _t2_probes(m)
+    T = np.array([p[0] for p in probes])
+    return {"T": T, "TA": (T - T.transpose(0, 2, 1, 3)) / 2, "a": np.array([p[1] for p in probes])}
+
+
+# Each closed form is F[x, y] = sum over its terms (x stack, y stack, spec,
+# scale) of scale * sum conj(X[x, ...]) Y[y, ...] v[...], the einsum-style
+# spec naming the indices of X, Y and the source v: Gamma[(i, j), (k, l)]
+# for four letters, gamma for two, the constant 1 for none.  T1 is the sum
+# over q of 3 (2 E_q^* E_q - 6 E_q^* E_q gamma + 3 E_q^* Gamma E_q), T2 that
+# of t2_bilinear, term by term.
+_INDEX_FORMS = {
+    "T1": (_t1_stacks, (("E", "E", "iqk,iqk,", 6), ("E", "E", "iqk,iqp,pk", -18),
+                        ("E", "E", "jql,iqk,ikjl", 9))),
+    "T2": (_t2_stacks, (("T", "T", "ijq,klq,ijkl", 1), ("TA", "TA", "jqk,qab,bjka", 4),
+                        ("TA", "T", "jqk,jqp,pk", 2), ("TA", "a", "qji,q,ji", 2),
+                        ("a", "TA", "q,qij,ji", 2), ("a", "a", "q,q,", 1))),
+}
+
+
+def _flat(indices: list, m: int, size: int) -> np.ndarray:
+    """Row-major flat index over (m,) * len(indices) of equal-length index arrays."""
+    out = np.zeros(size, dtype=np.intp)
+    for ix in indices:
+        out = out * m + ix
+    return out
+
+
+def _join(kx: np.ndarray, ky: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (p, q) with kx[p] == ky[q], as two index arrays, p ascending."""
+    order = np.argsort(ky, kind="stable")
+    lo = np.searchsorted(ky[order], kx, "left")
+    counts = np.searchsorted(ky[order], kx, "right") - lo
+    first = np.cumsum(counts) - counts
+    xi = np.repeat(np.arange(len(kx)), counts)
+    return xi, order[np.arange(len(xi)) + np.repeat(lo - first, counts)]
+
+
+def _term_entries(x, y, spec: str, scale: float, n: int, m: int):
+    """(row, source, coeff) of one term, from the nonzeros of X and Y joined on shared indices."""
+    (px, ix, vx), (py, iy, vy) = x, y
+    xs, ys, ss = spec.split(",")
+    shared = [c for c in xs if c in ys]
+    xi, yi = _join(_flat([ix[xs.index(c)] for c in shared], m, len(px)),
+                   _flat([iy[ys.index(c)] for c in shared], m, len(py)))
+    index = {c: ix[k][xi] for k, c in enumerate(xs)} | {c: iy[k][yi] for k, c in enumerate(ys)}
+    offset = {4: 0, 2: m ** 4, 0: m ** 4 + m * m}[len(ss)]
+    return (px[xi] * n + py[yi], offset + _flat([index[c] for c in ss], m, len(xi)),
+            scale * vx[xi].conj() * vy[yi])
+
+
+@functools.lru_cache(maxsize=16)
+def _index_map(condition: str, m: int) -> tuple[tuple, int]:
+    """T1's or T2's form at m as one COO map on v = [Gamma.ravel(), gamma.ravel(), 1].
+
+    Returns the read-only (row, source, coeff) triple, whose duplicate
+    entries add up, and the probe count n: the triple applied to v is the
+    raveled n x n form before Hermitisation.  At most 16 maps are cached.
+    """
+    stack_fn, terms = _INDEX_FORMS[condition]
+    nonzeros = {}
+    for name, stack in stack_fn(m).items():
+        nz = np.nonzero(stack)
+        nonzeros[name] = (nz[0], nz[1:], stack[nz])
+        n = len(stack)
+    entries = [_term_entries(nonzeros[x], nonzeros[y], spec, scale, n, m)
+               for x, y, spec, scale in terms]
+    return _read_only(*(np.concatenate(part) for part in zip(*entries))), n
+
+
+def _index_form(condition: str, gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
+    """The closed form of T1 or T2, (F + F^H)/2 with F the cached index map applied to (Gamma, gamma)."""
+    gamma, Gamma, m = _validate_pair(gamma, Gamma)
+    (rows, src, coeff), n = _index_map(condition, m)
+    v = np.concatenate((Gamma.ravel(), gamma.ravel(), [1.0]))
+    F = _coo_apply(rows, src, coeff, v, n * n).reshape(n, n)
+    return (F + F.conj().T) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -229,9 +229,14 @@ def _n_words(m: int, max_points: int) -> int:
     return sum(math.perm(2 * m, k) for k in range(1, max_points + 1))
 
 
+def _clamp_points(m: int, max_points: int) -> int:
+    """max_points capped at 2m: no word of distinct generators is longer, so no word is lost."""
+    return min(max_points, 2 * m)
+
+
 def words_checked(m: int, max_points: int) -> int:
     """Number of generator words `verify_quasifree` compares at this m and max_points."""
-    return _star_word_map(m, max_points).shape[0]
+    return _star_word_map(m, _clamp_points(m, max_points)).shape[0]
 
 
 @functools.cache
@@ -332,10 +337,12 @@ def verify_quasifree(kappa: GrassmannElement, spec: QuasifreeSpec, max_points: i
     47,296 at m = 8.  With 6 points m = 8 has 6,337,216 words, whose map
     would hold about 0.4 GB at the 60-70 bytes a word measured with 6 points
     at m = 4 and 5.  Raises ValueError when kappa and spec differ in m, when
-    m > QUASIFREE_CAP, or when max_points < 1.
+    m > QUASIFREE_CAP, or when max_points < 1; a max_points above 2m checks
+    the same words as 2m.
     """
     if kappa.m != spec.m:
         raise ValueError(f"density has m = {kappa.m} but spec has m = {spec.m}")
+    max_points = _clamp_points(spec.m, max_points)
     lhs = _star_word_map(spec.m, max_points).apply(kappa.to_vector())
     rhs = _wick_word_values(spec, max_points)
     return float(np.max(np.abs(lhs - rhs)))

@@ -24,9 +24,17 @@ def _need(obj: dict, field: str, kinds, where: str):
     if field not in obj:
         raise FormatError(f"missing field '{field}' in {where}")
     val = obj[field]
-    if not isinstance(val, kinds):
+    # JSON true/false load as bool, a subclass of int; no field here is boolean
+    if isinstance(val, bool) or not isinstance(val, kinds):
         raise FormatError(f"field '{field}' in {where} has wrong type {type(val).__name__}")
     return val
+
+
+def _need_m(obj: dict, where: str) -> int:
+    m = _need(obj, "m", int, where)
+    if m < 1:
+        raise FormatError(f"field 'm' in {where} must be >= 1, got {m}")
+    return m
 
 
 def element_to_dict(a: GrassmannElement) -> dict:
@@ -43,7 +51,7 @@ def element_to_dict(a: GrassmannElement) -> dict:
 
 
 def element_from_dict(d: dict) -> GrassmannElement:
-    m = _need(d, "m", int, "element")
+    m = _need_m(d, "element")
     raw = _need(d, "terms", list, "element")
     triples = []
     for k, t in enumerate(raw):
@@ -85,7 +93,7 @@ def matrix_from_dict(d: dict, expect_kind: str | None = None) -> tuple[np.ndarra
         raise FormatError(f"field 'kind' has unknown value {kind!r}")
     if expect_kind is not None and kind != expect_kind:
         raise FormatError(f"field 'kind' is {kind!r}, expected {expect_kind!r}")
-    m = _need(d, "m", int, f"{kind} matrix")
+    m = _need_m(d, f"{kind} matrix")
     dim = _need(d, "dim", int, f"{kind} matrix")
     want = _EXPECTED_DIM[kind](m)
     if dim != want:

@@ -65,6 +65,19 @@ class TestSerialize:
         with pytest.raises(serialize.FormatError, match="'re'"):
             serialize.matrix_from_dict({"kind": "gamma", "m": 1, "dim": 1,
                                         "re": [["x"]], "im": [[0.0]]})
+        # JSON booleans are no numbers, and m counts modes from 1
+        for m in (True, 0, -1):
+            with pytest.raises(serialize.FormatError, match="'m'"):
+                serialize.matrix_from_dict({"kind": "gamma", "m": m, "dim": 1,
+                                            "re": [[0.5]], "im": [[0.0]]})
+            with pytest.raises(serialize.FormatError, match="'m'"):
+                serialize.element_from_dict({"m": m, "terms": []})
+        with pytest.raises(serialize.FormatError, match="'dim'"):
+            serialize.matrix_from_dict({"kind": "gamma", "m": 1, "dim": True,
+                                        "re": [[0.5]], "im": [[0.0]]})
+        with pytest.raises(serialize.FormatError, match="'re'"):
+            serialize.element_from_dict({"m": 1, "terms": [
+                {"bar": [], "unbar": [], "re": False, "im": 0.0}]})
 
     def test_atomic_write_no_partial(self, tmp_path):
         path = tmp_path / "out.json"
@@ -155,6 +168,18 @@ class TestCheck:
         rc = cli.main(["check", "--in", str(shifted), "--out", str(out), "--tol", "0.1"])
         assert rc == 0
         assert all(r["tol"] == 0.1 for r in json.loads(out.read_text()))
+
+    def test_boolean_m_exit_2(self, pdm_file, tmp_path, capsys):
+        data = json.loads(pdm_file[0].read_text())
+        for part in ("gamma", "Gamma"):
+            data[part]["m"] = True
+        path = tmp_path / "bool_m.json"
+        path.write_text(json.dumps(data))
+        rc = cli.main(["check", "--in", str(path)])
+        stdout, err = capsys.readouterr()
+        assert rc == 2
+        assert "'m'" in err
+        assert "PASS" not in stdout and "FAIL" not in stdout
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tol_exit_2(self, pdm_file, tmp_path, capsys, tol):
@@ -292,13 +317,25 @@ def test_usage_error_exit_2():
     assert cli.main(["frobnicate"]) == 2
 
 
-def test_import_pulls_no_scipy():
-    # grdm depends on numpy alone; importing the CLI must not load scipy
+def test_import_pulls_no_scipy(tmp_path):
+    # grdm depends on numpy alone: neither importing the CLI nor a cold check,
+    # fuzz or quasifree run may load scipy, or numpy.ma (about 14 ms cold)
     src = os.path.dirname(os.path.dirname(os.path.abspath(grdm.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    gamma, Gamma = fock.pdms_from_rho(fock.random_density(5, 11))
+    pair, gpath = tmp_path / "pair.json", tmp_path / "gamma.json"
+    serialize.atomic_write_json(str(pair), {"gamma": serialize.matrix_to_dict(gamma, "gamma", 5),
+                                            "Gamma": serialize.matrix_to_dict(Gamma, "Gamma", 5)})
+    serialize.atomic_write_json(str(gpath), serialize.matrix_to_dict(
+        np.diag([0.2, 0.4, 0.6, 0.8]), "gamma", 4))
+    runs = [["check", "--in", str(pair), "--out", str(tmp_path / "r.json")],
+            ["fuzz", "--m", "3", "--trials", "1", "--out", str(tmp_path / "f.json")],
+            ["quasifree", "--in", str(gpath), "--out", str(tmp_path / "q.json")]]
     code = ("import sys, grdm.cli; "
-            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
+            f"codes = [grdm.cli.main(argv) for argv in {runs!r}]; "
+            "print(codes, sorted(k for k in sys.modules "
+            "if k.split('.')[0] == 'scipy' or k.split('.')[:2] == ['numpy', 'ma']))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == "[0, 0, 0] []"

@@ -39,6 +39,17 @@ def rand_antisym3(rng, m):
     return out / 6
 
 
+def rand_hermitian(rng, n):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (a + a.conj().T) / 2
+
+
+def reference_pairs(m, seed, rng):
+    """A P-shifted genuine pair, then a random Hermitian pair whose Gamma is not pair-antisymmetric."""
+    _, _, gamma, Gamma = genuine(m, seed)
+    return [(gamma, Gamma - 0.05 * np.eye(m * m)), (rand_hermitian(rng, m), rand_hermitian(rng, m * m))]
+
+
 class TestPdmExtraction:
     def test_vacuum_density(self):
         vac = np.zeros((8, 8), dtype=complex)
@@ -305,16 +316,18 @@ class TestT1:
         _, kappa, _, _ = genuine(4, 56)
         assert cond.check_T1_full(kappa).passed
 
-    def test_batched_form_matches_bilinear_loop(self):
-        for m in (3, 4, 5):
-            _, _, gamma, Gamma = genuine(m, 57)
-            Gamma = Gamma - 0.05 * np.eye(m * m)
+    def test_batched_form_matches_bilinear_loop(self, rng):
+        for m in range(1, 7):
+            # the T1 form is empty below m = 3
             tensors = [cond._t1_unit_tensor(t, m) for t in combinations(range(m), 3)]
-            F = np.array([[3 * cond.t1_bilinear(ta, tb, gamma, Gamma) for tb in tensors]
-                          for ta in tensors])
-            want = (F + F.conj().T) / 2
-            got = cond.t1_form_from_pdms(gamma, Gamma)
-            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+            for gamma, Gamma in reference_pairs(m, 57, rng):
+                F = np.array([[3 * cond.t1_bilinear(ta, tb, gamma, Gamma) for tb in tensors]
+                              for ta in tensors]).reshape(len(tensors), len(tensors))
+                want = (F + F.conj().T) / 2
+                got = cond.t1_form_from_pdms(gamma, Gamma)
+                assert got.shape == want.shape
+                scale = max(1.0, np.max(np.abs(want), initial=0.0))
+                assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale, m
 
 
 class TestT2:
@@ -387,16 +400,16 @@ class TestT2:
         pdm_route = cond.t2_form_from_pdms(gamma, Gamma)
         assert np.max(np.abs(dens_route - pdm_route)) < 1e-10
 
-    def test_batched_form_matches_bilinear_loop(self):
-        for m in (2, 3, 4, 5):
-            _, _, gamma, Gamma = genuine(m, 68)
-            Gamma = Gamma - 0.05 * np.eye(m * m)
+    def test_batched_form_matches_bilinear_loop(self, rng):
+        for m in range(1, 7):
             probes = cond._t2_probes(m)
-            F = np.array([[cond.t2_bilinear(Tx, ax, Ty, ay, gamma, Gamma) for Ty, ay in probes]
-                          for Tx, ax in probes])
-            want = (F + F.conj().T) / 2
-            got = cond.t2_form_from_pdms(gamma, Gamma)
-            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+            for gamma, Gamma in reference_pairs(m, 68, rng):
+                F = np.array([[cond.t2_bilinear(Tx, ax, Ty, ay, gamma, Gamma) for Ty, ay in probes]
+                              for Tx, ax in probes])
+                want = (F + F.conj().T) / 2
+                got = cond.t2_form_from_pdms(gamma, Gamma)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), m
 
     def test_shape_validation(self):
         _, _, gamma, Gamma = genuine(3, 67)
@@ -441,6 +454,36 @@ def test_grassmann_forms_match_closed_forms_at_m6(rng):
             rep = full(kappa)
             assert rep.passed, rep
             assert abs(rep.margin - cond.report_from_form(name, C, "closed-form").margin) <= 1e-8
+
+
+@pytest.mark.parametrize("name, closed", [("T1", cond.t1_form_from_pdms),
+                                          ("T2", cond.t2_form_from_pdms)])
+def test_index_map_built_once_per_m(name, closed):
+    cond._index_map.cache_clear()
+    _, _, gamma, Gamma = genuine(4, 88)
+    first = closed(gamma, Gamma)
+    assert cond._index_map.cache_info().misses == 1
+    assert np.array_equal(closed(gamma, Gamma), first)
+    info = cond._index_map.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    (rows, src, coeff), n = cond._index_map(name, 4)
+    assert n == len(first)
+    for arr in (rows, src, coeff):
+        assert not arr.flags.writeable
+
+
+def test_index_maps_agree_with_grassmann_forms_at_m6():
+    m = 6
+    _, kappa, gamma, Gamma = genuine(m, 86)
+    moments = cond._moments(kappa.to_vector(), m)
+    for name in ("T1", "T2"):
+        F = cond._probe_set_map(name, m).combine_moments(moments)
+        C = cond.CONDITIONS[name].closed(gamma, Gamma)
+        assert np.max(np.abs(F - C)) <= 1e-10, name
+        form = cond.condition_form_report(kappa, name)
+        closed = cond.closed_form_report(name, gamma, Gamma)
+        assert form.passed and closed.passed
+        assert abs(form.margin - closed.margin) <= 1e-8, name
 
 
 class TestFuzz:

@@ -215,6 +215,20 @@ class TestWick:
         for m, points in ((2, 4), (3, 6), (4, 4), (2, 9)):
             assert qf.words_checked(m, points) == sum(1 for _ in qf.generator_words(m, points))
 
+    def test_max_points_above_2m_is_clamped(self):
+        # no word of distinct generators is longer than 2m: at m = 1 nothing
+        # past k = 2 may be built, neither a word table nor a matching
+        spec, kappa = qf.quasifree_from_lambdas([0.3], 1)
+        for cached in (qf._matchings, qf._word_table, qf._star_word_map):
+            cached.cache_clear()
+        assert qf.verify_quasifree(kappa, spec, max_points=8) == qf.verify_quasifree(kappa, spec, 2)
+        assert qf.words_checked(1, 8) == qf.words_checked(1, 2) == 4
+        assert qf._matchings.cache_info().currsize == 2  # k = 0 and 2
+        for cached in (qf._word_table, qf._star_word_map):
+            assert cached.cache_info().currsize == 1
+        assert [table.shape[1] for _, table in qf._word_table(1, 2)] == [2]
+        assert qf._word_table.cache_info().hits == 2
+
     @pytest.mark.parametrize("m, points", [(2, 4), (3, 6), (4, 4)])
     def test_word_map_matches_per_word_reference(self, rng, m, points):
         # the generic density is no quasifree state, so a map that only
