@@ -11,15 +11,17 @@ Sign bookkeeping is done on bitmasks with popcount-prefix counting, so every
 coefficient produced from integer inputs is an exact signed power of two.
 
 Elements are immutable after construction and every operation is a pure
-function; no shared mutable state exists apart from an internal memo of
-monomial star products, which is append-only and keyed by value.
+function.  The only shared state is a set of caches keyed by value: the memo
+of monomial star products and the per-m subset orderings of
+change_generators (`_degree_order`).  An element caches the representation
+it was not built from, which leaves its value unchanged.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from itertools import combinations
+from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -27,6 +29,7 @@ import numpy as np
 ELEMENT_CAP = 10  # monomial-pair fast paths stay exact up to here
 STAR_CAP = 6      # full-element star products; dense pairing cost grows as 16**m
 PRUNE_REL_TOL = 1e-14
+OPERATOR_PRUNE_REL_TOL = 1e-13  # fock.from_operator: roundoff of its signed subset sums
 
 
 class Monomial(NamedTuple):
@@ -49,6 +52,11 @@ class Monomial(NamedTuple):
 
     def unbar_indices(self) -> tuple[int, ...]:
         return _indices(self.unbar)
+
+
+def _split_index(index: np.ndarray, m: int) -> tuple[list, list]:
+    """The bar and unbar masks of to_vector indices bar * 2**m + unbar, as int lists."""
+    return (index >> m).tolist(), (index & ((1 << m) - 1)).tolist()
 
 
 def _mask(indices: Iterable[int], m: int) -> int:
@@ -80,6 +88,20 @@ def _merge_sign(a: int, b: int) -> int:
     return -1 if par else 1
 
 
+def _merge_signs(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """`_merge_sign` over arrays of disjoint masks, +1 or -1 each, looping over the m bits.
+
+    Sorting the concatenation of two ascending blocks takes one transposition
+    per pair (i in a, j in b) with i > j, so bit j of b counts the bits of a
+    above it.
+    """
+    parity = above = np.zeros(np.broadcast(a, b).shape, dtype=np.result_type(a, b))
+    for bit in reversed(range(m)):
+        parity = parity ^ ((b >> bit) & 1 & above)
+        above = above ^ ((a >> bit) & 1)
+    return np.where(parity, -1, 1)
+
+
 def _mono_mul(bar1: int, ub1: int, bar2: int, ub2: int):
     """Plain (wedge) product of two canonical monomials; None when it vanishes."""
     if bar1 & bar2 or ub1 & ub2:
@@ -94,19 +116,81 @@ def _half_pair_sign(n: int) -> int:
     return -1 if (n * (n - 1) // 2) & 1 else 1
 
 
-@dataclass(frozen=True)
 class GrassmannElement:
-    """Sparse linear combination of normal-ordered monomials.
+    """Sparse linear combination of normal-ordered monomials; immutable.
 
-    `terms` maps Monomial -> complex coefficient and is treated as immutable.
+    Its value is two arrays: the sorted `to_vector` indices
+    bar * 2**m + unbar of its terms, which is the order of sorting their
+    Monomials, and their complex coefficients (`arrays()`).  Code that holds
+    arrays already (`from_operator`, `change_generators`, `prune`, products
+    with a scalar) builds elements from them directly, through
+    `from_vector` or `_from_arrays`.  `terms` is the same value as a
+    read-only map Monomial -> coefficient, which the monomial-pair kernels
+    (`star`, `multiply`, `involution`, `star_trace`) walk.  An element built
+    from such a map keeps it and builds its arrays on first use; one built
+    from arrays builds its map on first use.  The attributes are written to
+    the instance dict directly, as `__setattr__` refuses every assignment,
+    and `terms` is a cached property, so reading it costs a plain attribute
+    lookup either way: the map builds call it for thousands of elements.
     """
 
-    m: int
-    terms: dict = field(default_factory=dict)
+    def __init__(self, m: int, terms: dict | None = None) -> None:
+        d = self.__dict__
+        d["m"] = m
+        d["terms"] = MappingProxyType({} if terms is None else terms)
+        d["_arrays"] = None
+
+    @classmethod
+    def _from_arrays(cls, m: int, index: np.ndarray, coeffs: np.ndarray) -> "GrassmannElement":
+        """An element from sorted, distinct to_vector indices and their complex coefficients."""
+        self = cls.__new__(cls)
+        d = self.__dict__
+        d["m"] = m
+        d["_arrays"] = _read_only(index, coeffs)
+        return self
+
+    @classmethod
+    def from_vector(cls, m: int, vec: np.ndarray) -> "GrassmannElement":
+        """The element whose to_vector() is `vec`: its entries that are not exactly zero."""
+        index = np.flatnonzero(vec)
+        return cls._from_arrays(m, index, np.asarray(vec, dtype=complex)[index])
+
+    @functools.cached_property
+    def terms(self) -> MappingProxyType:
+        """Read-only map Monomial -> coefficient; built from the arrays on first use."""
+        index, coeffs = self._arrays
+        bar, unbar = _split_index(index, self.m)
+        return MappingProxyType(dict(zip(map(Monomial, bar, unbar), coeffs.tolist())))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GrassmannElement is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return GrassmannElement, (self.m, self.terms.copy())
+
+    def __repr__(self) -> str:
+        return f"GrassmannElement(m={self.m!r}, terms={self.terms.copy()!r})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GrassmannElement):
+            return NotImplemented
+        (ia, ca), (ib, cb) = self.arrays(), other.arrays()
+        return self.m == other.m and np.array_equal(ia, ib) and np.array_equal(ca, cb)
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (index, coeffs): sorted to_vector indices and their complex coefficients."""
+        if self._arrays is None:
+            m, terms = self.m, self.terms
+            n = len(terms)
+            index = np.fromiter(((bar << m) | unbar for bar, unbar in terms), np.intp, n)
+            coeffs = np.fromiter(terms.values(), complex, n)
+            order = np.argsort(index, kind="stable")
+            self.__dict__["_arrays"] = _read_only(index[order], coeffs[order])
+        return self._arrays
 
     def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
         _same_m(self, other)
-        out = dict(self.terms)
+        out = self.terms.copy()
         for k, c in other.terms.items():
             _acc(out, k, c)
         return GrassmannElement(self.m, out)
@@ -121,7 +205,8 @@ class GrassmannElement:
         c = complex(scalar)
         if c == 0:
             return GrassmannElement(self.m, {})
-        return GrassmannElement(self.m, {k: v * c for k, v in self.terms.items()})
+        index, coeffs = self.arrays()
+        return GrassmannElement._from_arrays(self.m, index, coeffs * c)
 
     __rmul__ = __mul__
 
@@ -129,15 +214,14 @@ class GrassmannElement:
         return self.terms.get(Monomial.from_indices(bar, unbar, self.m), 0j)
 
     def norm_max(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        coeffs = self.arrays()[1]
+        return float(np.abs(coeffs).max()) if coeffs.size else 0.0
 
     def to_vector(self) -> np.ndarray:
         """Dense coefficients, length 4**m, monomial (bar, unbar) at bar * 2**m + unbar."""
         vec = np.zeros(1 << (2 * self.m), dtype=complex)
-        n = len(self.terms)
-        if n:
-            idx = np.fromiter(((k.bar << self.m) | k.unbar for k in self.terms), np.intp, n)
-            vec[idx] = np.fromiter(self.terms.values(), complex, n)
+        index, coeffs = self.arrays()
+        vec[index] = coeffs
         return vec
 
 
@@ -207,9 +291,21 @@ def monomial_element(mono: Monomial, m: int, coeff: complex = 1.0) -> GrassmannE
 
 
 def prune(a: GrassmannElement, rel_tol: float = PRUNE_REL_TOL) -> GrassmannElement:
-    """Drop coefficients below rel_tol relative to the largest magnitude."""
-    cut = rel_tol * a.norm_max()
-    return GrassmannElement(a.m, {k: c for k, c in a.terms.items() if abs(c) > cut})
+    """Drop coefficients at or below rel_tol times the largest magnitude, by one mask.
+
+    A NaN or infinite coefficient raises instead of being dropped.
+    """
+    index, coeffs = a.arrays()
+    size = np.abs(coeffs)  # finite exactly where the coefficient is
+    if not np.isfinite(size).all():
+        k = np.flatnonzero(~np.isfinite(size))[:1]
+        (bar,), (unbar,) = _split_index(index[k], a.m)
+        raise ValueError(f"non-finite coefficient {complex(coeffs[k][0])} of "
+                         f"{Monomial(bar, unbar)}")
+    if not size.size:
+        return a
+    keep = size > rel_tol * size.max()
+    return GrassmannElement._from_arrays(a.m, index[keep], coeffs[keep])
 
 
 def multiply(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
@@ -522,9 +618,9 @@ def change_generators(a: GrassmannElement, u: np.ndarray, tol: float = 1e-10) ->
             c = coeffs[bars, ubs]
             if c.any():
                 out[bars, ubs] = bar_minors.conj().T @ c @ ub_minors
-    bar, ub = np.nonzero(out)
-    return GrassmannElement(m, dict(zip(map(Monomial, order[bar].tolist(), order[ub].tolist()),
-                                        out[bar, ub].tolist())))
+    natural = np.empty_like(out)
+    natural[np.ix_(order, order)] = out
+    return GrassmannElement.from_vector(m, natural.ravel())
 
 
 def elements_close(a: GrassmannElement, b: GrassmannElement, tol: float = 1e-12) -> bool:

@@ -25,7 +25,8 @@ import functools
 
 import numpy as np
 
-from .algebra import GrassmannElement, Monomial, _coo_apply, _half_pair_sign, _merge_sign, _read_only
+from .algebra import (OPERATOR_PRUNE_REL_TOL, GrassmannElement, _coo_apply, _merge_signs,
+                      _read_only, prune)
 
 FOCK_CAP = 8
 
@@ -148,27 +149,23 @@ def _element_map(m: int):
 
     The matrix unit |x><y| is C*_x prod_k (1 - n_k) (C*_y)^dagger with
     n_k = pbar_k p_k, so it feeds the monomial (x | Z, y | Z) for every Z
-    disjoint from x | y: 2^(m - |x | y|) entries per (x, y), 5^m in all.
+    disjoint from x | y: per mode (in x, in y, in Z) takes one of five
+    patterns, 5^m entries in all.  The entries run by src, then by Z
+    descending, and carry the signs of `from_operator`'s sum.
     """
-    dim = 1 << m
-    full = dim - 1
-    dst, src, sign = [], [], []
-    for x in range(dim):
-        for y in range(dim):
-            hy = _half_pair_sign(y.bit_count())
-            free = full & ~(x | y)
-            z = free
-            while True:
-                nz = z.bit_count()
-                s = (-1) ** nz * _half_pair_sign(nz) * hy * _merge_sign(x, z) * _merge_sign(z, y)
-                dst.append(((x | z) << m) | y | z)
-                src.append((x << m) | y)
-                sign.append(s)
-                if z == 0:
-                    break
-                z = (z - 1) & free
-    return _read_only(np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp),
-                      np.array(sign, dtype=float))
+    # masks of at most FOCK_CAP = 8 modes; one byte each keeps the m = 8 temporaries small
+    x = y = z = np.zeros(1, dtype=np.uint8)
+    patterns = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], dtype=np.uint8)
+    for b in range(m):
+        x, y, z = ((v[:, None] | (patterns[:, c] << b)).ravel() for c, v in enumerate((x, y, z)))
+    src = (x.astype(np.intp) << m) | y
+    order = np.argsort((src << m) | (((1 << m) - 1) & ~z), kind="stable")
+    x, y, z, src = x[order], y[order], z[order], src[order]
+    popcount = np.array([k.bit_count() for k in range(1 << m)])
+    nz, ny = popcount[z], popcount[y]
+    parity = (nz + nz * (nz - 1) // 2 + ny * (ny - 1) // 2) & 1
+    sign = (1 - 2 * parity) * _merge_signs(x, z, m) * _merge_signs(z, y, m)
+    return _read_only(((x | z).astype(np.intp) << m) | y | z, src, sign.astype(float))
 
 
 def from_operator(op: np.ndarray) -> GrassmannElement:
@@ -181,19 +178,19 @@ def from_operator(op: np.ndarray) -> GrassmannElement:
                * merge(I - Z, Z) * merge(Z, J - Z) * op[I - Z, J - Z],
 
     the Moebius inversion of to_operator on the subset lattice.  Exact up to
-    the roundoff of those sums; coefficients at or below 1e-13 of the largest
-    magnitude are dropped.
+    the roundoff of those sums, so `prune` drops the coefficients at or
+    below OPERATOR_PRUNE_REL_TOL of the largest magnitude.  A NaN or
+    infinite entry of `op` raises.
     """
     op = np.asarray(op, dtype=complex)
     m = _infer_m(op)
     _check_mode_count(m)
+    if not np.isfinite(op).all():
+        i, j = np.argwhere(~np.isfinite(op))[0].tolist()
+        raise ValueError(f"operator entry [{i}, {j}] is non-finite: {complex(op[i, j])}")
     coeffs = _coo_apply(*_element_map(m), op.ravel(), 1 << (2 * m))
-    size = np.abs(coeffs)
-    idx = np.flatnonzero(size > 1e-13 * size.max())
-    mask = (1 << m) - 1
-    terms = {Monomial(k >> m, k & mask): c
-             for k, c in zip(idx.tolist(), coeffs[idx].tolist())}
-    return GrassmannElement(m, terms)
+    dense = GrassmannElement._from_arrays(m, np.arange(coeffs.size), coeffs)  # zeros included
+    return prune(dense, OPERATOR_PRUNE_REL_TOL)
 
 
 def validate_density(rho: np.ndarray, tol: float = 1e-10) -> None:

@@ -13,7 +13,7 @@ import tempfile
 
 import numpy as np
 
-from .algebra import GrassmannElement, make_element
+from .algebra import GrassmannElement, _indices, _split_index, make_element
 
 
 class FormatError(ValueError):
@@ -38,12 +38,13 @@ def _need_m(obj: dict, where: str) -> int:
 
 
 def element_to_dict(a: GrassmannElement) -> dict:
+    """Terms in ascending (bar, unbar) mask order, read from the element's sorted arrays."""
+    index, coeffs = a.arrays()
     terms = []
-    for key in sorted(a.terms):
-        c = a.terms[key]
+    for bar, unbar, c in zip(*_split_index(index, a.m), coeffs.tolist()):
         terms.append({
-            "bar": list(key.bar_indices()),
-            "unbar": list(key.unbar_indices()),
+            "bar": list(_indices(bar)),
+            "unbar": list(_indices(unbar)),
             "re": c.real,
             "im": c.imag,
         })

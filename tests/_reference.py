@@ -11,7 +11,8 @@ determinants, one accumulation per (barred minor, plain minor) pair.
 
 The dense Fock references multiply the 2^m x 2^m ladder matrices: to_operator
 as a sum of ordered ladder products, one matrix product per monomial, and
-the pdms as traces of rho times ladder words.
+the pdms as traces of rho times ladder words.  The from_operator map is
+built entry by entry, with the scalar sign kernels per entry.
 """
 
 import functools
@@ -20,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from grdm import fock
-from grdm.algebra import GrassmannElement, Monomial, _acc, _indices, multiply
+from grdm.algebra import GrassmannElement, Monomial, _acc, _half_pair_sign, _indices, _merge_sign, multiply
 
 
 def _lift_left(a, m):
@@ -164,3 +165,29 @@ def pdms_from_rho_reference(rho):
             B[k * m + l] = rho @ crt[l] @ crt[k]
     Gamma = np.einsum("bxy,ayx->ab", B, A)
     return gamma, Gamma
+
+
+def element_map_reference(m):
+    """fock._element_map as a loop: (dst, src, sign) per (x, y) and Z disjoint from x | y.
+
+    Entries run by src = x * 2^m + y, then by Z descending; the sign is
+    (-1)^|Z| h(|Z|) h(|y|) merge(x, Z) merge(Z, y), h(n) = (-1)^(n(n-1)/2).
+    """
+    dim = 1 << m
+    full = dim - 1
+    dst, src, sign = [], [], []
+    for x in range(dim):
+        for y in range(dim):
+            hy = _half_pair_sign(y.bit_count())
+            free = full & ~(x | y)
+            z = free
+            while True:
+                nz = z.bit_count()
+                s = (-1) ** nz * _half_pair_sign(nz) * hy * _merge_sign(x, z) * _merge_sign(z, y)
+                dst.append(((x | z) << m) | y | z)
+                src.append((x << m) | y)
+                sign.append(s)
+                if z == 0:
+                    break
+                z = (z - 1) & free
+    return np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp), np.array(sign, dtype=float)

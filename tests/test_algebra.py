@@ -11,6 +11,8 @@ from grdm import fock
 from grdm.algebra import (
     GrassmannElement,
     Monomial,
+    _merge_sign,
+    _merge_signs,
     change_generators,
     elements_close,
     expectation,
@@ -69,6 +71,76 @@ class TestConstruction:
         el = make_element(2, [((), (), 1.0), ((1,), (1,), 1e-20)])
         assert len(prune(el).terms) == 1
         assert len(el.terms) == 2  # prune is explicit, not implicit
+
+
+class TestElementValue:
+    """One value, two representations: the sorted index and coefficient arrays, and `terms`."""
+
+    def test_dict_and_array_built_agree(self, rng):
+        for m in (1, 3, 5):
+            a = rand_element(rng, m, nterms=9)
+            b = GrassmannElement.from_vector(m, a.to_vector())
+            assert a == b and b == a
+            assert np.array_equal(a.to_vector(), b.to_vector())
+            assert b.terms == a.terms
+            assert list(b.terms) == sorted(a.terms)
+            index, coeffs = a.arrays()
+            assert index.tolist() == [(k.bar << m) | k.unbar for k in sorted(a.terms)]
+            assert coeffs.tolist() == [a.terms[k] for k in sorted(a.terms)]
+        assert GrassmannElement.from_vector(2, np.zeros(16)) == zero(2)
+        assert unit(2) != 2 * unit(2)
+        assert unit(2) != unit(3)
+
+    def test_dict_built_arrays_on_first_use(self):
+        el = make_element(3, [((1,), (2,), 1.0), ((), (), 0.5)])
+        assert el._arrays is None  # map builds make thousands of these
+        el.to_vector()
+        assert el._arrays is not None
+
+    def test_immutable(self):
+        el = make_element(2, [((1,), (2,), 1.0)])
+        with pytest.raises(TypeError):
+            el.terms[Monomial(0, 0)] = 1.0
+        with pytest.raises(AttributeError):
+            el.m = 3
+        for arr in el.arrays():
+            assert not arr.flags.writeable
+        array_built = 2 * el
+        with pytest.raises(TypeError):
+            array_built.terms[Monomial(1, 2)] = 0j
+        assert el.terms == {Monomial(1, 2): 1 + 0j}
+        assert array_built.terms == {Monomial(1, 2): 2 + 0j}
+
+    def test_scalar_product_and_prune_on_arrays(self, rng):
+        a = rand_element(rng, 3, nterms=8)
+        assert ((2 - 1j) * a).terms == {k: c * (2 - 1j) for k, c in a.terms.items()}
+        assert (0 * a) == zero(3)
+        b = make_element(3, [((1,), (2,), 1 + 2j), ((), (), -0.5)])
+        assert prune(b + make_element(3, [((1, 2, 3), (1, 2, 3), 1e-16)])) == prune(b) == b
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+    def test_prune_rejects_non_finite(self, bad):
+        el = make_element(2, [((), (), 1.0), ((1,), (2,), bad)])
+        with pytest.raises(ValueError, match=r"non-finite coefficient .*(nan|inf).* Monomial\(bar=1, unbar=2\)"):
+            prune(el)
+
+    def test_change_generators_on_array_built(self, rng):
+        a = rand_element(rng, 3, nterms=20)
+        u = random_unitary(rng, 3)
+        got = change_generators(GrassmannElement.from_vector(3, a.to_vector()), u)
+        assert got == change_generators(a, u)
+        want = change_generators_reference(a, u)
+        assert max_coeff_difference(got, want) <= 1e-12 * want.norm_max()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.intp])
+def test_merge_signs_equal_scalar_kernel(dtype):
+    # every pair of disjoint masks at m = 6, in both mask dtypes the map builds use
+    a, b = np.meshgrid(np.arange(64), np.arange(64), indexing="ij")
+    keep = (a & b) == 0
+    a, b = a[keep], b[keep]
+    want = [_merge_sign(int(x), int(y)) for x, y in zip(a, b)]
+    assert _merge_signs(a.astype(dtype), b.astype(dtype), 6).tolist() == want
 
 
 class TestStarProduct:

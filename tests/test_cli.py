@@ -35,6 +35,18 @@ class TestSerialize:
             assert back.m == a.m
             assert back.terms == a.terms  # bit-exact for binary64
 
+    def test_element_json_equals_sorted_terms_walk(self, rng):
+        # element_to_dict reads the sorted arrays; the JSON is the one the
+        # walk over sorted(terms) wrote, byte for byte
+        kappa = fock.from_operator(fock.random_density(3, 5))
+        for a in (kappa, rand_element(rng, 3, nterms=12), make_element(2, [])):
+            want = {"m": a.m, "terms": [
+                {"bar": list(k.bar_indices()), "unbar": list(k.unbar_indices()),
+                 "re": a.terms[k].real, "im": a.terms[k].imag} for k in sorted(a.terms)]}
+            got = serialize.element_to_dict(a)
+            assert json.dumps(got, indent=2) == json.dumps(want, indent=2)
+        assert len(kappa.terms) == 64
+
     def test_element_schema_shape(self):
         a = make_element(2, [((1, 2), (1,), 0.5 - 2j)])
         d = serialize.element_to_dict(a)

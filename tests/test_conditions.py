@@ -518,6 +518,22 @@ class TestFuzz:
         assert summary.pdm_max_dev <= 1e-12
         assert set(summary.worst_margins) == {"first-order", *cond.CONDITIONS}
 
+    def test_summary_same_with_dict_built_density(self, monkeypatch):
+        # from_operator as a Monomial dict under the same cut: the m = 8
+        # summary does not depend on how the element holds its terms
+        want = cond.fuzz_conditions(8, 1, seed=18)
+
+        def dict_built(op):
+            m = op.shape[0].bit_length() - 1
+            coeffs = _coo_apply(*fock._element_map(m), np.asarray(op, complex).ravel(), 4 ** m)
+            size = np.abs(coeffs)
+            idx = np.flatnonzero(size > 1e-13 * size.max())
+            return GrassmannElement(m, {Monomial(k >> m, k & ((1 << m) - 1)): c
+                                        for k, c in zip(idx.tolist(), coeffs[idx].tolist())})
+
+        monkeypatch.setattr(fock, "from_operator", dict_built)
+        assert cond.fuzz_conditions(8, 1, seed=18).as_dict() == want.as_dict()
+
     def test_caps_and_trials_validated(self):
         with pytest.raises(ValueError, match="cap 8"):
             cond.fuzz_conditions(9, 3, seed=0)

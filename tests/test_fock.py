@@ -9,6 +9,7 @@ from grdm import fock
 from grdm.algebra import (
     GrassmannElement,
     Monomial,
+    _coo_apply,
     involution,
     make_element,
     max_coeff_difference,
@@ -18,7 +19,7 @@ from grdm.algebra import (
     unit,
 )
 from conftest import rand_element, random_unitary
-from _reference import pdms_from_rho_reference, to_operator_reference
+from _reference import element_map_reference, pdms_from_rho_reference, to_operator_reference
 
 
 class TestLadders:
@@ -166,8 +167,36 @@ class TestSignedGathers:
         for a in (dense, nonconserving):
             assert np.array_equal(fock.to_operator(a), to_operator_reference(a))
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_element_map_equals_loop(self, m):
+        got, want = fock._element_map(m), element_map_reference(m)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_from_operator_equals_loop_map_and_cut(self, m, rng):
+        # the loop's map applied and cut at 1e-13 of the largest magnitude, as
+        # from_operator did with a Monomial dict: the same terms, bit for bit
+        dim = 1 << m
+        generic = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        scaled = generic * 10.0 ** rng.integers(-20, 1, (dim, dim))
+        for op in (fock.random_density(m, 60 + m), generic, scaled):
+            coeffs = _coo_apply(*element_map_reference(m), op.ravel(), dim * dim)
+            size = np.abs(coeffs)
+            keep = np.flatnonzero(size > 1e-13 * size.max())
+            index, vals = fock.from_operator(op).arrays()
+            assert np.array_equal(index, keep)
+            assert np.array_equal(vals, coeffs[keep])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_from_operator_rejects_non_finite(self, bad):
+        op = np.eye(8, dtype=complex) / 8
+        op[2, 5] = bad
+        with pytest.raises(ValueError, match=r"entry \[2, 5\] is non-finite: .*(nan|inf)"):
+            fock.from_operator(op)
+
     def test_maps_are_read_only(self):
-        gathers = [*fock._operator_map(3), *(arr for g in fock._pdm_maps(3) for arr in g)]
+        gathers = [*fock._operator_map(3), *fock._element_map(3),
+                   *(arr for g in fock._pdm_maps(3) for arr in g)]
         assert not any(arr.flags.writeable for arr in gathers)
 
     def test_roundtrip_at_the_cap(self, rng):
