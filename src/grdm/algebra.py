@@ -13,8 +13,9 @@ coefficient produced from integer inputs is an exact signed power of two.
 Elements are immutable after construction and every operation is a pure
 function.  The only shared state is a set of caches keyed by value: the memo
 of monomial star products and the per-m subset orderings of
-change_generators (`_degree_order`).  An element caches the representation
-it was not built from, which leaves its value unchanged.
+change_generators (`_degree_order`).  The cached map builds of `conditions`
+and `quasifree` run the star product on plain Monomial -> coefficient maps
+(`_star_terms`) and build no element per product.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 ELEMENT_CAP = 10  # monomial-pair fast paths stay exact up to here
 STAR_CAP = 6      # full-element star products; dense pairing cost grows as 16**m
 PRUNE_REL_TOL = 1e-14
+DENSITY_TRACE_TOL = 1e-8  # |trace - 1| a density may have; expectation and conditions check it
 OPERATOR_PRUNE_REL_TOL = 1e-13  # fock.from_operator: roundoff of its signed subset sums
 
 
@@ -119,34 +121,35 @@ def _half_pair_sign(n: int) -> int:
 class GrassmannElement:
     """Sparse linear combination of normal-ordered monomials; immutable.
 
-    Its value is two arrays: the sorted `to_vector` indices
-    bar * 2**m + unbar of its terms, which is the order of sorting their
-    Monomials, and their complex coefficients (`arrays()`).  Code that holds
-    arrays already (`from_operator`, `change_generators`, `prune`, products
-    with a scalar) builds elements from them directly, through
-    `from_vector` or `_from_arrays`.  `terms` is the same value as a
-    read-only map Monomial -> coefficient, which the monomial-pair kernels
-    (`star`, `multiply`, `involution`, `star_trace`) walk.  An element built
-    from such a map keeps it and builds its arrays on first use; one built
-    from arrays builds its map on first use.  The attributes are written to
-    the instance dict directly, as `__setattr__` refuses every assignment,
-    and `terms` is a cached property, so reading it costs a plain attribute
-    lookup either way: the map builds call it for thousands of elements.
+    Its value is two read-only arrays, built at construction: the sorted
+    `to_vector` indices bar * 2**m + unbar of its terms, which is the order
+    of sorting their Monomials, and their complex coefficients (`arrays()`).
+    The constructor takes a map Monomial -> coefficient and rejects a
+    generator outside [1, m]; code that holds arrays (`from_operator`,
+    `change_generators`, `prune`, scalar products) uses `from_vector` or
+    `_from_arrays`.  `terms` is the value as a read-only sorted map, built
+    from the arrays on first use for the monomial-pair kernels (`star`,
+    `multiply`, `involution`, `star_trace`).  `__setattr__` refuses every
+    assignment, so the attributes are written to the instance dict.
     """
 
     def __init__(self, m: int, terms: dict | None = None) -> None:
-        d = self.__dict__
-        d["m"] = m
-        d["terms"] = MappingProxyType({} if terms is None else terms)
-        d["_arrays"] = None
+        terms = {} if terms is None else terms
+        index = []
+        for bar, unbar in terms:
+            if (bar | unbar) >> m:
+                raise ValueError(f"{Monomial(bar, unbar)} references generators outside [1, {m}]")
+            index.append((bar << m) | unbar)
+        index = np.array(index, dtype=np.intp)
+        order = index.argsort(kind="stable")
+        coeffs = np.fromiter(terms.values(), complex, len(index))
+        self.__dict__.update(m=m, _arrays=_read_only(index[order], coeffs[order]))
 
     @classmethod
     def _from_arrays(cls, m: int, index: np.ndarray, coeffs: np.ndarray) -> "GrassmannElement":
         """An element from sorted, distinct to_vector indices and their complex coefficients."""
         self = cls.__new__(cls)
-        d = self.__dict__
-        d["m"] = m
-        d["_arrays"] = _read_only(index, coeffs)
+        self.__dict__.update(m=m, _arrays=_read_only(index, coeffs))
         return self
 
     @classmethod
@@ -157,7 +160,7 @@ class GrassmannElement:
 
     @functools.cached_property
     def terms(self) -> MappingProxyType:
-        """Read-only map Monomial -> coefficient; built from the arrays on first use."""
+        """Read-only map Monomial -> coefficient in sorted order; built from the arrays on first use."""
         index, coeffs = self._arrays
         bar, unbar = _split_index(index, self.m)
         return MappingProxyType(dict(zip(map(Monomial, bar, unbar), coeffs.tolist())))
@@ -179,13 +182,6 @@ class GrassmannElement:
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (index, coeffs): sorted to_vector indices and their complex coefficients."""
-        if self._arrays is None:
-            m, terms = self.m, self.terms
-            n = len(terms)
-            index = np.fromiter(((bar << m) | unbar for bar, unbar in terms), np.intp, n)
-            coeffs = np.fromiter(terms.values(), complex, n)
-            order = np.argsort(index, kind="stable")
-            self.__dict__["_arrays"] = _read_only(index[order], coeffs[order])
         return self._arrays
 
     def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
@@ -284,9 +280,6 @@ def psibar(i: int, m: int) -> GrassmannElement:
 
 def monomial_element(mono: Monomial, m: int, coeff: complex = 1.0) -> GrassmannElement:
     _check_m(m, ELEMENT_CAP)
-    top = (1 << m) - 1
-    if mono.bar & ~top or mono.unbar & ~top:
-        raise ValueError("monomial references generators outside [1, m]")
     return GrassmannElement(m, {mono: complex(coeff)})
 
 
@@ -372,24 +365,23 @@ def star(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     """
     _same_m(a, b)
     _check_m(a.m, STAR_CAP)
-    return _star(a, b)
+    return GrassmannElement(a.m, _star_terms(a.terms, b.terms, a.m))
 
 
-def _star(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    """`star` without the STAR_CAP check, for map builds whose factors are short words.
+def _star_terms(a_terms, b_terms, m: int) -> dict:
+    """The star product of two maps Monomial -> coefficient as a new map, with no STAR_CAP check.
 
-    The cost is the number of monomial pairs, so products of a few generators
-    stay cheap at any m up to ELEMENT_CAP.
+    The cost is the number of monomial pairs, so the map builds, whose
+    factors are short words, stay cheap at any m up to ELEMENT_CAP.
     """
-    m = a.m
     out: dict = {}
-    b_terms = [(bar, unbar, cb) for (bar, unbar), cb in b.terms.items()]
-    for (a_bar, a_unbar), ca in a.terms.items():
-        for b_bar, b_unbar, cb in b_terms:
+    b_list = [(bar, unbar, cb) for (bar, unbar), cb in b_terms.items()]
+    for (a_bar, a_unbar), ca in a_terms.items():
+        for b_bar, b_unbar, cb in b_list:
             c = ca * cb
             for km, cm in _star_monomials_terms(a_bar, a_unbar, b_bar, b_unbar, m):
                 _acc(out, km, c * cm)
-    return GrassmannElement(m, out)
+    return out
 
 
 def involution(a: GrassmannElement) -> GrassmannElement:
@@ -553,7 +545,8 @@ def _coo_apply(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, vec: np.nda
     return np.bincount(rows, prod.real, n) + 1j * np.bincount(rows, prod.imag, n)
 
 
-def expectation(density: GrassmannElement, observable: GrassmannElement, tol: float = 1e-8) -> complex:
+def expectation(density: GrassmannElement, observable: GrassmannElement,
+                tol: float = DENSITY_TRACE_TOL) -> complex:
     """Trace of density * observable under the star product.
 
     The density must already be normalized: a trace away from 1 by more than

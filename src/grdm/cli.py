@@ -8,6 +8,7 @@ Output files are written atomically.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -234,7 +235,9 @@ def cmd_selftest(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The grdm argument parser, built on first use and shared by every later `main` call."""
     parser = argparse.ArgumentParser(
         prog="grdm",
         description="Grassmann-integral toolkit for fermionic reduced density matrices",

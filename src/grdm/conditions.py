@@ -40,14 +40,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .algebra import (
+    DENSITY_TRACE_TOL,
     ELEMENT_CAP,
     STAR_CAP,
     GrassmannElement,
     Monomial,
+    _acc,
     _check_m,
     _coo_apply,
     _read_only,
-    _star,
+    _star_terms,
     involution,
     moment_rows,
     monomial_element,
@@ -57,7 +59,6 @@ from .algebra import (
 )
 from . import fock
 
-DENSITY_TRACE_TOL = 1e-8
 HERMITIAN_INPUT_TOL = 1e-8
 FORM_HERMITIAN_TOL = 1e-10  # relative to 1 + max-norm, for every form matrix
 
@@ -189,30 +190,31 @@ def _moments(vec: np.ndarray, m: int) -> np.ndarray:
     return moments
 
 
-def _form_entries(probes: list[GrassmannElement], mode: str):
+def _form_entries(probes: list[GrassmannElement], mode: str, m: int):
     """F[a, b] = tr(kappa * X_ab), X_ab = b_a* * b_b (+ b_b * b_a*), expanded once.
 
-    Uses the uncapped `_star`: the table probes are words of at most three
-    generators, cheap at any m; quadratic_form_matrix checks STAR_CAP for
-    arbitrary probes itself.
+    Runs the uncapped `_star_terms` on the probes' terms, with no element
+    per pair: the table probes are words of at most three generators, cheap
+    at any m; quadratic_form_matrix checks STAR_CAP for any probes itself.
     """
     n = len(probes)
-    bstars = [involution(b) for b in probes]
+    terms = [b.terms for b in probes]
+    bstars = [involution(b).terms for b in probes]
     for a in range(n):
         for b in range(n):
-            x = _star(bstars[a], probes[b])
+            x = _star_terms(bstars[a], terms[b], m)
             if mode == "anticommutator":
-                x = x + _star(probes[b], bstars[a])
-            for t, c in x.terms.items():
+                for t, c in _star_terms(terms[b], bstars[a], m).items():
+                    _acc(x, t, c)
+            for t, c in x.items():
                 yield a * n + b, t, c
 
 
 @functools.lru_cache(maxsize=16)
 def _probe_set_map(condition: str, m: int) -> _LinearMap:
     """A table condition's form at one m, on the shared moments; at most 16 are cached."""
-    probes = CONDITIONS[condition].probes(m)
-    return _linear_map(_form_entries(probes, CONDITIONS[condition].mode), (len(probes),) * 2, m,
-                       shared=True)
+    probes, mode = CONDITIONS[condition].probes(m), CONDITIONS[condition].mode
+    return _linear_map(_form_entries(probes, mode, m), (len(probes),) * 2, m, shared=True)
 
 
 def _pdm1(moments: np.ndarray, m: int) -> np.ndarray:
@@ -251,7 +253,7 @@ def quadratic_form_matrix(kappa: GrassmannElement, probes: list[GrassmannElement
     for b in probes:
         if b.m != kappa.m:
             raise ValueError("probe generator count differs from density")
-    return _linear_map(_form_entries(probes, mode), (len(probes),) * 2, kappa.m).apply(vec)
+    return _linear_map(_form_entries(probes, mode, kappa.m), (len(probes),) * 2, kappa.m).apply(vec)
 
 
 def monomial_basis(m: int, order: int) -> list[GrassmannElement]:

@@ -12,7 +12,7 @@ Verification compares, word by word and in the original generators,
 star-product expectations of the density with Wick pairing sums of its
 one-body matrix; nothing is rotated back.  The star side is linear in the
 density, so for each (m, max_points) it is built once as a sparse map over
-the generator words, from the Grassmann kernels alone (`_star`,
+the generator words, from the Grassmann kernels alone (`_star_terms`,
 `algebra.moment_rows`), and cached; the Wick side gathers all words of one
 length from a cached generator-index table and sums over the signed perfect
 matchings.  `star_word_expectation` and `wick_expectation` are the per-word
@@ -35,7 +35,7 @@ from .algebra import (
     Monomial,
     _check_m,
     _half_pair_sign,
-    _star,
+    _star_terms,
     change_generators,
     psi,
     psibar,
@@ -202,17 +202,18 @@ def _word_product_entries(m: int, max_points: int):
     Each product is the product of its one-shorter prefix (built earlier, as
     the words come shortest first) and one generator; products of full length
     are never reused, so only the shorter ones are kept, and only while the
-    map is built.  The factors are words of at most max_points generators,
-    so the uncapped `_star` serves every m up to QUASIFREE_CAP.
+    map is built.  Factors and products are maps Monomial -> coefficient, no
+    elements; the factors are words of at most max_points generators, so
+    the uncapped `_star_terms` serves every m up to QUASIFREE_CAP.
     """
-    gens = {(i, barred): psibar(i, m) if barred else psi(i, m)
+    gens = {(i, barred): (psibar(i, m) if barred else psi(i, m)).terms
             for i in range(1, m + 1) for barred in (True, False)}
-    prefixes = {(): unit(m)}
+    prefixes = {(): unit(m).terms}
     for row, word in enumerate(generator_words(m, max_points)):
-        product = _star(prefixes[word[:-1]], gens[word[-1]])
+        product = _star_terms(prefixes[word[:-1]], gens[word[-1]], m)
         if len(word) < max_points:
             prefixes[word] = product
-        for t, c in product.terms.items():
+        for t, c in product.items():
             yield row, t, c
 
 

@@ -9,6 +9,10 @@ integral eliminates the high block.
 The reference generator change expands every term over each pair of minor
 determinants, one accumulation per (barred minor, plain minor) pair.
 
+The map-build references expand the condition forms and the quasifree word
+products with the public star product, one element per product, in the
+order the builders in `conditions` and `quasifree` use.
+
 The dense Fock references multiply the 2^m x 2^m ladder matrices: to_operator
 as a sum of ordered ladder products, one matrix product per monomial, and
 the pdms as traces of rho times ladder words.  The from_operator map is
@@ -20,8 +24,9 @@ from itertools import combinations
 
 import numpy as np
 
-from grdm import fock
-from grdm.algebra import GrassmannElement, Monomial, _acc, _half_pair_sign, _indices, _merge_sign, multiply
+from grdm import fock, quasifree
+from grdm.algebra import (GrassmannElement, Monomial, _acc, _half_pair_sign, _indices, _merge_sign,
+                          involution, multiply, psi, psibar, star, unit)
 
 
 def _lift_left(a, m):
@@ -191,3 +196,46 @@ def element_map_reference(m):
                     break
                 z = (z - 1) & free
     return np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp), np.array(sign, dtype=float)
+
+
+def form_entries_reference(probes, mode):
+    """conditions._form_entries on elements: (a * n + b, t, coeff) of b_a* * b_b (+ b_b * b_a*)."""
+    n = len(probes)
+    bstars = [involution(b) for b in probes]
+    for a in range(n):
+        for b in range(n):
+            x = star(bstars[a], probes[b])
+            if mode == "anticommutator":
+                x = x + star(probes[b], bstars[a])
+            for t, c in x.terms.items():
+                yield a * n + b, t, c
+
+
+def word_product_entries_reference(m, max_points):
+    """quasifree._word_product_entries on elements: (row, t, coeff) of each word product."""
+    gens = {(i, barred): psibar(i, m) if barred else psi(i, m)
+            for i in range(1, m + 1) for barred in (True, False)}
+    prefixes = {(): unit(m)}
+    for row, word in enumerate(quasifree.generator_words(m, max_points)):
+        product = star(prefixes[word[:-1]], gens[word[-1]])
+        if len(word) < max_points:
+            prefixes[word] = product
+        for t, c in product.terms.items():
+            yield row, t, c
+
+
+def canonical_combine(linear_map, monomials, m):
+    """A map's combine triple with column c named by monomials[c]'s to_vector index, sorted.
+
+    The builders and the references list the terms of one product in
+    different orders, which changes the entry order and, for maps with their
+    own moments, the column numbering, but not the map.  Entries are sorted
+    by (row, index); the sort is only canonical when no (row, index) pair
+    repeats, which is checked.
+    """
+    rows, cols, vals = linear_map.combine
+    names = np.array([(t[0] << m) | t[1] for t in monomials], dtype=np.intp)[cols]
+    order = np.lexsort((names, rows))
+    rows, names, vals = rows[order], names[order], vals[order]
+    assert not np.any((rows[1:] == rows[:-1]) & (names[1:] == names[:-1]))
+    return rows, names, vals

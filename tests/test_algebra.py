@@ -54,8 +54,9 @@ class TestConstruction:
         assert len(el.terms) == 1
 
     def test_index_out_of_range(self):
-        with pytest.raises(ValueError, match="outside"):
-            make_element(2, [((3,), (), 1.0)])
+        for bar, unbar in (((3,), ()), ((), (0,)), ((1,), (3,))):
+            with pytest.raises(ValueError, match="outside"):
+                make_element(2, [(bar, unbar, 1.0)])
 
     def test_bad_generator_count(self):
         with pytest.raises(ValueError):
@@ -91,11 +92,22 @@ class TestElementValue:
         assert unit(2) != 2 * unit(2)
         assert unit(2) != unit(3)
 
-    def test_dict_built_arrays_on_first_use(self):
-        el = make_element(3, [((1,), (2,), 1.0), ((), (), 0.5)])
-        assert el._arrays is None  # map builds make thousands of these
-        el.to_vector()
-        assert el._arrays is not None
+    def test_arrays_built_at_construction(self):
+        el = GrassmannElement(3, {Monomial(1, 2): 1.0, Monomial(0, 0): 0.5})
+        index, coeffs = el.__dict__["_arrays"]  # before any read of the value
+        assert index.tolist() == [0, (1 << 3) | 2]
+        assert coeffs.tolist() == [0.5 + 0j, 1 + 0j]
+        assert "terms" not in el.__dict__
+        assert list(el.terms) == [Monomial(0, 0), Monomial(1, 2)]
+
+    @pytest.mark.parametrize("mono", [Monomial(0, 4), Monomial(4, 0), Monomial(8, 1), Monomial(-1, 0)])
+    def test_constructor_rejects_generators_outside_m(self, mono):
+        # p_3 at m = 2 must not alias to to_vector index 4, which is pbar_1
+        with pytest.raises(ValueError, match=rf"Monomial\(bar={mono.bar}, unbar={mono.unbar}\) .*outside \[1, 2\]"):
+            GrassmannElement(2, {Monomial(0, 1): 1.0, mono: 1.0})
+        with pytest.raises(ValueError, match="outside"):
+            monomial_element(mono, 2)
+        assert GrassmannElement(3, {Monomial(0, 4): 1.0}).to_vector()[4] == 1
 
     def test_immutable(self):
         el = make_element(2, [((1,), (2,), 1.0)])

@@ -329,6 +329,24 @@ def test_usage_error_exit_2():
     assert cli.main(["frobnicate"]) == 2
 
 
+def test_parser_built_once_per_process(pdm_file, tmp_path):
+    # one parser serves every main call; a usage error leaves it usable and
+    # no option of one call carries over into the next
+    cli.build_parser.cache_clear()
+    path = str(pdm_file[0])
+    outs = [str(tmp_path / f"r{k}.json") for k in range(3)]
+    assert cli.main(["check", "--in", path, "--out", outs[0]]) == 0
+    assert cli.main(["check", "--in", path, "--tol", "lots"]) == 2
+    assert cli.main(["frobnicate"]) == 2
+    assert cli.main(["check", "--in", path, "--out", outs[1], "--tol", "0.5"]) == 0
+    assert cli.main(["check", "--in", path, "--out", outs[2]]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+    first, override, last = (json.loads(open(p).read()) for p in outs)
+    assert last == first != override
+    assert {r["tol"] for r in override} == {0.5}
+
+
 def test_import_pulls_no_scipy(tmp_path):
     # grdm depends on numpy alone: neither importing the CLI nor a cold check,
     # fuzz or quasifree run may load scipy, or numpy.ma (about 14 ms cold)

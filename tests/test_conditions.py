@@ -19,6 +19,7 @@ from grdm.algebra import (
     trace_integral,
     unit,
 )
+from _reference import canonical_combine, form_entries_reference
 from conftest import rand_element, random_unitary
 
 
@@ -484,6 +485,19 @@ def test_index_maps_agree_with_grassmann_forms_at_m6():
         closed = cond.closed_form_report(name, gamma, Gamma)
         assert form.passed and closed.passed
         assert abs(form.margin - closed.margin) <= 1e-8, name
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_probe_set_maps_equal_element_reference(m):
+    # the builder runs the star product on term maps; the reference builds
+    # one element per product with the public star and involution
+    monomials = list(cond._moment_map(m)[1])
+    for name, (_, probes, mode) in cond.CONDITIONS.items():
+        got = cond._probe_set_map(name, m)
+        want = cond._linear_map(form_entries_reference(probes(m), mode), got.shape, m, shared=True)
+        assert got.moments is want.moments
+        for g, w in zip(canonical_combine(got, monomials, m), canonical_combine(want, monomials, m)):
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
 
 
 class TestFuzz:

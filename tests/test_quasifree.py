@@ -9,12 +9,14 @@ from grdm.algebra import (
     Monomial,
     change_generators,
     max_coeff_difference,
+    moment_rows,
     monomial_element,
     psibar,
     star,
     trace_integral,
     unit,
 )
+from _reference import canonical_combine, word_product_entries_reference
 from conftest import random_unitary
 
 
@@ -241,6 +243,22 @@ class TestWick:
             assert got.shape == (len(words),)
             want = np.array([qf.star_word_expectation(kappa, list(w)) for w in words])
             assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("m, points", [(2, 4), (3, 4), (4, 4), (3, 6)])
+    def test_word_map_equals_element_reference(self, m, points):
+        # the builder runs the star product on term maps; the reference builds
+        # one element per product with the public star.  Each map numbers its
+        # moments by first appearance, which its moment rows confirm.
+        got = qf._star_word_map(m, points)
+        want_entries = list(word_product_entries_reference(m, points))
+        want = cond._linear_map(want_entries, got.shape, m)
+        canonical = []
+        for lin, entries in ((got, qf._word_product_entries(m, points)), (want, want_entries)):
+            monomials = list(dict.fromkeys(t for _, t, _ in entries))
+            assert all(np.array_equal(a, b) for a, b in zip(lin.moments, moment_rows(monomials, m)))
+            canonical.append(canonical_combine(lin, monomials, m))
+        for g, w in zip(*canonical):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
     def test_pull_through_identity(self):
         m = 3
