@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Cold build times of grdm's cached linear maps, one fresh process per build.
+
+For each requested m this times, each in its own subprocess so that no cache
+is warm: the moment map `conditions._moment_map`, the five table forms
+`conditions._probe_set_map` (on a moment map built untimed first), the
+quasifree word map `quasifree._star_word_map(m, 4)` and the Fock
+operator-to-element map `fock._element_map` (m <= 8).  Prints the median
+over the repeats in milliseconds, one row per build and one column per m.
+
+    python scripts/map_build_times.py --m 5 6 7 8 --repeats 5
+"""
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+BUILDS = ("moment", "P", "Q", "G", "T1", "T2", "words@4", "element")
+ELEMENT_MAP_CAP = 8  # fock.FOCK_CAP, read here without importing grdm
+
+
+def build(name: str, m: int) -> float:
+    """Milliseconds of one cold build in this process."""
+    from grdm import conditions, fock, quasifree
+
+    if name in ("P", "Q", "G", "T1", "T2"):
+        conditions._moment_map(m)
+        run = lambda: conditions._probe_set_map(name, m)  # noqa: E731
+    else:
+        run = {"moment": lambda: conditions._moment_map(m),
+               "words@4": lambda: quasifree._star_word_map(m, 4),
+               "element": lambda: fock._element_map(m)}[name]
+    start = time.perf_counter()
+    run()
+    return (time.perf_counter() - start) * 1e3
+
+
+def child_time(name: str, m: int) -> float:
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", name, str(m)],
+                         check=True, capture_output=True, text=True).stdout
+    return float(out)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--m", type=int, nargs="+", default=[5, 6, 7, 8])
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--child", nargs=2, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child:
+        name, m = args.child
+        print(build(name, int(m)))
+        return 0
+    if args.repeats < 1:
+        parser.error(f"--repeats must be >= 1, got {args.repeats}")
+    if not all(1 <= m <= 10 for m in args.m):
+        parser.error(f"--m values must lie in [1, 10], got {args.m}")
+
+    print(f"{'build (ms)':<10}" + "".join(f"{f'm={m}':>10}" for m in args.m))
+    for name in BUILDS:
+        cells = []
+        for m in args.m:
+            if name == "element" and m > ELEMENT_MAP_CAP:
+                cells.append("-")
+                continue
+            times = [child_time(name, m) for _ in range(args.repeats)]
+            cells.append(f"{statistics.median(times):.2f}")
+        print(f"{name:<10}" + "".join(f"{c:>10}" for c in cells))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

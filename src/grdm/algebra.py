@@ -9,13 +9,22 @@ functionals (top-coefficient extraction and the weighted trace form).
 
 Sign bookkeeping is done on bitmasks with popcount-prefix counting, so every
 coefficient produced from integer inputs is an exact signed power of two.
+The sign rules are written once as numpy functions on arrays of masks that
+never loop over monomials: they gather from per-m bit tables built by one
+loop over the m bits (`_bit_tables`, `_merge_parity`), and the subset
+expansions loop over the m bits themselves.  They are the monomial-pair
+wedge product (`_mono_products`), the monomial-pair star product expanded
+over its contracted subsets (`_star_pairs`) and the pair trace with its
+interlocking enumeration (`_pair_traces`, `_trace_rows`).  Every element
+operation, `moment_rows` and the cached map builds of `conditions` and
+`quasifree` run on them, a product's term pairs in bounded chunks
+(`_pair_sums`).
 
 Elements are immutable after construction and every operation is a pure
-function.  The only shared state is a set of caches keyed by value: the memo
-of monomial star products and the per-m subset orderings of
-change_generators (`_degree_order`).  The cached map builds of `conditions`
-and `quasifree` run the star product on plain Monomial -> coefficient maps
-(`_star_terms`) and build no element per product.
+function.  The only shared state is a set of caches keyed by value: the
+per-m bit tables, the memo of the scalar monomial star product behind
+`star_monomials`, which is also the reference the kernel is tested against,
+and the per-m subset orderings of change_generators (`_degree_order`).
 """
 
 from __future__ import annotations
@@ -58,7 +67,8 @@ class Monomial(NamedTuple):
 
 def _split_index(index: np.ndarray, m: int) -> tuple[list, list]:
     """The bar and unbar masks of to_vector indices bar * 2**m + unbar, as int lists."""
-    return (index >> m).tolist(), (index & ((1 << m) - 1)).tolist()
+    bar, unbar = _split(index, m)
+    return bar.tolist(), unbar.tolist()
 
 
 def _mask(indices: Iterable[int], m: int) -> int:
@@ -90,18 +100,205 @@ def _merge_sign(a: int, b: int) -> int:
     return -1 if par else 1
 
 
-def _merge_signs(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """`_merge_sign` over arrays of disjoint masks, +1 or -1 each, looping over the m bits.
+@functools.lru_cache(maxsize=None)
+def _bit_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every m-bit mask x: its popcount, its parity, and the mask of the parities above it.
 
-    Sorting the concatenation of two ascending blocks takes one transposition
-    per pair (i in a, j in b) with i > j, so bit j of b counts the bits of a
-    above it.
+    Bit j of the third table is the parity of the bits of x above j.  One
+    loop over the m bits builds all three, once per m; the sign kernels
+    gather from them.
     """
-    parity = above = np.zeros(np.broadcast(a, b).shape, dtype=np.result_type(a, b))
+    x = np.arange(1 << m)
+    count, above = np.zeros_like(x), np.zeros_like(x)
     for bit in reversed(range(m)):
-        parity = parity ^ ((b >> bit) & 1 & above)
-        above = above ^ ((a >> bit) & 1)
-    return np.where(parity, -1, 1)
+        above |= (count & 1) << bit
+        count += (x >> bit) & 1
+    return _read_only(count, count & 1, above)
+
+
+def _popcount(x: np.ndarray, m: int) -> np.ndarray:
+    """The number of set bits of each m-bit mask in an array."""
+    return _bit_tables(m)[0][x]
+
+
+def _parity(x: np.ndarray, m: int) -> np.ndarray:
+    """The parity (0 or 1) of the number of set bits of each m-bit mask in an array."""
+    return _bit_tables(m)[1][x]
+
+
+def _merge_parity(blocks: list, m: int) -> np.ndarray:
+    """The parity (0 or 1) of the pairs (i in a, j in b) with i > j, summed over the (a, b) blocks.
+
+    For one pair of disjoint blocks it is the parity of `_merge_sign`:
+    sorting the concatenation of two ascending blocks takes one transposition
+    per such pair, so bit j of b counts the bits of a above it.  That count
+    is linear over XOR in a and in b, and so is parity, so several merges
+    share one parity lookup; the block (x, x) counts |x| (|x| - 1) / 2.
+    """
+    _, parity, above = _bit_tables(m)
+    acc = 0
+    for a, b in blocks:
+        acc = acc ^ (above[a] & b)
+    return parity[acc]
+
+
+def _split(index: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bar and unbar masks of to_vector indices bar * 2**m + unbar, as arrays."""
+    return index >> m, index & ((1 << m) - 1)
+
+
+def _generators(m: int) -> np.ndarray:
+    """The to_vector indices of the 2m generators, pbar_1 .. pbar_m then p_1 .. p_m."""
+    return np.concatenate((1 << (np.arange(m) + m), 1 << np.arange(m)))
+
+
+def _mono_products(ia: np.ndarray, ib: np.ndarray, m: int):
+    """Wedge products of the monomial pairs (ia[p], ib[p]), given as to_vector indices.
+
+    Returns (pair, index, sign): the pairs whose product does not vanish (no
+    generator repeats), their product monomials and their signs, +1 or -1.
+    """
+    bar1, ub1 = _split(ia, m)
+    bar2, ub2 = _split(ib, m)
+    pair = np.flatnonzero(((bar1 & bar2) | (ub1 & ub2)) == 0)
+    bar1, ub1, bar2, ub2 = bar1[pair], ub1[pair], bar2[pair], ub2[pair]
+    # move the block bar2 left past ub1, |ub1| |bar2| transpositions, then
+    # merge the barred blocks and the plain blocks into ascending order
+    parity = (_parity(ub1, m) & _parity(bar2, m)) ^ _merge_parity([(bar1, bar2), (ub1, ub2)], m)
+    return pair, ia[pair] | ib[pair], 1 - 2 * parity
+
+
+def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For groups of the given sizes: each slot's group, and its counter, counts - 1 down to 0."""
+    group = np.repeat(np.arange(len(counts)), counts)
+    return group, (np.cumsum(counts) - 1)[group] - np.arange(len(group))
+
+
+def _deposit(counter: np.ndarray, mask: np.ndarray, m: int) -> np.ndarray:
+    """The low bits of each counter placed on the set bits of its mask, lowest first.
+
+    A counter running from 2**|mask| - 1 down to 0 lists the subsets of the
+    mask in descending order, as `sub = (sub - 1) & mask` does.
+    """
+    out = np.zeros_like(mask)
+    used = int(np.bitwise_or.reduce(mask)) if mask.size else 0
+    for bit in range(m):
+        if used >> bit & 1:
+            has = (mask >> bit) & 1
+            out |= (counter & has) << bit
+            counter = counter >> has
+    return out
+
+
+def _star_pairs(ia: np.ndarray, ib: np.ndarray, m: int):
+    """Star products of the monomial pairs (ia[p], ib[p]), to_vector indices, fully expanded.
+
+    Returns (pair, index, sign), one entry per term: pair p's terms follow
+    one another, in the order and with the signs of `_star_monomials_terms`,
+    and a pair whose product vanishes has none.  For (I, J) * (K, L) with
+    S = J & K the contracted block: the core pbar_I p_{J-S} * pbar_{K-S} p_L,
+    reordered past S, times the commuting weight prod over the free bits of
+    J | K of (1 - pbar p), expanded over the subsets of those bits.
+    """
+    I, J = _split(ia, m)
+    K, L = _split(ib, m)
+    S = J & K
+    Jr, Kr = J ^ S, K ^ S
+    pair = np.flatnonzero(((I & Kr) | (Jr & L)) == 0)
+    I, J, K, L, S, Jr, Kr = (x[pair] for x in (I, J, K, L, S, Jr, Kr))
+    # the integrated block, sigma_JS then sigma_S: |S| |J - S| + |S| (|S| - 1) / 2
+    # transpositions, and S merges with J - S and with K - S; then the core
+    # product as in `_mono_products`, |J - S| |K - S| and two merges
+    parity = ((_parity(Jr, m) & _parity(K, m))  # |S| |J - S| + |J - S| |K - S|, K = S ^ (K - S)
+              ^ _merge_parity([(S, J | K), (I, Kr), (Jr, L)], m))
+    cbar, cub = I | Kr, Jr | L
+    avail = S & ~(I | L)  # the bits of J | K in neither core block
+    group, counter = _segments(1 << _popcount(avail, m))
+    sub = _deposit(counter, avail[group], m)
+    cbar, cub = cbar[group], cub[group]
+    # each factor -pbar_i p_i of the weight, |sub| + |sub| (|sub| - 1) / 2,
+    # then the core times pbar_sub p_sub: |cub| |sub| and two merges
+    parity = (parity[group] ^ (_parity(sub, m) & (1 ^ _parity(cub, m)))
+              ^ _merge_parity([(sub ^ cbar ^ cub, sub)], m))  # blocks (x, sub) add over XOR in x
+    return pair[group], ((cbar | sub) << m) | cub | sub, 1 - 2 * parity
+
+
+def _pair_traces(I, J, K, L, m: int) -> np.ndarray:
+    """trace_integral((I, J) * (K, L)) of arrays of monomial pairs, as exact integers.
+
+    Zero unless the index sets interlock: I - T = J - S and L - T = K - S for
+    S = J & K and T = I & L.  Otherwise the contracted blocks S and T reorder
+    next to J - S, K - S and I - T, L - T, and the trace of the diagonal
+    monomial left over is (-1)**(|J|(|J|-1)/2 + |L|(|L|-1)/2) times
+    2**(m - |I | K|).
+    """
+    S, T = J & K, I & L
+    live = ((I ^ T) == (J ^ S)) & ((L ^ T) == (K ^ S))
+    # S merges with J - S and K - S, T with I - T and L - T
+    parity = _merge_parity([(J, J), (L, L), (S, J ^ K), (T, I ^ L)], m)
+    return np.where(live, (1 - 2 * parity) << (m - _popcount(I | K, m)), 0)
+
+
+def _trace_rows(K: np.ndarray, L: np.ndarray, m: int):
+    """The nonzero pair traces trace_integral((I, J) * (K, L)) of the monomials t = (K, L).
+
+    Returns (row, index, value): for each t in turn the 2**(m - |K ^ L|)
+    monomials (I, J) that interlock with it, I = (L - K) | s and
+    J = (K - L) | s for s inside the bits where K and L agree, listed by s
+    descending, and their pair traces, signed powers of two.
+    """
+    row, counter = _segments(1 << (m - _popcount(K ^ L, m)))
+    K, L = K[row], L[row]
+    s = _deposit(counter, ((1 << m) - 1) & ~(K ^ L), m)
+    I, J = (L & ~K) | s, (K & ~L) | s
+    return row, (I << m) | J, _pair_traces(I, J, K, L, m)
+
+
+def _sum_terms(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the sums of their coefficients in array order.
+
+    Keys whose coefficients sum to exactly zero are dropped.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    keys = keys[first]
+    sums = (np.bincount(inverse, coeffs.real, len(keys))
+            + 1j * np.bincount(inverse, coeffs.imag, len(keys)))
+    keep = np.flatnonzero(sums)
+    return keys[keep], sums[keep]
+
+
+_PAIR_CHUNK = 1 << 16  # monomial pairs per kernel call in `_pair_sums`
+
+
+def _pair_sums(kernel, a: tuple, b: tuple, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every term of `a` times every term of `b` under a pair kernel, summed per (row, monomial).
+
+    `a` and `b` are (row, index, coeff) arrays over terms and the product of
+    terms p and q lands in row a_row[p] + b_row[q]; `kernel` is
+    `_mono_products` or `_star_pairs`.  The pairs go through the kernel in
+    chunks of about _PAIR_CHUNK, a's terms outer and b's inner, so a dense
+    product never holds all its pairs at once.  Returns the sorted distinct
+    keys row * 4**m + index and their coefficients, exact zeros dropped.
+    """
+    (row_a, ia, ca), (row_b, ib, cb) = a, b
+    if not len(ia) or not len(ib):
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex)
+    step = max(1, _PAIR_CHUNK // len(ib))
+    parts = []
+    for start in range(0, len(ia), step):
+        pa, pb = np.divmod(np.arange(start * len(ib), min(start + step, len(ia)) * len(ib)), len(ib))
+        pair, index, sign = kernel(ia[pa], ib[pb], m)
+        pa, pb = pa[pair], pb[pair]
+        parts.append(_sum_terms(((row_a[pa] + row_b[pb]) << (2 * m)) | index,
+                                ca[pa] * cb[pb] * sign))
+    if len(parts) == 1:
+        return parts[0]
+    return _sum_terms(*(np.concatenate(part) for part in zip(*parts)))
 
 
 def _mono_mul(bar1: int, ub1: int, bar2: int, ub2: int):
@@ -127,10 +324,10 @@ class GrassmannElement:
     The constructor takes a map Monomial -> coefficient and rejects a
     generator outside [1, m]; code that holds arrays (`from_operator`,
     `change_generators`, `prune`, scalar products) uses `from_vector` or
-    `_from_arrays`.  `terms` is the value as a read-only sorted map, built
-    from the arrays on first use for the monomial-pair kernels (`star`,
-    `multiply`, `involution`, `star_trace`).  `__setattr__` refuses every
-    assignment, so the attributes are written to the instance dict.
+    `_from_arrays`.  Every operation works on the arrays; `terms`, the value
+    as a read-only sorted map built on first use, serves `repr`, pickling and
+    `coefficient`.  `__setattr__` refuses every assignment, so the
+    attributes are written to the instance dict.
     """
 
     def __init__(self, m: int, terms: dict | None = None) -> None:
@@ -186,10 +383,9 @@ class GrassmannElement:
 
     def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
         _same_m(self, other)
-        out = self.terms.copy()
-        for k, c in other.terms.items():
-            _acc(out, k, c)
-        return GrassmannElement(self.m, out)
+        (ia, ca), (ib, cb) = self.arrays(), other.arrays()
+        index, coeffs = _sum_terms(np.concatenate((ia, ib)), np.concatenate((ca, cb)))
+        return GrassmannElement._from_arrays(self.m, index, coeffs)
 
     def __sub__(self, other: "GrassmannElement") -> "GrassmannElement":
         return self + (-1.0) * other
@@ -304,15 +500,13 @@ def prune(a: GrassmannElement, rel_tol: float = PRUNE_REL_TOL) -> GrassmannEleme
 def multiply(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     """Plain (wedge) product, bilinear over the monomial products."""
     _same_m(a, b)
-    out: dict = {}
-    for (bar1, ub1), ca in a.terms.items():
-        for (bar2, ub2), cb in b.terms.items():
-            mm = _mono_mul(bar1, ub1, bar2, ub2)
-            if mm is None:
-                continue
-            sign, bar, ub = mm
-            _acc(out, Monomial(bar, ub), sign * ca * cb)
-    return GrassmannElement(a.m, out)
+    return GrassmannElement._from_arrays(a.m, *_pair_sums(_mono_products, _rows(a), _rows(b), a.m))
+
+
+def _rows(a: GrassmannElement) -> tuple:
+    """An element's terms as `_pair_sums` operands, all in row 0."""
+    index, coeffs = a.arrays()
+    return np.zeros(len(index), dtype=np.intp), index, coeffs
 
 
 @functools.lru_cache(maxsize=1 << 18)
@@ -361,27 +555,12 @@ def star(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     """Bilinear star product of two elements.
 
     Associative and unital; full-element products are capped at m <= STAR_CAP
-    because the pairing cost grows as 16**m.
+    because the pairing cost grows as 16**m.  The term pairs run through the
+    `_star_pairs` kernel in bounded chunks (`_pair_sums`).
     """
     _same_m(a, b)
     _check_m(a.m, STAR_CAP)
-    return GrassmannElement(a.m, _star_terms(a.terms, b.terms, a.m))
-
-
-def _star_terms(a_terms, b_terms, m: int) -> dict:
-    """The star product of two maps Monomial -> coefficient as a new map, with no STAR_CAP check.
-
-    The cost is the number of monomial pairs, so the map builds, whose
-    factors are short words, stay cheap at any m up to ELEMENT_CAP.
-    """
-    out: dict = {}
-    b_list = [(bar, unbar, cb) for (bar, unbar), cb in b_terms.items()]
-    for (a_bar, a_unbar), ca in a_terms.items():
-        for b_bar, b_unbar, cb in b_list:
-            c = ca * cb
-            for km, cm in _star_monomials_terms(a_bar, a_unbar, b_bar, b_unbar, m):
-                _acc(out, km, c * cm)
-    return out
+    return GrassmannElement._from_arrays(a.m, *_pair_sums(_star_pairs, _rows(a), _rows(b), a.m))
 
 
 def involution(a: GrassmannElement) -> GrassmannElement:
@@ -391,11 +570,16 @@ def involution(a: GrassmannElement) -> GrassmannElement:
     (-1)**(s_I + s_J) with s_X = |X|(|X|-1)/2; satisfies a** = a and
     (a * b)^star-involution = b* star a*.
     """
-    out = {}
-    for (bar, ub), c in a.terms.items():
-        s = _half_pair_sign(bar.bit_count()) * _half_pair_sign(ub.bit_count())
-        out[Monomial(ub, bar)] = s * complex(c).conjugate()
-    return GrassmannElement(a.m, out)
+    index, coeffs = _involution_terms(*a.arrays(), a.m)
+    order = np.argsort(index, kind="stable")
+    return GrassmannElement._from_arrays(a.m, index[order], coeffs[order])
+
+
+def _involution_terms(index: np.ndarray, coeffs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """`involution` term by term on (index, coeff) arrays, in the same order."""
+    bar, ub = _split(index, m)
+    parity = _merge_parity([(bar, bar), (ub, ub)], m)
+    return (ub << m) | bar, coeffs.conj() * (1 - 2 * parity)
 
 
 def raw_integral(a: GrassmannElement) -> complex:
@@ -406,12 +590,11 @@ def raw_integral(a: GrassmannElement) -> complex:
     monomial integrates to zero.
     """
     m = a.m
-    top = (1 << m) - 1
-    c = a.terms.get(Monomial(top, top))
-    if c is None:
+    index, coeffs = a.arrays()
+    if not index.size or index[-1] != (1 << (2 * m)) - 1:  # the top monomial sorts last
         return 0j
     sign = -1 if (m * (m + 1) // 2) & 1 else 1
-    return sign * c
+    return sign * complex(coeffs[-1])
 
 
 def trace_weight(m: int) -> GrassmannElement:
@@ -437,82 +620,40 @@ def trace_integral(a: GrassmannElement) -> complex:
     off the diagonal, which is the form evaluated here.  The (-1)**m factor is
     kept inside so the value is the trace for odd m as well.
     """
-    tot = 0j
     m = a.m
-    for (bar, ub), c in a.terms.items():
-        if bar != ub:
-            continue
-        k = bar.bit_count()
-        tot += c * (_half_pair_sign(k) * (1 << (m - k)))
-    return tot
-
-
-def _pair_trace(I: int, J: int, K: int, L: int, m: int) -> int:
-    """trace_integral(star_monomials((I, J), (K, L))) as an exact integer.
-
-    Zero unless the index sets interlock (I\\T = J\\S and L\\T = K\\S for
-    S = J&K, T = I&L); otherwise a signed power of two.  The one sign kernel
-    behind pair_integral_closed_form, star_trace and moment_rows;
-    _interlocking enumerates the pairs where it is nonzero.
-    """
-    S = J & K
-    T = I & L
-    if (I & ~T) != (J & ~S) or (L & ~T) != (K & ~S):
-        return 0
-    nj = J.bit_count()
-    nl = L.bit_count()
-    sign = -1 if (nj * (nj - 1) // 2 + nl * (nl - 1) // 2) & 1 else 1
-    sign *= _merge_sign(S, J & ~S) * _merge_sign(S, K & ~S)
-    sign *= _merge_sign(T, I & ~T) * _merge_sign(T, L & ~T)
-    return sign * (1 << (m - (I | K).bit_count()))
+    index, coeffs = a.arrays()
+    bar, ub = _split(index, m)
+    diagonal = np.flatnonzero(bar == ub)
+    k = _popcount(bar[diagonal], m)
+    return complex(coeffs[diagonal] @ ((1 - 2 * ((k >> 1) & 1)) << (m - k)))
 
 
 def pair_integral_closed_form(a: Monomial, b: Monomial, m: int) -> complex:
     """Closed form of trace_integral(star_monomials(a, b)).
 
     Vanishes unless the index sets interlock; otherwise the value is a signed
-    power of two.  Serves as the sign-convention oracle.
+    power of two (`_pair_traces`).  Serves as the sign-convention oracle.
     """
     _check_m(m, ELEMENT_CAP)
-    return complex(_pair_trace(a.bar, a.unbar, b.bar, b.unbar, m))
-
-
-def _interlocking(K: int, L: int, m: int):
-    """The 2**(m - |K ^ L|) monomials (I, J) whose pair trace with (K, L) is nonzero.
-
-    They are I = (L & ~K) | s and J = (K & ~L) | s for every s inside the
-    bits where K and L agree.
-    """
-    free = ((1 << m) - 1) & ~(K ^ L)
-    only_l = L & ~K
-    only_k = K & ~L
-    sub = free
-    while True:
-        yield only_l | sub, only_k | sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & free
+    return complex(_pair_traces(*(np.array([x]) for x in (*a, *b)), m)[0])
 
 
 def star_trace(a: GrassmannElement, b: GrassmannElement) -> complex:
     """trace_integral(star(a, b)) evaluated without expanding the star.
 
     The trace is cyclic, so the monomials t of the element with fewer terms
-    are walked and only the monomials of the other that interlock with t are
-    looked up.
+    are enumerated with the monomials that interlock with them
+    (`_trace_rows`), which are looked up in the other element's sorted index.
     """
     _same_m(a, b)
     m = a.m
-    if len(a.terms) < len(b.terms):
+    if len(a.arrays()[0]) < len(b.arrays()[0]):
         a, b = b, a
-    terms = a.terms
-    tot = 0j
-    for (K, L), cb in b.terms.items():
-        for I, J in _interlocking(K, L, m):
-            ca = terms.get((I, J))
-            if ca is not None:
-                tot += ca * cb * _pair_trace(I, J, K, L, m)
-    return tot
+    (ia, ca), (ib, cb) = a.arrays(), b.arrays()
+    row, index, value = _trace_rows(*_split(ib, m), m)
+    pos = np.minimum(np.searchsorted(ia, index), max(len(ia) - 1, 0))
+    hit = np.flatnonzero(ia[pos] == index)  # ia is empty only when index is
+    return complex(np.sum(ca[pos[hit]] * cb[row[hit]] * value[hit]))
 
 
 def moment_rows(monomials: Iterable[Monomial], m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -520,16 +661,16 @@ def moment_rows(monomials: Iterable[Monomial], m: int) -> tuple[np.ndarray, np.n
 
     Returns COO arrays (row, col, val) over a.to_vector(): row r holds the
     monomials (I, J) that interlock with the r-th monomial t = (K, L), each
-    valued by the pair kernel.
+    valued by the pair trace (`_trace_rows`).
     """
-    rows, cols, vals = [], [], []
-    for r, (K, L) in enumerate(monomials):
-        for I, J in _interlocking(K, L, m):
-            rows.append(r)
-            cols.append((I << m) | J)
-            vals.append(_pair_trace(I, J, K, L, m))
-    return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-            np.array(vals, dtype=float))
+    bar, unbar = np.array(list(monomials), dtype=np.intp).reshape(-1, 2).T
+    return _moment_rows((bar << m) | unbar, m)
+
+
+def _moment_rows(index: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`moment_rows` of the monomials with the given to_vector indices."""
+    row, col, val = _trace_rows(*_split(index, m), m)
+    return row, col, val.astype(float)
 
 
 def _read_only(*arrays):
@@ -622,5 +763,6 @@ def elements_close(a: GrassmannElement, b: GrassmannElement, tol: float = 1e-12)
 
 def max_coeff_difference(a: GrassmannElement, b: GrassmannElement) -> float:
     _same_m(a, b)
-    keys = set(a.terms) | set(b.terms)
-    return max((abs(a.terms.get(k, 0j) - b.terms.get(k, 0j)) for k in keys), default=0.0)
+    (ia, ca), (ib, cb) = a.arrays(), b.arrays()
+    diff = _sum_terms(np.concatenate((ia, ib)), np.concatenate((ca, -cb)))[1]
+    return float(np.abs(diff).max()) if diff.size else 0.0

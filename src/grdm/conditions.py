@@ -45,17 +45,17 @@ from .algebra import (
     STAR_CAP,
     GrassmannElement,
     Monomial,
-    _acc,
     _check_m,
     _coo_apply,
+    _generators,
+    _involution_terms,
+    _moment_rows,
+    _mono_products,
+    _pair_sums,
     _read_only,
-    _star_terms,
-    involution,
-    moment_rows,
+    _star_pairs,
+    _sum_terms,
     monomial_element,
-    multiply,
-    psi,
-    psibar,
 )
 from . import fock
 
@@ -126,14 +126,15 @@ def _validate_pair(gamma: np.ndarray, Gamma: np.ndarray) -> tuple[np.ndarray, np
 class _LinearMap(NamedTuple):
     """A linear map kappa -> array of `shape`: out = W @ (M @ kappa.to_vector()).
 
-    `moments` (M) holds the rows star_trace(kappa, t) of the `n_moments`
-    monomials t the output reads; `combine` (W) sums them, with coefficients,
-    into the flattened output.  Both are read-only COO triples (row, col, val)
-    whose duplicate entries add up; the table maps share `_moment_map`'s M.
+    `moments` (M) holds the rows star_trace(kappa, t) of the monomials t the
+    output reads, whose to_vector indices `monomials` lists in row order;
+    `combine` (W) sums them, with coefficients, into the flattened output.
+    Both are read-only COO triples (row, col, val) whose duplicate entries
+    add up; the table maps share `_moment_map`'s M.
     """
 
     moments: tuple
-    n_moments: int
+    monomials: np.ndarray
     combine: tuple
     shape: tuple
 
@@ -143,71 +144,86 @@ class _LinearMap(NamedTuple):
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """The map on a coefficient vector, kappa.to_vector()."""
-        return self.combine_moments(_coo_apply(*self.moments, vec, self.n_moments))
+        return self.combine_moments(_coo_apply(*self.moments, vec, len(self.monomials)))
 
 
-def _linear_map(entries, shape: tuple, m: int, shared: bool = False) -> _LinearMap:
-    """The map out[row] = sum of coeff * star_trace(kappa, t) over (row, t, coeff) entries.
+def _linear_map(entries: tuple, shape: tuple, m: int, shared: bool = False) -> _LinearMap:
+    """The map out[row] = sum of coeff * star_trace(kappa, t) over COO arrays (row, t, coeff).
 
-    A shared map reads the moments of `_moment_map(m)`, which must cover
-    every t; any other gets moment rows of just the t its entries name.
+    Each t is a monomial's to_vector index.  A shared map reads the moments
+    of `_moment_map(m)`, which must cover every t; any other gets moment
+    rows of just the distinct t its entries name, in ascending order.
     """
-    moments, index = _moment_map(m) if shared else (None, {})
-    rows, cols, vals = [], [], []
-    for row, t, coeff in entries:
-        rows.append(row)
-        cols.append(index[t] if shared else index.setdefault(t, len(index)))
-        vals.append(coeff)
-    if not shared:
-        moments = _read_only(*moment_rows(index, m))
-    combine = _read_only(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-                         np.array(vals, dtype=complex))
-    return _LinearMap(moments, len(index), combine, shape)
+    rows, ts, coeffs = entries
+    ts = np.asarray(ts, dtype=np.intp)
+    if shared:
+        moments, monomials = _moment_map(m)
+        order = np.argsort(monomials)
+        cols = order[np.minimum(np.searchsorted(monomials[order], ts), len(order) - 1)]
+        if not np.array_equal(monomials[cols], ts):
+            raise ValueError("an entry reads a monomial outside the shared moment map")
+    else:
+        monomials, cols = np.unique(ts, return_inverse=True)
+        moments = _read_only(*_moment_rows(monomials, m))
+        monomials.setflags(write=False)
+    combine = _read_only(np.asarray(rows, dtype=np.intp), cols.astype(np.intp).ravel(),
+                         np.asarray(coeffs, dtype=complex))
+    return _LinearMap(moments, monomials, combine, shape)
 
 
 @functools.lru_cache(maxsize=ELEMENT_CAP)
-def _moment_map(m: int) -> tuple[tuple, dict]:
-    """The moment rows of every table quantity at m, and each monomial's row.
+def _moment_map(m: int) -> tuple[tuple, np.ndarray]:
+    """The moment rows of every table quantity at m, and the to_vector index of each row's monomial.
 
     The monomials are those with |bar| = |unbar| <= 2, which is all that the
     pdms and the five table forms read (the anticommutator cancels the T1/T2
     three-body terms exactly): the unit first, so moment 0 is the trace; then
     pbar_{k+1} p_{l+1} at row 1 + k*m + l; then the two-body monomials.
     """
-    ones = [1 << k for k in range(m)]
-    twos = [(1 << k) | (1 << l) for k, l in combinations(range(m), 2)]
-    monomials = [Monomial(0, 0)] + [Monomial(bar, ub) for block in (ones, twos)
-                                    for bar in block for ub in block]
-    return _read_only(*moment_rows(monomials, m)), {t: r for r, t in enumerate(monomials)}
+    ones = 1 << np.arange(m)
+    twos = np.array([(1 << k) | (1 << l) for k, l in combinations(range(m), 2)], dtype=np.intp)
+    monomials = np.concatenate([[0]] + [((block[:, None] << m) | block).ravel()
+                                        for block in (ones, twos)]).astype(np.intp)
+    return _read_only(*_moment_rows(monomials, m)), _read_only(monomials)[0]
 
 
 def _moments(vec: np.ndarray, m: int) -> np.ndarray:
     """The `_moment_map` moments of a density's to_vector(), once its trace is checked to be 1."""
-    rows, index = _moment_map(m)
-    moments = _coo_apply(*rows, vec, len(index))
+    rows, monomials = _moment_map(m)
+    moments = _coo_apply(*rows, vec, len(monomials))
     if abs(moments[0] - 1.0) > DENSITY_TRACE_TOL:
         raise ValueError(f"density element is not normalized: trace_integral = {complex(moments[0])}")
     return moments
 
 
-def _form_entries(probes: list[GrassmannElement], mode: str, m: int):
-    """F[a, b] = tr(kappa * X_ab), X_ab = b_a* * b_b (+ b_b * b_a*), expanded once.
+def _form_entries(probes: list[GrassmannElement], mode: str, m: int) -> tuple:
+    """F[a, b] = tr(kappa * X_ab), X_ab = b_a* * b_b (+ b_b * b_a*), as COO arrays (row, t, coeff).
 
-    Runs the uncapped `_star_terms` on the probes' terms, with no element
-    per pair: the table probes are words of at most three generators, cheap
-    at any m; quadratic_form_matrix checks STAR_CAP for any probes itself.
+    Row a * n + b holds the expanded X_ab.  Every term of every b_a* meets
+    every term of every b_b in the `_star_pairs` kernel, one call (in
+    bounded chunks) per product order, with no element per pair: a table
+    probe is one monomial up to sign, so a table form is n**2 monomial pairs,
+    cheap at any m; quadratic_form_matrix checks STAR_CAP for any probes
+    itself.  The entries are sorted by (row, t), one per (row, t), and the
+    terms that cancel exactly, such as the anticommutator's three-body
+    terms, are dropped.
     """
     n = len(probes)
-    terms = [b.terms for b in probes]
-    bstars = [involution(b).terms for b in probes]
-    for a in range(n):
-        for b in range(n):
-            x = _star_terms(bstars[a], terms[b], m)
-            if mode == "anticommutator":
-                for t, c in _star_terms(terms[b], bstars[a], m).items():
-                    _acc(x, t, c)
-            for t, c in x.items():
-                yield a * n + b, t, c
+    terms = rows, index, coeffs = _stack_terms(probes)
+    bstars = (rows * n, *_involution_terms(index, coeffs, m))
+    keys, coeffs = _pair_sums(_star_pairs, bstars, terms, m)
+    if mode == "anticommutator":
+        more = _pair_sums(_star_pairs, terms, bstars, m)
+        keys, coeffs = _sum_terms(np.concatenate((keys, more[0])), np.concatenate((coeffs, more[1])))
+    return keys >> (2 * m), keys & ((1 << (2 * m)) - 1), coeffs
+
+
+def _stack_terms(elements: list[GrassmannElement]) -> tuple:
+    """The elements' terms as `_pair_sums` operands: (row, index, coeff), element k's in row k."""
+    empty = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex))
+    index, coeffs = (np.concatenate(part) for part in zip(empty, *(b.arrays() for b in elements)))
+    rows = np.repeat(np.arange(len(elements)), [len(b.arrays()[0]) for b in elements])
+    return rows, index, coeffs
 
 
 @functools.lru_cache(maxsize=16)
@@ -367,10 +383,8 @@ def check_T1(gamma: np.ndarray, Gamma: np.ndarray, T: np.ndarray) -> float:
 
 
 def _t1_probe_elements(m: int) -> list[GrassmannElement]:
-    out = []
-    for i, j, k in combinations(range(1, m + 1), 3):
-        out.append(multiply(multiply(psi(i, m), psi(j, m)), psi(k, m)))
-    return out
+    """The ordered cubic probes p_i p_j p_k, i < j < k."""
+    return _word_probes([[m + i, m + j, m + k] for i, j, k in combinations(range(m), 3)], m)
 
 
 def _t1_unit_tensor(triple: tuple[int, int, int], m: int) -> np.ndarray:
@@ -447,13 +461,9 @@ def _t2_probes(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _t2_probe_elements(m: int) -> list[GrassmannElement]:
-    out = []
-    for i, j in combinations(range(1, m + 1), 2):
-        for k in range(1, m + 1):
-            out.append(multiply(multiply(psibar(i, m), psibar(j, m)), psi(k, m)))
-    for i in range(1, m + 1):
-        out.append(psibar(i, m))
-    return out
+    """The cubic probes pbar_i pbar_j p_k, i < j, then the linear probes pbar_i."""
+    cubic = [[i, j, m + k] for i, j in combinations(range(m), 2) for k in range(m)]
+    return _word_probes(cubic, m) + _word_probes([[i] for i in range(m)], m)
 
 
 def t2_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
@@ -593,10 +603,30 @@ class Condition(NamedTuple):
     mode: str
 
 
-def _pair_probes(generator, m: int) -> list[GrassmannElement]:
-    """The m * m products generator_k generator_l, in pair order (k, l) -> k*m + l."""
-    return [multiply(generator(k, m), generator(l, m))
-            for k in range(1, m + 1) for l in range(1, m + 1)]
+def _word_probes(words: list, m: int) -> list[GrassmannElement]:
+    """The wedge products of generator words of one length, numbered as in `algebra._generators`.
+
+    Each is one monomial up to sign, or zero where a generator repeats; one
+    `_mono_products` call per word position builds them all.
+    """
+    if not words:
+        return []
+    gens = _generators(m)
+    words = np.array(words, dtype=np.intp)
+    live, index, sign = np.arange(len(words)), gens[words[:, 0]], np.ones(len(words), dtype=np.intp)
+    for position in words.T[1:]:
+        pair, index, more = _mono_products(index, gens[position[live]], m)
+        live, sign = live[pair], sign[pair] * more
+    probes = [GrassmannElement(m, {})] * len(words)
+    for k, w in enumerate(live.tolist()):
+        probes[w] = GrassmannElement._from_arrays(m, index[k:k + 1], sign[k:k + 1].astype(complex))
+    return probes
+
+
+def _pair_probes(plain: bool, m: int) -> list[GrassmannElement]:
+    """The m * m products p_k p_l (plain) or pbar_k pbar_l, in pair order (k, l) -> k*m + l."""
+    shift = m if plain else 0
+    return _word_probes([[shift + k, shift + l] for k in range(m) for l in range(m)], m)
 
 
 def _one_body_probes(m: int) -> list[GrassmannElement]:
@@ -606,8 +636,8 @@ def _one_body_probes(m: int) -> list[GrassmannElement]:
 
 CONDITIONS = {
     "P": Condition(lambda gamma, Gamma: _validate_pair(gamma, Gamma)[1],
-                   lambda m: _pair_probes(psi, m), "plain"),
-    "Q": Condition(q_condition_matrix, lambda m: _pair_probes(psibar, m), "plain"),
+                   lambda m: _pair_probes(True, m), "plain"),
+    "Q": Condition(q_condition_matrix, lambda m: _pair_probes(False, m), "plain"),
     "G": Condition(g_condition_matrix, _one_body_probes, "plain"),
     "T1": Condition(t1_form_from_pdms, _t1_probe_elements, "anticommutator"),
     "T2": Condition(t2_form_from_pdms, _t2_probe_elements, "anticommutator"),

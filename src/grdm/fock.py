@@ -25,8 +25,8 @@ import functools
 
 import numpy as np
 
-from .algebra import (OPERATOR_PRUNE_REL_TOL, GrassmannElement, _coo_apply, _merge_signs,
-                      _read_only, prune)
+from .algebra import (OPERATOR_PRUNE_REL_TOL, GrassmannElement, _coo_apply, _merge_parity,
+                      _parity, _read_only, prune)
 
 FOCK_CAP = 8
 
@@ -161,11 +161,10 @@ def _element_map(m: int):
     src = (x.astype(np.intp) << m) | y
     order = np.argsort((src << m) | (((1 << m) - 1) & ~z), kind="stable")
     x, y, z, src = x[order], y[order], z[order], src[order]
-    popcount = np.array([k.bit_count() for k in range(1 << m)])
-    nz, ny = popcount[z], popcount[y]
-    parity = (nz + nz * (nz - 1) // 2 + ny * (ny - 1) // 2) & 1
-    sign = (1 - 2 * parity) * _merge_signs(x, z, m) * _merge_signs(z, y, m)
-    return _read_only(((x | z).astype(np.intp) << m) | y | z, src, sign.astype(float))
+    # |Z| + |Z|(|Z|-1)/2 + |y|(|y|-1)/2, the last two merges of a block with
+    # itself, and the merges of x with Z and of Z with y
+    parity = _parity(z, m) ^ _merge_parity([(z, z), (y, y), (x, z), (z, y)], m)
+    return _read_only(((x | z).astype(np.intp) << m) | y | z, src, np.where(parity, -1.0, 1.0))
 
 
 def from_operator(op: np.ndarray) -> GrassmannElement:

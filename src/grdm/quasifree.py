@@ -12,11 +12,12 @@ Verification compares, word by word and in the original generators,
 star-product expectations of the density with Wick pairing sums of its
 one-body matrix; nothing is rotated back.  The star side is linear in the
 density, so for each (m, max_points) it is built once as a sparse map over
-the generator words, from the Grassmann kernels alone (`_star_terms`,
-`algebra.moment_rows`), and cached; the Wick side gathers all words of one
-length from a cached generator-index table and sums over the signed perfect
-matchings.  `star_word_expectation` and `wick_expectation` are the per-word
-references they are tested against.  Everything here runs up to
+the generator words, from the Grassmann kernels alone (the `_star_pairs`
+kernel level by level, then the pair-trace moment rows), and cached; the
+Wick side gathers all words of one length from a cached generator-index
+table and sums over the signed perfect matchings.  `wick_expectation` is
+the per-word reference of the Wick side; the tests keep the per-word star
+fold that the map is checked against.  Everything here runs up to
 QUASIFREE_CAP = 8 generators, past the star product's cap, since no step
 multiplies two full elements.
 """
@@ -34,15 +35,12 @@ from .algebra import (
     GrassmannElement,
     Monomial,
     _check_m,
+    _generators,
     _half_pair_sign,
-    _star_terms,
+    _star_pairs,
+    _sum_terms,
     change_generators,
-    psi,
-    psibar,
-    star,
-    star_trace,
     trace_integral,
-    unit,
 )
 from .conditions import _LinearMap, _linear_map, _require_hermitian
 
@@ -184,37 +182,37 @@ def generator_words(m: int, max_points: int):
         yield from permutations(gens, k)
 
 
-def star_word_expectation(kappa: GrassmannElement, word) -> complex:
-    """Expectation of a star product of single generators against a density."""
-    m = kappa.m
-    acc = kappa
-    for idx, barred in word[:-1]:
-        gen = psibar(idx, m) if barred else psi(idx, m)
-        acc = star(acc, gen)
-    idx, barred = word[-1]
-    last = psibar(idx, m) if barred else psi(idx, m)
-    return star_trace(acc, last)
+def _word_product_entries(m: int, max_points: int) -> tuple:
+    """COO arrays (row, t, coeff) of each word product g1 * ... * gk, rows in generator_words order.
 
-
-def _word_product_entries(m: int, max_points: int):
-    """(row, t, coeff) of each word product g1 * ... * gk, rows in generator_words order.
-
-    Each product is the product of its one-shorter prefix (built earlier, as
-    the words come shortest first) and one generator; products of full length
-    are never reused, so only the shorter ones are kept, and only while the
-    map is built.  Factors and products are maps Monomial -> coefficient, no
-    elements; the factors are words of at most max_points generators, so
-    the uncapped `_star_terms` serves every m up to QUASIFREE_CAP.
+    Built level by level: the products of the words of length k are those of
+    length k - 1, each term against the last generator of every word that
+    extends it, in one `_star_pairs` call; only one level is kept at a time.
+    In generator_words order the words extending a prefix follow one another,
+    2m - k + 1 of them with the unused generators ascending, so word w of
+    length k - 1 has the children w * (2m - k + 1) + j.  Each level's entries
+    are sorted by (row, t), exact zeros dropped; the factors are single
+    generators, so every m up to QUASIFREE_CAP is cheap.
     """
-    gens = {(i, barred): (psibar(i, m) if barred else psi(i, m)).terms
-            for i in range(1, m + 1) for barred in (True, False)}
-    prefixes = {(): unit(m).terms}
-    for row, word in enumerate(generator_words(m, max_points)):
-        product = _star_terms(prefixes[word[:-1]], gens[word[-1]], m)
-        if len(word) < max_points:
-            prefixes[word] = product
-        for t, c in product.items():
-            yield row, t, c
+    gens = _generators(m)
+    words = np.arange(2 * m)[:, None]  # generator numbers of each word, one word per row
+    rows, ts, coeffs = np.arange(2 * m), gens, np.ones(2 * m, dtype=complex)
+    out = [(rows, ts, coeffs)]
+    first = 2 * m
+    for k in range(2, max_points + 1):
+        width = 2 * m - k + 1
+        unused = np.ones((len(words), 2 * m), dtype=bool)
+        unused[np.arange(len(words))[:, None], words] = False
+        parent, last = np.nonzero(unused)
+        words = np.concatenate((words[parent], last[:, None]), axis=1)
+        term, j = np.divmod(np.arange(len(ts) * width), width)
+        child = rows[term] * width + j
+        pair, index, sign = _star_pairs(ts[term], gens[last[child]], m)
+        keys, coeffs = _sum_terms((child[pair] << (2 * m)) | index, coeffs[term[pair]] * sign)
+        rows, ts = keys >> (2 * m), keys & ((1 << (2 * m)) - 1)
+        out.append((rows + first, ts, coeffs))
+        first += len(words)
+    return tuple(np.concatenate(part) for part in zip(*out))
 
 
 @functools.lru_cache(maxsize=8)

@@ -9,9 +9,13 @@ integral eliminates the high block.
 The reference generator change expands every term over each pair of minor
 determinants, one accumulation per (barred minor, plain minor) pair.
 
-The map-build references expand the condition forms and the quasifree word
-products with the public star product, one element per product, in the
-order the builders in `conditions` and `quasifree` use.
+The scalar references walk monomial pairs in Python, one at a time: the
+star product of two term maps over the memoised scalar monomial product
+`algebra._star_monomials_terms`, and the pair trace with its interlocking
+enumeration, which build the moment rows.  The map-build references expand
+the condition forms and the quasifree word products on them, one term map
+per product, and hand the builders' COO arrays back.  The per-word star
+fold folds a word into the density with the public star product.
 
 The dense Fock references multiply the 2^m x 2^m ladder matrices: to_operator
 as a sum of ordered ladder products, one matrix product per monomial, and
@@ -26,7 +30,7 @@ import numpy as np
 
 from grdm import fock, quasifree
 from grdm.algebra import (GrassmannElement, Monomial, _acc, _half_pair_sign, _indices, _merge_sign,
-                          involution, multiply, psi, psibar, star, unit)
+                          _star_monomials_terms, multiply, psi, psibar, star, star_trace)
 
 
 def _lift_left(a, m):
@@ -198,43 +202,130 @@ def element_map_reference(m):
     return np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp), np.array(sign, dtype=float)
 
 
-def form_entries_reference(probes, mode):
-    """conditions._form_entries on elements: (a * n + b, t, coeff) of b_a* * b_b (+ b_b * b_a*)."""
+def pair_trace(I, J, K, L, m):
+    """trace_integral(star_monomials((I, J), (K, L))) as an exact integer, pair by pair.
+
+    Zero unless the index sets interlock (I - T = J - S and L - T = K - S for
+    S = J & K, T = I & L); otherwise a signed power of two.
+    """
+    S = J & K
+    T = I & L
+    if (I & ~T) != (J & ~S) or (L & ~T) != (K & ~S):
+        return 0
+    nj = J.bit_count()
+    nl = L.bit_count()
+    sign = -1 if (nj * (nj - 1) // 2 + nl * (nl - 1) // 2) & 1 else 1
+    sign *= _merge_sign(S, J & ~S) * _merge_sign(S, K & ~S)
+    sign *= _merge_sign(T, I & ~T) * _merge_sign(T, L & ~T)
+    return sign * (1 << (m - (I | K).bit_count()))
+
+
+def interlocking(K, L, m):
+    """The 2**(m - |K ^ L|) monomials (I, J) whose pair trace with (K, L) is nonzero.
+
+    They are I = (L & ~K) | s and J = (K & ~L) | s for every s inside the
+    bits where K and L agree, s descending.
+    """
+    free = ((1 << m) - 1) & ~(K ^ L)
+    sub = free
+    while True:
+        yield (L & ~K) | sub, (K & ~L) | sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & free
+
+
+def moment_rows_reference(monomials, m):
+    """algebra.moment_rows as a loop: row r holds the pair traces of the r-th monomial."""
+    rows, cols, vals = [], [], []
+    for r, (K, L) in enumerate(monomials):
+        for I, J in interlocking(K, L, m):
+            rows.append(r)
+            cols.append((I << m) | J)
+            vals.append(pair_trace(I, J, K, L, m))
+    return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+            np.array(vals, dtype=float))
+
+
+def star_terms_reference(a_terms, b_terms, m):
+    """The star product of two maps Monomial -> coefficient, one scalar monomial product per pair."""
+    out: dict = {}
+    for (a_bar, a_unbar), ca in a_terms.items():
+        for (b_bar, b_unbar), cb in b_terms.items():
+            c = ca * cb
+            for km, cm in _star_monomials_terms(a_bar, a_unbar, b_bar, b_unbar, m):
+                _acc(out, km, c * cm)
+    return out
+
+
+def _involution_terms(terms):
+    return {Monomial(ub, bar): _half_pair_sign(bar.bit_count()) * _half_pair_sign(ub.bit_count())
+            * complex(c).conjugate() for (bar, ub), c in terms.items()}
+
+
+def _coo(entries, m):
+    """(row, t, coeff) triples with Monomial t as the COO arrays the map builders return."""
+    rows, ts, coeffs = [], [], []
+    for row, t, c in entries:
+        rows.append(row)
+        ts.append((t.bar << m) | t.unbar)
+        coeffs.append(c)
+    return (np.array(rows, dtype=np.intp), np.array(ts, dtype=np.intp),
+            np.array(coeffs, dtype=complex))
+
+
+def form_entries_reference(probes, mode, m):
+    """conditions._form_entries on term maps: the expanded b_a* * b_b (+ b_b * b_a*) in row a * n + b."""
     n = len(probes)
-    bstars = [involution(b) for b in probes]
+    terms = [dict(b.terms) for b in probes]
+    bstars = [_involution_terms(t) for t in terms]
+    entries = []
     for a in range(n):
         for b in range(n):
-            x = star(bstars[a], probes[b])
+            x = star_terms_reference(bstars[a], terms[b], m)
             if mode == "anticommutator":
-                x = x + star(probes[b], bstars[a])
-            for t, c in x.terms.items():
-                yield a * n + b, t, c
+                for t, c in star_terms_reference(terms[b], bstars[a], m).items():
+                    _acc(x, t, c)
+            entries.extend((a * n + b, t, c) for t, c in x.items())
+    return _coo(entries, m)
 
 
 def word_product_entries_reference(m, max_points):
-    """quasifree._word_product_entries on elements: (row, t, coeff) of each word product."""
-    gens = {(i, barred): psibar(i, m) if barred else psi(i, m)
+    """quasifree._word_product_entries on term maps: each word product as its prefix's times one generator."""
+    gens = {(i, barred): {Monomial(1 << (i - 1), 0) if barred else Monomial(0, 1 << (i - 1)): 1 + 0j}
             for i in range(1, m + 1) for barred in (True, False)}
-    prefixes = {(): unit(m)}
+    prefixes = {(): {Monomial(0, 0): 1 + 0j}}
+    entries = []
     for row, word in enumerate(quasifree.generator_words(m, max_points)):
-        product = star(prefixes[word[:-1]], gens[word[-1]])
+        product = star_terms_reference(prefixes[word[:-1]], gens[word[-1]], m)
         if len(word) < max_points:
             prefixes[word] = product
-        for t, c in product.terms.items():
-            yield row, t, c
+        entries.extend((row, t, c) for t, c in product.items())
+    return _coo(entries, m)
 
 
-def canonical_combine(linear_map, monomials, m):
-    """A map's combine triple with column c named by monomials[c]'s to_vector index, sorted.
+def star_word_expectation(kappa, word):
+    """Expectation of a star product of single generators against a density, folded word by word."""
+    m = kappa.m
+    acc = kappa
+    for idx, barred in word[:-1]:
+        gen = psibar(idx, m) if barred else psi(idx, m)
+        acc = star(acc, gen)
+    idx, barred = word[-1]
+    last = psibar(idx, m) if barred else psi(idx, m)
+    return star_trace(acc, last)
 
-    The builders and the references list the terms of one product in
-    different orders, which changes the entry order and, for maps with their
-    own moments, the column numbering, but not the map.  Entries are sorted
-    by (row, index); the sort is only canonical when no (row, index) pair
-    repeats, which is checked.
+
+def canonical_combine(linear_map):
+    """A map's combine triple with column c named by its moment's monomial, sorted by (row, monomial).
+
+    Two builds of one map may list the terms of a product in different
+    orders, and maps with their own moments may number them differently,
+    but the canonical triples agree.  The sort is only canonical when no
+    (row, monomial) pair repeats, which is checked.
     """
     rows, cols, vals = linear_map.combine
-    names = np.array([(t[0] << m) | t[1] for t in monomials], dtype=np.intp)[cols]
+    names = linear_map.monomials[cols]
     order = np.lexsort((names, rows))
     rows, names, vals = rows[order], names[order], vals[order]
     assert not np.any((rows[1:] == rows[:-1]) & (names[1:] == names[:-1]))

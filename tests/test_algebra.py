@@ -7,12 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grdm import fock
+from grdm import conditions, fock
 from grdm.algebra import (
     GrassmannElement,
     Monomial,
+    _merge_parity,
     _merge_sign,
-    _merge_signs,
+    _mono_mul,
+    _mono_products,
+    _popcount,
+    _star_monomials_terms,
+    _star_pairs,
     change_generators,
     elements_close,
     expectation,
@@ -35,7 +40,7 @@ from grdm.algebra import (
     unit,
     zero,
 )
-from _reference import change_generators_reference, star_reference
+from _reference import change_generators_reference, moment_rows_reference, star_reference
 from conftest import rand_element, random_unitary
 
 
@@ -152,7 +157,89 @@ def test_merge_signs_equal_scalar_kernel(dtype):
     keep = (a & b) == 0
     a, b = a[keep], b[keep]
     want = [_merge_sign(int(x), int(y)) for x, y in zip(a, b)]
-    assert _merge_signs(a.astype(dtype), b.astype(dtype), 6).tolist() == want
+    parity = _merge_parity([(a.astype(dtype), b.astype(dtype))], 6)
+    assert (1 - 2 * parity).tolist() == want
+
+
+def _all_pairs(m):
+    n = 1 << (2 * m)
+    ia, ib = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return ia.ravel(), ib.ravel()
+
+
+def _seeded_pairs(m, count=2000):
+    return np.random.default_rng(1000 + m).integers(0, 1 << (2 * m), size=(2, count))
+
+
+def _scalar_star_pairs(ia, ib, m):
+    """(pair, index, sign) of `_star_pairs` from the memoised scalar product, pair by pair."""
+    low = (1 << m) - 1
+    out = []
+    for p, (a, b) in enumerate(zip(ia.tolist(), ib.tolist())):
+        for t, c in _star_monomials_terms(a >> m, a & low, b >> m, b & low, m):
+            assert c.imag == 0
+            out.append((p, (t.bar << m) | t.unbar, int(c.real)))
+    return tuple(np.array(col, dtype=np.intp) for col in zip(*out))
+
+
+class TestKernel:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_star_pairs_equal_scalar_product_term_for_term(self, m):
+        # every pair at m <= 3, 2000 seeded pairs above; vanishing pairs have no terms
+        ia, ib = _all_pairs(m) if m <= 3 else _seeded_pairs(m)
+        got = _star_pairs(ia, ib, m)
+        want = _scalar_star_pairs(ia, ib, m)
+        assert 0 < len(np.unique(got[0])) < len(ia)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 6])
+    def test_mono_products_equal_scalar_product(self, m):
+        ia, ib = _all_pairs(m) if m <= 3 else _seeded_pairs(m)
+        low = (1 << m) - 1
+        want = [(p, (r[1] << m) | r[2], r[0]) for p, (a, b) in enumerate(zip(ia.tolist(), ib.tolist()))
+                if (r := _mono_mul(a >> m, a & low, b >> m, b & low)) is not None]
+        got = _mono_products(ia, ib, m)
+        assert list(zip(*(x.tolist() for x in got))) == want
+
+    def test_popcount(self):
+        x = np.arange(1 << 10)
+        assert _popcount(x, 10).tolist() == [k.bit_count() for k in range(1 << 10)]
+        small = np.arange(256, dtype=np.uint8)
+        assert _popcount(small, 8).tolist() == [k.bit_count() for k in range(256)]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_moment_rows_equal_scalar_loop(self, m):
+        # all monomials at m <= 3; the shared moment map's and 50 seeded ones above
+        if m <= 3:
+            monos = [Monomial(K, L) for K in range(1 << m) for L in range(1 << m)]
+        else:
+            index = conditions._moment_map(m)[1].tolist() + _seeded_pairs(m, 50)[0].tolist()
+            monos = [Monomial(t >> m, t & ((1 << m) - 1)) for t in index]
+        for g, w in zip(moment_rows(monos, m), moment_rows_reference(monos, m)):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    def test_moment_map_at_m10_equals_scalar_rows(self):
+        m = 10
+        (rows, cols, vals), index = conditions._moment_map(m)
+        assert len(index) == 1 + m * m + (m * (m - 1) // 2) ** 2
+        sample = np.random.default_rng(10).choice(len(index), 60, replace=False)
+        monos = [Monomial(t >> m, t & ((1 << m) - 1)) for t in index[sample].tolist()]
+        want_rows, want_cols, want_vals = moment_rows_reference(monos, m)
+        for r, row in enumerate(sample):
+            keep, want = rows == row, want_rows == r
+            assert np.array_equal(cols[keep], want_cols[want])
+            assert np.array_equal(vals[keep], want_vals[want])
+
+    def test_dense_star_at_m6_matches_operator_product(self):
+        # 4096 x 4096 term pairs, through the kernel in bounded chunks
+        m = 6
+        rng = np.random.default_rng(66)
+        a, b = (GrassmannElement.from_vector(m, rng.standard_normal(1 << 12)
+                                             + 1j * rng.standard_normal(1 << 12)) for _ in range(2))
+        got = star(a, b)
+        want = fock.from_operator(fock.to_operator(a) @ fock.to_operator(b))
+        assert max_coeff_difference(got, want) <= 1e-12 * want.norm_max()
 
 
 class TestStarProduct:

@@ -11,6 +11,7 @@ from grdm.algebra import (
     GrassmannElement,
     Monomial,
     _coo_apply,
+    _star_monomials_terms,
     involution,
     psi,
     psibar,
@@ -103,7 +104,7 @@ class TestPdmExtraction:
             assert len(index) == 1 + m * m + (m * (m - 1) // 2) ** 2
             for name in cond.CONDITIONS:
                 table_map = cond._probe_set_map(name, m)
-                assert table_map.moments is rows and table_map.n_moments == len(index)
+                assert table_map.moments is rows and table_map.monomials is index
 
     def test_fuzz_trial_converts_density_once(self, monkeypatch):
         calls = []
@@ -487,17 +488,30 @@ def test_index_maps_agree_with_grassmann_forms_at_m6():
         assert abs(form.margin - closed.margin) <= 1e-8, name
 
 
+def _assert_form_map_equals_scalar_builder(name, m):
+    _, probes, mode = cond.CONDITIONS[name]
+    got = cond._probe_set_map(name, m)
+    want = cond._linear_map(form_entries_reference(probes(m), mode, m), got.shape, m, shared=True)
+    assert got.moments is want.moments
+    for g, w in zip(canonical_combine(got), canonical_combine(want)):
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_probe_set_maps_equal_element_reference(m):
-    # the builder runs the star product on term maps; the reference builds
-    # one element per product with the public star and involution
-    monomials = list(cond._moment_map(m)[1])
-    for name, (_, probes, mode) in cond.CONDITIONS.items():
-        got = cond._probe_set_map(name, m)
-        want = cond._linear_map(form_entries_reference(probes(m), mode), got.shape, m, shared=True)
-        assert got.moments is want.moments
-        for g, w in zip(canonical_combine(got, monomials, m), canonical_combine(want, monomials, m)):
-            assert g.dtype == w.dtype and np.array_equal(g, w), name
+    # the builder runs the star-product kernel on the probes' arrays; the
+    # reference walks the monomial pairs with the scalar product
+    for name in cond.CONDITIONS:
+        _assert_form_map_equals_scalar_builder(name, m)
+
+
+@pytest.mark.parametrize("m", [7, 8])
+def test_third_order_form_maps_equal_scalar_builder_past_the_star_cap(m):
+    try:
+        for name in ("T1", "T2"):
+            _assert_form_map_equals_scalar_builder(name, m)
+    finally:
+        _star_monomials_terms.cache_clear()  # about 10^5 entries at m = 8
 
 
 class TestFuzz:

@@ -9,14 +9,14 @@ from grdm.algebra import (
     Monomial,
     change_generators,
     max_coeff_difference,
-    moment_rows,
     monomial_element,
     psibar,
     star,
     trace_integral,
     unit,
 )
-from _reference import canonical_combine, word_product_entries_reference
+from _reference import (canonical_combine, moment_rows_reference, star_word_expectation,
+                        word_product_entries_reference)
 from conftest import random_unitary
 
 
@@ -116,7 +116,7 @@ class TestWick:
             # <pbar_i star p_i> = lambda_i, computed both ways
             word = [(i, True), (i, False)]
             assert qf.wick_expectation(spec, word) == pytest.approx(lam[i - 1])
-            assert qf.star_word_expectation(kappa, word) == pytest.approx(lam[i - 1])
+            assert star_word_expectation(kappa, word) == pytest.approx(lam[i - 1])
             rev = [(i, False), (i, True)]
             assert qf.wick_expectation(spec, rev) == pytest.approx(1 - lam[i - 1])
 
@@ -127,7 +127,7 @@ class TestWick:
         word = [(1, True), (1, False), (2, True), (2, False)]
         want = lam[0] * lam[1]
         assert qf.wick_expectation(spec, word) == pytest.approx(want)
-        assert qf.star_word_expectation(kappa, word) == pytest.approx(want)
+        assert star_word_expectation(kappa, word) == pytest.approx(want)
 
     def test_odd_words_vanish(self, rng):
         m = 3
@@ -135,7 +135,7 @@ class TestWick:
         for word in qf.generator_words(m, 3):
             if len(word) % 2:
                 assert qf.wick_expectation(spec, word) == 0
-                assert abs(qf.star_word_expectation(kappa, list(word))) < 1e-12
+                assert abs(star_word_expectation(kappa, list(word))) < 1e-12
 
     def test_number_nonconserving_pairs_vanish(self):
         spec, _ = qf.quasifree_from_lambdas([0.4, 0.6], 2)
@@ -241,23 +241,22 @@ class TestWick:
         for kappa in (quasi, generic):
             got = qf._star_word_map(m, points).apply(kappa.to_vector())
             assert got.shape == (len(words),)
-            want = np.array([qf.star_word_expectation(kappa, list(w)) for w in words])
+            want = np.array([star_word_expectation(kappa, list(w)) for w in words])
             assert np.max(np.abs(got - want)) <= 1e-12
 
-    @pytest.mark.parametrize("m, points", [(2, 4), (3, 4), (4, 4), (3, 6)])
+    @pytest.mark.parametrize("m, points", [(2, 4), (3, 4), (4, 4), (3, 6), (5, 4)])
     def test_word_map_equals_element_reference(self, m, points):
-        # the builder runs the star product on term maps; the reference builds
-        # one element per product with the public star.  Each map numbers its
-        # moments by first appearance, which its moment rows confirm.
+        # the builder runs the star-product kernel level by level; the
+        # reference builds each product from its prefix with the scalar
+        # product.  Both number their moments by ascending monomial, and the
+        # moment rows equal the scalar pair-trace loop's.
         got = qf._star_word_map(m, points)
-        want_entries = list(word_product_entries_reference(m, points))
-        want = cond._linear_map(want_entries, got.shape, m)
-        canonical = []
-        for lin, entries in ((got, qf._word_product_entries(m, points)), (want, want_entries)):
-            monomials = list(dict.fromkeys(t for _, t, _ in entries))
-            assert all(np.array_equal(a, b) for a, b in zip(lin.moments, moment_rows(monomials, m)))
-            canonical.append(canonical_combine(lin, monomials, m))
-        for g, w in zip(*canonical):
+        want = cond._linear_map(word_product_entries_reference(m, points), got.shape, m)
+        assert np.array_equal(got.monomials, want.monomials)
+        monomials = [Monomial(t >> m, t & ((1 << m) - 1)) for t in got.monomials.tolist()]
+        for g, w in zip(got.moments, moment_rows_reference(monomials, m)):
+            assert np.array_equal(g, w)
+        for g, w in zip(canonical_combine(got), canonical_combine(want)):
             assert g.dtype == w.dtype and np.array_equal(g, w)
 
     def test_pull_through_identity(self):

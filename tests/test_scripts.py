@@ -26,6 +26,7 @@ def test_scripts_exit_0():
         ["quasifree_recovery.py", "--m", "3", "--samples", "2"],
         ["quasifree_recovery.py", "--m", "7", "--samples", "1"],
         ["fuzz_campaign.py", "--trials", "1", "--max-m", "2"],
+        ["map_build_times.py", "--m", "3", "--repeats", "1"],
     ]
     for (script, *_), proc in zip(runs, _start(runs)):
         out, err = proc.communicate(timeout=120)
@@ -33,6 +34,13 @@ def test_scripts_exit_0():
         assert out.strip(), f"{script} printed nothing"
         if script == "quasifree_recovery.py":
             assert "pdm2 dev" in out
+        if script == "map_build_times.py":
+            # a header, then one row per build with one median per m
+            rows = [line.split() for line in out.strip().splitlines()]
+            assert rows[0] == ["build", "(ms)", "m=3"]
+            assert [row[0] for row in rows[1:]] == ["moment", "P", "Q", "G", "T1", "T2",
+                                                    "words@4", "element"]
+            assert all(float(row[1]) >= 0 for row in rows[1:])
 
 
 def test_fuzz_campaign_bad_arguments_exit_2():
@@ -45,6 +53,8 @@ def test_fuzz_campaign_bad_arguments_exit_2():
         ("quasifree_recovery.py", "--m", ["--m", "0"]),
         ("quasifree_recovery.py", "--samples", ["--samples", "0"]),
         ("quasifree_recovery.py", "--max-points", ["--max-points", "0"]),
+        ("map_build_times.py", "--repeats", ["--m", "3", "--repeats", "0"]),
+        ("map_build_times.py", "--m", ["--m", "11"]),
     ]
     procs = _start([[script, *args] for script, _, args in cases])
     for (script, flag, args), proc in zip(cases, procs):
