@@ -116,7 +116,7 @@ def cmd_quasifree(args) -> int:
         return 2
     points = quasifree.words_checked(m, args.max_points)
     payload = {
-        "element": serialize.element_to_dict(kappa),
+        "element": kappa,
         "report": {
             "pdm1_max_dev": pdm_dev,
             "wick_max_dev": wick_dev,

@@ -723,6 +723,8 @@ def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if m > fock.FOCK_CAP:
         raise ValueError(f"mode count {m} exceeds oracle cap {fock.FOCK_CAP}")
     worst: dict = {}

@@ -3,12 +3,23 @@
 All artifacts are plain JSON so fixtures stay human-diffable; writes go
 through a temp file plus rename so readers never observe partial output.
 Coefficients round-trip bit-exactly for binary64 values.
+
+`dumps` is the one writer.  Its output is byte-identical to json's
+two-space indented output (`json.dumps` with `indent` 2) on every tree of
+dict, list, tuple, str, int, float, bool and None, and it raises TypeError
+on any other type, as json does.  CPython's json falls back to its
+pure-Python encoder whenever `indent` is set; `dumps` is a plain recursion
+instead, and it writes a `GrassmannElement` found anywhere in the tree
+straight from its arrays, as the same bytes that json would give for
+`element_to_dict(a)` at that depth, without building the dict.  Circular
+containers are not detected.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -51,6 +62,25 @@ def element_to_dict(a: GrassmannElement) -> dict:
     return {"m": a.m, "terms": terms}
 
 
+def _need_indices(t: dict, field: str, k: int, m: int) -> list:
+    """A term's index list: ints (not bools), strictly ascending, in [1, m]."""
+    idx = _need(t, field, list, f"element term {k}")
+    if not all(type(i) is int for i in idx):
+        raise FormatError(f"field 'terms[{k}].{field}' holds a non-integer index: {idx}")
+    if idx and not (1 <= idx[0] and idx[-1] <= m and all(map(int.__lt__, idx, idx[1:]))):
+        raise FormatError(f"field 'terms[{k}].{field}' must be strictly ascending "
+                          f"indices in [1, {m}], got {idx}")
+    return idx
+
+
+def _need_finite(t: dict, field: str, k: int) -> float:
+    val = _need(t, field, (int, float), f"element term {k}")
+    # an exact comparison: NaN fails it, and so does an int past the float range
+    if not abs(val) <= sys.float_info.max:
+        raise FormatError(f"field 'terms[{k}].{field}' is not finite: {val}")
+    return val
+
+
 def element_from_dict(d: dict) -> GrassmannElement:
     m = _need_m(d, "element")
     raw = _need(d, "terms", list, "element")
@@ -58,11 +88,9 @@ def element_from_dict(d: dict) -> GrassmannElement:
     for k, t in enumerate(raw):
         if not isinstance(t, dict):
             raise FormatError(f"field 'terms[{k}]' in element is not an object")
-        bar = _need(t, "bar", list, f"element term {k}")
-        unbar = _need(t, "unbar", list, f"element term {k}")
-        re = _need(t, "re", (int, float), f"element term {k}")
-        im = _need(t, "im", (int, float), f"element term {k}")
-        triples.append((bar, unbar, complex(re, im)))
+        bar = _need_indices(t, "bar", k, m)
+        unbar = _need_indices(t, "unbar", k, m)
+        triples.append((bar, unbar, complex(_need_finite(t, "re", k), _need_finite(t, "im", k))))
     try:
         return make_element(m, triples)
     except ValueError as exc:
@@ -113,12 +141,104 @@ def matrix_from_dict(d: dict, expect_kind: str | None = None) -> tuple[np.ndarra
     return parts["re"] + 1j * parts["im"], kind, m
 
 
+_esc = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    return "-Infinity" if x == -_INF else float.__repr__(x)
+
+
+def _scalar(o) -> str | None:
+    """The JSON text of a str, None, bool, int or float; None for any other type."""
+    if isinstance(o, str):
+        return _esc(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    return None
+
+
+def _key(k) -> str:
+    text = _scalar(k)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return text if isinstance(k, str) else _esc(text)
+
+
+def _element(a: GrassmannElement, nl: str) -> str:
+    """element_to_dict(a) as indent-2 JSON whose first line sits at indent `nl`."""
+    i1, i2, i3, i4 = (nl + "  " * k for k in range(1, 5))
+    index, coeffs = a.arrays()
+    if not index.size:
+        return f'{{{i1}"m": {a.m},{i1}"terms": []{nl}}}'
+    bar, unbar = _split_index(index, a.m)
+    lists = {k: f"[{i4}{(',' + i4).join(map(str, _indices(k)))}{i3}]" if k else "[]"
+             for k in set(bar).union(unbar)}
+    re, im = coeffs.real.tolist(), coeffs.imag.tolist()
+    if not np.isfinite(coeffs).all():
+        re, im = map(_float, re), map(_float, im)
+    # str(x) of a float is float.__repr__(x), as json writes it
+    terms = f",{i2}".join(
+        f'{{{i3}"bar": {lists[b]},{i3}"unbar": {lists[u]},{i3}"re": {r},{i3}"im": {j}{i2}}}'
+        for b, u, r, j in zip(bar, unbar, re, im))
+    return f'{{{i1}"m": {a.m},{i1}"terms": [{i2}{terms}{i1}]{nl}}}'
+
+
+def _write(o, nl: str, out) -> None:
+    """Pass the indent-2 JSON text of `o`, whose first line sits at indent `nl`, to `out`."""
+    text = _scalar(o)
+    if text is not None:
+        return out(text)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return out("[]")
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            out(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        return out(nl + "]")
+    if isinstance(o, dict):
+        if not o:
+            return out("{}")
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            out(sep + _key(k) + ": ")
+            _write(v, inner, out)
+            sep = "," + inner
+        return out(nl + "}")
+    if isinstance(o, GrassmannElement):
+        return out(_element(o, nl))
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def dumps(obj) -> str:
+    """json's two-space indented text of `obj`, byte for byte; an element is written as its element_to_dict."""
+    parts: list[str] = []
+    _write(obj, "\n", parts.append)
+    return "".join(parts)
+
+
 def atomic_write_json(path: str, obj) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(obj, indent=2) + "\n")
+            fh.write(dumps(obj) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

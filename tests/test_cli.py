@@ -7,11 +7,24 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grdm
-from grdm import cli, fock, serialize
-from grdm.algebra import make_element
-from conftest import rand_element
+from grdm import cli, fock, quasifree, serialize
+from grdm.algebra import GrassmannElement, make_element
+from conftest import rand_element, random_unitary
+
+_SPECIAL_FLOATS = [-0.0, 0.0, 1e-300, -1e300, 5e-324, float("nan"), float("inf"), float("-inf")]
+_SPECIAL_TEXT = ["", "\"\\/\b\f\n\r\t", "\x00\x1f\x7f", "caf\u00e9 \u2028 \U0001f600", "\ud800"]
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=-2**80, max_value=2**80),
+    st.floats(), st.sampled_from(_SPECIAL_FLOATS), st.text(), st.sampled_from(_SPECIAL_TEXT))
+_json_keys = st.one_of(st.text(), st.sampled_from(_SPECIAL_TEXT), st.integers(), st.floats(),
+                       st.sampled_from(_SPECIAL_FLOATS), st.booleans(), st.none())
+json_trees = st.recursive(_json_leaves, lambda kids: st.one_of(
+    st.lists(kids, max_size=5), st.lists(kids, max_size=5).map(tuple),
+    st.dictionaries(_json_keys, kids, max_size=5)), max_leaves=40)
 
 
 @pytest.fixture
@@ -90,6 +103,63 @@ class TestSerialize:
         with pytest.raises(serialize.FormatError, match="'re'"):
             serialize.element_from_dict({"m": 1, "terms": [
                 {"bar": [], "unbar": [], "re": False, "im": 0.0}]})
+
+    @pytest.mark.parametrize("field, term", [
+        ("bar", {"bar": [2, 1]}),       # pbar_2 pbar_1 = -pbar_1 pbar_2: order carries a sign
+        ("bar", {"bar": [1, 1]}),       # pbar_1 pbar_1 = 0
+        ("bar", {"bar": [True]}),
+        ("bar", {"bar": [1.0]}),
+        ("bar", {"bar": ["1"]}),
+        ("bar", {"bar": [None]}),
+        ("bar", {"bar": [0]}),
+        ("bar", {"bar": [1, 3]}),       # m = 2
+        ("unbar", {"unbar": [2, 1]}),
+        ("unbar", {"unbar": [2, 2]}),
+        ("unbar", {"unbar": [False]}),
+        ("unbar", {"unbar": [-1]}),
+        ("re", {"re": float("nan")}),
+        ("re", {"re": float("inf")}),
+        ("im", {"im": float("-inf")}),
+        ("im", {"im": float("nan")}),
+        ("im", {"im": -10**400}),       # an int no binary64 holds
+    ])
+    def test_element_bad_term_names_field(self, field, term):
+        good = {"bar": [1], "unbar": [1, 2], "re": 0.5, "im": -0.25}
+        d = {"m": 2, "terms": [good, {**good, **term}]}
+        with pytest.raises(serialize.FormatError, match=rf"'terms\[1\]\.{field}'"):
+            serialize.element_from_dict(d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_trees)
+    def test_dumps_equals_json_indent_2(self, tree):
+        assert serialize.dumps(tree) == json.dumps(tree, indent=2)
+
+    def test_dumps_rejects_what_json_rejects(self):
+        for bad in (np.int64(3), np.bool_(True), {1, 2}, b"x", 1j, GrassmannElement):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                serialize.dumps({"a": [bad]})
+            with pytest.raises(TypeError):
+                json.dumps({"a": [bad]}, indent=2)
+        with pytest.raises(TypeError, match="keys must be"):
+            serialize.dumps({(1, 2): 0})
+        # numpy float64 is a float subclass, written as float.__repr__ writes it
+        tree = {"x": np.float64(0.1), np.float64(2.5): [np.float64("nan")]}
+        assert serialize.dumps(tree) == json.dumps(tree, indent=2)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_dumps_element_leaf_at_depths(self, rng, m):
+        vec = np.zeros(1 << (2 * m), dtype=complex)
+        picks = rng.choice(vec.size, size=min(vec.size, 40), replace=False)
+        vec[picks] = rng.standard_normal(picks.size) + 1j * rng.standard_normal(picks.size)
+        specials = [complex(-0.0, 1.0), complex(np.nan, -0.0), complex(np.inf, 2.0),
+                    complex(-np.inf, np.nan)]
+        vec[picks[:4]] = specials[:picks.size]
+        vec[0] = 0.5  # the empty monomial, written with "bar": [] and "unbar": []
+        for a in (GrassmannElement.from_vector(m, vec),
+                  GrassmannElement.from_vector(m, np.zeros_like(vec))):
+            d = serialize.element_to_dict(a)
+            for tree, ref in ((a, d), ([a], [d]), ({"x": [a, 1], "y": a}, {"x": [d, 1], "y": d})):
+                assert serialize.dumps(tree) == json.dumps(ref, indent=2)
 
     def test_atomic_write_no_partial(self, tmp_path):
         path = tmp_path / "out.json"
@@ -229,6 +299,13 @@ class TestFuzz:
         assert cli.main(["fuzz", "--m", "2", "--trials", "0"]) == 2
         assert "trials must be >= 1" in capsys.readouterr().err
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "fuzz.json"
+        assert cli.main(["fuzz", "--m", "2", "--trials", "1", "--seed", "-5",
+                         "--out", str(out)]) == 2
+        assert "seed must be >= 0, got -5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sector_campaign(self, tmp_path):
         out = tmp_path / "fz.json"
         rc = cli.main(["fuzz", "--m", "4", "--trials", "2", "--seed", "1",
@@ -253,6 +330,21 @@ class TestQuasifreeCmd:
         assert rep["points_checked"] == 64
         el = serialize.element_from_dict(payload["element"])
         assert el.m == 2
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_output_bytes_are_json_indent_2(self, tmp_path, rng, m):
+        u = random_unitary(rng, m)
+        gamma = u @ np.diag(rng.uniform(0.05, 0.95, m)) @ u.conj().T
+        gpath = tmp_path / "gamma.json"
+        serialize.atomic_write_json(str(gpath), serialize.matrix_to_dict(gamma, "gamma", m))
+        out = tmp_path / "qf.json"
+        assert cli.main(["quasifree", "--in", str(gpath), "--out", str(out)]) == 0
+        _, kappa = quasifree.build_quasifree(serialize.matrix_from_dict(
+            serialize.load_json(str(gpath)))[0])
+        report = json.loads(out.read_text())["report"]
+        want = json.dumps({"element": serialize.element_to_dict(kappa), "report": report},
+                          indent=2) + "\n"
+        assert out.read_bytes() == want.encode()
 
     def test_points_checked_counts_words(self, tmp_path):
         gpath = tmp_path / "gamma.json"

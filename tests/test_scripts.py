@@ -27,6 +27,7 @@ def test_scripts_exit_0():
         ["quasifree_recovery.py", "--m", "7", "--samples", "1"],
         ["fuzz_campaign.py", "--trials", "1", "--max-m", "2"],
         ["map_build_times.py", "--m", "3", "--repeats", "1"],
+        ["write_times.py", "--m", "4", "--repeats", "1"],
     ]
     for (script, *_), proc in zip(runs, _start(runs)):
         out, err = proc.communicate(timeout=120)
@@ -41,6 +42,11 @@ def test_scripts_exit_0():
             assert [row[0] for row in rows[1:]] == ["moment", "P", "Q", "G", "T1", "T2",
                                                     "words@4", "element"]
             assert all(float(row[1]) >= 0 for row in rows[1:])
+        if script == "write_times.py":
+            # the script asserts byte identity itself; one row per payload shape
+            rows = [line.split() for line in out.strip().splitlines()]
+            assert [row[0] for row in rows[1:]] == ["check-m5", "fuzz-m5", "quasifree-m4"]
+            assert rows[-1][1] == "70"
 
 
 def test_fuzz_campaign_bad_arguments_exit_2():
@@ -55,6 +61,8 @@ def test_fuzz_campaign_bad_arguments_exit_2():
         ("quasifree_recovery.py", "--max-points", ["--max-points", "0"]),
         ("map_build_times.py", "--repeats", ["--m", "3", "--repeats", "0"]),
         ("map_build_times.py", "--m", ["--m", "11"]),
+        ("write_times.py", "--repeats", ["--m", "4", "--repeats", "0"]),
+        ("write_times.py", "--m", ["--m", "9"]),
     ]
     procs = _start([[script, *args] for script, _, args in cases])
     for (script, flag, args), proc in zip(cases, procs):
