@@ -46,6 +46,7 @@ def test_scripts_exit_0():
             # the script asserts byte identity itself; one row per payload shape
             rows = [line.split() for line in out.strip().splitlines()]
             assert [row[0] for row in rows[1:]] == ["check-m5", "fuzz-m5", "quasifree-m4"]
+            assert all(len(row) == 5 for row in rows[1:])
             assert rows[-1][1] == "70"
 
 
