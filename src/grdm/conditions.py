@@ -1,20 +1,20 @@
 """Reduced density matrices of Grassmann densities and representability checks.
 
 Each condition P, Q, G, T1, T2 is positivity of one form with two independent
-realizations, cross-validated against each other.  The table CONDITIONS maps
-each name to its closed-form matrix in the one- and two-body matrices
-(gamma, Gamma) and to the probes b_a and mode of its star-product form on the
+realizations, cross-validated against each other.  One table, CONDITIONS,
+gives each name both: the probes b_a and mode of its star-product form on the
 density element, F[a, b] = <b_a* b_b> (plain: P, Q, G) or <b_a* b_b + b_b b_a*>
-(anticommutator: T1, T2); G also subtracts the product of its probes' means.
+(anticommutator: T1, T2), and the probe tensors and terms of its closed form
+in the one- and two-body matrices (gamma, Gamma); G, the centred row, also
+subtracts the product of its probes' means on both sides.
 The Grassmann-side pdms and forms are linear in the density, so each is a
 fixed combination of its moments star_trace(kappa, t), |bar| = |unbar| <= 2
 for t, which one cached map per m reads off the coefficient vector; moment 0
 is the trace that every density check reads, and Gamma is P's form transposed.
-The closed T1/T2 forms are linear in (Gamma, gamma) too: each is one cached
-index map per m (`_index_map`) whose entries are single Gamma and gamma
-entries times probe coefficients, built from the nonzeros of the probe
-tensors and calling no star product, with `t1_bilinear` / `t2_bilinear` as
-the per-pair references.
+The closed forms are linear in (Gamma, gamma): each is one cached index map
+per m (`_index_map`) whose entries are single Gamma and gamma entries times
+probe coefficients, built from the nonzeros of the probe tensors and calling
+no star product, with `t1_bilinear` / `t2_bilinear` as the per-pair references.
 
 Index conventions (0-based in code): gamma[k, l] is the expectation of
 pbar_{l+1} * p_{k+1}; two-body indices flatten row-major, (k, l) -> k*m + l,
@@ -61,6 +61,7 @@ from . import fock
 
 HERMITIAN_INPUT_TOL = 1e-8
 FORM_HERMITIAN_TOL = 1e-10  # relative to 1 + max-norm, for every form matrix
+PSD_REL_TOL = 1e-9  # relative to 1 + max-norm, for every margin
 
 
 @dataclass(frozen=True)
@@ -82,9 +83,9 @@ class ConditionReport:
 
 
 def psd_tolerance(matrix: np.ndarray) -> float:
-    """Relative PSD tolerance 1e-9 * (1 + max-norm)."""
+    """Relative PSD tolerance PSD_REL_TOL * (1 + max-norm)."""
     scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
-    return 1e-9 * (1.0 + scale)
+    return PSD_REL_TOL * (1.0 + scale)
 
 
 def report_from_form(condition: str, matrix: np.ndarray, method: str,
@@ -310,27 +311,6 @@ def first_order_report(gamma: np.ndarray) -> ConditionReport:
     return ConditionReport("first-order", margin, margin >= -tol, tol, "closed-form")
 
 
-def q_condition_matrix(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
-    gamma, Gamma, m = _validate_pair(gamma, Gamma)
-    eye = np.eye(m)
-    ex = fock.exchange_matrix(m)
-    x = np.eye(m * m) - np.kron(gamma, eye) - np.kron(eye, gamma)
-    return Gamma + (np.eye(m * m) - ex) @ x
-
-
-def g_condition_matrix(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
-    """Covariance form whose positivity is the one-body-operator condition.
-
-    M[(k,l),(m,n)] = delta_km gamma[n,l] - Gamma[(k,n),(m,l)] - gamma[k,l] gamma[n,m].
-    """
-    gamma, Gamma, m = _validate_pair(gamma, Gamma)
-    g4 = Gamma.reshape(m, m, m, m)
-    t1 = np.einsum("km,nl->klmn", np.eye(m), gamma)
-    t2 = g4.transpose(0, 3, 2, 1)
-    t3 = np.einsum("kl,nm->klmn", gamma, gamma)
-    return (t1 - t2 - t3).reshape(m * m, m * m)
-
-
 def check_P(gamma: np.ndarray, Gamma: np.ndarray, tol: float | None = None) -> ConditionReport:
     return closed_form_report("P", gamma, Gamma, tol)
 
@@ -404,7 +384,7 @@ def t1_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
     Entry (a, b) is 3 * t1_bilinear(E_a, E_b) for the unit tensors E, read
     off the cached index map `_index_map("T1", m)`.
     """
-    return _index_form("T1", gamma, Gamma)
+    return _index_form("T1", *_validate_pair(gamma, Gamma)[:2])
 
 
 def check_T1_full(kappa: GrassmannElement) -> ConditionReport:
@@ -472,7 +452,7 @@ def t2_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
     Entry (x, y) is t2_bilinear(probe_x, probe_y) for the probes of
     `_t2_probes`, read off the cached index map `_index_map("T2", m)`.
     """
-    return _index_form("T2", gamma, Gamma)
+    return _index_form("T2", *_validate_pair(gamma, Gamma)[:2])
 
 
 def check_T2_full(kappa: GrassmannElement) -> ConditionReport:
@@ -504,7 +484,12 @@ def t2a_value(gamma: np.ndarray, Gamma: np.ndarray, T: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closed third-order forms as index maps on (Gamma, gamma)
+# closed forms as index maps on (Gamma, gamma)
+
+def _pair_stacks(m: int) -> dict:
+    """The m * m unit matrices U[k*m + l] = e_k e_l^T, one per pair probe of P, Q and G."""
+    return {"U": np.eye(m * m, dtype=complex).reshape(-1, m, m)}
+
 
 def _t1_stacks(m: int) -> dict:
     E = np.array([_t1_unit_tensor(t, m) for t in combinations(range(m), 3)],
@@ -516,21 +501,6 @@ def _t2_stacks(m: int) -> dict:
     probes = _t2_probes(m)
     T = np.array([p[0] for p in probes])
     return {"T": T, "TA": (T - T.transpose(0, 2, 1, 3)) / 2, "a": np.array([p[1] for p in probes])}
-
-
-# Each closed form is F[x, y] = sum over its terms (x stack, y stack, spec,
-# scale) of scale * sum conj(X[x, ...]) Y[y, ...] v[...], the einsum-style
-# spec naming the indices of X, Y and the source v: Gamma[(i, j), (k, l)]
-# for four letters, gamma for two, the constant 1 for none.  T1 is the sum
-# over q of 3 (2 E_q^* E_q - 6 E_q^* E_q gamma + 3 E_q^* Gamma E_q), T2 that
-# of t2_bilinear, term by term.
-_INDEX_FORMS = {
-    "T1": (_t1_stacks, (("E", "E", "iqk,iqk,", 6), ("E", "E", "iqk,iqp,pk", -18),
-                        ("E", "E", "jql,iqk,ikjl", 9))),
-    "T2": (_t2_stacks, (("T", "T", "ijq,klq,ijkl", 1), ("TA", "TA", "jqk,qab,bjka", 4),
-                        ("TA", "T", "jqk,jqp,pk", 2), ("TA", "a", "qji,q,ji", 2),
-                        ("a", "TA", "q,qij,ji", 2), ("a", "a", "q,q,", 1))),
-}
 
 
 def _flat(indices: list, m: int, size: int) -> np.ndarray:
@@ -566,41 +536,50 @@ def _term_entries(x, y, spec: str, scale: float, n: int, m: int):
 
 @functools.lru_cache(maxsize=16)
 def _index_map(condition: str, m: int) -> tuple[tuple, int]:
-    """T1's or T2's form at m as one COO map on v = [Gamma.ravel(), gamma.ravel(), 1].
+    """A table condition's closed form at m as one COO map on v = [Gamma.ravel(), gamma.ravel(), 1].
 
     Returns the read-only (row, source, coeff) triple, whose duplicate
     entries add up, and the probe count n: the triple applied to v is the
-    raveled n x n form before Hermitisation.  At most 16 maps are cached.
+    raveled n x n form before Hermitisation and centring.  At most 16 maps
+    are cached.
     """
-    stack_fn, terms = _INDEX_FORMS[condition]
+    row = CONDITIONS[condition]
     nonzeros = {}
-    for name, stack in stack_fn(m).items():
+    for name, stack in row.stacks(m).items():
         nz = np.nonzero(stack)
         nonzeros[name] = (nz[0], nz[1:], stack[nz])
         n = len(stack)
     entries = [_term_entries(nonzeros[x], nonzeros[y], spec, scale, n, m)
-               for x, y, spec, scale in terms]
+               for x, y, spec, scale in row.terms]
     return _read_only(*(np.concatenate(part) for part in zip(*entries))), n
 
 
 def _index_form(condition: str, gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
-    """The closed form of T1 or T2, (F + F^H)/2 with F the cached index map applied to (Gamma, gamma)."""
-    gamma, Gamma, m = _validate_pair(gamma, Gamma)
-    (rows, src, coeff), n = _index_map(condition, m)
-    v = np.concatenate((Gamma.ravel(), gamma.ravel(), [1.0]))
-    F = _coo_apply(rows, src, coeff, v, n * n).reshape(n, n)
-    return (F + F.conj().T) / 2
+    """A table condition's closed form on a validated pair.
+
+    (F + F^H)/2 with F the cached index map applied to (Gamma, gamma), less
+    outer(g, conj(g)) with g = gamma.ravel() when the condition is centred.
+    """
+    (rows, src, coeff), n = _index_map(condition, len(gamma))
+    g = gamma.ravel()
+    F = _coo_apply(rows, src, coeff, np.concatenate((Gamma.ravel(), g, [1.0])), n * n).reshape(n, n)
+    F = (F + F.conj().T) / 2
+    if CONDITIONS[condition].centred:
+        F -= np.outer(g, g.conj())
+    return F
 
 
 # ---------------------------------------------------------------------------
 # the condition table
 
 class Condition(NamedTuple):
-    """closed(gamma, Gamma) and the `mode` form of probes(m) on kappa are one matrix."""
+    """One form two ways: `terms` on the tensors `stacks(m)`, the `mode` form of `probes(m)` on kappa."""
 
-    closed: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    stacks: Callable[[int], dict]
+    terms: tuple
     probes: Callable[[int], list[GrassmannElement]]
     mode: str
+    centred: bool
 
 
 def _word_probes(words: list, m: int) -> list[GrassmannElement]:
@@ -623,42 +602,55 @@ def _word_probes(words: list, m: int) -> list[GrassmannElement]:
     return probes
 
 
-def _pair_probes(plain: bool, m: int) -> list[GrassmannElement]:
-    """The m * m products p_k p_l (plain) or pbar_k pbar_l, in pair order (k, l) -> k*m + l."""
-    shift = m if plain else 0
-    return _word_probes([[shift + k, shift + l] for k in range(m) for l in range(m)], m)
+def _pair_probes(shifts: tuple[int, int], m: int) -> list[GrassmannElement]:
+    """The m * m products of generators a + k and b + l, (a, b) = shifts, in pair order k*m + l."""
+    a, b = shifts
+    return _word_probes([[a + k, b + l] for k in range(m) for l in range(m)], m)
 
 
-def _one_body_probes(m: int) -> list[GrassmannElement]:
-    """The monomials pbar_{k+1} p_{l+1}, in pair order; their means are gamma[l, k]."""
-    return [monomial_element(Monomial(1 << k, 1 << l), m) for k in range(m) for l in range(m)]
-
-
+# Each closed form is F[x, y] = sum over its terms (x stack, y stack, spec,
+# scale) of scale * sum conj(X[x, ...]) Y[y, ...] v[...], the einsum-style
+# spec naming the indices of X, Y and the source v: Gamma[(i, j), (k, l)]
+# for four letters, gamma for two, the constant 1 for none.  P is Gamma, Q
+# Gamma + (1 - Ex)(1 - gamma x 1 - 1 x gamma), G delta_km gamma[n, l] -
+# Gamma[(k, n), (m, l)] before centring; T1 is the sum over q of
+# 3 (2 E_q^* E_q - 6 E_q^* E_q gamma + 3 E_q^* Gamma E_q), T2 that of
+# t2_bilinear, term by term.  P's probes p_k p_l start at generators (m, m),
+# Q's pbar_k pbar_l at (0, 0) and G's pbar_k p_l at (0, m).
+_P_TERMS = (("U", "U", "ij,kl,ijkl", 1),)
 CONDITIONS = {
-    "P": Condition(lambda gamma, Gamma: _validate_pair(gamma, Gamma)[1],
-                   lambda m: _pair_probes(True, m), "plain"),
-    "Q": Condition(q_condition_matrix, lambda m: _pair_probes(False, m), "plain"),
-    "G": Condition(g_condition_matrix, _one_body_probes, "plain"),
-    "T1": Condition(t1_form_from_pdms, _t1_probe_elements, "anticommutator"),
-    "T2": Condition(t2_form_from_pdms, _t2_probe_elements, "anticommutator"),
+    "P": Condition(_pair_stacks, _P_TERMS, lambda m: _pair_probes((m, m), m), "plain", False),
+    "Q": Condition(_pair_stacks, _P_TERMS + (
+        ("U", "U", "ij,ij,", 1), ("U", "U", "ij,ji,", -1), ("U", "U", "ij,kj,ik", -1),
+        ("U", "U", "ij,il,jl", -1), ("U", "U", "ij,ki,jk", 1), ("U", "U", "ij,jl,il", 1)),
+        lambda m: _pair_probes((0, 0), m), "plain", False),
+    "G": Condition(_pair_stacks, (("U", "U", "kl,kn,nl", 1), ("U", "U", "kl,mn,knml", -1)),
+                   lambda m: _pair_probes((0, m), m), "plain", True),
+    "T1": Condition(_t1_stacks, (("E", "E", "iqk,iqk,", 6), ("E", "E", "iqk,iqp,pk", -18),
+                                 ("E", "E", "jql,iqk,ikjl", 9)),
+                    _t1_probe_elements, "anticommutator", False),
+    "T2": Condition(_t2_stacks, (("T", "T", "ijq,klq,ijkl", 1), ("TA", "TA", "jqk,qab,bjka", 4),
+                                 ("TA", "T", "jqk,jqp,pk", 2), ("TA", "a", "qji,q,ji", 2),
+                                 ("a", "TA", "q,qij,ji", 2), ("a", "a", "q,q,", 1)),
+                    _t2_probe_elements, "anticommutator", False),
 }
 
 
 def closed_form_report(condition: str, gamma: np.ndarray, Gamma: np.ndarray,
                        tol: float | None = None) -> ConditionReport:
     """Margin of a table condition's closed-form matrix in (gamma, Gamma)."""
-    return report_from_form(condition, CONDITIONS[condition].closed(gamma, Gamma),
-                            "closed-form", tol)
+    gamma, Gamma, _ = _validate_pair(gamma, Gamma)
+    return report_from_form(condition, _index_form(condition, gamma, Gamma), "closed-form", tol)
 
 
 def _form_report(condition: str, moments: np.ndarray, m: int) -> ConditionReport:
     """Margin of a table condition's star-product form, combined from the shared moments.
 
-    G's probes are centred, b_a - <b_a>, so its form is the plain form minus
-    outer(conj(s), s) with s_a = <b_a>, the one-body moments.
+    A centred condition's form is the plain form minus outer(conj(s), s)
+    with s_a = <b_a>, the one-body moments.
     """
     F = _probe_set_map(condition, m).combine_moments(moments)
-    if condition == "G":
+    if CONDITIONS[condition].centred:
         s = moments[1:1 + m * m]
         F -= np.outer(s.conj(), s)
     return report_from_form(condition, F, "grassmann-form")
@@ -704,13 +696,15 @@ def condition_battery(gamma: np.ndarray, Gamma: np.ndarray | None = None,
 
 
 def _battery(gamma, Gamma, moments, m) -> list[ConditionReport]:
-    """condition_battery with kappa given by its moments at m, or None."""
+    """condition_battery with kappa given by its moments at m, or None; the pair is validated once."""
     reports = [first_order_report(gamma)]
+    if Gamma is not None:
+        gamma, Gamma, _ = _validate_pair(gamma, Gamma)
     for name in CONDITIONS:
         if moments is not None and name in ("T1", "T2"):
             reports.append(_form_report(name, moments, m))
         elif Gamma is not None:
-            reports.append(closed_form_report(name, gamma, Gamma))
+            reports.append(report_from_form(name, _index_form(name, gamma, Gamma), "closed-form"))
     return reports
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -234,8 +233,9 @@ def dumps(obj) -> str:
 
 
 def atomic_write_json(path: str, obj) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write `dumps(obj)` to path by way of a temp file and a rename, with open()'s mode 0666 & ~umask."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(dumps(obj) + "\n")

@@ -21,6 +21,10 @@ The dense Fock references multiply the 2^m x 2^m ladder matrices: to_operator
 as a sum of ordered ladder products, one matrix product per monomial, and
 the pdms as traces of rho times ladder words.  The from_operator map is
 built entry by entry, with the scalar sign kernels per entry.
+
+The dense closed-form references build the Q and G matrices from
+(gamma, Gamma) with kron products and einsum, against which the index maps
+of the condition table are checked.
 """
 
 import functools
@@ -31,6 +35,7 @@ import numpy as np
 from grdm import fock, quasifree
 from grdm.algebra import (GrassmannElement, Monomial, _acc, _half_pair_sign, _indices, _merge_sign,
                           _star_monomials_terms, multiply, psi, psibar, star, star_trace)
+from grdm.conditions import _validate_pair
 
 
 def _lift_left(a, m):
@@ -330,3 +335,25 @@ def canonical_combine(linear_map):
     rows, names, vals = rows[order], names[order], vals[order]
     assert not np.any((rows[1:] == rows[:-1]) & (names[1:] == names[:-1]))
     return rows, names, vals
+
+
+def q_condition_matrix(gamma, Gamma):
+    """Q's closed form Gamma + (1 - Ex)(1 - gamma (x) 1 - 1 (x) gamma), Ex the pair exchange."""
+    gamma, Gamma, m = _validate_pair(gamma, Gamma)
+    eye = np.eye(m)
+    ex = fock.exchange_matrix(m)
+    x = np.eye(m * m) - np.kron(gamma, eye) - np.kron(eye, gamma)
+    return Gamma + (np.eye(m * m) - ex) @ x
+
+
+def g_condition_matrix(gamma, Gamma):
+    """Covariance form whose positivity is the one-body-operator condition.
+
+    M[(k,l),(m,n)] = delta_km gamma[n,l] - Gamma[(k,n),(m,l)] - gamma[k,l] gamma[n,m].
+    """
+    gamma, Gamma, m = _validate_pair(gamma, Gamma)
+    g4 = Gamma.reshape(m, m, m, m)
+    t1 = np.einsum("km,nl->klmn", np.eye(m), gamma)
+    t2 = g4.transpose(0, 3, 2, 1)
+    t3 = np.einsum("kl,nm->klmn", gamma, gamma)
+    return (t1 - t2 - t3).reshape(m * m, m * m)

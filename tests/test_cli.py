@@ -168,6 +168,25 @@ class TestSerialize:
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
 
+    def test_atomic_write_mode_follows_umask(self, pdm_file, tmp_path):
+        # the report gets open()'s mode 0666 & ~umask, not a private 0600
+        path, _, _ = pdm_file
+        out = tmp_path / "report.json"
+        old = os.umask(0o022)
+        try:
+            assert cli.main(["check", "--in", str(path), "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert os.stat(out).st_mode & 0o777 == 0o644
+
+    def test_failed_atomic_write_removes_temp_file(self, tmp_path):
+        # a failure while writing and one at the rename onto a directory
+        (tmp_path / "dir.json").mkdir()
+        for name, obj in (("out.json", {"x": object()}), ("dir.json", {"x": 1})):
+            with pytest.raises((TypeError, OSError)):
+                serialize.atomic_write_json(str(tmp_path / name), obj)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir.json"]
+
     def test_atomic_write_bytes(self, tmp_path, rng):
         path = tmp_path / "out.json"
         obj = {"element": serialize.element_to_dict(rand_element(rng, 3)),
@@ -198,6 +217,28 @@ class TestCheck:
         })
         rc = cli.main(["check", "--in", str(bad)])
         assert rc == 1
+
+    @pytest.mark.parametrize("dev, rc", [(1e-9, 0), (1e-7, 2)])
+    def test_slightly_non_hermitian_gamma2(self, pdm_file, tmp_path, capsys, dev, rc):
+        # inside the 1e-8 input check every closed form is Hermitised and passes;
+        # outside it the check exits 2 and names Gamma
+        path, gamma, Gamma = pdm_file
+        Gamma = Gamma.copy()
+        Gamma[0, 1] += dev
+        skew = tmp_path / "skew.json"
+        serialize.atomic_write_json(str(skew), {
+            "gamma": serialize.matrix_to_dict(gamma, "gamma", 3),
+            "Gamma": serialize.matrix_to_dict(Gamma, "Gamma", 3),
+        })
+        out = tmp_path / "rep.json"
+        assert cli.main(["check", "--in", str(skew), "--out", str(out)]) == rc
+        if rc == 0:
+            reports = json.loads(out.read_text())
+            assert [r["condition"] for r in reports] == ["first-order", "P", "Q", "G", "T1", "T2"]
+            assert all(r["pass"] for r in reports)
+        else:
+            assert not out.exists()
+            assert "Gamma is not Hermitian" in capsys.readouterr().err
 
     def test_gamma_only_first_order(self, pdm_file, tmp_path, capsys):
         _, gamma, _ = pdm_file

@@ -20,7 +20,7 @@ from grdm.algebra import (
     trace_integral,
     unit,
 )
-from _reference import canonical_combine, form_entries_reference
+from _reference import canonical_combine, form_entries_reference, g_condition_matrix, q_condition_matrix
 from conftest import rand_element, random_unitary
 
 
@@ -243,7 +243,7 @@ class TestPQG:
         Gamma = np.zeros((4, 4))
         rep_p = cond.check_P(gamma, Gamma)
         assert rep_p.passed and abs(rep_p.margin) < 1e-12
-        qmat = cond.q_condition_matrix(gamma, Gamma)
+        qmat = q_condition_matrix(gamma, Gamma)
         ex = fock.exchange_matrix(m)
         want = (np.eye(4) - ex) @ (np.eye(4) - np.kron(gamma, np.eye(m)) - np.kron(np.eye(m), gamma))
         assert np.allclose(qmat, want)
@@ -260,7 +260,7 @@ class TestPQG:
     def test_g_form_identity_contraction(self):
         _, _, gamma, Gamma = genuine(3, 42)
         m = 3
-        mg = cond.g_condition_matrix(gamma, Gamma)
+        mg = g_condition_matrix(gamma, Gamma)
         vec_id = np.eye(m).reshape(-1)
         lhs = np.vdot(vec_id, mg @ vec_id)
         ex = fock.exchange_matrix(m)
@@ -458,20 +458,47 @@ def test_grassmann_forms_match_closed_forms_at_m6(rng):
             assert abs(rep.margin - cond.report_from_form(name, C, "closed-form").margin) <= 1e-8
 
 
-@pytest.mark.parametrize("name, closed", [("T1", cond.t1_form_from_pdms),
+@pytest.mark.parametrize("name, closed", [("P", cond.check_P), ("Q", cond.check_Q),
+                                          ("G", cond.check_G), ("T1", cond.t1_form_from_pdms),
                                           ("T2", cond.t2_form_from_pdms)])
 def test_index_map_built_once_per_m(name, closed):
+    # the public entry point of each table condition: a report for P/Q/G, the form for T1/T2
     cond._index_map.cache_clear()
     _, _, gamma, Gamma = genuine(4, 88)
     first = closed(gamma, Gamma)
     assert cond._index_map.cache_info().misses == 1
-    assert np.array_equal(closed(gamma, Gamma), first)
+    again = closed(gamma, Gamma)
+    assert again == first if name in ("P", "Q", "G") else np.array_equal(again, first)
     info = cond._index_map.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     (rows, src, coeff), n = cond._index_map(name, 4)
-    assert n == len(first)
+    assert n == len(cond.CONDITIONS[name].probes(4))
     for arr in (rows, src, coeff):
         assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_pqg_index_forms_equal_dense_references(m, rng):
+    # P is Gamma Hermitised; Q and G are the kron / einsum references
+    refs = {"P": lambda gamma, Gamma: (Gamma + Gamma.conj().T) / 2,
+            "Q": q_condition_matrix, "G": g_condition_matrix}
+    for gamma, Gamma in reference_pairs(m, 70 + m, rng):
+        gamma, Gamma, _ = cond._validate_pair(gamma, Gamma)
+        for name, ref in refs.items():
+            want = ref(gamma, Gamma)
+            got = cond._index_form(name, gamma, Gamma)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * (1 + np.max(np.abs(want))), (name, m)
+
+
+def test_battery_validates_the_pair_once(monkeypatch):
+    _, _, gamma, Gamma = genuine(3, 89)
+    calls = []
+    validate = cond._validate_pair
+    monkeypatch.setattr(cond, "_validate_pair", lambda *pair: calls.append(1) or validate(*pair))
+    reports = cond.condition_battery(gamma, Gamma)
+    assert [r.condition for r in reports] == ["first-order", *cond.CONDITIONS]
+    assert len(calls) == 1
 
 
 def test_index_maps_agree_with_grassmann_forms_at_m6():
@@ -480,7 +507,7 @@ def test_index_maps_agree_with_grassmann_forms_at_m6():
     moments = cond._moments(kappa.to_vector(), m)
     for name in ("T1", "T2"):
         F = cond._probe_set_map(name, m).combine_moments(moments)
-        C = cond.CONDITIONS[name].closed(gamma, Gamma)
+        C = cond._index_form(name, gamma, Gamma)
         assert np.max(np.abs(F - C)) <= 1e-10, name
         form = cond.condition_form_report(kappa, name)
         closed = cond.closed_form_report(name, gamma, Gamma)
@@ -489,9 +516,10 @@ def test_index_maps_agree_with_grassmann_forms_at_m6():
 
 
 def _assert_form_map_equals_scalar_builder(name, m):
-    _, probes, mode = cond.CONDITIONS[name]
+    row = cond.CONDITIONS[name]
     got = cond._probe_set_map(name, m)
-    want = cond._linear_map(form_entries_reference(probes(m), mode, m), got.shape, m, shared=True)
+    want = cond._linear_map(form_entries_reference(row.probes(m), row.mode, m), got.shape, m,
+                            shared=True)
     assert got.moments is want.moments
     for g, w in zip(canonical_combine(got), canonical_combine(want)):
         assert g.dtype == w.dtype and np.array_equal(g, w), name

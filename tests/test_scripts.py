@@ -39,8 +39,9 @@ def test_scripts_exit_0():
             # a header, then one row per build with one median per m
             rows = [line.split() for line in out.strip().splitlines()]
             assert rows[0] == ["build", "(ms)", "m=3"]
-            assert [row[0] for row in rows[1:]] == ["moment", "P", "Q", "G", "T1", "T2",
-                                                    "words@4", "element"]
+            assert [row[0] for row in rows[1:]] == [
+                "moment", "P", "Q", "G", "T1", "T2", "closed-P", "closed-Q", "closed-G",
+                "closed-T1", "closed-T2", "words@4", "element"]
             assert all(float(row[1]) >= 0 for row in rows[1:])
         if script == "write_times.py":
             # the script asserts byte identity itself; one row per payload shape
