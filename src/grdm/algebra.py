@@ -36,11 +36,27 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-ELEMENT_CAP = 10  # monomial-pair fast paths stay exact up to here
-STAR_CAP = 6      # full-element star products; dense pairing cost grows as 16**m
-PRUNE_REL_TOL = 1e-14
-DENSITY_TRACE_TOL = 1e-8  # |trace - 1| a density may have; expectation and conditions check it
-OPERATOR_PRUNE_REL_TOL = 1e-13  # fock.from_operator: roundoff of its signed subset sums
+# Every tolerance and cap of the package, named once.  "rel" tolerances scale
+# with 1 + max|X| of what they judge (`_scale`); the prunes' with the largest |c|.
+ELEMENT_CAP = 10     # monomial-pair fast paths stay exact up to here
+STAR_CAP = 6         # full-element star products; dense pairing cost grows as 16**m
+FOCK_CAP = 8         # the Fock oracle and the fuzz campaign
+QUASIFREE_CAP = 8    # quasifree build and verify
+PRUNE_REL_TOL = 1e-14           # rel to the largest magnitude: prune's default
+OPERATOR_PRUNE_REL_TOL = 1e-13  # rel, fock.from_operator: roundoff of its signed subset sums
+DENSITY_TRACE_TOL = 1e-8     # |trace - 1| of a density element: expectation and the pdms
+HERMITIAN_INPUT_TOL = 1e-8   # max |X - X*| of a gamma or Gamma input
+FORM_HERMITIAN_TOL = 1e-10   # rel, max |F - F*| of every condition form matrix
+PSD_REL_TOL = 1e-9           # rel, how far below 0 a passing margin may lie
+ANTISYMMETRY_TOL = 1e-10     # rel, require_totally_antisymmetric
+UNITARY_TOL = 1e-10          # max |u*u - 1|: change_generators and contraction_check's onb
+BOUNDARY_TOL = 1e-10         # quasifree: eigenvalues this close to 0 or 1 are snapped
+FOCK_DENSITY_TOL = 1e-10     # fock.validate_density's default
+SECTOR_TOL = 1e-8            # max |N rho - n rho| of a one-sector density
+SLATER_NORM_TOL = 1e-12      # smallest Slater state norm before normalizing
+ELEMENTS_CLOSE_TOL = 1e-12   # elements_close's default
+SELFTEST_EXACT_TOL = 1e-12   # grdm selftest: identities exact up to a few roundings
+SELFTEST_RANDOM_TOL = 1e-10  # grdm selftest: identities on random coefficients
 
 
 class Monomial(NamedTuple):
@@ -434,11 +450,49 @@ def _same_m(a: GrassmannElement, b: GrassmannElement) -> None:
         raise ValueError(f"mismatched generator counts: {a.m} vs {b.m}")
 
 
+# One check per kind of input.  Each compares as `not dev <= tol`, which holds
+# for a NaN deviation, so a NaN or infinite input fails instead of passing.
+
 def _check_m(m: int, cap: int) -> None:
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"generator count must be a positive integer, got {m!r}")
     if m > cap:
         raise ValueError(f"generator count {m} exceeds cap {cap}")
+
+
+def _scale(x: np.ndarray) -> float:
+    """1 + max|x|; the checks compare dev / _scale(x), NaN when x holds a NaN or an infinity."""
+    return 1.0 + (float(np.max(np.abs(x))) if x.size else 0.0)
+
+
+def _require_hermitian(mat, name: str, tol: float = HERMITIAN_INPUT_TOL) -> np.ndarray:
+    """`mat` as a complex square matrix whose max |mat - mat*| is within tol."""
+    mat = np.asarray(mat, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {mat.shape}")
+    dev = np.max(np.abs(mat - mat.conj().T))
+    if not dev <= tol:
+        if not np.isfinite(mat).all():
+            raise ValueError(f"{name} holds a non-finite entry")
+        raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e}")
+    return mat
+
+
+def _require_unitary(u, m: int, name: str) -> np.ndarray:
+    """`u` as a complex m x m matrix whose max |u*u - 1| is within UNITARY_TOL."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (m, m):
+        raise ValueError(f"{name} must be a {m}x{m} matrix, got shape {u.shape}")
+    dev = np.max(np.abs(u.conj().T @ u - np.eye(m)))
+    if not dev <= UNITARY_TOL:
+        raise ValueError(f"{name} is not unitary: max |u*u - 1| = {dev:.3e}")
+    return u
+
+
+def _require_unit_trace(trace: complex) -> None:
+    """A density element's trace_integral must be 1 within DENSITY_TRACE_TOL."""
+    if not abs(trace - 1.0) <= DENSITY_TRACE_TOL:
+        raise ValueError(f"density element is not normalized: trace_integral = {complex(trace)}")
 
 
 def make_element(m: int, terms: Iterable[tuple[Iterable[int], Iterable[int], complex]]) -> GrassmannElement:
@@ -686,17 +740,14 @@ def _coo_apply(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, vec: np.nda
     return np.bincount(rows, prod.real, n) + 1j * np.bincount(rows, prod.imag, n)
 
 
-def expectation(density: GrassmannElement, observable: GrassmannElement,
-                tol: float = DENSITY_TRACE_TOL) -> complex:
+def expectation(density: GrassmannElement, observable: GrassmannElement) -> complex:
     """Trace of density * observable under the star product.
 
     The density must already be normalized: a trace away from 1 by more than
-    tol raises instead of renormalizing silently.
+    DENSITY_TRACE_TOL raises instead of renormalizing silently.
     """
     _same_m(density, observable)
-    tr = trace_integral(density)
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"density is not normalized: trace_integral = {tr}")
+    _require_unit_trace(trace_integral(density))
     return star_trace(density, observable)
 
 
@@ -720,7 +771,7 @@ def _degree_order(m: int) -> tuple:
     return order, tuple(groups)
 
 
-def change_generators(a: GrassmannElement, u: np.ndarray, tol: float = 1e-10) -> GrassmannElement:
+def change_generators(a: GrassmannElement, u: np.ndarray) -> GrassmannElement:
     """Rewrite `a` under the substitution chi_i = sum_j u[i, j] psi_j.
 
     The coefficients of `a` are read as coefficients over the chi generators
@@ -732,16 +783,11 @@ def change_generators(a: GrassmannElement, u: np.ndarray, tol: float = 1e-10) ->
     minors of each size from one batched determinant, so no product exceeds
     C(m, m/2) squared (20 x 20 at m = 6); blocks of C that hold no term are
     skipped and stay exactly zero, and only exactly-zero coefficients are
-    dropped from the result.  `u` must be unitary within tol; both integrals
-    are invariant under this map.
+    dropped from the result.  `u` must be unitary within UNITARY_TOL; both
+    integrals are invariant under this map.
     """
     m = a.m
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (m, m):
-        raise ValueError(f"expected a {m}x{m} matrix, got shape {u.shape}")
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(m)))
-    if dev > tol:
-        raise ValueError(f"matrix is not unitary: max |u*u - 1| = {dev:.3e}")
+    u = _require_unitary(u, m, "u")
     order, groups = _degree_order(m)
     minors = [np.linalg.det(u[rows[:, None, :, None], rows[None, :, None, :]])
               for _, rows in groups]
@@ -757,7 +803,7 @@ def change_generators(a: GrassmannElement, u: np.ndarray, tol: float = 1e-10) ->
     return GrassmannElement.from_vector(m, natural.ravel())
 
 
-def elements_close(a: GrassmannElement, b: GrassmannElement, tol: float = 1e-12) -> bool:
+def elements_close(a: GrassmannElement, b: GrassmannElement, tol: float = ELEMENTS_CLOSE_TOL) -> bool:
     return max_coeff_difference(a, b) <= tol
 
 

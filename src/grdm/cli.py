@@ -19,6 +19,8 @@ import numpy as np
 from . import conditions as cond
 from . import fock, quasifree, serialize
 from .algebra import (
+    SELFTEST_EXACT_TOL,
+    SELFTEST_RANDOM_TOL,
     GrassmannElement,
     Monomial,
     involution,
@@ -39,9 +41,7 @@ from .algebra import (
 
 def _load_check_input(path: str):
     data = serialize.load_json(path)
-    if not isinstance(data, dict):
-        raise serialize.FormatError("top-level JSON value is not an object")
-    if "gamma" in data:
+    if isinstance(data, dict) and "gamma" in data:
         gamma, _, m = serialize.matrix_from_dict(data["gamma"], "gamma")
         Gamma = None
         if "Gamma" in data:
@@ -153,7 +153,7 @@ def _selftest_identities(flip: int, rng: random.Random):
             oracle = np.trace(fock.to_operator(el))
             worst = max(worst, abs(trace_integral(el) - want),
                         abs(via_def - want), abs(oracle - want))
-    yield "trace-anchor", worst, 1e-12
+    yield "trace-anchor", worst, SELFTEST_EXACT_TOL
 
     worst = 0.0
     for m in (1, 2):
@@ -167,7 +167,7 @@ def _selftest_identities(flip: int, rng: random.Random):
             b = Monomial(rng.randrange(1 << m), rng.randrange(1 << m))
             worst = max(worst, abs(pair_integral_closed_form(a, b, m)
                                    - trace_integral(star_monomials(a, b, m))))
-    yield "pair-integral", worst, 1e-12
+    yield "pair-integral", worst, SELFTEST_EXACT_TOL
 
     worst = 0.0
     for m in range(1, 5):
@@ -182,13 +182,13 @@ def _selftest_identities(flip: int, rng: random.Random):
                 want = unit(m) if i == j else GrassmannElement(m, {})
                 diff = anti - want
                 worst = max(worst, diff.norm_max())
-    yield "car", worst, 1e-12
+    yield "car", worst, SELFTEST_EXACT_TOL
 
     worst = 0.0
     for _ in range(50):
         a, b = random_element(3), random_element(3)
         worst = max(worst, abs(star_trace(a, b) - star_trace(b, a)))
-    yield "cyclicity", worst, 1e-10
+    yield "cyclicity", worst, SELFTEST_RANDOM_TOL
 
     worst = 0.0
     for m in (1, 2, 3, 4):
@@ -197,7 +197,7 @@ def _selftest_identities(flip: int, rng: random.Random):
             val = star_trace(involution(eta), eta)
             scale = 1.0 + sum(abs(c) ** 2 for c in eta.terms.values()) * 2 ** m
             worst = max(worst, max(0.0, -val.real) / scale, abs(val.imag) / scale)
-    yield "positivity", worst, 1e-10
+    yield "positivity", worst, SELFTEST_RANDOM_TOL
 
     worst = 0.0
     for _ in range(40):
@@ -213,7 +213,7 @@ def _selftest_identities(flip: int, rng: random.Random):
             folded = star(folded, g)
             plain = multiply(plain, g)
         worst = max(worst, (folded - plain).norm_max())
-    yield "splicing", worst, 1e-12
+    yield "splicing", worst, SELFTEST_EXACT_TOL
 
 
 def cmd_selftest(args) -> int:

@@ -40,8 +40,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .algebra import (
-    DENSITY_TRACE_TOL,
+    ANTISYMMETRY_TOL,
     ELEMENT_CAP,
+    FOCK_CAP,
+    FORM_HERMITIAN_TOL,
+    PSD_REL_TOL,
     STAR_CAP,
     GrassmannElement,
     Monomial,
@@ -53,15 +56,14 @@ from .algebra import (
     _mono_products,
     _pair_sums,
     _read_only,
+    _require_hermitian,
+    _require_unit_trace,
+    _scale,
     _star_pairs,
     _sum_terms,
     monomial_element,
 )
 from . import fock
-
-HERMITIAN_INPUT_TOL = 1e-8
-FORM_HERMITIAN_TOL = 1e-10  # relative to 1 + max-norm, for every form matrix
-PSD_REL_TOL = 1e-9  # relative to 1 + max-norm, for every margin
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,7 @@ class ConditionReport:
 
 def psd_tolerance(matrix: np.ndarray) -> float:
     """Relative PSD tolerance PSD_REL_TOL * (1 + max-norm)."""
-    scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
-    return PSD_REL_TOL * (1.0 + scale)
+    return PSD_REL_TOL * _scale(matrix)
 
 
 def report_from_form(condition: str, matrix: np.ndarray, method: str,
@@ -93,23 +94,11 @@ def report_from_form(condition: str, matrix: np.ndarray, method: str,
     """Hermiticity-checked minimum-eigenvalue report for a form matrix."""
     herm = (matrix + matrix.conj().T) / 2
     dev = np.max(np.abs(matrix - herm)) if matrix.size else 0.0
-    scale = 1.0 + (float(np.max(np.abs(matrix))) if matrix.size else 0.0)
-    if dev > FORM_HERMITIAN_TOL * scale:
+    if not dev / _scale(matrix) <= FORM_HERMITIAN_TOL:
         raise ValueError(f"{condition}: form matrix is not Hermitian (deviation {dev:.3e})")
     margin = float(np.linalg.eigvalsh(herm).min()) if matrix.size else math.inf
-    if tol is None:
-        tol = psd_tolerance(matrix)
+    tol = psd_tolerance(matrix) if tol is None else tol
     return ConditionReport(condition, margin, margin >= -tol, tol, method)
-
-
-def _require_hermitian(mat: np.ndarray, name: str, tol: float = HERMITIAN_INPUT_TOL) -> np.ndarray:
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {mat.shape}")
-    dev = np.max(np.abs(mat - mat.conj().T))
-    if dev > tol:
-        raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e}")
-    return mat
 
 
 def _validate_pair(gamma: np.ndarray, Gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -192,8 +181,7 @@ def _moments(vec: np.ndarray, m: int) -> np.ndarray:
     """The `_moment_map` moments of a density's to_vector(), once its trace is checked to be 1."""
     rows, monomials = _moment_map(m)
     moments = _coo_apply(*rows, vec, len(monomials))
-    if abs(moments[0] - 1.0) > DENSITY_TRACE_TOL:
-        raise ValueError(f"density element is not normalized: trace_integral = {complex(moments[0])}")
+    _require_unit_trace(moments[0])
     return moments
 
 
@@ -275,16 +263,8 @@ def quadratic_form_matrix(kappa: GrassmannElement, probes: list[GrassmannElement
 
 def monomial_basis(m: int, order: int) -> list[GrassmannElement]:
     """All basis monomials with at most `order` barred and unbarred indices."""
-    out = []
-    full = 1 << m
-    for bar in range(full):
-        if bar.bit_count() > order:
-            continue
-        for ub in range(full):
-            if ub.bit_count() > order:
-                continue
-            out.append(monomial_element(Monomial(bar, ub), m))
-    return out
+    masks = [x for x in range(1 << m) if x.bit_count() <= order]
+    return [monomial_element(Monomial(bar, ub), m) for bar in masks for ub in masks]
 
 
 def order_n_check(kappa: GrassmannElement, n: int) -> ConditionReport:
@@ -331,13 +311,12 @@ def _antisym_first_pair(T: np.ndarray) -> np.ndarray:
     return (T - T.transpose(1, 0, 2)) / 2
 
 
-def require_totally_antisymmetric(T: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def require_totally_antisymmetric(T: np.ndarray) -> np.ndarray:
     T = np.asarray(T, dtype=complex)
     if T.ndim != 3 or len(set(T.shape)) != 1:
         raise ValueError(f"expected an m x m x m tensor, got shape {T.shape}")
-    scale = 1.0 + float(np.max(np.abs(T)))
-    if (np.max(np.abs(T + T.transpose(1, 0, 2))) > tol * scale
-            or np.max(np.abs(T + T.transpose(0, 2, 1))) > tol * scale):
+    dev = np.max(np.abs([T + T.transpose(1, 0, 2), T + T.transpose(0, 2, 1)]))
+    if not dev / _scale(T) <= ANTISYMMETRY_TOL:
         raise ValueError("tensor is not totally antisymmetric")
     return T
 
@@ -719,8 +698,7 @@ def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if m > fock.FOCK_CAP:
-        raise ValueError(f"mode count {m} exceeds oracle cap {fock.FOCK_CAP}")
+    _check_m(m, FOCK_CAP)
     worst: dict = {}
     failures = 0
     pdm_dev = 0.0

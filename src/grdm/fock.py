@@ -25,32 +25,26 @@ import functools
 
 import numpy as np
 
-from .algebra import (OPERATOR_PRUNE_REL_TOL, GrassmannElement, _coo_apply, _merge_parity,
-                      _parity, _read_only, prune)
-
-FOCK_CAP = 8
-
-
-def _check_mode_count(m: int) -> None:
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"mode count must be a positive integer, got {m!r}")
-    if m > FOCK_CAP:
-        raise ValueError(f"mode count {m} exceeds oracle cap {FOCK_CAP}")
+from .algebra import (FOCK_CAP, FOCK_DENSITY_TOL, OPERATOR_PRUNE_REL_TOL, SECTOR_TOL,
+                      SLATER_NORM_TOL, GrassmannElement, _check_m, _coo_apply, _merge_parity,
+                      _parity, _read_only, _require_hermitian, _require_unitary, prune)
 
 
 def _infer_m(mat: np.ndarray) -> int:
+    """The mode count m of a 2^m x 2^m matrix, checked against FOCK_CAP."""
     dim = mat.shape[0]
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     m = dim.bit_length() - 1
     if 1 << m != dim:
         raise ValueError(f"matrix dimension {dim} is not a power of two")
+    _check_m(m, FOCK_CAP)
     return m
 
 
 @functools.lru_cache(maxsize=None)
 def _ladders(m: int):
-    _check_mode_count(m)
+    _check_m(m, FOCK_CAP)
     dim = 1 << m
     ann = []
     for i in range(m):
@@ -60,19 +54,13 @@ def _ladders(m: int):
             if n & bit:
                 sign = -1.0 if (n & (bit - 1)).bit_count() & 1 else 1.0
                 mat[n ^ bit, n] = sign
-        mat.setflags(write=False)
         ann.append(mat)
-    crt = []
-    for a in ann:
-        c = a.conj().T.copy()
-        c.setflags(write=False)
-        crt.append(c)
-    return tuple(crt), tuple(ann)
+    return _read_only(*(a.conj().T.copy() for a in ann)), _read_only(*ann)
 
 
 def creation(i: int, m: int) -> np.ndarray:
     """Creation operator for mode i (1-based) on the 2^m Fock space."""
-    _check_mode_count(m)
+    _check_m(m, FOCK_CAP)
     if not 1 <= i <= m:
         raise ValueError(f"mode index {i} outside [1, {m}]")
     return _ladders(m)[0][i - 1]
@@ -80,7 +68,7 @@ def creation(i: int, m: int) -> np.ndarray:
 
 def annihilation(i: int, m: int) -> np.ndarray:
     """Annihilation operator for mode i (1-based); kills the vacuum state."""
-    _check_mode_count(m)
+    _check_m(m, FOCK_CAP)
     if not 1 <= i <= m:
         raise ValueError(f"mode index {i} outside [1, {m}]")
     return _ladders(m)[1][i - 1]
@@ -138,7 +126,7 @@ def _operator_map(m: int):
 def to_operator(a: GrassmannElement) -> np.ndarray:
     """Map an element to its Fock operator: sum of coeff * C*_I C_J per monomial."""
     m = a.m
-    _check_mode_count(m)
+    _check_m(m, FOCK_CAP)
     dim = 1 << m
     return _coo_apply(*_operator_map(m), a.to_vector(), dim * dim).reshape(dim, dim)
 
@@ -183,7 +171,6 @@ def from_operator(op: np.ndarray) -> GrassmannElement:
     """
     op = np.asarray(op, dtype=complex)
     m = _infer_m(op)
-    _check_mode_count(m)
     if not np.isfinite(op).all():
         i, j = np.argwhere(~np.isfinite(op))[0].tolist()
         raise ValueError(f"operator entry [{i}, {j}] is non-finite: {complex(op[i, j])}")
@@ -192,18 +179,15 @@ def from_operator(op: np.ndarray) -> GrassmannElement:
     return prune(dense, OPERATOR_PRUNE_REL_TOL)
 
 
-def validate_density(rho: np.ndarray, tol: float = 1e-10) -> None:
-    rho = np.asarray(rho)
-    m = _infer_m(rho)
-    _check_mode_count(m)
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > tol:
-        raise ValueError(f"density is not Hermitian: max deviation {herm:.3e}")
+def validate_density(rho: np.ndarray, tol: float = FOCK_DENSITY_TOL) -> None:
+    """A Fock density: Hermitian, unit trace and no eigenvalue below 0, each within tol."""
+    _infer_m(np.asarray(rho))
+    rho = _require_hermitian(rho, "density", tol)
     tr = np.trace(rho)
-    if abs(tr - 1.0) > tol:
+    if not abs(tr - 1.0) <= tol:
         raise ValueError(f"density trace {tr} differs from 1")
     low = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
-    if low < -tol:
+    if not low >= -tol:
         raise ValueError(f"density has negative eigenvalue {low:.3e}")
 
 
@@ -249,7 +233,6 @@ def pdms_from_rho(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     rho = np.asarray(rho, dtype=complex)
     m = _infer_m(rho)
-    _check_mode_count(m)
     flat = rho.ravel()
     gamma_map, Gamma_map = _pdm_maps(m)
     gamma = _coo_apply(*gamma_map, flat, m * m).reshape(m, m)
@@ -268,7 +251,7 @@ def exchange_matrix(m: int) -> np.ndarray:
 
 def sector_projector(m: int, n_particles: int) -> np.ndarray:
     """Projector onto the n-particle occupation sector."""
-    _check_mode_count(m)
+    _check_m(m, FOCK_CAP)
     if not 0 <= n_particles <= m:
         raise ValueError(f"particle sector {n_particles} is empty for {m} modes")
     dim = 1 << m
@@ -282,7 +265,7 @@ def random_density(m: int, seed: int, sector: int | None = None) -> np.ndarray:
     With `sector` set, B*B is compressed onto the fixed particle-number sector
     before normalizing, so the result is supported there exactly.
     """
-    _check_mode_count(m)
+    _check_m(m, FOCK_CAP)
     rng = np.random.default_rng(seed)
     dim = 1 << m
     b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -306,19 +289,18 @@ def slater_state(orbitals: np.ndarray, m: int) -> np.ndarray:
         op = sum(orbitals[k, col] * crt[k] for k in range(m))
         vec = op @ vec
     nrm = np.linalg.norm(vec)
-    if nrm < 1e-12:
-        raise ValueError("orbitals are linearly dependent; Slater state vanishes")
+    if not nrm >= SLATER_NORM_TOL:
+        raise ValueError("orbitals are linearly dependent or not finite; Slater state vanishes")
     return vec / nrm
 
 
-def infer_particle_sector(rho: np.ndarray, tol: float = 1e-8) -> int:
+def infer_particle_sector(rho: np.ndarray) -> int:
     """Particle number of a density supported on a single occupation sector."""
     rho = np.asarray(rho)
     m = _infer_m(rho)
     nop = number_operator(m)
-    n_avg = np.trace(rho @ nop).real
-    n = round(n_avg)
-    if np.max(np.abs(nop @ rho - n * rho)) > tol:
+    n = round(np.trace(rho @ nop).real)
+    if not np.max(np.abs(nop @ rho - n * rho)) <= SECTOR_TOL:
         raise ValueError("density is not supported on a single particle-number sector")
     return n
 
@@ -340,9 +322,7 @@ def contraction_check(rho: np.ndarray, onb: np.ndarray | None = None) -> float:
     if onb is None:
         contracted = np.einsum("iajb->ij", np.einsum("iajb,ab->iajb", g4, np.eye(m)))
     else:
-        onb = np.asarray(onb, dtype=complex)
-        if np.max(np.abs(onb.conj().T @ onb - np.eye(m))) > 1e-10:
-            raise ValueError("onb columns are not orthonormal")
+        onb = _require_unitary(onb, m, "onb")
         weights = np.einsum("ak,bk->ab", onb.conj(), onb)
         contracted = np.einsum("iajb,ab->ij", g4, weights)
     return float(np.max(np.abs(gamma - contracted / (n - 1))))

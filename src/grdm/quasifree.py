@@ -13,11 +13,11 @@ star-product expectations of the density with Wick pairing sums of its
 one-body matrix; nothing is rotated back.  The star side is linear in the
 density, so for each (m, max_points) it is built once as a sparse map over
 the generator words, from the Grassmann kernels alone (the `_star_pairs`
-kernel level by level, then the pair-trace moment rows), and cached; the
-Wick side gathers all words of one length from a cached generator-index
-table and sums over the signed perfect matchings.  `wick_expectation` is
-the per-word reference of the Wick side; the tests keep the per-word star
-fold that the map is checked against.  Everything here runs up to
+kernel level by level, then the pair-trace moment rows), and cached with
+the generator-number tables of its even words; the Wick side gathers all
+words of one length from those tables and sums over the signed perfect
+matchings.  `wick_expectation` is the per-word reference of the Wick side;
+the tests keep the per-word star fold that the map is checked against.  Everything here runs up to
 QUASIFREE_CAP = 8 generators, past the star product's cap, since no step
 multiplies two full elements.
 """
@@ -27,25 +27,26 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain, permutations
+from itertools import permutations
 
 import numpy as np
 
 from .algebra import (
+    BOUNDARY_TOL,
+    QUASIFREE_CAP,
     GrassmannElement,
     Monomial,
     _check_m,
     _generators,
     _half_pair_sign,
+    _read_only,
+    _require_hermitian,
     _star_pairs,
     _sum_terms,
     change_generators,
     trace_integral,
 )
-from .conditions import _LinearMap, _linear_map, _require_hermitian
-
-BOUNDARY_TOL = 1e-10
-QUASIFREE_CAP = 8
+from .conditions import _LinearMap, _linear_map
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,11 @@ class QuasifreeSpec:
         return ~np.isfinite(self.qs)
 
 
-def build_quasifree(gamma: np.ndarray, tol: float = BOUNDARY_TOL) -> tuple[QuasifreeSpec, GrassmannElement]:
+def build_quasifree(gamma: np.ndarray) -> tuple[QuasifreeSpec, GrassmannElement]:
     """Construct the unique quasifree density with the given one-body matrix.
 
-    gamma must be Hermitian with spectrum in [-tol, 1+tol] and m <= QUASIFREE_CAP.
+    gamma must be Hermitian with spectrum in [-BOUNDARY_TOL, 1 + BOUNDARY_TOL]
+    and m <= QUASIFREE_CAP.
     Returns the spec and the normalized density element expressed in the
     original generators; its extracted one-body matrix reproduces gamma.  The
     eigenbasis element is written down in closed form
@@ -80,16 +82,16 @@ def build_quasifree(gamma: np.ndarray, tol: float = BOUNDARY_TOL) -> tuple[Quasi
     m = gamma.shape[0]
     _check_m(m, QUASIFREE_CAP)
     lam, u = np.linalg.eigh(gamma)
-    if lam.min() < -tol or lam.max() > 1.0 + tol:
+    if not -BOUNDARY_TOL <= lam.min() <= lam.max() <= 1.0 + BOUNDARY_TOL:
         raise ValueError(f"one-body spectrum [{lam.min():.3e}, {lam.max():.3e}] leaves [0, 1]")
     lam = np.clip(lam, 0.0, 1.0)
     qs = np.empty(m)
     r = np.zeros(m)
     for i, li in enumerate(lam):
-        if li <= tol:
+        if li <= BOUNDARY_TOL:
             qs[i] = math.inf
             r[i] = -1.0
-        elif li >= 1.0 - tol:
+        elif li >= 1.0 - BOUNDARY_TOL:
             qs[i] = -math.inf
         else:
             qs[i] = math.log((1.0 - li) / li)
@@ -182,7 +184,7 @@ def generator_words(m: int, max_points: int):
         yield from permutations(gens, k)
 
 
-def _word_product_entries(m: int, max_points: int) -> tuple:
+def _word_product_entries(m: int, max_points: int) -> tuple[tuple, tuple, int]:
     """COO arrays (row, t, coeff) of each word product g1 * ... * gk, rows in generator_words order.
 
     Built level by level: the products of the words of length k are those of
@@ -192,12 +194,16 @@ def _word_product_entries(m: int, max_points: int) -> tuple:
     2m - k + 1 of them with the unused generators ascending, so word w of
     length k - 1 has the children w * (2m - k + 1) + j.  Each level's entries
     are sorted by (row, t), exact zeros dropped; the factors are single
-    generators, so every m up to QUASIFREE_CAP is cheap.
+    generators, so every m up to QUASIFREE_CAP is cheap.  Also returns, per
+    even k, the first row of its words and their (n, k) read-only uint8
+    table of generator numbers (pbar_i is i - 1, p_i is m + i - 1), and the
+    number of words.
     """
     gens = _generators(m)
     words = np.arange(2 * m)[:, None]  # generator numbers of each word, one word per row
     rows, ts, coeffs = np.arange(2 * m), gens, np.ones(2 * m, dtype=complex)
     out = [(rows, ts, coeffs)]
+    tables = []
     first = 2 * m
     for k in range(2, max_points + 1):
         width = 2 * m - k + 1
@@ -211,21 +217,23 @@ def _word_product_entries(m: int, max_points: int) -> tuple:
         keys, coeffs = _sum_terms((child[pair] << (2 * m)) | index, coeffs[term[pair]] * sign)
         rows, ts = keys >> (2 * m), keys & ((1 << (2 * m)) - 1)
         out.append((rows + first, ts, coeffs))
+        if k % 2 == 0:
+            tables.append((first, *_read_only(words.astype(np.uint8))))
         first += len(words)
-    return tuple(np.concatenate(part) for part in zip(*out))
+    return tuple(np.concatenate(part) for part in zip(*out)), tuple(tables), first
 
 
 @functools.lru_cache(maxsize=8)
-def _star_word_map(m: int, max_points: int) -> _LinearMap:
-    """kappa -> star_trace(kappa, g1 * ... * gk) over every word; the cache holds at most 8 maps."""
+def _star_word_map(m: int, max_points: int) -> tuple[_LinearMap, tuple]:
+    """kappa -> star_trace(kappa, g1 * ... * gk) over every word, with the even words' tables.
+
+    The Wick side reads the tables; the cache holds at most 8 pairs.
+    """
     _check_m(m, QUASIFREE_CAP)
     if max_points < 1:
         raise ValueError(f"max_points must be at least 1, got {max_points}")
-    return _linear_map(_word_product_entries(m, max_points), (_n_words(m, max_points),), m)
-
-
-def _n_words(m: int, max_points: int) -> int:
-    return sum(math.perm(2 * m, k) for k in range(1, max_points + 1))
+    entries, tables, n_words = _word_product_entries(m, max_points)
+    return _linear_map(entries, (n_words,), m), tables
 
 
 def _clamp_points(m: int, max_points: int) -> int:
@@ -235,7 +243,7 @@ def _clamp_points(m: int, max_points: int) -> int:
 
 def words_checked(m: int, max_points: int) -> int:
     """Number of generator words `verify_quasifree` compares at this m and max_points."""
-    return _star_word_map(m, _clamp_points(m, max_points)).shape[0]
+    return _star_word_map(m, _clamp_points(m, max_points))[0].shape[0]
 
 
 @functools.cache
@@ -257,43 +265,23 @@ def _matchings(k: int) -> tuple:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=8)
-def _word_table(m: int, max_points: int) -> tuple:
-    """(first row, (n, k) generator-index table) of the even-length words, k = 2, 4, ...
-
-    Generators are numbered as in generator_words: pbar_i is i - 1 and p_i is
-    m + i - 1, and each table lists its words in generator_words order, so
-    its rows start at `first row` of the word map.
-    """
-    out = []
-    first = 0
-    for k in range(1, max_points + 1):
-        n = math.perm(2 * m, k)
-        if k % 2 == 0:
-            table = np.fromiter(chain.from_iterable(permutations(range(2 * m), k)),
-                                np.uint8, n * k).reshape(n, k)
-            table.setflags(write=False)
-            out.append((first, table))
-        first += n
-    return tuple(out)
-
-
 def _wick_word_values(spec: QuasifreeSpec, max_points: int) -> np.ndarray:
     """Pairing sums of every generator word, in the original generators, all words at once.
 
     With gamma = u diag(lambda) u^dagger the two-point values are
     <pbar_i p_j> = gamma[j, i] and <p_j pbar_i> = delta_ij - gamma[j, i];
     same-type pairs give 0.  Odd words vanish; the words of each even length
-    k are gathered from `_word_table` and summed over the signed perfect
-    matchings of k positions.
+    k are gathered from their table beside the `_star_word_map` map and
+    summed over the signed perfect matchings of k positions.
     """
     m = spec.m
+    word_map, tables = _star_word_map(m, max_points)
     gamma = (spec.u * spec.lambdas) @ spec.u.conj().T
     two_point = np.zeros((2 * m, 2 * m), dtype=complex)
     two_point[:m, m:] = gamma.T
     two_point[m:, :m] = np.eye(m) - gamma
-    out = np.zeros(_n_words(m, max_points), dtype=complex)
-    for first, table in _word_table(m, max_points):
+    out = np.zeros(word_map.shape[0], dtype=complex)
+    for first, table in tables:
         k = table.shape[1]
         pair_values = {(p, q): two_point[table[:, p], table[:, q]]
                        for p in range(k) for q in range(p + 1, k)}
@@ -342,7 +330,7 @@ def verify_quasifree(kappa: GrassmannElement, spec: QuasifreeSpec, max_points: i
     if kappa.m != spec.m:
         raise ValueError(f"density has m = {kappa.m} but spec has m = {spec.m}")
     max_points = _clamp_points(spec.m, max_points)
-    lhs = _star_word_map(spec.m, max_points).apply(kappa.to_vector())
+    lhs = _star_word_map(spec.m, max_points)[0].apply(kappa.to_vector())
     rhs = _wick_word_values(spec, max_points)
     return float(np.max(np.abs(lhs - rhs)))
 

@@ -116,6 +116,10 @@ _EXPECTED_DIM = {
 
 
 def matrix_from_dict(d: dict, expect_kind: str | None = None) -> tuple[np.ndarray, str, int]:
+    """A matrix JSON object as (matrix, kind, m); errors name `expect_kind` as the field."""
+    if not isinstance(d, dict):
+        raise FormatError(f"field '{expect_kind or 'matrix'}' is not a matrix object: "
+                          f"got {type(d).__name__}")
     kind = _need(d, "kind", str, "matrix")
     if kind not in _EXPECTED_DIM:
         raise FormatError(f"field 'kind' has unknown value {kind!r}")

@@ -462,6 +462,20 @@ def test_usage_error_exit_2():
     assert cli.main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("value", [5, None, [], "x"])
+def test_non_object_matrix_exit_2(pdm_file, tmp_path, capsys, value):
+    gamma = json.loads(pdm_file[0].read_text())["gamma"]
+    cases = [("check", {"gamma": value}, "'gamma'"),
+             ("check", {"gamma": gamma, "Gamma": value}, "'Gamma'"),
+             ("quasifree", value, "'gamma'")]
+    for command, data, field in cases:
+        path, out = tmp_path / "in.json", tmp_path / "out.json"
+        path.write_text(json.dumps(data))
+        assert cli.main([command, "--in", str(path), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_parser_built_once_per_process(pdm_file, tmp_path):
     # one parser serves every main call; a usage error leaves it usable and
     # no option of one call carries over into the next

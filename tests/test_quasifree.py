@@ -221,15 +221,17 @@ class TestWick:
         # no word of distinct generators is longer than 2m: at m = 1 nothing
         # past k = 2 may be built, neither a word table nor a matching
         spec, kappa = qf.quasifree_from_lambdas([0.3], 1)
-        for cached in (qf._matchings, qf._word_table, qf._star_word_map):
+        for cached in (qf._matchings, qf._star_word_map):
             cached.cache_clear()
-        assert qf.verify_quasifree(kappa, spec, max_points=8) == qf.verify_quasifree(kappa, spec, 2)
+        first = qf.verify_quasifree(kappa, spec, max_points=8)
+        hits = qf._star_word_map.cache_info().hits
+        assert first == qf.verify_quasifree(kappa, spec, 2)
+        assert qf._star_word_map.cache_info().hits > hits
+        assert qf._star_word_map.cache_info().misses == 1
         assert qf.words_checked(1, 8) == qf.words_checked(1, 2) == 4
         assert qf._matchings.cache_info().currsize == 2  # k = 0 and 2
-        for cached in (qf._word_table, qf._star_word_map):
-            assert cached.cache_info().currsize == 1
-        assert [table.shape[1] for _, table in qf._word_table(1, 2)] == [2]
-        assert qf._word_table.cache_info().hits == 2
+        assert qf._star_word_map.cache_info().currsize == 1
+        assert [table.shape[1] for _, table in qf._star_word_map(1, 2)[1]] == [2]
 
     @pytest.mark.parametrize("m, points", [(2, 4), (3, 6), (4, 4)])
     def test_word_map_matches_per_word_reference(self, rng, m, points):
@@ -239,7 +241,7 @@ class TestWick:
         generic = fock.from_operator(fock.random_density(m, 40 + m))
         words = list(qf.generator_words(m, points))
         for kappa in (quasi, generic):
-            got = qf._star_word_map(m, points).apply(kappa.to_vector())
+            got = qf._star_word_map(m, points)[0].apply(kappa.to_vector())
             assert got.shape == (len(words),)
             want = np.array([star_word_expectation(kappa, list(w)) for w in words])
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -250,7 +252,7 @@ class TestWick:
         # reference builds each product from its prefix with the scalar
         # product.  Both number their moments by ascending monomial, and the
         # moment rows equal the scalar pair-trace loop's.
-        got = qf._star_word_map(m, points)
+        got = qf._star_word_map(m, points)[0]
         want = cond._linear_map(word_product_entries_reference(m, points), got.shape, m)
         assert np.array_equal(got.monomials, want.monomials)
         monomials = [Monomial(t >> m, t & ((1 << m) - 1)) for t in got.monomials.tolist()]
