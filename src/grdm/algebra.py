@@ -24,7 +24,8 @@ Elements are immutable after construction and every operation is a pure
 function.  The only shared state is a set of caches keyed by value: the
 per-m bit tables, the memo of the scalar monomial star product behind
 `star_monomials`, which is also the reference the kernel is tested against,
-and the per-m subset orderings of change_generators (`_degree_order`).
+and the per-m subset orderings of the compound matrices (`_degree_order`),
+which change_generators and the quasifree build read.
 """
 
 from __future__ import annotations
@@ -451,7 +452,9 @@ def _same_m(a: GrassmannElement, b: GrassmannElement) -> None:
 
 
 # One check per kind of input.  Each compares as `not dev <= tol`, which holds
-# for a NaN deviation, so a NaN or infinite input fails instead of passing.
+# for a NaN deviation, so a NaN or infinite input fails instead of passing;
+# the matrix and density checks test finiteness first, so no arithmetic on a
+# non-finite input warns before they raise.
 
 def _check_m(m: int, cap: int) -> None:
     if not isinstance(m, int) or m < 1:
@@ -465,24 +468,29 @@ def _scale(x: np.ndarray) -> float:
     return 1.0 + (float(np.max(np.abs(x))) if x.size else 0.0)
 
 
+def _require_finite(values: np.ndarray, name: str) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} holds a non-finite entry")
+
+
 def _require_hermitian(mat, name: str, tol: float = HERMITIAN_INPUT_TOL) -> np.ndarray:
-    """`mat` as a complex square matrix whose max |mat - mat*| is within tol."""
+    """`mat` as a finite complex square matrix whose max |mat - mat*| is within tol."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
+    _require_finite(mat, name)
     dev = np.max(np.abs(mat - mat.conj().T))
     if not dev <= tol:
-        if not np.isfinite(mat).all():
-            raise ValueError(f"{name} holds a non-finite entry")
         raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e}")
     return mat
 
 
 def _require_unitary(u, m: int, name: str) -> np.ndarray:
-    """`u` as a complex m x m matrix whose max |u*u - 1| is within UNITARY_TOL."""
+    """`u` as a finite complex m x m matrix whose max |u*u - 1| is within UNITARY_TOL."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (m, m):
         raise ValueError(f"{name} must be a {m}x{m} matrix, got shape {u.shape}")
+    _require_finite(u, name)
     dev = np.max(np.abs(u.conj().T @ u - np.eye(m)))
     if not dev <= UNITARY_TOL:
         raise ValueError(f"{name} is not unitary: max |u*u - 1| = {dev:.3e}")
@@ -747,6 +755,7 @@ def expectation(density: GrassmannElement, observable: GrassmannElement) -> comp
     DENSITY_TRACE_TOL raises instead of renormalizing silently.
     """
     _same_m(density, observable)
+    _require_finite(density.arrays()[1], "density element")
     _require_unit_trace(trace_integral(density))
     return star_trace(density, observable)
 
@@ -771,6 +780,16 @@ def _degree_order(m: int) -> tuple:
     return order, tuple(groups)
 
 
+def _compound_blocks(u: np.ndarray) -> list:
+    """The compound matrices of u, one per subset size k, over `_degree_order`'s subsets.
+
+    Block k holds det(u[J, K]) for the k-subsets J (rows) and K (columns),
+    each size's minors from one batched determinant; block 0 is [[1]].
+    """
+    return [np.linalg.det(u[rows[:, None, :, None], rows[None, :, None, :]])
+            for _, rows in _degree_order(len(u))[1]]
+
+
 def change_generators(a: GrassmannElement, u: np.ndarray) -> GrassmannElement:
     """Rewrite `a` under the substitution chi_i = sum_j u[i, j] psi_j.
 
@@ -780,17 +799,16 @@ def change_generators(a: GrassmannElement, u: np.ndarray) -> GrassmannElement:
     2**m x 2**m coefficient matrix (rows barred, columns plain) the new one
     is the compound-matrix product conj(U)^T C U, U[J, K] = det(u[J, K]) for
     |J| = |K|.  It is taken block by block over the subset sizes, with the
-    minors of each size from one batched determinant, so no product exceeds
-    C(m, m/2) squared (20 x 20 at m = 6); blocks of C that hold no term are
-    skipped and stay exactly zero, and only exactly-zero coefficients are
-    dropped from the result.  `u` must be unitary within UNITARY_TOL; both
-    integrals are invariant under this map.
+    minors of each size from one batched determinant (`_compound_blocks`),
+    so no product exceeds C(m, m/2) squared (20 x 20 at m = 6); blocks of C
+    that hold no term are skipped and stay exactly zero, and only
+    exactly-zero coefficients are dropped from the result.  `u` must be
+    unitary within UNITARY_TOL; both integrals are invariant under this map.
     """
     m = a.m
     u = _require_unitary(u, m, "u")
     order, groups = _degree_order(m)
-    minors = [np.linalg.det(u[rows[:, None, :, None], rows[None, :, None, :]])
-              for _, rows in groups]
+    minors = _compound_blocks(u)
     coeffs = a.to_vector().reshape(1 << m, 1 << m)[np.ix_(order, order)]
     out = np.zeros_like(coeffs)
     for (bars, _), bar_minors in zip(groups, minors):

@@ -56,6 +56,7 @@ from .algebra import (
     _mono_products,
     _pair_sums,
     _read_only,
+    _require_finite,
     _require_hermitian,
     _require_unit_trace,
     _scale,
@@ -180,6 +181,7 @@ def _moment_map(m: int) -> tuple[tuple, np.ndarray]:
 def _moments(vec: np.ndarray, m: int) -> np.ndarray:
     """The `_moment_map` moments of a density's to_vector(), once its trace is checked to be 1."""
     rows, monomials = _moment_map(m)
+    _require_finite(vec, "density element")
     moments = _coo_apply(*rows, vec, len(monomials))
     _require_unit_trace(moments[0])
     return moments

@@ -27,7 +27,8 @@ import numpy as np
 
 from .algebra import (FOCK_CAP, FOCK_DENSITY_TOL, OPERATOR_PRUNE_REL_TOL, SECTOR_TOL,
                       SLATER_NORM_TOL, GrassmannElement, _check_m, _coo_apply, _merge_parity,
-                      _parity, _read_only, _require_hermitian, _require_unitary, prune)
+                      _parity, _read_only, _require_finite, _require_hermitian, _require_unitary,
+                      prune)
 
 
 def _infer_m(mat: np.ndarray) -> int:
@@ -298,6 +299,7 @@ def infer_particle_sector(rho: np.ndarray) -> int:
     """Particle number of a density supported on a single occupation sector."""
     rho = np.asarray(rho)
     m = _infer_m(rho)
+    _require_finite(rho, "density")
     nop = number_operator(m)
     n = round(np.trace(rho @ nop).real)
     if not np.max(np.abs(nop @ rho - n * rho)) <= SECTOR_TOL:

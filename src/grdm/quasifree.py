@@ -1,12 +1,17 @@
 """Quasifree Grassmann densities: construction from a one-body matrix, Wick
 pairing sums, and verification of the factorization property.
 
-A quasifree density is written down in the eigenbasis of the target one-body
-matrix in closed form, as the expanded star product of per-mode factors, and
-rotated to the original generators once.  Eigenvalues at the boundary of
-[0, 1] are snapped to exact projector factors (empty or occupied mode);
-interior eigenvalues lambda use the exponent q = ln((1 - lambda)/lambda), so
-each factor is (e^{-q} - 1) nbar n + 1 up to normalization.
+A quasifree density is a normalized Gaussian, written down in closed form:
+in the eigenbasis of the target one-body matrix it is the product of the
+normalized per-mode factors (2 lambda - 1) nbar n + (1 - lambda), which
+holds on all of [0, 1] once eigenvalues within BOUNDARY_TOL of 0 or 1 are
+snapped there, and in the original generators each degree-k block of its
+coefficients is a compound-matrix product: the k x k minors of the
+eigenvectors weighted by the products of those factors over the mode
+subsets.  The spec keeps the exponents q = ln((1 - lambda)/lambda), +inf
+and -inf at the boundary.  `mode_product_expansion` writes the eigenbasis
+product as an element; with `change_generators` it is the tests' reference
+for the build.
 
 Verification compares, word by word and in the original generators,
 star-product expectations of the density with Wick pairing sums of its
@@ -14,10 +19,11 @@ one-body matrix; nothing is rotated back.  The star side is linear in the
 density, so for each (m, max_points) it is built once as a sparse map over
 the generator words, from the Grassmann kernels alone (the `_star_pairs`
 kernel level by level, then the pair-trace moment rows), and cached with
-the generator-number tables of its even words; the Wick side gathers all
-words of one length from those tables and sums over the signed perfect
-matchings.  `wick_expectation` is the per-word reference of the Wick side;
-the tests keep the per-word star fold that the map is checked against.  Everything here runs up to
+the flat two-point indices of every position pair of its even words; the
+Wick side gathers all words of one length with one `take` from those
+indices and sums over the signed perfect matchings.  `wick_expectation` is
+the per-word reference of the Wick side; the tests keep the per-word star
+fold that the map is checked against.  Everything here runs up to
 QUASIFREE_CAP = 8 generators, past the star product's cap, since no step
 multiplies two full elements.
 """
@@ -27,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -37,14 +43,14 @@ from .algebra import (
     GrassmannElement,
     Monomial,
     _check_m,
+    _compound_blocks,
+    _degree_order,
     _generators,
     _half_pair_sign,
     _read_only,
     _require_hermitian,
     _star_pairs,
     _sum_terms,
-    change_generators,
-    trace_integral,
 )
 from .conditions import _LinearMap, _linear_map
 
@@ -73,10 +79,21 @@ def build_quasifree(gamma: np.ndarray) -> tuple[QuasifreeSpec, GrassmannElement]
     gamma must be Hermitian with spectrum in [-BOUNDARY_TOL, 1 + BOUNDARY_TOL]
     and m <= QUASIFREE_CAP.
     Returns the spec and the normalized density element expressed in the
-    original generators; its extracted one-body matrix reproduces gamma.  The
-    eigenbasis element is written down in closed form
-    (`mode_product_expansion`, no star products), normalized, and rotated
-    to the original generators by one `change_generators`.
+    original generators; its extracted one-body matrix reproduces gamma.
+
+    With gamma = u diag(lambda) u^dagger and the eigenvalues within
+    BOUNDARY_TOL of 0 or 1 snapped there, the normalized factor of eigenmode
+    i is (2 lambda_i - 1) nbar_i n_i + (1 - lambda_i): its trace is 1 for
+    every lambda_i in [0, 1], and at lambda_i = 1 it is the occupied
+    projector nbar_i n_i, so no boundary needs a branch of its own.  Their
+    product weighs the diagonal monomial on mode subset Q with
+    w_Q = prod_{i in Q} (2 lambda_i - 1) prod_{i not in Q} (1 - lambda_i),
+    signed (-1)^{k(k-1)/2} for |Q| = k, and rotating it to the original
+    generators (`change_generators` with v = u^dagger) turns the degree-k
+    block over barred subsets J and plain subsets K into
+    (-1)^{k(k-1)/2} M_k^dagger diag(w) M_k, M_k[Q, J] = det(v[Q, J])
+    (`_compound_blocks`).  The blocks are written straight into kappa's
+    coefficient vector: no star product, trace or rotation of an element.
     """
     gamma = _require_hermitian(gamma, "gamma")
     m = gamma.shape[0]
@@ -86,20 +103,23 @@ def build_quasifree(gamma: np.ndarray) -> tuple[QuasifreeSpec, GrassmannElement]
         raise ValueError(f"one-body spectrum [{lam.min():.3e}, {lam.max():.3e}] leaves [0, 1]")
     lam = np.clip(lam, 0.0, 1.0)
     qs = np.empty(m)
-    r = np.zeros(m)
+    snapped = lam.copy()
     for i, li in enumerate(lam):
         if li <= BOUNDARY_TOL:
-            qs[i] = math.inf
-            r[i] = -1.0
+            qs[i], snapped[i] = math.inf, 0.0
         elif li >= 1.0 - BOUNDARY_TOL:
-            qs[i] = -math.inf
+            qs[i], snapped[i] = -math.inf, 1.0
         else:
             qs[i] = math.log((1.0 - li) / li)
-            r[i] = li / (1.0 - li) - 1.0
-    element = mode_product_expansion(r, occupied=np.isneginf(qs))
-    element = (1.0 / trace_integral(element)) * element
-    kappa = change_generators(element, u.conj().T)
-    return QuasifreeSpec(m, u, lam, qs), kappa
+    order, groups = _degree_order(m)
+    member = (order[:, None] >> np.arange(m)) & 1  # mode i lies in subset Q
+    weights = np.where(member, 2.0 * snapped - 1.0, 1.0 - snapped).prod(axis=1)
+    coeffs = np.zeros((1 << m, 1 << m), dtype=complex)
+    for k, ((subsets, _), minors) in enumerate(zip(groups, _compound_blocks(u.conj().T))):
+        block = (minors.conj().T * weights[subsets]) @ minors
+        masks = order[subsets]
+        coeffs[masks[:, None], masks] = _half_pair_sign(k) * block
+    return QuasifreeSpec(m, u, lam, qs), GrassmannElement.from_vector(m, coeffs.ravel())
 
 
 def mode_product_expansion(r, occupied=None) -> GrassmannElement:
@@ -195,15 +215,17 @@ def _word_product_entries(m: int, max_points: int) -> tuple[tuple, tuple, int]:
     length k - 1 has the children w * (2m - k + 1) + j.  Each level's entries
     are sorted by (row, t), exact zeros dropped; the factors are single
     generators, so every m up to QUASIFREE_CAP is cheap.  Also returns, per
-    even k, the first row of its words and their (n, k) read-only uint8
-    table of generator numbers (pbar_i is i - 1, p_i is m + i - 1), and the
-    number of words.
+    even k, the first row of its n words, k, and the read-only uint8 array
+    (k(k-1)/2, n) of flat two-point indices a * 2m + b of each position pair
+    p < q, pairs in `combinations` order, with a and b the generator numbers
+    at positions p and q (pbar_i is i - 1, p_i is m + i - 1; at most
+    4m^2 - 1 = 255 at QUASIFREE_CAP); and the number of words.
     """
     gens = _generators(m)
     words = np.arange(2 * m)[:, None]  # generator numbers of each word, one word per row
     rows, ts, coeffs = np.arange(2 * m), gens, np.ones(2 * m, dtype=complex)
     out = [(rows, ts, coeffs)]
-    tables = []
+    pair_tables = []
     first = 2 * m
     for k in range(2, max_points + 1):
         width = 2 * m - k + 1
@@ -218,22 +240,24 @@ def _word_product_entries(m: int, max_points: int) -> tuple[tuple, tuple, int]:
         rows, ts = keys >> (2 * m), keys & ((1 << (2 * m)) - 1)
         out.append((rows + first, ts, coeffs))
         if k % 2 == 0:
-            tables.append((first, *_read_only(words.astype(np.uint8))))
+            p, q = np.array(list(combinations(range(k), 2))).T
+            pairs = (words[:, p] * (2 * m) + words[:, q]).T.astype(np.uint8)
+            pair_tables.append((first, k, *_read_only(pairs)))
         first += len(words)
-    return tuple(np.concatenate(part) for part in zip(*out)), tuple(tables), first
+    return tuple(np.concatenate(part) for part in zip(*out)), tuple(pair_tables), first
 
 
 @functools.lru_cache(maxsize=8)
 def _star_word_map(m: int, max_points: int) -> tuple[_LinearMap, tuple]:
-    """kappa -> star_trace(kappa, g1 * ... * gk) over every word, with the even words' tables.
+    """kappa -> star_trace(kappa, g1 * ... * gk) over every word, with the even words' pair tables.
 
-    The Wick side reads the tables; the cache holds at most 8 pairs.
+    The Wick side reads the pair tables; the cache holds at most 8 entries.
     """
     _check_m(m, QUASIFREE_CAP)
     if max_points < 1:
         raise ValueError(f"max_points must be at least 1, got {max_points}")
-    entries, tables, n_words = _word_product_entries(m, max_points)
-    return _linear_map(entries, (n_words,), m), tables
+    entries, pair_tables, n_words = _word_product_entries(m, max_points)
+    return _linear_map(entries, (n_words,), m), pair_tables
 
 
 def _clamp_points(m: int, max_points: int) -> int:
@@ -270,24 +294,25 @@ def _wick_word_values(spec: QuasifreeSpec, max_points: int) -> np.ndarray:
 
     With gamma = u diag(lambda) u^dagger the two-point values are
     <pbar_i p_j> = gamma[j, i] and <p_j pbar_i> = delta_ij - gamma[j, i];
-    same-type pairs give 0.  Odd words vanish; the words of each even length
-    k are gathered from their table beside the `_star_word_map` map and
-    summed over the signed perfect matchings of k positions.
+    same-type pairs give 0.  Odd words vanish; for the words of each even
+    length k one flat `take` from the 2m x 2m two-point matrix gathers the
+    values of every position pair at the indices cached beside the
+    `_star_word_map` map, and they are summed over the signed perfect
+    matchings of k positions.
     """
     m = spec.m
-    word_map, tables = _star_word_map(m, max_points)
+    word_map, pair_tables = _star_word_map(m, max_points)
     gamma = (spec.u * spec.lambdas) @ spec.u.conj().T
     two_point = np.zeros((2 * m, 2 * m), dtype=complex)
     two_point[:m, m:] = gamma.T
     two_point[m:, :m] = np.eye(m) - gamma
+    two_point = two_point.ravel()
     out = np.zeros(word_map.shape[0], dtype=complex)
-    for first, table in tables:
-        k = table.shape[1]
-        pair_values = {(p, q): two_point[table[:, p], table[:, q]]
-                       for p in range(k) for q in range(p + 1, k)}
-        values = out[first:first + len(table)]
-        for sign, pairs in _matchings(k):
-            term = math.prod(pair_values[pq] for pq in pairs)
+    for first, k, pairs in pair_tables:
+        pair_values = dict(zip(combinations(range(k), 2), two_point.take(pairs)))
+        values = out[first:first + pairs.shape[1]]
+        for sign, matching in _matchings(k):
+            term = math.prod(pair_values[pq] for pq in matching)
             values += term if sign > 0 else -term
     return out
 
@@ -318,14 +343,14 @@ def verify_quasifree(kappa: GrassmannElement, spec: QuasifreeSpec, max_points: i
     so all words are one cached sparse map applied to kappa.to_vector()
     (`_star_word_map`); the Wick side evaluates all words of one length at
     once (`_wick_word_values`).  Neither side rotates kappa.  The map has one
-    row per word, sum_k (2m)!/(2m-k)! of them, and its memory grows with
-    that count, at about 55-95 bytes a word: with 4 points 0.11 MB for the
-    2080 words at m = 4, 0.8 MB for the 13,344 at m = 6 and 4.4 MB for the
-    47,296 at m = 8.  With 6 points m = 8 has 6,337,216 words, whose map
-    would hold about 0.4 GB at the 60-70 bytes a word measured with 6 points
-    at m = 4 and 5.  Raises ValueError when kappa and spec differ in m, when
-    m > QUASIFREE_CAP, or when max_points < 1; a max_points above 2m checks
-    the same words as 2m.
+    row per word, sum_k (2m)!/(2m-k)! of them, and its cache entry, map and
+    pair tables, grows with that count, at about 60-100 bytes a word: with
+    4 points 0.12 MB for the 2080 words at m = 4, 0.87 MB for the 13,344 at
+    m = 6 and 4.7 MB for the 47,296 at m = 8.  With 6 points m = 8 has
+    6,337,216 words, whose entry would hold about 0.5 GB at the 75-82 bytes
+    a word measured with 6 points at m = 4 and 5.  Raises ValueError when
+    kappa and spec differ in m, when m > QUASIFREE_CAP, or when
+    max_points < 1; a max_points above 2m checks the same words as 2m.
     """
     if kappa.m != spec.m:
         raise ValueError(f"density has m = {kappa.m} but spec has m = {spec.m}")

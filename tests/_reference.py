@@ -9,6 +9,11 @@ integral eliminates the high block.
 The reference generator change expands every term over each pair of minor
 determinants, one accumulation per (barred minor, plain minor) pair.
 
+The reference quasifree build is the composition that the closed form
+replaced: the eigenbasis mode product written down by
+`mode_product_expansion`, normalized by its trace and rotated to the
+original generators by `change_generators`.
+
 The scalar references walk monomial pairs in Python, one at a time: the
 star product of two term maps over the memoised scalar monomial product
 `algebra._star_monomials_terms`, and the pair trace with its interlocking
@@ -28,13 +33,15 @@ of the condition table are checked.
 """
 
 import functools
+import math
 from itertools import combinations
 
 import numpy as np
 
 from grdm import fock, quasifree
-from grdm.algebra import (GrassmannElement, Monomial, _acc, _half_pair_sign, _indices, _merge_sign,
-                          _star_monomials_terms, multiply, psi, psibar, star, star_trace)
+from grdm.algebra import (BOUNDARY_TOL, GrassmannElement, Monomial, _acc, _half_pair_sign,
+                          _indices, _merge_sign, _star_monomials_terms, change_generators,
+                          multiply, psi, psibar, star, star_trace, trace_integral)
 from grdm.conditions import _validate_pair
 
 
@@ -127,6 +134,30 @@ def change_generators_reference(a, u):
             for umask, udet in ub_parts:
                 _acc(out, Monomial(bmask, umask), cb * udet)
     return GrassmannElement(m, out)
+
+
+def build_quasifree_reference(gamma):
+    """(u, lambdas, qs) and kappa of gamma, through the mode product, its trace and one rotation.
+
+    Eigenvalues within BOUNDARY_TOL of 0 take the factor -nbar n + 1, those
+    within it of 1 the occupied factor nbar n, and the others
+    (lambda / (1 - lambda) - 1) nbar n + 1, before the product is normalized.
+    """
+    lam, u = np.linalg.eigh(gamma)
+    lam = np.clip(lam, 0.0, 1.0)
+    qs = np.empty(len(lam))
+    r = np.zeros(len(lam))
+    for i, li in enumerate(lam):
+        if li <= BOUNDARY_TOL:
+            qs[i] = np.inf
+            r[i] = -1.0
+        elif li >= 1.0 - BOUNDARY_TOL:
+            qs[i] = -np.inf
+        else:
+            qs[i] = math.log((1.0 - li) / li)
+            r[i] = li / (1.0 - li) - 1.0
+    element = quasifree.mode_product_expansion(r, occupied=np.isneginf(qs))
+    return (u, lam, qs), change_generators((1.0 / trace_integral(element)) * element, u.conj().T)
 
 
 @functools.cache

@@ -15,8 +15,8 @@ from grdm.algebra import (
     trace_integral,
     unit,
 )
-from _reference import (canonical_combine, moment_rows_reference, star_word_expectation,
-                        word_product_entries_reference)
+from _reference import (build_quasifree_reference, canonical_combine, moment_rows_reference,
+                        star_word_expectation, word_product_entries_reference)
 from conftest import random_unitary
 
 
@@ -26,7 +26,51 @@ def random_gamma(rng, m, lo=0.05, hi=0.95):
     return v @ np.diag(lam) @ v.conj().T
 
 
+def _spectra(rng, m):
+    """Named test spectra: random, exact 0 / 1 / 0.5, within BOUNDARY_TOL of 0 and 1, degenerate."""
+    lo, hi = 0.3 * qf.BOUNDARY_TOL, 1.0 - 0.3 * qf.BOUNDARY_TOL
+    yield "random", rng.uniform(0.0, 1.0, m)
+    yield "exact", rng.choice([0.0, 1.0, 0.5], m)
+    yield "near-boundary", rng.choice([lo, hi, -lo, 2.0 - hi, 0.3], m)
+    degenerate = rng.uniform(0.0, 1.0, m)
+    degenerate[: (m + 1) // 2] = degenerate[0]
+    yield "degenerate", degenerate
+
+
 class TestBuild:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_closed_form_equals_rotated_mode_product(self, m):
+        # the closed-form coefficients against the normalized eigenbasis mode
+        # product rotated by change_generators: same spec, same terms
+        rng = np.random.default_rng(900 + m)
+        for name, lam in _spectra(rng, m):
+            v = random_unitary(rng, m)
+            gamma = v @ np.diag(lam) @ v.conj().T
+            spec, kappa = qf.build_quasifree(gamma)
+            (u, lambdas, qs), want = build_quasifree_reference(gamma)
+            assert np.array_equal(spec.u, u) and np.array_equal(spec.lambdas, lambdas)
+            assert np.array_equal(spec.qs, qs)
+            scale = 1.0 + want.norm_max()
+            assert max_coeff_difference(kappa, want) <= 1e-14 * scale, name
+            assert len(kappa.arrays()[0]) == len(want.arrays()[0]), name
+
+    @pytest.mark.parametrize("m", [4, 6, 8])
+    def test_fully_degenerate_spectrum(self, m):
+        # gamma = c 1 in a rotated basis: kappa is the same product in every
+        # basis, so only its 2**m diagonal terms (bar == unbar) stand above
+        # roundoff, here and in the reference; the count of roundoff terms
+        # that cancel to exactly 0 is not compared
+        rng = np.random.default_rng(950 + m)
+        v = random_unitary(rng, m)
+        gamma = v @ (0.4 * np.eye(m)) @ v.conj().T
+        spec, kappa = qf.build_quasifree(gamma)
+        want = build_quasifree_reference(gamma)[1]
+        assert max_coeff_difference(kappa, want) <= 1e-14 * (1.0 + want.norm_max())
+        index, coeffs = kappa.arrays()
+        diagonal = (index >> m) == (index & ((1 << m) - 1))
+        assert diagonal.sum() == 1 << m
+        assert np.max(np.abs(coeffs[~diagonal]), initial=0.0) <= 1e-14
+
     def test_maximally_mixed(self):
         spec, kappa = qf.build_quasifree(0.5 * np.eye(2))
         want = fock.from_operator(np.eye(4) / 4)
@@ -231,7 +275,8 @@ class TestWick:
         assert qf.words_checked(1, 8) == qf.words_checked(1, 2) == 4
         assert qf._matchings.cache_info().currsize == 2  # k = 0 and 2
         assert qf._star_word_map.cache_info().currsize == 1
-        assert [table.shape[1] for _, table in qf._star_word_map(1, 2)[1]] == [2]
+        # one even level, k = 2: its one position pair over the 2 words
+        assert [(k, pairs.shape) for _, k, pairs in qf._star_word_map(1, 2)[1]] == [(2, (1, 2))]
 
     @pytest.mark.parametrize("m, points", [(2, 4), (3, 6), (4, 4)])
     def test_word_map_matches_per_word_reference(self, rng, m, points):

@@ -34,7 +34,12 @@ def test_scripts_exit_0():
         assert proc.returncode == 0, f"{script} exited {proc.returncode}: {err}"
         assert out.strip(), f"{script} printed nothing"
         if script == "quasifree_recovery.py":
-            assert "pdm2 dev" in out
+            # a header, then one row per spectrum window ending in the two medians
+            rows = [line.split() for line in out.strip().splitlines()]
+            assert rows[0] == ["window", "pdm1", "dev", "pdm2", "dev", "wick", "dev",
+                               "build", "ms", "verify", "ms"]
+            assert len(rows) == 5 and all(len(row) == 8 for row in rows[1:])
+            assert all(float(row[-2]) > 0 and float(row[-1]) > 0 for row in rows[1:])
         if script == "map_build_times.py":
             # a header, then one row per build with one median per m
             rows = [line.split() for line in out.strip().splitlines()]

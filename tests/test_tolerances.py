@@ -104,12 +104,16 @@ NON_FINITE_CASES = {
     "contraction_check": (lambda bad: fock.contraction_check(SECTOR_RHO,
                                                              onb=_with(np.eye(3), (2, 2), bad)),
                           "onb"),
+    "contraction_check_rho": (lambda bad: fock.contraction_check(_with(SECTOR_RHO, (3, 3), bad)),
+                              "density"),
     "expectation": (lambda bad: expectation(_unit_trace_density(bad), unit(2)), "density"),
     "pdm1_from_density": (lambda bad: cond.pdm1_from_density(_unit_trace_density(bad)),
                           "density"),
 }
 
 
+# finiteness is checked before any arithmetic, so numpy never warns first
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)], ids=["nan", "inf", "-infj"])
 @pytest.mark.parametrize("case", NON_FINITE_CASES)
 def test_non_finite_input_raises_naming_it(case, bad):
