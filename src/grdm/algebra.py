@@ -741,6 +741,15 @@ def _read_only(*arrays):
     return arrays
 
 
+def _index_dtype(largest: int) -> np.dtype:
+    """The smallest dtype that holds every index from 0 to `largest`, for cached index arrays.
+
+    Taken from the largest index itself, never from a cap, so raising a cap
+    widens the dtype instead of letting the indices wrap.
+    """
+    return np.min_scalar_type(largest)
+
+
 def _coo_apply(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, vec: np.ndarray,
                n: int) -> np.ndarray:
     """out[rows] += vals * vec[cols] over COO arrays, duplicates summed in array order."""

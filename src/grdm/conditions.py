@@ -64,7 +64,6 @@ from .algebra import (
     _sum_terms,
     monomial_element,
 )
-from . import fock
 
 
 @dataclass(frozen=True)
@@ -441,29 +440,6 @@ def check_T2_full(kappa: GrassmannElement) -> ConditionReport:
     return condition_form_report(kappa, "T2")
 
 
-def t2a_value(gamma: np.ndarray, Gamma: np.ndarray, T: np.ndarray) -> float:
-    """Specialized T2 value for pair-antisymmetric tensors with no linear part.
-
-    The trace terms use the reindexed slices [Ttilde_k]_{ij} = [T_j]_{ik};
-    the pair-space form keeps the original slices [T_q]_{ij} = T[i, j, q],
-    which is the reading consistent with the generalized value (the
-    rearranged statement with Ttilde in all three terms is not).
-    """
-    gamma, Gamma, m = _validate_pair(gamma, Gamma)
-    T = np.asarray(T, dtype=complex)
-    Tt = T.transpose(0, 2, 1)  # Ttilde[i, j, k] = T[i, k, j]
-    g4 = Gamma.reshape(m, m, m, m)
-    total = 0j
-    for q in range(m):
-        v = T[:, :, q].reshape(-1)
-        total += np.vdot(v, Gamma @ v)
-        tq = Tt[:, :, q]
-        # tr{(Ttilde_q^* (x) Ttilde_q) Gamma} with the adjoint on the first leg
-        total += 4 * np.einsum("ki,jl,klij->", tq.conj(), tq, g4)
-        total += 2 * np.trace(tq.conj().T @ tq @ gamma)
-    return float(total.real)
-
-
 # ---------------------------------------------------------------------------
 # closed forms as index maps on (Gamma, gamma)
 
@@ -694,8 +670,11 @@ def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -
 
     Per-trial seeds derive deterministically from the master seed, so the
     summary is reproducible.  Each density's moments are computed once and
-    serve its pdms and its Grassmann forms.
+    serve its pdms and its Grassmann forms.  The Fock oracle is imported
+    here, its one user in this module, so `grdm check` never loads it.
     """
+    from . import fock
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:

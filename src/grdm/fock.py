@@ -26,9 +26,9 @@ import functools
 import numpy as np
 
 from .algebra import (FOCK_CAP, FOCK_DENSITY_TOL, OPERATOR_PRUNE_REL_TOL, SECTOR_TOL,
-                      SLATER_NORM_TOL, GrassmannElement, _check_m, _coo_apply, _merge_parity,
-                      _parity, _read_only, _require_finite, _require_hermitian, _require_unitary,
-                      prune)
+                      SLATER_NORM_TOL, GrassmannElement, _check_m, _coo_apply, _index_dtype,
+                      _merge_parity, _parity, _read_only, _require_finite, _require_hermitian,
+                      _require_unitary, prune)
 
 
 def _infer_m(mat: np.ndarray) -> int:
@@ -142,9 +142,11 @@ def _element_map(m: int):
     patterns, 5^m entries in all.  The entries run by src, then by Z
     descending, and carry the signs of `from_operator`'s sum.
     """
-    # masks of at most FOCK_CAP = 8 modes; one byte each keeps the m = 8 temporaries small
-    x = y = z = np.zeros(1, dtype=np.uint8)
-    patterns = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], dtype=np.uint8)
+    # masks in the smallest dtype that holds 2^m - 1, so one byte each up to
+    # m = 8 keeps the m = 8 temporaries small
+    dtype = _index_dtype((1 << m) - 1)
+    x = y = z = np.zeros(1, dtype=dtype)
+    patterns = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], dtype=dtype)
     for b in range(m):
         x, y, z = ((v[:, None] | (patterns[:, c] << b)).ravel() for c, v in enumerate((x, y, z)))
     src = (x.astype(np.intp) << m) | y
@@ -239,15 +241,6 @@ def pdms_from_rho(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gamma = _coo_apply(*gamma_map, flat, m * m).reshape(m, m)
     Gamma = _coo_apply(*Gamma_map, flat, m ** 4).reshape(m * m, m * m)
     return gamma, Gamma
-
-
-def exchange_matrix(m: int) -> np.ndarray:
-    """Swap operator on the pair space: Ex[(i,j),(k,l)] = delta_il delta_jk."""
-    ex = np.zeros((m * m, m * m))
-    for i in range(m):
-        for j in range(m):
-            ex[i * m + j, j * m + i] = 1.0
-    return ex
 
 
 def sector_projector(m: int, n_particles: int) -> np.ndarray:

@@ -8,8 +8,10 @@ holds on all of [0, 1] once eigenvalues within BOUNDARY_TOL of 0 or 1 are
 snapped there, and in the original generators each degree-k block of its
 coefficients is a compound-matrix product: the k x k minors of the
 eigenvectors weighted by the products of those factors over the mode
-subsets.  The spec keeps the exponents q = ln((1 - lambda)/lambda), +inf
-and -inf at the boundary.  `mode_product_expansion` writes the eigenbasis
+subsets; coefficients at or below PRUNE_REL_TOL of the largest, the
+roundoff a degenerate spectrum leaves in its cancelling sums, are dropped.
+The spec keeps the exponents q = ln((1 - lambda)/lambda), +inf and -inf at
+the boundary.  `mode_product_expansion` writes the eigenbasis
 product as an element; with `change_generators` it is the tests' reference
 for the build.
 
@@ -21,9 +23,9 @@ the generator words, from the Grassmann kernels alone (the `_star_pairs`
 kernel level by level, then the pair-trace moment rows), and cached with
 the flat two-point indices of every position pair of its even words; the
 Wick side gathers all words of one length with one `take` from those
-indices and sums over the signed perfect matchings.  `wick_expectation` is
-the per-word reference of the Wick side; the tests keep the per-word star
-fold that the map is checked against.  Everything here runs up to
+indices and sums over the signed perfect matchings.  The tests keep the
+per-word references of both sides, the star fold and the Wick pairing
+recursion.  Everything here runs up to
 QUASIFREE_CAP = 8 generators, past the star product's cap, since no step
 multiplies two full elements.
 """
@@ -47,10 +49,12 @@ from .algebra import (
     _degree_order,
     _generators,
     _half_pair_sign,
+    _index_dtype,
     _read_only,
     _require_hermitian,
     _star_pairs,
     _sum_terms,
+    prune,
 )
 from .conditions import _LinearMap, _linear_map
 
@@ -94,6 +98,9 @@ def build_quasifree(gamma: np.ndarray) -> tuple[QuasifreeSpec, GrassmannElement]
     (-1)^{k(k-1)/2} M_k^dagger diag(w) M_k, M_k[Q, J] = det(v[Q, J])
     (`_compound_blocks`).  The blocks are written straight into kappa's
     coefficient vector: no star product, trace or rotation of an element.
+    `prune` drops the coefficients at or below PRUNE_REL_TOL of the largest:
+    a degenerate spectrum makes M_k^dagger diag(w) M_k a multiple of the
+    identity, whose off-diagonal sums cancel only to roundoff.
     """
     gamma = _require_hermitian(gamma, "gamma")
     m = gamma.shape[0]
@@ -119,7 +126,7 @@ def build_quasifree(gamma: np.ndarray) -> tuple[QuasifreeSpec, GrassmannElement]
         block = (minors.conj().T * weights[subsets]) @ minors
         masks = order[subsets]
         coeffs[masks[:, None], masks] = _half_pair_sign(k) * block
-    return QuasifreeSpec(m, u, lam, qs), GrassmannElement.from_vector(m, coeffs.ravel())
+    return QuasifreeSpec(m, u, lam, qs), prune(GrassmannElement.from_vector(m, coeffs.ravel()))
 
 
 def mode_product_expansion(r, occupied=None) -> GrassmannElement:
@@ -154,49 +161,6 @@ def mode_product_expansion(r, occupied=None) -> GrassmannElement:
     return GrassmannElement(m, terms)
 
 
-def _two_point(lambdas: np.ndarray, a: tuple[int, bool], b: tuple[int, bool]) -> float:
-    """Eigenbasis two-point value of generator a star generator b."""
-    (i, bar_a), (j, bar_b) = a, b
-    if bar_a == bar_b or i != j:
-        return 0.0
-    lam = float(lambdas[i - 1])
-    return lam if bar_a else 1.0 - lam
-
-
-def wick_expectation(spec: QuasifreeSpec, word) -> complex:
-    """Pairing-sum expectation of a generator word in the eigenbasis.
-
-    `word` is a sequence of (index, barred) pairs with 1-based indices, read
-    left to right as a star product.  Odd words vanish; even words expand
-    over ordered pairings signed by permutation parity, with number-conserving
-    two-point values delta_ij lambda_i and delta_ij (1 - lambda_i).
-    """
-    word = list(word)
-    for idx, _ in word:
-        if not 1 <= idx <= spec.m:
-            raise ValueError(f"word references generator index {idx} outside [1, {spec.m}]")
-    if len(word) % 2:
-        return 0j
-
-    lambdas = spec.lambdas
-
-    def pair_sum(items) -> complex:
-        if not items:
-            return 1.0 + 0j
-        head = items[0]
-        total = 0j
-        sign = 1
-        for pos in range(1, len(items)):
-            val = _two_point(lambdas, head, items[pos])
-            if val:
-                rest = items[1:pos] + items[pos + 1:]
-                total += sign * val * pair_sum(rest)
-            sign = -sign
-        return total
-
-    return pair_sum(word)
-
-
 def generator_words(m: int, max_points: int):
     """All words of distinct generators up to the given length."""
     gens = [(i, True) for i in range(1, m + 1)] + [(i, False) for i in range(1, m + 1)]
@@ -215,11 +179,12 @@ def _word_product_entries(m: int, max_points: int) -> tuple[tuple, tuple, int]:
     length k - 1 has the children w * (2m - k + 1) + j.  Each level's entries
     are sorted by (row, t), exact zeros dropped; the factors are single
     generators, so every m up to QUASIFREE_CAP is cheap.  Also returns, per
-    even k, the first row of its n words, k, and the read-only uint8 array
+    even k, the first row of its n words, k, and the read-only array
     (k(k-1)/2, n) of flat two-point indices a * 2m + b of each position pair
     p < q, pairs in `combinations` order, with a and b the generator numbers
-    at positions p and q (pbar_i is i - 1, p_i is m + i - 1; at most
-    4m^2 - 1 = 255 at QUASIFREE_CAP); and the number of words.
+    at positions p and q (pbar_i is i - 1, p_i is m + i - 1), in the
+    smallest dtype that holds 4m^2 - 1 (uint8 up to m = 8); and the number
+    of words.
     """
     gens = _generators(m)
     words = np.arange(2 * m)[:, None]  # generator numbers of each word, one word per row
@@ -241,7 +206,7 @@ def _word_product_entries(m: int, max_points: int) -> tuple[tuple, tuple, int]:
         out.append((rows + first, ts, coeffs))
         if k % 2 == 0:
             p, q = np.array(list(combinations(range(k), 2))).T
-            pairs = (words[:, p] * (2 * m) + words[:, q]).T.astype(np.uint8)
+            pairs = (words[:, p] * (2 * m) + words[:, q]).T.astype(_index_dtype(4 * m * m - 1))
             pair_tables.append((first, k, *_read_only(pairs)))
         first += len(words)
     return tuple(np.concatenate(part) for part in zip(*out)), tuple(pair_tables), first
@@ -275,8 +240,7 @@ def _matchings(k: int) -> tuple:
     """Signed perfect matchings of positions 0..k-1, as (sign, ((p, q), ...)) with p < q.
 
     Position 0 pairs with each later position in turn, with the alternating
-    sign of the recursion in `wick_expectation`: 1, 3 and 15 matchings for
-    k = 2, 4 and 6.
+    sign of the pairing recursion: 1, 3 and 15 matchings for k = 2, 4 and 6.
     """
     if k == 0:
         return ((1, ()),)
@@ -358,11 +322,3 @@ def verify_quasifree(kappa: GrassmannElement, spec: QuasifreeSpec, max_points: i
     lhs = _star_word_map(spec.m, max_points)[0].apply(kappa.to_vector())
     rhs = _wick_word_values(spec, max_points)
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def quasifree_from_lambdas(lambdas, m: int) -> tuple[QuasifreeSpec, GrassmannElement]:
-    """Diagonal quasifree density with the given mode occupations."""
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.shape != (m,):
-        raise ValueError(f"expected {m} occupations, got shape {lam.shape}")
-    return build_quasifree(np.diag(lam).astype(complex))

@@ -29,7 +29,12 @@ built entry by entry, with the scalar sign kernels per entry.
 
 The dense closed-form references build the Q and G matrices from
 (gamma, Gamma) with kron products and einsum, against which the index maps
-of the condition table are checked.
+of the condition table are checked, with the pair exchange matrix and the
+specialized T2 value `t2a_value` beside them.
+
+The quasifree references are the per-word Wick pairing recursion in the
+eigenbasis, `wick_expectation`, against which the batched Wick side is
+checked, and the diagonal build from mode occupations.
 """
 
 import functools
@@ -372,7 +377,7 @@ def q_condition_matrix(gamma, Gamma):
     """Q's closed form Gamma + (1 - Ex)(1 - gamma (x) 1 - 1 (x) gamma), Ex the pair exchange."""
     gamma, Gamma, m = _validate_pair(gamma, Gamma)
     eye = np.eye(m)
-    ex = fock.exchange_matrix(m)
+    ex = exchange_matrix(m)
     x = np.eye(m * m) - np.kron(gamma, eye) - np.kron(eye, gamma)
     return Gamma + (np.eye(m * m) - ex) @ x
 
@@ -388,3 +393,86 @@ def g_condition_matrix(gamma, Gamma):
     t2 = g4.transpose(0, 3, 2, 1)
     t3 = np.einsum("kl,nm->klmn", gamma, gamma)
     return (t1 - t2 - t3).reshape(m * m, m * m)
+
+
+def exchange_matrix(m):
+    """Swap operator on the pair space: Ex[(i,j),(k,l)] = delta_il delta_jk."""
+    ex = np.zeros((m * m, m * m))
+    for i in range(m):
+        for j in range(m):
+            ex[i * m + j, j * m + i] = 1.0
+    return ex
+
+
+def t2a_value(gamma, Gamma, T):
+    """Specialized T2 value for pair-antisymmetric tensors with no linear part.
+
+    The trace terms use the reindexed slices [Ttilde_k]_{ij} = [T_j]_{ik};
+    the pair-space form keeps the original slices [T_q]_{ij} = T[i, j, q],
+    which is the reading consistent with the generalized value (the
+    rearranged statement with Ttilde in all three terms is not).
+    """
+    gamma, Gamma, m = _validate_pair(gamma, Gamma)
+    T = np.asarray(T, dtype=complex)
+    Tt = T.transpose(0, 2, 1)  # Ttilde[i, j, k] = T[i, k, j]
+    g4 = Gamma.reshape(m, m, m, m)
+    total = 0j
+    for q in range(m):
+        v = T[:, :, q].reshape(-1)
+        total += np.vdot(v, Gamma @ v)
+        tq = Tt[:, :, q]
+        # tr{(Ttilde_q^* (x) Ttilde_q) Gamma} with the adjoint on the first leg
+        total += 4 * np.einsum("ki,jl,klij->", tq.conj(), tq, g4)
+        total += 2 * np.trace(tq.conj().T @ tq @ gamma)
+    return float(total.real)
+
+
+def _two_point(lambdas, a, b):
+    """Eigenbasis two-point value of generator a star generator b."""
+    (i, bar_a), (j, bar_b) = a, b
+    if bar_a == bar_b or i != j:
+        return 0.0
+    lam = float(lambdas[i - 1])
+    return lam if bar_a else 1.0 - lam
+
+
+def wick_expectation(spec, word):
+    """Pairing-sum expectation of a generator word in the eigenbasis.
+
+    `word` is a sequence of (index, barred) pairs with 1-based indices, read
+    left to right as a star product.  Odd words vanish; even words expand
+    over ordered pairings signed by permutation parity, with number-conserving
+    two-point values delta_ij lambda_i and delta_ij (1 - lambda_i).
+    """
+    word = list(word)
+    for idx, _ in word:
+        if not 1 <= idx <= spec.m:
+            raise ValueError(f"word references generator index {idx} outside [1, {spec.m}]")
+    if len(word) % 2:
+        return 0j
+
+    lambdas = spec.lambdas
+
+    def pair_sum(items):
+        if not items:
+            return 1.0 + 0j
+        head = items[0]
+        total = 0j
+        sign = 1
+        for pos in range(1, len(items)):
+            val = _two_point(lambdas, head, items[pos])
+            if val:
+                rest = items[1:pos] + items[pos + 1:]
+                total += sign * val * pair_sum(rest)
+            sign = -sign
+        return total
+
+    return pair_sum(word)
+
+
+def quasifree_from_lambdas(lambdas, m):
+    """Diagonal quasifree density with the given mode occupations."""
+    lam = np.asarray(lambdas, dtype=float)
+    if lam.shape != (m,):
+        raise ValueError(f"expected {m} occupations, got shape {lam.shape}")
+    return quasifree.build_quasifree(np.diag(lam).astype(complex))

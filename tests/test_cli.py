@@ -494,25 +494,53 @@ def test_parser_built_once_per_process(pdm_file, tmp_path):
     assert {r["tol"] for r in override} == {0.5}
 
 
-def test_import_pulls_no_scipy(tmp_path):
-    # grdm depends on numpy alone: neither importing the CLI nor a cold check,
-    # fuzz or quasifree run may load scipy, or numpy.ma (about 14 ms cold)
+def _fresh_process(code: str) -> list:
+    """Run `code` in a fresh interpreter on this checkout's grdm; it prints one JSON value."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(grdm.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return json.loads(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                     text=True, check=True).stdout)
+
+
+def test_import_pulls_no_scipy(tmp_path):
+    # grdm depends on numpy alone, and each command loads only the grdm
+    # modules it runs: in a fresh process a cold check, fuzz or quasifree run
+    # loads neither scipy nor numpy.ma (about 14 ms cold), check needs no Fock
+    # oracle and no quasifree module, fuzz adds the oracle, quasifree its module
     gamma, Gamma = fock.pdms_from_rho(fock.random_density(5, 11))
     pair, gpath = tmp_path / "pair.json", tmp_path / "gamma.json"
     serialize.atomic_write_json(str(pair), {"gamma": serialize.matrix_to_dict(gamma, "gamma", 5),
                                             "Gamma": serialize.matrix_to_dict(Gamma, "Gamma", 5)})
     serialize.atomic_write_json(str(gpath), serialize.matrix_to_dict(
         np.diag([0.2, 0.4, 0.6, 0.8]), "gamma", 4))
-    runs = [["check", "--in", str(pair), "--out", str(tmp_path / "r.json")],
-            ["fuzz", "--m", "3", "--trials", "1", "--out", str(tmp_path / "f.json")],
-            ["quasifree", "--in", str(gpath), "--out", str(tmp_path / "q.json")]]
-    code = ("import sys, grdm.cli; "
-            f"codes = [grdm.cli.main(argv) for argv in {runs!r}]; "
-            "print(codes, sorted(k for k in sys.modules "
-            "if k.split('.')[0] == 'scipy' or k.split('.')[:2] == ['numpy', 'ma']))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[0, 0, 0] []"
+    check = ["grdm", "grdm.algebra", "grdm.cli", "grdm.conditions", "grdm.serialize"]
+    runs = [(["check", "--in", str(pair), "--out", str(tmp_path / "r.json")], check),
+            (["fuzz", "--m", "3", "--trials", "1", "--out", str(tmp_path / "f.json")],
+             sorted(check + ["grdm.fock"])),
+            (["quasifree", "--in", str(gpath), "--out", str(tmp_path / "q.json")],
+             sorted(check + ["grdm.quasifree"]))]
+    for argv, modules in runs:
+        code = ("import json, sys; from grdm import cli; rc = cli.main(%r); "
+                "print(json.dumps([rc, sorted(k for k in sys.modules if k.split('.')[0] == 'grdm'), "
+                "sorted(k for k in sys.modules "
+                "if k.split('.')[0] == 'scipy' or k.split('.')[:2] == ['numpy', 'ma'])]))" % argv)
+        assert _fresh_process(code) == [0, modules, []], argv[0]
+
+
+def test_package_exports_load_lazily():
+    # a bare `import grdm` loads no submodule; every exported name, and every
+    # submodule as an attribute, resolves on first access
+    code = ("import json, sys, grdm; "
+            "loaded = sorted(k for k in sys.modules if k.startswith('grdm.')); "
+            "fock = grdm.fock.__name__; "
+            "names = [n for n in grdm.__all__ if getattr(grdm, n, None) is None]; "
+            "print(json.dumps([loaded, fock, names, "
+            "sorted(k for k in sys.modules if k.startswith('grdm.'))]))")
+    loaded, fock_name, unresolved, after = _fresh_process(code)
+    assert loaded == [] and fock_name == "grdm.fock" and unresolved == []
+    assert after == ["grdm.algebra", "grdm.conditions", "grdm.fock", "grdm.quasifree"]
+    assert grdm.build_quasifree is quasifree.build_quasifree
+    assert "fock" in dir(grdm) and set(grdm.__all__) <= set(dir(grdm))
+    with pytest.raises(AttributeError, match="no attribute 'wick_expectation'"):
+        grdm.wick_expectation

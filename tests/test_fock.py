@@ -19,7 +19,8 @@ from grdm.algebra import (
     unit,
 )
 from conftest import rand_element, random_unitary
-from _reference import element_map_reference, pdms_from_rho_reference, to_operator_reference
+from _reference import (element_map_reference, exchange_matrix, pdms_from_rho_reference,
+                        to_operator_reference)
 
 
 class TestLadders:
@@ -218,7 +219,7 @@ class TestPdms:
         rho = np.outer(state, state.conj())
         gamma, Gamma = fock.pdms_from_rho(rho)
         assert np.allclose(gamma, np.diag([1.0] * n + [0.0] * (m - n)), atol=1e-12)
-        ex = fock.exchange_matrix(m)
+        ex = exchange_matrix(m)
         assert np.allclose(Gamma, (np.eye(m * m) - ex) @ np.kron(gamma, gamma), atol=1e-12)
 
     def test_slater_random_orbitals(self, rng):
@@ -228,7 +229,7 @@ class TestPdms:
         rho = np.outer(state, state.conj())
         gamma, Gamma = fock.pdms_from_rho(rho)
         assert np.allclose(gamma, orbitals @ orbitals.conj().T, atol=1e-12)
-        ex = fock.exchange_matrix(m)
+        ex = exchange_matrix(m)
         assert np.max(np.abs(Gamma - (np.eye(m * m) - ex) @ np.kron(gamma, gamma))) < 1e-12
 
     def test_trace_identities(self, rng):
@@ -245,7 +246,7 @@ class TestPdms:
             gamma, Gamma = fock.pdms_from_rho(rho)
             assert np.max(np.abs(gamma - gamma.conj().T)) < 1e-12
             assert np.max(np.abs(Gamma - Gamma.conj().T)) < 1e-12
-            ex = fock.exchange_matrix(m)
+            ex = exchange_matrix(m)
             assert np.max(np.abs(ex @ Gamma + Gamma)) < 1e-12
             assert np.max(np.abs(Gamma @ ex + Gamma)) < 1e-12
 

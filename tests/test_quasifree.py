@@ -10,13 +10,15 @@ from grdm.algebra import (
     change_generators,
     max_coeff_difference,
     monomial_element,
+    prune,
     psibar,
     star,
     trace_integral,
     unit,
 )
 from _reference import (build_quasifree_reference, canonical_combine, moment_rows_reference,
-                        star_word_expectation, word_product_entries_reference)
+                        quasifree_from_lambdas, star_word_expectation, wick_expectation,
+                        word_product_entries_reference)
 from conftest import random_unitary
 
 
@@ -41,7 +43,8 @@ class TestBuild:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_closed_form_equals_rotated_mode_product(self, m):
         # the closed-form coefficients against the normalized eigenbasis mode
-        # product rotated by change_generators: same spec, same terms
+        # product rotated by change_generators: same spec, same terms once the
+        # reference's roundoff is pruned as the build prunes its own
         rng = np.random.default_rng(900 + m)
         for name, lam in _spectra(rng, m):
             v = random_unitary(rng, m)
@@ -52,24 +55,33 @@ class TestBuild:
             assert np.array_equal(spec.qs, qs)
             scale = 1.0 + want.norm_max()
             assert max_coeff_difference(kappa, want) <= 1e-14 * scale, name
-            assert len(kappa.arrays()[0]) == len(want.arrays()[0]), name
+            assert np.array_equal(kappa.arrays()[0], prune(want).arrays()[0]), name
 
     @pytest.mark.parametrize("m", [4, 6, 8])
     def test_fully_degenerate_spectrum(self, m):
         # gamma = c 1 in a rotated basis: kappa is the same product in every
         # basis, so only its 2**m diagonal terms (bar == unbar) stand above
-        # roundoff, here and in the reference; the count of roundoff terms
-        # that cancel to exactly 0 is not compared
+        # roundoff, and the build keeps exactly those; the reference keeps
+        # the roundoff of its sums
         rng = np.random.default_rng(950 + m)
         v = random_unitary(rng, m)
         gamma = v @ (0.4 * np.eye(m)) @ v.conj().T
         spec, kappa = qf.build_quasifree(gamma)
         want = build_quasifree_reference(gamma)[1]
         assert max_coeff_difference(kappa, want) <= 1e-14 * (1.0 + want.norm_max())
-        index, coeffs = kappa.arrays()
-        diagonal = (index >> m) == (index & ((1 << m) - 1))
-        assert diagonal.sum() == 1 << m
-        assert np.max(np.abs(coeffs[~diagonal]), initial=0.0) <= 1e-14
+        index = kappa.arrays()[0]
+        assert len(index) == 1 << m
+        assert np.array_equal(index >> m, index & ((1 << m) - 1))
+        assert len(want.arrays()[0]) > 1 << m
+
+    def test_generic_spectrum_keeps_every_number_conserving_term(self, rng):
+        # the prune drops only roundoff: with the spectrum inside (0.05, 0.95)
+        # every |bar| = |unbar| coefficient stays, 70 at m = 4
+        for _ in range(50):
+            u = random_unitary(rng, 4)
+            gamma = (u * rng.uniform(0.05, 0.95, 4)) @ u.conj().T
+            index = qf.build_quasifree(gamma)[1].arrays()[0]
+            assert len(index) == 70
 
     def test_maximally_mixed(self):
         spec, kappa = qf.build_quasifree(0.5 * np.eye(2))
@@ -155,41 +167,41 @@ class TestWick:
     def test_two_point_values(self):
         m = 3
         lam = np.array([0.2, 0.5, 0.7])
-        spec, kappa = qf.quasifree_from_lambdas(lam, m)
+        spec, kappa = quasifree_from_lambdas(lam, m)
         for i in range(1, m + 1):
             # <pbar_i star p_i> = lambda_i, computed both ways
             word = [(i, True), (i, False)]
-            assert qf.wick_expectation(spec, word) == pytest.approx(lam[i - 1])
+            assert wick_expectation(spec, word) == pytest.approx(lam[i - 1])
             assert star_word_expectation(kappa, word) == pytest.approx(lam[i - 1])
             rev = [(i, False), (i, True)]
-            assert qf.wick_expectation(spec, rev) == pytest.approx(1 - lam[i - 1])
+            assert wick_expectation(spec, rev) == pytest.approx(1 - lam[i - 1])
 
     def test_four_point_occupation_product(self):
         m = 2
         lam = np.array([0.3, 0.8])
-        spec, kappa = qf.quasifree_from_lambdas(lam, m)
+        spec, kappa = quasifree_from_lambdas(lam, m)
         word = [(1, True), (1, False), (2, True), (2, False)]
         want = lam[0] * lam[1]
-        assert qf.wick_expectation(spec, word) == pytest.approx(want)
+        assert wick_expectation(spec, word) == pytest.approx(want)
         assert star_word_expectation(kappa, word) == pytest.approx(want)
 
     def test_odd_words_vanish(self, rng):
         m = 3
-        spec, kappa = qf.quasifree_from_lambdas(rng.uniform(0.1, 0.9, m), m)
+        spec, kappa = quasifree_from_lambdas(rng.uniform(0.1, 0.9, m), m)
         for word in qf.generator_words(m, 3):
             if len(word) % 2:
-                assert qf.wick_expectation(spec, word) == 0
+                assert wick_expectation(spec, word) == 0
                 assert abs(star_word_expectation(kappa, list(word))) < 1e-12
 
     def test_number_nonconserving_pairs_vanish(self):
-        spec, _ = qf.quasifree_from_lambdas([0.4, 0.6], 2)
-        assert qf.wick_expectation(spec, [(1, True), (2, True)]) == 0
-        assert qf.wick_expectation(spec, [(1, False), (2, False)]) == 0
+        spec, _ = quasifree_from_lambdas([0.4, 0.6], 2)
+        assert wick_expectation(spec, [(1, True), (2, True)]) == 0
+        assert wick_expectation(spec, [(1, False), (2, False)]) == 0
 
     def test_index_validation(self):
-        spec, _ = qf.quasifree_from_lambdas([0.4, 0.6], 2)
+        spec, _ = quasifree_from_lambdas([0.4, 0.6], 2)
         with pytest.raises(ValueError, match="outside"):
-            qf.wick_expectation(spec, [(3, True), (3, False)])
+            wick_expectation(spec, [(3, True), (3, False)])
 
     def test_verify_quasifree_small_dev(self, rng):
         for m, points in ((3, 6), (5, 4), (6, 4)):
@@ -208,7 +220,7 @@ class TestWick:
             assert qf.verify_quasifree(kappa, spec, max_points=4) > 1e-3
 
     def test_max_points_below_one_rejected(self):
-        spec, kappa = qf.quasifree_from_lambdas([0.4, 0.6], 2)
+        spec, kappa = quasifree_from_lambdas([0.4, 0.6], 2)
         for points in (0, -3):
             with pytest.raises(ValueError, match="max_points"):
                 qf.verify_quasifree(kappa, spec, max_points=points)
@@ -228,7 +240,7 @@ class TestWick:
         m = 3
         lam = np.array([0.15, 0.5, 0.8])
         spec = qf.QuasifreeSpec(m, np.eye(m, dtype=complex), lam, np.log((1 - lam) / lam))
-        want = np.array([qf.wick_expectation(spec, w) for w in qf.generator_words(m, 6)])
+        want = np.array([wick_expectation(spec, w) for w in qf.generator_words(m, 6)])
         got = qf._wick_word_values(spec, 6)
         assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -264,7 +276,7 @@ class TestWick:
     def test_max_points_above_2m_is_clamped(self):
         # no word of distinct generators is longer than 2m: at m = 1 nothing
         # past k = 2 may be built, neither a word table nor a matching
-        spec, kappa = qf.quasifree_from_lambdas([0.3], 1)
+        spec, kappa = quasifree_from_lambdas([0.3], 1)
         for cached in (qf._matchings, qf._star_word_map):
             cached.cache_clear()
         first = qf.verify_quasifree(kappa, spec, max_points=8)
@@ -309,7 +321,7 @@ class TestWick:
     def test_pull_through_identity(self):
         m = 3
         lam = np.array([0.2, 0.5, 0.7])
-        spec, kappa = qf.quasifree_from_lambdas(lam, m)
+        spec, kappa = quasifree_from_lambdas(lam, m)
         kd = change_generators(kappa, spec.u)
         for i in range(1, m + 1):
             lhs = star(psibar(i, m), kd)
@@ -319,7 +331,7 @@ class TestWick:
     def test_pdm2_diagonal_is_occupation_product(self):
         m = 3
         lam = np.array([0.15, 0.4, 0.85])
-        spec, kappa = qf.quasifree_from_lambdas(lam, m)
+        spec, kappa = quasifree_from_lambdas(lam, m)
         Gamma = cond.pdm2_from_density(kappa)
         for k in range(m):
             for l in range(m):

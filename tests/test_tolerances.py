@@ -7,6 +7,7 @@ infinite input raises a ValueError that names it instead of getting a verdict.
 """
 
 import ast
+import hashlib
 import io
 import re
 import tokenize
@@ -69,6 +70,29 @@ def test_tolerance_parameters_are_the_kept_ones():
                     if re.search(r"(^|_)tol$", arg.arg):
                         found.add((module, node.name, arg.arg))
     assert found == KEPT_KNOBS
+
+
+def test_index_arrays_widen_past_the_caps(monkeypatch):
+    # The cached index arrays take their dtype from the largest index at their
+    # m, not from a cap: one byte up to the caps, and at cap + 1, with the cap
+    # raised, the same values as an int64 build where one byte would wrap.
+    assert algebra._index_dtype((1 << fock.FOCK_CAP) - 1) == np.uint8
+    assert algebra._index_dtype(4 * qf.QUASIFREE_CAP ** 2 - 1) == np.uint8
+    fock_m, qf_m = fock.FOCK_CAP + 1, qf.QUASIFREE_CAP + 1
+    monkeypatch.setattr(fock, "FOCK_CAP", fock_m)
+    monkeypatch.setattr(qf, "QUASIFREE_CAP", qf_m)
+    # uncached builds, so nothing past the real caps stays in the caches; the
+    # 5^9-entry element map is compared by digest to keep one build in memory
+    element_map, word_map = fock._element_map.__wrapped__, qf._star_word_map.__wrapped__
+    got_elements = [hashlib.sha256(a.tobytes()).digest() for a in element_map(fock_m)]
+    got_tables = word_map(qf_m, 4)[1]
+    assert all(pairs.dtype == np.uint16 and pairs.max() > 255 for _, _, pairs in got_tables)
+    for module in (fock, qf):
+        monkeypatch.setattr(module, "_index_dtype", lambda largest: np.dtype(np.int64))
+    assert got_elements == [hashlib.sha256(a.tobytes()).digest() for a in element_map(fock_m)]
+    for (first, k, got), (first_w, k_w, want) in zip(got_tables, word_map(qf_m, 4)[1], strict=True):
+        assert (first, k) == (first_w, k_w) and want.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 def test_caps_and_tolerances_resolve_where_they_are_read():
