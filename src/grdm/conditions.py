@@ -14,7 +14,8 @@ is the trace that every density check reads, and Gamma is P's form transposed.
 The closed forms are linear in (Gamma, gamma): each is one cached index map
 per m (`_index_map`) whose entries are single Gamma and gamma entries times
 probe coefficients, built from the nonzeros of the probe tensors and calling
-no star product, with `t1_bilinear` / `t2_bilinear` as the per-pair references.
+no star product.  The per-tensor values check_T1 and check_T2_generalized
+are the T1 and T2 forms at the tensor's coordinates on those probes.
 
 Index conventions (0-based in code): gamma[k, l] is the expectation of
 pbar_{l+1} * p_{k+1}; two-body indices flatten row-major, (k, l) -> k*m + l,
@@ -307,11 +308,6 @@ def check_G(gamma: np.ndarray, Gamma: np.ndarray, tol: float | None = None) -> C
 # ---------------------------------------------------------------------------
 # third-order conditions
 
-def _antisym_first_pair(T: np.ndarray) -> np.ndarray:
-    """Antisymmetric part of every slice T[:, :, k] in its first two indices."""
-    return (T - T.transpose(1, 0, 2)) / 2
-
-
 def require_totally_antisymmetric(T: np.ndarray) -> np.ndarray:
     T = np.asarray(T, dtype=complex)
     if T.ndim != 3 or len(set(T.shape)) != 1:
@@ -322,24 +318,25 @@ def require_totally_antisymmetric(T: np.ndarray) -> np.ndarray:
     return T
 
 
-def t1_bilinear(Tp: np.ndarray, T: np.ndarray, gamma: np.ndarray, Gamma: np.ndarray) -> complex:
-    """Sesquilinear extension of the T1 value, antilinear in the first tensor."""
-    gamma, Gamma, m = _validate_pair(gamma, Gamma)
-    total = 0j
-    for q in range(m):
-        tpq = Tp[:, q, :]
-        tq = T[:, q, :]
-        prod = tpq.conj().T @ tq
-        total += 2 * np.trace(prod) - 6 * np.trace(prod @ gamma)
-        total += 3 * (tq.reshape(-1) @ (Gamma @ tpq.conj().reshape(-1)))
-    return complex(total)
+def _require_probe_array(x, shape: tuple, name: str) -> np.ndarray:
+    """`x` as a finite complex array of the given shape."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != shape:
+        raise ValueError(f"{name} shape {x.shape} does not match {shape}")
+    _require_finite(x, name)
+    return x
 
 
 def check_T1(gamma: np.ndarray, Gamma: np.ndarray, T: np.ndarray) -> float:
-    """Closed-form scalar of the first third-order condition for one probe tensor."""
-    T = require_totally_antisymmetric(T)
-    val = t1_bilinear(T, T, gamma, Gamma)
-    return float(val.real)
+    """Closed-form scalar of the first third-order condition for one probe tensor.
+
+    Re(c* F c) / 3 for F the T1 form and c_ijk = 6 T[i, j, k], i < j < k,
+    the coordinates of the totally antisymmetric T on the unit tensors.
+    """
+    gamma, Gamma, m = _validate_pair(gamma, Gamma)
+    T = require_totally_antisymmetric(_require_probe_array(T, (m, m, m), "T"))
+    c = 6 * T[_t1_indices(m)]
+    return float(np.vdot(c, _index_form("T1", gamma, Gamma) @ c).real) / 3
 
 
 def _t1_probe_elements(m: int) -> list[GrassmannElement]:
@@ -347,22 +344,11 @@ def _t1_probe_elements(m: int) -> list[GrassmannElement]:
     return _word_probes([[m + i, m + j, m + k] for i, j, k in combinations(range(m), 3)], m)
 
 
-def _t1_unit_tensor(triple: tuple[int, int, int], m: int) -> np.ndarray:
-    """Antisymmetric tensor E with tau(E) equal to the plain ordered monomial."""
-    E = np.zeros((m, m, m), dtype=complex)
-    i, j, k = triple
-    perms = [((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
-             ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1)]
-    for (a, b, c), s in perms:
-        E[a, b, c] = s / 6.0
-    return E
-
-
 def t1_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
     """T1 anticommutator form over ordered cubic probes, built from (gamma, Gamma).
 
-    Entry (a, b) is 3 * t1_bilinear(E_a, E_b) for the unit tensors E, read
-    off the cached index map `_index_map("T1", m)`.
+    Entry (a, b) sums the T1 terms of the condition table on the unit tensors
+    E_a, E_b of `_t1_stacks`, read off the cached index map `_index_map("T1", m)`.
     """
     return _index_form("T1", *_validate_pair(gamma, Gamma)[:2])
 
@@ -372,52 +358,19 @@ def check_T1_full(kappa: GrassmannElement) -> ConditionReport:
     return condition_form_report(kappa, "T1")
 
 
-def t2_bilinear(Tp: np.ndarray, ap: np.ndarray, T: np.ndarray, a: np.ndarray,
-                gamma: np.ndarray, Gamma: np.ndarray) -> complex:
-    """Sesquilinear extension of the generalized T2 value."""
-    gamma, Gamma, m = _validate_pair(gamma, Gamma)
-    g4 = Gamma.reshape(m, m, m, m)
-    TpA = _antisym_first_pair(Tp)
-    TA = _antisym_first_pair(T)
-    total = 0j
-    for q in range(m):
-        total += np.vdot(Tp[:, :, q].reshape(-1), Gamma @ T[:, :, q].reshape(-1))
-    tr_q1 = np.einsum("jqk,qmn,njkm->", TpA.conj(), TA, g4)
-    q2 = np.einsum("qpi,qpj->ij", TpA.conj(), T)
-    q3 = np.einsum("qji,q->ij", TpA.conj(), a) + np.einsum("qij,q->ij", TA, np.conj(ap))
-    total += 4 * tr_q1
-    total += 2 * np.einsum("ij,ji->", q2 + q3, gamma)
-    total += np.vdot(ap, a)
-    return complex(total)
-
-
 def check_T2_generalized(gamma: np.ndarray, Gamma: np.ndarray, T: np.ndarray,
                          a: np.ndarray) -> float:
-    """Closed-form scalar of the generalized second third-order condition."""
-    T = np.asarray(T, dtype=complex)
-    a = np.asarray(a, dtype=complex)
-    m = np.asarray(gamma).shape[0]
-    if T.shape != (m, m, m):
-        raise ValueError(f"tensor shape {T.shape} does not match m = {m}")
-    if a.shape != (m,):
-        raise ValueError(f"vector shape {a.shape} does not match m = {m}")
-    val = t2_bilinear(T, a, T, a, gamma, Gamma)
-    return float(val.real)
+    """Closed-form scalar of the generalized second third-order condition.
 
-
-def _t2_probes(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    out = []
-    for i, j in combinations(range(m), 2):
-        for k in range(m):
-            E = np.zeros((m, m, m), dtype=complex)
-            E[i, j, k] = 0.5
-            E[j, i, k] = -0.5
-            out.append((E, np.zeros(m, dtype=complex)))
-    for i in range(m):
-        a = np.zeros(m, dtype=complex)
-        a[i] = 1.0
-        out.append((np.zeros((m, m, m), dtype=complex), a))
-    return out
+    Re(c* F c) for F the T2 form and c the coordinates of (T, a) on its
+    probes: T[i, j, k] - T[j, i, k] for i < j, then a.  So the value reads
+    only T's part antisymmetric in its first pair of indices.
+    """
+    gamma, Gamma, m = _validate_pair(gamma, Gamma)
+    T = _require_probe_array(T, (m, m, m), "T")
+    a = _require_probe_array(a, (m,), "a")
+    c = np.concatenate(((T - T.transpose(1, 0, 2))[np.triu_indices(m, 1)].ravel(), a))
+    return float(np.vdot(c, _index_form("T2", gamma, Gamma) @ c).real)
 
 
 def _t2_probe_elements(m: int) -> list[GrassmannElement]:
@@ -429,8 +382,8 @@ def _t2_probe_elements(m: int) -> list[GrassmannElement]:
 def t2_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
     """Generalized T2 anticommutator form over cubic and linear probes.
 
-    Entry (x, y) is t2_bilinear(probe_x, probe_y) for the probes of
-    `_t2_probes`, read off the cached index map `_index_map("T2", m)`.
+    Entry (x, y) sums the T2 terms of the condition table on the probe
+    tensors of `_t2_stacks`, read off the cached index map `_index_map("T2", m)`.
     """
     return _index_form("T2", *_validate_pair(gamma, Gamma)[:2])
 
@@ -448,16 +401,30 @@ def _pair_stacks(m: int) -> dict:
     return {"U": np.eye(m * m, dtype=complex).reshape(-1, m, m)}
 
 
+def _t1_indices(m: int) -> tuple:
+    """The index arrays (i, j, k) of the T1 probes, the triples i < j < k in order."""
+    return tuple(np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3).T)
+
+
 def _t1_stacks(m: int) -> dict:
-    E = np.array([_t1_unit_tensor(t, m) for t in combinations(range(m), 3)],
-                 dtype=complex).reshape(-1, m, m, m)
+    """The unit tensors E of the T1 probes: +-1/6 at the six signed orders of each triple."""
+    ijk = _t1_indices(m)
+    E = np.zeros((len(ijk[0]), m, m, m), dtype=complex)
+    for order, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                        ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)):
+        E[(np.arange(len(E)), *(ijk[p] for p in order))] = sign / 6
     return {"E": E}
 
 
 def _t2_stacks(m: int) -> dict:
-    probes = _t2_probes(m)
-    T = np.array([p[0] for p in probes])
-    return {"T": T, "TA": (T - T.transpose(0, 2, 1, 3)) / 2, "a": np.array([p[1] for p in probes])}
+    """The T2 probe tensors: T = (e_i e_j - e_j e_i) e_k / 2 for the cubic probes, a = e_i for the linear."""
+    i, j = np.repeat(np.triu_indices(m, 1), m, axis=1)
+    cubic = np.arange(len(i))
+    T = np.zeros((len(i) + m, m, m, m), dtype=complex)
+    T[cubic, i, j, cubic % m], T[cubic, j, i, cubic % m] = 0.5, -0.5
+    a = np.zeros((len(T), m), dtype=complex)
+    a[len(i):] = np.eye(m)
+    return {"T": T, "a": a}
 
 
 def _flat(indices: list, m: int, size: int) -> np.ndarray:
@@ -571,9 +538,11 @@ def _pair_probes(shifts: tuple[int, int], m: int) -> list[GrassmannElement]:
 # for four letters, gamma for two, the constant 1 for none.  P is Gamma, Q
 # Gamma + (1 - Ex)(1 - gamma x 1 - 1 x gamma), G delta_km gamma[n, l] -
 # Gamma[(k, n), (m, l)] before centring; T1 is the sum over q of
-# 3 (2 E_q^* E_q - 6 E_q^* E_q gamma + 3 E_q^* Gamma E_q), T2 that of
-# t2_bilinear, term by term.  P's probes p_k p_l start at generators (m, m),
-# Q's pbar_k pbar_l at (0, 0) and G's pbar_k p_l at (0, m).
+# 3 (2 E_q^* E_q - 6 E_q^* E_q gamma + 3 E_q^* Gamma E_q), and T2 is, term
+# by term, sum_q T_q^* Gamma T_q, a Gamma trace, the gamma terms of T^* T,
+# T^* a and a^* T, and a^* a, on probes antisymmetric in their first pair.
+# P's probes p_k p_l start at generators (m, m), Q's pbar_k pbar_l at (0, 0)
+# and G's pbar_k p_l at (0, m).
 _P_TERMS = (("U", "U", "ij,kl,ijkl", 1),)
 CONDITIONS = {
     "P": Condition(_pair_stacks, _P_TERMS, lambda m: _pair_probes((m, m), m), "plain", False),
@@ -586,9 +555,9 @@ CONDITIONS = {
     "T1": Condition(_t1_stacks, (("E", "E", "iqk,iqk,", 6), ("E", "E", "iqk,iqp,pk", -18),
                                  ("E", "E", "jql,iqk,ikjl", 9)),
                     _t1_probe_elements, "anticommutator", False),
-    "T2": Condition(_t2_stacks, (("T", "T", "ijq,klq,ijkl", 1), ("TA", "TA", "jqk,qab,bjka", 4),
-                                 ("TA", "T", "jqk,jqp,pk", 2), ("TA", "a", "qji,q,ji", 2),
-                                 ("a", "TA", "q,qij,ji", 2), ("a", "a", "q,q,", 1)),
+    "T2": Condition(_t2_stacks, (("T", "T", "ijq,klq,ijkl", 1), ("T", "T", "jqk,qab,bjka", 4),
+                                 ("T", "T", "jqk,jqp,pk", 2), ("T", "a", "qji,q,ji", 2),
+                                 ("a", "T", "q,qij,ji", 2), ("a", "a", "q,q,", 1)),
                     _t2_probe_elements, "anticommutator", False),
 }
 

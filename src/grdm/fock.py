@@ -27,8 +27,8 @@ import numpy as np
 
 from .algebra import (FOCK_CAP, FOCK_DENSITY_TOL, OPERATOR_PRUNE_REL_TOL, SECTOR_TOL,
                       SLATER_NORM_TOL, GrassmannElement, _check_m, _coo_apply, _index_dtype,
-                      _merge_parity, _parity, _read_only, _require_finite, _require_hermitian,
-                      _require_unitary, prune)
+                      _merge_parity, _parity, _popcount, _read_only, _require_finite,
+                      _require_hermitian, _require_unitary, prune)
 
 
 def _infer_m(mat: np.ndarray) -> int:
@@ -73,11 +73,6 @@ def annihilation(i: int, m: int) -> np.ndarray:
     if not 1 <= i <= m:
         raise ValueError(f"mode index {i} outside [1, {m}]")
     return _ladders(m)[1][i - 1]
-
-
-def number_operator(m: int) -> np.ndarray:
-    dim = 1 << m
-    return np.diag([float(n.bit_count()) for n in range(dim)]).astype(complex)
 
 
 def _jordan_wigner(bar, unbar, states, m: int):
@@ -243,20 +238,10 @@ def pdms_from_rho(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gamma, Gamma
 
 
-def sector_projector(m: int, n_particles: int) -> np.ndarray:
-    """Projector onto the n-particle occupation sector."""
-    _check_m(m, FOCK_CAP)
-    if not 0 <= n_particles <= m:
-        raise ValueError(f"particle sector {n_particles} is empty for {m} modes")
-    dim = 1 << m
-    diag = [1.0 if n.bit_count() == n_particles else 0.0 for n in range(dim)]
-    return np.diag(diag).astype(complex)
-
-
 def random_density(m: int, seed: int, sector: int | None = None) -> np.ndarray:
     """Seeded random density rho = B*B / tr(B*B), B complex Gaussian.
 
-    With `sector` set, B*B is compressed onto the fixed particle-number sector
+    With `sector` set, B*B is zeroed outside the fixed particle-number sector
     before normalizing, so the result is supported there exactly.
     """
     _check_m(m, FOCK_CAP)
@@ -265,8 +250,10 @@ def random_density(m: int, seed: int, sector: int | None = None) -> np.ndarray:
     b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = b.conj().T @ b
     if sector is not None:
-        proj = sector_projector(m, sector)
-        rho = proj @ rho @ proj
+        if not 0 <= sector <= m:
+            raise ValueError(f"particle sector {sector} is empty for {m} modes")
+        outside = _popcount(np.arange(dim), m) != sector
+        rho[outside] = rho[:, outside] = 0
     tr = np.trace(rho).real
     if tr <= 0:
         raise ValueError("projected density has zero trace")
@@ -293,9 +280,9 @@ def infer_particle_sector(rho: np.ndarray) -> int:
     rho = np.asarray(rho)
     m = _infer_m(rho)
     _require_finite(rho, "density")
-    nop = number_operator(m)
-    n = round(np.trace(rho @ nop).real)
-    if not np.max(np.abs(nop @ rho - n * rho)) <= SECTOR_TOL:
+    count = _popcount(np.arange(1 << m), m)
+    n = round((count @ np.diagonal(rho)).real)
+    if not np.max(np.abs(count[:, None] * rho - n * rho)) <= SECTOR_TOL:
         raise ValueError("density is not supported on a single particle-number sector")
     return n
 

@@ -24,13 +24,17 @@ fold folds a word into the density with the public star product.
 
 The dense Fock references multiply the 2^m x 2^m ladder matrices: to_operator
 as a sum of ordered ladder products, one matrix product per monomial, and
-the pdms as traces of rho times ladder words.  The from_operator map is
+the pdms as traces of rho times ladder words, with the dense number operator
+for their particle-number identities.  The from_operator map is
 built entry by entry, with the scalar sign kernels per entry.
 
 The dense closed-form references build the Q and G matrices from
 (gamma, Gamma) with kron products and einsum, against which the index maps
 of the condition table are checked, with the pair exchange matrix and the
-specialized T2 value `t2a_value` beside them.
+specialized T2 value `t2a_value` beside them.  The per-pair T1 and T2 values
+`t1_bilinear` / `t2_bilinear` evaluate the third-order conditions on two
+tensors by einsum, one pair at a time: the references for the T1/T2 index
+maps and for `check_T1` / `check_T2_generalized`.
 
 The quasifree references are the per-word Wick pairing recursion in the
 eigenbasis, `wick_expectation`, against which the batched Wick side is
@@ -191,6 +195,11 @@ def to_operator_reference(a):
     for (bar, ub), c in a.terms.items():
         out += c * (cs_prod[bar] @ an_prod[ub])
     return out
+
+
+def number_operator(m):
+    """The dense particle-number operator, diagonal in the occupation bitstrings."""
+    return np.diag([float(n.bit_count()) for n in range(1 << m)]).astype(complex)
 
 
 def pdms_from_rho_reference(rho):
@@ -425,6 +434,42 @@ def t2a_value(gamma, Gamma, T):
         total += 4 * np.einsum("ki,jl,klij->", tq.conj(), tq, g4)
         total += 2 * np.trace(tq.conj().T @ tq @ gamma)
     return float(total.real)
+
+
+def _antisym_first_pair(T):
+    """Antisymmetric part of every slice T[:, :, k] in its first two indices."""
+    return (T - T.transpose(1, 0, 2)) / 2
+
+
+def t1_bilinear(Tp, T, gamma, Gamma):
+    """Sesquilinear extension of the T1 value, antilinear in the first tensor."""
+    gamma, Gamma, m = _validate_pair(gamma, Gamma)
+    total = 0j
+    for q in range(m):
+        tpq = Tp[:, q, :]
+        tq = T[:, q, :]
+        prod = tpq.conj().T @ tq
+        total += 2 * np.trace(prod) - 6 * np.trace(prod @ gamma)
+        total += 3 * (tq.reshape(-1) @ (Gamma @ tpq.conj().reshape(-1)))
+    return complex(total)
+
+
+def t2_bilinear(Tp, ap, T, a, gamma, Gamma):
+    """Sesquilinear extension of the generalized T2 value, antilinear in (Tp, ap)."""
+    gamma, Gamma, m = _validate_pair(gamma, Gamma)
+    g4 = Gamma.reshape(m, m, m, m)
+    TpA = _antisym_first_pair(Tp)
+    TA = _antisym_first_pair(T)
+    total = 0j
+    for q in range(m):
+        total += np.vdot(Tp[:, :, q].reshape(-1), Gamma @ T[:, :, q].reshape(-1))
+    tr_q1 = np.einsum("jqk,qmn,njkm->", TpA.conj(), TA, g4)
+    q2 = np.einsum("qpi,qpj->ij", TpA.conj(), T)
+    q3 = np.einsum("qji,q->ij", TpA.conj(), a) + np.einsum("qij,q->ij", TA, np.conj(ap))
+    total += 4 * tr_q1
+    total += 2 * np.einsum("ij,ji->", q2 + q3, gamma)
+    total += np.vdot(ap, a)
+    return complex(total)
 
 
 def _two_point(lambdas, a, b):

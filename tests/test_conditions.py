@@ -21,7 +21,7 @@ from grdm.algebra import (
     unit,
 )
 from _reference import (canonical_combine, exchange_matrix, form_entries_reference, g_condition_matrix,
-                        q_condition_matrix, t2a_value)
+                        q_condition_matrix, t1_bilinear, t2_bilinear, t2a_value)
 from conftest import rand_element, random_unitary
 
 
@@ -319,12 +319,27 @@ class TestT1:
         _, kappa, _, _ = genuine(4, 56)
         assert cond.check_T1_full(kappa).passed
 
+    def test_shape_validation(self):
+        _, _, gamma, Gamma = genuine(4, 58)
+        with pytest.raises(ValueError, match=r"\(3, 3, 3\) does not match \(4, 4, 4\)"):
+            cond.check_T1(gamma, Gamma, np.zeros((3, 3, 3)))
+        with pytest.raises(ValueError, match="square"):
+            cond.check_T1(np.float64(0.5), Gamma, np.zeros((4, 4, 4)))
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_scalar_matches_bilinear_reference(self, m, rng):
+        for gamma, Gamma in reference_pairs(m, 59, rng):
+            for _ in range(3):
+                T = rand_antisym3(rng, m)
+                want = t1_bilinear(T, T, gamma, Gamma).real
+                assert abs(cond.check_T1(gamma, Gamma, T) - want) <= 1e-12 * (1 + abs(want))
+
     def test_batched_form_matches_bilinear_loop(self, rng):
         for m in range(1, 7):
             # the T1 form is empty below m = 3
-            tensors = [cond._t1_unit_tensor(t, m) for t in combinations(range(m), 3)]
+            tensors = cond._t1_stacks(m)["E"]
             for gamma, Gamma in reference_pairs(m, 57, rng):
-                F = np.array([[3 * cond.t1_bilinear(ta, tb, gamma, Gamma) for tb in tensors]
+                F = np.array([[3 * t1_bilinear(ta, tb, gamma, Gamma) for tb in tensors]
                               for ta in tensors]).reshape(len(tensors), len(tensors))
                 want = (F + F.conj().T) / 2
                 got = cond.t1_form_from_pdms(gamma, Gamma)
@@ -405,9 +420,10 @@ class TestT2:
 
     def test_batched_form_matches_bilinear_loop(self, rng):
         for m in range(1, 7):
-            probes = cond._t2_probes(m)
+            stacks = cond._t2_stacks(m)
+            probes = list(zip(stacks["T"], stacks["a"]))
             for gamma, Gamma in reference_pairs(m, 68, rng):
-                F = np.array([[cond.t2_bilinear(Tx, ax, Ty, ay, gamma, Gamma) for Ty, ay in probes]
+                F = np.array([[t2_bilinear(Tx, ax, Ty, ay, gamma, Gamma) for Ty, ay in probes]
                               for Tx, ax in probes])
                 want = (F + F.conj().T) / 2
                 got = cond.t2_form_from_pdms(gamma, Gamma)
@@ -420,6 +436,40 @@ class TestT2:
             cond.check_T2_generalized(gamma, Gamma, np.zeros((2, 2, 2)), np.zeros(3))
         with pytest.raises(ValueError, match="shape"):
             cond.check_T2_generalized(gamma, Gamma, np.zeros((3, 3, 3)), np.zeros(2))
+        with pytest.raises(ValueError, match="square"):
+            cond.check_T2_generalized(np.float64(0.5), Gamma, np.zeros((3, 3, 3)), np.zeros(3))
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_scalar_matches_bilinear_reference(self, m, rng):
+        # the value reads T's first-pair-antisymmetric part, so it equals the
+        # reference whenever T is antisymmetric in its first pair or Gamma in
+        # each pair index, as a genuine Gamma is
+        _, _, gamma, Gamma = genuine(m, 69)
+        assert np.array_equal(Gamma, -Gamma.reshape(m, m, -1).transpose(1, 0, 2).reshape(Gamma.shape))
+        cases = [(gamma, Gamma, False)] + [(*pair, True) for pair in reference_pairs(m, 69, rng)]
+        for gamma, Gamma, antisym in cases:
+            for _ in range(3):
+                T = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
+                T = (T - T.transpose(1, 0, 2)) / 2 if antisym else T
+                a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                want = t2_bilinear(T, a, T, a, gamma, Gamma).real
+                got = cond.check_T2_generalized(gamma, Gamma, T, a)
+                assert abs(got - want) <= 1e-12 * (1 + abs(want))
+
+    def test_scalar_is_the_form_at_the_coordinates(self, rng):
+        # a Gamma not antisymmetric in its pair indices and a T with a
+        # symmetric first-pair part: the value is still the form's
+        for m in range(1, 7):
+            gamma, Gamma = rand_hermitian(rng, m), rand_hermitian(rng, m * m)
+            F = cond.t2_form_from_pdms(gamma, Gamma)
+            for _ in range(3):
+                T = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
+                a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                c = np.array([T[i, j, k] - T[j, i, k] for i, j in combinations(range(m), 2)
+                              for k in range(m)] + list(a))
+                want = np.vdot(c, F @ c).real
+                got = cond.check_T2_generalized(gamma, Gamma, T, a)
+                assert abs(got - want) <= 1e-12 * (1 + abs(want)), m
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -476,6 +526,18 @@ def test_index_map_built_once_per_m(name, closed):
     assert n == len(cond.CONDITIONS[name].probes(4))
     for arr in (rows, src, coeff):
         assert not arr.flags.writeable
+
+
+def test_table_stacks_and_maps_reach_the_element_cap():
+    # one stack entry per probe, and every map builds, up to ELEMENT_CAP; the
+    # uncached build keeps the large-m maps out of the cache
+    for m in range(1, cond.ELEMENT_CAP + 1):
+        for name, row in cond.CONDITIONS.items():
+            n = len(row.probes(m))
+            assert all(len(stack) == n for stack in row.stacks(m).values()), (name, m)
+            (rows, src, coeff), count = cond._index_map.__wrapped__(name, m)
+            assert count == n, (name, m)
+            assert np.all(rows < n * n) and np.all(src <= m ** 4 + m * m), (name, m)
 
 
 @pytest.mark.parametrize("m", range(1, 9))

@@ -19,8 +19,8 @@ from grdm.algebra import (
     unit,
 )
 from conftest import rand_element, random_unitary
-from _reference import (element_map_reference, exchange_matrix, pdms_from_rho_reference,
-                        to_operator_reference)
+from _reference import (element_map_reference, exchange_matrix, number_operator,
+                        pdms_from_rho_reference, to_operator_reference)
 
 
 class TestLadders:
@@ -236,7 +236,7 @@ class TestPdms:
         for m in (2, 3, 4):
             rho = fock.random_density(m, 1000 + m)
             gamma, Gamma = fock.pdms_from_rho(rho)
-            nop = fock.number_operator(m)
+            nop = number_operator(m)
             assert abs(np.trace(gamma) - np.trace(rho @ nop)) < 1e-10
             assert abs(np.trace(Gamma) - np.trace(rho @ (nop @ nop - nop))) < 1e-10
 
@@ -278,6 +278,19 @@ class TestRandomDensity:
     def test_empty_sector_rejected(self):
         with pytest.raises(ValueError, match="sector"):
             fock.random_density(3, 1, sector=5)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_sector_equals_projector_sandwich(self, m):
+        # the reference compresses B*B with the dense diagonal projector onto
+        # the sector, from the same draws of B
+        dim = 1 << m
+        rng = np.random.default_rng(40 + m)
+        b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for sector in range(m + 1):
+            proj = np.diag([float(n.bit_count() == sector) for n in range(dim)]).astype(complex)
+            want = proj @ (b.conj().T @ b) @ proj
+            got = fock.random_density(m, 40 + m, sector=sector)
+            assert np.array_equal(got, want / np.trace(want).real), sector
 
 
 class TestContraction:

@@ -133,6 +133,12 @@ NON_FINITE_CASES = {
     "expectation": (lambda bad: expectation(_unit_trace_density(bad), unit(2)), "density"),
     "pdm1_from_density": (lambda bad: cond.pdm1_from_density(_unit_trace_density(bad)),
                           "density"),
+    "check_T1": (lambda bad: cond.check_T1(GAMMA, GAMMA2, _with(np.zeros((2, 2, 2)), (0, 1, 0), bad)),
+                 "T"),
+    "check_T2_generalized": (lambda bad: cond.check_T2_generalized(
+        GAMMA, GAMMA2, _with(np.zeros((2, 2, 2)), (1, 0, 1), bad), np.ones(2)), "T"),
+    "check_T2_generalized_a": (lambda bad: cond.check_T2_generalized(
+        GAMMA, GAMMA2, np.ones((2, 2, 2)), _with(np.zeros(2), 1, bad)), "a"),
 }
 
 
