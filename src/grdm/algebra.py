@@ -47,7 +47,7 @@ PRUNE_REL_TOL = 1e-14           # rel to the largest magnitude: prune's default
 OPERATOR_PRUNE_REL_TOL = 1e-13  # rel, fock.from_operator: roundoff of its signed subset sums
 DENSITY_TRACE_TOL = 1e-8     # |trace - 1| of a density element: expectation and the pdms
 HERMITIAN_INPUT_TOL = 1e-8   # max |X - X*| of a gamma or Gamma input
-FORM_HERMITIAN_TOL = 1e-10   # rel, max |F - F*| of every condition form matrix
+FORM_HERMITIAN_TOL = 1e-10   # rel, max |F - F*|: forms not Hermitian by construction, report_from_form
 PSD_REL_TOL = 1e-9           # rel, how far below 0 a passing margin may lie
 ANTISYMMETRY_TOL = 1e-10     # rel, require_totally_antisymmetric
 UNITARY_TOL = 1e-10          # max |u*u - 1|: change_generators and contraction_check's onb

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -95,11 +95,17 @@ def report_from_form(condition: str, matrix: np.ndarray, method: str,
     """Hermiticity-checked minimum-eigenvalue report for a form matrix."""
     herm = (matrix + matrix.conj().T) / 2
     dev = np.max(np.abs(matrix - herm)) if matrix.size else 0.0
-    if not dev / _scale(matrix) <= FORM_HERMITIAN_TOL:
+    scale = _scale(matrix)
+    if not dev / scale <= FORM_HERMITIAN_TOL:
         raise ValueError(f"{condition}: form matrix is not Hermitian (deviation {dev:.3e})")
-    margin = float(np.linalg.eigvalsh(herm).min()) if matrix.size else math.inf
-    tol = psd_tolerance(matrix) if tol is None else tol
+    margin = _min_eigenvalue(herm)
+    tol = PSD_REL_TOL * scale if tol is None else tol
     return ConditionReport(condition, margin, margin >= -tol, tol, method)
+
+
+def _min_eigenvalue(herm: np.ndarray) -> float:
+    """The least eigenvalue of an exactly Hermitian form, inf when the form is empty."""
+    return float(np.linalg.eigvalsh(herm).min()) if herm.size else math.inf
 
 
 def _validate_pair(gamma: np.ndarray, Gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -109,6 +115,11 @@ def _validate_pair(gamma: np.ndarray, Gamma: np.ndarray) -> tuple[np.ndarray, np
     if Gamma.shape != (m * m, m * m):
         raise ValueError(f"Gamma shape {Gamma.shape} does not match m = {m}")
     return gamma, Gamma, m
+
+
+def _source(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
+    """v = [Gamma.ravel(), gamma.ravel(), 1], the vector every closed form's index map reads."""
+    return np.concatenate((Gamma.ravel(), gamma.ravel(), [1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +297,11 @@ def order_n_check(kappa: GrassmannElement, n: int) -> ConditionReport:
 
 def first_order_report(gamma: np.ndarray) -> ConditionReport:
     """Spectrum bounds 0 <= gamma <= 1 as a single margin."""
-    gamma = _require_hermitian(gamma, "gamma")
+    return _first_order(_require_hermitian(gamma, "gamma"))
+
+
+def _first_order(gamma: np.ndarray) -> ConditionReport:
+    """first_order_report on a validated gamma."""
     eigs = np.linalg.eigvalsh(gamma)
     margin = float(min(eigs.min(), 1.0 - eigs.max()))
     tol = psd_tolerance(gamma)
@@ -335,8 +350,7 @@ def check_T1(gamma: np.ndarray, Gamma: np.ndarray, T: np.ndarray) -> float:
     """
     gamma, Gamma, m = _validate_pair(gamma, Gamma)
     T = require_totally_antisymmetric(_require_probe_array(T, (m, m, m), "T"))
-    c = 6 * T[_t1_indices(m)]
-    return float(np.vdot(c, _index_form("T1", gamma, Gamma) @ c).real) / 3
+    return _form_value("T1", m, _source(gamma, Gamma), 6 * T[_t1_indices(m)]) / 3
 
 
 def _t1_probe_elements(m: int) -> list[GrassmannElement]:
@@ -350,7 +364,8 @@ def t1_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
     Entry (a, b) sums the T1 terms of the condition table on the unit tensors
     E_a, E_b of `_t1_stacks`, read off the cached index map `_index_map("T1", m)`.
     """
-    return _index_form("T1", *_validate_pair(gamma, Gamma)[:2])
+    gamma, Gamma, m = _validate_pair(gamma, Gamma)
+    return _index_form("T1", m, _source(gamma, Gamma))
 
 
 def check_T1_full(kappa: GrassmannElement) -> ConditionReport:
@@ -370,7 +385,7 @@ def check_T2_generalized(gamma: np.ndarray, Gamma: np.ndarray, T: np.ndarray,
     T = _require_probe_array(T, (m, m, m), "T")
     a = _require_probe_array(a, (m,), "a")
     c = np.concatenate(((T - T.transpose(1, 0, 2))[np.triu_indices(m, 1)].ravel(), a))
-    return float(np.vdot(c, _index_form("T2", gamma, Gamma) @ c).real)
+    return _form_value("T2", m, _source(gamma, Gamma), c)
 
 
 def _t2_probe_elements(m: int) -> list[GrassmannElement]:
@@ -385,7 +400,8 @@ def t2_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
     Entry (x, y) sums the T2 terms of the condition table on the probe
     tensors of `_t2_stacks`, read off the cached index map `_index_map("T2", m)`.
     """
-    return _index_form("T2", *_validate_pair(gamma, Gamma)[:2])
+    gamma, Gamma, m = _validate_pair(gamma, Gamma)
+    return _index_form("T2", m, _source(gamma, Gamma))
 
 
 def check_T2_full(kappa: GrassmannElement) -> ConditionReport:
@@ -478,19 +494,31 @@ def _index_map(condition: str, m: int) -> tuple[tuple, int]:
     return _read_only(*(np.concatenate(part) for part in zip(*entries))), n
 
 
-def _index_form(condition: str, gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
-    """A table condition's closed form on a validated pair.
+def _index_form(condition: str, m: int, source: np.ndarray) -> np.ndarray:
+    """A table condition's closed form at m on a validated pair's `_source`, exactly Hermitian.
 
-    (F + F^H)/2 with F the cached index map applied to (Gamma, gamma), less
-    outer(g, conj(g)) with g = gamma.ravel() when the condition is centred.
+    (F + F^H)/2 with F the cached index map applied to the source; when the
+    condition is centred, less outer(g, conj(g)) with g = gamma.ravel(), and
+    Hermitised again, since the complex outer product can leave roundoff
+    imaginary parts on its diagonal.
     """
-    (rows, src, coeff), n = _index_map(condition, len(gamma))
-    g = gamma.ravel()
-    F = _coo_apply(rows, src, coeff, np.concatenate((Gamma.ravel(), g, [1.0])), n * n).reshape(n, n)
+    (rows, src, coeff), n = _index_map(condition, m)
+    F = _coo_apply(rows, src, coeff, source, n * n).reshape(n, n)
     F = (F + F.conj().T) / 2
     if CONDITIONS[condition].centred:
+        g = source[m ** 4:-1]
         F -= np.outer(g, g.conj())
+        F = (F + F.conj().T) / 2
     return F
+
+
+def _form_value(condition: str, m: int, source: np.ndarray, c: np.ndarray) -> float:
+    """Re(c* F c) for F a table condition's closed form, summed straight off its index map.
+
+    The uncentred forms only: F before Hermitisation gives the same real part.
+    """
+    (rows, src, coeff), n = _index_map(condition, m)
+    return float(np.sum(c[rows // n].conj() * coeff * source[src] * c[rows % n]).real)
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +593,9 @@ CONDITIONS = {
 def closed_form_report(condition: str, gamma: np.ndarray, Gamma: np.ndarray,
                        tol: float | None = None) -> ConditionReport:
     """Margin of a table condition's closed-form matrix in (gamma, Gamma)."""
-    gamma, Gamma, _ = _validate_pair(gamma, Gamma)
-    return report_from_form(condition, _index_form(condition, gamma, Gamma), "closed-form", tol)
+    gamma, Gamma, m = _validate_pair(gamma, Gamma)
+    return report_from_form(condition, _index_form(condition, m, _source(gamma, Gamma)),
+                            "closed-form", tol)
 
 
 def _form_report(condition: str, moments: np.ndarray, m: int) -> ConditionReport:
@@ -606,7 +635,10 @@ class FuzzSummary:
         return self.failures == 0
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "all_pass": self.all_pass}
+        return {"m": self.m, "trials": self.trials, "seed": self.seed, "sector": self.sector,
+                "worst_margins": dict(self.worst_margins), "pdm_max_dev": self.pdm_max_dev,
+                "contraction_max_dev": self.contraction_max_dev, "failures": self.failures,
+                "all_pass": self.all_pass}
 
 
 def condition_battery(gamma: np.ndarray, Gamma: np.ndarray | None = None,
@@ -622,15 +654,24 @@ def condition_battery(gamma: np.ndarray, Gamma: np.ndarray | None = None,
 
 
 def _battery(gamma, Gamma, moments, m) -> list[ConditionReport]:
-    """condition_battery with kappa given by its moments at m, or None; the pair is validated once."""
-    reports = [first_order_report(gamma)]
-    if Gamma is not None:
-        gamma, Gamma, _ = _validate_pair(gamma, Gamma)
+    """condition_battery with kappa given by its moments at m, or None.
+
+    The pair is validated and its source built once; each closed form goes
+    from `_index_form`, Hermitian by construction, straight to one eigensolve.
+    """
+    if Gamma is None:
+        gamma, source = _require_hermitian(gamma, "gamma"), None
+    else:
+        gamma, Gamma, pair_m = _validate_pair(gamma, Gamma)
+        source = _source(gamma, Gamma)
+    reports = [_first_order(gamma)]
     for name in CONDITIONS:
         if moments is not None and name in ("T1", "T2"):
             reports.append(_form_report(name, moments, m))
-        elif Gamma is not None:
-            reports.append(report_from_form(name, _index_form(name, gamma, Gamma), "closed-form"))
+        elif source is not None:
+            F = _index_form(name, pair_m, source)
+            margin, tol = _min_eigenvalue(F), psd_tolerance(F)
+            reports.append(ConditionReport(name, margin, margin >= -tol, tol, "closed-form"))
     return reports
 
 

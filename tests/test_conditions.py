@@ -1,5 +1,7 @@
 """Representability conditions: dual-path checks and pdm extraction."""
 
+import dataclasses
+import json
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +15,7 @@ from grdm.algebra import (
     _coo_apply,
     _star_monomials_terms,
     involution,
+    make_element,
     psi,
     psibar,
     star,
@@ -549,7 +552,7 @@ def test_pqg_index_forms_equal_dense_references(m, rng):
         gamma, Gamma, _ = cond._validate_pair(gamma, Gamma)
         for name, ref in refs.items():
             want = ref(gamma, Gamma)
-            got = cond._index_form(name, gamma, Gamma)
+            got = cond._index_form(name, m, cond._source(gamma, Gamma))
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-14 * (1 + np.max(np.abs(want))), (name, m)
 
@@ -564,13 +567,42 @@ def test_battery_validates_the_pair_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_battery_reports_equal_the_checking_path(m, rng):
+    # the battery sends each closed form straight to its eigensolve; the
+    # Hermiticity-checked path gives the same reports float for float, on
+    # genuine, P-shifted and random Hermitian pairs, the empty T1 form
+    # (margin inf) below m = 3 included
+    _, _, gamma, Gamma = genuine(m, 90 + m)
+    for gamma, Gamma in [(gamma, Gamma)] + reference_pairs(m, 90 + m, rng):
+        gamma, Gamma, _ = cond._validate_pair(gamma, Gamma)
+        source = cond._source(gamma, Gamma)
+        want = [cond.first_order_report(gamma)] + [
+            cond.report_from_form(name, cond._index_form(name, m, source), "closed-form")
+            for name in cond.CONDITIONS]
+        got = cond.condition_battery(gamma, Gamma)
+        assert [r.as_dict() for r in got] == [r.as_dict() for r in want], m
+        assert (got[4].margin == np.inf) == (m < 3)
+
+
+def test_grassmann_form_hermiticity_check_fires():
+    # a unit-trace kappa that is not self-adjoint has a non-Hermitian T2
+    # form; the star-product side refuses to judge it, alone and in the battery
+    _, kappa, gamma, Gamma = genuine(3, 91)
+    bad = kappa + make_element(3, [((1,), (2,), 0.01)])
+    assert abs(trace_integral(bad) - 1) <= 1e-12
+    for run in (lambda: cond.check_T2_full(bad), lambda: cond.condition_battery(gamma, Gamma, bad)):
+        with pytest.raises(ValueError, match="T2: form matrix is not Hermitian"):
+            run()
+
+
 def test_index_maps_agree_with_grassmann_forms_at_m6():
     m = 6
     _, kappa, gamma, Gamma = genuine(m, 86)
     moments = cond._moments(kappa.to_vector(), m)
     for name in ("T1", "T2"):
         F = cond._probe_set_map(name, m).combine_moments(moments)
-        C = cond._index_form(name, gamma, Gamma)
+        C = cond._index_form(name, m, cond._source(gamma, Gamma))
         assert np.max(np.abs(F - C)) <= 1e-10, name
         form = cond.condition_form_report(kappa, name)
         closed = cond.closed_form_report(name, gamma, Gamma)
@@ -606,6 +638,13 @@ def test_third_order_form_maps_equal_scalar_builder_past_the_star_cap(m):
 
 
 class TestFuzz:
+    def test_as_dict_equals_the_dataclass_fields(self):
+        # written out field by field; the JSON is the one dataclasses.asdict gave
+        for sector in (None, 2):
+            summary = cond.fuzz_conditions(3, 2, seed=5, sector=sector)
+            want = {**dataclasses.asdict(summary), "all_pass": summary.all_pass}
+            assert json.dumps(summary.as_dict(), indent=2) == json.dumps(want, indent=2)
+
     def test_deterministic_summary(self):
         a = cond.fuzz_conditions(2, 6, seed=5)
         b = cond.fuzz_conditions(2, 6, seed=5)
