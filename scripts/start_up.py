@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Start-up cost of each grdm command, in fresh processes without a bytecode cache.
+
+For `check` (on an m = 5 gamma/Gamma pair), `fuzz --m 5 --trials 1`,
+`quasifree` (on an m = 4 gamma) and `selftest`, this runs each command in
+`--runs` fresh interpreters, the commands taking turns.  Every child runs on
+a copy of the grdm source with no __pycache__ and under
+PYTHONDONTWRITEBYTECODE=1, so it compiles each grdm module it imports from
+source, as a process on a fresh checkout does.  A child imports numpy, then
+times `from grdm import cli` and the first, cold `cli.main` call.  Prints,
+per command, the median import and cold-op milliseconds, the source size of
+the grdm modules it loaded and their names.
+
+    python scripts/start_up.py --runs 15
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+COMMANDS = {
+    "check": ["check", "--in", "{dir}/pair.json", "--out", "{dir}/report.json"],
+    "fuzz": ["fuzz", "--m", "5", "--trials", "1", "--out", "{dir}/summary.json"],
+    "quasifree": ["quasifree", "--in", "{dir}/gamma.json", "--out", "{dir}/quasifree.json"],
+    "selftest": ["selftest"],
+}
+
+
+def child(argv: list) -> dict:
+    """Time the import and the cold command in this process; its grdm modules and their source."""
+    import numpy  # noqa: F401  imported before the timed import, so it is not counted
+
+    start = time.perf_counter()
+    from grdm import cli
+    imported = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    done = time.perf_counter()
+    modules = sorted(name for name in sys.modules if name.split(".")[0] == "grdm")
+    size = sum(os.path.getsize(sys.modules[name].__file__) for name in modules)
+    return {"rc": rc, "import_ms": (imported - start) * 1e3, "op_ms": (done - imported) * 1e3,
+            "modules": modules, "kb": size / 1024}
+
+
+def write_inputs(workdir: str) -> None:
+    """The m = 5 pair of a random density and a generic m = 4 gamma, as the commands read them."""
+    import numpy as np
+
+    from grdm import fock, serialize
+
+    gamma, Gamma = fock.pdms_from_rho(fock.random_density(5, 7))
+    serialize.atomic_write_json(os.path.join(workdir, "pair.json"), {
+        "gamma": serialize.matrix_to_dict(gamma, "gamma", 5),
+        "Gamma": serialize.matrix_to_dict(Gamma, "Gamma", 5)})
+    serialize.atomic_write_json(os.path.join(workdir, "gamma.json"), serialize.matrix_to_dict(
+        np.diag([0.2, 0.4, 0.6, 0.8]), "gamma", 4))
+
+
+def run_child(argv: list, source: str) -> dict:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        p for p in (source, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", json.dumps(argv)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--runs", type=int, default=15)
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child:
+        print(json.dumps(child(json.loads(args.child))))
+        return 0
+    if args.runs < 1:
+        parser.error(f"--runs must be >= 1, got {args.runs}")
+
+    import grdm
+
+    with tempfile.TemporaryDirectory() as workdir:
+        source = os.path.join(workdir, "src")
+        shutil.copytree(os.path.dirname(os.path.abspath(grdm.__file__)),
+                        os.path.join(source, "grdm"), ignore=shutil.ignore_patterns("__pycache__"))
+        write_inputs(workdir)
+        results = {name: [] for name in COMMANDS}
+        for _ in range(args.runs):
+            for name, argv in COMMANDS.items():
+                result = run_child([a.format(dir=workdir) for a in argv], source)
+                if result["rc"] != 0:
+                    print(f"{name} exited {result['rc']}", file=sys.stderr)
+                    return 1
+                results[name].append(result)
+
+    print(f"{'command':<10}{'import ms':>10}{'cold op ms':>12}{'source KB':>11}  grdm modules")
+    for name, runs in results.items():
+        modules = runs[0]["modules"]
+        print(f"{name:<10}{statistics.median(r['import_ms'] for r in runs):>10.1f}"
+              f"{statistics.median(r['op_ms'] for r in runs):>12.1f}{runs[0]['kb']:>11.1f}  "
+              + " ".join(m.removeprefix("grdm.") for m in modules))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,7 +14,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("algebra", "cli", "conditions", "fock", "quasifree", "selftest", "serialize")
+_SUBMODULES = ("algebra", "cli", "closed", "conditions", "fock", "limits", "quasifree", "selftest",
+               "serialize")
 
 # exported name -> the submodule that defines it
 _EXPORTS = {
@@ -24,10 +25,11 @@ _EXPORTS = {
         "pair_integral_closed_form", "prune", "psi", "psibar", "raw_integral", "star",
         "star_monomials", "star_trace", "trace_integral", "trace_weight", "unit", "zero",
     ), "algebra"),
+    "ConditionReport": "closed",
     **dict.fromkeys((
-        "ConditionReport", "check_G", "check_P", "check_Q", "check_T1", "check_T1_full",
-        "check_T2_full", "check_T2_generalized", "condition_battery", "fuzz_conditions",
-        "order_n_check", "pdm1_from_density", "pdm2_from_density", "quadratic_form_matrix",
+        "check_G", "check_P", "check_Q", "check_T1", "check_T1_full", "check_T2_full",
+        "check_T2_generalized", "condition_battery", "fuzz_conditions", "order_n_check",
+        "pdm1_from_density", "pdm2_from_density", "quadratic_form_matrix",
     ), "conditions"),
     **dict.fromkeys((
         "annihilation", "contraction_check", "creation", "from_operator", "pdms_from_rho",

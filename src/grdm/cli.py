@@ -1,11 +1,14 @@
 """Command-line front end: condition checks, fuzz campaigns, quasifree
 construction, and the sign-convention selftest.
 
-Exit codes: 0 all checks pass, 1 a condition failed, 2 usage or input error.
-Output files are written atomically.  Each command imports only the modules
-it runs: `check` needs conditions and serialize, `fuzz` adds the Fock oracle
-(through `fuzz_conditions`), `quasifree` the quasifree module and `selftest`
-its identities.
+Exit codes: 0 all checks pass, 1 a condition failed, 2 usage or input error,
+an --out path that cannot be written included.  Output files are written
+atomically.  Each command imports only the modules it runs: `check` needs the
+closed-form realization (`closed`, on `limits`) and serialize, and compiles no
+Grassmann element code; `fuzz` adds the element kernel and the star-product
+side (`algebra`, `conditions`) and the Fock oracle (through `fuzz_conditions`),
+`quasifree` the element kernel, `conditions` and the quasifree module, and
+`selftest` its identities.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ import time
 
 import numpy as np
 
-from . import conditions as cond
-from . import serialize
+from . import closed, serialize
 
 
 def _load_check_input(path: str):
@@ -36,6 +38,16 @@ def _load_check_input(path: str):
     return gamma, None, m
 
 
+def _write_out(path: str, payload) -> bool:
+    """Write `payload` to the --out path; False, with the error printed, when it cannot be written."""
+    try:
+        serialize.atomic_write_json(path, payload)
+    except OSError as exc:
+        print(f"error: cannot write --out {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_check(args) -> int:
     if args.tol is not None and not 0 <= args.tol < np.inf:
         print(f"error: --tol must be finite and >= 0, got {args.tol}", file=sys.stderr)
@@ -46,16 +58,16 @@ def cmd_check(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        reports = cond.condition_battery(gamma, Gamma)
+        reports = closed.battery(gamma, Gamma)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.tol is not None:
-        reports = [cond.ConditionReport(r.condition, r.margin, r.margin >= -args.tol,
-                                        args.tol, r.method) for r in reports]
+        reports = [closed.ConditionReport(r.condition, r.margin, r.margin >= -args.tol,
+                                          args.tol, r.method) for r in reports]
     payload = [r.as_dict() for r in reports]
-    if args.outfile:
-        serialize.atomic_write_json(args.outfile, payload)
+    if args.outfile and not _write_out(args.outfile, payload):
+        return 2
     if args.verbose or not args.outfile:
         for r in reports:
             print(f"{'PASS' if r.passed else 'FAIL'} {r.condition:<12} "
@@ -64,13 +76,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from . import conditions as cond
+
     try:
         summary = cond.fuzz_conditions(args.m, args.trials, args.seed, sector=args.sector)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.outfile:
-        serialize.atomic_write_json(args.outfile, summary.as_dict())
+    if args.outfile and not _write_out(args.outfile, summary.as_dict()):
+        return 2
     if args.verbose or not args.outfile:
         print(f"fuzz m={summary.m} trials={summary.trials} seed={summary.seed} "
               f"sector={summary.sector}")
@@ -84,7 +98,7 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_quasifree(args) -> int:
-    from . import quasifree
+    from . import conditions as cond, quasifree
 
     try:
         data = serialize.load_json(args.infile)
@@ -108,8 +122,8 @@ def cmd_quasifree(args) -> int:
             "points_checked": points,
         },
     }
-    if args.outfile:
-        serialize.atomic_write_json(args.outfile, payload)
+    if args.outfile and not _write_out(args.outfile, payload):
+        return 2
     if args.verbose or not args.outfile:
         print(f"quasifree m={m}: pdm1_max_dev {pdm_dev:.3e}, "
               f"wick_max_dev {wick_dev:.3e} over {points} words")

@@ -1,21 +1,24 @@
 """Reduced density matrices of Grassmann densities and representability checks.
 
 Each condition P, Q, G, T1, T2 is positivity of one form with two independent
-realizations, cross-validated against each other.  One table, CONDITIONS,
-gives each name both: the probes b_a and mode of its star-product form on the
-density element, F[a, b] = <b_a* b_b> (plain: P, Q, G) or <b_a* b_b + b_b b_a*>
-(anticommutator: T1, T2), and the probe tensors and terms of its closed form
-in the one- and two-body matrices (gamma, Gamma); G, the centred row, also
-subtracts the product of its probes' means on both sides.
+realizations, cross-validated against each other.  One table, CONDITIONS in
+`closed`, gives each name both: the probes b_a, named as generator words, and
+mode of its star-product form on the density element, F[a, b] = <b_a* b_b>
+(plain: P, Q, G) or <b_a* b_b + b_b b_a*> (anticommutator: T1, T2), and the
+probe tensors and terms of its closed form in the one- and two-body matrices
+(gamma, Gamma); G, the centred row, also subtracts the product of its probes'
+means on both sides.  The closed-form side, with the table, its index maps
+and the battery, lives in `closed`, which compiles without the element
+kernel; this module adds the star-product side and imports every closed-form
+name back, so `conditions.X` names each one.
 The Grassmann-side pdms and forms are linear in the density, so each is a
 fixed combination of its moments star_trace(kappa, t), |bar| = |unbar| <= 2
 for t, which one cached map per m reads off the coefficient vector; moment 0
 is the trace that every density check reads, and Gamma is P's form transposed.
-The closed forms are linear in (Gamma, gamma): each is one cached index map
-per m (`_index_map`) whose entries are single Gamma and gamma entries times
-probe coefficients, built from the nonzeros of the probe tensors and calling
-no star product.  The per-tensor values check_T1 and check_T2_generalized
-are the T1 and T2 forms at the tensor's coordinates on those probes.
+A row's word probes become elements here (`_word_probes`), and its form is
+one cached map per m (`_probe_set_map`).  The per-tensor values check_T1 and
+check_T2_generalized are the closed T1 and T2 forms at the tensor's
+coordinates on those probes.
 
 Index conventions (0-based in code): gamma[k, l] is the expectation of
 pbar_{l+1} * p_{k+1}; two-body indices flatten row-major, (k, l) -> k*m + l,
@@ -36,58 +39,59 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import (
+    GrassmannElement,
+    Monomial,
+    _generators,
+    _involution_terms,
+    _moment_rows,
+    _mono_products,
+    _pair_sums,
+    _star_pairs,
+    _sum_terms,
+    monomial_element,
+)
+from .closed import (  # noqa: F401  the closed-form side, re-exported
+    _P_TERMS,
+    CONDITIONS,
+    Condition,
+    ConditionReport,
+    _first_order,
+    _flat,
+    _form_value,
+    _index_form,
+    _index_map,
+    _join,
+    _min_eigenvalue,
+    _pair_stacks,
+    _source,
+    _t1_indices,
+    _t1_stacks,
+    _t2_stacks,
+    _term_entries,
+    _validate_pair,
+    battery,
+    psd_tolerance,
+)
+from .limits import (
     ANTISYMMETRY_TOL,
     ELEMENT_CAP,
     FOCK_CAP,
     FORM_HERMITIAN_TOL,
     PSD_REL_TOL,
     STAR_CAP,
-    GrassmannElement,
-    Monomial,
     _check_m,
     _coo_apply,
-    _generators,
-    _involution_terms,
-    _moment_rows,
-    _mono_products,
-    _pair_sums,
     _read_only,
     _require_finite,
     _require_hermitian,
     _require_unit_trace,
     _scale,
-    _star_pairs,
-    _sum_terms,
-    monomial_element,
 )
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    condition: str
-    margin: float
-    passed: bool
-    tol: float
-    method: str
-
-    def as_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "margin": self.margin,
-            "pass": self.passed,
-            "tol": self.tol,
-            "method": self.method,
-        }
-
-
-def psd_tolerance(matrix: np.ndarray) -> float:
-    """Relative PSD tolerance PSD_REL_TOL * (1 + max-norm)."""
-    return PSD_REL_TOL * _scale(matrix)
 
 
 def report_from_form(condition: str, matrix: np.ndarray, method: str,
@@ -101,25 +105,6 @@ def report_from_form(condition: str, matrix: np.ndarray, method: str,
     margin = _min_eigenvalue(herm)
     tol = PSD_REL_TOL * scale if tol is None else tol
     return ConditionReport(condition, margin, margin >= -tol, tol, method)
-
-
-def _min_eigenvalue(herm: np.ndarray) -> float:
-    """The least eigenvalue of an exactly Hermitian form, inf when the form is empty."""
-    return float(np.linalg.eigvalsh(herm).min()) if herm.size else math.inf
-
-
-def _validate_pair(gamma: np.ndarray, Gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    gamma = _require_hermitian(gamma, "gamma")
-    Gamma = _require_hermitian(Gamma, "Gamma")
-    m = gamma.shape[0]
-    if Gamma.shape != (m * m, m * m):
-        raise ValueError(f"Gamma shape {Gamma.shape} does not match m = {m}")
-    return gamma, Gamma, m
-
-
-def _source(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
-    """v = [Gamma.ravel(), gamma.ravel(), 1], the vector every closed form's index map reads."""
-    return np.concatenate((Gamma.ravel(), gamma.ravel(), [1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +213,32 @@ def _stack_terms(elements: list[GrassmannElement]) -> tuple:
     return rows, index, coeffs
 
 
+def _word_probes(words: list, m: int) -> list[GrassmannElement]:
+    """The wedge products of generator words, in order, numbered as in `algebra._generators`.
+
+    Each is one monomial up to sign, or zero where a generator repeats; the
+    words of each length take one `_mono_products` call per word position.
+    """
+    gens = _generators(m)
+    probes = [GrassmannElement(m, {})] * len(words)
+    for length in {len(w) for w in words}:
+        at = np.array([k for k, w in enumerate(words) if len(w) == length])
+        group = np.array([words[k] for k in at], dtype=np.intp)
+        live, index, sign = np.arange(len(group)), gens[group[:, 0]], np.ones(len(group), dtype=np.intp)
+        for position in group.T[1:]:
+            pair, index, more = _mono_products(index, gens[position[live]], m)
+            live, sign = live[pair], sign[pair] * more
+        for k, w in enumerate(at[live].tolist()):
+            probes[w] = GrassmannElement._from_arrays(m, index[k:k + 1], sign[k:k + 1].astype(complex))
+    return probes
+
+
 @functools.lru_cache(maxsize=16)
 def _probe_set_map(condition: str, m: int) -> _LinearMap:
-    """A table condition's form at one m, on the shared moments; at most 16 are cached."""
-    probes, mode = CONDITIONS[condition].probes(m), CONDITIONS[condition].mode
-    return _linear_map(_form_entries(probes, mode, m), (len(probes),) * 2, m, shared=True)
+    """A table condition's form at one m on its word probes and the shared moments; 16 are cached."""
+    row = CONDITIONS[condition]
+    probes = _word_probes(row.words(m), m)
+    return _linear_map(_form_entries(probes, row.mode, m), (len(probes),) * 2, m, shared=True)
 
 
 def _pdm1(moments: np.ndarray, m: int) -> np.ndarray:
@@ -300,14 +306,6 @@ def first_order_report(gamma: np.ndarray) -> ConditionReport:
     return _first_order(_require_hermitian(gamma, "gamma"))
 
 
-def _first_order(gamma: np.ndarray) -> ConditionReport:
-    """first_order_report on a validated gamma."""
-    eigs = np.linalg.eigvalsh(gamma)
-    margin = float(min(eigs.min(), 1.0 - eigs.max()))
-    tol = psd_tolerance(gamma)
-    return ConditionReport("first-order", margin, margin >= -tol, tol, "closed-form")
-
-
 def check_P(gamma: np.ndarray, Gamma: np.ndarray, tol: float | None = None) -> ConditionReport:
     return closed_form_report("P", gamma, Gamma, tol)
 
@@ -354,8 +352,8 @@ def check_T1(gamma: np.ndarray, Gamma: np.ndarray, T: np.ndarray) -> float:
 
 
 def _t1_probe_elements(m: int) -> list[GrassmannElement]:
-    """The ordered cubic probes p_i p_j p_k, i < j < k."""
-    return _word_probes([[m + i, m + j, m + k] for i, j, k in combinations(range(m), 3)], m)
+    """T1's table words as elements: the ordered cubic probes p_i p_j p_k, i < j < k."""
+    return _word_probes(CONDITIONS["T1"].words(m), m)
 
 
 def t1_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
@@ -389,9 +387,8 @@ def check_T2_generalized(gamma: np.ndarray, Gamma: np.ndarray, T: np.ndarray,
 
 
 def _t2_probe_elements(m: int) -> list[GrassmannElement]:
-    """The cubic probes pbar_i pbar_j p_k, i < j, then the linear probes pbar_i."""
-    cubic = [[i, j, m + k] for i, j in combinations(range(m), 2) for k in range(m)]
-    return _word_probes(cubic, m) + _word_probes([[i] for i in range(m)], m)
+    """T2's table words as elements: pbar_i pbar_j p_k, i < j, then the linear probes pbar_i."""
+    return _word_probes(CONDITIONS["T2"].words(m), m)
 
 
 def t2_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
@@ -410,185 +407,7 @@ def check_T2_full(kappa: GrassmannElement) -> ConditionReport:
 
 
 # ---------------------------------------------------------------------------
-# closed forms as index maps on (Gamma, gamma)
-
-def _pair_stacks(m: int) -> dict:
-    """The m * m unit matrices U[k*m + l] = e_k e_l^T, one per pair probe of P, Q and G."""
-    return {"U": np.eye(m * m, dtype=complex).reshape(-1, m, m)}
-
-
-def _t1_indices(m: int) -> tuple:
-    """The index arrays (i, j, k) of the T1 probes, the triples i < j < k in order."""
-    return tuple(np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3).T)
-
-
-def _t1_stacks(m: int) -> dict:
-    """The unit tensors E of the T1 probes: +-1/6 at the six signed orders of each triple."""
-    ijk = _t1_indices(m)
-    E = np.zeros((len(ijk[0]), m, m, m), dtype=complex)
-    for order, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                        ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)):
-        E[(np.arange(len(E)), *(ijk[p] for p in order))] = sign / 6
-    return {"E": E}
-
-
-def _t2_stacks(m: int) -> dict:
-    """The T2 probe tensors: T = (e_i e_j - e_j e_i) e_k / 2 for the cubic probes, a = e_i for the linear."""
-    i, j = np.repeat(np.triu_indices(m, 1), m, axis=1)
-    cubic = np.arange(len(i))
-    T = np.zeros((len(i) + m, m, m, m), dtype=complex)
-    T[cubic, i, j, cubic % m], T[cubic, j, i, cubic % m] = 0.5, -0.5
-    a = np.zeros((len(T), m), dtype=complex)
-    a[len(i):] = np.eye(m)
-    return {"T": T, "a": a}
-
-
-def _flat(indices: list, m: int, size: int) -> np.ndarray:
-    """Row-major flat index over (m,) * len(indices) of equal-length index arrays."""
-    out = np.zeros(size, dtype=np.intp)
-    for ix in indices:
-        out = out * m + ix
-    return out
-
-
-def _join(kx: np.ndarray, ky: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair (p, q) with kx[p] == ky[q], as two index arrays, p ascending."""
-    order = np.argsort(ky, kind="stable")
-    lo = np.searchsorted(ky[order], kx, "left")
-    counts = np.searchsorted(ky[order], kx, "right") - lo
-    first = np.cumsum(counts) - counts
-    xi = np.repeat(np.arange(len(kx)), counts)
-    return xi, order[np.arange(len(xi)) + np.repeat(lo - first, counts)]
-
-
-def _term_entries(x, y, spec: str, scale: float, n: int, m: int):
-    """(row, source, coeff) of one term, from the nonzeros of X and Y joined on shared indices."""
-    (px, ix, vx), (py, iy, vy) = x, y
-    xs, ys, ss = spec.split(",")
-    shared = [c for c in xs if c in ys]
-    xi, yi = _join(_flat([ix[xs.index(c)] for c in shared], m, len(px)),
-                   _flat([iy[ys.index(c)] for c in shared], m, len(py)))
-    index = {c: ix[k][xi] for k, c in enumerate(xs)} | {c: iy[k][yi] for k, c in enumerate(ys)}
-    offset = {4: 0, 2: m ** 4, 0: m ** 4 + m * m}[len(ss)]
-    return (px[xi] * n + py[yi], offset + _flat([index[c] for c in ss], m, len(xi)),
-            scale * vx[xi].conj() * vy[yi])
-
-
-@functools.lru_cache(maxsize=16)
-def _index_map(condition: str, m: int) -> tuple[tuple, int]:
-    """A table condition's closed form at m as one COO map on v = [Gamma.ravel(), gamma.ravel(), 1].
-
-    Returns the read-only (row, source, coeff) triple, whose duplicate
-    entries add up, and the probe count n: the triple applied to v is the
-    raveled n x n form before Hermitisation and centring.  At most 16 maps
-    are cached.
-    """
-    row = CONDITIONS[condition]
-    nonzeros = {}
-    for name, stack in row.stacks(m).items():
-        nz = np.nonzero(stack)
-        nonzeros[name] = (nz[0], nz[1:], stack[nz])
-        n = len(stack)
-    entries = [_term_entries(nonzeros[x], nonzeros[y], spec, scale, n, m)
-               for x, y, spec, scale in row.terms]
-    return _read_only(*(np.concatenate(part) for part in zip(*entries))), n
-
-
-def _index_form(condition: str, m: int, source: np.ndarray) -> np.ndarray:
-    """A table condition's closed form at m on a validated pair's `_source`, exactly Hermitian.
-
-    (F + F^H)/2 with F the cached index map applied to the source; when the
-    condition is centred, less outer(g, conj(g)) with g = gamma.ravel(), and
-    Hermitised again, since the complex outer product can leave roundoff
-    imaginary parts on its diagonal.
-    """
-    (rows, src, coeff), n = _index_map(condition, m)
-    F = _coo_apply(rows, src, coeff, source, n * n).reshape(n, n)
-    F = (F + F.conj().T) / 2
-    if CONDITIONS[condition].centred:
-        g = source[m ** 4:-1]
-        F -= np.outer(g, g.conj())
-        F = (F + F.conj().T) / 2
-    return F
-
-
-def _form_value(condition: str, m: int, source: np.ndarray, c: np.ndarray) -> float:
-    """Re(c* F c) for F a table condition's closed form, summed straight off its index map.
-
-    The uncentred forms only: F before Hermitisation gives the same real part.
-    """
-    (rows, src, coeff), n = _index_map(condition, m)
-    return float(np.sum(c[rows // n].conj() * coeff * source[src] * c[rows % n]).real)
-
-
-# ---------------------------------------------------------------------------
-# the condition table
-
-class Condition(NamedTuple):
-    """One form two ways: `terms` on the tensors `stacks(m)`, the `mode` form of `probes(m)` on kappa."""
-
-    stacks: Callable[[int], dict]
-    terms: tuple
-    probes: Callable[[int], list[GrassmannElement]]
-    mode: str
-    centred: bool
-
-
-def _word_probes(words: list, m: int) -> list[GrassmannElement]:
-    """The wedge products of generator words of one length, numbered as in `algebra._generators`.
-
-    Each is one monomial up to sign, or zero where a generator repeats; one
-    `_mono_products` call per word position builds them all.
-    """
-    if not words:
-        return []
-    gens = _generators(m)
-    words = np.array(words, dtype=np.intp)
-    live, index, sign = np.arange(len(words)), gens[words[:, 0]], np.ones(len(words), dtype=np.intp)
-    for position in words.T[1:]:
-        pair, index, more = _mono_products(index, gens[position[live]], m)
-        live, sign = live[pair], sign[pair] * more
-    probes = [GrassmannElement(m, {})] * len(words)
-    for k, w in enumerate(live.tolist()):
-        probes[w] = GrassmannElement._from_arrays(m, index[k:k + 1], sign[k:k + 1].astype(complex))
-    return probes
-
-
-def _pair_probes(shifts: tuple[int, int], m: int) -> list[GrassmannElement]:
-    """The m * m products of generators a + k and b + l, (a, b) = shifts, in pair order k*m + l."""
-    a, b = shifts
-    return _word_probes([[a + k, b + l] for k in range(m) for l in range(m)], m)
-
-
-# Each closed form is F[x, y] = sum over its terms (x stack, y stack, spec,
-# scale) of scale * sum conj(X[x, ...]) Y[y, ...] v[...], the einsum-style
-# spec naming the indices of X, Y and the source v: Gamma[(i, j), (k, l)]
-# for four letters, gamma for two, the constant 1 for none.  P is Gamma, Q
-# Gamma + (1 - Ex)(1 - gamma x 1 - 1 x gamma), G delta_km gamma[n, l] -
-# Gamma[(k, n), (m, l)] before centring; T1 is the sum over q of
-# 3 (2 E_q^* E_q - 6 E_q^* E_q gamma + 3 E_q^* Gamma E_q), and T2 is, term
-# by term, sum_q T_q^* Gamma T_q, a Gamma trace, the gamma terms of T^* T,
-# T^* a and a^* T, and a^* a, on probes antisymmetric in their first pair.
-# P's probes p_k p_l start at generators (m, m), Q's pbar_k pbar_l at (0, 0)
-# and G's pbar_k p_l at (0, m).
-_P_TERMS = (("U", "U", "ij,kl,ijkl", 1),)
-CONDITIONS = {
-    "P": Condition(_pair_stacks, _P_TERMS, lambda m: _pair_probes((m, m), m), "plain", False),
-    "Q": Condition(_pair_stacks, _P_TERMS + (
-        ("U", "U", "ij,ij,", 1), ("U", "U", "ij,ji,", -1), ("U", "U", "ij,kj,ik", -1),
-        ("U", "U", "ij,il,jl", -1), ("U", "U", "ij,ki,jk", 1), ("U", "U", "ij,jl,il", 1)),
-        lambda m: _pair_probes((0, 0), m), "plain", False),
-    "G": Condition(_pair_stacks, (("U", "U", "kl,kn,nl", 1), ("U", "U", "kl,mn,knml", -1)),
-                   lambda m: _pair_probes((0, m), m), "plain", True),
-    "T1": Condition(_t1_stacks, (("E", "E", "iqk,iqk,", 6), ("E", "E", "iqk,iqp,pk", -18),
-                                 ("E", "E", "jql,iqk,ikjl", 9)),
-                    _t1_probe_elements, "anticommutator", False),
-    "T2": Condition(_t2_stacks, (("T", "T", "ijq,klq,ijkl", 1), ("T", "T", "jqk,qab,bjka", 4),
-                                 ("T", "T", "jqk,jqp,pk", 2), ("T", "a", "qji,q,ji", 2),
-                                 ("a", "T", "q,qij,ji", 2), ("a", "a", "q,q,", 1)),
-                    _t2_probe_elements, "anticommutator", False),
-}
-
+# table condition reports
 
 def closed_form_report(condition: str, gamma: np.ndarray, Gamma: np.ndarray,
                        tol: float | None = None) -> ConditionReport:
@@ -646,33 +465,16 @@ def condition_battery(gamma: np.ndarray, Gamma: np.ndarray | None = None,
     """First-order, then the table conditions in order: the battery of check and fuzz.
 
     P/Q/G run in closed form when Gamma is given.  T1/T2 run on kappa's
-    Grassmann form when kappa is given and in closed form otherwise.
+    Grassmann form when kappa is given and in closed form otherwise; kappa
+    must have gamma's generator count.  Without kappa this is `closed.battery`.
     """
     if kappa is None:
-        return _battery(gamma, Gamma, None, None)
-    return _battery(gamma, Gamma, _moments(kappa.to_vector(), kappa.m), kappa.m)
-
-
-def _battery(gamma, Gamma, moments, m) -> list[ConditionReport]:
-    """condition_battery with kappa given by its moments at m, or None.
-
-    The pair is validated and its source built once; each closed form goes
-    from `_index_form`, Hermitian by construction, straight to one eigensolve.
-    """
-    if Gamma is None:
-        gamma, source = _require_hermitian(gamma, "gamma"), None
-    else:
-        gamma, Gamma, pair_m = _validate_pair(gamma, Gamma)
-        source = _source(gamma, Gamma)
-    reports = [_first_order(gamma)]
-    for name in CONDITIONS:
-        if moments is not None and name in ("T1", "T2"):
-            reports.append(_form_report(name, moments, m))
-        elif source is not None:
-            F = _index_form(name, pair_m, source)
-            margin, tol = _min_eigenvalue(F), psd_tolerance(F)
-            reports.append(ConditionReport(name, margin, margin >= -tol, tol, "closed-form"))
-    return reports
+        return battery(gamma, Gamma)
+    m = len(_require_hermitian(gamma, "gamma"))
+    if kappa.m != m:
+        raise ValueError(f"kappa has m = {kappa.m}, but gamma has m = {m}")
+    moments = _moments(kappa.to_vector(), m)
+    return battery(gamma, Gamma, lambda name: _form_report(name, moments, m))
 
 
 def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -> FuzzSummary:
@@ -704,7 +506,7 @@ def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -
                       float(np.max(np.abs(Gamma - Gamma_o))))
         if sector is not None and sector >= 2:
             cdev_max = max(cdev_max, float(fock.contraction_check(rho)))
-        for rep in _battery(gamma, Gamma, moments, m):
+        for rep in battery(gamma, Gamma, lambda name: _form_report(name, moments, m)):
             prev = worst.get(rep.condition)
             if prev is None or rep.margin < prev:
                 worst[rep.condition] = rep.margin

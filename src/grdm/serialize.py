@@ -13,6 +13,10 @@ instead, and it writes a `GrassmannElement` found anywhere in the tree
 straight from its arrays, as the same bytes that json would give for
 `element_to_dict(a)` at that depth, without building the dict.  Circular
 containers are not detected.
+
+The element kernel (`algebra`) is imported only on the element paths, so
+reading and writing matrices and reports, all that `grdm check` does, never
+compiles it.
 """
 
 from __future__ import annotations
@@ -20,10 +24,12 @@ from __future__ import annotations
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .algebra import GrassmannElement, _indices, _split_index, make_element
+if TYPE_CHECKING:
+    from .algebra import GrassmannElement
 
 
 class FormatError(ValueError):
@@ -49,6 +55,8 @@ def _need_m(obj: dict, where: str) -> int:
 
 def element_to_dict(a: GrassmannElement) -> dict:
     """Terms in ascending (bar, unbar) mask order, read from the element's sorted arrays."""
+    from .algebra import _indices, _split_index
+
     index, coeffs = a.arrays()
     terms = []
     for bar, unbar, c in zip(*_split_index(index, a.m), coeffs.tolist()):
@@ -81,6 +89,8 @@ def _need_finite(t: dict, field: str, k: int) -> float:
 
 
 def element_from_dict(d: dict) -> GrassmannElement:
+    from .algebra import make_element
+
     m = _need_m(d, "element")
     raw = _need(d, "terms", list, "element")
     triples = []
@@ -182,6 +192,8 @@ def _key(k) -> str:
 
 def _element(a: GrassmannElement, nl: str) -> str:
     """element_to_dict(a) as indent-2 JSON whose first line sits at indent `nl`."""
+    from .algebra import _indices, _split_index
+
     i1, i2, i3, i4 = (nl + "  " * k for k in range(1, 5))
     index, coeffs = a.arrays()
     if not index.size:
@@ -224,6 +236,8 @@ def _write(o, nl: str, out) -> None:
             _write(v, inner, out)
             sep = "," + inner
         return out(nl + "}")
+    from .algebra import GrassmannElement
+
     if isinstance(o, GrassmannElement):
         return out(_element(o, nl))
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

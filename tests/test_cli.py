@@ -292,6 +292,13 @@ class TestCheck:
         assert rc == 0
         assert all(r["tol"] == 0.1 for r in json.loads(out.read_text()))
 
+    def test_unwritable_out_exit_2(self, pdm_file, tmp_path, capsys):
+        # exit 1 means a condition failed; an --out that cannot be written is an input error
+        out = tmp_path / "missing" / "r.json"
+        assert cli.main(["check", "--in", str(pdm_file[0]), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: cannot write --out {out}: "
+                                           "No such file or directory\n")
+
     def test_boolean_m_exit_2(self, pdm_file, tmp_path, capsys):
         data = json.loads(pdm_file[0].read_text())
         for part in ("gamma", "Gamma"):
@@ -347,6 +354,12 @@ class TestFuzz:
         assert "seed must be >= 0, got -5" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "fuzz.json"
+        assert cli.main(["fuzz", "--m", "2", "--trials", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: cannot write --out {out}: "
+                                           "No such file or directory\n")
+
     def test_sector_campaign(self, tmp_path):
         out = tmp_path / "fz.json"
         rc = cli.main(["fuzz", "--m", "4", "--trials", "2", "--seed", "1",
@@ -371,6 +384,15 @@ class TestQuasifreeCmd:
         assert rep["points_checked"] == 64
         el = serialize.element_from_dict(payload["element"])
         assert el.m == 2
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        gpath = tmp_path / "gamma.json"
+        serialize.atomic_write_json(str(gpath),
+                                    serialize.matrix_to_dict(np.diag([0.3, 0.7]), "gamma", 2))
+        out = tmp_path / "missing" / "qf.json"
+        assert cli.main(["quasifree", "--in", str(gpath), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: cannot write --out {out}: "
+                                           "No such file or directory\n")
 
     @pytest.mark.parametrize("m", [1, 3, 5])
     def test_output_bytes_are_json_indent_2(self, tmp_path, rng, m):
@@ -506,20 +528,23 @@ def _fresh_process(code: str) -> list:
 def test_import_pulls_no_scipy(tmp_path):
     # grdm depends on numpy alone, and each command loads only the grdm
     # modules it runs: in a fresh process a cold check, fuzz or quasifree run
-    # loads neither scipy nor numpy.ma (about 14 ms cold), check needs no Fock
-    # oracle and no quasifree module, fuzz adds the oracle, quasifree its module
+    # loads neither scipy nor numpy.ma (about 14 ms cold), check needs only the
+    # closed-form realization, no element kernel, no star-product side, no Fock
+    # oracle and no quasifree module; fuzz adds the kernel, the star-product
+    # side and the oracle, quasifree the kernel, the star-product side and its module
     gamma, Gamma = fock.pdms_from_rho(fock.random_density(5, 11))
     pair, gpath = tmp_path / "pair.json", tmp_path / "gamma.json"
     serialize.atomic_write_json(str(pair), {"gamma": serialize.matrix_to_dict(gamma, "gamma", 5),
                                             "Gamma": serialize.matrix_to_dict(Gamma, "Gamma", 5)})
     serialize.atomic_write_json(str(gpath), serialize.matrix_to_dict(
         np.diag([0.2, 0.4, 0.6, 0.8]), "gamma", 4))
-    check = ["grdm", "grdm.algebra", "grdm.cli", "grdm.conditions", "grdm.serialize"]
+    check = ["grdm", "grdm.cli", "grdm.closed", "grdm.limits", "grdm.serialize"]
+    grassmann = ["grdm.algebra", "grdm.conditions"]
     runs = [(["check", "--in", str(pair), "--out", str(tmp_path / "r.json")], check),
             (["fuzz", "--m", "3", "--trials", "1", "--out", str(tmp_path / "f.json")],
-             sorted(check + ["grdm.fock"])),
+             sorted(check + grassmann + ["grdm.fock"])),
             (["quasifree", "--in", str(gpath), "--out", str(tmp_path / "q.json")],
-             sorted(check + ["grdm.quasifree"]))]
+             sorted(check + grassmann + ["grdm.quasifree"]))]
     for argv, modules in runs:
         code = ("import json, sys; from grdm import cli; rc = cli.main(%r); "
                 "print(json.dumps([rc, sorted(k for k in sys.modules if k.split('.')[0] == 'grdm'), "
@@ -539,7 +564,8 @@ def test_package_exports_load_lazily():
             "sorted(k for k in sys.modules if k.startswith('grdm.'))]))")
     loaded, fock_name, unresolved, after = _fresh_process(code)
     assert loaded == [] and fock_name == "grdm.fock" and unresolved == []
-    assert after == ["grdm.algebra", "grdm.conditions", "grdm.fock", "grdm.quasifree"]
+    assert after == ["grdm.algebra", "grdm.closed", "grdm.conditions", "grdm.fock", "grdm.limits",
+                     "grdm.quasifree"]
     assert grdm.build_quasifree is quasifree.build_quasifree
     assert "fock" in dir(grdm) and set(grdm.__all__) <= set(dir(grdm))
     with pytest.raises(AttributeError, match="no attribute 'wick_expectation'"):

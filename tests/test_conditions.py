@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import grdm.closed
 from grdm import conditions as cond
 from grdm import fock, quasifree
 from grdm.algebra import (
@@ -16,6 +17,7 @@ from grdm.algebra import (
     _star_monomials_terms,
     involution,
     make_element,
+    multiply,
     psi,
     psibar,
     star,
@@ -526,7 +528,7 @@ def test_index_map_built_once_per_m(name, closed):
     info = cond._index_map.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     (rows, src, coeff), n = cond._index_map(name, 4)
-    assert n == len(cond.CONDITIONS[name].probes(4))
+    assert n == len(cond.CONDITIONS[name].words(4))
     for arr in (rows, src, coeff):
         assert not arr.flags.writeable
 
@@ -536,7 +538,7 @@ def test_table_stacks_and_maps_reach_the_element_cap():
     # uncached build keeps the large-m maps out of the cache
     for m in range(1, cond.ELEMENT_CAP + 1):
         for name, row in cond.CONDITIONS.items():
-            n = len(row.probes(m))
+            n = len(row.words(m))
             assert all(len(stack) == n for stack in row.stacks(m).values()), (name, m)
             (rows, src, coeff), count = cond._index_map.__wrapped__(name, m)
             assert count == n, (name, m)
@@ -560,8 +562,10 @@ def test_pqg_index_forms_equal_dense_references(m, rng):
 def test_battery_validates_the_pair_once(monkeypatch):
     _, _, gamma, Gamma = genuine(3, 89)
     calls = []
-    validate = cond._validate_pair
-    monkeypatch.setattr(cond, "_validate_pair", lambda *pair: calls.append(1) or validate(*pair))
+    # the battery lives in `closed` and looks the validator up there
+    validate = grdm.closed._validate_pair
+    monkeypatch.setattr(grdm.closed, "_validate_pair",
+                        lambda *pair: calls.append(1) or validate(*pair))
     reports = cond.condition_battery(gamma, Gamma)
     assert [r.condition for r in reports] == ["first-order", *cond.CONDITIONS]
     assert len(calls) == 1
@@ -583,6 +587,16 @@ def test_battery_reports_equal_the_checking_path(m, rng):
         got = cond.condition_battery(gamma, Gamma)
         assert [r.as_dict() for r in got] == [r.as_dict() for r in want], m
         assert (got[4].margin == np.inf) == (m < 3)
+
+
+def test_battery_refuses_a_kappa_of_another_m():
+    # an m = 4 kappa with an m = 3 pair would report P/Q/G of one and T1/T2 of the other
+    _, _, gamma, Gamma = genuine(3, 1)
+    _, kappa, _, _ = genuine(4, 2)
+    with pytest.raises(ValueError, match="kappa has m = 4, but gamma has m = 3"):
+        cond.condition_battery(gamma, Gamma, kappa)
+    with pytest.raises(ValueError, match="kappa has m = 4, but gamma has m = 3"):
+        cond.condition_battery(gamma, None, kappa)
 
 
 def test_grassmann_form_hermiticity_check_fires():
@@ -613,11 +627,29 @@ def test_index_maps_agree_with_grassmann_forms_at_m6():
 def _assert_form_map_equals_scalar_builder(name, m):
     row = cond.CONDITIONS[name]
     got = cond._probe_set_map(name, m)
-    want = cond._linear_map(form_entries_reference(row.probes(m), row.mode, m), got.shape, m,
-                            shared=True)
+    want = cond._linear_map(form_entries_reference(cond._word_probes(row.words(m), m), row.mode, m),
+                            got.shape, m, shared=True)
     assert got.moments is want.moments
     for g, w in zip(canonical_combine(got), canonical_combine(want)):
         assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_word_probes_equal_generator_products(m):
+    # each table row's words, built in one pass per word length, against the
+    # plain product chain of the same generators, one word at a time
+    generators = [psibar(i + 1, m) for i in range(m)] + [psi(i + 1, m) for i in range(m)]
+    for name, row in cond.CONDITIONS.items():
+        words = row.words(m)
+        assert all(type(g) is int for word in words for g in word), name
+        got = cond._word_probes(words, m)
+        assert len(got) == len(words), (name, m)
+        for word, probe in zip(words, got):
+            want = generators[word[0]]
+            for g in word[1:]:
+                want = multiply(want, generators[g])
+            for got_part, want_part in zip(probe.arrays(), want.arrays(), strict=True):
+                assert np.array_equal(got_part, want_part), (name, word)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])

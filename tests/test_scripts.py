@@ -28,6 +28,7 @@ def test_scripts_exit_0():
         ["fuzz_campaign.py", "--trials", "1", "--max-m", "2"],
         ["map_build_times.py", "--m", "3", "--repeats", "1"],
         ["write_times.py", "--m", "4", "--repeats", "1"],
+        ["start_up.py", "--runs", "1"],
     ]
     for (script, *_), proc in zip(runs, _start(runs)):
         out, err = proc.communicate(timeout=120)
@@ -54,6 +55,15 @@ def test_scripts_exit_0():
             assert [row[0] for row in rows[1:]] == ["check-m5", "fuzz-m5", "quasifree-m4"]
             assert all(len(row) == 5 for row in rows[1:])
             assert rows[-1][1] == "70"
+        if script == "start_up.py":
+            # a header, then per command its medians, source KB and grdm modules; check
+            # loads the closed-form realization alone
+            rows = [line.split() for line in out.strip().splitlines()]
+            assert rows[0] == ["command", "import", "ms", "cold", "op", "ms", "source", "KB",
+                               "grdm", "modules"]
+            assert [row[0] for row in rows[1:]] == ["check", "fuzz", "quasifree", "selftest"]
+            assert all(float(x) > 0 for row in rows[1:] for x in row[1:4])
+            assert rows[1][4:] == ["grdm", "cli", "closed", "limits", "serialize"]
 
 
 def test_fuzz_campaign_bad_arguments_exit_2():
@@ -70,6 +80,7 @@ def test_fuzz_campaign_bad_arguments_exit_2():
         ("map_build_times.py", "--m", ["--m", "11"]),
         ("write_times.py", "--repeats", ["--m", "4", "--repeats", "0"]),
         ("write_times.py", "--m", ["--m", "9"]),
+        ("start_up.py", "--runs", ["--runs", "0"]),
     ]
     procs = _start([[script, *args] for script, _, args in cases])
     for (script, flag, args), proc in zip(cases, procs):

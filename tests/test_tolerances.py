@@ -1,7 +1,7 @@
 """One table of tolerances and caps, and one check per kind of input.
 
 Every tolerance and cap is named once, in the constants block at the top of
-`grdm/algebra.py`; the source guards below keep new literals and knobs from
+`grdm/limits.py`; the source guards below keep new literals and knobs from
 creeping back.  The input checks compare as `not dev <= tol`, so a NaN or
 infinite input raises a ValueError that names it instead of getting a verdict.
 """
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grdm import algebra, conditions as cond, fock, quasifree as qf
+from grdm import algebra, closed, conditions as cond, fock, limits, quasifree as qf
 from grdm.algebra import change_generators, expectation, make_element, unit
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "grdm"
@@ -27,7 +27,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "grdm"
 # that receives it) is pinned tighter than its default by a test;
 # elements_close compares at a caller's scale, and prune runs at two.
 KEPT_KNOBS = {
-    ("algebra", "_require_hermitian", "tol"),
     ("algebra", "elements_close", "tol"),
     ("algebra", "prune", "rel_tol"),
     ("conditions", "check_G", "tol"),
@@ -36,6 +35,7 @@ KEPT_KNOBS = {
     ("conditions", "closed_form_report", "tol"),
     ("conditions", "report_from_form", "tol"),
     ("fock", "validate_density", "tol"),
+    ("limits", "_require_hermitian", "tol"),
 }
 
 
@@ -44,7 +44,7 @@ def _sources():
 
 
 def _constants_block_end(text: str) -> int:
-    """The first line of algebra.py's first class or function, where its constants block ends."""
+    """The first line of limits.py's first class or function, where its constants block ends."""
     return min(node.lineno for node in ast.parse(text).body
                if isinstance(node, (ast.ClassDef, ast.FunctionDef)))
 
@@ -52,7 +52,7 @@ def _constants_block_end(text: str) -> int:
 def test_e_notation_literals_only_in_the_constants_block():
     found = []
     for module, text in _sources().items():
-        end = _constants_block_end(text) if module == "algebra" else 0
+        end = _constants_block_end(text) if module == "limits" else 0
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
             if (tok.type == tokenize.NUMBER and re.search(r"[eE]-", tok.string)
                     and tok.start[0] >= end):
@@ -99,7 +99,13 @@ def test_caps_and_tolerances_resolve_where_they_are_read():
     assert fock.FOCK_CAP is algebra.FOCK_CAP == 8
     assert qf.QUASIFREE_CAP is algebra.QUASIFREE_CAP == 8
     assert qf.BOUNDARY_TOL is algebra.BOUNDARY_TOL
-    assert cond.PSD_REL_TOL is algebra.PSD_REL_TOL
+    assert cond.PSD_REL_TOL is closed.PSD_REL_TOL is algebra.PSD_REL_TOL
+    # every constant, check and map helper of limits is the same object through algebra
+    shared = [name for name in vars(limits)
+              if name.isupper() or (name.startswith("_") and not name.startswith("__"))]
+    assert "HERMITIAN_INPUT_TOL" in shared and "_coo_apply" in shared
+    for name in shared:
+        assert getattr(algebra, name) is getattr(limits, name), name
 
 
 def _unit_trace_density(bad):
