@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from grdm.conditions import fuzz_conditions
-from grdm.fock import FOCK_CAP
+from grdm.limits import FOCK_CAP
 
 
 def main() -> int:

@@ -4,7 +4,7 @@
 For each requested m this times, each in its own subprocess so that no cache
 is warm: the moment map `conditions._moment_map`, the five table forms
 `conditions._probe_set_map` (on a moment map built untimed first), the five
-closed-form index maps `conditions._index_map` (rows closed-P .. closed-T2),
+closed-form index maps `closed._index_map` (rows closed-P .. closed-T2),
 the quasifree word map `quasifree._star_word_map(m, 4)` and the Fock
 operator-to-element map `fock._element_map` (m <= 8).  Prints the median
 over the repeats in milliseconds, one row per build and one column per m.
@@ -21,18 +21,18 @@ import time
 
 TABLE = ("P", "Q", "G", "T1", "T2")
 BUILDS = ("moment", *TABLE, *(f"closed-{name}" for name in TABLE), "words@4", "element")
-ELEMENT_MAP_CAP = 8  # fock.FOCK_CAP, read here without importing grdm
+ELEMENT_MAP_CAP = 8  # limits.FOCK_CAP, read here without importing grdm
 
 
 def build(name: str, m: int) -> float:
     """Milliseconds of one cold build in this process."""
-    from grdm import conditions, fock, quasifree
+    from grdm import closed, conditions, fock, quasifree
 
     if name in TABLE:
         conditions._moment_map(m)
         run = lambda: conditions._probe_set_map(name, m)  # noqa: E731
     elif name.startswith("closed-"):
-        run = lambda: conditions._index_map(name.removeprefix("closed-"), m)  # noqa: E731
+        run = lambda: closed._index_map(name.removeprefix("closed-"), m)  # noqa: E731
     else:
         run = {"moment": lambda: conditions._moment_map(m),
                "words@4": lambda: quasifree._star_word_map(m, 4),

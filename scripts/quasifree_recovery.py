@@ -18,8 +18,8 @@ import time
 import numpy as np
 
 from grdm.conditions import pdm1_from_density, pdm2_from_density
-from grdm.quasifree import (QUASIFREE_CAP, build_quasifree, verify_quasifree, wick_pdms,
-                            words_checked)
+from grdm.limits import QUASIFREE_CAP
+from grdm.quasifree import build_quasifree, verify_quasifree, wick_pdms, words_checked
 
 
 def random_unitary(rng, m):

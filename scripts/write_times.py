@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from grdm import serialize
-from grdm.quasifree import QUASIFREE_CAP
+from grdm.limits import QUASIFREE_CAP
 
 
 def payloads(ms):

@@ -20,12 +20,13 @@ _SUBMODULES = ("algebra", "cli", "closed", "conditions", "fock", "limits", "quas
 # exported name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys((
-        "ELEMENT_CAP", "STAR_CAP", "GrassmannElement", "Monomial", "change_generators",
-        "expectation", "involution", "make_element", "monomial_element", "multiply",
-        "pair_integral_closed_form", "prune", "psi", "psibar", "raw_integral", "star",
-        "star_monomials", "star_trace", "trace_integral", "trace_weight", "unit", "zero",
+        "GrassmannElement", "Monomial", "change_generators", "expectation", "involution",
+        "make_element", "monomial_element", "multiply", "pair_integral_closed_form", "prune",
+        "psi", "psibar", "raw_integral", "star", "star_monomials", "star_trace",
+        "trace_integral", "trace_weight", "unit", "zero",
     ), "algebra"),
     "ConditionReport": "closed",
+    **dict.fromkeys(("ELEMENT_CAP", "STAR_CAP"), "limits"),
     **dict.fromkeys((
         "check_G", "check_P", "check_Q", "check_T1", "check_T1_full", "check_T2_full",
         "check_T2_generalized", "condition_battery", "fuzz_conditions", "order_n_check",

@@ -26,10 +26,6 @@ per-m bit tables, the memo of the scalar monomial star product behind
 `star_monomials`, which is also the reference the kernel is tested against,
 and the per-m subset orderings of the compound matrices (`_degree_order`),
 which change_generators and the quasifree build read.
-
-The package's tolerances and caps, its input checks and the read-only COO
-helpers of the cached maps live in `limits`, which compiles without this
-module; they are imported back here, so `algebra.X` still names each one.
 """
 
 from __future__ import annotations
@@ -41,35 +37,16 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .limits import (  # noqa: F401  the tolerances, caps and checks, re-exported
-    ANTISYMMETRY_TOL,
-    BOUNDARY_TOL,
-    DENSITY_TRACE_TOL,
+from .limits import (
     ELEMENT_CAP,
     ELEMENTS_CLOSE_TOL,
-    FOCK_CAP,
-    FOCK_DENSITY_TOL,
-    FORM_HERMITIAN_TOL,
-    HERMITIAN_INPUT_TOL,
-    OPERATOR_PRUNE_REL_TOL,
     PRUNE_REL_TOL,
-    PSD_REL_TOL,
-    QUASIFREE_CAP,
-    SECTOR_TOL,
-    SELFTEST_EXACT_TOL,
-    SELFTEST_RANDOM_TOL,
-    SLATER_NORM_TOL,
     STAR_CAP,
-    UNITARY_TOL,
     _check_m,
-    _coo_apply,
-    _index_dtype,
     _read_only,
     _require_finite,
-    _require_hermitian,
     _require_unit_trace,
     _require_unitary,
-    _scale,
 )
 
 

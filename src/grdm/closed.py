@@ -7,7 +7,7 @@ and closed-form terms and its probes named as generator words; the cached
 index maps of the closed forms; and the battery that `grdm check` runs.  It
 reads numpy and `limits` only.  The star-product realization of the same
 forms, which builds each row's word probes as elements and cross-validates
-against this one, lives in `conditions`, which imports every name here back.
+against this one, lives in `conditions`.
 
 Each closed form is linear in (Gamma, gamma): it is one cached index map per
 m (`_index_map`) whose entries are single Gamma and gamma entries times probe

@@ -9,8 +9,7 @@ probe tensors and terms of its closed form in the one- and two-body matrices
 (gamma, Gamma); G, the centred row, also subtracts the product of its probes'
 means on both sides.  The closed-form side, with the table, its index maps
 and the battery, lives in `closed`, which compiles without the element
-kernel; this module adds the star-product side and imports every closed-form
-name back, so `conditions.X` names each one.
+kernel; this module adds the star-product side.
 The Grassmann-side pdms and forms are linear in the density, so each is a
 fixed combination of its moments star_trace(kappa, t), |bar| = |unbar| <= 2
 for t, which one cached map per m reads off the coefficient vector; moment 0
@@ -55,27 +54,17 @@ from .algebra import (
     _sum_terms,
     monomial_element,
 )
-from .closed import (  # noqa: F401  the closed-form side, re-exported
-    _P_TERMS,
+from .closed import (
     CONDITIONS,
-    Condition,
     ConditionReport,
     _first_order,
-    _flat,
     _form_value,
     _index_form,
-    _index_map,
-    _join,
     _min_eigenvalue,
-    _pair_stacks,
     _source,
     _t1_indices,
-    _t1_stacks,
-    _t2_stacks,
-    _term_entries,
     _validate_pair,
     battery,
-    psd_tolerance,
 )
 from .limits import (
     ANTISYMMETRY_TOL,
@@ -351,16 +340,12 @@ def check_T1(gamma: np.ndarray, Gamma: np.ndarray, T: np.ndarray) -> float:
     return _form_value("T1", m, _source(gamma, Gamma), 6 * T[_t1_indices(m)]) / 3
 
 
-def _t1_probe_elements(m: int) -> list[GrassmannElement]:
-    """T1's table words as elements: the ordered cubic probes p_i p_j p_k, i < j < k."""
-    return _word_probes(CONDITIONS["T1"].words(m), m)
-
-
 def t1_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
     """T1 anticommutator form over ordered cubic probes, built from (gamma, Gamma).
 
     Entry (a, b) sums the T1 terms of the condition table on the unit tensors
-    E_a, E_b of `_t1_stacks`, read off the cached index map `_index_map("T1", m)`.
+    E_a, E_b of `closed._t1_stacks`, read off the cached index map
+    `closed._index_map("T1", m)`.
     """
     gamma, Gamma, m = _validate_pair(gamma, Gamma)
     return _index_form("T1", m, _source(gamma, Gamma))
@@ -386,16 +371,12 @@ def check_T2_generalized(gamma: np.ndarray, Gamma: np.ndarray, T: np.ndarray,
     return _form_value("T2", m, _source(gamma, Gamma), c)
 
 
-def _t2_probe_elements(m: int) -> list[GrassmannElement]:
-    """T2's table words as elements: pbar_i pbar_j p_k, i < j, then the linear probes pbar_i."""
-    return _word_probes(CONDITIONS["T2"].words(m), m)
-
-
 def t2_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
     """Generalized T2 anticommutator form over cubic and linear probes.
 
     Entry (x, y) sums the T2 terms of the condition table on the probe
-    tensors of `_t2_stacks`, read off the cached index map `_index_map("T2", m)`.
+    tensors of `closed._t2_stacks`, read off the cached index map
+    `closed._index_map("T2", m)`.
     """
     gamma, Gamma, m = _validate_pair(gamma, Gamma)
     return _index_form("T2", m, _source(gamma, Gamma))

@@ -25,10 +25,10 @@ import functools
 
 import numpy as np
 
-from .algebra import (FOCK_CAP, FOCK_DENSITY_TOL, OPERATOR_PRUNE_REL_TOL, SECTOR_TOL,
-                      SLATER_NORM_TOL, GrassmannElement, _check_m, _coo_apply, _index_dtype,
-                      _merge_parity, _parity, _popcount, _read_only, _require_finite,
-                      _require_hermitian, _require_unitary, prune)
+from .algebra import GrassmannElement, _merge_parity, _parity, _popcount, prune
+from .limits import (FOCK_CAP, FOCK_DENSITY_TOL, OPERATOR_PRUNE_REL_TOL, SECTOR_TOL,
+                     SLATER_NORM_TOL, _check_m, _coo_apply, _index_dtype, _read_only,
+                     _require_finite, _require_hermitian, _require_unitary)
 
 
 def _infer_m(mat: np.ndarray) -> int:

@@ -1,8 +1,8 @@
 """Every tolerance and cap of the package, the input checks and the cached-map helpers.
 
 A leaf module on numpy alone, so the closed-form side (`closed`) reads them
-without compiling the Grassmann element kernel; `algebra` and every other
-module import them from here.
+without compiling the Grassmann element kernel.  Every module reads these
+names from here, and no other module defines a tolerance or a cap.
 """
 
 from __future__ import annotations

@@ -40,23 +40,25 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .algebra import (
-    BOUNDARY_TOL,
-    QUASIFREE_CAP,
     GrassmannElement,
     Monomial,
-    _check_m,
     _compound_blocks,
     _degree_order,
     _generators,
     _half_pair_sign,
-    _index_dtype,
-    _read_only,
-    _require_hermitian,
     _star_pairs,
     _sum_terms,
     prune,
 )
 from .conditions import _LinearMap, _linear_map
+from .limits import (
+    BOUNDARY_TOL,
+    QUASIFREE_CAP,
+    _check_m,
+    _index_dtype,
+    _read_only,
+    _require_hermitian,
+)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,6 @@ import numpy as np
 
 from . import fock
 from .algebra import (
-    SELFTEST_EXACT_TOL,
-    SELFTEST_RANDOM_TOL,
     GrassmannElement,
     Monomial,
     involution,
@@ -34,6 +32,7 @@ from .algebra import (
     trace_weight,
     unit,
 )
+from .limits import SELFTEST_EXACT_TOL, SELFTEST_RANDOM_TOL
 
 
 def identities(flip: int, rng: random.Random):

@@ -117,12 +117,33 @@ def matrix_to_dict(mat: np.ndarray, kind: str, m: int) -> dict:
     }
 
 
+_NUMBER_TYPES = frozenset((int, float))
 _EXPECTED_DIM = {
     "gamma": lambda m: m,
     "Gamma": lambda m: m * m,
     "density": lambda m: 1 << m,
     "operator": lambda m: 1 << m,
 }
+
+
+def _number_array(rows: list, name: str, kind: str) -> np.ndarray:
+    """A matrix field as a float array, its entries JSON numbers that binary64 holds.
+
+    One type scan over the rows: json loads a number as int or float, so a
+    string, null, a boolean (a bool is an int) or a nested array fails it.
+    """
+    found = {type(x) for row in rows for x in (row if type(row) is list else (row,))}
+    if not found <= _NUMBER_TYPES:
+        bad = ", ".join(sorted(t.__name__ for t in found - _NUMBER_TYPES))
+        raise FormatError(f"field '{name}' of the {kind} matrix holds a non-numeric entry "
+                          f"of type {bad}")
+    try:
+        return np.asarray(rows, dtype=float)
+    except OverflowError as exc:  # an int past the float range
+        raise FormatError(f"field '{name}' of the {kind} matrix holds a non-finite value: "
+                          f"{exc}") from exc
+    except ValueError as exc:  # rows of unequal length
+        raise FormatError(f"field '{name}' is not a numeric matrix: {exc}") from exc
 
 
 def matrix_from_dict(d: dict, expect_kind: str | None = None) -> tuple[np.ndarray, str, int]:
@@ -140,12 +161,8 @@ def matrix_from_dict(d: dict, expect_kind: str | None = None) -> tuple[np.ndarra
     want = _EXPECTED_DIM[kind](m)
     if dim != want:
         raise FormatError(f"field 'dim' is {dim}, expected {want} for kind {kind!r} with m = {m}")
-    re = _need(d, "re", list, f"{kind} matrix")
-    im = _need(d, "im", list, f"{kind} matrix")
-    try:
-        parts = {"re": np.asarray(re, dtype=float), "im": np.asarray(im, dtype=float)}
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"fields 're'/'im' are not numeric matrices: {exc}") from exc
+    rows = {name: _need(d, name, list, f"{kind} matrix") for name in ("re", "im")}
+    parts = {name: _number_array(part, name, kind) for name, part in rows.items()}
     for name, part in parts.items():
         if part.shape != (dim, dim):
             raise FormatError(f"field '{name}' has shape {part.shape}, expected ({dim}, {dim})")
@@ -265,8 +282,13 @@ def atomic_write_json(path: str, obj) -> None:
 
 
 def load_json(path: str):
-    with open(path) as fh:
+    """The JSON document of the UTF-8 file at `path`; FormatError when it is not UTF-8 JSON."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not UTF-8 text: {exc}") from exc
+        except RecursionError as exc:
+            raise FormatError(f"JSON nested too deeply: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise FormatError(f"not valid JSON: {exc}") from exc

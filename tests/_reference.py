@@ -48,10 +48,11 @@ from itertools import combinations
 import numpy as np
 
 from grdm import fock, quasifree
-from grdm.algebra import (BOUNDARY_TOL, GrassmannElement, Monomial, _acc, _half_pair_sign,
-                          _indices, _merge_sign, _star_monomials_terms, change_generators,
-                          multiply, psi, psibar, star, star_trace, trace_integral)
-from grdm.conditions import _validate_pair
+from grdm.algebra import (GrassmannElement, Monomial, _acc, _half_pair_sign, _indices,
+                          _merge_sign, _star_monomials_terms, change_generators, multiply, psi,
+                          psibar, star, star_trace, trace_integral)
+from grdm.closed import _validate_pair
+from grdm.limits import BOUNDARY_TOL
 
 
 def _lift_left(a, m):

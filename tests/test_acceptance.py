@@ -29,6 +29,7 @@ from grdm.algebra import (
     unit,
     zero,
 )
+from grdm.closed import CONDITIONS
 from _reference import exchange_matrix, number_operator
 from conftest import rand_element, random_unitary
 
@@ -181,7 +182,8 @@ def test_criterion_08_t_scalar_form_cross_check():
         kappa = fock.from_operator(rho)
         gamma = cond.pdm1_from_density(kappa)
         Gamma = cond.pdm2_from_density(kappa)
-        F1 = cond.quadratic_form_matrix(kappa, cond._t1_probe_elements(m), "anticommutator")
+        probes = cond._word_probes(CONDITIONS["T1"].words(m), m)
+        F1 = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
         triples = list(combinations(range(m), 3))
         for _ in range(50):
             t = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
@@ -195,7 +197,8 @@ def test_criterion_08_t_scalar_form_cross_check():
             form_val = (np.vdot(coords, F1 @ coords) / 3).real
             scalar = cond.check_T1(gamma, Gamma, T)
             assert abs(scalar - form_val) <= 1e-9 * max(1.0, abs(scalar), abs(form_val))
-        F2 = cond.quadratic_form_matrix(kappa, cond._t2_probe_elements(m), "anticommutator")
+        probes = cond._word_probes(CONDITIONS["T2"].words(m), m)
+        F2 = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
         pairs = list(combinations(range(m), 2))
         wrong_order_matches = 0
         for _ in range(50):

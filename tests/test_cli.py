@@ -129,6 +129,29 @@ class TestSerialize:
         with pytest.raises(serialize.FormatError, match=rf"'terms\[1\]\.{field}'"):
             serialize.element_from_dict(d)
 
+    @pytest.mark.parametrize("field, entry, message", [
+        ("re", "0.3", "non-numeric"),       # a numeric string
+        ("re", True, "non-numeric"),        # a JSON boolean is no number
+        ("im", False, "non-numeric"),
+        ("re", None, "non-numeric"),        # null
+        ("im", [0.5], "non-numeric"),       # a nested array
+        ("re", 10**400, "non-finite"),      # an int no binary64 holds
+        ("im", -10**400, "non-finite"),
+        ("re", float("nan"), "non-finite"),
+        ("im", float("-inf"), "non-finite"),
+    ])
+    def test_matrix_bad_entry_names_field(self, field, entry, message):
+        d = serialize.matrix_to_dict(np.diag([0.3, 0.7]), "gamma", 2)
+        d[field][1][0] = entry
+        with pytest.raises(serialize.FormatError, match=rf"^field '{field}' .*{message}"):
+            serialize.matrix_from_dict(d, "gamma")
+
+    def test_matrix_reads_ints_as_floats(self):
+        d = {"kind": "gamma", "m": 2, "dim": 2, "re": [[1, 0], [0, 10**300]],
+             "im": [[0, 0.5], [-0.5, 0]]}
+        mat, _, _ = serialize.matrix_from_dict(d)
+        assert np.array_equal(mat, [[1, 0.5j], [-0.5j, 1e300]])
+
     @settings(max_examples=300, deadline=None)
     @given(json_trees)
     def test_dumps_equals_json_indent_2(self, tree):
@@ -495,6 +518,37 @@ def test_non_object_matrix_exit_2(pdm_file, tmp_path, capsys, value):
         path.write_text(json.dumps(data))
         assert cli.main([command, "--in", str(path), "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("entry, message", [('"0.3"', "non-numeric"), ("true", "non-numeric"),
+                                            ("null", "non-numeric"), ("1" + "0" * 400, "non-finite")],
+                         ids=["string", "true", "null", "huge-int"])
+def test_non_numeric_matrix_entry_exit_2(tmp_path, capsys, entry, message):
+    # exit 1 means a condition failed; an entry that is no binary64 number is an input error
+    gamma = ('{"kind": "gamma", "m": 2, "dim": 2, "re": [[%s, 0], [0, 0.5]], '
+             '"im": [[0, 0], [0, 0]]}' % entry)
+    for command, data in (("check", '{"gamma": %s}' % gamma), ("quasifree", gamma)):
+        path, out = tmp_path / "in.json", tmp_path / "out.json"
+        path.write_text(data)
+        assert cli.main([command, "--in", str(path), "--out", str(out)]) == 2, command
+        err = capsys.readouterr().err
+        assert "'re'" in err and message in err, err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'\xff\xfe{"gamma": 1}', "not UTF-8"),
+    (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+], ids=["utf-16-bom", "deep"])
+def test_unreadable_json_file_exit_2(tmp_path, capsys, content, message):
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_bytes(content)
+    with pytest.raises(serialize.FormatError, match=message):
+        serialize.load_json(str(path))
+    for command in ("check", "quasifree"):
+        assert cli.main([command, "--in", str(path), "--out", str(out)]) == 2, command
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -13,7 +13,6 @@ from grdm import fock, quasifree
 from grdm.algebra import (
     GrassmannElement,
     Monomial,
-    _coo_apply,
     _star_monomials_terms,
     involution,
     make_element,
@@ -25,6 +24,9 @@ from grdm.algebra import (
     trace_integral,
     unit,
 )
+from grdm.closed import (CONDITIONS, _index_form, _index_map, _source, _t1_stacks, _t2_stacks,
+                         _validate_pair)
+from grdm.limits import ELEMENT_CAP, _coo_apply
 from _reference import (canonical_combine, exchange_matrix, form_entries_reference, g_condition_matrix,
                         q_condition_matrix, t1_bilinear, t2_bilinear, t2a_value)
 from conftest import rand_element, random_unitary
@@ -108,7 +110,7 @@ class TestPdmExtraction:
         for m in (2, 3, 5):
             rows, index = cond._moment_map(m)
             assert len(index) == 1 + m * m + (m * (m - 1) // 2) ** 2
-            for name in cond.CONDITIONS:
+            for name in CONDITIONS:
                 table_map = cond._probe_set_map(name, m)
                 assert table_map.moments is rows and table_map.monomials is index
 
@@ -304,7 +306,8 @@ class TestT1:
     def test_scalar_matches_form_evaluation(self, rng):
         m = 4
         _, kappa, gamma, Gamma = genuine(m, 54)
-        F = cond.quadratic_form_matrix(kappa, cond._t1_probe_elements(m), "anticommutator")
+        probes = cond._word_probes(CONDITIONS["T1"].words(m), m)
+        F = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
         triples = list(combinations(range(m), 3))
         for _ in range(15):
             T = rand_antisym3(rng, m)
@@ -316,7 +319,8 @@ class TestT1:
     def test_form_routes_agree(self):
         m = 4
         _, kappa, gamma, Gamma = genuine(m, 55)
-        dens_route = cond.quadratic_form_matrix(kappa, cond._t1_probe_elements(m), "anticommutator")
+        probes = cond._word_probes(CONDITIONS["T1"].words(m), m)
+        dens_route = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
         pdm_route = cond.t1_form_from_pdms(gamma, Gamma)
         assert np.max(np.abs(dens_route - pdm_route)) < 1e-10
 
@@ -342,7 +346,7 @@ class TestT1:
     def test_batched_form_matches_bilinear_loop(self, rng):
         for m in range(1, 7):
             # the T1 form is empty below m = 3
-            tensors = cond._t1_stacks(m)["E"]
+            tensors = _t1_stacks(m)["E"]
             for gamma, Gamma in reference_pairs(m, 57, rng):
                 F = np.array([[3 * t1_bilinear(ta, tb, gamma, Gamma) for tb in tensors]
                               for ta in tensors]).reshape(len(tensors), len(tensors))
@@ -365,7 +369,8 @@ class TestT2:
     def test_scalar_matches_form_evaluation(self, rng):
         m = 4
         _, kappa, gamma, Gamma = genuine(m, 62)
-        F = cond.quadratic_form_matrix(kappa, cond._t2_probe_elements(m), "anticommutator")
+        probes = cond._word_probes(CONDITIONS["T2"].words(m), m)
+        F = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
         pairs = list(combinations(range(m), 2))
         for _ in range(15):
             T = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
@@ -382,7 +387,8 @@ class TestT2:
         # slice index order [T_j^(A)]_{i q} instead of [T_j^(A)]_{q i}
         m = 4
         _, kappa, gamma, Gamma = genuine(m, 63)
-        F = cond.quadratic_form_matrix(kappa, cond._t2_probe_elements(m), "anticommutator")
+        probes = cond._word_probes(CONDITIONS["T2"].words(m), m)
+        F = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
         pairs = list(combinations(range(m), 2))
         worst = 0.0
         for _ in range(10):
@@ -419,13 +425,14 @@ class TestT2:
     def test_form_routes_agree(self):
         m = 3
         _, kappa, gamma, Gamma = genuine(m, 66)
-        dens_route = cond.quadratic_form_matrix(kappa, cond._t2_probe_elements(m), "anticommutator")
+        probes = cond._word_probes(CONDITIONS["T2"].words(m), m)
+        dens_route = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
         pdm_route = cond.t2_form_from_pdms(gamma, Gamma)
         assert np.max(np.abs(dens_route - pdm_route)) < 1e-10
 
     def test_batched_form_matches_bilinear_loop(self, rng):
         for m in range(1, 7):
-            stacks = cond._t2_stacks(m)
+            stacks = _t2_stacks(m)
             probes = list(zip(stacks["T"], stacks["a"]))
             for gamma, Gamma in reference_pairs(m, 68, rng):
                 F = np.array([[t2_bilinear(Tx, ax, Ty, ay, gamma, Gamma) for Ty, ay in probes]
@@ -482,7 +489,7 @@ def test_table_realizations_agree(m):
     # an empty form (T1 below m = 3) has margin inf on both sides; T2 at m = 1
     # is the 1 x 1 form of the linear probe, margin 1
     _, kappa, gamma, Gamma = genuine(m, 90 + m)
-    for name in cond.CONDITIONS:
+    for name in CONDITIONS:
         closed = cond.closed_form_report(name, gamma, Gamma)
         form = cond.condition_form_report(kappa, name)
         assert (closed.margin == form.margin == np.inf
@@ -503,11 +510,11 @@ def test_grassmann_forms_match_closed_forms_at_m6(rng):
         gamma_o, Gamma_o = fock.pdms_from_rho(rho)
         assert np.max(np.abs(gamma - gamma_o)) <= 1e-10
         assert np.max(np.abs(Gamma - Gamma_o)) <= 1e-10
-        for name, probes, closed, full in (
-                ("T1", cond._t1_probe_elements(m), cond.t1_form_from_pdms, cond.check_T1_full),
-                ("T2", cond._t2_probe_elements(m), cond.t2_form_from_pdms, cond.check_T2_full)):
+        for name, from_pdms, full in (("T1", cond.t1_form_from_pdms, cond.check_T1_full),
+                                      ("T2", cond.t2_form_from_pdms, cond.check_T2_full)):
+            probes = cond._word_probes(CONDITIONS[name].words(m), m)
             F = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
-            C = closed(gamma, Gamma)
+            C = from_pdms(gamma, Gamma)
             assert np.max(np.abs(F - C)) <= 1e-10, name
             rep = full(kappa)
             assert rep.passed, rep
@@ -519,16 +526,16 @@ def test_grassmann_forms_match_closed_forms_at_m6(rng):
                                           ("T2", cond.t2_form_from_pdms)])
 def test_index_map_built_once_per_m(name, closed):
     # the public entry point of each table condition: a report for P/Q/G, the form for T1/T2
-    cond._index_map.cache_clear()
+    _index_map.cache_clear()
     _, _, gamma, Gamma = genuine(4, 88)
     first = closed(gamma, Gamma)
-    assert cond._index_map.cache_info().misses == 1
+    assert _index_map.cache_info().misses == 1
     again = closed(gamma, Gamma)
     assert again == first if name in ("P", "Q", "G") else np.array_equal(again, first)
-    info = cond._index_map.cache_info()
+    info = _index_map.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    (rows, src, coeff), n = cond._index_map(name, 4)
-    assert n == len(cond.CONDITIONS[name].words(4))
+    (rows, src, coeff), n = _index_map(name, 4)
+    assert n == len(CONDITIONS[name].words(4))
     for arr in (rows, src, coeff):
         assert not arr.flags.writeable
 
@@ -536,11 +543,11 @@ def test_index_map_built_once_per_m(name, closed):
 def test_table_stacks_and_maps_reach_the_element_cap():
     # one stack entry per probe, and every map builds, up to ELEMENT_CAP; the
     # uncached build keeps the large-m maps out of the cache
-    for m in range(1, cond.ELEMENT_CAP + 1):
-        for name, row in cond.CONDITIONS.items():
+    for m in range(1, ELEMENT_CAP + 1):
+        for name, row in CONDITIONS.items():
             n = len(row.words(m))
             assert all(len(stack) == n for stack in row.stacks(m).values()), (name, m)
-            (rows, src, coeff), count = cond._index_map.__wrapped__(name, m)
+            (rows, src, coeff), count = _index_map.__wrapped__(name, m)
             assert count == n, (name, m)
             assert np.all(rows < n * n) and np.all(src <= m ** 4 + m * m), (name, m)
 
@@ -551,10 +558,10 @@ def test_pqg_index_forms_equal_dense_references(m, rng):
     refs = {"P": lambda gamma, Gamma: (Gamma + Gamma.conj().T) / 2,
             "Q": q_condition_matrix, "G": g_condition_matrix}
     for gamma, Gamma in reference_pairs(m, 70 + m, rng):
-        gamma, Gamma, _ = cond._validate_pair(gamma, Gamma)
+        gamma, Gamma, _ = _validate_pair(gamma, Gamma)
         for name, ref in refs.items():
             want = ref(gamma, Gamma)
-            got = cond._index_form(name, m, cond._source(gamma, Gamma))
+            got = _index_form(name, m, _source(gamma, Gamma))
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-14 * (1 + np.max(np.abs(want))), (name, m)
 
@@ -567,7 +574,7 @@ def test_battery_validates_the_pair_once(monkeypatch):
     monkeypatch.setattr(grdm.closed, "_validate_pair",
                         lambda *pair: calls.append(1) or validate(*pair))
     reports = cond.condition_battery(gamma, Gamma)
-    assert [r.condition for r in reports] == ["first-order", *cond.CONDITIONS]
+    assert [r.condition for r in reports] == ["first-order", *CONDITIONS]
     assert len(calls) == 1
 
 
@@ -579,11 +586,11 @@ def test_battery_reports_equal_the_checking_path(m, rng):
     # (margin inf) below m = 3 included
     _, _, gamma, Gamma = genuine(m, 90 + m)
     for gamma, Gamma in [(gamma, Gamma)] + reference_pairs(m, 90 + m, rng):
-        gamma, Gamma, _ = cond._validate_pair(gamma, Gamma)
-        source = cond._source(gamma, Gamma)
+        gamma, Gamma, _ = _validate_pair(gamma, Gamma)
+        source = _source(gamma, Gamma)
         want = [cond.first_order_report(gamma)] + [
-            cond.report_from_form(name, cond._index_form(name, m, source), "closed-form")
-            for name in cond.CONDITIONS]
+            cond.report_from_form(name, _index_form(name, m, source), "closed-form")
+            for name in CONDITIONS]
         got = cond.condition_battery(gamma, Gamma)
         assert [r.as_dict() for r in got] == [r.as_dict() for r in want], m
         assert (got[4].margin == np.inf) == (m < 3)
@@ -616,7 +623,7 @@ def test_index_maps_agree_with_grassmann_forms_at_m6():
     moments = cond._moments(kappa.to_vector(), m)
     for name in ("T1", "T2"):
         F = cond._probe_set_map(name, m).combine_moments(moments)
-        C = cond._index_form(name, m, cond._source(gamma, Gamma))
+        C = _index_form(name, m, _source(gamma, Gamma))
         assert np.max(np.abs(F - C)) <= 1e-10, name
         form = cond.condition_form_report(kappa, name)
         closed = cond.closed_form_report(name, gamma, Gamma)
@@ -625,7 +632,7 @@ def test_index_maps_agree_with_grassmann_forms_at_m6():
 
 
 def _assert_form_map_equals_scalar_builder(name, m):
-    row = cond.CONDITIONS[name]
+    row = CONDITIONS[name]
     got = cond._probe_set_map(name, m)
     want = cond._linear_map(form_entries_reference(cond._word_probes(row.words(m), m), row.mode, m),
                             got.shape, m, shared=True)
@@ -639,7 +646,7 @@ def test_word_probes_equal_generator_products(m):
     # each table row's words, built in one pass per word length, against the
     # plain product chain of the same generators, one word at a time
     generators = [psibar(i + 1, m) for i in range(m)] + [psi(i + 1, m) for i in range(m)]
-    for name, row in cond.CONDITIONS.items():
+    for name, row in CONDITIONS.items():
         words = row.words(m)
         assert all(type(g) is int for word in words for g in word), name
         got = cond._word_probes(words, m)
@@ -656,7 +663,7 @@ def test_word_probes_equal_generator_products(m):
 def test_probe_set_maps_equal_element_reference(m):
     # the builder runs the star-product kernel on the probes' arrays; the
     # reference walks the monomial pairs with the scalar product
-    for name in cond.CONDITIONS:
+    for name in CONDITIONS:
         _assert_form_map_equals_scalar_builder(name, m)
 
 
@@ -706,7 +713,7 @@ class TestFuzz:
         summary = cond.fuzz_conditions(m, 1, seed=seed)
         assert summary.all_pass, summary
         assert summary.pdm_max_dev <= 1e-12
-        assert set(summary.worst_margins) == {"first-order", *cond.CONDITIONS}
+        assert set(summary.worst_margins) == {"first-order", *CONDITIONS}
 
     def test_summary_same_with_dict_built_density(self, monkeypatch):
         # from_operator as a Monomial dict under the same cut: the m = 8

@@ -9,7 +9,6 @@ from grdm import fock
 from grdm.algebra import (
     GrassmannElement,
     Monomial,
-    _coo_apply,
     involution,
     make_element,
     max_coeff_difference,
@@ -18,6 +17,7 @@ from grdm.algebra import (
     trace_integral,
     unit,
 )
+from grdm.limits import _coo_apply
 from conftest import rand_element, random_unitary
 from _reference import (element_map_reference, exchange_matrix, number_operator,
                         pdms_from_rho_reference, to_operator_reference)

@@ -16,6 +16,7 @@ from grdm.algebra import (
     trace_integral,
     unit,
 )
+from grdm.limits import BOUNDARY_TOL
 from _reference import (build_quasifree_reference, canonical_combine, moment_rows_reference,
                         quasifree_from_lambdas, star_word_expectation, wick_expectation,
                         word_product_entries_reference)
@@ -30,7 +31,7 @@ def random_gamma(rng, m, lo=0.05, hi=0.95):
 
 def _spectra(rng, m):
     """Named test spectra: random, exact 0 / 1 / 0.5, within BOUNDARY_TOL of 0 and 1, degenerate."""
-    lo, hi = 0.3 * qf.BOUNDARY_TOL, 1.0 - 0.3 * qf.BOUNDARY_TOL
+    lo, hi = 0.3 * BOUNDARY_TOL, 1.0 - 0.3 * BOUNDARY_TOL
     yield "random", rng.uniform(0.0, 1.0, m)
     yield "exact", rng.choice([0.0, 1.0, 0.5], m)
     yield "near-boundary", rng.choice([lo, hi, -lo, 2.0 - hi, 0.3], m)

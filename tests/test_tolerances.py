@@ -2,7 +2,8 @@
 
 Every tolerance and cap is named once, in the constants block at the top of
 `grdm/limits.py`; the source guards below keep new literals and knobs from
-creeping back.  The input checks compare as `not dev <= tol`, so a NaN or
+creeping back, and keep each name a module imports in the module that
+defines it, with no alias on the way.  The input checks compare as `not dev <= tol`, so a NaN or
 infinite input raises a ValueError that names it instead of getting a verdict.
 """
 
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grdm import algebra, closed, conditions as cond, fock, limits, quasifree as qf
+from grdm import conditions as cond, fock, limits, quasifree as qf
 from grdm.algebra import change_generators, expectation, make_element, unit
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "grdm"
@@ -41,6 +42,18 @@ KEPT_KNOBS = {
 
 def _sources():
     return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """Every name a module's top-level statements define or assign."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
 
 
 def _constants_block_end(text: str) -> int:
@@ -76,9 +89,9 @@ def test_index_arrays_widen_past_the_caps(monkeypatch):
     # The cached index arrays take their dtype from the largest index at their
     # m, not from a cap: one byte up to the caps, and at cap + 1, with the cap
     # raised, the same values as an int64 build where one byte would wrap.
-    assert algebra._index_dtype((1 << fock.FOCK_CAP) - 1) == np.uint8
-    assert algebra._index_dtype(4 * qf.QUASIFREE_CAP ** 2 - 1) == np.uint8
-    fock_m, qf_m = fock.FOCK_CAP + 1, qf.QUASIFREE_CAP + 1
+    assert limits._index_dtype((1 << limits.FOCK_CAP) - 1) == np.uint8
+    assert limits._index_dtype(4 * limits.QUASIFREE_CAP ** 2 - 1) == np.uint8
+    fock_m, qf_m = limits.FOCK_CAP + 1, limits.QUASIFREE_CAP + 1
     monkeypatch.setattr(fock, "FOCK_CAP", fock_m)
     monkeypatch.setattr(qf, "QUASIFREE_CAP", qf_m)
     # uncached builds, so nothing past the real caps stays in the caches; the
@@ -95,17 +108,34 @@ def test_index_arrays_widen_past_the_caps(monkeypatch):
         assert np.array_equal(got, want)
 
 
-def test_caps_and_tolerances_resolve_where_they_are_read():
-    assert fock.FOCK_CAP is algebra.FOCK_CAP == 8
-    assert qf.QUASIFREE_CAP is algebra.QUASIFREE_CAP == 8
-    assert qf.BOUNDARY_TOL is algebra.BOUNDARY_TOL
-    assert cond.PSD_REL_TOL is closed.PSD_REL_TOL is algebra.PSD_REL_TOL
-    # every constant, check and map helper of limits is the same object through algebra
-    shared = [name for name in vars(limits)
-              if name.isupper() or (name.startswith("_") and not name.startswith("__"))]
-    assert "HERMITIAN_INPUT_TOL" in shared and "_coo_apply" in shared
-    for name in shared:
-        assert getattr(algebra, name) is getattr(limits, name), name
+def test_tolerances_and_caps_are_assigned_only_in_limits():
+    # each tolerance and cap has one name, limits.X, which every module imports
+    knobs = ("_TOL", "_CAP")
+    found = {module: {name for name in _top_level_names(ast.parse(text)) if name.endswith(knobs)}
+             for module, text in _sources().items()}
+    assert found.pop("limits") == {name for name in vars(limits) if name.endswith(knobs)}
+    assert not any(found.values()), found
+
+
+def test_grdm_imports_are_used_and_come_from_their_home():
+    # a name one grdm module imports from another is used there, and the
+    # module it comes from defines it: no module keeps an alias for another's name
+    trees = {module: ast.parse(text) for module, text in _sources().items()}
+    homes = {module: _top_level_names(tree) for module, tree in trees.items()}
+    unused, aliased = [], []
+    for module, tree in trees.items():
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                for alias in node.names:
+                    where = f"{module}.py:{node.lineno}: {alias.name} from {node.module}"
+                    if (alias.asname or alias.name) not in loaded:
+                        unused.append(where)
+                    if alias.name not in homes[node.module]:
+                        aliased.append(where)
+    assert not unused, unused
+    assert not aliased, aliased
 
 
 def _unit_trace_density(bad):
