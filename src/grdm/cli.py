@@ -2,11 +2,13 @@
 construction, and the sign-convention selftest.
 
 Exit codes: 0 all checks pass, 1 a condition failed, 2 usage or input error,
-an --out path that cannot be written included.  Output files are written
-atomically.  Each command imports only the modules it runs: `check` needs the
-closed-form realization (`closed`, on `limits`) and serialize, and compiles no
-Grassmann element code; `fuzz` adds the element kernel and the star-product
-side (`algebra`, `conditions`) and the Fock oracle (through `fuzz_conditions`),
+an --out path that cannot be written included.  The commands raise OSError or
+ValueError (serialize.FormatError among them) on bad input, and `main` alone
+prints it as `error: ...` and returns 2.  Output files are written atomically.
+Each command imports only the modules it runs: `check` needs the closed-form
+realization (`closed`, on `limits`) and serialize, and compiles no Grassmann
+element code; `fuzz` adds the element kernel and the star-product side
+(`algebra`, `conditions`) and the Fock oracle (through `fuzz_conditions`),
 `quasifree` the element kernel, `conditions` and the quasifree module, and
 `selftest` its identities.
 """
@@ -14,6 +16,7 @@ side (`algebra`, `conditions`) and the Fock oracle (through `fuzz_conditions`),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import random
 import sys
@@ -25,49 +28,44 @@ from . import closed, serialize
 
 
 def _load_check_input(path: str):
+    """(gamma, Gamma or None, m) of a check input.
+
+    An object with `kind` and no `gamma` is a bare gamma matrix; any other
+    object is a pair and needs `gamma`.
+    """
     data = serialize.load_json(path)
-    if isinstance(data, dict) and "gamma" in data:
-        gamma, _, m = serialize.matrix_from_dict(data["gamma"], "gamma")
-        Gamma = None
-        if "Gamma" in data:
-            Gamma, _, m2 = serialize.matrix_from_dict(data["Gamma"], "Gamma")
-            if m2 != m:
-                raise serialize.FormatError(f"field 'Gamma' has m = {m2}, gamma has m = {m}")
-        return gamma, Gamma, m
-    gamma, _, m = serialize.matrix_from_dict(data, "gamma")
-    return gamma, None, m
+    if not isinstance(data, dict) or ("kind" in data and "gamma" not in data):
+        gamma, _, m = serialize.matrix_from_dict(data, "gamma")
+        return gamma, None, m
+    if "gamma" not in data:
+        raise serialize.FormatError("missing field 'gamma' in pair")
+    gamma, _, m = serialize.matrix_from_dict(data["gamma"], "gamma")
+    Gamma = None
+    if "Gamma" in data:
+        Gamma, _, m2 = serialize.matrix_from_dict(data["Gamma"], "Gamma")
+        if m2 != m:
+            raise serialize.FormatError(f"field 'Gamma' has m = {m2}, gamma has m = {m}")
+    return gamma, Gamma, m
 
 
-def _write_out(path: str, payload) -> bool:
-    """Write `payload` to the --out path; False, with the error printed, when it cannot be written."""
+def _write_out(path: str | None, payload) -> None:
+    """Write `payload` to the --out path, if one is given; ValueError when it cannot be written."""
+    if not path:
+        return
     try:
         serialize.atomic_write_json(path, payload)
     except OSError as exc:
-        print(f"error: cannot write --out {path}: {exc.strerror or exc}", file=sys.stderr)
-        return False
-    return True
+        raise ValueError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_check(args) -> int:
     if args.tol is not None and not 0 <= args.tol < np.inf:
-        print(f"error: --tol must be finite and >= 0, got {args.tol}", file=sys.stderr)
-        return 2
-    try:
-        gamma, Gamma, m = _load_check_input(args.infile)
-    except (OSError, serialize.FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        reports = closed.battery(gamma, Gamma)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
+    gamma, Gamma, _ = _load_check_input(args.infile)
+    reports = closed.battery(gamma, Gamma)
     if args.tol is not None:
-        reports = [closed.ConditionReport(r.condition, r.margin, r.margin >= -args.tol,
-                                          args.tol, r.method) for r in reports]
-    payload = [r.as_dict() for r in reports]
-    if args.outfile and not _write_out(args.outfile, payload):
-        return 2
+        reports = [dataclasses.replace(r, tol=args.tol) for r in reports]
+    _write_out(args.outfile, [r.as_dict() for r in reports])
     if args.verbose or not args.outfile:
         for r in reports:
             print(f"{'PASS' if r.passed else 'FAIL'} {r.condition:<12} "
@@ -78,13 +76,8 @@ def cmd_check(args) -> int:
 def cmd_fuzz(args) -> int:
     from . import conditions as cond
 
-    try:
-        summary = cond.fuzz_conditions(args.m, args.trials, args.seed, sector=args.sector)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.outfile and not _write_out(args.outfile, summary.as_dict()):
-        return 2
+    summary = cond.fuzz_conditions(args.m, args.trials, args.seed, sector=args.sector)
+    _write_out(args.outfile, summary.as_dict())
     if args.verbose or not args.outfile:
         print(f"fuzz m={summary.m} trials={summary.trials} seed={summary.seed} "
               f"sector={summary.sector}")
@@ -100,30 +93,19 @@ def cmd_fuzz(args) -> int:
 def cmd_quasifree(args) -> int:
     from . import conditions as cond, quasifree
 
-    try:
-        data = serialize.load_json(args.infile)
-        gamma, _, m = serialize.matrix_from_dict(data, "gamma")
-    except (OSError, serialize.FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        spec, kappa = quasifree.build_quasifree(gamma)
-        pdm_dev = float(np.max(np.abs(cond.pdm1_from_density(kappa) - gamma)))
-        wick_dev = quasifree.verify_quasifree(kappa, spec, max_points=args.max_points)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    gamma, _, m = serialize.matrix_from_dict(serialize.load_json(args.infile), "gamma")
+    spec, kappa = quasifree.build_quasifree(gamma)
+    pdm_dev = float(np.max(np.abs(cond.pdm1_from_density(kappa) - gamma)))
+    wick_dev = quasifree.verify_quasifree(kappa, spec, max_points=args.max_points)
     points = quasifree.words_checked(m, args.max_points)
-    payload = {
+    _write_out(args.outfile, {
         "element": kappa,
         "report": {
             "pdm1_max_dev": pdm_dev,
             "wick_max_dev": wick_dev,
             "points_checked": points,
         },
-    }
-    if args.outfile and not _write_out(args.outfile, payload):
-        return 2
+    })
     if args.verbose or not args.outfile:
         print(f"quasifree m={m}: pdm1_max_dev {pdm_dev:.3e}, "
               f"wick_max_dev {wick_dev:.3e} over {points} words")
@@ -198,7 +180,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # serialize.FormatError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def console_main() -> None:

@@ -32,11 +32,17 @@ from .limits import PSD_REL_TOL, _coo_apply, _read_only, _require_hermitian, _sc
 
 @dataclass(frozen=True)
 class ConditionReport:
+    """One condition's verdict: the form's least eigenvalue `margin` against `tol`."""
+
     condition: str
     margin: float
-    passed: bool
     tol: float
     method: str
+
+    @property
+    def passed(self) -> bool:
+        """The verdict rule: the margin lies no further below 0 than tol; a NaN margin fails."""
+        return self.margin >= -self.tol
 
     def as_dict(self) -> dict:
         return {
@@ -76,8 +82,7 @@ def _first_order(gamma: np.ndarray) -> ConditionReport:
     """Spectrum bounds 0 <= gamma <= 1 as a single margin, on a validated gamma."""
     eigs = np.linalg.eigvalsh(gamma)
     margin = float(min(eigs.min(), 1.0 - eigs.max()))
-    tol = psd_tolerance(gamma)
-    return ConditionReport("first-order", margin, margin >= -tol, tol, "closed-form")
+    return ConditionReport("first-order", margin, psd_tolerance(gamma), "closed-form")
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +287,6 @@ def battery(gamma: np.ndarray, Gamma: np.ndarray | None = None,
             reports.append(grassmann(name))
         elif source is not None:
             F = _index_form(name, m, source)
-            margin, tol = _min_eigenvalue(F), psd_tolerance(F)
-            reports.append(ConditionReport(name, margin, margin >= -tol, tol, "closed-form"))
+            reports.append(ConditionReport(name, _min_eigenvalue(F), psd_tolerance(F),
+                                           "closed-form"))
     return reports

@@ -91,9 +91,8 @@ def report_from_form(condition: str, matrix: np.ndarray, method: str,
     scale = _scale(matrix)
     if not dev / scale <= FORM_HERMITIAN_TOL:
         raise ValueError(f"{condition}: form matrix is not Hermitian (deviation {dev:.3e})")
-    margin = _min_eigenvalue(herm)
-    tol = PSD_REL_TOL * scale if tol is None else tol
-    return ConditionReport(condition, margin, margin >= -tol, tol, method)
+    return ConditionReport(condition, _min_eigenvalue(herm),
+                           PSD_REL_TOL * scale if tol is None else tol, method)
 
 
 # ---------------------------------------------------------------------------

@@ -302,9 +302,9 @@ def contraction_check(rho: np.ndarray, onb: np.ndarray | None = None) -> float:
     gamma, Gamma = pdms_from_rho(rho)
     g4 = Gamma.reshape(m, m, m, m)
     if onb is None:
-        contracted = np.einsum("iajb->ij", np.einsum("iajb,ab->iajb", g4, np.eye(m)))
+        weights = np.eye(m)
     else:
         onb = _require_unitary(onb, m, "onb")
         weights = np.einsum("ak,bk->ab", onb.conj(), onb)
-        contracted = np.einsum("iajb,ab->ij", g4, weights)
+    contracted = np.einsum("iajb,ab->ij", g4, weights)
     return float(np.max(np.abs(gamma - contracted / (n - 1))))

@@ -1,7 +1,9 @@
 """CLI exit-code contract, JSON schemas, and report round trips."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -383,6 +385,25 @@ class TestFuzz:
         assert capsys.readouterr().err == (f"error: cannot write --out {out}: "
                                            "No such file or directory\n")
 
+    @pytest.mark.parametrize("m, sector", [(2, None), (3, 2)])
+    def test_summary_lines_without_out(self, capsys, m, sector):
+        # without --out the summary goes to stdout: the run, the deviations,
+        # one worst margin per condition in battery order, the failure count
+        argv = ["fuzz", "--m", str(m), "--trials", "2"]
+        assert cli.main(argv + (["--sector", str(sector)] if sector else [])) == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert err == ""
+        assert lines[0] == f"fuzz m={m} trials=2 seed=0 sector={sector}"
+        devs = ["pdm"] + (["contraction"] if sector else [])
+        for line, name in zip(lines[1:], devs):
+            dev = re.fullmatch(rf"  {name} max deviation: (\S+)", line)
+            assert dev and float(dev[1]) < 1e-10, line
+        worst = [re.fullmatch(r"  worst (\S+) +margin ([-+]\S+)", line)
+                 for line in lines[1 + len(devs):-1]]
+        assert [w[1] for w in worst] == ["first-order", "P", "Q", "G", "T1", "T2"]
+        assert lines[-1] == "  failures: 0"
+
     def test_sector_campaign(self, tmp_path):
         out = tmp_path / "fz.json"
         rc = cli.main(["fuzz", "--m", "4", "--trials", "2", "--seed", "1",
@@ -407,6 +428,17 @@ class TestQuasifreeCmd:
         assert rep["points_checked"] == 64
         el = serialize.element_from_dict(payload["element"])
         assert el.m == 2
+
+    def test_summary_line_without_out(self, tmp_path, capsys):
+        gpath = tmp_path / "gamma.json"
+        serialize.atomic_write_json(str(gpath),
+                                    serialize.matrix_to_dict(np.diag([0.3, 0.7]), "gamma", 2))
+        assert cli.main(["quasifree", "--in", str(gpath)]) == 0
+        out, err = capsys.readouterr()
+        line = re.fullmatch(
+            r"quasifree m=2: pdm1_max_dev (\S+), wick_max_dev (\S+) over 64 words\n", out)
+        assert err == "" and line, out
+        assert float(line[1]) < 1e-12 and float(line[2]) < 1e-12
 
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         gpath = tmp_path / "gamma.json"
@@ -550,6 +582,71 @@ def test_unreadable_json_file_exit_2(tmp_path, capsys, content, message):
         assert cli.main([command, "--in", str(path), "--out", str(out)]) == 2, command
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("data", [{"Gamma": {"kind": "Gamma"}}, {"gama": {"kind": "gamma"}}, {}],
+                         ids=["Gamma-only", "misspelt", "empty"])
+def test_pair_without_gamma_exit_2(tmp_path, capsys, data):
+    # an object with `kind` and no `gamma` is a bare gamma; any other object
+    # is a pair, and a pair without `gamma` names that field
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["check", "--in", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: missing field 'gamma' in pair\n"
+    assert not out.exists()
+
+
+def _gamma_dict(m, **fields):
+    return {**serialize.matrix_to_dict(np.eye(m) / 2, "gamma", m), **fields}
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("check", {"gamma": _gamma_dict(2),
+               "Gamma": serialize.matrix_to_dict(np.zeros((9, 9)), "Gamma", 3)},
+     "field 'Gamma' has m = 3, gamma has m = 2"),
+    ("check", _gamma_dict(2, kind="rho"), "field 'kind' has unknown value 'rho'"),
+    ("quasifree", _gamma_dict(2, kind="rho"), "field 'kind' has unknown value 'rho'"),
+    ("check", {"gamma": serialize.matrix_to_dict(np.zeros((4, 4)), "Gamma", 2)},
+     "field 'kind' is 'Gamma', expected 'gamma'"),
+    ("quasifree", serialize.matrix_to_dict(np.eye(4), "density", 2),
+     "field 'kind' is 'density', expected 'gamma'"),
+    ("check", _gamma_dict(2, re=np.zeros((3, 3)).tolist()),
+     "field 're' has shape (3, 3), expected (2, 2)"),
+    ("quasifree", _gamma_dict(2, im=[[0.0, 0.0]]), "field 'im' has shape (1, 2), expected (2, 2)"),
+    ("check", "{not json", "not valid JSON"),
+    ("quasifree", "", "not valid JSON"),
+], ids=["Gamma-m", "unknown-kind", "unknown-kind-quasifree", "mismatched-kind",
+        "mismatched-kind-quasifree", "re-shape", "im-shape", "not-json", "empty-file"])
+def test_bad_input_exit_2_names_field(tmp_path, capsys, command, data, message):
+    # exit 2, one error line, no verdict and no output file
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    assert cli.main([command, "--in", str(path), "--out", str(out), "--verbose"]) == 2
+    stdout, err = capsys.readouterr()
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_only_main_decides_exit_2():
+    # the commands raise OSError or ValueError on bad input; `main` alone
+    # prints it as an error line and returns 2
+    path = os.path.join(os.path.dirname(os.path.abspath(cli.__file__)), "cli.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    main = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "main")
+    in_main = {id(node) for node in ast.walk(main)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in in_main:
+            continue
+        if (isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+                and node.value.value == 2):
+            found.append(f"line {node.lineno}: return 2")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "print" and "error:" in ast.unparse(node)):
+            found.append(f"line {node.lineno}: print of error:")
+    assert found == []
 
 
 def test_parser_built_once_per_process(pdm_file, tmp_path):

@@ -566,6 +566,50 @@ def test_pqg_index_forms_equal_dense_references(m, rng):
             assert np.max(np.abs(got - want)) <= 1e-14 * (1 + np.max(np.abs(want))), (name, m)
 
 
+def _quasifree_spectra(lam):
+    """The analytic P, Q, G and T1 spectra of the quasifree pair of occupations lam.
+
+    P and Q read all m * m pair words, so their forms add m(m+1)/2 zeros for
+    the vanishing words p_k p_k and the repeats p_l p_k = -p_k p_l; judged on
+    the k < l words alone, P and Q would be {lam_k lam_l} and
+    {(1 - lam_k)(1 - lam_l)} without the zeros.
+    """
+    m, hole = len(lam), 1 - lam
+    pairs, zeros = list(combinations(range(m), 2)), [0.0] * (m * (m + 1) // 2)
+    return {"P": [2 * lam[k] * lam[l] for k, l in pairs] + zeros,
+            "Q": [2 * hole[k] * hole[l] for k, l in pairs] + zeros,
+            "G": [lam[k] * hole[l] for k in range(m) for l in range(m)],
+            "T1": [lam[i] * lam[j] * lam[k] + hole[i] * hole[j] * hole[k]
+                   for i, j, k in combinations(range(m), 3)]}
+
+
+@pytest.mark.parametrize("m, lam", [(1, None), (3, None), (9, None), (12, None),
+                                    (5, [0.0, 1.0, 1.0, 0.0, 1.0])])
+def test_index_forms_match_quasifree_spectra(m, lam):
+    # an analytic oracle for the closed forms at any m, past the Fock cap:
+    # the Wick pair of gamma = u diag(lam) u^H has known P, Q, G and T1
+    # spectra, the boundary occupations 0 and 1 of a Slater state included
+    rng = np.random.default_rng(400 + m)
+    lam = rng.uniform(0, 1, m) if lam is None else np.array(lam)
+    u = random_unitary(rng, m)
+    gamma, Gamma = quasifree.wick_pdms(u @ np.diag(lam) @ u.conj().T)
+    source = _source(gamma, Gamma)
+    for name, want in _quasifree_spectra(lam).items():
+        got = np.linalg.eigvalsh(_index_form(name, m, source))
+        assert got.shape == (len(want),), (name, m)
+        assert np.max(np.abs(got - np.sort(want)), initial=0.0) <= 1e-13, (name, m)
+
+
+def test_report_verdict_is_derived():
+    # the verdict is the margin against tol, never a stored flag; NaN fails
+    rep = grdm.closed.ConditionReport("P", -1e-10, 1e-9, "closed-form")
+    assert rep.passed and rep.as_dict()["pass"] is True
+    assert "passed" not in {f.name for f in dataclasses.fields(rep)}
+    assert not dataclasses.replace(rep, tol=1e-11).passed
+    assert not dataclasses.replace(rep, margin=float("nan")).passed
+    assert dataclasses.replace(rep, margin=np.inf, tol=0.0).passed
+
+
 def test_battery_validates_the_pair_once(monkeypatch):
     _, _, gamma, Gamma = genuine(3, 89)
     calls = []
