@@ -5,9 +5,10 @@ For each requested m this times, each in its own subprocess so that no cache
 is warm: the moment map `conditions._moment_map`, the five table forms
 `conditions._probe_set_map` (on a moment map built untimed first), the five
 closed-form index maps `closed._index_map` (rows closed-P .. closed-T2),
-the quasifree word map `quasifree._star_word_map(m, 4)` and the Fock
-operator-to-element map `fock._element_map` (m <= 8).  Prints the median
-over the repeats in milliseconds, one row per build and one column per m.
+the quasifree word map `quasifree._star_word_map(m, 4)` (m <= QUASIFREE_CAP)
+and the Fock operator-to-element map `fock._element_map` (m <= FOCK_CAP).
+Prints the median over the repeats in milliseconds, one row per build and
+one column per m, and `-` where m is past the build's cap.
 
     python scripts/map_build_times.py --m 5 6 7 8 --repeats 5
 """
@@ -19,9 +20,11 @@ import subprocess
 import sys
 import time
 
+from grdm.limits import FOCK_CAP, QUASIFREE_CAP
+
 TABLE = ("P", "Q", "G", "T1", "T2")
 BUILDS = ("moment", *TABLE, *(f"closed-{name}" for name in TABLE), "words@4", "element")
-ELEMENT_MAP_CAP = 8  # limits.FOCK_CAP, read here without importing grdm
+CAPS = {"words@4": QUASIFREE_CAP, "element": FOCK_CAP}
 
 
 def build(name: str, m: int) -> float:
@@ -68,7 +71,7 @@ def main() -> int:
     for name in BUILDS:
         cells = []
         for m in args.m:
-            if name == "element" and m > ELEMENT_MAP_CAP:
+            if m > CAPS.get(name, m):
                 cells.append("-")
                 continue
             times = [child_time(name, m) for _ in range(args.repeats)]

@@ -39,7 +39,6 @@ import numpy as np
 
 from .limits import (
     ELEMENT_CAP,
-    ELEMENTS_CLOSE_TOL,
     PRUNE_REL_TOL,
     STAR_CAP,
     _check_m,
@@ -474,9 +473,9 @@ def psibar(i: int, m: int) -> GrassmannElement:
     return make_element(m, [((i,), (), 1.0)])
 
 
-def monomial_element(mono: Monomial, m: int, coeff: complex = 1.0) -> GrassmannElement:
+def monomial_element(mono: Monomial, m: int) -> GrassmannElement:
     _check_m(m, ELEMENT_CAP)
-    return GrassmannElement(m, {mono: complex(coeff)})
+    return GrassmannElement(m, {mono: 1 + 0j})
 
 
 def prune(a: GrassmannElement, rel_tol: float = PRUNE_REL_TOL) -> GrassmannElement:
@@ -744,10 +743,6 @@ def change_generators(a: GrassmannElement, u: np.ndarray) -> GrassmannElement:
     natural = np.empty_like(out)
     natural[np.ix_(order, order)] = out
     return GrassmannElement.from_vector(m, natural.ravel())
-
-
-def elements_close(a: GrassmannElement, b: GrassmannElement, tol: float = ELEMENTS_CLOSE_TOL) -> bool:
-    return max_coeff_difference(a, b) <= tol
 
 
 def max_coeff_difference(a: GrassmannElement, b: GrassmannElement) -> float:

@@ -28,7 +28,7 @@ from . import closed, serialize
 
 
 def _load_check_input(path: str):
-    """(gamma, Gamma or None, m) of a check input.
+    """(gamma, Gamma or None, m) of a check or quasifree input.
 
     An object with `kind` and no `gamma` is a bare gamma matrix; any other
     object is a pair and needs `gamma`.
@@ -93,7 +93,7 @@ def cmd_fuzz(args) -> int:
 def cmd_quasifree(args) -> int:
     from . import conditions as cond, quasifree
 
-    gamma, _, m = serialize.matrix_from_dict(serialize.load_json(args.infile), "gamma")
+    gamma, _, m = _load_check_input(args.infile)  # a pair's Gamma is not used
     spec, kappa = quasifree.build_quasifree(gamma)
     pdm_dev = float(np.max(np.abs(cond.pdm1_from_density(kappa) - gamma)))
     wick_dev = quasifree.verify_quasifree(kappa, spec, max_points=args.max_points)

@@ -309,16 +309,6 @@ def check_G(gamma: np.ndarray, Gamma: np.ndarray, tol: float | None = None) -> C
 # ---------------------------------------------------------------------------
 # third-order conditions
 
-def require_totally_antisymmetric(T: np.ndarray) -> np.ndarray:
-    T = np.asarray(T, dtype=complex)
-    if T.ndim != 3 or len(set(T.shape)) != 1:
-        raise ValueError(f"expected an m x m x m tensor, got shape {T.shape}")
-    dev = np.max(np.abs([T + T.transpose(1, 0, 2), T + T.transpose(0, 2, 1)]))
-    if not dev / _scale(T) <= ANTISYMMETRY_TOL:
-        raise ValueError("tensor is not totally antisymmetric")
-    return T
-
-
 def _require_probe_array(x, shape: tuple, name: str) -> np.ndarray:
     """`x` as a finite complex array of the given shape."""
     x = np.asarray(x, dtype=complex)
@@ -328,6 +318,12 @@ def _require_probe_array(x, shape: tuple, name: str) -> np.ndarray:
     return x
 
 
+def _require_totally_antisymmetric(T: np.ndarray) -> None:
+    dev = np.max(np.abs([T + T.transpose(1, 0, 2), T + T.transpose(0, 2, 1)]))
+    if not dev / _scale(T) <= ANTISYMMETRY_TOL:
+        raise ValueError("tensor is not totally antisymmetric")
+
+
 def check_T1(gamma: np.ndarray, Gamma: np.ndarray, T: np.ndarray) -> float:
     """Closed-form scalar of the first third-order condition for one probe tensor.
 
@@ -335,7 +331,8 @@ def check_T1(gamma: np.ndarray, Gamma: np.ndarray, T: np.ndarray) -> float:
     the coordinates of the totally antisymmetric T on the unit tensors.
     """
     gamma, Gamma, m = _validate_pair(gamma, Gamma)
-    T = require_totally_antisymmetric(_require_probe_array(T, (m, m, m), "T"))
+    T = _require_probe_array(T, (m, m, m), "T")
+    _require_totally_antisymmetric(T)
     return _form_value("T1", m, _source(gamma, Gamma), 6 * T[_t1_indices(m)]) / 3
 
 

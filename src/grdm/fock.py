@@ -26,9 +26,8 @@ import functools
 import numpy as np
 
 from .algebra import GrassmannElement, _merge_parity, _parity, _popcount, prune
-from .limits import (FOCK_CAP, FOCK_DENSITY_TOL, OPERATOR_PRUNE_REL_TOL, SECTOR_TOL,
-                     SLATER_NORM_TOL, _check_m, _coo_apply, _index_dtype, _read_only,
-                     _require_finite, _require_hermitian, _require_unitary)
+from .limits import (FOCK_CAP, OPERATOR_PRUNE_REL_TOL, SECTOR_TOL, SLATER_NORM_TOL, _check_m,
+                     _coo_apply, _index_dtype, _read_only, _require_finite, _require_unitary)
 
 
 def _infer_m(mat: np.ndarray) -> int:
@@ -175,18 +174,6 @@ def from_operator(op: np.ndarray) -> GrassmannElement:
     coeffs = _coo_apply(*_element_map(m), op.ravel(), 1 << (2 * m))
     dense = GrassmannElement._from_arrays(m, np.arange(coeffs.size), coeffs)  # zeros included
     return prune(dense, OPERATOR_PRUNE_REL_TOL)
-
-
-def validate_density(rho: np.ndarray, tol: float = FOCK_DENSITY_TOL) -> None:
-    """A Fock density: Hermitian, unit trace and no eigenvalue below 0, each within tol."""
-    _infer_m(np.asarray(rho))
-    rho = _require_hermitian(rho, "density", tol)
-    tr = np.trace(rho)
-    if not abs(tr - 1.0) <= tol:
-        raise ValueError(f"density trace {tr} differs from 1")
-    low = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
-    if not low >= -tol:
-        raise ValueError(f"density has negative eigenvalue {low:.3e}")
 
 
 def _trace_map(rows: np.ndarray, bar: np.ndarray, unbar: np.ndarray, order: np.ndarray,

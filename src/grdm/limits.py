@@ -21,13 +21,11 @@ DENSITY_TRACE_TOL = 1e-8     # |trace - 1| of a density element: expectation and
 HERMITIAN_INPUT_TOL = 1e-8   # max |X - X*| of a gamma or Gamma input
 FORM_HERMITIAN_TOL = 1e-10   # rel, max |F - F*|: forms not Hermitian by construction, report_from_form
 PSD_REL_TOL = 1e-9           # rel, how far below 0 a passing margin may lie
-ANTISYMMETRY_TOL = 1e-10     # rel, require_totally_antisymmetric
+ANTISYMMETRY_TOL = 1e-10     # rel, check_T1's probe tensor
 UNITARY_TOL = 1e-10          # max |u*u - 1|: change_generators and contraction_check's onb
 BOUNDARY_TOL = 1e-10         # quasifree: eigenvalues this close to 0 or 1 are snapped
-FOCK_DENSITY_TOL = 1e-10     # fock.validate_density's default
 SECTOR_TOL = 1e-8            # max |N rho - n rho| of a one-sector density
 SLATER_NORM_TOL = 1e-12      # smallest Slater state norm before normalizing
-ELEMENTS_CLOSE_TOL = 1e-12   # elements_close's default
 SELFTEST_EXACT_TOL = 1e-12   # grdm selftest: identities exact up to a few roundings
 SELFTEST_RANDOM_TOL = 1e-10  # grdm selftest: identities on random coefficients
 
@@ -54,14 +52,14 @@ def _require_finite(values: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} holds a non-finite entry")
 
 
-def _require_hermitian(mat, name: str, tol: float = HERMITIAN_INPUT_TOL) -> np.ndarray:
-    """`mat` as a finite complex square matrix whose max |mat - mat*| is within tol."""
+def _require_hermitian(mat, name: str) -> np.ndarray:
+    """`mat` as a finite complex square matrix, max |mat - mat*| within HERMITIAN_INPUT_TOL."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
     _require_finite(mat, name)
     dev = np.max(np.abs(mat - mat.conj().T))
-    if not dev <= tol:
+    if not dev <= HERMITIAN_INPUT_TOL:
         raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e}")
     return mat
 

@@ -296,7 +296,7 @@ def wick_pdms(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gamma, Gamma.reshape(m * m, m * m)
 
 
-def verify_quasifree(kappa: GrassmannElement, spec: QuasifreeSpec, max_points: int = 6) -> float:
+def verify_quasifree(kappa: GrassmannElement, spec: QuasifreeSpec, max_points: int) -> float:
     """Max deviation between star-product and Wick expectations over all words.
 
     Compares, on every word of distinct generators up to max_points, the
@@ -312,7 +312,8 @@ def verify_quasifree(kappa: GrassmannElement, spec: QuasifreeSpec, max_points: i
     row per word, sum_k (2m)!/(2m-k)! of them, and its cache entry, map and
     pair tables, grows with that count, at about 60-100 bytes a word: with
     4 points 0.12 MB for the 2080 words at m = 4, 0.87 MB for the 13,344 at
-    m = 6 and 4.7 MB for the 47,296 at m = 8.  With 6 points m = 8 has
+    m = 6 and 4.7 MB for the 47,296 at m = 8.  max_points has no default,
+    since that cost is the caller's to choose: with 6 points m = 8 has
     6,337,216 words, whose entry would hold about 0.5 GB at the 75-82 bytes
     a word measured with 6 points at m = 4 and 5.  Raises ValueError when
     kappa and spec differ in m, when m > QUASIFREE_CAP, or when

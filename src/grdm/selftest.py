@@ -38,9 +38,9 @@ from .limits import SELFTEST_EXACT_TOL, SELFTEST_RANDOM_TOL
 def identities(flip: int, rng: random.Random):
     """Yield (name, worst deviation, tolerance) for the pinned identities."""
 
-    def random_element(m, nterms=6):
+    def random_element(m):
         terms = {}
-        for _ in range(nterms):
+        for _ in range(6):
             key = Monomial(rng.randrange(1 << m), rng.randrange(1 << m))
             terms[key] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         return GrassmannElement(m, terms)

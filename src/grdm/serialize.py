@@ -121,8 +121,6 @@ _NUMBER_TYPES = frozenset((int, float))
 _EXPECTED_DIM = {
     "gamma": lambda m: m,
     "Gamma": lambda m: m * m,
-    "density": lambda m: 1 << m,
-    "operator": lambda m: 1 << m,
 }
 
 

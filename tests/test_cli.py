@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import grdm
 from grdm import cli, fock, quasifree, serialize
 from grdm.algebra import GrassmannElement, make_element
+from grdm.limits import ELEMENT_CAP
 from conftest import rand_element, random_unitary
 
 _SPECIAL_FLOATS = [-0.0, 0.0, 1e-300, -1e300, 5e-324, float("nan"), float("inf"), float("-inf")]
@@ -74,14 +75,12 @@ class TestSerialize:
         assert kind == "gamma" and m == 3
         assert np.array_equal(back, mat)
 
-    def test_operator_and_density_kinds(self, rng):
-        rho = fock.random_density(2, 3)
-        d = serialize.matrix_to_dict(rho, "density", 2)
-        back, kind, m = serialize.matrix_from_dict(d, "density")
-        assert kind == "density" and m == 2 and np.array_equal(back, rho)
-        with pytest.raises(serialize.FormatError, match="'dim'"):
-            serialize.matrix_from_dict({"kind": "operator", "m": 2, "dim": 3,
-                                        "re": [[0] * 3] * 3, "im": [[0] * 3] * 3})
+    def test_operator_and_density_kinds(self):
+        # no command reads a Fock matrix, so only gamma and Gamma are kinds
+        for kind in ("density", "operator"):
+            d = serialize.matrix_to_dict(np.eye(4) / 4, kind, 2)
+            with pytest.raises(serialize.FormatError, match=f"unknown value '{kind}'"):
+                serialize.matrix_from_dict(d)
 
     def test_matrix_errors_name_fields(self):
         with pytest.raises(serialize.FormatError, match="'kind'"):
@@ -105,6 +104,20 @@ class TestSerialize:
         with pytest.raises(serialize.FormatError, match="'re'"):
             serialize.element_from_dict({"m": 1, "terms": [
                 {"bar": [], "unbar": [], "re": False, "im": 0.0}]})
+
+    def test_element_errors_non_object_term_and_past_cap(self):
+        with pytest.raises(serialize.FormatError,
+                           match=r"^field 'terms\[1\]' in element is not an object$"):
+            serialize.element_from_dict({"m": 2, "terms": [
+                {"bar": [1], "unbar": [], "re": 1.0, "im": 0.0}, [1]]})
+        with pytest.raises(serialize.FormatError,
+                           match=rf"^element terms invalid: .*exceeds cap {ELEMENT_CAP}$"):
+            serialize.element_from_dict({"m": ELEMENT_CAP + 1, "terms": []})
+
+    def test_ragged_matrix_rows_name_field(self):
+        with pytest.raises(serialize.FormatError, match="^field 're' is not a numeric matrix"):
+            serialize.matrix_from_dict({"kind": "gamma", "m": 2, "dim": 2,
+                                        "re": [[0.5, 0.0], [0.0]], "im": [[0, 0], [0, 0]]})
 
     @pytest.mark.parametrize("field, term", [
         ("bar", {"bar": [2, 1]}),       # pbar_2 pbar_1 = -pbar_1 pbar_2: order carries a sign
@@ -364,6 +377,15 @@ class TestFuzz:
         cli.main(["fuzz", "--m", "2", "--trials", "4", "--seed", "3", "--out", str(b)])
         assert a.read_text() == b.read_text()
 
+    def test_failures_counted_exit_1(self, monkeypatch, capsys):
+        # with a pass tolerance of -1 every margin below 1 fails: all six
+        # conditions on both trials
+        for module in (grdm.closed, grdm.conditions):
+            monkeypatch.setattr(module, "PSD_REL_TOL", -1.0)
+        assert cli.main(["fuzz", "--m", "3", "--trials", "2", "--seed", "1"]) == 1
+        out = capsys.readouterr().out
+        assert out.endswith("\n  failures: 12\n"), out
+
     def test_cap_exceeded_exit_2(self, capsys):
         assert cli.main(["fuzz", "--m", "9", "--trials", "2"]) == 2
         assert "cap 8" in capsys.readouterr().err
@@ -439,6 +461,19 @@ class TestQuasifreeCmd:
             r"quasifree m=2: pdm1_max_dev (\S+), wick_max_dev (\S+) over 64 words\n", out)
         assert err == "" and line, out
         assert float(line[1]) < 1e-12 and float(line[2]) < 1e-12
+
+    def test_pair_file_gives_its_gamma_output(self, pdm_file, tmp_path, capsys):
+        # quasifree reads the inputs check reads and builds from the gamma
+        pair_path = pdm_file[0]
+        gpath = tmp_path / "gamma.json"
+        gpath.write_text(json.dumps(json.loads(pair_path.read_text())["gamma"]))
+        runs = []
+        for path in (gpath, pair_path):
+            out = tmp_path / f"qf-{path.stem}.json"
+            assert cli.main(["quasifree", "--in", str(path), "--out", str(out), "--verbose"]) == 0
+            runs.append((capsys.readouterr(), out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0].out.startswith("quasifree m=3: ")
 
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         gpath = tmp_path / "gamma.json"
@@ -591,9 +626,10 @@ def test_pair_without_gamma_exit_2(tmp_path, capsys, data):
     # is a pair, and a pair without `gamma` names that field
     path, out = tmp_path / "in.json", tmp_path / "out.json"
     path.write_text(json.dumps(data))
-    assert cli.main(["check", "--in", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: missing field 'gamma' in pair\n"
-    assert not out.exists()
+    for command in ("check", "quasifree"):
+        assert cli.main([command, "--in", str(path), "--out", str(out)]) == 2, command
+        assert capsys.readouterr().err == "error: missing field 'gamma' in pair\n"
+        assert not out.exists()
 
 
 def _gamma_dict(m, **fields):
@@ -608,8 +644,8 @@ def _gamma_dict(m, **fields):
     ("quasifree", _gamma_dict(2, kind="rho"), "field 'kind' has unknown value 'rho'"),
     ("check", {"gamma": serialize.matrix_to_dict(np.zeros((4, 4)), "Gamma", 2)},
      "field 'kind' is 'Gamma', expected 'gamma'"),
-    ("quasifree", serialize.matrix_to_dict(np.eye(4), "density", 2),
-     "field 'kind' is 'density', expected 'gamma'"),
+    ("quasifree", serialize.matrix_to_dict(np.zeros((4, 4)), "Gamma", 2),
+     "field 'kind' is 'Gamma', expected 'gamma'"),
     ("check", _gamma_dict(2, re=np.zeros((3, 3)).tolist()),
      "field 're' has shape (3, 3), expected (2, 2)"),
     ("quasifree", _gamma_dict(2, im=[[0.0, 0.0]]), "field 'im' has shape (1, 2), expected (2, 2)"),

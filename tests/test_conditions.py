@@ -173,6 +173,11 @@ class TestQuadraticForm:
         with pytest.raises(ValueError, match="empty"):
             cond.quadratic_form_matrix(kappa, [])
 
+    def test_probe_of_another_m_rejected(self):
+        _, kappa, _, _ = genuine(2, 7)
+        with pytest.raises(ValueError, match="probe generator count differs"):
+            cond.quadratic_form_matrix(kappa, [unit(2), unit(3)])
+
     def test_bad_mode_rejected(self):
         _, kappa, _, _ = genuine(2, 7)
         with pytest.raises(ValueError, match="mode"):

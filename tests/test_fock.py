@@ -60,6 +60,9 @@ class TestLadders:
             fock.creation(4, 3)
         with pytest.raises(ValueError, match="cap"):
             fock.creation(1, 9)
+        for i in (0, 4):
+            with pytest.raises(ValueError, match=rf"mode index {i} outside \[1, 3\]"):
+                fock.annihilation(i, 3)
 
 
 class TestCorrespondence:
@@ -135,6 +138,8 @@ class TestCorrespondence:
     def test_dimension_validation(self):
         with pytest.raises(ValueError, match="power of two"):
             fock.from_operator(np.eye(5))
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(4, 8\)"):
+            fock.from_operator(np.ones((4, 8)))
 
 
 def _all_terms(m, keep, rng):
@@ -232,6 +237,11 @@ class TestPdms:
         ex = exchange_matrix(m)
         assert np.max(np.abs(Gamma - (np.eye(m * m) - ex) @ np.kron(gamma, gamma))) < 1e-12
 
+    def test_slater_dependent_orbitals_rejected(self):
+        orbitals = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="linearly dependent"):
+            fock.slater_state(orbitals, 3)
+
     def test_trace_identities(self, rng):
         for m in (2, 3, 4):
             rho = fock.random_density(m, 1000 + m)
@@ -265,7 +275,9 @@ class TestRandomDensity:
 
     def test_psd_unit_trace(self):
         rho = fock.random_density(3, 8)
-        fock.validate_density(rho, tol=1e-12)
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+        assert abs(np.trace(rho) - 1) <= 1e-12
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
     def test_sector_support(self):
         rho = fock.random_density(4, 9, sector=2)

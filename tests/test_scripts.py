@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import grdm
+from grdm.limits import FOCK_CAP, QUASIFREE_CAP
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(grdm.__file__)))
@@ -27,10 +28,11 @@ def test_scripts_exit_0():
         ["quasifree_recovery.py", "--m", "7", "--samples", "1"],
         ["fuzz_campaign.py", "--trials", "1", "--max-m", "2"],
         ["map_build_times.py", "--m", "3", "--repeats", "1"],
+        ["map_build_times.py", "--m", "9", "--repeats", "1"],
         ["write_times.py", "--m", "4", "--repeats", "1"],
         ["start_up.py", "--runs", "1"],
     ]
-    for (script, *_), proc in zip(runs, _start(runs)):
+    for (script, *args), proc in zip(runs, _start(runs)):
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, f"{script} exited {proc.returncode}: {err}"
         assert out.strip(), f"{script} printed nothing"
@@ -42,13 +44,17 @@ def test_scripts_exit_0():
             assert len(rows) == 5 and all(len(row) == 8 for row in rows[1:])
             assert all(float(row[-2]) > 0 and float(row[-1]) > 0 for row in rows[1:])
         if script == "map_build_times.py":
-            # a header, then one row per build with one median per m
+            # a header, then one row per build with one median per m, or `-`
+            # past the build's cap
+            m = int(args[1])
+            past_cap = {"words@4": m > QUASIFREE_CAP, "element": m > FOCK_CAP}
             rows = [line.split() for line in out.strip().splitlines()]
-            assert rows[0] == ["build", "(ms)", "m=3"]
+            assert rows[0] == ["build", "(ms)", f"m={m}"]
             assert [row[0] for row in rows[1:]] == [
                 "moment", "P", "Q", "G", "T1", "T2", "closed-P", "closed-Q", "closed-G",
                 "closed-T1", "closed-T2", "words@4", "element"]
-            assert all(float(row[1]) >= 0 for row in rows[1:])
+            for name, cell in rows[1:]:
+                assert cell == "-" if past_cap.get(name) else float(cell) >= 0, (name, cell)
         if script == "write_times.py":
             # the script asserts byte identity itself; one row per payload shape
             rows = [line.split() for line in out.strip().splitlines()]

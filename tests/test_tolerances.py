@@ -24,19 +24,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "grdm"
 
 # The tolerance parameters that stay.  report_from_form's is passed
 # positionally by the benchmark's replays, and so is check_P/Q/G's, which
-# closed_form_report carries; validate_density's (with the Hermitian check
-# that receives it) is pinned tighter than its default by a test;
-# elements_close compares at a caller's scale, and prune runs at two.
+# closed_form_report carries; prune runs at two.
 KEPT_KNOBS = {
-    ("algebra", "elements_close", "tol"),
     ("algebra", "prune", "rel_tol"),
     ("conditions", "check_G", "tol"),
     ("conditions", "check_P", "tol"),
     ("conditions", "check_Q", "tol"),
     ("conditions", "closed_form_report", "tol"),
     ("conditions", "report_from_form", "tol"),
-    ("fock", "validate_density", "tol"),
-    ("limits", "_require_hermitian", "tol"),
 }
 
 
@@ -83,6 +78,70 @@ def test_tolerance_parameters_are_the_kept_ones():
                     if re.search(r"(^|_)tol$", arg.arg):
                         found.add((module, node.name, arg.arg))
     assert found == KEPT_KNOBS
+
+
+# Parameters with a default that no call in src/grdm, scripts/ or grdmbench/
+# passes, each with the reason it stays.
+KEPT_DEFAULTS = {
+    **dict.fromkeys(
+        (("conditions", name, "tol") for name in ("check_G", "check_P", "check_Q")),
+        "the check-m5 replay passes None to it through a loop variable (ROADMAP item 1)"),
+    ("conditions", "condition_battery", "kappa"):
+        "test_acceptance.py criterion 07 runs the battery on both realizations",
+    ("fock", "contraction_check", "onb"):
+        "test_acceptance.py criterion 06 contracts in a random orthonormal basis",
+    ("quasifree", "mode_product_expansion", "occupied"):
+        "the tests' reference for build_quasifree",
+}
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(callee name, function, parameter, position or None) of every parameter with a default.
+
+    A method's position leaves out self, and `__init__` is called by its class's name.
+    """
+    methods = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for f in cls.body if isinstance(f, ast.FunctionDef)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        name = node.name
+        if id(node) in methods:
+            positional = positional[1:]
+            name = methods[id(node)] if name == "__init__" else name
+        for k, arg in enumerate(positional):
+            if k >= len(positional) - len(args.defaults):
+                yield name, node.name, arg.arg, k
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, node.name, arg.arg, None
+
+
+def test_every_default_is_passed_outside_the_tests():
+    # a parameter with a default that only tests set is a knob the program
+    # does not need: some call in the package, the scripts or the benchmark,
+    # whose callee has the function's name, passes it by keyword or position
+    root = SRC.parent.parent
+    calls: dict = {}
+    for path in [*SRC.glob("*.py"), *root.glob("scripts/*.py"), *root.glob("grdmbench/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append(
+                    (float("inf") if starred else len(node.args),
+                     {kw.arg for kw in node.keywords}))
+    unpassed = set()
+    for module, text in _sources().items():
+        for callee, function, param, position in _defaulted_parameters(ast.parse(text)):
+            if not any(param in keywords or None in keywords
+                       or (position is not None and position < n_args)
+                       for n_args, keywords in calls.get(callee, ())):
+                unpassed.add((module, function, param))
+    assert unpassed == set(KEPT_DEFAULTS)
 
 
 def test_index_arrays_widen_past_the_caps(monkeypatch):
