@@ -2,7 +2,7 @@
 """Cold build times of grdm's cached linear maps, one fresh process per build.
 
 For each requested m this times, each in its own subprocess so that no cache
-is warm: the moment map `conditions._moment_map`, the five table forms
+is warm: the moment map `kernel._moment_map`, the five table forms
 `conditions._probe_set_map` (on a moment map built untimed first), the five
 closed-form index maps `closed._index_map` (rows closed-P .. closed-T2),
 the quasifree word map `quasifree._star_word_map(m, 4)` (m <= QUASIFREE_CAP)
@@ -29,15 +29,15 @@ CAPS = {"words@4": QUASIFREE_CAP, "element": FOCK_CAP}
 
 def build(name: str, m: int) -> float:
     """Milliseconds of one cold build in this process."""
-    from grdm import closed, conditions, fock, quasifree
+    from grdm import closed, conditions, fock, kernel, quasifree
 
     if name in TABLE:
-        conditions._moment_map(m)
+        kernel._moment_map(m)
         run = lambda: conditions._probe_set_map(name, m)  # noqa: E731
     elif name.startswith("closed-"):
         run = lambda: closed._index_map(name.removeprefix("closed-"), m)  # noqa: E731
     else:
-        run = {"moment": lambda: conditions._moment_map(m),
+        run = {"moment": lambda: kernel._moment_map(m),
                "words@4": lambda: quasifree._star_word_map(m, 4),
                "element": lambda: fock._element_map(m)}[name]
     start = time.perf_counter()

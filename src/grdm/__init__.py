@@ -14,16 +14,15 @@ import importlib
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("algebra", "cli", "closed", "conditions", "fock", "limits", "quasifree", "selftest",
-               "serialize")
+_SUBMODULES = ("algebra", "cli", "closed", "conditions", "fock", "kernel", "limits", "quasifree",
+               "selftest", "serialize")
 
 # exported name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys((
-        "GrassmannElement", "Monomial", "change_generators", "expectation", "involution",
-        "make_element", "monomial_element", "multiply", "pair_integral_closed_form", "prune",
-        "psi", "psibar", "raw_integral", "star", "star_monomials", "star_trace",
-        "trace_integral", "trace_weight", "unit", "zero",
+        "change_generators", "expectation", "involution", "make_element", "monomial_element",
+        "multiply", "pair_integral_closed_form", "psi", "psibar", "raw_integral", "star",
+        "star_monomials", "star_trace", "trace_integral", "trace_weight", "unit", "zero",
     ), "algebra"),
     "ConditionReport": "closed",
     **dict.fromkeys(("ELEMENT_CAP", "STAR_CAP"), "limits"),
@@ -36,6 +35,7 @@ _EXPORTS = {
         "annihilation", "contraction_check", "creation", "from_operator", "pdms_from_rho",
         "random_density", "to_operator",
     ), "fock"),
+    **dict.fromkeys(("GrassmannElement", "Monomial", "prune"), "kernel"),
     **dict.fromkeys((
         "QuasifreeSpec", "build_quasifree", "mode_product_expansion", "verify_quasifree",
     ), "quasifree"),

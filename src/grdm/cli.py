@@ -5,18 +5,19 @@ Exit codes: 0 all checks pass, 1 a condition failed, 2 usage or input error,
 an --out path that cannot be written included.  The commands raise OSError or
 ValueError (serialize.FormatError among them) on bad input, and `main` alone
 prints it as `error: ...` and returns 2.  Output files are written atomically.
-Each command imports only the modules it runs: `check` needs the closed-form
-realization (`closed`, on `limits`) and serialize, and compiles no Grassmann
-element code; `fuzz` adds the element kernel and the star-product side
-(`algebra`, `conditions`) and the Fock oracle (through `fuzz_conditions`),
-`quasifree` the element kernel, `conditions` and the quasifree module, and
-`selftest` its identities.
+Each command imports only the modules it runs, inside its own function:
+`check` needs the closed-form realization (`closed`, on `limits`, and
+`dataclasses` for `--tol`) and serialize, and compiles no Grassmann element
+code; `fuzz` adds the element kernel (`kernel`), the star-product side
+(`conditions`) and the Fock oracle (through `fuzz_conditions`); `quasifree`
+needs the element kernel and the quasifree module, and reads gamma back
+through the kernel's moment layer, so it compiles neither realization of
+the conditions; and `selftest` its identities, on `algebra` and the oracle.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import random
 import sys
@@ -24,7 +25,7 @@ import time
 
 import numpy as np
 
-from . import closed, serialize
+from . import serialize
 
 
 def _load_check_input(path: str):
@@ -59,6 +60,10 @@ def _write_out(path: str | None, payload) -> None:
 
 
 def cmd_check(args) -> int:
+    import dataclasses
+
+    from . import closed
+
     if args.tol is not None and not 0 <= args.tol < np.inf:
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     gamma, Gamma, _ = _load_check_input(args.infile)
@@ -91,11 +96,12 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_quasifree(args) -> int:
-    from . import conditions as cond, quasifree
+    from . import quasifree
+    from .kernel import _moments, _pdm1
 
     gamma, _, m = _load_check_input(args.infile)  # a pair's Gamma is not used
     spec, kappa = quasifree.build_quasifree(gamma)
-    pdm_dev = float(np.max(np.abs(cond.pdm1_from_density(kappa) - gamma)))
+    pdm_dev = float(np.max(np.abs(_pdm1(_moments(kappa.to_vector(), m), m) - gamma)))
     wick_dev = quasifree.verify_quasifree(kappa, spec, max_points=args.max_points)
     points = quasifree.words_checked(m, args.max_points)
     _write_out(args.outfile, {

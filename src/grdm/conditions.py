@@ -9,11 +9,14 @@ probe tensors and terms of its closed form in the one- and two-body matrices
 (gamma, Gamma); G, the centred row, also subtracts the product of its probes'
 means on both sides.  The closed-form side, with the table, its index maps
 and the battery, lives in `closed`, which compiles without the element
-kernel; this module adds the star-product side.
+kernel; this module adds the star-product side, on the element kernel
+(`kernel`) alone, so `grdm fuzz` never compiles `algebra`.
 The Grassmann-side pdms and forms are linear in the density, so each is a
 fixed combination of its moments star_trace(kappa, t), |bar| = |unbar| <= 2
-for t, which one cached map per m reads off the coefficient vector; moment 0
-is the trace that every density check reads, and Gamma is P's form transposed.
+for t, which the kernel's moment layer reads off the coefficient vector with
+one cached map per m (`kernel._moment_map`, `kernel._moments`); moment 0 is
+the trace that every density check reads, gamma is `kernel._pdm1` of the
+moments, and Gamma is P's form transposed.
 A row's word probes become elements here (`_word_probes`), and its form is
 one cached map per m (`_probe_set_map`).  The per-tensor values check_T1 and
 check_T2_generalized are the closed T1 and T2 forms at the tensor's
@@ -35,25 +38,10 @@ fixed.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import (
-    GrassmannElement,
-    Monomial,
-    _generators,
-    _involution_terms,
-    _moment_rows,
-    _mono_products,
-    _pair_sums,
-    _star_pairs,
-    _sum_terms,
-    monomial_element,
-)
 from .closed import (
     CONDITIONS,
     ConditionReport,
@@ -66,6 +54,20 @@ from .closed import (
     _validate_pair,
     battery,
 )
+from .kernel import (
+    GrassmannElement,
+    Monomial,
+    _generators,
+    _involution_terms,
+    _LinearMap,
+    _linear_map,
+    _moments,
+    _mono_products,
+    _pair_sums,
+    _pdm1,
+    _star_pairs,
+    _sum_terms,
+)
 from .limits import (
     ANTISYMMETRY_TOL,
     ELEMENT_CAP,
@@ -74,11 +76,8 @@ from .limits import (
     PSD_REL_TOL,
     STAR_CAP,
     _check_m,
-    _coo_apply,
-    _read_only,
     _require_finite,
     _require_hermitian,
-    _require_unit_trace,
     _scale,
 )
 
@@ -96,80 +95,7 @@ def report_from_form(condition: str, matrix: np.ndarray, method: str,
 
 
 # ---------------------------------------------------------------------------
-# Grassmann-side quantities as linear maps on the density's coefficients
-
-class _LinearMap(NamedTuple):
-    """A linear map kappa -> array of `shape`: out = W @ (M @ kappa.to_vector()).
-
-    `moments` (M) holds the rows star_trace(kappa, t) of the monomials t the
-    output reads, whose to_vector indices `monomials` lists in row order;
-    `combine` (W) sums them, with coefficients, into the flattened output.
-    Both are read-only COO triples (row, col, val) whose duplicate entries
-    add up; the table maps share `_moment_map`'s M.
-    """
-
-    moments: tuple
-    monomials: np.ndarray
-    combine: tuple
-    shape: tuple
-
-    def combine_moments(self, moments: np.ndarray) -> np.ndarray:
-        """The map on kappa's moments, M @ kappa.to_vector()."""
-        return _coo_apply(*self.combine, moments, math.prod(self.shape)).reshape(self.shape)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """The map on a coefficient vector, kappa.to_vector()."""
-        return self.combine_moments(_coo_apply(*self.moments, vec, len(self.monomials)))
-
-
-def _linear_map(entries: tuple, shape: tuple, m: int, shared: bool = False) -> _LinearMap:
-    """The map out[row] = sum of coeff * star_trace(kappa, t) over COO arrays (row, t, coeff).
-
-    Each t is a monomial's to_vector index.  A shared map reads the moments
-    of `_moment_map(m)`, which must cover every t; any other gets moment
-    rows of just the distinct t its entries name, in ascending order.
-    """
-    rows, ts, coeffs = entries
-    ts = np.asarray(ts, dtype=np.intp)
-    if shared:
-        moments, monomials = _moment_map(m)
-        order = np.argsort(monomials)
-        cols = order[np.minimum(np.searchsorted(monomials[order], ts), len(order) - 1)]
-        if not np.array_equal(monomials[cols], ts):
-            raise ValueError("an entry reads a monomial outside the shared moment map")
-    else:
-        monomials, cols = np.unique(ts, return_inverse=True)
-        moments = _read_only(*_moment_rows(monomials, m))
-        monomials.setflags(write=False)
-    combine = _read_only(np.asarray(rows, dtype=np.intp), cols.astype(np.intp).ravel(),
-                         np.asarray(coeffs, dtype=complex))
-    return _LinearMap(moments, monomials, combine, shape)
-
-
-@functools.lru_cache(maxsize=ELEMENT_CAP)
-def _moment_map(m: int) -> tuple[tuple, np.ndarray]:
-    """The moment rows of every table quantity at m, and the to_vector index of each row's monomial.
-
-    The monomials are those with |bar| = |unbar| <= 2, which is all that the
-    pdms and the five table forms read (the anticommutator cancels the T1/T2
-    three-body terms exactly): the unit first, so moment 0 is the trace; then
-    pbar_{k+1} p_{l+1} at row 1 + k*m + l; then the two-body monomials.
-    """
-    ones = 1 << np.arange(m)
-    twos = np.array([(1 << k) | (1 << l) for k, l in combinations(range(m), 2)], dtype=np.intp)
-    monomials = np.concatenate([[0]] + [((block[:, None] << m) | block).ravel()
-                                        for block in (ones, twos)]).astype(np.intp)
-    return _read_only(*_moment_rows(monomials, m)), _read_only(monomials)[0]
-
-
-def _moments(vec: np.ndarray, m: int) -> np.ndarray:
-    """The `_moment_map` moments of a density's to_vector(), once its trace is checked to be 1."""
-    rows, monomials = _moment_map(m)
-    _require_finite(vec, "density element")
-    moments = _coo_apply(*rows, vec, len(monomials))
-    _require_unit_trace(moments[0])
-    return moments
-
+# Grassmann-side forms as linear maps on the density's coefficients
 
 def _form_entries(probes: list[GrassmannElement], mode: str, m: int) -> tuple:
     """F[a, b] = tr(kappa * X_ab), X_ab = b_a* * b_b (+ b_b * b_a*), as COO arrays (row, t, coeff).
@@ -202,7 +128,7 @@ def _stack_terms(elements: list[GrassmannElement]) -> tuple:
 
 
 def _word_probes(words: list, m: int) -> list[GrassmannElement]:
-    """The wedge products of generator words, in order, numbered as in `algebra._generators`.
+    """The wedge products of generator words, in order, numbered as in `kernel._generators`.
 
     Each is one monomial up to sign, or zero where a generator repeats; the
     words of each length take one `_mono_products` call per word position.
@@ -227,10 +153,6 @@ def _probe_set_map(condition: str, m: int) -> _LinearMap:
     row = CONDITIONS[condition]
     probes = _word_probes(row.words(m), m)
     return _linear_map(_form_entries(probes, row.mode, m), (len(probes),) * 2, m, shared=True)
-
-
-def _pdm1(moments: np.ndarray, m: int) -> np.ndarray:
-    return np.ascontiguousarray(moments[1:1 + m * m].reshape(m, m).T)
 
 
 def _pdm2(moments: np.ndarray, m: int) -> np.ndarray:
@@ -270,8 +192,9 @@ def quadratic_form_matrix(kappa: GrassmannElement, probes: list[GrassmannElement
 
 def monomial_basis(m: int, order: int) -> list[GrassmannElement]:
     """All basis monomials with at most `order` barred and unbarred indices."""
+    _check_m(m, ELEMENT_CAP)
     masks = [x for x in range(1 << m) if x.bit_count() <= order]
-    return [monomial_element(Monomial(bar, ub), m) for bar in masks for ub in masks]
+    return [GrassmannElement(m, {Monomial(bar, ub): 1 + 0j}) for bar in masks for ub in masks]
 
 
 def order_n_check(kappa: GrassmannElement, n: int) -> ConditionReport:

@@ -12,11 +12,11 @@ word maps each basis state to at most one basis state with a sign, so
 to_operator and pdms_from_rho are signed gathers over those (target, sign)
 pairs, precomputed per m and applied with np.bincount.  from_operator is the
 closed-form inverse of to_operator, a signed Moebius inversion over subsets
-of modes whose signs come from the algebra module's kernels, so the round
-trip compares two separate sign derivations.  Everything serves to
-cross-validate the Grassmann-side computations, up to m = FOCK_CAP = 8 in
-both directions; the dense 2^m x 2^m ladder matrices remain only behind
-creation, annihilation and slater_state.
+of modes whose signs come from the sign functions of the element kernel
+(`kernel`), so the round trip compares two separate sign derivations.
+Everything serves to cross-validate the Grassmann-side computations, up to
+m = FOCK_CAP = 8 in both directions; the dense 2^m x 2^m ladder matrices
+remain only behind creation, annihilation and slater_state.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import functools
 
 import numpy as np
 
-from .algebra import GrassmannElement, _merge_parity, _parity, _popcount, prune
+from .kernel import GrassmannElement, _merge_parity, _parity, _popcount, prune
 from .limits import (FOCK_CAP, OPERATOR_PRUNE_REL_TOL, SECTOR_TOL, SLATER_NORM_TOL, _check_m,
                      _coo_apply, _index_dtype, _read_only, _require_finite, _require_unitary)
 

@@ -28,29 +28,34 @@ per-word references of both sides, the star fold and the Wick pairing
 recursion.  Everything here runs up to
 QUASIFREE_CAP = 8 generators, past the star product's cap, since no step
 multiplies two full elements.
+
+The module imports the element kernel (`kernel`) and `limits` alone, and
+the spec is a NamedTuple, so `grdm quasifree` compiles neither realization
+of the conditions, nor `algebra`, nor `dataclasses`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import (
+from .kernel import (
     GrassmannElement,
     Monomial,
     _compound_blocks,
     _degree_order,
     _generators,
     _half_pair_sign,
+    _LinearMap,
+    _linear_map,
     _star_pairs,
     _sum_terms,
     prune,
 )
-from .conditions import _LinearMap, _linear_map
 from .limits import (
     BOUNDARY_TOL,
     QUASIFREE_CAP,
@@ -61,8 +66,7 @@ from .limits import (
 )
 
 
-@dataclass(frozen=True)
-class QuasifreeSpec:
+class QuasifreeSpec(NamedTuple):
     """Eigendata defining a quasifree density.
 
     `u` holds the eigenvectors of the one-body matrix as columns; `lambdas`

@@ -16,8 +16,6 @@ import numpy as np
 
 from . import fock
 from .algebra import (
-    GrassmannElement,
-    Monomial,
     involution,
     monomial_element,
     multiply,
@@ -32,6 +30,7 @@ from .algebra import (
     trace_weight,
     unit,
 )
+from .kernel import GrassmannElement, Monomial
 from .limits import SELFTEST_EXACT_TOL, SELFTEST_RANDOM_TOL
 
 

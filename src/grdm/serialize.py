@@ -14,9 +14,10 @@ straight from its arrays, as the same bytes that json would give for
 `element_to_dict(a)` at that depth, without building the dict.  Circular
 containers are not detected.
 
-The element kernel (`algebra`) is imported only on the element paths, so
-reading and writing matrices and reports, all that `grdm check` does, never
-compiles it.
+The element modules are imported only on the element paths, so reading
+and writing matrices and reports, all that `grdm check` does, compiles
+neither; the element writer needs only the element kernel (`kernel`), and
+the reader, which builds through `algebra.make_element`, `algebra` as well.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .algebra import GrassmannElement
+    from .kernel import GrassmannElement
 
 
 class FormatError(ValueError):
@@ -55,7 +56,7 @@ def _need_m(obj: dict, where: str) -> int:
 
 def element_to_dict(a: GrassmannElement) -> dict:
     """Terms in ascending (bar, unbar) mask order, read from the element's sorted arrays."""
-    from .algebra import _indices, _split_index
+    from .kernel import _indices, _split_index
 
     index, coeffs = a.arrays()
     terms = []
@@ -207,7 +208,7 @@ def _key(k) -> str:
 
 def _element(a: GrassmannElement, nl: str) -> str:
     """element_to_dict(a) as indent-2 JSON whose first line sits at indent `nl`."""
-    from .algebra import _indices, _split_index
+    from .kernel import _indices, _split_index
 
     i1, i2, i3, i4 = (nl + "  " * k for k in range(1, 5))
     index, coeffs = a.arrays()
@@ -251,7 +252,7 @@ def _write(o, nl: str, out) -> None:
             _write(v, inner, out)
             sep = "," + inner
         return out(nl + "}")
-    from .algebra import GrassmannElement
+    from .kernel import GrassmannElement
 
     if isinstance(o, GrassmannElement):
         return out(_element(o, nl))

@@ -48,10 +48,10 @@ from itertools import combinations
 import numpy as np
 
 from grdm import fock, quasifree
-from grdm.algebra import (GrassmannElement, Monomial, _acc, _half_pair_sign, _indices,
-                          _merge_sign, _star_monomials_terms, change_generators, multiply, psi,
-                          psibar, star, star_trace, trace_integral)
+from grdm.algebra import (_acc, _merge_sign, _star_monomials_terms, change_generators, multiply,
+                          psi, psibar, star, star_trace, trace_integral)
 from grdm.closed import _validate_pair
+from grdm.kernel import GrassmannElement, Monomial, _half_pair_sign, _indices
 from grdm.limits import BOUNDARY_TOL
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grdm.algebra import GrassmannElement, Monomial
+from grdm.kernel import GrassmannElement, Monomial
 
 
 def rand_element(rng, m, nterms=6, scale=1.0):

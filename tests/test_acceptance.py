@@ -14,7 +14,6 @@ import numpy as np
 from grdm import conditions as cond
 from grdm import fock, quasifree as qf
 from grdm.algebra import (
-    Monomial,
     change_generators,
     involution,
     max_coeff_difference,
@@ -30,6 +29,7 @@ from grdm.algebra import (
     zero,
 )
 from grdm.closed import CONDITIONS
+from grdm.kernel import Monomial
 from _reference import exchange_matrix, number_operator
 from conftest import rand_element, random_unitary
 

@@ -8,17 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grdm import conditions, fock
+from grdm import fock, kernel
 from grdm.algebra import (
-    GrassmannElement,
-    Monomial,
-    _merge_parity,
     _merge_sign,
     _mono_mul,
-    _mono_products,
-    _popcount,
     _star_monomials_terms,
-    _star_pairs,
     change_generators,
     expectation,
     involution,
@@ -28,7 +22,6 @@ from grdm.algebra import (
     monomial_element,
     multiply,
     pair_integral_closed_form,
-    prune,
     psi,
     psibar,
     raw_integral,
@@ -39,6 +32,15 @@ from grdm.algebra import (
     trace_weight,
     unit,
     zero,
+)
+from grdm.kernel import (
+    GrassmannElement,
+    Monomial,
+    _merge_parity,
+    _mono_products,
+    _popcount,
+    _star_pairs,
+    prune,
 )
 from _reference import change_generators_reference, moment_rows_reference, star_reference
 from conftest import rand_element, random_unitary
@@ -221,14 +223,14 @@ class TestKernel:
         if m <= 3:
             monos = [Monomial(K, L) for K in range(1 << m) for L in range(1 << m)]
         else:
-            index = conditions._moment_map(m)[1].tolist() + _seeded_pairs(m, 50)[0].tolist()
+            index = kernel._moment_map(m)[1].tolist() + _seeded_pairs(m, 50)[0].tolist()
             monos = [Monomial(t >> m, t & ((1 << m) - 1)) for t in index]
         for g, w in zip(moment_rows(monos, m), moment_rows_reference(monos, m)):
             assert g.dtype == w.dtype and np.array_equal(g, w)
 
     def test_moment_map_at_m10_equals_scalar_rows(self):
         m = 10
-        (rows, cols, vals), index = conditions._moment_map(m)
+        (rows, cols, vals), index = kernel._moment_map(m)
         assert len(index) == 1 + m * m + (m * (m - 1) // 2) ** 2
         sample = np.random.default_rng(10).choice(len(index), 60, replace=False)
         monos = [Monomial(t >> m, t & ((1 << m) - 1)) for t in index[sample].tolist()]

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import grdm
 from grdm import cli, fock, quasifree, serialize
-from grdm.algebra import GrassmannElement, make_element
+from grdm.algebra import make_element
+from grdm.kernel import GrassmannElement
 from grdm.limits import ELEMENT_CAP
 from conftest import rand_element, random_unitary
 
@@ -718,7 +719,9 @@ def test_import_pulls_no_scipy(tmp_path):
     # loads neither scipy nor numpy.ma (about 14 ms cold), check needs only the
     # closed-form realization, no element kernel, no star-product side, no Fock
     # oracle and no quasifree module; fuzz adds the kernel, the star-product
-    # side and the oracle, quasifree the kernel, the star-product side and its module
+    # side and the oracle, but not the public element API (`algebra`);
+    # quasifree needs only the kernel and its module, neither realization of
+    # the conditions, and not `dataclasses` either
     gamma, Gamma = fock.pdms_from_rho(fock.random_density(5, 11))
     pair, gpath = tmp_path / "pair.json", tmp_path / "gamma.json"
     serialize.atomic_write_json(str(pair), {"gamma": serialize.matrix_to_dict(gamma, "gamma", 5),
@@ -726,18 +729,19 @@ def test_import_pulls_no_scipy(tmp_path):
     serialize.atomic_write_json(str(gpath), serialize.matrix_to_dict(
         np.diag([0.2, 0.4, 0.6, 0.8]), "gamma", 4))
     check = ["grdm", "grdm.cli", "grdm.closed", "grdm.limits", "grdm.serialize"]
-    grassmann = ["grdm.algebra", "grdm.conditions"]
-    runs = [(["check", "--in", str(pair), "--out", str(tmp_path / "r.json")], check),
+    runs = [(["check", "--in", str(pair), "--out", str(tmp_path / "r.json")], check, True),
             (["fuzz", "--m", "3", "--trials", "1", "--out", str(tmp_path / "f.json")],
-             sorted(check + grassmann + ["grdm.fock"])),
+             sorted(check + ["grdm.conditions", "grdm.fock", "grdm.kernel"]), True),
             (["quasifree", "--in", str(gpath), "--out", str(tmp_path / "q.json")],
-             sorted(check + grassmann + ["grdm.quasifree"]))]
-    for argv, modules in runs:
+             ["grdm", "grdm.cli", "grdm.kernel", "grdm.limits", "grdm.quasifree",
+              "grdm.serialize"], False)]
+    for argv, modules, loads_dataclasses in runs:
         code = ("import json, sys; from grdm import cli; rc = cli.main(%r); "
                 "print(json.dumps([rc, sorted(k for k in sys.modules if k.split('.')[0] == 'grdm'), "
                 "sorted(k for k in sys.modules "
-                "if k.split('.')[0] == 'scipy' or k.split('.')[:2] == ['numpy', 'ma'])]))" % argv)
-        assert _fresh_process(code) == [0, modules, []], argv[0]
+                "if k.split('.')[0] == 'scipy' or k.split('.')[:2] == ['numpy', 'ma']), "
+                "'dataclasses' in sys.modules]))" % argv)
+        assert _fresh_process(code) == [0, modules, [], loads_dataclasses], argv[0]
 
 
 def test_package_exports_load_lazily():
@@ -751,8 +755,8 @@ def test_package_exports_load_lazily():
             "sorted(k for k in sys.modules if k.startswith('grdm.'))]))")
     loaded, fock_name, unresolved, after = _fresh_process(code)
     assert loaded == [] and fock_name == "grdm.fock" and unresolved == []
-    assert after == ["grdm.algebra", "grdm.closed", "grdm.conditions", "grdm.fock", "grdm.limits",
-                     "grdm.quasifree"]
+    assert after == ["grdm.algebra", "grdm.closed", "grdm.conditions", "grdm.fock", "grdm.kernel",
+                     "grdm.limits", "grdm.quasifree"]
     assert grdm.build_quasifree is quasifree.build_quasifree
     assert "fock" in dir(grdm) and set(grdm.__all__) <= set(dir(grdm))
     with pytest.raises(AttributeError, match="no attribute 'wick_expectation'"):

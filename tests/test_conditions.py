@@ -9,10 +9,8 @@ import pytest
 
 import grdm.closed
 from grdm import conditions as cond
-from grdm import fock, quasifree
+from grdm import fock, kernel, quasifree
 from grdm.algebra import (
-    GrassmannElement,
-    Monomial,
     _star_monomials_terms,
     involution,
     make_element,
@@ -26,6 +24,7 @@ from grdm.algebra import (
 )
 from grdm.closed import (CONDITIONS, _index_form, _index_map, _source, _t1_stacks, _t2_stacks,
                          _validate_pair)
+from grdm.kernel import GrassmannElement, Monomial
 from grdm.limits import ELEMENT_CAP, _coo_apply
 from _reference import (canonical_combine, exchange_matrix, form_entries_reference, g_condition_matrix,
                         q_condition_matrix, t1_bilinear, t2_bilinear, t2a_value)
@@ -98,7 +97,7 @@ class TestPdmExtraction:
     def test_moment_zero_is_trace_integral(self, rng):
         # random terms rarely sit on the diagonal, so a third of it is added
         for m in range(1, 7):
-            rows, index = cond._moment_map(m)
+            rows, index = kernel._moment_map(m)
             terms = dict(rand_element(rng, m, nterms=12).terms)
             terms.update({Monomial(bar, bar): complex(rng.standard_normal(), 1.0)
                           for bar in range(0, 1 << m, 3)})
@@ -108,7 +107,7 @@ class TestPdmExtraction:
 
     def test_table_maps_share_one_moment_map(self):
         for m in (2, 3, 5):
-            rows, index = cond._moment_map(m)
+            rows, index = kernel._moment_map(m)
             assert len(index) == 1 + m * m + (m * (m - 1) // 2) ** 2
             for name in CONDITIONS:
                 table_map = cond._probe_set_map(name, m)
@@ -669,7 +668,7 @@ def test_grassmann_form_hermiticity_check_fires():
 def test_index_maps_agree_with_grassmann_forms_at_m6():
     m = 6
     _, kappa, gamma, Gamma = genuine(m, 86)
-    moments = cond._moments(kappa.to_vector(), m)
+    moments = kernel._moments(kappa.to_vector(), m)
     for name in ("T1", "T2"):
         F = cond._probe_set_map(name, m).combine_moments(moments)
         C = _index_form(name, m, _source(gamma, Gamma))
@@ -683,7 +682,7 @@ def test_index_maps_agree_with_grassmann_forms_at_m6():
 def _assert_form_map_equals_scalar_builder(name, m):
     row = CONDITIONS[name]
     got = cond._probe_set_map(name, m)
-    want = cond._linear_map(form_entries_reference(cond._word_probes(row.words(m), m), row.mode, m),
+    want = kernel._linear_map(form_entries_reference(cond._word_probes(row.words(m), m), row.mode, m),
                             got.shape, m, shared=True)
     assert got.moments is want.moments
     for g, w in zip(canonical_combine(got), canonical_combine(want)):

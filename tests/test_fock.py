@@ -7,8 +7,6 @@ import pytest
 
 from grdm import fock
 from grdm.algebra import (
-    GrassmannElement,
-    Monomial,
     involution,
     make_element,
     max_coeff_difference,
@@ -17,6 +15,7 @@ from grdm.algebra import (
     trace_integral,
     unit,
 )
+from grdm.kernel import GrassmannElement, Monomial
 from grdm.limits import _coo_apply
 from conftest import rand_element, random_unitary
 from _reference import (element_map_reference, exchange_matrix, number_operator,

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from grdm import conditions as cond
-from grdm import fock, quasifree as qf
+from grdm import fock, kernel, quasifree as qf
 from grdm.algebra import (
-    Monomial,
     change_generators,
     max_coeff_difference,
     monomial_element,
-    prune,
     psibar,
     star,
     trace_integral,
     unit,
 )
+from grdm.kernel import Monomial, prune
 from grdm.limits import BOUNDARY_TOL
 from _reference import (build_quasifree_reference, canonical_combine, moment_rows_reference,
                         quasifree_from_lambdas, star_word_expectation, wick_expectation,
@@ -311,7 +310,7 @@ class TestWick:
         # product.  Both number their moments by ascending monomial, and the
         # moment rows equal the scalar pair-trace loop's.
         got = qf._star_word_map(m, points)[0]
-        want = cond._linear_map(word_product_entries_reference(m, points), got.shape, m)
+        want = kernel._linear_map(word_product_entries_reference(m, points), got.shape, m)
         assert np.array_equal(got.monomials, want.monomials)
         monomials = [Monomial(t >> m, t & ((1 << m) - 1)) for t in got.monomials.tolist()]
         for g, w in zip(got.moments, moment_rows_reference(monomials, m)):

@@ -26,7 +26,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "grdm"
 # positionally by the benchmark's replays, and so is check_P/Q/G's, which
 # closed_form_report carries; prune runs at two.
 KEPT_KNOBS = {
-    ("algebra", "prune", "rel_tol"),
+    ("kernel", "prune", "rel_tol"),
     ("conditions", "check_G", "tol"),
     ("conditions", "check_P", "tol"),
     ("conditions", "check_Q", "tol"),
@@ -195,6 +195,21 @@ def test_grdm_imports_are_used_and_come_from_their_home():
                         aliased.append(where)
     assert not unused, unused
     assert not aliased, aliased
+
+
+# The grdm modules each base module may import.  The element kernel and the
+# closed-form realization compile on `limits` alone, and quasifree on the
+# kernel, so `grdm check` and `grdm quasifree` compile no more than they run.
+BASE_IMPORTS = {"closed": {"limits"}, "kernel": {"limits"}, "quasifree": {"kernel", "limits"}}
+
+
+def test_base_modules_import_only_their_base():
+    imported = {module: set() for module in BASE_IMPORTS}
+    for module, found in imported.items():
+        for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found.update([node.module] if node.module else (a.name for a in node.names))
+    assert imported == BASE_IMPORTS
 
 
 def _unit_trace_density(bad):
