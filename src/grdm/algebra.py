@@ -4,8 +4,8 @@ The public element operations, on the element type and the array sign
 kernels of `kernel`: the constructors, the plain (wedge) product, the star
 product, which mirrors operator composition on the 2^m-dimensional Fock
 space, the involution, the two integration functionals (top-coefficient
-extraction and the weighted trace form), `star_trace`, `moment_rows`,
-`expectation`, `change_generators` and `max_coeff_difference`.  Each runs on
+extraction and the weighted trace form), `star_trace`, `expectation`,
+`change_generators` and `max_coeff_difference`.  Each runs on
 the kernel's array functions (`_mono_products`, `_star_pairs`,
 `_trace_rows`, `_pair_sums`, `_compound_blocks`).
 
@@ -35,7 +35,6 @@ from .kernel import (
     _degree_order,
     _half_pair_sign,
     _involution_terms,
-    _moment_rows,
     _mono_products,
     _pair_sums,
     _pair_traces,
@@ -102,12 +101,10 @@ def make_element(m: int, terms: Iterable[tuple[Iterable[int], Iterable[int], com
 
 
 def zero(m: int) -> GrassmannElement:
-    _check_m(m, ELEMENT_CAP)
     return GrassmannElement(m, {})
 
 
 def unit(m: int) -> GrassmannElement:
-    _check_m(m, ELEMENT_CAP)
     return GrassmannElement(m, {Monomial(0, 0): 1 + 0j})
 
 
@@ -122,7 +119,6 @@ def psibar(i: int, m: int) -> GrassmannElement:
 
 
 def monomial_element(mono: Monomial, m: int) -> GrassmannElement:
-    _check_m(m, ELEMENT_CAP)
     return GrassmannElement(m, {mono: 1 + 0j})
 
 
@@ -276,17 +272,6 @@ def star_trace(a: GrassmannElement, b: GrassmannElement) -> complex:
     pos = np.minimum(np.searchsorted(ia, index), max(len(ia) - 1, 0))
     hit = np.flatnonzero(ia[pos] == index)  # ia is empty only when index is
     return complex(np.sum(ca[pos[hit]] * cb[row[hit]] * value[hit]))
-
-
-def moment_rows(monomials: Iterable[Monomial], m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The functionals a -> star_trace(a, t), t in `monomials`, as sparse rows.
-
-    Returns COO arrays (row, col, val) over a.to_vector(): row r holds the
-    monomials (I, J) that interlock with the r-th monomial t = (K, L), each
-    valued by the pair trace (`_trace_rows`).
-    """
-    bar, unbar = np.array(list(monomials), dtype=np.intp).reshape(-1, 2).T
-    return _moment_rows((bar << m) | unbar, m)
 
 
 def expectation(density: GrassmannElement, observable: GrassmannElement) -> complex:

@@ -53,6 +53,7 @@ from .closed import (
     _t1_indices,
     _validate_pair,
     battery,
+    psd_tolerance,
 )
 from .kernel import (
     GrassmannElement,
@@ -73,7 +74,6 @@ from .limits import (
     ELEMENT_CAP,
     FOCK_CAP,
     FORM_HERMITIAN_TOL,
-    PSD_REL_TOL,
     STAR_CAP,
     _check_m,
     _require_finite,
@@ -87,11 +87,10 @@ def report_from_form(condition: str, matrix: np.ndarray, method: str,
     """Hermiticity-checked minimum-eigenvalue report for a form matrix."""
     herm = (matrix + matrix.conj().T) / 2
     dev = np.max(np.abs(matrix - herm)) if matrix.size else 0.0
-    scale = _scale(matrix)
-    if not dev / scale <= FORM_HERMITIAN_TOL:
+    if not dev / _scale(matrix) <= FORM_HERMITIAN_TOL:
         raise ValueError(f"{condition}: form matrix is not Hermitian (deviation {dev:.3e})")
     return ConditionReport(condition, _min_eigenvalue(herm),
-                           PSD_REL_TOL * scale if tol is None else tol, method)
+                           psd_tolerance(matrix) if tol is None else tol, method)
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +310,15 @@ def check_T2_full(kappa: GrassmannElement) -> ConditionReport:
 
 def closed_form_report(condition: str, gamma: np.ndarray, Gamma: np.ndarray,
                        tol: float | None = None) -> ConditionReport:
-    """Margin of a table condition's closed-form matrix in (gamma, Gamma)."""
+    """Margin of a table condition's closed-form matrix in (gamma, Gamma).
+
+    `_index_form` is Hermitian by construction, so, as in `closed.battery`,
+    it goes straight to one eigensolve.
+    """
     gamma, Gamma, m = _validate_pair(gamma, Gamma)
-    return report_from_form(condition, _index_form(condition, m, _source(gamma, Gamma)),
-                            "closed-form", tol)
+    F = _index_form(condition, m, _source(gamma, Gamma))
+    return ConditionReport(condition, _min_eigenvalue(F), psd_tolerance(F) if tol is None else tol,
+                           "closed-form")
 
 
 def _form_report(condition: str, moments: np.ndarray, m: int) -> ConditionReport:
@@ -381,7 +385,9 @@ def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -
     """Run the condition battery on `trials` random genuine densities.
 
     Per-trial seeds derive deterministically from the master seed, so the
-    summary is reproducible.  Each density's moments are computed once and
+    summary is reproducible: trial k draws from SeedSequence(seed,
+    spawn_key=(k,)), the k-th child of `SeedSequence(seed).spawn`, built
+    when the trial starts.  Each density's moments are computed once and
     serve its pdms and its Grassmann forms.  The Fock oracle is imported
     here, its one user in this module, so `grdm check` never loads it.
     """
@@ -396,8 +402,8 @@ def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -
     failures = 0
     pdm_dev = 0.0
     cdev_max = 0.0
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        rho = fock.random_density(m, child, sector=sector)
+    for k in range(trials):
+        rho = fock.random_density(m, np.random.SeedSequence(seed, spawn_key=(k,)), sector=sector)
         moments = _moments(fock.from_operator(rho).to_vector(), m)
         gamma = _pdm1(moments, m)
         Gamma = _pdm2(moments, m)

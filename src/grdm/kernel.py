@@ -55,6 +55,7 @@ import numpy as np
 from .limits import (
     ELEMENT_CAP,
     PRUNE_REL_TOL,
+    _check_m,
     _coo_apply,
     _read_only,
     _require_finite,
@@ -76,12 +77,6 @@ class Monomial(NamedTuple):
     @classmethod
     def from_indices(cls, bar: Iterable[int], unbar: Iterable[int], m: int) -> "Monomial":
         return cls(_mask(bar, m), _mask(unbar, m))
-
-    def bar_indices(self) -> tuple[int, ...]:
-        return _indices(self.bar)
-
-    def unbar_indices(self) -> tuple[int, ...]:
-        return _indices(self.unbar)
 
 
 def _split_index(index: np.ndarray, m: int) -> tuple[list, list]:
@@ -321,16 +316,18 @@ class GrassmannElement:
     Its value is two read-only arrays, built at construction: the sorted
     `to_vector` indices bar * 2**m + unbar of its terms, which is the order
     of sorting their Monomials, and their complex coefficients (`arrays()`).
-    The constructor takes a map Monomial -> coefficient and rejects a
-    generator outside [1, m]; code that holds arrays (`from_operator`,
-    `change_generators`, `prune`, scalar products) uses `from_vector` or
-    `_from_arrays`.  Every operation works on the arrays; `terms`, the value
-    as a read-only sorted map built on first use, serves `repr`, pickling and
-    `coefficient`.  `__setattr__` refuses every assignment, so the
-    attributes are written to the instance dict.
+    The constructor takes a map Monomial -> coefficient and rejects an m
+    outside [1, ELEMENT_CAP] and a generator outside [1, m]; code that holds
+    arrays (`from_operator`, `change_generators`, `prune`, scalar products)
+    uses `from_vector`, which checks m and the vector's length 4**m, or the
+    unchecked `_from_arrays`.  Every operation works on the arrays; `terms`,
+    the value as a read-only sorted map built on first use, serves `repr`
+    and pickling.  `__setattr__` refuses every assignment, so the attributes
+    are written to the instance dict.
     """
 
     def __init__(self, m: int, terms: dict | None = None) -> None:
+        _check_m(m, ELEMENT_CAP)
         terms = {} if terms is None else terms
         index = []
         for bar, unbar in terms:
@@ -352,6 +349,9 @@ class GrassmannElement:
     @classmethod
     def from_vector(cls, m: int, vec: np.ndarray) -> "GrassmannElement":
         """The element whose to_vector() is `vec`: its entries that are not exactly zero."""
+        _check_m(m, ELEMENT_CAP)
+        if np.shape(vec) != (1 << (2 * m),):
+            raise ValueError(f"coefficient vector must have length 4**{m}, got shape {np.shape(vec)}")
         index = np.flatnonzero(vec)
         return cls._from_arrays(m, index, np.asarray(vec, dtype=complex)[index])
 
@@ -402,9 +402,6 @@ class GrassmannElement:
 
     __rmul__ = __mul__
 
-    def coefficient(self, bar: Iterable[int], unbar: Iterable[int]) -> complex:
-        return self.terms.get(Monomial.from_indices(bar, unbar, self.m), 0j)
-
     def norm_max(self) -> float:
         coeffs = self.arrays()[1]
         return float(np.abs(coeffs).max()) if coeffs.size else 0.0
@@ -448,7 +445,12 @@ def _involution_terms(index: np.ndarray, coeffs: np.ndarray, m: int) -> tuple[np
 
 
 def _moment_rows(index: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`algebra.moment_rows` of the monomials with the given to_vector indices."""
+    """The functionals a -> star_trace(a, t), t the monomials with the given to_vector indices.
+
+    Returns COO arrays (row, col, val) over a.to_vector(): row r holds the
+    monomials (I, J) that interlock with the r-th monomial t = (K, L), each
+    valued by the pair trace (`_trace_rows`).
+    """
     row, col, val = _trace_rows(*_split(index, m), m)
     return row, col, val.astype(float)
 

@@ -10,10 +10,9 @@ coefficients is a compound-matrix product: the k x k minors of the
 eigenvectors weighted by the products of those factors over the mode
 subsets; coefficients at or below PRUNE_REL_TOL of the largest, the
 roundoff a degenerate spectrum leaves in its cancelling sums, are dropped.
-The spec keeps the exponents q = ln((1 - lambda)/lambda), +inf and -inf at
-the boundary.  `mode_product_expansion` writes the eigenbasis
-product as an element; with `change_generators` it is the tests' reference
-for the build.
+The spec keeps the eigenvectors and the eigenvalues, clipped to [0, 1] but
+not snapped.  `mode_product_expansion` writes the eigenbasis product as an
+element; with `change_generators` it is the tests' reference for the build.
 
 Verification compares, word by word and in the original generators,
 star-product expectations of the density with Wick pairing sums of its
@@ -69,18 +68,13 @@ from .limits import (
 class QuasifreeSpec(NamedTuple):
     """Eigendata defining a quasifree density.
 
-    `u` holds the eigenvectors of the one-body matrix as columns; `lambdas`
-    the eigenvalues in [0, 1]; `qs` the derived exponents, +inf for empty and
-    -inf for occupied boundary modes.
+    `u` holds the eigenvectors of the one-body matrix as columns and
+    `lambdas` the eigenvalues in [0, 1].
     """
 
     m: int
     u: np.ndarray
     lambdas: np.ndarray
-    qs: np.ndarray
-
-    def boundary_modes(self) -> np.ndarray:
-        return ~np.isfinite(self.qs)
 
 
 def build_quasifree(gamma: np.ndarray) -> tuple[QuasifreeSpec, GrassmannElement]:
@@ -115,15 +109,7 @@ def build_quasifree(gamma: np.ndarray) -> tuple[QuasifreeSpec, GrassmannElement]
     if not -BOUNDARY_TOL <= lam.min() <= lam.max() <= 1.0 + BOUNDARY_TOL:
         raise ValueError(f"one-body spectrum [{lam.min():.3e}, {lam.max():.3e}] leaves [0, 1]")
     lam = np.clip(lam, 0.0, 1.0)
-    qs = np.empty(m)
-    snapped = lam.copy()
-    for i, li in enumerate(lam):
-        if li <= BOUNDARY_TOL:
-            qs[i], snapped[i] = math.inf, 0.0
-        elif li >= 1.0 - BOUNDARY_TOL:
-            qs[i], snapped[i] = -math.inf, 1.0
-        else:
-            qs[i] = math.log((1.0 - li) / li)
+    snapped = np.where(lam <= BOUNDARY_TOL, 0.0, np.where(lam >= 1.0 - BOUNDARY_TOL, 1.0, lam))
     order, groups = _degree_order(m)
     member = (order[:, None] >> np.arange(m)) & 1  # mode i lies in subset Q
     weights = np.where(member, 2.0 * snapped - 1.0, 1.0 - snapped).prod(axis=1)
@@ -132,7 +118,7 @@ def build_quasifree(gamma: np.ndarray) -> tuple[QuasifreeSpec, GrassmannElement]
         block = (minors.conj().T * weights[subsets]) @ minors
         masks = order[subsets]
         coeffs[masks[:, None], masks] = _half_pair_sign(k) * block
-    return QuasifreeSpec(m, u, lam, qs), prune(GrassmannElement.from_vector(m, coeffs.ravel()))
+    return QuasifreeSpec(m, u, lam), prune(GrassmannElement.from_vector(m, coeffs.ravel()))
 
 
 def mode_product_expansion(r, occupied=None) -> GrassmannElement:

@@ -42,7 +42,6 @@ checked, and the diagonal build from mode occupations.
 """
 
 import functools
-import math
 from itertools import combinations
 
 import numpy as np
@@ -147,7 +146,7 @@ def change_generators_reference(a, u):
 
 
 def build_quasifree_reference(gamma):
-    """(u, lambdas, qs) and kappa of gamma, through the mode product, its trace and one rotation.
+    """(u, lambdas) and kappa of gamma, through the mode product, its trace and one rotation.
 
     Eigenvalues within BOUNDARY_TOL of 0 take the factor -nbar n + 1, those
     within it of 1 the occupied factor nbar n, and the others
@@ -155,19 +154,17 @@ def build_quasifree_reference(gamma):
     """
     lam, u = np.linalg.eigh(gamma)
     lam = np.clip(lam, 0.0, 1.0)
-    qs = np.empty(len(lam))
     r = np.zeros(len(lam))
+    occupied = np.zeros(len(lam), dtype=bool)
     for i, li in enumerate(lam):
         if li <= BOUNDARY_TOL:
-            qs[i] = np.inf
             r[i] = -1.0
         elif li >= 1.0 - BOUNDARY_TOL:
-            qs[i] = -np.inf
+            occupied[i] = True
         else:
-            qs[i] = math.log((1.0 - li) / li)
             r[i] = li / (1.0 - li) - 1.0
-    element = quasifree.mode_product_expansion(r, occupied=np.isneginf(qs))
-    return (u, lam, qs), change_generators((1.0 / trace_integral(element)) * element, u.conj().T)
+    element = quasifree.mode_product_expansion(r, occupied=occupied)
+    return (u, lam), change_generators((1.0 / trace_integral(element)) * element, u.conj().T)
 
 
 @functools.cache
@@ -287,7 +284,7 @@ def interlocking(K, L, m):
 
 
 def moment_rows_reference(monomials, m):
-    """algebra.moment_rows as a loop: row r holds the pair traces of the r-th monomial."""
+    """kernel._moment_rows as a loop: row r holds the pair traces of the r-th monomial."""
     rows, cols, vals = [], [], []
     for r, (K, L) in enumerate(monomials):
         for I, J in interlocking(K, L, m):

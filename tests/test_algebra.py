@@ -18,7 +18,6 @@ from grdm.algebra import (
     involution,
     make_element,
     max_coeff_difference,
-    moment_rows,
     monomial_element,
     multiply,
     pair_integral_closed_form,
@@ -53,12 +52,11 @@ class TestConstruction:
 
     def test_duplicate_monomials_merge(self):
         el = make_element(2, [((1,), (1,), 1), ((1,), (1,), 1)])
-        assert el.coefficient((1,), (1,)) == 2
+        assert el.terms == {Monomial(1, 1): 2}
 
     def test_complex_single_term(self):
         el = make_element(3, [((1, 2), (3,), 1j)])
-        assert el.coefficient((1, 2), (3,)) == 1j
-        assert len(el.terms) == 1
+        assert el.terms == {Monomial(0b011, 0b100): 1j}
 
     def test_index_out_of_range(self):
         for bar, unbar in (((3,), ()), ((), (0,)), ((1,), (3,))):
@@ -66,10 +64,22 @@ class TestConstruction:
                 make_element(2, [(bar, unbar, 1.0)])
 
     def test_bad_generator_count(self):
-        with pytest.raises(ValueError):
-            make_element(0, [])
-        with pytest.raises(ValueError, match="cap"):
-            make_element(11, [])
+        # every constructor checks m itself, the array one the vector's length too
+        for build in (lambda: make_element(0, []), lambda: zero(0), lambda: unit(2.5),
+                      lambda: monomial_element(Monomial(0, 0), -1),
+                      lambda: GrassmannElement(0, {}), lambda: GrassmannElement(2.5, {}),
+                      lambda: GrassmannElement.from_vector(0, np.ones(1))):
+            with pytest.raises(ValueError, match="positive integer"):
+                build()
+        for build in (lambda: make_element(11, []), lambda: unit(11),
+                      lambda: GrassmannElement(11, {}),
+                      lambda: GrassmannElement.from_vector(11, np.zeros(4))):
+            with pytest.raises(ValueError, match="cap 10"):
+                build()
+        # m = 1 with 8 entries would hold bar masks 2 and 3, generators outside [1, 1]
+        for m, vec in ((1, np.arange(8.0)), (2, np.zeros(4)), (1, np.zeros((2, 2)))):
+            with pytest.raises(ValueError, match=rf"length 4\*\*{m}"):
+                GrassmannElement.from_vector(m, vec)
 
     def test_cancellation_drops_term(self):
         el = make_element(2, [((1,), (), 1.0), ((1,), (), -1.0)])
@@ -221,11 +231,11 @@ class TestKernel:
     def test_moment_rows_equal_scalar_loop(self, m):
         # all monomials at m <= 3; the shared moment map's and 50 seeded ones above
         if m <= 3:
-            monos = [Monomial(K, L) for K in range(1 << m) for L in range(1 << m)]
+            index = np.arange(1 << (2 * m))
         else:
-            index = kernel._moment_map(m)[1].tolist() + _seeded_pairs(m, 50)[0].tolist()
-            monos = [Monomial(t >> m, t & ((1 << m) - 1)) for t in index]
-        for g, w in zip(moment_rows(monos, m), moment_rows_reference(monos, m)):
+            index = np.concatenate((kernel._moment_map(m)[1], _seeded_pairs(m, 50)[0]))
+        monos = [Monomial(t >> m, t & ((1 << m) - 1)) for t in index.tolist()]
+        for g, w in zip(kernel._moment_rows(index, m), moment_rows_reference(monos, m)):
             assert g.dtype == w.dtype and np.array_equal(g, w)
 
     def test_moment_map_at_m10_equals_scalar_rows(self):
@@ -411,7 +421,7 @@ class TestIntegrals:
         # pair traces, 6**m of them over the whole map
         for m in (1, 2, 3):
             monos = [Monomial(K, L) for K in range(1 << m) for L in range(1 << m)]
-            rows, cols, vals = moment_rows(monos, m)
+            rows, cols, vals = kernel._moment_rows(np.arange(1 << (2 * m)), m)
             dense = np.zeros((len(monos), 1 << (2 * m)))
             np.add.at(dense, (rows, cols), vals)
             assert len(vals) == 6 ** m and np.all(vals != 0)
@@ -426,7 +436,7 @@ class TestIntegrals:
         for m in (4, 5, 6):
             monos = [Monomial(int(rng.integers(1 << m)), int(rng.integers(1 << m)))
                      for _ in range(40)]
-            rows, cols, vals = moment_rows(monos, m)
+            rows, cols, vals = kernel._moment_rows(np.array([(t.bar << m) | t.unbar for t in monos]), m)
             stored = {(int(r), int(c)): v for r, c, v in zip(rows, cols, vals)}
             # every stored entry is a nonzero pair trace ...
             for (r, c), v in stored.items():

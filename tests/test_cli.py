@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grdm
-from grdm import cli, fock, quasifree, serialize
+from grdm import cli, closed, fock, kernel, quasifree, serialize
 from grdm.algebra import make_element
 from grdm.kernel import GrassmannElement
 from grdm.limits import ELEMENT_CAP
@@ -58,7 +58,7 @@ class TestSerialize:
         kappa = fock.from_operator(fock.random_density(3, 5))
         for a in (kappa, rand_element(rng, 3, nterms=12), make_element(2, [])):
             want = {"m": a.m, "terms": [
-                {"bar": list(k.bar_indices()), "unbar": list(k.unbar_indices()),
+                {"bar": list(kernel._indices(k.bar)), "unbar": list(kernel._indices(k.unbar)),
                  "re": a.terms[k].real, "im": a.terms[k].imag} for k in sorted(a.terms)]}
             got = serialize.element_to_dict(a)
             assert json.dumps(got, indent=2) == json.dumps(want, indent=2)
@@ -381,8 +381,7 @@ class TestFuzz:
     def test_failures_counted_exit_1(self, monkeypatch, capsys):
         # with a pass tolerance of -1 every margin below 1 fails: all six
         # conditions on both trials
-        for module in (grdm.closed, grdm.conditions):
-            monkeypatch.setattr(module, "PSD_REL_TOL", -1.0)
+        monkeypatch.setattr(closed, "PSD_REL_TOL", -1.0)
         assert cli.main(["fuzz", "--m", "3", "--trials", "2", "--seed", "1"]) == 1
         out = capsys.readouterr().out
         assert out.endswith("\n  failures: 12\n"), out
@@ -744,20 +743,31 @@ def test_import_pulls_no_scipy(tmp_path):
         assert _fresh_process(code) == [0, modules, [], loads_dataclasses], argv[0]
 
 
-def test_package_exports_load_lazily():
-    # a bare `import grdm` loads no submodule; every exported name, and every
-    # submodule as an attribute, resolves on first access
-    code = ("import json, sys, grdm; "
-            "loaded = sorted(k for k in sys.modules if k.startswith('grdm.')); "
-            "fock = grdm.fock.__name__; "
-            "names = [n for n in grdm.__all__ if getattr(grdm, n, None) is None]; "
-            "print(json.dumps([loaded, fock, names, "
-            "sorted(k for k in sys.modules if k.startswith('grdm.'))]))")
-    loaded, fock_name, unresolved, after = _fresh_process(code)
-    assert loaded == [] and fock_name == "grdm.fock" and unresolved == []
-    assert after == ["grdm.algebra", "grdm.closed", "grdm.conditions", "grdm.fock", "grdm.kernel",
-                     "grdm.limits", "grdm.quasifree"]
-    assert grdm.build_quasifree is quasifree.build_quasifree
-    assert "fock" in dir(grdm) and set(grdm.__all__) <= set(dir(grdm))
-    with pytest.raises(AttributeError, match="no attribute 'wick_expectation'"):
-        grdm.wick_expectation
+def test_each_name_has_one_import_path():
+    # the package binds `__version__` alone, so every name is imported from
+    # its defining module: `from grdm import X` names a module of the package
+    # in the package, the scripts, the benchmark and the tests, and a bare
+    # `import grdm` loads no submodule
+    package = os.path.dirname(os.path.abspath(grdm.__file__))
+    root = os.path.dirname(os.path.dirname(package))
+    modules = {name[:-3] for name in os.listdir(package) if name.endswith(".py")} - {"__init__"}
+    with open(os.path.join(package, "__init__.py")) as f:
+        doc, *rest = ast.parse(f.read()).body
+    assert isinstance(doc, ast.Expr) and isinstance(doc.value, ast.Constant)
+    assert [ast.unparse(node) for node in rest] == [f"__version__ = {grdm.__version__!r}"]
+    found = []
+    for folder in (package, *(os.path.join(root, d) for d in ("scripts", "grdmbench", "tests"))):
+        for name in sorted(os.listdir(folder)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(folder, name)) as f:
+                tree = ast.parse(f.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and (
+                        (node.level, node.module) == (0, "grdm")
+                        or (folder == package and (node.level, node.module) == (1, None))):
+                    found += [f"{name}:{node.lineno}: {a.name}" for a in node.names
+                              if a.name not in modules]
+    assert not found, found
+    assert _fresh_process("import json, sys, grdm; print(json.dumps("
+                          "sorted(k for k in sys.modules if k.startswith('grdm.'))))") == []

@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-import grdm.closed
+from grdm import closed
 from grdm import conditions as cond
 from grdm import fock, kernel, quasifree
 from grdm.algebra import (
@@ -124,6 +124,20 @@ class TestPdmExtraction:
         monkeypatch.setattr(GrassmannElement, "to_vector", counted)
         cond.fuzz_conditions(5, 1, 3)
         assert calls == [5]
+
+    def test_fuzz_trial_seeds_are_the_spawned_children(self, monkeypatch):
+        # trial k draws from SeedSequence(seed, spawn_key=(k,)), built when the
+        # trial starts, which is the k-th child of SeedSequence(seed).spawn
+        for seed, trials in ((0, 4), (7, 3), (2**40 + 1, 5)):
+            for k, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+                mine = np.random.SeedSequence(seed, spawn_key=(k,))
+                assert np.array_equal(mine.generate_state(8), child.generate_state(8))
+        seeds = []
+        random_density = fock.random_density
+        monkeypatch.setattr(fock, "random_density", lambda m, child, sector: seeds.append(
+            (child.entropy, child.spawn_key)) or random_density(m, child, sector))
+        cond.fuzz_conditions(2, 3, 7)
+        assert seeds == [(7, (0,)), (7, (1,)), (7, (2,))]
 
 
 class TestQuadraticForm:
@@ -606,7 +620,7 @@ def test_index_forms_match_quasifree_spectra(m, lam):
 
 def test_report_verdict_is_derived():
     # the verdict is the margin against tol, never a stored flag; NaN fails
-    rep = grdm.closed.ConditionReport("P", -1e-10, 1e-9, "closed-form")
+    rep = closed.ConditionReport("P", -1e-10, 1e-9, "closed-form")
     assert rep.passed and rep.as_dict()["pass"] is True
     assert "passed" not in {f.name for f in dataclasses.fields(rep)}
     assert not dataclasses.replace(rep, tol=1e-11).passed
@@ -618,8 +632,8 @@ def test_battery_validates_the_pair_once(monkeypatch):
     _, _, gamma, Gamma = genuine(3, 89)
     calls = []
     # the battery lives in `closed` and looks the validator up there
-    validate = grdm.closed._validate_pair
-    monkeypatch.setattr(grdm.closed, "_validate_pair",
+    validate = closed._validate_pair
+    monkeypatch.setattr(closed, "_validate_pair",
                         lambda *pair: calls.append(1) or validate(*pair))
     reports = cond.condition_battery(gamma, Gamma)
     assert [r.condition for r in reports] == ["first-order", *CONDITIONS]
