@@ -4,11 +4,10 @@
 For each payload shape the CLI writes (the m = 5 `grdm check` report, the
 m = 5 `grdm fuzz` summary, and the `grdm quasifree` payload with a generic
 quasifree kappa at each requested m), this times `serialize.dumps` on the
-payload as the CLI builds it (κ itself, written from its arrays),
-`serialize.dumps` on the dict form (the "dict" column: `element_to_dict`
-plus the generic recursion), and `element_to_dict` plus `json.dumps` with `indent` 2.  It
-exits 1 unless all three give the same bytes, and prints the median
-milliseconds over the repeats, one row per payload.
+payload as the CLI builds it (κ itself, written from its arrays) and
+`element_to_dict` plus `json.dumps` with `indent` 2.  It exits 1 unless
+both give the same bytes, and prints the median milliseconds over the
+repeats, one row per payload.
 
     python scripts/write_times.py --m 4 6 8 --repeats 5
 """
@@ -65,15 +64,14 @@ def main() -> int:
         parser.error(f"--repeats must be >= 1, got {args.repeats}")
     if not all(1 <= m <= QUASIFREE_CAP for m in args.m):
         parser.error(f"--m values must lie in [1, {QUASIFREE_CAP}], got {args.m}")
-    print(f"{'payload':<14}{'terms':>7}{'json (ms)':>12}{'dict (ms)':>12}{'dumps (ms)':>12}")
+    print(f"{'payload':<14}{'terms':>7}{'json (ms)':>12}{'dumps (ms)':>12}")
     for name, terms, payload, as_dict in payloads(args.m):
         json_ms, want = median_ms(lambda: json.dumps(as_dict(), indent=2), args.repeats)
-        dict_ms, via_dict = median_ms(lambda: serialize.dumps(as_dict()), args.repeats)
         dumps_ms, got = median_ms(lambda: serialize.dumps(payload), args.repeats)
-        if not got == via_dict == want:
+        if got != want:
             sys.exit(f"{name}: serialize.dumps differs from json.dumps with indent 2")
         print(f"{name:<14}{'-' if terms is None else terms:>7}"
-              f"{json_ms:>12.3f}{dict_ms:>12.3f}{dumps_ms:>12.3f}")
+              f"{json_ms:>12.3f}{dumps_ms:>12.3f}")
     return 0
 
 

@@ -121,11 +121,10 @@ def cmd_quasifree(args) -> int:
 def cmd_selftest(args) -> int:
     from .selftest import identities
 
-    flip = -1 if args.flip_sign else 1
     rng = random.Random(args.seed)
     start = time.time()
     failed = None
-    for name, dev, tol in identities(flip, rng):
+    for name, dev, tol in identities(rng):
         ok = dev <= tol
         if args.verbose or not ok:
             print(f"{'PASS' if ok else 'FAIL'} {name:<14} max deviation {dev:.3e} (tol {tol:.0e})")
@@ -174,8 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the pinned sign-convention identities")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verbose", action="store_true")
-    p.add_argument("--flip-sign", action="store_true",
-                   help="debug: flip the integral sign convention (must fail)")
     p.set_defaults(func=cmd_selftest)
     return parser
 

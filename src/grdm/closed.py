@@ -47,11 +47,16 @@ class ConditionReport:
     def as_dict(self) -> dict:
         return {
             "condition": self.condition,
-            "margin": self.margin,
+            "margin": _json_margin(self.margin),
             "pass": self.passed,
             "tol": self.tol,
             "method": self.method,
         }
+
+
+def _json_margin(margin: float) -> float | None:
+    """A margin as a JSON value: None (null) when it is not finite, as the +inf of an empty form."""
+    return margin if math.isfinite(margin) else None
 
 
 def psd_tolerance(matrix: np.ndarray) -> float:

@@ -48,6 +48,7 @@ from .closed import (
     _first_order,
     _form_value,
     _index_form,
+    _json_margin,
     _min_eigenvalue,
     _source,
     _t1_indices,
@@ -359,9 +360,9 @@ class FuzzSummary:
 
     def as_dict(self) -> dict:
         return {"m": self.m, "trials": self.trials, "seed": self.seed, "sector": self.sector,
-                "worst_margins": dict(self.worst_margins), "pdm_max_dev": self.pdm_max_dev,
-                "contraction_max_dev": self.contraction_max_dev, "failures": self.failures,
-                "all_pass": self.all_pass}
+                "worst_margins": {k: _json_margin(v) for k, v in self.worst_margins.items()},
+                "pdm_max_dev": self.pdm_max_dev, "contraction_max_dev": self.contraction_max_dev,
+                "failures": self.failures, "all_pass": self.all_pass}
 
 
 def condition_battery(gamma: np.ndarray, Gamma: np.ndarray | None = None,

@@ -15,6 +15,7 @@ ELEMENT_CAP = 10     # monomial-pair fast paths stay exact up to here
 STAR_CAP = 6         # full-element star products; dense pairing cost grows as 16**m
 FOCK_CAP = 8         # the Fock oracle and the fuzz campaign
 QUASIFREE_CAP = 8    # quasifree build and verify
+QUASIFREE_WORD_CAP = 1_000_000  # quasifree verify: generator words, about 80 bytes each in its map
 PRUNE_REL_TOL = 1e-14           # rel to the largest magnitude: prune's default
 OPERATOR_PRUNE_REL_TOL = 1e-13  # rel, fock.from_operator: roundoff of its signed subset sums
 DENSITY_TRACE_TOL = 1e-8     # |trace - 1| of a density element: expectation and the pdms

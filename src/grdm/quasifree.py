@@ -58,6 +58,7 @@ from .kernel import (
 from .limits import (
     BOUNDARY_TOL,
     QUASIFREE_CAP,
+    QUASIFREE_WORD_CAP,
     _check_m,
     _index_dtype,
     _read_only,
@@ -160,7 +161,7 @@ def generator_words(m: int, max_points: int):
         yield from permutations(gens, k)
 
 
-def _word_product_entries(m: int, max_points: int) -> tuple[tuple, tuple, int]:
+def _word_product_entries(m: int, max_points: int) -> tuple[tuple, tuple]:
     """COO arrays (row, t, coeff) of each word product g1 * ... * gk, rows in generator_words order.
 
     Built level by level: the products of the words of length k are those of
@@ -175,8 +176,7 @@ def _word_product_entries(m: int, max_points: int) -> tuple[tuple, tuple, int]:
     (k(k-1)/2, n) of flat two-point indices a * 2m + b of each position pair
     p < q, pairs in `combinations` order, with a and b the generator numbers
     at positions p and q (pbar_i is i - 1, p_i is m + i - 1), in the
-    smallest dtype that holds 4m^2 - 1 (uint8 up to m = 8); and the number
-    of words.
+    smallest dtype that holds 4m^2 - 1 (uint8 up to m = 8).
     """
     gens = _generators(m)
     words = np.arange(2 * m)[:, None]  # generator numbers of each word, one word per row
@@ -201,7 +201,7 @@ def _word_product_entries(m: int, max_points: int) -> tuple[tuple, tuple, int]:
             pairs = (words[:, p] * (2 * m) + words[:, q]).T.astype(_index_dtype(4 * m * m - 1))
             pair_tables.append((first, k, *_read_only(pairs)))
         first += len(words)
-    return tuple(np.concatenate(part) for part in zip(*out)), tuple(pair_tables), first
+    return tuple(np.concatenate(part) for part in zip(*out)), tuple(pair_tables)
 
 
 @functools.lru_cache(maxsize=8)
@@ -210,10 +210,8 @@ def _star_word_map(m: int, max_points: int) -> tuple[_LinearMap, tuple]:
 
     The Wick side reads the pair tables; the cache holds at most 8 entries.
     """
-    _check_m(m, QUASIFREE_CAP)
-    if max_points < 1:
-        raise ValueError(f"max_points must be at least 1, got {max_points}")
-    entries, pair_tables, n_words = _word_product_entries(m, max_points)
+    n_words = words_checked(m, max_points)  # checks m, max_points and the word cap first
+    entries, pair_tables = _word_product_entries(m, max_points)
     return _linear_map(entries, (n_words,), m), pair_tables
 
 
@@ -223,8 +221,19 @@ def _clamp_points(m: int, max_points: int) -> int:
 
 
 def words_checked(m: int, max_points: int) -> int:
-    """Number of generator words `verify_quasifree` compares at this m and max_points."""
-    return _star_word_map(m, _clamp_points(m, max_points))[0].shape[0]
+    """Number of generator words `verify_quasifree` compares, sum_k (2m)!/(2m-k)! up to max_points.
+
+    Raises ValueError when m > QUASIFREE_CAP, when max_points < 1, or when
+    the count passes QUASIFREE_WORD_CAP.
+    """
+    _check_m(m, QUASIFREE_CAP)
+    if max_points < 1:
+        raise ValueError(f"max_points must be at least 1, got {max_points}")
+    n_words = sum(math.perm(2 * m, k) for k in range(1, _clamp_points(m, max_points) + 1))
+    if n_words > QUASIFREE_WORD_CAP:
+        raise ValueError(f"max_points {max_points} at m = {m} gives {n_words:,} generator words, "
+                         f"past the cap of {QUASIFREE_WORD_CAP:,}")
+    return n_words
 
 
 @functools.cache
@@ -303,11 +312,13 @@ def verify_quasifree(kappa: GrassmannElement, spec: QuasifreeSpec, max_points: i
     pair tables, grows with that count, at about 60-100 bytes a word: with
     4 points 0.12 MB for the 2080 words at m = 4, 0.87 MB for the 13,344 at
     m = 6 and 4.7 MB for the 47,296 at m = 8.  max_points has no default,
-    since that cost is the caller's to choose: with 6 points m = 8 has
-    6,337,216 words, whose entry would hold about 0.5 GB at the 75-82 bytes
-    a word measured with 6 points at m = 4 and 5.  Raises ValueError when
-    kappa and spec differ in m, when m > QUASIFREE_CAP, or when
-    max_points < 1; a max_points above 2m checks the same words as 2m.
+    since that cost is the caller's to choose, and a count past
+    QUASIFREE_WORD_CAP is refused before anything is built: with 6 points
+    m = 8 has 6,337,216 words, whose entry would hold about 0.5 GB at the
+    75-82 bytes a word measured with 6 points at m = 4 and 5.  Raises
+    ValueError when kappa and spec differ in m, when m > QUASIFREE_CAP,
+    when max_points < 1, or when the word count passes QUASIFREE_WORD_CAP;
+    a max_points above 2m checks the same words as 2m.
     """
     if kappa.m != spec.m:
         raise ValueError(f"density has m = {kappa.m} but spec has m = {spec.m}")

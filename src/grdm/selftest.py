@@ -34,7 +34,7 @@ from .kernel import GrassmannElement, Monomial
 from .limits import SELFTEST_EXACT_TOL, SELFTEST_RANDOM_TOL
 
 
-def identities(flip: int, rng: random.Random):
+def identities(rng: random.Random):
     """Yield (name, worst deviation, tolerance) for the pinned identities."""
 
     def random_element(m):
@@ -52,7 +52,7 @@ def identities(flip: int, rng: random.Random):
             el = monomial_element(Monomial(mask, mask), m)
             k = mask.bit_count()
             want = (-1 if (k * (k - 1) // 2) & 1 else 1) * 2 ** (m - k)
-            via_def = (-1) ** m * flip * raw_integral(multiply(el, weight))
+            via_def = (-1) ** m * raw_integral(multiply(el, weight))
             oracle = np.trace(fock.to_operator(el))
             worst = max(worst, abs(trace_integral(el) - want),
                         abs(via_def - want), abs(oracle - want))

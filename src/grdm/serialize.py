@@ -4,15 +4,14 @@ All artifacts are plain JSON so fixtures stay human-diffable; writes go
 through a temp file plus rename so readers never observe partial output.
 Coefficients round-trip bit-exactly for binary64 values.
 
-`dumps` is the one writer.  Its output is byte-identical to json's
-two-space indented output (`json.dumps` with `indent` 2) on every tree of
-dict, list, tuple, str, int, float, bool and None, and it raises TypeError
-on any other type, as json does.  CPython's json falls back to its
-pure-Python encoder whenever `indent` is set; `dumps` is a plain recursion
-instead, and it writes a `GrassmannElement` found anywhere in the tree
-straight from its arrays, as the same bytes that json would give for
-`element_to_dict(a)` at that depth, without building the dict.  Circular
-containers are not detected.
+`dumps` is the one writer, and json is its encoder: every file is json's
+two-space indented output (`json.dumps` with `indent` 2).  The one thing
+json cannot take is a `GrassmannElement` as a value of a top-level dict,
+which is how `grdm quasifree` hands over its density: `dumps` writes such
+an element straight from its arrays (`_element`), as the same bytes that
+json would give for `element_to_dict(a)` there, without building the dict.
+An element anywhere else raises TypeError, as json does for any type it
+does not know.
 
 The element modules are imported only on the element paths, so reading
 and writing matrices and reports, all that `grdm check` does, compiles
@@ -170,40 +169,7 @@ def matrix_from_dict(d: dict, expect_kind: str | None = None) -> tuple[np.ndarra
     return parts["re"] + 1j * parts["im"], kind, m
 
 
-_esc = json.encoder.encode_basestring_ascii
-_INF = float("inf")
-
-
-def _float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    return "-Infinity" if x == -_INF else float.__repr__(x)
-
-
-def _scalar(o) -> str | None:
-    """The JSON text of a str, None, bool, int or float; None for any other type."""
-    if isinstance(o, str):
-        return _esc(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float(o)
-    return None
-
-
-def _key(k) -> str:
-    text = _scalar(k)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-    return text if isinstance(k, str) else _esc(text)
+_PLAIN = (dict, list, tuple, str, int, float, bool, type(None))
 
 
 def _element(a: GrassmannElement, nl: str) -> str:
@@ -219,7 +185,7 @@ def _element(a: GrassmannElement, nl: str) -> str:
              for k in set(bar).union(unbar)}
     re, im = coeffs.real.tolist(), coeffs.imag.tolist()
     if not np.isfinite(coeffs).all():
-        re, im = map(_float, re), map(_float, im)
+        re, im = map(json.dumps, re), map(json.dumps, im)
     # str(x) of a float is float.__repr__(x), as json writes it
     terms = f",{i2}".join(
         f'{{{i3}"bar": {lists[b]},{i3}"unbar": {lists[u]},{i3}"re": {r},{i3}"im": {j}{i2}}}'
@@ -227,43 +193,27 @@ def _element(a: GrassmannElement, nl: str) -> str:
     return f'{{{i1}"m": {a.m},{i1}"terms": [{i2}{terms}{i1}]{nl}}}'
 
 
-def _write(o, nl: str, out) -> None:
-    """Pass the indent-2 JSON text of `o`, whose first line sits at indent `nl`, to `out`."""
-    text = _scalar(o)
-    if text is not None:
-        return out(text)
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return out("[]")
-        inner = nl + "  "
-        sep = "[" + inner
-        for v in o:
-            out(sep)
-            _write(v, inner, out)
-            sep = "," + inner
-        return out(nl + "]")
-    if isinstance(o, dict):
-        if not o:
-            return out("{}")
-        inner = nl + "  "
-        sep = "{" + inner
-        for k, v in o.items():
-            out(sep + _key(k) + ": ")
-            _write(v, inner, out)
-            sep = "," + inner
-        return out(nl + "}")
-    from .kernel import GrassmannElement
-
-    if isinstance(o, GrassmannElement):
-        return out(_element(o, nl))
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
 def dumps(obj) -> str:
-    """json's two-space indented text of `obj`, byte for byte; an element is written as its element_to_dict."""
-    parts: list[str] = []
-    _write(obj, "\n", parts.append)
-    return "".join(parts)
+    """`json.dumps(obj, indent=2)`; an element value of a top-level dict is written as its element_to_dict.
+
+    Such an element is rendered straight from its arrays, without building
+    the dict, and the dict's other values go through json one by one.  An
+    element anywhere else, or a non-str key beside one, raises TypeError.
+    """
+    if isinstance(obj, dict) and not all(isinstance(v, _PLAIN) for v in obj.values()):
+        from .kernel import GrassmannElement
+
+        if any(isinstance(v, GrassmannElement) for v in obj.values()):
+            items = []
+            for k, v in obj.items():
+                if not isinstance(k, str):
+                    raise TypeError(f"keys beside an element must be str, not {type(k).__name__}")
+                # json escapes every newline inside a string, so this indents lines alone
+                text = (_element(v, "\n  ") if isinstance(v, GrassmannElement)
+                        else json.dumps(v, indent=2).replace("\n", "\n  "))
+                items.append(f"{json.dumps(k)}: {text}")
+            return "{\n  " + ",\n  ".join(items) + "\n}"
+    return json.dumps(obj, indent=2)
 
 
 def atomic_write_json(path: str, obj) -> None:

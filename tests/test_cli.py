@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grdm
-from grdm import cli, closed, fock, kernel, quasifree, serialize
+from grdm import cli, closed, fock, kernel, quasifree, selftest, serialize
 from grdm.algebra import make_element
 from grdm.kernel import GrassmannElement
 from grdm.limits import ELEMENT_CAP
@@ -31,16 +31,25 @@ json_trees = st.recursive(_json_leaves, lambda kids: st.one_of(
     st.dictionaries(_json_keys, kids, max_size=5)), max_leaves=40)
 
 
-@pytest.fixture
-def pdm_file(tmp_path):
-    rho = fock.random_density(3, 5)
-    gamma, Gamma = fock.pdms_from_rho(rho)
-    path = tmp_path / "pdms.json"
+def _write_pdms(path, m, seed):
+    gamma, Gamma = fock.pdms_from_rho(fock.random_density(m, seed))
     serialize.atomic_write_json(str(path), {
-        "gamma": serialize.matrix_to_dict(gamma, "gamma", 3),
-        "Gamma": serialize.matrix_to_dict(Gamma, "Gamma", 3),
+        "gamma": serialize.matrix_to_dict(gamma, "gamma", m),
+        "Gamma": serialize.matrix_to_dict(Gamma, "Gamma", m),
     })
     return path, gamma, Gamma
+
+
+@pytest.fixture
+def pdm_file(tmp_path):
+    return _write_pdms(tmp_path / "pdms.json", 3, 5)
+
+
+def _strict_json(text: str):
+    """RFC 8259 JSON: NaN, Infinity and -Infinity are rejected, as jq and JavaScript reject them."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 class TestSerialize:
@@ -194,11 +203,17 @@ class TestSerialize:
                     complex(-np.inf, np.nan)]
         vec[picks[:4]] = specials[:picks.size]
         vec[0] = 0.5  # the empty monomial, written with "bar": [] and "unbar": []
+        report = {"dev": 1e-300, "rows": [[], [0.1, 2], {}], "name": "a\nb", "nan": np.nan}
         for a in (GrassmannElement.from_vector(m, vec),
                   GrassmannElement.from_vector(m, np.zeros_like(vec))):
             d = serialize.element_to_dict(a)
-            for tree, ref in ((a, d), ([a], [d]), ({"x": [a, 1], "y": a}, {"x": [d, 1], "y": d})):
-                assert serialize.dumps(tree) == json.dumps(ref, indent=2)
+            got = serialize.dumps({"element": a, "report": report})
+            assert got == json.dumps({"element": d, "report": report}, indent=2)
+            # an element is written only as a value of a top-level dict
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                serialize.dumps({"element": a, "x": [a, 1]})
+            with pytest.raises(TypeError, match="keys"):
+                serialize.dumps({"element": a, 1: 0})
 
     def test_atomic_write_no_partial(self, tmp_path):
         path = tmp_path / "out.json"
@@ -237,15 +252,19 @@ class TestSerialize:
 
 class TestCheck:
     def test_genuine_passes(self, pdm_file, tmp_path):
-        path, _, _ = pdm_file
-        out = tmp_path / "report.json"
-        rc = cli.main(["check", "--in", str(path), "--out", str(out)])
-        assert rc == 0
-        reports = json.loads(out.read_text())
-        names = [r["condition"] for r in reports]
-        assert names == ["first-order", "P", "Q", "G", "T1", "T2"]
-        assert all(r["pass"] for r in reports)
-        assert all(r["margin"] >= -r["tol"] for r in reports)
+        # at m = 2 T1 has no probes: its margin, +inf, is written as null
+        small = _write_pdms(tmp_path / "m2.json", 2, 5)
+        for path, m in ((pdm_file[0], 3), (small[0], 2)):
+            out = tmp_path / "report.json"
+            rc = cli.main(["check", "--in", str(path), "--out", str(out)])
+            assert rc == 0
+            reports = _strict_json(out.read_text())
+            names = [r["condition"] for r in reports]
+            assert names == ["first-order", "P", "Q", "G", "T1", "T2"]
+            assert all(r["pass"] for r in reports)
+            empty = [r["condition"] for r in reports if r["margin"] is None]
+            assert empty == (["T1"] if m == 2 else [])
+            assert all(r["margin"] >= -r["tol"] for r in reports if r["margin"] is not None)
 
     def test_corrupted_gamma2_fails(self, pdm_file, tmp_path):
         path, gamma, Gamma = pdm_file
@@ -368,9 +387,11 @@ class TestFuzz:
         rc = cli.main(["fuzz", "--m", "2", "--trials", "5", "--seed", "7",
                        "--out", str(out)])
         assert rc == 0
-        summary = json.loads(out.read_text())
+        summary = _strict_json(out.read_text())
         assert summary["all_pass"] and summary["trials"] == 5
         assert summary["pdm_max_dev"] < 1e-10
+        # T1 has no probes at m = 2: its worst margin, +inf, is written as null
+        assert summary["worst_margins"]["T1"] is None
 
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -562,8 +583,11 @@ class TestSelftest:
                      "positivity", "splicing"):
             assert f"PASS {name}" in out
 
-    def test_flipped_sign_fails_citing_identity(self, capsys):
-        assert cli.main(["selftest", "--flip-sign"]) == 1
+    def test_flipped_sign_fails_citing_identity(self, monkeypatch, capsys):
+        # the negative control: the definition path with the integral's sign flipped
+        raw_integral = selftest.raw_integral
+        monkeypatch.setattr(selftest, "raw_integral", lambda el: -raw_integral(el))
+        assert cli.main(["selftest"]) == 1
         out = capsys.readouterr().out
         assert "FAIL trace-anchor" in out
         assert "FAILED at identity 'trace-anchor'" in out

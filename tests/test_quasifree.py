@@ -222,10 +222,22 @@ class TestWick:
             with pytest.raises(ValueError, match="max_points"):
                 qf.verify_quasifree(kappa, spec, max_points=points)
 
-    def test_word_map_cap_named(self):
+    def test_word_map_cap_named(self, monkeypatch):
         # build_quasifree's cap is pinned through `grdm quasifree` (test_cli)
         with pytest.raises(ValueError, match="cap 8"):
             qf.words_checked(9, 2)
+        # m = 8 with 6 points has 6,337,216 words, about 0.5 GB of map: the
+        # word cap refuses it on every path before any map entry is built
+        built = []
+        monkeypatch.setattr(qf, "_word_product_entries", lambda *args: built.append(args))
+        cached = qf._star_word_map.cache_info().currsize
+        spec, kappa = quasifree_from_lambdas([0.5] * 8, 8)
+        for call in (lambda: qf.words_checked(8, 6), lambda: qf._star_word_map(8, 6),
+                     lambda: qf.verify_quasifree(kappa, spec, max_points=6)):
+            with pytest.raises(ValueError, match="max_points 6 at m = 8 gives 6,337,216 generator "
+                                                 "words, past the cap of 1,000,000"):
+                call()
+        assert built == [] and qf._star_word_map.cache_info().currsize == cached
 
     def test_density_and_spec_m_must_agree(self, rng):
         spec, _ = qf.build_quasifree(random_gamma(rng, 3))

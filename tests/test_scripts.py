@@ -59,7 +59,7 @@ def test_scripts_exit_0():
             # the script asserts byte identity itself; one row per payload shape
             rows = [line.split() for line in out.strip().splitlines()]
             assert [row[0] for row in rows[1:]] == ["check-m5", "fuzz-m5", "quasifree-m4"]
-            assert all(len(row) == 5 for row in rows[1:])
+            assert all(len(row) == 4 for row in rows[1:])
             assert rows[-1][1] == "70"
         if script == "start_up.py":
             # a header, then per command its medians, source KB and grdm modules; check
