@@ -9,22 +9,16 @@ PYTHONDONTWRITEBYTECODE=1, so it compiles each grdm module it imports from
 source, as a process on a fresh checkout does.  A child imports numpy, then
 times `from grdm import cli` and the first, cold `cli.main` call.  Prints,
 per command, the median import and cold-op milliseconds, the source size of
-the grdm modules it loaded and their names.
+the grdm modules it loaded and their names; then, per command, the standard
+library modules (top-level, public names) that the command loaded beyond
+the interpreter's start and `import numpy`.  The script imports only `sys`
+at the top and everything else inside its functions, so a child holds none
+of the script's own imports when it counts.
 
     python scripts/start_up.py --runs 15
 """
 
-import argparse
-import contextlib
-import io
-import json
-import os
-import shutil
-import statistics
-import subprocess
 import sys
-import tempfile
-import time
 
 COMMANDS = {
     "check": ["check", "--in", "{dir}/pair.json", "--out", "{dir}/report.json"],
@@ -34,24 +28,41 @@ COMMANDS = {
 }
 
 
-def child(argv: list) -> dict:
-    """Time the import and the cold command in this process; its grdm modules and their source."""
+def child(argv: list) -> int:
+    """Print, as one JSON line, the import and cold-op times here and the modules they loaded."""
+    import io
+    import os
+    import time
+
     import numpy  # noqa: F401  imported before the timed import, so it is not counted
 
+    before = set(sys.modules)
     start = time.perf_counter()
     from grdm import cli
     imported = time.perf_counter()
-    with contextlib.redirect_stdout(io.StringIO()):
+    sys.stdout, stdout = io.StringIO(), sys.stdout
+    try:
         rc = cli.main(argv)
+    finally:
+        sys.stdout = stdout
     done = time.perf_counter()
-    modules = sorted(name for name in sys.modules if name.split(".")[0] == "grdm")
+    loaded = set(sys.modules) - before
+    modules = sorted(name for name in loaded if name.split(".")[0] == "grdm")
     size = sum(os.path.getsize(sys.modules[name].__file__) for name in modules)
-    return {"rc": rc, "import_ms": (imported - start) * 1e3, "op_ms": (done - imported) * 1e3,
-            "modules": modules, "kb": size / 1024}
+    stdlib = sorted({name.split(".")[0] for name in loaded if not name.startswith("_")
+                     and name.split(".")[0] in sys.stdlib_module_names})
+    import json
+
+    print(json.dumps({"rc": rc, "import_ms": (imported - start) * 1e3,
+                      "op_ms": (done - imported) * 1e3, "modules": modules, "kb": size / 1024,
+                      "stdlib": stdlib}))
+    return 0
 
 
 def write_inputs(workdir: str) -> None:
     """The m = 5 pair of a random density and a generic m = 4 gamma, as the commands read them."""
+    import os
+
     import numpy as np
 
     from grdm import fock, serialize
@@ -65,22 +76,29 @@ def write_inputs(workdir: str) -> None:
 
 
 def run_child(argv: list, source: str) -> dict:
+    """`child(argv)` in a fresh interpreter on the grdm copy at `source`, with no bytecode cache."""
+    import json
+    import os
+    import subprocess
+
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
         p for p in (source, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", json.dumps(argv)],
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", *argv],
                          env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
 
 def main() -> int:
+    import argparse
+    import os
+    import shutil
+    import statistics
+    import tempfile
+
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--runs", type=int, default=15)
-    parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.child:
-        print(json.dumps(child(json.loads(args.child))))
-        return 0
     if args.runs < 1:
         parser.error(f"--runs must be >= 1, got {args.runs}")
 
@@ -106,8 +124,11 @@ def main() -> int:
         print(f"{name:<10}{statistics.median(r['import_ms'] for r in runs):>10.1f}"
               f"{statistics.median(r['op_ms'] for r in runs):>12.1f}{runs[0]['kb']:>11.1f}  "
               + " ".join(m.removeprefix("grdm.") for m in modules))
+    print(f"\n{'command':<10}stdlib modules beyond numpy")
+    for name, runs in results.items():
+        print(f"{name:<10}" + " ".join(runs[0]["stdlib"]))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(child(sys.argv[2:]) if sys.argv[1:2] == ["--child"] else main())

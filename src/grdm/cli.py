@@ -5,14 +5,16 @@ Exit codes: 0 all checks pass, 1 a condition failed, 2 usage or input error,
 an --out path that cannot be written included.  The commands raise OSError or
 ValueError (serialize.FormatError among them) on bad input, and `main` alone
 prints it as `error: ...` and returns 2.  Output files are written atomically.
-Each command imports only the modules it runs, inside its own function:
-`check` needs the closed-form realization (`closed`, on `limits`, and
-`dataclasses` for `--tol`) and serialize, and compiles no Grassmann element
-code; `fuzz` adds the element kernel (`kernel`), the star-product side
-(`conditions`) and the Fock oracle (through `fuzz_conditions`); `quasifree`
-needs the element kernel and the quasifree module, and reads gamma back
-through the kernel's moment layer, so it compiles neither realization of
-the conditions; and `selftest` its identities, on `algebra` and the oracle.
+Each command imports only the modules it runs, inside its own function, and
+`main` builds only the named command's sub-parser (`build_parser`).  `check`
+needs the closed-form realization (`closed`, on `limits`) and serialize, and
+compiles no Grassmann element code; its reports are NamedTuples, so `--tol`
+is `_replace` and no command loads `dataclasses`.  `fuzz` adds the element
+kernel (`kernel`), the star-product side (`conditions`) and the Fock oracle
+(through `fuzz_conditions`); `quasifree` needs the element kernel and the
+quasifree module, and reads gamma back through the kernel's moment layer,
+so it compiles neither realization of the conditions; and `selftest` its
+identities, on `algebra` and the oracle.
 """
 
 from __future__ import annotations
@@ -60,8 +62,6 @@ def _write_out(path: str | None, payload) -> None:
 
 
 def cmd_check(args) -> int:
-    import dataclasses
-
     from . import closed
 
     if args.tol is not None and not 0 <= args.tol < np.inf:
@@ -69,7 +69,7 @@ def cmd_check(args) -> int:
     gamma, Gamma, _ = _load_check_input(args.infile)
     reports = closed.battery(gamma, Gamma)
     if args.tol is not None:
-        reports = [dataclasses.replace(r, tol=args.tol) for r in reports]
+        reports = [r._replace(tol=args.tol) for r in reports]
     _write_out(args.outfile, [r.as_dict() for r in reports])
     if args.verbose or not args.outfile:
         for r in reports:
@@ -138,47 +138,56 @@ def cmd_selftest(args) -> int:
     return 0
 
 
+_IN = ("--in", {"dest": "infile", "required": True, "metavar": "PATH"})
+_OUT = ("--out", {"dest": "outfile", "metavar": "PATH"})
+_VERBOSE = ("--verbose", {"action": "store_true"})
+
+# Each command's function, help line and options, in the order `--help` lists them.
+COMMANDS = {
+    "check": (cmd_check, "run representability checks on gamma/Gamma JSON", (
+        _IN, _OUT, ("--tol", {"type": float, "help": "override the pass tolerance"}), _VERBOSE)),
+    "fuzz": (cmd_fuzz, "condition battery on random genuine densities", (
+        ("--m", {"type": int, "required": True}), ("--trials", {"type": int, "default": 100}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--sector", {"type": int, "help": "restrict to an N-particle sector"}), _OUT, _VERBOSE)),
+    "quasifree": (cmd_quasifree, "build the quasifree density for a gamma JSON", (
+        _IN, _OUT, ("--max-points", {"type": int, "default": 4,
+                                      "help": "Wick verification word length"}), _VERBOSE)),
+    "selftest": (cmd_selftest, "run the pinned sign-convention identities", (
+        ("--seed", {"type": int, "default": 0}), _VERBOSE)),
+}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The grdm argument parser, built on first use and shared by every later `main` call."""
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The grdm parser with `command`'s sub-parser alone, or with all four when it is None.
+
+    `main` passes the command it was given, or None when there is none or
+    it is unknown, so the cache holds at most five parsers, each shared by
+    every later call on its key.  A sub-parser costs gettext lookups, so a
+    command builds only its own.  That build names all four commands in the
+    sub-parser metavar, so its usage line is the full build's; the full
+    build keeps argparse's default metavar, since one set by hand would also
+    replace `command` in its invalid-choice and missing-command errors.
+    """
     parser = argparse.ArgumentParser(
         prog="grdm",
         description="Grassmann-integral toolkit for fermionic reduced density matrices",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="run representability checks on gamma/Gamma JSON")
-    p.add_argument("--in", dest="infile", required=True, metavar="PATH")
-    p.add_argument("--out", dest="outfile", metavar="PATH")
-    p.add_argument("--tol", type=float, default=None, help="override the pass tolerance")
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("fuzz", help="condition battery on random genuine densities")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sector", type=int, default=None, help="restrict to an N-particle sector")
-    p.add_argument("--out", dest="outfile", metavar="PATH")
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_fuzz)
-
-    p = sub.add_parser("quasifree", help="build the quasifree density for a gamma JSON")
-    p.add_argument("--in", dest="infile", required=True, metavar="PATH")
-    p.add_argument("--out", dest="outfile", metavar="PATH")
-    p.add_argument("--max-points", type=int, default=4, help="Wick verification word length")
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_quasifree)
-
-    p = sub.add_parser("selftest", help="run the pinned sign-convention identities")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_selftest)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        func, help_text, options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -30,8 +29,7 @@ import numpy as np
 from .limits import PSD_REL_TOL, _coo_apply, _read_only, _require_hermitian, _scale
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """One condition's verdict: the form's least eigenvalue `margin` against `tol`."""
 
     condition: str

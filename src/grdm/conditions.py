@@ -38,7 +38,7 @@ fixed.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -343,8 +343,7 @@ def condition_form_report(kappa: GrassmannElement, condition: str) -> ConditionR
 # ---------------------------------------------------------------------------
 # fuzz campaign
 
-@dataclass(frozen=True)
-class FuzzSummary:
+class FuzzSummary(NamedTuple):
     m: int
     trials: int
     seed: int

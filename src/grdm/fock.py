@@ -1,4 +1,4 @@
-"""Fock-space oracle: ladder operators, the operator/element correspondence,
+"""Fock-space oracle: ladder words, the operator/element correspondence,
 and reduced density matrices by direct traces.
 
 Basis convention: basis state index n encodes occupations, bit i-1 of n being
@@ -15,8 +15,8 @@ closed-form inverse of to_operator, a signed Moebius inversion over subsets
 of modes whose signs come from the sign functions of the element kernel
 (`kernel`), so the round trip compares two separate sign derivations.
 Everything serves to cross-validate the Grassmann-side computations, up to
-m = FOCK_CAP = 8 in both directions; the dense 2^m x 2^m ladder matrices
-remain only behind creation, annihilation and slater_state.
+m = FOCK_CAP = 8 in both directions.  The dense 2^m x 2^m ladder matrices
+and Slater states live in the tests' references, their only users.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import functools
 import numpy as np
 
 from .kernel import GrassmannElement, _merge_parity, _parity, _popcount, prune
-from .limits import (FOCK_CAP, OPERATOR_PRUNE_REL_TOL, SECTOR_TOL, SLATER_NORM_TOL, _check_m,
-                     _coo_apply, _index_dtype, _read_only, _require_finite, _require_unitary)
+from .limits import (FOCK_CAP, OPERATOR_PRUNE_REL_TOL, SECTOR_TOL, _check_m, _coo_apply,
+                     _index_dtype, _read_only, _require_finite, _require_unitary)
 
 
 def _infer_m(mat: np.ndarray) -> int:
@@ -40,38 +40,6 @@ def _infer_m(mat: np.ndarray) -> int:
         raise ValueError(f"matrix dimension {dim} is not a power of two")
     _check_m(m, FOCK_CAP)
     return m
-
-
-@functools.lru_cache(maxsize=None)
-def _ladders(m: int):
-    _check_m(m, FOCK_CAP)
-    dim = 1 << m
-    ann = []
-    for i in range(m):
-        bit = 1 << i
-        mat = np.zeros((dim, dim), dtype=complex)
-        for n in range(dim):
-            if n & bit:
-                sign = -1.0 if (n & (bit - 1)).bit_count() & 1 else 1.0
-                mat[n ^ bit, n] = sign
-        ann.append(mat)
-    return _read_only(*(a.conj().T.copy() for a in ann)), _read_only(*ann)
-
-
-def creation(i: int, m: int) -> np.ndarray:
-    """Creation operator for mode i (1-based) on the 2^m Fock space."""
-    _check_m(m, FOCK_CAP)
-    if not 1 <= i <= m:
-        raise ValueError(f"mode index {i} outside [1, {m}]")
-    return _ladders(m)[0][i - 1]
-
-
-def annihilation(i: int, m: int) -> np.ndarray:
-    """Annihilation operator for mode i (1-based); kills the vacuum state."""
-    _check_m(m, FOCK_CAP)
-    if not 1 <= i <= m:
-        raise ValueError(f"mode index {i} outside [1, {m}]")
-    return _ladders(m)[1][i - 1]
 
 
 def _jordan_wigner(bar, unbar, states, m: int):
@@ -245,21 +213,6 @@ def random_density(m: int, seed: int, sector: int | None = None) -> np.ndarray:
     if tr <= 0:
         raise ValueError("projected density has zero trace")
     return rho / tr
-
-
-def slater_state(orbitals: np.ndarray, m: int) -> np.ndarray:
-    """State vector c*(v_1)...c*(v_N) applied to the vacuum, columns = orbitals."""
-    orbitals = np.asarray(orbitals, dtype=complex)
-    crt, _ = _ladders(m)
-    vec = np.zeros(1 << m, dtype=complex)
-    vec[0] = 1.0
-    for col in reversed(range(orbitals.shape[1])):
-        op = sum(orbitals[k, col] * crt[k] for k in range(m))
-        vec = op @ vec
-    nrm = np.linalg.norm(vec)
-    if not nrm >= SLATER_NORM_TOL:
-        raise ValueError("orbitals are linearly dependent or not finite; Slater state vanishes")
-    return vec / nrm
 
 
 def infer_particle_sector(rho: np.ndarray) -> int:

@@ -26,7 +26,6 @@ ANTISYMMETRY_TOL = 1e-10     # rel, check_T1's probe tensor
 UNITARY_TOL = 1e-10          # max |u*u - 1|: change_generators and contraction_check's onb
 BOUNDARY_TOL = 1e-10         # quasifree: eigenvalues this close to 0 or 1 are snapped
 SECTOR_TOL = 1e-8            # max |N rho - n rho| of a one-sector density
-SLATER_NORM_TOL = 1e-12      # smallest Slater state norm before normalizing
 SELFTEST_EXACT_TOL = 1e-12   # grdm selftest: identities exact up to a few roundings
 SELFTEST_RANDOM_TOL = 1e-10  # grdm selftest: identities on random coefficients
 

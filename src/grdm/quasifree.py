@@ -28,9 +28,10 @@ recursion.  Everything here runs up to
 QUASIFREE_CAP = 8 generators, past the star product's cap, since no step
 multiplies two full elements.
 
-The module imports the element kernel (`kernel`) and `limits` alone, and
-the spec is a NamedTuple, so `grdm quasifree` compiles neither realization
-of the conditions, nor `algebra`, nor `dataclasses`.
+The module imports the element kernel (`kernel`) and `limits` alone, so
+`grdm quasifree` compiles neither realization of the conditions nor
+`algebra`.  The spec is a NamedTuple, as is every record type of the
+package, so no module imports `dataclasses`.
 """
 
 from __future__ import annotations

@@ -22,10 +22,12 @@ the condition forms and the quasifree word products on them, one term map
 per product, and hand the builders' COO arrays back.  The per-word star
 fold folds a word into the density with the public star product.
 
-The dense Fock references multiply the 2^m x 2^m ladder matrices: to_operator
-as a sum of ordered ladder products, one matrix product per monomial, and
-the pdms as traces of rho times ladder words, with the dense number operator
-for their particle-number identities.  The from_operator map is
+The dense Fock references multiply the 2^m x 2^m ladder matrices, which
+live here with the Slater states built from them (`creation`,
+`annihilation`, `slater_state`): to_operator as a sum of ordered ladder
+products, one matrix product per monomial, and the pdms as traces of rho
+times ladder words, with the dense number operator for their
+particle-number identities.  The from_operator map is
 built entry by entry, with the scalar sign kernels per entry.
 
 The dense closed-form references build the Q and G matrices from
@@ -46,12 +48,12 @@ from itertools import combinations
 
 import numpy as np
 
-from grdm import fock, quasifree
+from grdm import quasifree
 from grdm.algebra import (_acc, _merge_sign, _star_monomials_terms, change_generators, multiply,
                           psi, psibar, star, star_trace, trace_integral)
 from grdm.closed import _validate_pair
 from grdm.kernel import GrassmannElement, Monomial, _half_pair_sign, _indices
-from grdm.limits import BOUNDARY_TOL
+from grdm.limits import BOUNDARY_TOL, FOCK_CAP, _check_m, _read_only
 
 
 def _lift_left(a, m):
@@ -167,11 +169,62 @@ def build_quasifree_reference(gamma):
     return (u, lam), change_generators((1.0 / trace_integral(element)) * element, u.conj().T)
 
 
+SLATER_NORM_TOL = 1e-12  # smallest Slater state norm before normalizing
+
+
+@functools.cache
+def _ladders(m):
+    """The read-only dense creators and annihilators of modes 1..m, Jordan-Wigner signed."""
+    _check_m(m, FOCK_CAP)
+    dim = 1 << m
+    ann = []
+    for i in range(m):
+        bit = 1 << i
+        mat = np.zeros((dim, dim), dtype=complex)
+        for n in range(dim):
+            if n & bit:
+                sign = -1.0 if (n & (bit - 1)).bit_count() & 1 else 1.0
+                mat[n ^ bit, n] = sign
+        ann.append(mat)
+    return _read_only(*(a.conj().T.copy() for a in ann)), _read_only(*ann)
+
+
+def creation(i, m):
+    """Creation operator for mode i (1-based) on the 2^m Fock space."""
+    _check_m(m, FOCK_CAP)
+    if not 1 <= i <= m:
+        raise ValueError(f"mode index {i} outside [1, {m}]")
+    return _ladders(m)[0][i - 1]
+
+
+def annihilation(i, m):
+    """Annihilation operator for mode i (1-based); kills the vacuum state."""
+    _check_m(m, FOCK_CAP)
+    if not 1 <= i <= m:
+        raise ValueError(f"mode index {i} outside [1, {m}]")
+    return _ladders(m)[1][i - 1]
+
+
+def slater_state(orbitals, m):
+    """State vector c*(v_1)...c*(v_N) applied to the vacuum, columns = orbitals."""
+    orbitals = np.asarray(orbitals, dtype=complex)
+    crt, _ = _ladders(m)
+    vec = np.zeros(1 << m, dtype=complex)
+    vec[0] = 1.0
+    for col in reversed(range(orbitals.shape[1])):
+        op = sum(orbitals[k, col] * crt[k] for k in range(m))
+        vec = op @ vec
+    nrm = np.linalg.norm(vec)
+    if not nrm >= SLATER_NORM_TOL:
+        raise ValueError("orbitals are linearly dependent or not finite; Slater state vanishes")
+    return vec / nrm
+
+
 @functools.cache
 def _ordered_products(m):
     """C*_I and C_J for every index mask, factors in ascending index order."""
-    crt = [fock.creation(i, m) for i in range(1, m + 1)]
-    ann = [fock.annihilation(i, m) for i in range(1, m + 1)]
+    crt = [creation(i, m) for i in range(1, m + 1)]
+    ann = [annihilation(i, m) for i in range(1, m + 1)]
     dim = 1 << m
     eye = np.eye(dim, dtype=complex)
     cs_prod = {0: eye}
@@ -204,8 +257,8 @@ def pdms_from_rho_reference(rho):
     """gamma[k, l] = tr(rho c*_l c_k), Gamma[(i, j), (k, l)] = tr(rho c*_l c*_k c_i c_j)."""
     rho = np.asarray(rho, dtype=complex)
     m = rho.shape[0].bit_length() - 1
-    crt = [fock.creation(i, m) for i in range(1, m + 1)]
-    ann = [fock.annihilation(i, m) for i in range(1, m + 1)]
+    crt = [creation(i, m) for i in range(1, m + 1)]
+    ann = [annihilation(i, m) for i in range(1, m + 1)]
     gamma = np.empty((m, m), dtype=complex)
     for k in range(m):
         for l in range(m):

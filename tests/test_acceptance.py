@@ -30,7 +30,7 @@ from grdm.algebra import (
 )
 from grdm.closed import CONDITIONS
 from grdm.kernel import Monomial
-from _reference import exchange_matrix, number_operator
+from _reference import exchange_matrix, number_operator, slater_state
 from conftest import rand_element, random_unitary
 
 
@@ -145,7 +145,7 @@ def test_criterion_06_pdm_agreement():
         # Slater factorization, standard and rotated orbitals
         for m, n, seed in ((3, 2, 72001), (4, 2, 72002), (4, 3, 72003)):
             orbitals = random_unitary(np.random.default_rng(seed), m)[:, :n]
-            state = fock.slater_state(orbitals, m)
+            state = slater_state(orbitals, m)
             rho = np.outer(state, state.conj())
             gamma, Gamma = fock.pdms_from_rho(rho)
             ex = exchange_matrix(m)
@@ -242,7 +242,7 @@ def test_criterion_09_quasifree_round_trip():
             _, kappa = qf.build_quasifree(gamma)
             rho = fock.to_operator(kappa)
             n = int(round(sum(occ)))
-            state = fock.slater_state(np.linalg.eigh(gamma)[1][:, ::-1][:, :n], m)
+            state = slater_state(np.linalg.eigh(gamma)[1][:, ::-1][:, :n], m)
             spectrum = np.sort(np.linalg.eigvalsh(rho))
             want = np.zeros(1 << m)
             want[-1] = 1.0

@@ -598,6 +598,38 @@ def test_usage_error_exit_2():
     assert cli.main(["frobnicate"]) == 2
 
 
+def _printed(call, argv, capsys):
+    """(exit code, stdout, stderr) of `call(argv)`, a SystemExit taken as its code."""
+    try:
+        rc = call(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    return (rc, *capsys.readouterr())
+
+
+def test_help_and_usage_text_equal_the_full_parser(monkeypatch, capsys):
+    # a command builds only its own sub-parser, yet prints byte for byte what
+    # the parser with all four prints: the help texts, and a usage line that
+    # names all four; an unknown or missing command names `command`
+    monkeypatch.setenv("COLUMNS", "100")
+    full = cli.build_parser(None).parse_args
+    cases = [["--help"], *([name, "--help"] for name in cli.COMMANDS),
+             ["check", "--in", "x", "--bogus"], ["check"], ["fuzz", "--m", "two"],
+             ["frobnicate"], []]
+    got = {tuple(argv): _printed(cli.main, argv, capsys) for argv in cases}
+    for argv in cases:
+        assert got[tuple(argv)] == _printed(full, argv, capsys), argv
+    for name in cli.COMMANDS:
+        rc, out, err = got[(name, "--help")]
+        assert (rc, err) == (0, "") and out.startswith(f"usage: grdm {name} [-h]")
+    assert got[("check", "--in", "x", "--bogus")] == (
+        2, "", "usage: grdm [-h] {check,fuzz,quasifree,selftest} ...\n"
+               "grdm: error: unrecognized arguments: --bogus\n")
+    rc, _, err = got[("frobnicate",)]
+    assert rc == 2 and "grdm: error: argument command: invalid choice: 'frobnicate'" in err
+    assert got[()][2].endswith("grdm: error: the following arguments are required: command\n")
+
+
 @pytest.mark.parametrize("value", [5, None, [], "x"])
 def test_non_object_matrix_exit_2(pdm_file, tmp_path, capsys, value):
     gamma = json.loads(pdm_file[0].read_text())["gamma"]
@@ -710,18 +742,23 @@ def test_only_main_decides_exit_2():
 
 
 def test_parser_built_once_per_process(pdm_file, tmp_path):
-    # one parser serves every main call; a usage error leaves it usable and
-    # no option of one call carries over into the next
+    # one parser per command key serves every main call on it: the command's
+    # own, or the full one for anything else; a usage error leaves it usable
+    # and no option of one call carries over into the next
     cli.build_parser.cache_clear()
     path = str(pdm_file[0])
     outs = [str(tmp_path / f"r{k}.json") for k in range(3)]
     assert cli.main(["check", "--in", path, "--out", outs[0]]) == 0
     assert cli.main(["check", "--in", path, "--tol", "lots"]) == 2
     assert cli.main(["frobnicate"]) == 2
+    assert cli.main(["--bogus"]) == 2
     assert cli.main(["check", "--in", path, "--out", outs[1], "--tol", "0.5"]) == 0
     assert cli.main(["check", "--in", path, "--out", outs[2]]) == 0
     info = cli.build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, 4)
+    assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+    # the check parser holds check alone
+    with pytest.raises(SystemExit):
+        cli.build_parser("check").parse_args(["selftest"])
     first, override, last = (json.loads(open(p).read()) for p in outs)
     assert last == first != override
     assert {r["tol"] for r in override} == {0.5}
@@ -744,7 +781,7 @@ def test_import_pulls_no_scipy(tmp_path):
     # oracle and no quasifree module; fuzz adds the kernel, the star-product
     # side and the oracle, but not the public element API (`algebra`);
     # quasifree needs only the kernel and its module, neither realization of
-    # the conditions, and not `dataclasses` either
+    # the conditions; and no command loads `dataclasses`
     gamma, Gamma = fock.pdms_from_rho(fock.random_density(5, 11))
     pair, gpath = tmp_path / "pair.json", tmp_path / "gamma.json"
     serialize.atomic_write_json(str(pair), {"gamma": serialize.matrix_to_dict(gamma, "gamma", 5),
@@ -752,19 +789,19 @@ def test_import_pulls_no_scipy(tmp_path):
     serialize.atomic_write_json(str(gpath), serialize.matrix_to_dict(
         np.diag([0.2, 0.4, 0.6, 0.8]), "gamma", 4))
     check = ["grdm", "grdm.cli", "grdm.closed", "grdm.limits", "grdm.serialize"]
-    runs = [(["check", "--in", str(pair), "--out", str(tmp_path / "r.json")], check, True),
+    runs = [(["check", "--in", str(pair), "--out", str(tmp_path / "r.json")], check),
             (["fuzz", "--m", "3", "--trials", "1", "--out", str(tmp_path / "f.json")],
-             sorted(check + ["grdm.conditions", "grdm.fock", "grdm.kernel"]), True),
+             sorted(check + ["grdm.conditions", "grdm.fock", "grdm.kernel"])),
             (["quasifree", "--in", str(gpath), "--out", str(tmp_path / "q.json")],
              ["grdm", "grdm.cli", "grdm.kernel", "grdm.limits", "grdm.quasifree",
-              "grdm.serialize"], False)]
-    for argv, modules, loads_dataclasses in runs:
+              "grdm.serialize"])]
+    for argv, modules in runs:
         code = ("import json, sys; from grdm import cli; rc = cli.main(%r); "
                 "print(json.dumps([rc, sorted(k for k in sys.modules if k.split('.')[0] == 'grdm'), "
                 "sorted(k for k in sys.modules "
                 "if k.split('.')[0] == 'scipy' or k.split('.')[:2] == ['numpy', 'ma']), "
                 "'dataclasses' in sys.modules]))" % argv)
-        assert _fresh_process(code) == [0, modules, [], loads_dataclasses], argv[0]
+        assert _fresh_process(code) == [0, modules, [], False], argv[0]
 
 
 def test_each_name_has_one_import_path():

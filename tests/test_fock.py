@@ -18,8 +18,9 @@ from grdm.algebra import (
 from grdm.kernel import GrassmannElement, Monomial
 from grdm.limits import _coo_apply
 from conftest import rand_element, random_unitary
-from _reference import (element_map_reference, exchange_matrix, number_operator,
-                        pdms_from_rho_reference, to_operator_reference)
+from _reference import (annihilation, creation, element_map_reference, exchange_matrix,
+                        number_operator, pdms_from_rho_reference, slater_state,
+                        to_operator_reference)
 
 
 class TestLadders:
@@ -28,8 +29,8 @@ class TestLadders:
             dim = 1 << m
             eye = np.eye(dim)
             for i, j in product(range(1, m + 1), repeat=2):
-                ci, cj = fock.annihilation(i, m), fock.annihilation(j, m)
-                csi, csj = fock.creation(i, m), fock.creation(j, m)
+                ci, cj = annihilation(i, m), annihilation(j, m)
+                csi, csj = creation(i, m), creation(j, m)
                 assert not (ci @ cj + cj @ ci).any()
                 assert not (csi @ csj + csj @ csi).any()
                 want = eye if i == j else np.zeros((dim, dim))
@@ -38,30 +39,30 @@ class TestLadders:
     def test_vacuum_annihilated(self):
         for m in (1, 2, 3):
             for i in range(1, m + 1):
-                assert not fock.annihilation(i, m)[:, 0].any()
+                assert not annihilation(i, m)[:, 0].any()
 
     def test_pauli_exclusion(self):
-        c1 = fock.creation(1, 3)
+        c1 = creation(1, 3)
         assert not (c1 @ c1).any()
 
     def test_number_trace(self):
         # half of the 4 basis states occupy mode 1
-        val = np.trace(fock.creation(1, 2) @ fock.annihilation(1, 2))
+        val = np.trace(creation(1, 2) @ annihilation(1, 2))
         assert val == 2
 
     def test_integer_entries(self):
         for i in (1, 2, 3):
-            mat = fock.creation(i, 3)
+            mat = creation(i, 3)
             assert np.array_equal(mat, np.round(mat.real))
 
     def test_index_validation(self):
         with pytest.raises(ValueError, match="outside"):
-            fock.creation(4, 3)
+            creation(4, 3)
         with pytest.raises(ValueError, match="cap"):
-            fock.creation(1, 9)
+            creation(1, 9)
         for i in (0, 4):
             with pytest.raises(ValueError, match=rf"mode index {i} outside \[1, 3\]"):
-                fock.annihilation(i, 3)
+                annihilation(i, 3)
 
 
 class TestCorrespondence:
@@ -70,7 +71,7 @@ class TestCorrespondence:
 
     def test_number_operator_image(self):
         el = make_element(2, [((1,), (1,), 1.0)])
-        want = fock.creation(1, 2) @ fock.annihilation(1, 2)
+        want = creation(1, 2) @ annihilation(1, 2)
         assert np.array_equal(fock.to_operator(el), want)
 
     def test_from_operator_identity(self):
@@ -78,7 +79,7 @@ class TestCorrespondence:
 
     def test_from_operator_antinormal_product(self):
         # c1 c*1 expands to 1 - pbar1 p1
-        op = fock.annihilation(1, 2) @ fock.creation(1, 2)
+        op = annihilation(1, 2) @ creation(1, 2)
         got = fock.from_operator(op)
         assert got.terms == {Monomial(0, 0): 1 + 0j, Monomial(1, 1): -1 + 0j}
 
@@ -219,7 +220,7 @@ class TestPdms:
 
     def test_slater_orbitals_1_to_n(self):
         m, n = 4, 2
-        state = fock.slater_state(np.eye(m)[:, :n], m)
+        state = slater_state(np.eye(m)[:, :n], m)
         rho = np.outer(state, state.conj())
         gamma, Gamma = fock.pdms_from_rho(rho)
         assert np.allclose(gamma, np.diag([1.0] * n + [0.0] * (m - n)), atol=1e-12)
@@ -229,7 +230,7 @@ class TestPdms:
     def test_slater_random_orbitals(self, rng):
         m, n = 3, 2
         orbitals = random_unitary(rng, m)[:, :n]
-        state = fock.slater_state(orbitals, m)
+        state = slater_state(orbitals, m)
         rho = np.outer(state, state.conj())
         gamma, Gamma = fock.pdms_from_rho(rho)
         assert np.allclose(gamma, orbitals @ orbitals.conj().T, atol=1e-12)
@@ -239,7 +240,7 @@ class TestPdms:
     def test_slater_dependent_orbitals_rejected(self):
         orbitals = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="linearly dependent"):
-            fock.slater_state(orbitals, 3)
+            slater_state(orbitals, 3)
 
     def test_trace_identities(self, rng):
         for m in (2, 3, 4):
@@ -307,7 +308,7 @@ class TestRandomDensity:
 class TestContraction:
     def test_slater_two_particles(self, rng):
         m = 3
-        state = fock.slater_state(random_unitary(rng, m)[:, :2], m)
+        state = slater_state(random_unitary(rng, m)[:, :2], m)
         rho = np.outer(state, state.conj())
         assert fock.contraction_check(rho) < 1e-12
 

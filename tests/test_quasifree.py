@@ -17,8 +17,8 @@ from grdm.algebra import (
 from grdm.kernel import Monomial, prune
 from grdm.limits import BOUNDARY_TOL
 from _reference import (build_quasifree_reference, canonical_combine, moment_rows_reference,
-                        quasifree_from_lambdas, star_word_expectation, wick_expectation,
-                        word_product_entries_reference)
+                        quasifree_from_lambdas, slater_state, star_word_expectation,
+                        wick_expectation, word_product_entries_reference)
 from conftest import random_unitary
 
 
@@ -103,7 +103,7 @@ class TestBuild:
     def test_boundary_slater_projector(self):
         spec, kappa = qf.build_quasifree(np.diag([1.0, 0.0]))
         rho = fock.to_operator(kappa)
-        state = fock.slater_state(np.eye(2)[:, :1], 2)
+        state = slater_state(np.eye(2)[:, :1], 2)
         assert np.max(np.abs(rho - np.outer(state, state.conj()))) < 1e-12
 
     def test_rotated_boundary_projector(self, rng):
@@ -112,7 +112,7 @@ class TestBuild:
         gamma = v[:, :2] @ v[:, :2].conj().T  # rank-2 projector
         _, kappa = qf.build_quasifree(gamma)
         rho = fock.to_operator(kappa)
-        state = fock.slater_state(v[:, :2], m)
+        state = slater_state(v[:, :2], m)
         assert np.max(np.abs(rho - np.outer(state, state.conj()))) < 1e-11
 
     def test_oracle_spectrum_products(self, rng):

@@ -62,14 +62,19 @@ def test_scripts_exit_0():
             assert all(len(row) == 4 for row in rows[1:])
             assert rows[-1][1] == "70"
         if script == "start_up.py":
-            # a header, then per command its medians, source KB and grdm modules; check
-            # loads the closed-form realization alone
-            rows = [line.split() for line in out.strip().splitlines()]
-            assert rows[0] == ["command", "import", "ms", "cold", "op", "ms", "source", "KB",
-                               "grdm", "modules"]
-            assert [row[0] for row in rows[1:]] == ["check", "fuzz", "quasifree", "selftest"]
-            assert all(float(x) > 0 for row in rows[1:] for x in row[1:4])
-            assert rows[1][4:] == ["grdm", "cli", "closed", "limits", "serialize"]
+            # a header, then per command its medians, source KB and grdm modules;
+            # then a header and per command its stdlib modules beyond numpy's.
+            # check loads the closed-form realization alone, and no `dataclasses`
+            table, stdlib = ([line.split() for line in block.splitlines()]
+                             for block in out.strip().split("\n\n"))
+            assert table[0] == ["command", "import", "ms", "cold", "op", "ms", "source", "KB",
+                                "grdm", "modules"]
+            assert stdlib[0] == ["command", "stdlib", "modules", "beyond", "numpy"]
+            for rows in (table, stdlib):
+                assert [row[0] for row in rows[1:]] == ["check", "fuzz", "quasifree", "selftest"]
+            assert all(float(x) > 0 for row in table[1:] for x in row[1:4])
+            assert table[1][4:] == ["grdm", "cli", "closed", "limits", "serialize"]
+            assert "argparse" in stdlib[1] and "dataclasses" not in stdlib[1]
 
 
 def test_fuzz_campaign_bad_arguments_exit_2():

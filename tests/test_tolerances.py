@@ -212,6 +212,19 @@ def test_base_modules_import_only_their_base():
     assert imported == BASE_IMPORTS
 
 
+def test_no_module_imports_dataclasses():
+    # every record type is a NamedTuple, so no command compiles `dataclasses`
+    # (with `copy`) or the generated methods of a dataclass at start-up
+    found = []
+    for module, text in _sources().items():
+        for node in ast.walk(ast.parse(text)):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{module}.py:{node.lineno}" for name in names
+                      if name.split(".")[0] == "dataclasses"]
+    assert not found, found
+
+
 def _unit_trace_density(bad):
     # the unit term carries the whole trace, so bad makes it NaN or infinite
     return make_element(2, [((), (), 0.25 * bad)])
