@@ -8,9 +8,11 @@ closed-form index maps `closed._index_map` (rows closed-P .. closed-T2),
 the quasifree word map `quasifree._star_word_map(m, 4)` (m <= QUASIFREE_CAP)
 and the Fock operator-to-element map `fock._element_map` (m <= FOCK_CAP).
 Prints the median over the repeats in milliseconds, one row per build and
-one column per m, and `-` where m is past the build's cap.
+one column per m, and `-` where m is past the build's cap: the element-side
+builds (the moment map and the five table forms) stop at ELEMENT_CAP, while
+the closed-form maps run up to m = 16, where `grdm check` runs.
 
-    python scripts/map_build_times.py --m 5 6 7 8 --repeats 5
+    python scripts/map_build_times.py --m 5 8 12 16 --repeats 5
 """
 
 import argparse
@@ -20,11 +22,13 @@ import subprocess
 import sys
 import time
 
-from grdm.limits import FOCK_CAP, QUASIFREE_CAP
+from grdm.limits import ELEMENT_CAP, FOCK_CAP, QUASIFREE_CAP
 
 TABLE = ("P", "Q", "G", "T1", "T2")
 BUILDS = ("moment", *TABLE, *(f"closed-{name}" for name in TABLE), "words@4", "element")
-CAPS = {"words@4": QUASIFREE_CAP, "element": FOCK_CAP}
+CAPS = {"moment": ELEMENT_CAP, **dict.fromkeys(TABLE, ELEMENT_CAP),
+        "words@4": QUASIFREE_CAP, "element": FOCK_CAP}
+M_MAX = 16
 
 
 def build(name: str, m: int) -> float:
@@ -64,8 +68,8 @@ def main() -> int:
         return 0
     if args.repeats < 1:
         parser.error(f"--repeats must be >= 1, got {args.repeats}")
-    if not all(1 <= m <= 10 for m in args.m):
-        parser.error(f"--m values must lie in [1, 10], got {args.m}")
+    if not all(1 <= m <= M_MAX for m in args.m):
+        parser.error(f"--m values must lie in [1, {M_MAX}], got {args.m}")
 
     print(f"{'build (ms)':<10}" + "".join(f"{f'm={m}':>10}" for m in args.m))
     for name in BUILDS:

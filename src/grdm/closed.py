@@ -2,26 +2,23 @@
 
 The paper's P, Q, G, T1 and T2 conditions are positivity of forms in the one-
 and two-body matrices, so checking a pair needs no Grassmann element.  This
-module holds the condition table, CONDITIONS, with each row's probe tensors
-and closed-form terms and its probes named as generator words; the cached
-index maps of the closed forms; and the battery that `grdm check` runs.  It
-reads numpy and `limits` only.  The star-product realization of the same
-forms, which builds each row's word probes as elements and cross-validates
-against this one, lives in `conditions`.
-
-Each closed form is linear in (Gamma, gamma): it is one cached index map per
-m (`_index_map`) whose entries are single Gamma and gamma entries times probe
-coefficients, built from the nonzeros of the probe tensors.  Index
-conventions (0-based): gamma[k, l] is the expectation of pbar_{l+1} * p_{k+1};
-two-body indices flatten row-major, (k, l) -> k*m + l, and Gamma[(i, j), (k, l)]
-is the expectation of the normal-ordered word pbar_{l+1} pbar_{k+1} p_{i+1} p_{j+1}.
+module holds the condition table, CONDITIONS, whose rows give the probes as
+generator words, the form's mode and whether it is centred; the closed forms,
+derived from the words by normal ordering under the canonical anticommutation
+relations (CAR), pbar_k read as a+_k and p_k as a_k, as cached index maps on
+(Gamma, gamma) (`_index_map`); and the battery that `grdm check` runs.  It
+reads numpy and `limits` only; the star-product realization of the same forms
+lives in `conditions`.  Index conventions (0-based): gamma[k, l] is the
+expectation of pbar_{l+1} * p_{k+1}; two-body indices flatten row-major,
+(k, l) -> k*m + l, and Gamma[(i, j), (k, l)] is the expectation of the
+normal-ordered word pbar_{l+1} pbar_{k+1} p_{i+1} p_{j+1}.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations
+from itertools import combinations, groupby, permutations
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -89,37 +86,132 @@ def _first_order(gamma: np.ndarray) -> ConditionReport:
 
 
 # ---------------------------------------------------------------------------
-# the probe tensors of the closed forms
+# closed forms derived from the words by CAR normal ordering
 
-def _pair_stacks(m: int) -> dict:
-    """The m * m unit matrices U[k*m + l] = e_k e_l^T, one per pair probe of P, Q and G."""
-    return {"U": np.eye(m * m, dtype=complex).reshape(-1, m, m)}
-
-
-def _t1_indices(m: int) -> tuple:
-    """The index arrays (i, j, k) of the T1 probes, the triples i < j < k in order."""
-    return tuple(np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3).T)
+def _sign(perm) -> int:
+    """The sign of a sequence of distinct numbers as a permutation of their sorted order."""
+    return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
 
 
-def _t1_stacks(m: int) -> dict:
-    """The unit tensors E of the T1 probes: +-1/6 at the six signed orders of each triple."""
-    ijk = _t1_indices(m)
-    E = np.zeros((len(ijk[0]), m, m, m), dtype=complex)
-    for order, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                        ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)):
-        E[(np.arange(len(E)), *(ijk[p] for p in order))] = sign / 6
-    return {"E": E}
+def _patterns(words: list, m: int) -> list:
+    """A row's words by pattern of generator types: (creators, runs, (rows, indices, values)).
+
+    A run of same-type generators whose indices increase strictly in every
+    word of the pattern is antisymmetrised, sign(s) / r! at each order s of
+    its r indices; every other generator is a unit index and its own run.
+    """
+    groups: dict = {}
+    for k, word in enumerate(words):
+        groups.setdefault(tuple(map(m.__gt__, word)), []).append(k)
+    patterns = []
+    for creators, rows in groups.items():
+        group = [words[k] for k in rows]
+        index = np.array(group, dtype=np.intp) % m
+        rows, values, runs = np.array(rows), np.ones(len(rows)), []
+        for _, run in groupby(range(len(creators)), creators.__getitem__):
+            run = tuple(run)
+            if len(run) == 1 or not all(w[a] < w[a + 1] for w in group for a in run[:-1]):
+                runs += [(axis,) for axis in run]
+                continue
+            runs.append(run)
+            orders = list(permutations(run))
+            index = index[:, [[*range(run[0]), *s, *range(run[-1] + 1, len(creators))]
+                              for s in orders]].reshape(-1, len(creators))
+            rows = np.repeat(rows, len(orders))
+            values = (values[:, None] * [_sign(s) / len(orders) for s in orders]).ravel()
+        patterns.append((creators, runs, (rows, list(index.T), values)))
+    return patterns
 
 
-def _t2_stacks(m: int) -> dict:
-    """The T2 probe tensors: T = (e_i e_j - e_j e_i) e_k / 2 for the cubic probes, a = e_i for the linear."""
-    i, j = np.repeat(np.triu_indices(m, 1), m, axis=1)
-    cubic = np.arange(len(i))
-    T = np.zeros((len(i) + m, m, m, m), dtype=complex)
-    T[cubic, i, j, cubic % m], T[cubic, j, i, cubic % m] = 0.5, -0.5
-    a = np.zeros((len(T), m), dtype=complex)
-    a[len(i):] = np.eye(m)
-    return {"T": T, "a": a}
+def _normal_order(ops: tuple) -> list:
+    """Wick's theorem on ops (creator, slot): (normal-ordered ops, contracted pairs, sign) per term.
+
+    The first a_p just left of an a+_q becomes delta_pq - a+_q a_p.
+    """
+    out, todo = [], [(ops, (), 1)]
+    while todo:
+        ops, pairs, sign = todo.pop()
+        for p in range(len(ops) - 1):
+            if not ops[p][0] and ops[p + 1][0]:
+                todo.append((ops[:p] + ops[p + 2:], pairs + ((ops[p][1], ops[p + 1][1]),), sign))
+                todo.append((ops[:p] + (ops[p + 1], ops[p]) + ops[p + 2:], pairs, -sign))
+                break
+        else:
+            out.append((ops, pairs, sign))
+    return out
+
+
+def _canonical(word: tuple, pairs: tuple, x_runs: list, y_runs: list) -> tuple:
+    """A normal-ordered term as ((creators, annihilators, links), sign), relabelled within runs.
+
+    a+_{c1} .. a+_{cp} a_{i1} .. a_{ip} reads the source at i1 .. ip cp .. c1:
+    gamma[k, l] for a+_l a_k, Gamma[(i, j), (d, c)] for a+_c a+_d a_i a_j.  A
+    term no pdm reads (three-body or more, or unbalanced) sorts its creators
+    and annihilators, so that terms that cancel meet.  Each run's slots are
+    sorted by what they link to, x runs first, at the sign of the sort;
+    `links` holds per slot its partner's new position, or ~c for source slot c.
+    """
+    sign = 1
+    cre, ann = [s for c, s in word if c], [s for c, s in word if not c]
+    if len(cre) != len(ann) or len(cre) > 2:
+        sign = _sign(cre) * _sign(ann)
+        cre.sort()
+        ann.sort()
+    link = dict(zip(ann + cre[::-1], range(-1, -1 - len(word), -1)))
+    for s, t in pairs:
+        link[s], link[t] = t, s
+    order, rank = [], {s: k for k, run in enumerate(y_runs) for s in run}
+    for runs in (x_runs, y_runs):
+        for run in runs:
+            if len(run) > 1:
+                run = [s for _, s in sorted([(link[s] if link[s] < 0 else rank[link[s]], s) for s in run])]
+                sign *= _sign(run)
+            order += run
+        rank = {s: k for k, s in enumerate(order)}
+    return (len(cre), len(ann), tuple([link[s] if link[s] < 0 else rank[link[s]] for s in order])), sign
+
+
+def _pattern_terms(condition: str, x: tuple, y: tuple, mode: str) -> list:
+    """The (spec, scale) terms of <b_x+ b_y>, plus <b_y b_x+> in the anticommutator mode.
+
+    b_x and b_y are word patterns x and y on symbolic indices, the slots.
+    Each term of the normal-ordered products is one pdm entry whose letters
+    the contractions share, and terms equal up to relabelling merge.  A
+    surviving term that no pdm reads raises, naming the condition.
+    """
+    (cx, rx, _), (cy, ry, _) = x, y
+    n = len(cx)
+    dagger = tuple((not c, s) for s, c in reversed(list(enumerate(cx))))
+    probe = tuple((c, n + s) for s, c in enumerate(cy))
+    y_runs = [tuple(n + s for s in run) for run in ry]
+    run_of = {s: k for k, run in enumerate(rx + y_runs) for s in run}
+    merged, classes = {}, {}
+    for k, ops in enumerate([dagger + probe] + ([probe + dagger] if mode == "anticommutator" else [])):
+        for word, pairs, sign in _normal_order(ops):
+            # terms with as many contractions between each two runs relabel each other
+            cls = (k, tuple(sorted([(run_of[s], run_of[t]) for s, t in pairs])))
+            if cls not in classes:
+                if any((s < n) == (t < n) for s, t in pairs):
+                    raise ValueError(f"condition {condition} does not reduce to (gamma, Gamma): "
+                                     "a word that is not normal-ordered contracts inside its probe")
+                key, relabel = _canonical(word, pairs, rx, y_runs)
+                classes[cls] = key, sign * relabel
+            key, scale = classes[cls]
+            merged[key] = merged.get(key, 0) + scale
+    terms = []
+    for (creators, annihilators, links), scale in merged.items():
+        letters, source = [], {}  # one letter per link
+        for k, t in enumerate(links):
+            letters.append(letters[t] if 0 <= t < k else chr(ord("a") + len(set(letters))))
+            if t < 0:
+                source[~t] = letters[k]
+        spec = ",".join(("".join(letters[:n]), "".join(letters[n:]),
+                         "".join(source[c] for c in range(creators + annihilators))))
+        if scale and (creators != annihilators or creators > 2):
+            raise ValueError(f"condition {condition} does not reduce to (gamma, Gamma): its term "
+                             f"{spec} has {creators} creators and {annihilators} annihilators")
+        terms += [(spec, scale)] if scale else []
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +219,8 @@ def _t2_stacks(m: int) -> dict:
 
 def _flat(indices: list, m: int, size: int) -> np.ndarray:
     """Row-major flat index over (m,) * len(indices) of equal-length index arrays."""
-    out = np.zeros(size, dtype=np.intp)
-    for ix in indices:
+    out = indices[0] if indices else np.zeros(size, dtype=np.intp)
+    for ix in indices[1:]:
         out = out * m + ix
     return out
 
@@ -136,24 +228,29 @@ def _flat(indices: list, m: int, size: int) -> np.ndarray:
 def _join(kx: np.ndarray, ky: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every pair (p, q) with kx[p] == ky[q], as two index arrays, p ascending."""
     order = np.argsort(ky, kind="stable")
-    lo = np.searchsorted(ky[order], kx, "left")
-    counts = np.searchsorted(ky[order], kx, "right") - lo
+    sorted_ky = ky[order]
+    lo = np.searchsorted(sorted_ky, kx, "left")
+    counts = np.searchsorted(sorted_ky, kx, "right") - lo
     first = np.cumsum(counts) - counts
     xi = np.repeat(np.arange(len(kx)), counts)
     return xi, order[np.arange(len(xi)) + np.repeat(lo - first, counts)]
 
 
 def _term_entries(x, y, spec: str, scale: float, n: int, m: int):
-    """(row, source, coeff) of one term, from the nonzeros of X and Y joined on shared indices."""
+    """(row, source, coeff) of scale * sum conj(X[x, ...]) Y[y, ...] v[...] from the nonzeros of X, Y.
+
+    The spec names the indices of X, Y and v (Gamma for four letters, gamma
+    for two, the constant 1 for none); X and Y join on the indices they share.
+    """
     (px, ix, vx), (py, iy, vy) = x, y
     xs, ys, ss = spec.split(",")
     shared = [c for c in xs if c in ys]
-    xi, yi = _join(_flat([ix[xs.index(c)] for c in shared], m, len(px)),
-                   _flat([iy[ys.index(c)] for c in shared], m, len(py)))
-    index = {c: ix[k][xi] for k, c in enumerate(xs)} | {c: iy[k][yi] for k, c in enumerate(ys)}
+    xi, yi = (_join(_flat([ix[xs.index(c)] for c in shared], m, len(px)),
+                    _flat([iy[ys.index(c)] for c in shared], m, len(py)))
+              if shared else np.divmod(np.arange(len(px) * len(py)), len(py)))
+    source = _flat([ix[xs.index(c)][xi] if c in xs else iy[ys.index(c)][yi] for c in ss], m, len(xi))
     offset = {4: 0, 2: m ** 4, 0: m ** 4 + m * m}[len(ss)]
-    return (px[xi] * n + py[yi], offset + _flat([index[c] for c in ss], m, len(xi)),
-            scale * vx[xi].conj() * vy[yi])
+    return px[xi] * n + py[yi], offset + source, scale * vx[xi].conj() * vy[yi]
 
 
 @functools.lru_cache(maxsize=16)
@@ -162,18 +259,17 @@ def _index_map(condition: str, m: int) -> tuple[tuple, int]:
 
     Returns the read-only (row, source, coeff) triple, whose duplicate
     entries add up, and the probe count n: the triple applied to v is the
-    raveled n x n form before Hermitisation and centring.  At most 16 maps
-    are cached.
+    raveled n x n form before Hermitisation and centring.  The terms come
+    from `_pattern_terms` per pair of word patterns.  At most 16 are cached.
     """
     row = CONDITIONS[condition]
-    nonzeros = {}
-    for name, stack in row.stacks(m).items():
-        nz = np.nonzero(stack)
-        nonzeros[name] = (nz[0], nz[1:], stack[nz])
-        n = len(stack)
-    entries = [_term_entries(nonzeros[x], nonzeros[y], spec, scale, n, m)
-               for x, y, spec, scale in row.terms]
-    return _read_only(*(np.concatenate(part) for part in zip(*entries))), n
+    words = row.words(m)
+    patterns = _patterns(words, m)
+    empty = (np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)
+    entries = [_term_entries(x[2], y[2], spec, scale, len(words), m)
+               for x in patterns for y in patterns
+               for spec, scale in _pattern_terms(condition, x, y, row.mode)]
+    return _read_only(*(np.concatenate(part) for part in zip(empty, *entries))), len(words)
 
 
 def _index_form(condition: str, m: int, source: np.ndarray) -> np.ndarray:
@@ -194,28 +290,17 @@ def _index_form(condition: str, m: int, source: np.ndarray) -> np.ndarray:
     return F
 
 
-def _form_value(condition: str, m: int, source: np.ndarray, c: np.ndarray) -> float:
-    """Re(c* F c) for F a table condition's closed form, summed straight off its index map.
-
-    The uncentred forms only: F before Hermitisation gives the same real part.
-    """
-    (rows, src, coeff), n = _index_map(condition, m)
-    return float(np.sum(c[rows // n].conj() * coeff * source[src] * c[rows % n]).real)
-
-
 # ---------------------------------------------------------------------------
 # the condition table
 
 class Condition(NamedTuple):
-    """One form two ways: `terms` on the tensors `stacks(m)`, the `mode` form of the probes `words(m)`.
+    """The `mode` form of the probes `words(m)`, `centred` or not.
 
-    A word is a list of generator numbers, pbar_1 .. pbar_m as 0 .. m - 1
-    and p_1 .. p_m as m .. 2m - 1, and its probe is the wedge product of
-    those generators in order (`conditions._word_probes`).
+    A word lists generator numbers, pbar_1 .. pbar_m as 0 .. m - 1 and p_1 ..
+    p_m as m .. 2m - 1; its probe is their product in order, a wedge product
+    of elements on the star side and of ladder operators on the closed side.
     """
 
-    stacks: Callable[[int], dict]
-    terms: tuple
     words: Callable[[int], list]
     mode: str
     centred: bool
@@ -238,33 +323,14 @@ def _t2_words(m: int) -> list:
             + [[i] for i in range(m)])
 
 
-# Each closed form is F[x, y] = sum over its terms (x stack, y stack, spec,
-# scale) of scale * sum conj(X[x, ...]) Y[y, ...] v[...], the einsum-style
-# spec naming the indices of X, Y and the source v: Gamma[(i, j), (k, l)]
-# for four letters, gamma for two, the constant 1 for none.  P is Gamma, Q
-# Gamma + (1 - Ex)(1 - gamma x 1 - 1 x gamma), G delta_km gamma[n, l] -
-# Gamma[(k, n), (m, l)] before centring; T1 is the sum over q of
-# 3 (2 E_q^* E_q - 6 E_q^* E_q gamma + 3 E_q^* Gamma E_q), and T2 is, term
-# by term, sum_q T_q^* Gamma T_q, a Gamma trace, the gamma terms of T^* T,
-# T^* a and a^* T, and a^* a, on probes antisymmetric in their first pair.
 # P's probes p_k p_l start at generators (m, m), Q's pbar_k pbar_l at (0, 0)
 # and G's pbar_k p_l at (0, m).
-_P_TERMS = (("U", "U", "ij,kl,ijkl", 1),)
 CONDITIONS = {
-    "P": Condition(_pair_stacks, _P_TERMS, lambda m: _pair_words((m, m), m), "plain", False),
-    "Q": Condition(_pair_stacks, _P_TERMS + (
-        ("U", "U", "ij,ij,", 1), ("U", "U", "ij,ji,", -1), ("U", "U", "ij,kj,ik", -1),
-        ("U", "U", "ij,il,jl", -1), ("U", "U", "ij,ki,jk", 1), ("U", "U", "ij,jl,il", 1)),
-        lambda m: _pair_words((0, 0), m), "plain", False),
-    "G": Condition(_pair_stacks, (("U", "U", "kl,kn,nl", 1), ("U", "U", "kl,mn,knml", -1)),
-                   lambda m: _pair_words((0, m), m), "plain", True),
-    "T1": Condition(_t1_stacks, (("E", "E", "iqk,iqk,", 6), ("E", "E", "iqk,iqp,pk", -18),
-                                 ("E", "E", "jql,iqk,ikjl", 9)),
-                    _t1_words, "anticommutator", False),
-    "T2": Condition(_t2_stacks, (("T", "T", "ijq,klq,ijkl", 1), ("T", "T", "jqk,qab,bjka", 4),
-                                 ("T", "T", "jqk,jqp,pk", 2), ("T", "a", "qji,q,ji", 2),
-                                 ("a", "T", "q,qij,ji", 2), ("a", "a", "q,q,", 1)),
-                    _t2_words, "anticommutator", False),
+    "P": Condition(lambda m: _pair_words((m, m), m), "plain", False),
+    "Q": Condition(lambda m: _pair_words((0, 0), m), "plain", False),
+    "G": Condition(lambda m: _pair_words((0, m), m), "plain", True),
+    "T1": Condition(_t1_words, "anticommutator", False),
+    "T2": Condition(_t2_words, "anticommutator", False),
 }
 
 

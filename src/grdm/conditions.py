@@ -2,15 +2,15 @@
 
 Each condition P, Q, G, T1, T2 is positivity of one form with two independent
 realizations, cross-validated against each other.  One table, CONDITIONS in
-`closed`, gives each name both: the probes b_a, named as generator words, and
-mode of its star-product form on the density element, F[a, b] = <b_a* b_b>
-(plain: P, Q, G) or <b_a* b_b + b_b b_a*> (anticommutator: T1, T2), and the
-probe tensors and terms of its closed form in the one- and two-body matrices
-(gamma, Gamma); G, the centred row, also subtracts the product of its probes'
-means on both sides.  The closed-form side, with the table, its index maps
-and the battery, lives in `closed`, which compiles without the element
-kernel; this module adds the star-product side, on the element kernel
-(`kernel`) alone, so `grdm fuzz` never compiles `algebra`.
+`closed`, gives each name its probes b_a, named as generator words, the mode
+of its form, F[a, b] = <b_a* b_b> (plain: P, Q, G) or <b_a* b_b + b_b b_a*>
+(anticommutator: T1, T2), and whether it is centred: G subtracts the product
+of its probes' means on both sides.  The closed-form side, which derives each
+form in the one- and two-body matrices (gamma, Gamma) from the same words by
+normal ordering, with its index maps and the battery, lives in `closed`,
+which compiles without the element kernel; this module adds the star-product
+side, on the element kernel (`kernel`) alone, so `grdm fuzz` never compiles
+`algebra`.
 The Grassmann-side pdms and forms are linear in the density, so each is a
 fixed combination of its moments star_trace(kappa, t), |bar| = |unbar| <= 2
 for t, which the kernel's moment layer reads off the coefficient vector with
@@ -18,21 +18,12 @@ one cached map per m (`kernel._moment_map`, `kernel._moments`); moment 0 is
 the trace that every density check reads, gamma is `kernel._pdm1` of the
 moments, and Gamma is P's form transposed.
 A row's word probes become elements here (`_word_probes`), and its form is
-one cached map per m (`_probe_set_map`).  The per-tensor values check_T1 and
-check_T2_generalized are the closed T1 and T2 forms at the tensor's
-coordinates on those probes.
+one cached map per m (`_probe_set_map`).
 
 Index conventions (0-based in code): gamma[k, l] is the expectation of
 pbar_{l+1} * p_{k+1}; two-body indices flatten row-major, (k, l) -> k*m + l,
 and Gamma[(i, j), (k, l)] is the expectation of the normal-ordered word
 pbar_{l+1} pbar_{k+1} p_{i+1} p_{j+1}.
-
-The generalized two-body third-order condition stores a three-index tensor T
-with slices [T_k]_{ij} = T[i, j, k].  The mixed linear term of its closed form
-uses the index order sum_q [T_j^(A)]_{q i} conj(a_q) in the second summand;
-the alternative order [T_j^(A)]_{i q} flips that term's sign and fails the
-cross-validation against the star-product form, which is how the order was
-fixed.
 """
 
 from __future__ import annotations
@@ -46,12 +37,10 @@ from .closed import (
     CONDITIONS,
     ConditionReport,
     _first_order,
-    _form_value,
     _index_form,
     _json_margin,
     _min_eigenvalue,
     _source,
-    _t1_indices,
     _validate_pair,
     battery,
     psd_tolerance,
@@ -71,13 +60,11 @@ from .kernel import (
     _sum_terms,
 )
 from .limits import (
-    ANTISYMMETRY_TOL,
     ELEMENT_CAP,
     FOCK_CAP,
     FORM_HERMITIAN_TOL,
     STAR_CAP,
     _check_m,
-    _require_finite,
     _require_hermitian,
     _scale,
 )
@@ -232,40 +219,8 @@ def check_G(gamma: np.ndarray, Gamma: np.ndarray, tol: float | None = None) -> C
 # ---------------------------------------------------------------------------
 # third-order conditions
 
-def _require_probe_array(x, shape: tuple, name: str) -> np.ndarray:
-    """`x` as a finite complex array of the given shape."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != shape:
-        raise ValueError(f"{name} shape {x.shape} does not match {shape}")
-    _require_finite(x, name)
-    return x
-
-
-def _require_totally_antisymmetric(T: np.ndarray) -> None:
-    dev = np.max(np.abs([T + T.transpose(1, 0, 2), T + T.transpose(0, 2, 1)]))
-    if not dev / _scale(T) <= ANTISYMMETRY_TOL:
-        raise ValueError("tensor is not totally antisymmetric")
-
-
-def check_T1(gamma: np.ndarray, Gamma: np.ndarray, T: np.ndarray) -> float:
-    """Closed-form scalar of the first third-order condition for one probe tensor.
-
-    Re(c* F c) / 3 for F the T1 form and c_ijk = 6 T[i, j, k], i < j < k,
-    the coordinates of the totally antisymmetric T on the unit tensors.
-    """
-    gamma, Gamma, m = _validate_pair(gamma, Gamma)
-    T = _require_probe_array(T, (m, m, m), "T")
-    _require_totally_antisymmetric(T)
-    return _form_value("T1", m, _source(gamma, Gamma), 6 * T[_t1_indices(m)]) / 3
-
-
 def t1_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
-    """T1 anticommutator form over ordered cubic probes, built from (gamma, Gamma).
-
-    Entry (a, b) sums the T1 terms of the condition table on the unit tensors
-    E_a, E_b of `closed._t1_stacks`, read off the cached index map
-    `closed._index_map("T1", m)`.
-    """
+    """T1 anticommutator form over the cubic words p_i p_j p_k, i < j < k, from `closed._index_map`."""
     gamma, Gamma, m = _validate_pair(gamma, Gamma)
     return _index_form("T1", m, _source(gamma, Gamma))
 
@@ -275,28 +230,8 @@ def check_T1_full(kappa: GrassmannElement) -> ConditionReport:
     return condition_form_report(kappa, "T1")
 
 
-def check_T2_generalized(gamma: np.ndarray, Gamma: np.ndarray, T: np.ndarray,
-                         a: np.ndarray) -> float:
-    """Closed-form scalar of the generalized second third-order condition.
-
-    Re(c* F c) for F the T2 form and c the coordinates of (T, a) on its
-    probes: T[i, j, k] - T[j, i, k] for i < j, then a.  So the value reads
-    only T's part antisymmetric in its first pair of indices.
-    """
-    gamma, Gamma, m = _validate_pair(gamma, Gamma)
-    T = _require_probe_array(T, (m, m, m), "T")
-    a = _require_probe_array(a, (m,), "a")
-    c = np.concatenate(((T - T.transpose(1, 0, 2))[np.triu_indices(m, 1)].ravel(), a))
-    return _form_value("T2", m, _source(gamma, Gamma), c)
-
-
 def t2_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
-    """Generalized T2 anticommutator form over cubic and linear probes.
-
-    Entry (x, y) sums the T2 terms of the condition table on the probe
-    tensors of `closed._t2_stacks`, read off the cached index map
-    `closed._index_map("T2", m)`.
-    """
+    """Generalized T2 anticommutator form over cubic and linear probes, from `closed._index_map`."""
     gamma, Gamma, m = _validate_pair(gamma, Gamma)
     return _index_form("T2", m, _source(gamma, Gamma))
 

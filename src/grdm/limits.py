@@ -22,7 +22,6 @@ DENSITY_TRACE_TOL = 1e-8     # |trace - 1| of a density element: expectation and
 HERMITIAN_INPUT_TOL = 1e-8   # max |X - X*| of a gamma or Gamma input
 FORM_HERMITIAN_TOL = 1e-10   # rel, max |F - F*|: forms not Hermitian by construction, report_from_form
 PSD_REL_TOL = 1e-9           # rel, how far below 0 a passing margin may lie
-ANTISYMMETRY_TOL = 1e-10     # rel, check_T1's probe tensor
 UNITARY_TOL = 1e-10          # max |u*u - 1|: change_generators and contraction_check's onb
 BOUNDARY_TOL = 1e-10         # quasifree: eigenvalues this close to 0 or 1 are snapped
 SECTOR_TOL = 1e-8            # max |N rho - n rho| of a one-sector density

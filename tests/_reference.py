@@ -36,7 +36,11 @@ of the condition table are checked, with the pair exchange matrix and the
 specialized T2 value `t2a_value` beside them.  The per-pair T1 and T2 values
 `t1_bilinear` / `t2_bilinear` evaluate the third-order conditions on two
 tensors by einsum, one pair at a time: the references for the T1/T2 index
-maps and for `check_T1` / `check_T2_generalized`.
+maps and for the per-tensor values `check_T1` / `check_T2_generalized`,
+which read the T1/T2 maps at a tensor's coordinates.  The hand-derived
+probe tensors and terms of every row (`HAND_FORMS`), evaluated through the
+same `closed._term_entries` by `hand_index_form`, are the paper's formulas
+as written, against which the forms derived from the words are checked.
 
 The quasifree references are the per-word Wick pairing recursion in the
 eigenbasis, `wick_expectation`, against which the batched Wick side is
@@ -51,9 +55,9 @@ import numpy as np
 from grdm import quasifree
 from grdm.algebra import (_acc, _merge_sign, _star_monomials_terms, change_generators, multiply,
                           psi, psibar, star, star_trace, trace_integral)
-from grdm.closed import _validate_pair
+from grdm.closed import CONDITIONS, _index_map, _source, _term_entries, _validate_pair
 from grdm.kernel import GrassmannElement, Monomial, _half_pair_sign, _indices
-from grdm.limits import BOUNDARY_TOL, FOCK_CAP, _check_m, _read_only
+from grdm.limits import BOUNDARY_TOL, FOCK_CAP, _check_m, _coo_apply, _read_only, _require_finite, _scale
 
 
 def _lift_left(a, m):
@@ -487,6 +491,142 @@ def t2a_value(gamma, Gamma, T):
     return float(total.real)
 
 
+# ---------------------------------------------------------------------------
+# the hand-derived closed forms: probe tensors and einsum-style terms
+
+def _pair_stacks(m):
+    """The m * m unit matrices U[k*m + l] = e_k e_l^T, one per pair probe of P, Q and G."""
+    return {"U": np.eye(m * m, dtype=complex).reshape(-1, m, m)}
+
+
+def _t1_indices(m):
+    """The index arrays (i, j, k) of the T1 probes, the triples i < j < k in order."""
+    return tuple(np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3).T)
+
+
+def _t1_stacks(m):
+    """The unit tensors E of the T1 probes: +-1/6 at the six signed orders of each triple."""
+    ijk = _t1_indices(m)
+    E = np.zeros((len(ijk[0]), m, m, m), dtype=complex)
+    for order, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                        ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)):
+        E[(np.arange(len(E)), *(ijk[p] for p in order))] = sign / 6
+    return {"E": E}
+
+
+def _t2_stacks(m):
+    """The T2 probe tensors: T = (e_i e_j - e_j e_i) e_k / 2 for the cubic probes, a = e_i for the linear."""
+    i, j = np.repeat(np.triu_indices(m, 1), m, axis=1)
+    cubic = np.arange(len(i))
+    T = np.zeros((len(i) + m, m, m, m), dtype=complex)
+    T[cubic, i, j, cubic % m], T[cubic, j, i, cubic % m] = 0.5, -0.5
+    a = np.zeros((len(T), m), dtype=complex)
+    a[len(i):] = np.eye(m)
+    return {"T": T, "a": a}
+
+
+# Each hand form is F[x, y] = sum over its terms (x stack, y stack, spec,
+# scale) of scale * sum conj(X[x, ...]) Y[y, ...] v[...], the spec read as
+# in `closed._term_entries`.  P is Gamma, Q Gamma + (1 - Ex)(1 - gamma x 1 -
+# 1 x gamma), G delta_km gamma[n, l] - Gamma[(k, n), (m, l)] before
+# centring; T1 is the sum over q of 3 (2 E_q^* E_q - 6 E_q^* E_q gamma +
+# 3 E_q^* Gamma E_q), and T2 is, term by term, sum_q T_q^* Gamma T_q, a
+# Gamma trace, the gamma terms of T^* T, T^* a and a^* T, and a^* a, on
+# probes antisymmetric in their first pair.
+_P_TERMS = (("U", "U", "ij,kl,ijkl", 1),)
+HAND_FORMS = {
+    "P": (_pair_stacks, _P_TERMS),
+    "Q": (_pair_stacks, _P_TERMS + (
+        ("U", "U", "ij,ij,", 1), ("U", "U", "ij,ji,", -1), ("U", "U", "ij,kj,ik", -1),
+        ("U", "U", "ij,il,jl", -1), ("U", "U", "ij,ki,jk", 1), ("U", "U", "ij,jl,il", 1))),
+    "G": (_pair_stacks, (("U", "U", "kl,kn,nl", 1), ("U", "U", "kl,mn,knml", -1))),
+    "T1": (_t1_stacks, (("E", "E", "iqk,iqk,", 6), ("E", "E", "iqk,iqp,pk", -18),
+                        ("E", "E", "jql,iqk,ikjl", 9))),
+    "T2": (_t2_stacks, (("T", "T", "ijq,klq,ijkl", 1), ("T", "T", "jqk,qab,bjka", 4),
+                        ("T", "T", "jqk,jqp,pk", 2), ("T", "a", "qji,q,ji", 2),
+                        ("a", "T", "q,qij,ji", 2), ("a", "a", "q,q,", 1))),
+}
+
+
+def hand_index_form(condition, m, source):
+    """A table condition's hand form at m on a pair's `closed._source`, finished as `_index_form`.
+
+    The nonzeros of the hand stacks go through the same `closed._term_entries`
+    as the derived terms.
+    """
+    stacks, terms = HAND_FORMS[condition]
+    nonzeros = {}
+    for name, stack in stacks(m).items():
+        nz = np.nonzero(stack)
+        nonzeros[name] = (nz[0], nz[1:], stack[nz])
+        n = len(stack)
+    entries = [_term_entries(nonzeros[x], nonzeros[y], spec, scale, n, m) for x, y, spec, scale in terms]
+    rows, src, coeff = (np.concatenate(part) for part in zip(*entries))
+    F = _coo_apply(rows, src, coeff, source, n * n).reshape(n, n)
+    F = (F + F.conj().T) / 2
+    if CONDITIONS[condition].centred:
+        g = source[m ** 4:-1]
+        F -= np.outer(g, g.conj())
+        F = (F + F.conj().T) / 2
+    return F
+
+
+# ---------------------------------------------------------------------------
+# the per-tensor values of the third-order conditions, at the hand stacks' coordinates
+
+ANTISYMMETRY_TOL = 1e-10  # rel, check_T1's probe tensor
+
+
+def _form_value(condition, m, source, c):
+    """Re(c* F c) for F a table condition's closed form, summed straight off its index map.
+
+    The uncentred forms only: F before Hermitisation gives the same real part.
+    """
+    (rows, src, coeff), n = _index_map(condition, m)
+    return float(np.sum(c[rows // n].conj() * coeff * source[src] * c[rows % n]).real)
+
+
+def _require_probe_array(x, shape, name):
+    """`x` as a finite complex array of the given shape."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != shape:
+        raise ValueError(f"{name} shape {x.shape} does not match {shape}")
+    _require_finite(x, name)
+    return x
+
+
+def _require_totally_antisymmetric(T):
+    dev = np.max(np.abs([T + T.transpose(1, 0, 2), T + T.transpose(0, 2, 1)]))
+    if not dev / _scale(T) <= ANTISYMMETRY_TOL:
+        raise ValueError("tensor is not totally antisymmetric")
+
+
+def check_T1(gamma, Gamma, T):
+    """Closed-form scalar of the first third-order condition for one probe tensor.
+
+    Re(c* F c) / 3 for F the T1 form and c_ijk = 6 T[i, j, k], i < j < k,
+    the coordinates of the totally antisymmetric T on the unit tensors.
+    """
+    gamma, Gamma, m = _validate_pair(gamma, Gamma)
+    T = _require_probe_array(T, (m, m, m), "T")
+    _require_totally_antisymmetric(T)
+    return _form_value("T1", m, _source(gamma, Gamma), 6 * T[_t1_indices(m)]) / 3
+
+
+def check_T2_generalized(gamma, Gamma, T, a):
+    """Closed-form scalar of the generalized second third-order condition.
+
+    Re(c* F c) for F the T2 form and c the coordinates of (T, a) on its
+    probes: T[i, j, k] - T[j, i, k] for i < j, then a.  So the value reads
+    only T's part antisymmetric in its first pair of indices.
+    """
+    gamma, Gamma, m = _validate_pair(gamma, Gamma)
+    T = _require_probe_array(T, (m, m, m), "T")
+    a = _require_probe_array(a, (m,), "a")
+    c = np.concatenate(((T - T.transpose(1, 0, 2))[np.triu_indices(m, 1)].ravel(), a))
+    return _form_value("T2", m, _source(gamma, Gamma), c)
+
+
 def _antisym_first_pair(T):
     """Antisymmetric part of every slice T[:, :, k] in its first two indices."""
     return (T - T.transpose(1, 0, 2)) / 2
@@ -506,7 +646,15 @@ def t1_bilinear(Tp, T, gamma, Gamma):
 
 
 def t2_bilinear(Tp, ap, T, a, gamma, Gamma):
-    """Sesquilinear extension of the generalized T2 value, antilinear in (Tp, ap)."""
+    """Sesquilinear extension of the generalized T2 value, antilinear in (Tp, ap).
+
+    The generalized two-body third-order condition stores a three-index
+    tensor T with slices [T_k]_{ij} = T[i, j, k].  The mixed linear term
+    uses the index order sum_q [T_j^(A)]_{q i} conj(a_q) in the second
+    summand; the alternative order [T_j^(A)]_{i q} flips that term's sign and
+    fails the cross-validation against the star-product form, which is how
+    the order was fixed.
+    """
     gamma, Gamma, m = _validate_pair(gamma, Gamma)
     g4 = Gamma.reshape(m, m, m, m)
     TpA = _antisym_first_pair(Tp)

@@ -30,7 +30,7 @@ from grdm.algebra import (
 )
 from grdm.closed import CONDITIONS
 from grdm.kernel import Monomial
-from _reference import exchange_matrix, number_operator, slater_state
+from _reference import check_T1, check_T2_generalized, exchange_matrix, number_operator, slater_state
 from conftest import rand_element, random_unitary
 
 
@@ -195,7 +195,7 @@ def test_criterion_08_t_scalar_form_cross_check():
             T /= 6
             coords = np.array([6 * T[tr] for tr in triples])
             form_val = (np.vdot(coords, F1 @ coords) / 3).real
-            scalar = cond.check_T1(gamma, Gamma, T)
+            scalar = check_T1(gamma, Gamma, T)
             assert abs(scalar - form_val) <= 1e-9 * max(1.0, abs(scalar), abs(form_val))
         probes = cond._word_probes(CONDITIONS["T2"].words(m), m)
         F2 = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
@@ -208,7 +208,7 @@ def test_criterion_08_t_scalar_form_cross_check():
             coords = np.array([2 * ta[i, j, k] for (i, j) in pairs for k in range(m)]
                               + list(a))
             form_val = np.vdot(coords, F2 @ coords).real
-            scalar = cond.check_T2_generalized(gamma, Gamma, T, a)
+            scalar = check_T2_generalized(gamma, Gamma, T, a)
             assert abs(scalar - form_val) <= 1e-9 * max(1.0, abs(scalar), abs(form_val))
             # the alternative linear-term index order must disagree: this pins
             # the resolved ordering sum_q [T_j^(A)]_{q i} conj(a_q)

@@ -1,6 +1,7 @@
 """Representability conditions: dual-path checks and pdm extraction."""
 
 import json
+import math
 from itertools import combinations
 
 import numpy as np
@@ -21,11 +22,11 @@ from grdm.algebra import (
     trace_integral,
     unit,
 )
-from grdm.closed import (CONDITIONS, _index_form, _index_map, _source, _t1_stacks, _t2_stacks,
-                         _validate_pair)
+from grdm.closed import CONDITIONS, Condition, _index_form, _index_map, _source, _validate_pair
 from grdm.kernel import GrassmannElement, Monomial
 from grdm.limits import ELEMENT_CAP, _coo_apply
-from _reference import (canonical_combine, exchange_matrix, form_entries_reference, g_condition_matrix,
+from _reference import (_t1_stacks, _t2_stacks, canonical_combine, check_T1, check_T2_generalized,
+                        exchange_matrix, form_entries_reference, g_condition_matrix, hand_index_form,
                         q_condition_matrix, slater_state, t1_bilinear, t2_bilinear, t2a_value)
 from conftest import rand_element, random_unitary
 
@@ -52,10 +53,24 @@ def rand_hermitian(rng, n):
     return (a + a.conj().T) / 2
 
 
-def reference_pairs(m, seed, rng):
-    """A P-shifted genuine pair, then a random Hermitian pair whose Gamma is not pair-antisymmetric."""
+def rand_pair_antisymmetric(rng, m):
+    """A random Hermitian Gamma antisymmetric in each pair index, as every two-body matrix is."""
+    a = rng.standard_normal((m,) * 4) + 1j * rng.standard_normal((m,) * 4)
+    a = (a - a.transpose(1, 0, 2, 3) - a.transpose(0, 1, 3, 2) + a.transpose(1, 0, 3, 2)).reshape(m * m, -1)
+    return (a + a.conj().T) / 2
+
+
+def pair_swapped(Gamma):
+    """Gamma[(l, k), (l', k')] at (k, l), (k', l'): the reading of Q's derived form."""
+    m = math.isqrt(len(Gamma))
+    return Gamma.reshape(m, m, m, m).transpose(1, 0, 3, 2).reshape(Gamma.shape)
+
+
+def reference_pairs(m, seed, rng, antisymmetric=False):
+    """A P-shifted genuine pair, then a random Hermitian pair, pair-antisymmetric or not."""
     _, _, gamma, Gamma = genuine(m, seed)
-    return [(gamma, Gamma - 0.05 * np.eye(m * m)), (rand_hermitian(rng, m), rand_hermitian(rng, m * m))]
+    random = rand_pair_antisymmetric(rng, m) if antisymmetric else rand_hermitian(rng, m * m)
+    return [(gamma, Gamma - 0.05 * np.eye(m * m)), (rand_hermitian(rng, m), random)]
 
 
 class TestPdmExtraction:
@@ -306,14 +321,14 @@ class TestT1:
     def test_rejects_non_antisymmetric(self):
         _, _, gamma, Gamma = genuine(3, 51)
         with pytest.raises(ValueError, match="antisymmetric"):
-            cond.check_T1(gamma, Gamma, np.ones((3, 3, 3)))
+            check_T1(gamma, Gamma, np.ones((3, 3, 3)))
 
     def test_genuine_scalar_nonnegative(self, rng):
         _, _, gamma, Gamma = genuine(4, 52)
         for _ in range(20):
             T = rand_antisym3(rng, 4)
             scale = 1.0 + np.abs(T).max() ** 2
-            assert cond.check_T1(gamma, Gamma, T) >= -1e-9 * scale
+            assert check_T1(gamma, Gamma, T) >= -1e-9 * scale
 
     def test_small_m_sentinel(self):
         _, kappa, _, _ = genuine(2, 53)
@@ -330,7 +345,7 @@ class TestT1:
             T = rand_antisym3(rng, m)
             coords = np.array([6 * T[t] for t in triples])
             form_val = (np.vdot(coords, F @ coords) / 3).real
-            scalar = cond.check_T1(gamma, Gamma, T)
+            scalar = check_T1(gamma, Gamma, T)
             assert abs(scalar - form_val) <= 1e-9 * max(1.0, abs(scalar))
 
     def test_form_routes_agree(self):
@@ -348,9 +363,9 @@ class TestT1:
     def test_shape_validation(self):
         _, _, gamma, Gamma = genuine(4, 58)
         with pytest.raises(ValueError, match=r"\(3, 3, 3\) does not match \(4, 4, 4\)"):
-            cond.check_T1(gamma, Gamma, np.zeros((3, 3, 3)))
+            check_T1(gamma, Gamma, np.zeros((3, 3, 3)))
         with pytest.raises(ValueError, match="square"):
-            cond.check_T1(np.float64(0.5), Gamma, np.zeros((4, 4, 4)))
+            check_T1(np.float64(0.5), Gamma, np.zeros((4, 4, 4)))
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_scalar_matches_bilinear_reference(self, m, rng):
@@ -358,7 +373,7 @@ class TestT1:
             for _ in range(3):
                 T = rand_antisym3(rng, m)
                 want = t1_bilinear(T, T, gamma, Gamma).real
-                assert abs(cond.check_T1(gamma, Gamma, T) - want) <= 1e-12 * (1 + abs(want))
+                assert abs(check_T1(gamma, Gamma, T) - want) <= 1e-12 * (1 + abs(want))
 
     def test_batched_form_matches_bilinear_loop(self, rng):
         for m in range(1, 7):
@@ -381,7 +396,7 @@ class TestT2:
             T = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
             a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             scale = 1.0 + np.abs(T).max() ** 2 + np.abs(a).max() ** 2
-            assert cond.check_T2_generalized(gamma, Gamma, T, a) >= -1e-9 * scale
+            assert check_T2_generalized(gamma, Gamma, T, a) >= -1e-9 * scale
 
     def test_scalar_matches_form_evaluation(self, rng):
         m = 4
@@ -396,7 +411,7 @@ class TestT2:
             coords = np.array([2 * ta[i, j, k] for (i, j) in pairs for k in range(m)]
                               + list(a))
             form_val = np.vdot(coords, F @ coords).real
-            scalar = cond.check_T2_generalized(gamma, Gamma, T, a)
+            scalar = check_T2_generalized(gamma, Gamma, T, a)
             assert abs(scalar - form_val) <= 1e-9 * max(1.0, abs(scalar))
 
     def test_wrong_linear_index_order_disagrees(self, rng):
@@ -415,7 +430,7 @@ class TestT2:
             coords = np.array([2 * ta[i, j, k] for (i, j) in pairs for k in range(m)]
                               + list(a))
             form_val = np.vdot(coords, F @ coords).real
-            good = cond.check_T2_generalized(gamma, Gamma, T, a)
+            good = check_T2_generalized(gamma, Gamma, T, a)
             flip = 2 * np.einsum("iqj,q,ji->", ta, a.conj(), gamma) \
                 - 2 * np.einsum("qij,q,ji->", ta, a.conj(), gamma)
             bad = good + flip.real
@@ -429,14 +444,14 @@ class TestT2:
         for _ in range(10):
             T = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
             T = (T - T.transpose(1, 0, 2)) / 2
-            full = cond.check_T2_generalized(gamma, Gamma, T, np.zeros(m))
+            full = check_T2_generalized(gamma, Gamma, T, np.zeros(m))
             special = t2a_value(gamma, Gamma, T)
             assert abs(full - special) <= 1e-9 * max(1.0, abs(full))
 
     def test_pure_linear_part_is_norm(self, rng):
         _, _, gamma, Gamma = genuine(3, 65)
         a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        val = cond.check_T2_generalized(gamma, Gamma, np.zeros((3, 3, 3)), a)
+        val = check_T2_generalized(gamma, Gamma, np.zeros((3, 3, 3)), a)
         assert val == pytest.approx(float(np.vdot(a, a).real), abs=1e-12)
 
     def test_form_routes_agree(self):
@@ -448,10 +463,12 @@ class TestT2:
         assert np.max(np.abs(dens_route - pdm_route)) < 1e-10
 
     def test_batched_form_matches_bilinear_loop(self, rng):
+        # the derived form reads Gamma at its own index order, which the
+        # bilinear value shares on a pair-antisymmetric Gamma only
         for m in range(1, 7):
             stacks = _t2_stacks(m)
             probes = list(zip(stacks["T"], stacks["a"]))
-            for gamma, Gamma in reference_pairs(m, 68, rng):
+            for gamma, Gamma in reference_pairs(m, 68, rng, antisymmetric=True):
                 F = np.array([[t2_bilinear(Tx, ax, Ty, ay, gamma, Gamma) for Ty, ay in probes]
                               for Tx, ax in probes])
                 want = (F + F.conj().T) / 2
@@ -462,27 +479,29 @@ class TestT2:
     def test_shape_validation(self):
         _, _, gamma, Gamma = genuine(3, 67)
         with pytest.raises(ValueError, match="shape"):
-            cond.check_T2_generalized(gamma, Gamma, np.zeros((2, 2, 2)), np.zeros(3))
+            check_T2_generalized(gamma, Gamma, np.zeros((2, 2, 2)), np.zeros(3))
         with pytest.raises(ValueError, match="shape"):
-            cond.check_T2_generalized(gamma, Gamma, np.zeros((3, 3, 3)), np.zeros(2))
+            check_T2_generalized(gamma, Gamma, np.zeros((3, 3, 3)), np.zeros(2))
         with pytest.raises(ValueError, match="square"):
-            cond.check_T2_generalized(np.float64(0.5), Gamma, np.zeros((3, 3, 3)), np.zeros(3))
+            check_T2_generalized(np.float64(0.5), Gamma, np.zeros((3, 3, 3)), np.zeros(3))
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_scalar_matches_bilinear_reference(self, m, rng):
         # the value reads T's first-pair-antisymmetric part, so it equals the
         # reference whenever T is antisymmetric in its first pair or Gamma in
-        # each pair index, as a genuine Gamma is
+        # each pair index, as a genuine Gamma is; the random Gamma is
+        # pair-antisymmetric, where the derived form and the bilinear value
+        # read Gamma alike
         _, _, gamma, Gamma = genuine(m, 69)
         assert np.array_equal(Gamma, -Gamma.reshape(m, m, -1).transpose(1, 0, 2).reshape(Gamma.shape))
-        cases = [(gamma, Gamma, False)] + [(*pair, True) for pair in reference_pairs(m, 69, rng)]
+        cases = [(gamma, Gamma, False)] + [(*pair, True) for pair in reference_pairs(m, 69, rng, antisymmetric=True)]
         for gamma, Gamma, antisym in cases:
             for _ in range(3):
                 T = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
                 T = (T - T.transpose(1, 0, 2)) / 2 if antisym else T
                 a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
                 want = t2_bilinear(T, a, T, a, gamma, Gamma).real
-                got = cond.check_T2_generalized(gamma, Gamma, T, a)
+                got = check_T2_generalized(gamma, Gamma, T, a)
                 assert abs(got - want) <= 1e-12 * (1 + abs(want))
 
     def test_scalar_is_the_form_at_the_coordinates(self, rng):
@@ -497,7 +516,7 @@ class TestT2:
                 c = np.array([T[i, j, k] - T[j, i, k] for i, j in combinations(range(m), 2)
                               for k in range(m)] + list(a))
                 want = np.vdot(c, F @ c).real
-                got = cond.check_T2_generalized(gamma, Gamma, T, a)
+                got = check_T2_generalized(gamma, Gamma, T, a)
                 assert abs(got - want) <= 1e-12 * (1 + abs(want)), m
 
 
@@ -557,13 +576,19 @@ def test_index_map_built_once_per_m(name, closed):
         assert not arr.flags.writeable
 
 
-def test_table_stacks_and_maps_reach_the_element_cap():
-    # one stack entry per probe, and every map builds, up to ELEMENT_CAP; the
+def test_table_words_and_maps_reach_the_element_cap():
+    # every word is one probe, with one tensor entry per order of each of its
+    # antisymmetric runs, and every map builds, up to ELEMENT_CAP; the
     # uncached build keeps the large-m maps out of the cache
     for m in range(1, ELEMENT_CAP + 1):
         for name, row in CONDITIONS.items():
             n = len(row.words(m))
-            assert all(len(stack) == n for stack in row.stacks(m).values()), (name, m)
+            patterns = closed._patterns(row.words(m), m)
+            for _, runs, (probes, _, _) in patterns:
+                orders = math.prod(math.factorial(len(run)) for run in runs)
+                assert set(np.bincount(probes)[probes].tolist()) == {orders}, (name, m)
+            rows = [k for _, _, (probes, _, _) in patterns for k in np.unique(probes).tolist()]
+            assert sorted(rows) == list(range(n)), (name, m)
             (rows, src, coeff), count = _index_map.__wrapped__(name, m)
             assert count == n, (name, m)
             assert np.all(rows < n * n) and np.all(src <= m ** 4 + m * m), (name, m)
@@ -571,9 +596,13 @@ def test_table_stacks_and_maps_reach_the_element_cap():
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_pqg_index_forms_equal_dense_references(m, rng):
-    # P is Gamma Hermitised; Q and G are the kron / einsum references
-    refs = {"P": lambda gamma, Gamma: (Gamma + Gamma.conj().T) / 2,
-            "Q": q_condition_matrix, "G": g_condition_matrix}
+    # P is Gamma^T Hermitised, as on the star side, and Q the kron reference
+    # on the pair-swapped Gamma: the normal-ordered words read Gamma at those
+    # index orders, which agree with Gamma and Q's kron form on a
+    # pair-antisymmetric Gamma; G is the einsum reference
+    refs = {"P": lambda gamma, Gamma: (Gamma.T + Gamma.conj()) / 2,
+            "Q": lambda gamma, Gamma: q_condition_matrix(gamma, pair_swapped(Gamma)),
+            "G": g_condition_matrix}
     for gamma, Gamma in reference_pairs(m, 70 + m, rng):
         gamma, Gamma, _ = _validate_pair(gamma, Gamma)
         for name, ref in refs.items():
@@ -581,6 +610,42 @@ def test_pqg_index_forms_equal_dense_references(m, rng):
             got = _index_form(name, m, _source(gamma, Gamma))
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-14 * (1 + np.max(np.abs(want))), (name, m)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_derived_index_forms_equal_the_hand_forms(m, rng):
+    # the forms derived from the words against the hand-derived stacks and
+    # terms, both through closed._term_entries.  Every row agrees on a
+    # pair-antisymmetric Gamma and on the P-shifted genuine pair, P as the
+    # hand form transposed (the star side's Gamma^T).  On any Hermitian pair
+    # G and T1 agree too, P is the transposed hand form and Q the hand form
+    # on the pair-swapped Gamma
+    _, _, gamma, Gamma = genuine(m, 120 + m)
+    exact = [(rand_hermitian(rng, m), rand_pair_antisymmetric(rng, m)), (gamma, Gamma - 0.05 * np.eye(m * m))]
+    cases = [(name, g, G, G) for g, G in exact for name in CONDITIONS]
+    g, G = rand_hermitian(rng, m), rand_hermitian(rng, m * m)
+    cases += [("P", g, G, G), ("Q", g, G, pair_swapped(G)), ("G", g, G, G), ("T1", g, G, G)]
+    for name, g, G, G_hand in cases:
+        got = _index_form(name, m, _source(g, G))
+        want = hand_index_form(name, m, _source(g, G_hand))
+        want = want.T if name == "P" else want
+        assert got.shape == want.shape, (name, m)
+        scale = 1 + np.max(np.abs(want), initial=0.0)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * scale, (name, m)
+
+
+def test_a_row_that_does_not_reduce_to_pdms_raises(monkeypatch):
+    # T1's cubic words in the plain mode keep a three-body term, and a word
+    # that is not normal-ordered contracts inside its own probe: neither
+    # closed form reads (gamma, Gamma) alone, so the map build refuses both
+    refusal = r"^condition {} does not reduce to \(gamma, Gamma\): {}"
+    monkeypatch.setitem(CONDITIONS, "T1-plain", Condition(CONDITIONS["T1"].words, "plain", False))
+    with pytest.raises(ValueError, match=refusal.format("T1-plain", r"its term .* has 3 creators")):
+        _index_map.__wrapped__("T1-plain", 4)
+    p_pbar = Condition(lambda m: [[m + k, l] for k in range(m) for l in range(m)], "plain", False)
+    monkeypatch.setitem(CONDITIONS, "p pbar", p_pbar)
+    with pytest.raises(ValueError, match=refusal.format("p pbar", "a word that is not normal-ordered")):
+        _index_map.__wrapped__("p pbar", 3)
 
 
 def _quasifree_spectra(lam):

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import grdm
-from grdm.limits import FOCK_CAP, QUASIFREE_CAP
+from grdm.limits import ELEMENT_CAP, FOCK_CAP, QUASIFREE_CAP
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(grdm.__file__)))
@@ -28,7 +28,7 @@ def test_scripts_exit_0():
         ["quasifree_recovery.py", "--m", "7", "--samples", "1"],
         ["fuzz_campaign.py", "--trials", "1", "--max-m", "2"],
         ["map_build_times.py", "--m", "3", "--repeats", "1"],
-        ["map_build_times.py", "--m", "9", "--repeats", "1"],
+        ["map_build_times.py", "--m", "9", "11", "--repeats", "1"],
         ["write_times.py", "--m", "4", "--repeats", "1"],
         ["start_up.py", "--runs", "1"],
     ]
@@ -45,16 +45,19 @@ def test_scripts_exit_0():
             assert all(float(row[-2]) > 0 and float(row[-1]) > 0 for row in rows[1:])
         if script == "map_build_times.py":
             # a header, then one row per build with one median per m, or `-`
-            # past the build's cap
-            m = int(args[1])
-            past_cap = {"words@4": m > QUASIFREE_CAP, "element": m > FOCK_CAP}
+            # past the build's cap: the element side stops at ELEMENT_CAP,
+            # the closed-form maps run on
+            ms = [int(m) for m in args[1:args.index("--repeats")]]
+            caps = {"words@4": QUASIFREE_CAP, "element": FOCK_CAP,
+                    **dict.fromkeys(["moment", "P", "Q", "G", "T1", "T2"], ELEMENT_CAP)}
             rows = [line.split() for line in out.strip().splitlines()]
-            assert rows[0] == ["build", "(ms)", f"m={m}"]
+            assert rows[0] == ["build", "(ms)", *(f"m={m}" for m in ms)]
             assert [row[0] for row in rows[1:]] == [
                 "moment", "P", "Q", "G", "T1", "T2", "closed-P", "closed-Q", "closed-G",
                 "closed-T1", "closed-T2", "words@4", "element"]
-            for name, cell in rows[1:]:
-                assert cell == "-" if past_cap.get(name) else float(cell) >= 0, (name, cell)
+            for name, *cells in rows[1:]:
+                for m, cell in zip(ms, cells, strict=True):
+                    assert cell == "-" if m > caps.get(name, m) else float(cell) >= 0, (name, m, cell)
         if script == "write_times.py":
             # the script asserts byte identity itself; one row per payload shape
             rows = [line.split() for line in out.strip().splitlines()]
@@ -88,7 +91,7 @@ def test_fuzz_campaign_bad_arguments_exit_2():
         ("quasifree_recovery.py", "--samples", ["--samples", "0"]),
         ("quasifree_recovery.py", "--max-points", ["--max-points", "0"]),
         ("map_build_times.py", "--repeats", ["--m", "3", "--repeats", "0"]),
-        ("map_build_times.py", "--m", ["--m", "11"]),
+        ("map_build_times.py", "--m", ["--m", "17"]),
         ("write_times.py", "--repeats", ["--m", "4", "--repeats", "0"]),
         ("write_times.py", "--m", ["--m", "9"]),
         ("start_up.py", "--runs", ["--runs", "0"]),
