@@ -5,8 +5,13 @@ Exit codes: 0 all checks pass, 1 a condition failed, 2 usage or input error,
 an --out path that cannot be written included.  The commands raise OSError or
 ValueError (serialize.FormatError among them) on bad input, and `main` alone
 prints it as `error: ...` and returns 2.  Output files are written atomically.
-Each command imports only the modules it runs, inside its own function, and
-`main` builds only the named command's sub-parser (`build_parser`).  `check`
+Each command imports only the modules it runs, inside its own function.
+`main` parses a plain argv itself (`_parse`): the command name, then that
+command's options, each spelled in full with its value as a separate token.
+Anything else, help and every usage error included, goes to argparse, which
+is imported only then and builds only the named command's sub-parser
+(`build_parser`), so a successful command loads neither `argparse` nor the
+`gettext` and `locale` its messages pull in.  `check`
 needs the closed-form realization (`closed`, on `limits`) and serialize, and
 compiles no Grassmann element code; its reports are NamedTuples, so `--tol`
 is `_replace` and no command loads `dataclasses`.  `fuzz` adds the element
@@ -19,15 +24,19 @@ identities, on `algebra` and the oracle.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import random
 import sys
 import time
+import types
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import serialize
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _load_check_input(path: str):
@@ -158,18 +167,57 @@ COMMANDS = {
 }
 
 
+def _parse(argv):
+    """The namespace argparse gives for a plain `argv`, or None for any other argv.
+
+    Plain is the command name, then options of that command named in full,
+    each store option followed by one value that does not start with `-`
+    and converts by its `type`; the last of a repeated option counts, and
+    every required option is there.  Everything else (help, abbreviations,
+    `--opt=value`, negative numbers, `--`, bad values) is left to argparse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, options = COMMANDS[argv[0]]
+    actions = {flag: (kwargs.get("dest", flag[2:].replace("-", "_")), kwargs)
+               for flag, kwargs in options}
+    values = {dest: kwargs.get("default", False if "action" in kwargs else None)
+              for dest, kwargs in actions.values()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in actions:
+            return None
+        dest, kwargs = actions[token]
+        if "action" in kwargs:  # store_true, as --verbose
+            values[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            values[dest] = kwargs.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+    if any(kwargs.get("required") and values[dest] is None for dest, kwargs in actions.values()):
+        return None
+    return types.SimpleNamespace(command=argv[0], func=func, **values)
+
+
 @functools.cache
 def build_parser(command: str | None) -> argparse.ArgumentParser:
     """The grdm parser with `command`'s sub-parser alone, or with all four when it is None.
 
-    `main` passes the command it was given, or None when there is none or
-    it is unknown, so the cache holds at most five parsers, each shared by
-    every later call on its key.  A sub-parser costs gettext lookups, so a
-    command builds only its own.  That build names all four commands in the
-    sub-parser metavar, so its usage line is the full build's; the full
-    build keeps argparse's default metavar, since one set by hand would also
-    replace `command` in its invalid-choice and missing-command errors.
+    `main` calls it only for an argv that `_parse` declines, with the command
+    it was given, or None when there is none or it is unknown, so the cache
+    holds at most five parsers, each shared by every later call on its key.
+    A sub-parser costs gettext lookups, so a command builds only its own.
+    That build names all four commands in the sub-parser metavar, so its
+    usage line is the full build's; the full build keeps argparse's default
+    metavar, since one set by hand would also replace `command` in its
+    invalid-choice and missing-command errors.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="grdm",
         description="Grassmann-integral toolkit for fermionic reduced density matrices",
@@ -187,11 +235,12 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # serialize.FormatError is a ValueError

@@ -11,8 +11,9 @@ eigenvectors weighted by the products of those factors over the mode
 subsets; coefficients at or below PRUNE_REL_TOL of the largest, the
 roundoff a degenerate spectrum leaves in its cancelling sums, are dropped.
 The spec keeps the eigenvectors and the eigenvalues, clipped to [0, 1] but
-not snapped.  `mode_product_expansion` writes the eigenbasis product as an
-element; with `change_generators` it is the tests' reference for the build.
+not snapped.  The tests keep the composition this replaced, the eigenbasis
+product written as an element and rotated by `change_generators`, as the
+reference for the build.
 
 Verification compares, word by word and in the original generators,
 star-product expectations of the density with Wick pairing sums of its
@@ -45,7 +46,6 @@ import numpy as np
 
 from .kernel import (
     GrassmannElement,
-    Monomial,
     _compound_blocks,
     _degree_order,
     _generators,
@@ -121,38 +121,6 @@ def build_quasifree(gamma: np.ndarray) -> tuple[QuasifreeSpec, GrassmannElement]
         masks = order[subsets]
         coeffs[masks[:, None], masks] = _half_pair_sign(k) * block
     return QuasifreeSpec(m, u, lam), prune(GrassmannElement.from_vector(m, coeffs.ravel()))
-
-
-def mode_product_expansion(r, occupied=None) -> GrassmannElement:
-    """Closed-form expansion of the star product of (r_i nbar_i n_i + 1) factors.
-
-    Equals sum over index subsets Q of (-1)^{s_Q} (prod_{i in Q} r_i) times
-    the diagonal monomial on Q.  Modes flagged in the boolean `occupied`
-    take the factor nbar_i n_i instead, which has no unit term: only the
-    subsets Q holding every occupied mode remain, and those modes contribute
-    no r_i.
-    """
-    r = np.asarray(r, dtype=complex)
-    m = len(r)
-    occ = 0 if occupied is None else sum(1 << i for i, o in enumerate(occupied) if o)
-    free = ((1 << m) - 1) & ~occ
-    terms = {}
-    sub = free
-    while True:
-        prodr = 1.0 + 0j
-        mask = sub
-        while mask:
-            low = mask & -mask
-            prodr *= r[low.bit_length() - 1]
-            mask ^= low
-        q = sub | occ
-        val = _half_pair_sign(q.bit_count()) * prodr
-        if val != 0:
-            terms[Monomial(q, q)] = val
-        if sub == 0:
-            break
-        sub = (sub - 1) & free
-    return GrassmannElement(m, terms)
 
 
 def generator_words(m: int, max_points: int):

@@ -151,6 +151,38 @@ def change_generators_reference(a, u):
     return GrassmannElement(m, out)
 
 
+def mode_product_expansion(r, occupied=None) -> GrassmannElement:
+    """Closed-form expansion of the star product of (r_i nbar_i n_i + 1) factors.
+
+    Equals sum over index subsets Q of (-1)^{s_Q} (prod_{i in Q} r_i) times
+    the diagonal monomial on Q.  Modes flagged in the boolean `occupied`
+    take the factor nbar_i n_i instead, which has no unit term: only the
+    subsets Q holding every occupied mode remain, and those modes contribute
+    no r_i.
+    """
+    r = np.asarray(r, dtype=complex)
+    m = len(r)
+    occ = 0 if occupied is None else sum(1 << i for i, o in enumerate(occupied) if o)
+    free = ((1 << m) - 1) & ~occ
+    terms = {}
+    sub = free
+    while True:
+        prodr = 1.0 + 0j
+        mask = sub
+        while mask:
+            low = mask & -mask
+            prodr *= r[low.bit_length() - 1]
+            mask ^= low
+        q = sub | occ
+        val = _half_pair_sign(q.bit_count()) * prodr
+        if val != 0:
+            terms[Monomial(q, q)] = val
+        if sub == 0:
+            break
+        sub = (sub - 1) & free
+    return GrassmannElement(m, terms)
+
+
 def build_quasifree_reference(gamma):
     """(u, lambdas) and kappa of gamma, through the mode product, its trace and one rotation.
 
@@ -169,7 +201,7 @@ def build_quasifree_reference(gamma):
             occupied[i] = True
         else:
             r[i] = li / (1.0 - li) - 1.0
-    element = quasifree.mode_product_expansion(r, occupied=occupied)
+    element = mode_product_expansion(r, occupied=occupied)
     return (u, lam), change_generators((1.0 / trace_integral(element)) * element, u.conj().T)
 
 

@@ -1,6 +1,8 @@
 """CLI exit-code contract, JSON schemas, and report round trips."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import re
@@ -29,6 +31,21 @@ _json_keys = st.one_of(st.text(), st.sampled_from(_SPECIAL_TEXT), st.integers(),
 json_trees = st.recursive(_json_leaves, lambda kids: st.one_of(
     st.lists(kids, max_size=5), st.lists(kids, max_size=5).map(tuple),
     st.dictionaries(_json_keys, kids, max_size=5)), max_leaves=40)
+
+
+@st.composite
+def _small_elements(draw):
+    """A GrassmannElement on at most 3 modes with up to 6 terms, any complex coefficients."""
+    m = draw(st.integers(1, 3))
+    vec = np.zeros(1 << (2 * m), dtype=complex)
+    picks = draw(st.lists(st.integers(0, vec.size - 1), max_size=6, unique=True))
+    vec[picks] = draw(st.lists(st.complex_numbers(), min_size=len(picks), max_size=len(picks)))
+    return GrassmannElement.from_vector(m, vec)
+
+
+# an element is written as a value of a top-level dict with str keys
+_element_dicts = st.dictionaries(st.one_of(st.text(), st.sampled_from(_SPECIAL_TEXT)),
+                                 st.one_of(_small_elements(), json_trees), max_size=4)
 
 
 def _write_pdms(path, m, seed):
@@ -178,9 +195,13 @@ class TestSerialize:
         assert np.array_equal(mat, [[1, 0.5j], [-0.5j, 1e300]])
 
     @settings(max_examples=300, deadline=None)
-    @given(json_trees)
+    @given(st.one_of(json_trees, _element_dicts))
     def test_dumps_equals_json_indent_2(self, tree):
-        assert serialize.dumps(tree) == json.dumps(tree, indent=2)
+        # plain trees, and top-level dicts whose values may be elements,
+        # written as json writes their element_to_dict
+        plain = ({k: serialize.element_to_dict(v) if isinstance(v, GrassmannElement) else v
+                  for k, v in tree.items()} if isinstance(tree, dict) else tree)
+        assert serialize.dumps(tree) == json.dumps(plain, indent=2)
 
     def test_dumps_rejects_what_json_rejects(self):
         for bad in (np.int64(3), np.bool_(True), {1, 2}, b"x", 1j, GrassmannElement):
@@ -742,26 +763,65 @@ def test_only_main_decides_exit_2():
 
 
 def test_parser_built_once_per_process(pdm_file, tmp_path):
-    # one parser per command key serves every main call on it: the command's
-    # own, or the full one for anything else; a usage error leaves it usable
-    # and no option of one call carries over into the next
+    # a plain argv builds no parser; argparse builds one per command key,
+    # the command's own or the full one for anything else, and serves every
+    # later call on it; a usage error leaves it usable, and no option of one
+    # call carries over into the next, on either path
     cli.build_parser.cache_clear()
     path = str(pdm_file[0])
-    outs = [str(tmp_path / f"r{k}.json") for k in range(3)]
+    outs = [str(tmp_path / f"r{k}.json") for k in range(4)]
     assert cli.main(["check", "--in", path, "--out", outs[0]]) == 0
+    assert cli.build_parser.cache_info().currsize == 0
     assert cli.main(["check", "--in", path, "--tol", "lots"]) == 2
     assert cli.main(["frobnicate"]) == 2
     assert cli.main(["--bogus"]) == 2
-    assert cli.main(["check", "--in", path, "--out", outs[1], "--tol", "0.5"]) == 0
-    assert cli.main(["check", "--in", path, "--out", outs[2]]) == 0
+    assert cli.main(["check", f"--in={path}", "--out", outs[1], "--tol", "0.5"]) == 0
+    assert cli.main(["check", f"--in={path}", "--out", outs[2]]) == 0
+    assert cli.main(["check", "--in", path, "--out", outs[3]]) == 0
     info = cli.build_parser.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+    assert (info.misses, info.hits, info.currsize) == (2, 3, 2)
     # the check parser holds check alone
     with pytest.raises(SystemExit):
         cli.build_parser("check").parse_args(["selftest"])
-    first, override, last = (json.loads(open(p).read()) for p in outs)
-    assert last == first != override
+    first, override, *rest = (json.loads(open(p).read()) for p in outs)
+    assert rest == [first, first] and first != override
     assert {r["tol"] for r in override} == {0.5}
+
+
+_FLAGS = sorted({flag for _, _, options in cli.COMMANDS.values() for flag, _ in options})
+_ARGV_VALUES = ["5", "0", "12", "0.5", "nan", "two", "-1", "", "x"]
+_ARGV_TOKENS = [*cli.COMMANDS, *_FLAGS, *(flag[:-1] for flag in _FLAGS), "--se", "--in=x",
+                "--tol=5", "--m=5", "-h", "--help", "--", *_ARGV_VALUES]
+
+
+@st.composite
+def _argvs(draw):
+    """A command (or none), some of its options with or without values, and up to two stray tokens."""
+    command = draw(st.sampled_from([*cli.COMMANDS, None]))
+    options = cli.COMMANDS[command][2] if command else [(flag, {}) for flag in _FLAGS]
+    argv = [command] * (command is not None)
+    for flag, kwargs in draw(st.lists(st.sampled_from(options), max_size=5)):
+        value = None if "action" in kwargs else draw(st.sampled_from([*_ARGV_VALUES, None]))
+        argv += [flag] if value is None else [flag, value]
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_ARGV_TOKENS)))
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argvs())
+def test_parse_agrees_with_argparse(argv):
+    # `_parse` gives what the full parser gives, or declines: every argv
+    # that argparse rejects or answers with help goes to argparse; the items
+    # compare by repr, so a value is equal with its type and `--tol nan` too
+    got = cli._parse(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            want = cli.build_parser(None).parse_args(argv)
+    except SystemExit:
+        assert got is None, argv
+    else:
+        assert got is None or repr(sorted(vars(got).items())) == repr(sorted(vars(want).items())), argv
 
 
 def _fresh_process(code: str) -> list:
@@ -775,13 +835,15 @@ def _fresh_process(code: str) -> list:
 
 def test_import_pulls_no_scipy(tmp_path):
     # grdm depends on numpy alone, and each command loads only the grdm
-    # modules it runs: in a fresh process a cold check, fuzz or quasifree run
-    # loads neither scipy nor numpy.ma (about 14 ms cold), check needs only the
-    # closed-form realization, no element kernel, no star-product side, no Fock
-    # oracle and no quasifree module; fuzz adds the kernel, the star-product
-    # side and the oracle, but not the public element API (`algebra`);
-    # quasifree needs only the kernel and its module, neither realization of
-    # the conditions; and no command loads `dataclasses`
+    # modules it runs: in a fresh process a cold check, fuzz, quasifree or
+    # selftest run loads neither scipy nor numpy.ma (about 14 ms cold), check
+    # needs only the closed-form realization, no element kernel, no
+    # star-product side, no Fock oracle and no quasifree module; fuzz adds the
+    # kernel, the star-product side and the oracle, but not the public element
+    # API (`algebra`); quasifree needs only the kernel and its module, neither
+    # realization of the conditions; no command loads `dataclasses`, and a
+    # successful one neither `argparse` nor the `gettext` and `locale` of its
+    # messages
     gamma, Gamma = fock.pdms_from_rho(fock.random_density(5, 11))
     pair, gpath = tmp_path / "pair.json", tmp_path / "gamma.json"
     serialize.atomic_write_json(str(pair), {"gamma": serialize.matrix_to_dict(gamma, "gamma", 5),
@@ -794,14 +856,18 @@ def test_import_pulls_no_scipy(tmp_path):
              sorted(check + ["grdm.conditions", "grdm.fock", "grdm.kernel"])),
             (["quasifree", "--in", str(gpath), "--out", str(tmp_path / "q.json")],
              ["grdm", "grdm.cli", "grdm.kernel", "grdm.limits", "grdm.quasifree",
-              "grdm.serialize"])]
+              "grdm.serialize"]),
+            (["selftest"], ["grdm", "grdm.algebra", "grdm.cli", "grdm.fock", "grdm.kernel",
+                            "grdm.limits", "grdm.selftest", "grdm.serialize"])]
     for argv, modules in runs:
-        code = ("import json, sys; from grdm import cli; rc = cli.main(%r); "
+        code = ("import io, json, sys; from grdm import cli; "
+                "sys.stdout, out = io.StringIO(), sys.stdout; rc = cli.main(%r); sys.stdout = out; "
                 "print(json.dumps([rc, sorted(k for k in sys.modules if k.split('.')[0] == 'grdm'), "
                 "sorted(k for k in sys.modules "
                 "if k.split('.')[0] == 'scipy' or k.split('.')[:2] == ['numpy', 'ma']), "
-                "'dataclasses' in sys.modules]))" % argv)
-        assert _fresh_process(code) == [0, modules, [], False], argv[0]
+                "sorted({'argparse', 'dataclasses', 'gettext', 'locale'} & set(sys.modules))]))"
+                % argv)
+        assert _fresh_process(code) == [0, modules, [], []], argv[0]
 
 
 def test_each_name_has_one_import_path():

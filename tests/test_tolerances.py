@@ -91,8 +91,6 @@ KEPT_DEFAULTS = {
         "test_acceptance.py criterion 07 runs the battery on both realizations",
     ("fock", "contraction_check", "onb"):
         "test_acceptance.py criterion 06 contracts in a random orthonormal basis",
-    ("quasifree", "mode_product_expansion", "occupied"):
-        "the tests' reference for build_quasifree",
 }
 
 
