@@ -1,24 +1,18 @@
 """Exact arithmetic on a finite Grassmann algebra with conjugate generator pairs.
 
-The public element operations, on the element type and the array sign
-kernels of `kernel`: the constructors, the plain (wedge) product, the star
-product, which mirrors operator composition on the 2^m-dimensional Fock
-space, the involution, the two integration functionals (top-coefficient
-extraction and the weighted trace form), `star_trace`, `expectation`,
-`change_generators` and `max_coeff_difference`.  Each runs on
-the kernel's array functions (`_mono_products`, `_star_pairs`,
-`_trace_rows`, `_pair_sums`, `_compound_blocks`).
+The public element operations: the constructors, the plain (wedge) product,
+the star product, which mirrors operator composition on the
+2^m-dimensional Fock space, the involution, the two integration functionals
+(top-coefficient extraction and the weighted trace form) and `star_trace`.
+They import the element type and its array sign kernels from `kernel`
+(`_mono_products`, `_star_pairs`, `_trace_rows`, `_pair_sums`), and the caps
+and `_check_m` from `limits`.
 
 Beside them this module keeps the sign rules in scalar form, on one monomial
 pair at a time (`_merge_sign`, `_mono_mul`), and the memo of the scalar
 monomial star product behind `star_monomials` (`_star_monomials_terms`),
 which is also the reference the kernel is tested against.  That memo is the
 only state kept here, and every operation is a pure function.
-
-The cached map builds of `conditions`, `quasifree` and `fock` read `kernel`
-directly, so only the public element API, `selftest` and the element reader
-of `serialize` import this module: `grdm check`, `fuzz` and `quasifree` never
-compile it.
 """
 
 from __future__ import annotations
@@ -31,8 +25,6 @@ import numpy as np
 from .kernel import (
     GrassmannElement,
     Monomial,
-    _compound_blocks,
-    _degree_order,
     _half_pair_sign,
     _involution_terms,
     _mono_products,
@@ -42,17 +34,9 @@ from .kernel import (
     _same_m,
     _split,
     _star_pairs,
-    _sum_terms,
     _trace_rows,
 )
-from .limits import (
-    ELEMENT_CAP,
-    STAR_CAP,
-    _check_m,
-    _require_finite,
-    _require_unit_trace,
-    _require_unitary,
-)
+from .limits import ELEMENT_CAP, STAR_CAP, _check_m
 
 
 def _merge_sign(a: int, b: int) -> int:
@@ -100,10 +84,6 @@ def make_element(m: int, terms: Iterable[tuple[Iterable[int], Iterable[int], com
     return GrassmannElement(m, out)
 
 
-def zero(m: int) -> GrassmannElement:
-    return GrassmannElement(m, {})
-
-
 def unit(m: int) -> GrassmannElement:
     return GrassmannElement(m, {Monomial(0, 0): 1 + 0j})
 
@@ -116,10 +96,6 @@ def psi(i: int, m: int) -> GrassmannElement:
 def psibar(i: int, m: int) -> GrassmannElement:
     """Single conjugated generator pbar_i as an element."""
     return make_element(m, [((i,), (), 1.0)])
-
-
-def monomial_element(mono: Monomial, m: int) -> GrassmannElement:
-    return GrassmannElement(m, {mono: 1 + 0j})
 
 
 def multiply(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
@@ -272,53 +248,3 @@ def star_trace(a: GrassmannElement, b: GrassmannElement) -> complex:
     pos = np.minimum(np.searchsorted(ia, index), max(len(ia) - 1, 0))
     hit = np.flatnonzero(ia[pos] == index)  # ia is empty only when index is
     return complex(np.sum(ca[pos[hit]] * cb[row[hit]] * value[hit]))
-
-
-def expectation(density: GrassmannElement, observable: GrassmannElement) -> complex:
-    """Trace of density * observable under the star product.
-
-    The density must already be normalized: a trace away from 1 by more than
-    DENSITY_TRACE_TOL raises instead of renormalizing silently.
-    """
-    _same_m(density, observable)
-    _require_finite(density.arrays()[1], "density element")
-    _require_unit_trace(trace_integral(density))
-    return star_trace(density, observable)
-
-
-def change_generators(a: GrassmannElement, u: np.ndarray) -> GrassmannElement:
-    """Rewrite `a` under the substitution chi_i = sum_j u[i, j] psi_j.
-
-    The coefficients of `a` are read as coefficients over the chi generators
-    (conjugate matrix for the barred ones) and expanded over the psi basis.
-    An ordered block chi_J expands as sum_K det(u[J, K]) psi_K, so with C the
-    2**m x 2**m coefficient matrix (rows barred, columns plain) the new one
-    is the compound-matrix product conj(U)^T C U, U[J, K] = det(u[J, K]) for
-    |J| = |K|.  It is taken block by block over the subset sizes, with the
-    minors of each size from one batched determinant (`_compound_blocks`),
-    so no product exceeds C(m, m/2) squared (20 x 20 at m = 6); blocks of C
-    that hold no term are skipped and stay exactly zero, and only
-    exactly-zero coefficients are dropped from the result.  `u` must be
-    unitary within UNITARY_TOL; both integrals are invariant under this map.
-    """
-    m = a.m
-    u = _require_unitary(u, m, "u")
-    order, groups = _degree_order(m)
-    minors = _compound_blocks(u)
-    coeffs = a.to_vector().reshape(1 << m, 1 << m)[np.ix_(order, order)]
-    out = np.zeros_like(coeffs)
-    for (bars, _), bar_minors in zip(groups, minors):
-        for (ubs, _), ub_minors in zip(groups, minors):
-            c = coeffs[bars, ubs]
-            if c.any():
-                out[bars, ubs] = bar_minors.conj().T @ c @ ub_minors
-    natural = np.empty_like(out)
-    natural[np.ix_(order, order)] = out
-    return GrassmannElement.from_vector(m, natural.ravel())
-
-
-def max_coeff_difference(a: GrassmannElement, b: GrassmannElement) -> float:
-    _same_m(a, b)
-    (ia, ca), (ib, cb) = a.arrays(), b.arrays()
-    diff = _sum_terms(np.concatenate((ia, ib)), np.concatenate((ca, -cb)))[1]
-    return float(np.abs(diff).max()) if diff.size else 0.0

@@ -5,21 +5,14 @@ Exit codes: 0 all checks pass, 1 a condition failed, 2 usage or input error,
 an --out path that cannot be written included.  The commands raise OSError or
 ValueError (serialize.FormatError among them) on bad input, and `main` alone
 prints it as `error: ...` and returns 2.  Output files are written atomically.
-Each command imports only the modules it runs, inside its own function.
 `main` parses a plain argv itself (`_parse`): the command name, then that
 command's options, each spelled in full with its value as a separate token.
 Anything else, help and every usage error included, goes to argparse, which
-is imported only then and builds only the named command's sub-parser
-(`build_parser`), so a successful command loads neither `argparse` nor the
-`gettext` and `locale` its messages pull in.  `check`
-needs the closed-form realization (`closed`, on `limits`) and serialize, and
-compiles no Grassmann element code; its reports are NamedTuples, so `--tol`
-is `_replace` and no command loads `dataclasses`.  `fuzz` adds the element
-kernel (`kernel`), the star-product side (`conditions`) and the Fock oracle
-(through `fuzz_conditions`); `quasifree` needs the element kernel and the
-quasifree module, and reads gamma back through the kernel's moment layer,
-so it compiles neither realization of the conditions; and `selftest` its
-identities, on `algebra` and the oracle.
+is imported only then (`build_parser`), so a successful command loads neither
+`argparse` nor the `gettext` and `locale` its messages pull in.  At module
+level `cli` imports only `serialize`, which reads every input and writes
+every output; each command imports the modules it runs inside its own
+function.
 """
 
 from __future__ import annotations
@@ -204,17 +197,11 @@ def _parse(argv):
 
 
 @functools.cache
-def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The grdm parser with `command`'s sub-parser alone, or with all four when it is None.
+def build_parser() -> argparse.ArgumentParser:
+    """The grdm parser, with all four sub-parsers, built once per process.
 
-    `main` calls it only for an argv that `_parse` declines, with the command
-    it was given, or None when there is none or it is unknown, so the cache
-    holds at most five parsers, each shared by every later call on its key.
-    A sub-parser costs gettext lookups, so a command builds only its own.
-    That build names all four commands in the sub-parser metavar, so its
-    usage line is the full build's; the full build keeps argparse's default
-    metavar, since one set by hand would also replace `command` in its
-    invalid-choice and missing-command errors.
+    `main` calls it only for an argv that `_parse` declines, so a successful
+    command never imports argparse.
     """
     import argparse
 
@@ -222,10 +209,8 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
         prog="grdm",
         description="Grassmann-integral toolkit for fermionic reduced density matrices",
     )
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else [command]:
-        func, help_text, options = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
@@ -238,7 +223,7 @@ def main(argv=None) -> int:
     args = _parse(argv)
     if args is None:
         try:
-            args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return 2 if exc.code not in (0, None) else 0
     try:

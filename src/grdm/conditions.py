@@ -7,10 +7,11 @@ of its form, F[a, b] = <b_a* b_b> (plain: P, Q, G) or <b_a* b_b + b_b b_a*>
 (anticommutator: T1, T2), and whether it is centred: G subtracts the product
 of its probes' means on both sides.  The closed-form side, which derives each
 form in the one- and two-body matrices (gamma, Gamma) from the same words by
-normal ordering, with its index maps and the battery, lives in `closed`,
-which compiles without the element kernel; this module adds the star-product
-side, on the element kernel (`kernel`) alone, so `grdm fuzz` never compiles
-`algebra`.
+normal ordering, with its index maps and the battery, lives in `closed`;
+this module adds the star-product side.  It imports the table from `closed`
+and the element kernel (`kernel`), not the public element operations
+(`algebra`), since each form is a cached map on the coefficient vector, and
+the Fock oracle (`fock`) only inside `fuzz_conditions`, its one user.
 The Grassmann-side pdms and forms are linear in the density, so each is a
 fixed combination of its moments star_trace(kappa, t), |bar| = |unbar| <= 2
 for t, which the kernel's moment layer reads off the coefficient vector with

@@ -23,19 +23,12 @@ map on its coefficient vector: `_linear_map` builds one from COO entries
 `_moment_map` holds, per m, the moments with |bar| = |unbar| <= 2 that the
 pdms and the condition forms read; `_moments` applies it and checks the
 trace, and `_pdm1` reads gamma off the result.  The per-m subset orderings
-and compound matrices (`_degree_order`, `_compound_blocks`) serve
-`algebra.change_generators` and the quasifree build.
+and compound matrices (`_degree_order`, `_compound_blocks`) serve the
+quasifree build.
 
-This module imports numpy and `limits` alone.  The public element
-operations (`star`, `involution`, the integrals, `change_generators`) live
-in `algebra`, and the star-product condition forms in `conditions`.  Without
-a bytecode cache every process compiles each grdm module it imports, so each
-command imports only what it runs: `grdm check` compiles `cli`, `closed`,
-`limits` and `serialize`, and no element code; `grdm quasifree` compiles
-`cli`, `kernel`, `limits`, `quasifree` and `serialize`, so neither
-realization of the conditions and no `algebra`; `grdm fuzz` compiles those
-of check, `kernel`, `conditions` and `fock`; and `grdm selftest` compiles
-`cli`, `limits`, `serialize`, `kernel`, `algebra`, `fock` and `selftest`.
+This module imports numpy and `limits` alone, so a module that needs
+elements but not the public element operations (`star`, `involution`, the
+integrals, in `algebra`) compiles no more than it runs.
 
 Elements are immutable after construction and every function here is pure.
 The only shared state is a set of caches keyed by value: the per-m bit
@@ -318,7 +311,7 @@ class GrassmannElement:
     of sorting their Monomials, and their complex coefficients (`arrays()`).
     The constructor takes a map Monomial -> coefficient and rejects an m
     outside [1, ELEMENT_CAP] and a generator outside [1, m]; code that holds
-    arrays (`from_operator`, `change_generators`, `prune`, scalar products)
+    arrays (`from_operator`, `build_quasifree`, `prune`, scalar products)
     uses `from_vector`, which checks m and the vector's length 4**m, or the
     unchecked `_from_arrays`.  Every operation works on the arrays; `terms`,
     the value as a read-only sorted map built on first use, serves `repr`

@@ -18,11 +18,11 @@ QUASIFREE_CAP = 8    # quasifree build and verify
 QUASIFREE_WORD_CAP = 1_000_000  # quasifree verify: generator words, about 80 bytes each in its map
 PRUNE_REL_TOL = 1e-14           # rel to the largest magnitude: prune's default
 OPERATOR_PRUNE_REL_TOL = 1e-13  # rel, fock.from_operator: roundoff of its signed subset sums
-DENSITY_TRACE_TOL = 1e-8     # |trace - 1| of a density element: expectation and the pdms
+DENSITY_TRACE_TOL = 1e-8     # |trace - 1| of a density element: the pdms and the Grassmann forms
 HERMITIAN_INPUT_TOL = 1e-8   # max |X - X*| of a gamma or Gamma input
 FORM_HERMITIAN_TOL = 1e-10   # rel, max |F - F*|: forms not Hermitian by construction, report_from_form
 PSD_REL_TOL = 1e-9           # rel, how far below 0 a passing margin may lie
-UNITARY_TOL = 1e-10          # max |u*u - 1|: change_generators and contraction_check's onb
+UNITARY_TOL = 1e-10          # max |u*u - 1|: contraction_check's onb
 BOUNDARY_TOL = 1e-10         # quasifree: eigenvalues this close to 0 or 1 are snapped
 SECTOR_TOL = 1e-8            # max |N rho - n rho| of a one-sector density
 SELFTEST_EXACT_TOL = 1e-12   # grdm selftest: identities exact up to a few roundings

@@ -29,10 +29,11 @@ recursion.  Everything here runs up to
 QUASIFREE_CAP = 8 generators, past the star product's cap, since no step
 multiplies two full elements.
 
-The module imports the element kernel (`kernel`) and `limits` alone, so
-`grdm quasifree` compiles neither realization of the conditions nor
-`algebra`.  The spec is a NamedTuple, as is every record type of the
-package, so no module imports `dataclasses`.
+The module imports the element kernel (`kernel`) and `limits` alone: the
+build writes kappa's arrays and the verification reads them, so neither needs
+the public element operations (`algebra`) or a realization of the
+conditions.  The spec is a NamedTuple, so the module does not import
+`dataclasses`.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def build_quasifree(gamma: np.ndarray) -> tuple[QuasifreeSpec, GrassmannElement]
     product weighs the diagonal monomial on mode subset Q with
     w_Q = prod_{i in Q} (2 lambda_i - 1) prod_{i not in Q} (1 - lambda_i),
     signed (-1)^{k(k-1)/2} for |Q| = k, and rotating it to the original
-    generators (`change_generators` with v = u^dagger) turns the degree-k
+    generators (the change of generators by v = u^dagger) turns the degree-k
     block over barred subsets J and plain subsets K into
     (-1)^{k(k-1)/2} M_k^dagger diag(w) M_k, M_k[Q, J] = det(v[Q, J])
     (`_compound_blocks`).  The blocks are written straight into kappa's

@@ -13,10 +13,11 @@ json would give for `element_to_dict(a)` there, without building the dict.
 An element anywhere else raises TypeError, as json does for any type it
 does not know.
 
-The element modules are imported only on the element paths, so reading
-and writing matrices and reports, all that `grdm check` does, compiles
-neither; the element writer needs only the element kernel (`kernel`), and
-the reader, which builds through `algebra.make_element`, `algebra` as well.
+At module level this imports only the standard library and numpy, since
+matrices and reports need no element code.  The element modules are
+imported inside the element paths: the writer needs only the element kernel
+(`kernel`), and the reader, which builds through `algebra.make_element`,
+`algebra` as well.
 """
 
 from __future__ import annotations

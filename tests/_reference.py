@@ -6,8 +6,11 @@ low index block, the integration generators the high block, and the
 convolution weight is multiplied out before a left-derivative Berezin
 integral eliminates the high block.
 
-The reference generator change expands every term over each pair of minor
-determinants, one accumulation per (barred minor, plain minor) pair.
+The paper's change of generators, `change_generators`, rewrites an element
+under a unitary substitution by compound-matrix blocks, the blocks that the
+quasifree build writes into kappa directly; its own reference expands every term
+over each pair of minor determinants, one accumulation per (barred minor,
+plain minor) pair.
 
 The reference quasifree build is the composition that the closed form
 replaced: the eigenbasis mode product written down by
@@ -53,11 +56,13 @@ from itertools import combinations
 import numpy as np
 
 from grdm import quasifree
-from grdm.algebra import (_acc, _merge_sign, _star_monomials_terms, change_generators, multiply,
-                          psi, psibar, star, star_trace, trace_integral)
+from grdm.algebra import (_acc, _merge_sign, _star_monomials_terms, multiply, psi, psibar, star,
+                          star_trace, trace_integral)
 from grdm.closed import CONDITIONS, _index_map, _source, _term_entries, _validate_pair
-from grdm.kernel import GrassmannElement, Monomial, _half_pair_sign, _indices
-from grdm.limits import BOUNDARY_TOL, FOCK_CAP, _check_m, _coo_apply, _read_only, _require_finite, _scale
+from grdm.kernel import (GrassmannElement, Monomial, _compound_blocks, _degree_order,
+                         _half_pair_sign, _indices)
+from grdm.limits import (BOUNDARY_TOL, FOCK_CAP, _check_m, _coo_apply, _read_only, _require_finite,
+                        _require_unitary, _scale)
 
 
 def _lift_left(a, m):
@@ -119,6 +124,37 @@ def star_reference(a, b):
         assert bar & ~low == 0 and ub & ~low == 0
         out[Monomial(bar, ub)] = c
     return GrassmannElement(m, out)
+
+
+def change_generators(a: GrassmannElement, u: np.ndarray) -> GrassmannElement:
+    """Rewrite `a` under the substitution chi_i = sum_j u[i, j] psi_j.
+
+    The coefficients of `a` are read as coefficients over the chi generators
+    (conjugate matrix for the barred ones) and expanded over the psi basis.
+    An ordered block chi_J expands as sum_K det(u[J, K]) psi_K, so with C the
+    2**m x 2**m coefficient matrix (rows barred, columns plain) the new one
+    is the compound-matrix product conj(U)^T C U, U[J, K] = det(u[J, K]) for
+    |J| = |K|.  It is taken block by block over the subset sizes, with the
+    minors of each size from one batched determinant (`_compound_blocks`),
+    so no product exceeds C(m, m/2) squared (20 x 20 at m = 6); blocks of C
+    that hold no term are skipped and stay exactly zero, and only
+    exactly-zero coefficients are dropped from the result.  `u` must be
+    unitary within UNITARY_TOL; both integrals are invariant under this map.
+    """
+    m = a.m
+    u = _require_unitary(u, m, "u")
+    order, groups = _degree_order(m)
+    minors = _compound_blocks(u)
+    coeffs = a.to_vector().reshape(1 << m, 1 << m)[np.ix_(order, order)]
+    out = np.zeros_like(coeffs)
+    for (bars, _), bar_minors in zip(groups, minors):
+        for (ubs, _), ub_minors in zip(groups, minors):
+            c = coeffs[bars, ubs]
+            if c.any():
+                out[bars, ubs] = bar_minors.conj().T @ c @ ub_minors
+    natural = np.empty_like(out)
+    natural[np.ix_(order, order)] = out
+    return GrassmannElement.from_vector(m, natural.ravel())
 
 
 def change_generators_reference(a, u):

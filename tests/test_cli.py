@@ -629,11 +629,11 @@ def _printed(call, argv, capsys):
 
 
 def test_help_and_usage_text_equal_the_full_parser(monkeypatch, capsys):
-    # a command builds only its own sub-parser, yet prints byte for byte what
-    # the parser with all four prints: the help texts, and a usage line that
-    # names all four; an unknown or missing command names `command`
+    # help and every usage error print byte for byte what the parser with
+    # all four commands prints: the help texts, and a usage line that names
+    # all four; an unknown or missing command names `command`
     monkeypatch.setenv("COLUMNS", "100")
-    full = cli.build_parser(None).parse_args
+    full = cli.build_parser().parse_args
     cases = [["--help"], *([name, "--help"] for name in cli.COMMANDS),
              ["check", "--in", "x", "--bogus"], ["check"], ["fuzz", "--m", "two"],
              ["frobnicate"], []]
@@ -763,10 +763,10 @@ def test_only_main_decides_exit_2():
 
 
 def test_parser_built_once_per_process(pdm_file, tmp_path):
-    # a plain argv builds no parser; argparse builds one per command key,
-    # the command's own or the full one for anything else, and serves every
-    # later call on it; a usage error leaves it usable, and no option of one
-    # call carries over into the next, on either path
+    # a plain argv builds no parser; argparse builds one, on the first argv
+    # that needs it, and serves every later call; a usage error leaves it
+    # usable, and no option of one call carries over into the next, on
+    # either path
     cli.build_parser.cache_clear()
     path = str(pdm_file[0])
     outs = [str(tmp_path / f"r{k}.json") for k in range(4)]
@@ -779,10 +779,7 @@ def test_parser_built_once_per_process(pdm_file, tmp_path):
     assert cli.main(["check", f"--in={path}", "--out", outs[2]]) == 0
     assert cli.main(["check", "--in", path, "--out", outs[3]]) == 0
     info = cli.build_parser.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 3, 2)
-    # the check parser holds check alone
-    with pytest.raises(SystemExit):
-        cli.build_parser("check").parse_args(["selftest"])
+    assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
     first, override, *rest = (json.loads(open(p).read()) for p in outs)
     assert rest == [first, first] and first != override
     assert {r["tol"] for r in override} == {0.5}
@@ -817,7 +814,7 @@ def test_parse_agrees_with_argparse(argv):
     got = cli._parse(argv)
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            want = cli.build_parser(None).parse_args(argv)
+            want = cli.build_parser().parse_args(argv)
     except SystemExit:
         assert got is None, argv
     else:

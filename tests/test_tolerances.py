@@ -8,6 +8,7 @@ infinite input raises a ValueError that names it instead of getting a verdict.
 """
 
 import ast
+import functools
 import hashlib
 import io
 import re
@@ -18,8 +19,8 @@ import numpy as np
 import pytest
 
 from grdm import conditions as cond, fock, limits, quasifree as qf
-from grdm.algebra import change_generators, expectation, make_element, unit
-from _reference import check_T1, check_T2_generalized
+from grdm.algebra import make_element, unit
+from _reference import change_generators, check_T1, check_T2_generalized
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "grdm"
 
@@ -81,6 +82,58 @@ def test_tolerance_parameters_are_the_kept_ones():
     assert found == KEPT_KNOBS
 
 
+@functools.cache
+def _references() -> tuple:
+    """(homes, calls): the names that src/grdm, scripts/ and grdmbench/ read.
+
+    `homes[name]` holds (module, definition) for each read inside a
+    module-level definition of src/grdm, and None for a read anywhere else;
+    `calls[name]` holds (positional count, keyword names) for each call of a
+    callee so named, a starred call counting as every position.
+    """
+    homes, calls = {}, {}
+    root = SRC.parent.parent
+    for path in [*SRC.glob("*.py"), *root.glob("scripts/*.py"), *root.glob("grdmbench/*.py")]:
+        tree = ast.parse(path.read_text())
+        owner = {id(node): (path.stem, top.name) for top in tree.body
+                 if path.parent == SRC and isinstance(top, (ast.ClassDef, ast.FunctionDef))
+                 for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                homes.setdefault(name, set()).add(owner.get(id(node)))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append(
+                    (float("inf") if starred else len(node.args),
+                     {kw.arg for kw in node.keywords}))
+    return homes, calls
+
+
+# Module-level functions and classes of src/grdm that nothing in src/grdm
+# outside their own body, scripts/ or grdmbench/ reads, each with the reason it stays.
+KEPT_FUNCTIONS = {
+    ("conditions", "order_n_check"):
+        "the Fock side of the order-n positivity condition will call it (ROADMAP item 7)",
+    ("serialize", "element_from_dict"):
+        "reads the kappa file of `grdm quasifree --out`; `grdm check --in` will (ROADMAP item 3)",
+}
+
+
+def test_every_function_is_read_outside_the_tests():
+    # a function or class that only tests read is code the program does not
+    # run: the package outside its own body, the scripts or the benchmark
+    # read its name
+    homes = _references()[0]
+    unread = {(module, node.name) for module, text in _sources().items()
+              for node in ast.parse(text).body
+              if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+              and not homes.get(node.name, set()) - {(module, node.name)}}
+    assert unread == set(KEPT_FUNCTIONS)
+
+
 # Parameters with a default that no call in src/grdm, scripts/ or grdmbench/
 # passes, each with the reason it stays.
 KEPT_DEFAULTS = {
@@ -122,17 +175,7 @@ def test_every_default_is_passed_outside_the_tests():
     # a parameter with a default that only tests set is a knob the program
     # does not need: some call in the package, the scripts or the benchmark,
     # whose callee has the function's name, passes it by keyword or position
-    root = SRC.parent.parent
-    calls: dict = {}
-    for path in [*SRC.glob("*.py"), *root.glob("scripts/*.py"), *root.glob("grdmbench/*.py")]:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                starred = any(isinstance(a, ast.Starred) for a in node.args)
-                calls.setdefault(name, []).append(
-                    (float("inf") if starred else len(node.args),
-                     {kw.arg for kw in node.keywords}))
+    calls = _references()[1]
     unpassed = set()
     for module, text in _sources().items():
         for callee, function, param, position in _defaulted_parameters(ast.parse(text)):
@@ -252,7 +295,6 @@ NON_FINITE_CASES = {
                           "onb"),
     "contraction_check_rho": (lambda bad: fock.contraction_check(_with(SECTOR_RHO, (3, 3), bad)),
                               "density"),
-    "expectation": (lambda bad: expectation(_unit_trace_density(bad), unit(2)), "density"),
     "pdm1_from_density": (lambda bad: cond.pdm1_from_density(_unit_trace_density(bad)),
                           "density"),
     "check_T1": (lambda bad: check_T1(GAMMA, GAMMA2, _with(np.zeros((2, 2, 2)), (0, 1, 0), bad)),
