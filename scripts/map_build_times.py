@@ -10,7 +10,9 @@ and the Fock operator-to-element map `fock._element_map` (m <= FOCK_CAP).
 Prints the median over the repeats in milliseconds, one row per build and
 one column per m, and `-` where m is past the build's cap: the element-side
 builds (the moment map and the five table forms) stop at ELEMENT_CAP, while
-the closed-form maps run up to m = 16, where `grdm check` runs.
+the closed-form maps run up to m = 16, where `grdm check` runs.  A cold
+`grdm check` builds the five closed-form maps; a cold `grdm fuzz` builds the
+moment map, the five table forms and the element map.
 
     python scripts/map_build_times.py --m 5 8 12 16 --repeats 5
 """

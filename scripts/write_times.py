@@ -26,10 +26,10 @@ from grdm.limits import QUASIFREE_CAP
 
 def payloads(ms):
     """(name, kappa term count or None, payload as the CLI builds it, a builder of its dict form)."""
-    from grdm import conditions as cond, fock, quasifree
+    from grdm import closed, conditions as cond, fock, quasifree
 
     gamma, Gamma = fock.pdms_from_rho(fock.random_density(5, 7))
-    report = [r.as_dict() for r in cond.condition_battery(gamma, Gamma)]
+    report = [r.as_dict() for r in closed.battery(gamma, Gamma)]
     yield "check-m5", None, report, lambda: report
     summary = cond.fuzz_conditions(5, 1, 7).as_dict()
     yield "fuzz-m5", None, summary, lambda: summary

@@ -6,12 +6,13 @@ module holds the condition table, CONDITIONS, whose rows give the probes as
 generator words, the form's mode and whether it is centred; the closed forms,
 derived from the words by normal ordering under the canonical anticommutation
 relations (CAR), pbar_k read as a+_k and p_k as a_k, as cached index maps on
-(Gamma, gamma) (`_index_map`); and the battery that `grdm check` runs.  It
-reads numpy and `limits` only; the star-product realization of the same forms
-lives in `conditions`.  Index conventions (0-based): gamma[k, l] is the
-expectation of pbar_{l+1} * p_{k+1}; two-body indices flatten row-major,
-(k, l) -> k*m + l, and Gamma[(i, j), (k, l)] is the expectation of the
-normal-ordered word pbar_{l+1} pbar_{k+1} p_{i+1} p_{j+1}.
+(Gamma, gamma) (`_index_map`); and the battery that `grdm check` runs,
+first-order and then one closed report per row (`_report`).  It reads numpy
+and `limits` only; the star-product realization of the same forms, with its
+own battery, lives in `conditions`.  Index conventions (0-based): gamma[k, l]
+is the expectation of pbar_{l+1} * p_{k+1}; two-body indices flatten
+row-major, (k, l) -> k*m + l, and Gamma[(i, j), (k, l)] is the expectation
+of the normal-ordered word pbar_{l+1} pbar_{k+1} p_{i+1} p_{j+1}.
 """
 
 from __future__ import annotations
@@ -334,28 +335,22 @@ CONDITIONS = {
 }
 
 
-def battery(gamma: np.ndarray, Gamma: np.ndarray | None = None,
-            grassmann: Callable[[str], ConditionReport] | None = None) -> list[ConditionReport]:
-    """First-order, then the table conditions in order: the battery of check and fuzz.
+def _report(condition: str, m: int, source: np.ndarray) -> ConditionReport:
+    """A table condition's closed-form report on a validated pair's `_source`.
 
-    P/Q/G run in closed form when Gamma is given.  T1/T2 run as
-    `grassmann(name)` when it is given, the report of their star-product form
-    on a density (`conditions.condition_battery`), and in closed form
-    otherwise.  The pair is validated and its source built once; each closed
-    form goes from `_index_form`, Hermitian by construction, straight to one
-    eigensolve.
+    `_index_form` is Hermitian by construction, so it goes straight to one eigensolve.
+    """
+    F = _index_form(condition, m, source)
+    return ConditionReport(condition, _min_eigenvalue(F), psd_tolerance(F), "closed-form")
+
+
+def battery(gamma: np.ndarray, Gamma: np.ndarray | None = None) -> list[ConditionReport]:
+    """First-order, then with Gamma every table condition in closed form: `grdm check`'s battery.
+
+    The pair is validated and its source built once.
     """
     if Gamma is None:
-        gamma, source = _require_hermitian(gamma, "gamma"), None
-    else:
-        gamma, Gamma, m = _validate_pair(gamma, Gamma)
-        source = _source(gamma, Gamma)
-    reports = [_first_order(gamma)]
-    for name in CONDITIONS:
-        if grassmann is not None and name in ("T1", "T2"):
-            reports.append(grassmann(name))
-        elif source is not None:
-            F = _index_form(name, m, source)
-            reports.append(ConditionReport(name, _min_eigenvalue(F), psd_tolerance(F),
-                                           "closed-form"))
-    return reports
+        return [_first_order(_require_hermitian(gamma, "gamma"))]
+    gamma, Gamma, m = _validate_pair(gamma, Gamma)
+    source = _source(gamma, Gamma)
+    return [_first_order(gamma)] + [_report(name, m, source) for name in CONDITIONS]

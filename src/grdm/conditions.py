@@ -7,11 +7,13 @@ of its form, F[a, b] = <b_a* b_b> (plain: P, Q, G) or <b_a* b_b + b_b b_a*>
 (anticommutator: T1, T2), and whether it is centred: G subtracts the product
 of its probes' means on both sides.  The closed-form side, which derives each
 form in the one- and two-body matrices (gamma, Gamma) from the same words by
-normal ordering, with its index maps and the battery, lives in `closed`;
-this module adds the star-product side.  It imports the table from `closed`
-and the element kernel (`kernel`), not the public element operations
-(`algebra`), since each form is a cached map on the coefficient vector, and
-the Fock oracle (`fock`) only inside `fuzz_conditions`, its one user.
+normal ordering, with its index maps and its battery, lives in `closed`;
+this module adds the star-product side, whose battery (`_star_battery`) runs
+every row on a density's moments for `grdm fuzz`.  It imports the table from
+`closed` and the element kernel (`kernel`), not the public element
+operations (`algebra`), since each form is a cached map on the coefficient
+vector, and the Fock oracle (`fock`) only inside `fuzz_conditions`, its one
+user.
 The Grassmann-side pdms and forms are linear in the density, so each is a
 fixed combination of its moments star_trace(kappa, t), |bar| = |unbar| <= 2
 for t, which the kernel's moment layer reads off the coefficient vector with
@@ -41,9 +43,9 @@ from .closed import (
     _index_form,
     _json_margin,
     _min_eigenvalue,
+    _report,
     _source,
     _validate_pair,
-    battery,
     psd_tolerance,
 )
 from .kernel import (
@@ -247,15 +249,10 @@ def check_T2_full(kappa: GrassmannElement) -> ConditionReport:
 
 def closed_form_report(condition: str, gamma: np.ndarray, Gamma: np.ndarray,
                        tol: float | None = None) -> ConditionReport:
-    """Margin of a table condition's closed-form matrix in (gamma, Gamma).
-
-    `_index_form` is Hermitian by construction, so, as in `closed.battery`,
-    it goes straight to one eigensolve.
-    """
+    """Margin of a table condition's closed-form matrix in (gamma, Gamma), as in `closed.battery`."""
     gamma, Gamma, m = _validate_pair(gamma, Gamma)
-    F = _index_form(condition, m, _source(gamma, Gamma))
-    return ConditionReport(condition, _min_eigenvalue(F), psd_tolerance(F) if tol is None else tol,
-                           "closed-form")
+    report = _report(condition, m, _source(gamma, Gamma))
+    return report if tol is None else report._replace(tol=tol)
 
 
 def _form_report(condition: str, moments: np.ndarray, m: int) -> ConditionReport:
@@ -274,6 +271,15 @@ def _form_report(condition: str, moments: np.ndarray, m: int) -> ConditionReport
 def condition_form_report(kappa: GrassmannElement, condition: str) -> ConditionReport:
     """Margin of a table condition's star-product form on kappa, from the cached map."""
     return _form_report(condition, _moments(kappa.to_vector(), kappa.m), kappa.m)
+
+
+def _star_battery(moments: np.ndarray, m: int) -> list[ConditionReport]:
+    """First-order, then every table condition in star-product form: `grdm fuzz`'s battery.
+
+    gamma, like every form, is read off the density's moments.
+    """
+    reports = [_first_order(_require_hermitian(_pdm1(moments, m), "gamma"))]
+    return reports + [_form_report(name, moments, m) for name in CONDITIONS]
 
 
 # ---------------------------------------------------------------------------
@@ -300,32 +306,16 @@ class FuzzSummary(NamedTuple):
                 "failures": self.failures, "all_pass": self.all_pass}
 
 
-def condition_battery(gamma: np.ndarray, Gamma: np.ndarray | None = None,
-                      kappa: GrassmannElement | None = None) -> list[ConditionReport]:
-    """First-order, then the table conditions in order: the battery of check and fuzz.
-
-    P/Q/G run in closed form when Gamma is given.  T1/T2 run on kappa's
-    Grassmann form when kappa is given and in closed form otherwise; kappa
-    must have gamma's generator count.  Without kappa this is `closed.battery`.
-    """
-    if kappa is None:
-        return battery(gamma, Gamma)
-    m = len(_require_hermitian(gamma, "gamma"))
-    if kappa.m != m:
-        raise ValueError(f"kappa has m = {kappa.m}, but gamma has m = {m}")
-    moments = _moments(kappa.to_vector(), m)
-    return battery(gamma, Gamma, lambda name: _form_report(name, moments, m))
-
-
 def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -> FuzzSummary:
-    """Run the condition battery on `trials` random genuine densities.
+    """Run the star-product battery (`_star_battery`) on `trials` random genuine densities.
 
     Per-trial seeds derive deterministically from the master seed, so the
     summary is reproducible: trial k draws from SeedSequence(seed,
     spawn_key=(k,)), the k-th child of `SeedSequence(seed).spawn`, built
     when the trial starts.  Each density's moments are computed once and
-    serve its pdms and its Grassmann forms.  The Fock oracle is imported
-    here, its one user in this module, so `grdm check` never loads it.
+    serve its battery and the pdms compared with the oracle's.  The Fock
+    oracle is imported here, its one user in this module, so `grdm check`
+    never loads it.
     """
     from . import fock
 
@@ -348,7 +338,7 @@ def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -
                       float(np.max(np.abs(Gamma - Gamma_o))))
         if sector is not None and sector >= 2:
             cdev_max = max(cdev_max, float(fock.contraction_check(rho)))
-        for rep in battery(gamma, Gamma, lambda name: _form_report(name, moments, m)):
+        for rep in _star_battery(moments, m):
             prev = worst.get(rep.condition)
             if prev is None or rep.margin < prev:
                 worst[rep.condition] = rep.margin

@@ -15,8 +15,11 @@ closed-form inverse of to_operator, a signed Moebius inversion over subsets
 of modes whose signs come from the sign functions of the element kernel
 (`kernel`), so the round trip compares two separate sign derivations.
 Everything serves to cross-validate the Grassmann-side computations, up to
-m = FOCK_CAP = 8 in both directions.  The dense 2^m x 2^m ladder matrices
-and Slater states live in the tests' references, their only users.
+m = FOCK_CAP = 8 in both directions; `contraction_check` tests the
+contraction identity of a one-sector density's pdms in the standard basis,
+since every orthonormal basis gives the same sum.  The dense 2^m x 2^m
+ladder matrices and Slater states live in the tests' references, their only
+users.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from .kernel import GrassmannElement, _merge_parity, _parity, _popcount, prune
 from .limits import (FOCK_CAP, OPERATOR_PRUNE_REL_TOL, SECTOR_TOL, _check_m, _coo_apply,
-                     _index_dtype, _read_only, _require_finite, _require_unitary)
+                     _index_dtype, _read_only, _require_finite)
 
 
 def _infer_m(mat: np.ndarray) -> int:
@@ -227,12 +230,12 @@ def infer_particle_sector(rho: np.ndarray) -> int:
     return n
 
 
-def contraction_check(rho: np.ndarray, onb: np.ndarray | None = None) -> float:
+def contraction_check(rho: np.ndarray) -> float:
     """Max deviation between gamma and the partial contraction of Gamma / (N-1).
 
-    Requires a density supported on one N-particle sector with N >= 2; `onb`
-    optionally supplies the orthonormal basis (columns) used for the
-    contraction sum, defaulting to the standard basis.
+    Requires a density supported on one N-particle sector with N >= 2; the
+    contraction sums over the standard basis, as every orthonormal basis
+    gives the same sum.
     """
     rho = np.asarray(rho, dtype=complex)
     m = _infer_m(rho)
@@ -240,11 +243,5 @@ def contraction_check(rho: np.ndarray, onb: np.ndarray | None = None) -> float:
     if n < 2:
         raise ValueError(f"contraction identity needs N >= 2, got N = {n}")
     gamma, Gamma = pdms_from_rho(rho)
-    g4 = Gamma.reshape(m, m, m, m)
-    if onb is None:
-        weights = np.eye(m)
-    else:
-        onb = _require_unitary(onb, m, "onb")
-        weights = np.einsum("ak,bk->ab", onb.conj(), onb)
-    contracted = np.einsum("iajb,ab->ij", g4, weights)
+    contracted = np.einsum("iajb,ab->ij", Gamma.reshape(m, m, m, m), np.eye(m))
     return float(np.max(np.abs(gamma - contracted / (n - 1))))

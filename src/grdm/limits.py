@@ -22,7 +22,6 @@ DENSITY_TRACE_TOL = 1e-8     # |trace - 1| of a density element: the pdms and th
 HERMITIAN_INPUT_TOL = 1e-8   # max |X - X*| of a gamma or Gamma input
 FORM_HERMITIAN_TOL = 1e-10   # rel, max |F - F*|: forms not Hermitian by construction, report_from_form
 PSD_REL_TOL = 1e-9           # rel, how far below 0 a passing margin may lie
-UNITARY_TOL = 1e-10          # max |u*u - 1|: contraction_check's onb
 BOUNDARY_TOL = 1e-10         # quasifree: eigenvalues this close to 0 or 1 are snapped
 SECTOR_TOL = 1e-8            # max |N rho - n rho| of a one-sector density
 SELFTEST_EXACT_TOL = 1e-12   # grdm selftest: identities exact up to a few roundings
@@ -61,18 +60,6 @@ def _require_hermitian(mat, name: str) -> np.ndarray:
     if not dev <= HERMITIAN_INPUT_TOL:
         raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e}")
     return mat
-
-
-def _require_unitary(u, m: int, name: str) -> np.ndarray:
-    """`u` as a finite complex m x m matrix whose max |u*u - 1| is within UNITARY_TOL."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (m, m):
-        raise ValueError(f"{name} must be a {m}x{m} matrix, got shape {u.shape}")
-    _require_finite(u, name)
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(m)))
-    if not dev <= UNITARY_TOL:
-        raise ValueError(f"{name} is not unitary: max |u*u - 1| = {dev:.3e}")
-    return u
 
 
 def _require_unit_trace(trace: complex) -> None:

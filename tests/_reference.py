@@ -7,8 +7,9 @@ convolution weight is multiplied out before a left-derivative Berezin
 integral eliminates the high block.
 
 The paper's change of generators, `change_generators`, rewrites an element
-under a unitary substitution by compound-matrix blocks, the blocks that the
-quasifree build writes into kappa directly; its own reference expands every term
+under a substitution that `_require_unitary` checks unitary within
+UNITARY_TOL, by compound-matrix blocks, the blocks that the quasifree build
+writes into kappa directly; its own reference expands every term
 over each pair of minor determinants, one accumulation per (barred minor,
 plain minor) pair.
 
@@ -62,7 +63,7 @@ from grdm.closed import CONDITIONS, _index_map, _source, _term_entries, _validat
 from grdm.kernel import (GrassmannElement, Monomial, _compound_blocks, _degree_order,
                          _half_pair_sign, _indices)
 from grdm.limits import (BOUNDARY_TOL, FOCK_CAP, _check_m, _coo_apply, _read_only, _require_finite,
-                        _require_unitary, _scale)
+                         _scale)
 
 
 def _lift_left(a, m):
@@ -124,6 +125,21 @@ def star_reference(a, b):
         assert bar & ~low == 0 and ub & ~low == 0
         out[Monomial(bar, ub)] = c
     return GrassmannElement(m, out)
+
+
+UNITARY_TOL = 1e-10  # max |u*u - 1| of change_generators' u
+
+
+def _require_unitary(u, m: int, name: str) -> np.ndarray:
+    """`u` as a finite complex m x m matrix whose max |u*u - 1| is within UNITARY_TOL."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (m, m):
+        raise ValueError(f"{name} must be a {m}x{m} matrix, got shape {u.shape}")
+    _require_finite(u, name)
+    dev = np.max(np.abs(u.conj().T @ u - np.eye(m)))
+    if not dev <= UNITARY_TOL:
+        raise ValueError(f"{name} is not unitary: max |u*u - 1| = {dev:.3e}")
+    return u
 
 
 def change_generators(a: GrassmannElement, u: np.ndarray) -> GrassmannElement:

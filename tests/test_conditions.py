@@ -38,6 +38,12 @@ def genuine(m, seed, sector=None):
     return rho, kappa, gamma, Gamma
 
 
+def batteries(kappa, gamma, Gamma):
+    """The closed battery on (gamma, Gamma), then the star-product battery on kappa's moments."""
+    moments = kernel._moments(kappa.to_vector(), kappa.m)
+    return closed.battery(gamma, Gamma) + cond._star_battery(moments, kappa.m)
+
+
 def rand_antisym3(rng, m):
     t = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
     out = np.zeros_like(t)
@@ -243,7 +249,7 @@ class TestPQG:
     def test_genuine_passes_all(self):
         for m, seed in [(2, 21), (3, 22), (4, 23)]:
             _, kappa, gamma, Gamma = genuine(m, seed)
-            for rep in cond.condition_battery(gamma, Gamma, kappa):
+            for rep in batteries(kappa, gamma, Gamma):
                 assert rep.passed, rep
 
     def test_slater_passes_all(self, rng):
@@ -253,7 +259,7 @@ class TestPQG:
         rho = np.outer(state, state.conj())
         kappa = fock.from_operator(rho)
         gamma, Gamma = fock.pdms_from_rho(rho)
-        for rep in cond.condition_battery(gamma, Gamma, kappa):
+        for rep in batteries(kappa, gamma, Gamma):
             assert rep.passed and rep.margin >= -1e-10, rep
 
     def test_closed_vs_form_margins(self):
@@ -699,7 +705,7 @@ def test_battery_validates_the_pair_once(monkeypatch):
     validate = closed._validate_pair
     monkeypatch.setattr(closed, "_validate_pair",
                         lambda *pair: calls.append(1) or validate(*pair))
-    reports = cond.condition_battery(gamma, Gamma)
+    reports = closed.battery(gamma, Gamma)
     assert [r.condition for r in reports] == ["first-order", *CONDITIONS]
     assert len(calls) == 1
 
@@ -717,30 +723,46 @@ def test_battery_reports_equal_the_checking_path(m, rng):
         want = [cond.first_order_report(gamma)] + [
             cond.report_from_form(name, _index_form(name, m, source), "closed-form")
             for name in CONDITIONS]
-        got = cond.condition_battery(gamma, Gamma)
+        got = closed.battery(gamma, Gamma)
         assert [r.as_dict() for r in got] == [r.as_dict() for r in want], m
         assert (got[4].margin == np.inf) == (m < 3)
 
 
-def test_battery_refuses_a_kappa_of_another_m():
-    # an m = 4 kappa with an m = 3 pair would report P/Q/G of one and T1/T2 of the other
-    _, _, gamma, Gamma = genuine(3, 1)
-    _, kappa, _, _ = genuine(4, 2)
-    with pytest.raises(ValueError, match="kappa has m = 4, but gamma has m = 3"):
-        cond.condition_battery(gamma, Gamma, kappa)
-    with pytest.raises(ValueError, match="kappa has m = 4, but gamma has m = 3"):
-        cond.condition_battery(gamma, None, kappa)
+@pytest.mark.parametrize("m, slater", [(m, False) for m in range(1, 8)] + [(4, True)],
+                         ids=[f"random-{m}" for m in range(1, 8)] + ["slater-4"])
+def test_the_batteries_agree(m, slater, rng):
+    # the closed battery on the star-extracted pdms and the star battery on
+    # the same moments: the same rows in the same order with the same
+    # verdicts, margins within roundoff.  A Slater state's margins sit at 0;
+    # the empty T1 form gives inf on both sides below m = 3
+    if slater:
+        state = slater_state(random_unitary(rng, m)[:, :2], m)
+        rho = np.outer(state, state.conj())
+    else:
+        rho = fock.random_density(m, 100 + m)
+    moments = kernel._moments(fock.from_operator(rho).to_vector(), m)
+    gamma, Gamma = kernel._pdm1(moments, m), cond._pdm2(moments, m)
+    got, want = closed.battery(gamma, Gamma), cond._star_battery(moments, m)
+    assert [(r.condition, r.passed) for r in got] == [(r.condition, r.passed) for r in want]
+    tol = 1e-12 * (1 + np.max(np.abs(Gamma)))
+    for a, b in zip(got, want):
+        assert a.margin == b.margin == np.inf or abs(a.margin - b.margin) <= tol, (a, b)
+    assert (got[4].margin == np.inf) == (m < 3)
+    if slater:
+        assert max(abs(r.margin) for r in want[1:]) <= tol
 
 
 def test_grassmann_form_hermiticity_check_fires():
     # a unit-trace kappa that is not self-adjoint has a non-Hermitian T2
-    # form; the star-product side refuses to judge it, alone and in the battery
-    _, kappa, gamma, Gamma = genuine(3, 91)
+    # form; the star-product side refuses to judge it, alone and in its
+    # battery, where its gamma fails the check first
+    _, kappa, _, _ = genuine(3, 91)
     bad = kappa + make_element(3, [((1,), (2,), 0.01)])
     assert abs(trace_integral(bad) - 1) <= 1e-12
-    for run in (lambda: cond.check_T2_full(bad), lambda: cond.condition_battery(gamma, Gamma, bad)):
-        with pytest.raises(ValueError, match="T2: form matrix is not Hermitian"):
-            run()
+    with pytest.raises(ValueError, match="T2: form matrix is not Hermitian"):
+        cond.check_T2_full(bad)
+    with pytest.raises(ValueError, match="gamma is not Hermitian"):
+        cond._star_battery(kernel._moments(bad.to_vector(), 3), 3)
 
 
 def test_index_maps_agree_with_grassmann_forms_at_m6():

@@ -314,12 +314,6 @@ class TestContraction:
         rho = fock.random_density(4, 5, sector=3)
         assert fock.contraction_check(rho) < 1e-10
 
-    def test_two_different_onbs(self, rng):
-        rho = fock.random_density(4, 6, sector=2)
-        dev_std = fock.contraction_check(rho)
-        dev_rot = fock.contraction_check(rho, onb=random_unitary(rng, 4))
-        assert dev_std < 1e-10 and dev_rot < 1e-10
-
     def test_single_particle_rejected(self):
         rho = fock.random_density(3, 4, sector=1)
         with pytest.raises(ValueError, match="N >= 2"):

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grdm import conditions as cond, fock, limits, quasifree as qf
+from grdm import closed, conditions as cond, fock, limits, quasifree as qf
 from grdm.algebra import make_element, unit
 from _reference import change_generators, check_T1, check_T2_generalized
 
@@ -112,39 +112,49 @@ def _references() -> tuple:
     return homes, calls
 
 
-# Module-level functions and classes of src/grdm that nothing in src/grdm
-# outside their own body, scripts/ or grdmbench/ reads, each with the reason it stays.
+def _reached() -> tuple[set, set]:
+    """(reached, defined): the module-level functions and classes of src/grdm, and those reached.
+
+    A read reaches a definition of its name when it lies in module-level
+    code, scripts/ or grdmbench/, or in the body of another definition
+    reached so far; the set grows to a fixpoint.
+    """
+    homes = _references()[0]
+    defined = {(module, node.name) for module, text in _sources().items()
+               for node in ast.parse(text).body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    reached, more = set(), {None}
+    while more:
+        reached |= more
+        more = {d for d in defined - reached if (homes.get(d[1], set()) - {d}) & reached}
+    return reached - {None}, defined
+
+
+# Module-level functions and classes of src/grdm that the program does not
+# reach, each with the reason it stays; a helper names the kept function that reads it.
 KEPT_FUNCTIONS = {
     ("conditions", "order_n_check"):
         "the Fock side of the order-n positivity condition will call it (ROADMAP item 7)",
+    ("conditions", "monomial_basis"): "read only by order_n_check",
+    ("conditions", "quadratic_form_matrix"): "read only by order_n_check",
     ("serialize", "element_from_dict"):
         "reads the kappa file of `grdm quasifree --out`; `grdm check --in` will (ROADMAP item 3)",
+    ("serialize", "_need_finite"): "read only by element_from_dict",
+    ("serialize", "_need_indices"): "read only by element_from_dict",
 }
 
 
 def test_every_function_is_read_outside_the_tests():
-    # a function or class that only tests read is code the program does not
-    # run: the package outside its own body, the scripts or the benchmark
-    # read its name
-    homes = _references()[0]
-    unread = {(module, node.name) for module, text in _sources().items()
-              for node in ast.parse(text).body
-              if isinstance(node, (ast.ClassDef, ast.FunctionDef))
-              and not homes.get(node.name, set()) - {(module, node.name)}}
-    assert unread == set(KEPT_FUNCTIONS)
+    # a function or class that only tests, or only kept functions, read is
+    # code the program does not run
+    reached, defined = _reached()
+    assert defined - reached == set(KEPT_FUNCTIONS)
 
 
 # Parameters with a default that no call in src/grdm, scripts/ or grdmbench/
 # passes, each with the reason it stays.
-KEPT_DEFAULTS = {
-    **dict.fromkeys(
-        (("conditions", name, "tol") for name in ("check_G", "check_P", "check_Q")),
-        "the check-m5 replay passes None to it through a loop variable (ROADMAP item 1)"),
-    ("conditions", "condition_battery", "kappa"):
-        "test_acceptance.py criterion 07 runs the battery on both realizations",
-    ("fock", "contraction_check", "onb"):
-        "test_acceptance.py criterion 06 contracts in a random orthonormal basis",
-}
+KEPT_DEFAULTS = dict.fromkeys(
+    (("conditions", name, "tol") for name in ("check_G", "check_P", "check_Q")),
+    "the check-m5 replay passes None to it through a loop variable (ROADMAP item 1)")
 
 
 def _defaulted_parameters(tree: ast.Module):
@@ -284,15 +294,11 @@ SECTOR_RHO = fock.random_density(3, 4, sector=2)
 NON_FINITE_CASES = {
     "first_order_report": (lambda bad: cond.first_order_report(_with(GAMMA, (0, 0), bad)),
                            "gamma"),
-    "condition_battery": (lambda bad: cond.condition_battery(GAMMA, _with(GAMMA2, (1, 2), bad)),
-                          "Gamma"),
+    "battery": (lambda bad: closed.battery(GAMMA, _with(GAMMA2, (1, 2), bad)), "Gamma"),
     "build_quasifree": (lambda bad: qf.build_quasifree(_with(GAMMA, (0, 1), bad)), "gamma"),
     "wick_pdms": (lambda bad: qf.wick_pdms(_with(GAMMA, (1, 1), bad)), "gamma"),
     "change_generators": (lambda bad: change_generators(unit(2), _with(np.eye(2), (1, 0), bad)),
                           "u"),
-    "contraction_check": (lambda bad: fock.contraction_check(SECTOR_RHO,
-                                                             onb=_with(np.eye(3), (2, 2), bad)),
-                          "onb"),
     "contraction_check_rho": (lambda bad: fock.contraction_check(_with(SECTOR_RHO, (3, 3), bad)),
                               "density"),
     "pdm1_from_density": (lambda bad: cond.pdm1_from_density(_unit_trace_density(bad)),
