@@ -2,67 +2,31 @@
 
 The paper's P, Q, G, T1 and T2 conditions are positivity of forms in the one-
 and two-body matrices, so checking a pair needs no Grassmann element.  This
-module holds the condition table, CONDITIONS, whose rows give the probes as
-generator words, the form's mode and whether it is centred; the closed forms,
-derived from the words by normal ordering under the canonical anticommutation
-relations (CAR), pbar_k read as a+_k and p_k as a_k, as cached index maps on
-(Gamma, gamma) (`_index_map`); and the battery that `grdm check` runs,
-first-order and then one closed report per row (`_report`).  It reads numpy
-and `limits` only; the star-product realization of the same forms, with its
-own battery, lives in `conditions`.  Index conventions (0-based): gamma[k, l]
-is the expectation of pbar_{l+1} * p_{k+1}; two-body indices flatten
-row-major, (k, l) -> k*m + l, and Gamma[(i, j), (k, l)] is the expectation
-of the normal-ordered word pbar_{l+1} pbar_{k+1} p_{i+1} p_{j+1}.
+module derives each row of the condition table (`table.CONDITIONS`) from its
+words by normal ordering under the canonical anticommutation relations (CAR),
+pbar_k read as a+_k and p_k as a_k, into a cached index map on
+(Gamma, gamma) (`_index_map`); it validates a pair once (`_validate_pair`)
+and builds the vector those maps read (`_source`); and it holds the battery
+that `grdm check` runs, first-order and then one closed report per row
+(`_report`).  It reads numpy, `limits` and `table` only; the star-product
+realization of the same forms, with its own battery, lives in `conditions`,
+which imports this module only inside its closed-form wrappers, and they
+all call one entry, `pair_form`, one pair's closed form.  Index
+conventions (0-based): gamma[k, l] is the expectation of pbar_{l+1} *
+p_{k+1}; two-body indices flatten row-major, (k, l) -> k*m + l, and
+Gamma[(i, j), (k, l)] is the expectation of the normal-ordered word
+pbar_{l+1} pbar_{k+1} p_{i+1} p_{j+1}.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from itertools import combinations, groupby, permutations
-from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .limits import PSD_REL_TOL, _coo_apply, _read_only, _require_hermitian, _scale
-
-
-class ConditionReport(NamedTuple):
-    """One condition's verdict: the form's least eigenvalue `margin` against `tol`."""
-
-    condition: str
-    margin: float
-    tol: float
-    method: str
-
-    @property
-    def passed(self) -> bool:
-        """The verdict rule: the margin lies no further below 0 than tol; a NaN margin fails."""
-        return self.margin >= -self.tol
-
-    def as_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "margin": _json_margin(self.margin),
-            "pass": self.passed,
-            "tol": self.tol,
-            "method": self.method,
-        }
-
-
-def _json_margin(margin: float) -> float | None:
-    """A margin as a JSON value: None (null) when it is not finite, as the +inf of an empty form."""
-    return margin if math.isfinite(margin) else None
-
-
-def psd_tolerance(matrix: np.ndarray) -> float:
-    """Relative PSD tolerance PSD_REL_TOL * (1 + max-norm)."""
-    return PSD_REL_TOL * _scale(matrix)
-
-
-def _min_eigenvalue(herm: np.ndarray) -> float:
-    """The least eigenvalue of an exactly Hermitian form, inf when the form is empty."""
-    return float(np.linalg.eigvalsh(herm).min()) if herm.size else math.inf
+from .limits import _coo_apply, _read_only, _require_hermitian
+from .table import CONDITIONS, ConditionReport, _first_order, _min_eigenvalue, psd_tolerance
 
 
 def _validate_pair(gamma: np.ndarray, Gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -77,13 +41,6 @@ def _validate_pair(gamma: np.ndarray, Gamma: np.ndarray) -> tuple[np.ndarray, np
 def _source(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
     """v = [Gamma.ravel(), gamma.ravel(), 1], the vector every closed form's index map reads."""
     return np.concatenate((Gamma.ravel(), gamma.ravel(), [1.0]))
-
-
-def _first_order(gamma: np.ndarray) -> ConditionReport:
-    """Spectrum bounds 0 <= gamma <= 1 as a single margin, on a validated gamma."""
-    eigs = np.linalg.eigvalsh(gamma)
-    margin = float(min(eigs.min(), 1.0 - eigs.max()))
-    return ConditionReport("first-order", margin, psd_tolerance(gamma), "closed-form")
 
 
 # ---------------------------------------------------------------------------
@@ -291,48 +248,10 @@ def _index_form(condition: str, m: int, source: np.ndarray) -> np.ndarray:
     return F
 
 
-# ---------------------------------------------------------------------------
-# the condition table
-
-class Condition(NamedTuple):
-    """The `mode` form of the probes `words(m)`, `centred` or not.
-
-    A word lists generator numbers, pbar_1 .. pbar_m as 0 .. m - 1 and p_1 ..
-    p_m as m .. 2m - 1; its probe is their product in order, a wedge product
-    of elements on the star side and of ladder operators on the closed side.
-    """
-
-    words: Callable[[int], list]
-    mode: str
-    centred: bool
-
-
-def _pair_words(shifts: tuple[int, int], m: int) -> list:
-    """The m * m words of generators a + k and b + l, (a, b) = shifts, in pair order k*m + l."""
-    a, b = shifts
-    return [[a + k, b + l] for k in range(m) for l in range(m)]
-
-
-def _t1_words(m: int) -> list:
-    """The ordered cubic words p_i p_j p_k, i < j < k."""
-    return [[m + i, m + j, m + k] for i, j, k in combinations(range(m), 3)]
-
-
-def _t2_words(m: int) -> list:
-    """The cubic words pbar_i pbar_j p_k, i < j, then the linear words pbar_i."""
-    return ([[i, j, m + k] for i, j in combinations(range(m), 2) for k in range(m)]
-            + [[i] for i in range(m)])
-
-
-# P's probes p_k p_l start at generators (m, m), Q's pbar_k pbar_l at (0, 0)
-# and G's pbar_k p_l at (0, m).
-CONDITIONS = {
-    "P": Condition(lambda m: _pair_words((m, m), m), "plain", False),
-    "Q": Condition(lambda m: _pair_words((0, 0), m), "plain", False),
-    "G": Condition(lambda m: _pair_words((0, m), m), "plain", True),
-    "T1": Condition(_t1_words, "anticommutator", False),
-    "T2": Condition(_t2_words, "anticommutator", False),
-}
+def pair_form(condition: str, gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
+    """A table condition's closed form on one pair (gamma, Gamma): validated, then `_index_form`."""
+    gamma, Gamma, m = _validate_pair(gamma, Gamma)
+    return _index_form(condition, m, _source(gamma, Gamma))
 
 
 def _report(condition: str, m: int, source: np.ndarray) -> ConditionReport:

@@ -2,26 +2,30 @@
 
 Each condition P, Q, G, T1, T2 is positivity of one form with two independent
 realizations, cross-validated against each other.  One table, CONDITIONS in
-`closed`, gives each name its probes b_a, named as generator words, the mode
+`table`, gives each name its probes b_a, named as generator words, the mode
 of its form, F[a, b] = <b_a* b_b> (plain: P, Q, G) or <b_a* b_b + b_b b_a*>
 (anticommutator: T1, T2), and whether it is centred: G subtracts the product
 of its probes' means on both sides.  The closed-form side, which derives each
 form in the one- and two-body matrices (gamma, Gamma) from the same words by
 normal ordering, with its index maps and its battery, lives in `closed`;
 this module adds the star-product side, whose battery (`_star_battery`) runs
-every row on a density's moments for `grdm fuzz`.  It imports the table from
-`closed` and the element kernel (`kernel`), not the public element
-operations (`algebra`), since each form is a cached map on the coefficient
-vector, and the Fock oracle (`fock`) only inside `fuzz_conditions`, its one
-user.
+every row on a density's moments for `grdm fuzz`.  At module level it
+imports the table (`table`), the element kernel (`kernel`) and `limits`, not
+the public element operations (`algebra`), since each form is a cached map
+on the coefficient vector.  `closed` is imported only inside the closed-form
+wrappers (`closed_form_report`, with `check_P/Q/G`, and
+`t1_form_from_pdms` / `t2_form_from_pdms`), which each call
+`closed.pair_form`, and the Fock oracle (`fock`)
+only inside `fuzz_conditions`, so `grdm fuzz` compiles neither the CAR
+derivation nor anything `grdm check` alone runs.
 The Grassmann-side pdms and forms are linear in the density, so each is a
 fixed combination of its moments star_trace(kappa, t), |bar| = |unbar| <= 2
 for t, which the kernel's moment layer reads off the coefficient vector with
 one cached map per m (`kernel._moment_map`, `kernel._moments`); moment 0 is
 the trace that every density check reads, gamma is `kernel._pdm1` of the
 moments, and Gamma is P's form transposed.
-A row's word probes become elements here (`_word_probes`), and its form is
-one cached map per m (`_probe_set_map`).
+A row's word probes become the kernel's term arrays straight from the words
+(`_word_terms`), and its form is one cached map per m (`_probe_set_map`).
 
 Index conventions (0-based in code): gamma[k, l] is the expectation of
 pbar_{l+1} * p_{k+1}; two-body indices flatten row-major, (k, l) -> k*m + l,
@@ -36,18 +40,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closed import (
-    CONDITIONS,
-    ConditionReport,
-    _first_order,
-    _index_form,
-    _json_margin,
-    _min_eigenvalue,
-    _report,
-    _source,
-    _validate_pair,
-    psd_tolerance,
-)
 from .kernel import (
     GrassmannElement,
     Monomial,
@@ -71,6 +63,7 @@ from .limits import (
     _require_hermitian,
     _scale,
 )
+from .table import CONDITIONS, ConditionReport, _first_order, _json_margin, _min_eigenvalue, psd_tolerance
 
 
 def report_from_form(condition: str, matrix: np.ndarray, method: str,
@@ -87,20 +80,20 @@ def report_from_form(condition: str, matrix: np.ndarray, method: str,
 # ---------------------------------------------------------------------------
 # Grassmann-side forms as linear maps on the density's coefficients
 
-def _form_entries(probes: list[GrassmannElement], mode: str, m: int) -> tuple:
+def _form_entries(terms: tuple, n: int, mode: str, m: int) -> tuple:
     """F[a, b] = tr(kappa * X_ab), X_ab = b_a* * b_b (+ b_b * b_a*), as COO arrays (row, t, coeff).
 
-    Row a * n + b holds the expanded X_ab.  Every term of every b_a* meets
-    every term of every b_b in the `_star_pairs` kernel, one call (in
-    bounded chunks) per product order, with no element per pair: a table
-    probe is one monomial up to sign, so a table form is n**2 monomial pairs,
-    cheap at any m; quadratic_form_matrix checks STAR_CAP for any probes
-    itself.  The entries are sorted by (row, t), one per (row, t), and the
-    terms that cancel exactly, such as the anticommutator's three-body
-    terms, are dropped.
+    `terms` holds the n probes' terms as `_pair_sums` operands (row, index,
+    coeff), probe k's in row k.  Row a * n + b holds the expanded X_ab.
+    Every term of every b_a* meets every term of every b_b in the
+    `_star_pairs` kernel, one call (in bounded chunks) per product order,
+    with no element per pair: a table probe is one monomial up to sign, so a
+    table form is n**2 monomial pairs, cheap at any m; quadratic_form_matrix
+    checks STAR_CAP for any probes itself.  The entries are sorted by
+    (row, t), one per (row, t), and the terms that cancel exactly, such as
+    the anticommutator's three-body terms, are dropped.
     """
-    n = len(probes)
-    terms = rows, index, coeffs = _stack_terms(probes)
+    rows, index, coeffs = terms
     bstars = (rows * n, *_involution_terms(index, coeffs, m))
     keys, coeffs = _pair_sums(_star_pairs, bstars, terms, m)
     if mode == "anticommutator":
@@ -117,14 +110,16 @@ def _stack_terms(elements: list[GrassmannElement]) -> tuple:
     return rows, index, coeffs
 
 
-def _word_probes(words: list, m: int) -> list[GrassmannElement]:
-    """The wedge products of generator words, in order, numbered as in `kernel._generators`.
+def _word_terms(words: list, m: int) -> tuple:
+    """The wedge products of generator words as `_pair_sums` operands (row, index, coeff).
 
-    Each is one monomial up to sign, or zero where a generator repeats; the
-    words of each length take one `_mono_products` call per word position.
+    Generators are numbered as in `kernel._generators`.  Each product is one
+    monomial up to sign, in the row of its word, or no term where a
+    generator repeats; the words of each length take one `_mono_products`
+    call per word position, and the rows come out ascending.
     """
     gens = _generators(m)
-    probes = [GrassmannElement(m, {})] * len(words)
+    parts = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0, dtype=complex),)]
     for length in {len(w) for w in words}:
         at = np.array([k for k, w in enumerate(words) if len(w) == length])
         group = np.array([words[k] for k in at], dtype=np.intp)
@@ -132,22 +127,37 @@ def _word_probes(words: list, m: int) -> list[GrassmannElement]:
         for position in group.T[1:]:
             pair, index, more = _mono_products(index, gens[position[live]], m)
             live, sign = live[pair], sign[pair] * more
-        for k, w in enumerate(at[live].tolist()):
-            probes[w] = GrassmannElement._from_arrays(m, index[k:k + 1], sign[k:k + 1].astype(complex))
-    return probes
+        parts.append((at[live], index, sign.astype(complex)))
+    rows, index, coeffs = (np.concatenate(part) for part in zip(*parts))
+    order = np.argsort(rows, kind="stable")
+    return rows[order], index[order], coeffs[order]
 
 
 @functools.lru_cache(maxsize=16)
 def _probe_set_map(condition: str, m: int) -> _LinearMap:
     """A table condition's form at one m on its word probes and the shared moments; 16 are cached."""
     row = CONDITIONS[condition]
-    probes = _word_probes(row.words(m), m)
-    return _linear_map(_form_entries(probes, row.mode, m), (len(probes),) * 2, m, shared=True)
+    words = row.words(m)
+    n = len(words)
+    return _linear_map(_form_entries(_word_terms(words, m), n, row.mode, m), (n, n), m, shared=True)
+
+
+def _star_form(condition: str, moments: np.ndarray, m: int) -> np.ndarray:
+    """A table condition's star-product form, combined from the shared moments.
+
+    A centred condition's form is the plain form minus outer(conj(s), s)
+    with s_a = <b_a>, the one-body moments.
+    """
+    F = _probe_set_map(condition, m).combine_moments(moments)
+    if CONDITIONS[condition].centred:
+        s = moments[1:1 + m * m]
+        F -= np.outer(s.conj(), s)
+    return F
 
 
 def _pdm2(moments: np.ndarray, m: int) -> np.ndarray:
     """Gamma[(i, j), (k, l)] = <pbar_{l+1} pbar_{k+1} p_{i+1} p_{j+1}>, P's form transposed."""
-    return np.ascontiguousarray(_probe_set_map("P", m).combine_moments(moments).T)
+    return np.ascontiguousarray(_star_form("P", moments, m).T)
 
 
 def pdm1_from_density(kappa: GrassmannElement) -> np.ndarray:
@@ -177,7 +187,8 @@ def quadratic_form_matrix(kappa: GrassmannElement, probes: list[GrassmannElement
     for b in probes:
         if b.m != kappa.m:
             raise ValueError("probe generator count differs from density")
-    return _linear_map(_form_entries(probes, mode, kappa.m), (len(probes),) * 2, kappa.m).apply(vec)
+    n = len(probes)
+    return _linear_map(_form_entries(_stack_terms(probes), n, mode, kappa.m), (n, n), kappa.m).apply(vec)
 
 
 def monomial_basis(m: int, order: int) -> list[GrassmannElement]:
@@ -223,9 +234,10 @@ def check_G(gamma: np.ndarray, Gamma: np.ndarray, tol: float | None = None) -> C
 # third-order conditions
 
 def t1_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
-    """T1 anticommutator form over the cubic words p_i p_j p_k, i < j < k, from `closed._index_map`."""
-    gamma, Gamma, m = _validate_pair(gamma, Gamma)
-    return _index_form("T1", m, _source(gamma, Gamma))
+    """T1 anticommutator form over the cubic words p_i p_j p_k, i < j < k, by `closed.pair_form`."""
+    from .closed import pair_form
+
+    return pair_form("T1", gamma, Gamma)
 
 
 def check_T1_full(kappa: GrassmannElement) -> ConditionReport:
@@ -234,9 +246,10 @@ def check_T1_full(kappa: GrassmannElement) -> ConditionReport:
 
 
 def t2_form_from_pdms(gamma: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
-    """Generalized T2 anticommutator form over cubic and linear probes, from `closed._index_map`."""
-    gamma, Gamma, m = _validate_pair(gamma, Gamma)
-    return _index_form("T2", m, _source(gamma, Gamma))
+    """Generalized T2 anticommutator form over cubic and linear probes, by `closed.pair_form`."""
+    from .closed import pair_form
+
+    return pair_form("T2", gamma, Gamma)
 
 
 def check_T2_full(kappa: GrassmannElement) -> ConditionReport:
@@ -250,36 +263,30 @@ def check_T2_full(kappa: GrassmannElement) -> ConditionReport:
 def closed_form_report(condition: str, gamma: np.ndarray, Gamma: np.ndarray,
                        tol: float | None = None) -> ConditionReport:
     """Margin of a table condition's closed-form matrix in (gamma, Gamma), as in `closed.battery`."""
-    gamma, Gamma, m = _validate_pair(gamma, Gamma)
-    report = _report(condition, m, _source(gamma, Gamma))
-    return report if tol is None else report._replace(tol=tol)
+    from .closed import pair_form
 
-
-def _form_report(condition: str, moments: np.ndarray, m: int) -> ConditionReport:
-    """Margin of a table condition's star-product form, combined from the shared moments.
-
-    A centred condition's form is the plain form minus outer(conj(s), s)
-    with s_a = <b_a>, the one-body moments.
-    """
-    F = _probe_set_map(condition, m).combine_moments(moments)
-    if CONDITIONS[condition].centred:
-        s = moments[1:1 + m * m]
-        F -= np.outer(s.conj(), s)
-    return report_from_form(condition, F, "grassmann-form")
+    F = pair_form(condition, gamma, Gamma)
+    return ConditionReport(condition, _min_eigenvalue(F), psd_tolerance(F) if tol is None else tol,
+                           "closed-form")
 
 
 def condition_form_report(kappa: GrassmannElement, condition: str) -> ConditionReport:
     """Margin of a table condition's star-product form on kappa, from the cached map."""
-    return _form_report(condition, _moments(kappa.to_vector(), kappa.m), kappa.m)
+    F = _star_form(condition, _moments(kappa.to_vector(), kappa.m), kappa.m)
+    return report_from_form(condition, F, "grassmann-form")
 
 
-def _star_battery(moments: np.ndarray, m: int) -> list[ConditionReport]:
+def _star_battery(moments: np.ndarray, m: int, P: np.ndarray) -> list[ConditionReport]:
     """First-order, then every table condition in star-product form: `grdm fuzz`'s battery.
 
-    gamma, like every form, is read off the density's moments.
+    gamma, like every form, is read off the density's moments.  P is P's
+    `_star_form` on the same moments, which the caller has already, since
+    its transpose is Gamma; the battery combines every other row's form.
     """
-    reports = [_first_order(_require_hermitian(_pdm1(moments, m), "gamma"))]
-    return reports + [_form_report(name, moments, m) for name in CONDITIONS]
+    reports = [_first_order(_require_hermitian(_pdm1(moments, m), "gamma")),
+               report_from_form("P", P, "grassmann-form")]
+    return reports + [report_from_form(name, _star_form(name, moments, m), "grassmann-form")
+                      for name in CONDITIONS if name != "P"]
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +320,10 @@ def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -
     summary is reproducible: trial k draws from SeedSequence(seed,
     spawn_key=(k,)), the k-th child of `SeedSequence(seed).spawn`, built
     when the trial starts.  Each density's moments are computed once and
-    serve its battery and the pdms compared with the oracle's.  The Fock
-    oracle is imported here, its one user in this module, so `grdm check`
-    never loads it.
+    serve its battery and the pdms compared with the oracle's; P's form is
+    combined once, read transposed as Gamma and judged in the battery.  The
+    Fock oracle is imported here, its one user in this module, so `grdm
+    check` never loads it.
     """
     from . import fock
 
@@ -331,14 +339,14 @@ def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -
     for k in range(trials):
         rho = fock.random_density(m, np.random.SeedSequence(seed, spawn_key=(k,)), sector=sector)
         moments = _moments(fock.from_operator(rho).to_vector(), m)
-        gamma = _pdm1(moments, m)
-        Gamma = _pdm2(moments, m)
+        P = _star_form("P", moments, m)
+        gamma, Gamma = _pdm1(moments, m), P.T
         gamma_o, Gamma_o = fock.pdms_from_rho(rho)
         pdm_dev = max(pdm_dev, float(np.max(np.abs(gamma - gamma_o))),
                       float(np.max(np.abs(Gamma - Gamma_o))))
         if sector is not None and sector >= 2:
             cdev_max = max(cdev_max, float(fock.contraction_check(rho)))
-        for rep in _star_battery(moments, m):
+        for rep in _star_battery(moments, m, P):
             prev = worst.get(rep.condition)
             if prev is None or rep.margin < prev:
                 worst[rep.condition] = rep.margin

@@ -14,17 +14,16 @@ An element anywhere else raises TypeError, as json does for any type it
 does not know.
 
 At module level this imports only the standard library and numpy, since
-matrices and reports need no element code.  The element modules are
-imported inside the element paths: the writer needs only the element kernel
-(`kernel`), and the reader, which builds through `algebra.make_element`,
-`algebra` as well.
+matrices and reports need no element code.  Elements are only written here:
+the writer imports the element kernel (`kernel`) inside its functions, and
+no command reads an element file, so the element reader with its field
+checks is a test reference (`element_from_dict` in `tests/_reference.py`).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -68,43 +67,6 @@ def element_to_dict(a: GrassmannElement) -> dict:
             "im": c.imag,
         })
     return {"m": a.m, "terms": terms}
-
-
-def _need_indices(t: dict, field: str, k: int, m: int) -> list:
-    """A term's index list: ints (not bools), strictly ascending, in [1, m]."""
-    idx = _need(t, field, list, f"element term {k}")
-    if not all(type(i) is int for i in idx):
-        raise FormatError(f"field 'terms[{k}].{field}' holds a non-integer index: {idx}")
-    if idx and not (1 <= idx[0] and idx[-1] <= m and all(map(int.__lt__, idx, idx[1:]))):
-        raise FormatError(f"field 'terms[{k}].{field}' must be strictly ascending "
-                          f"indices in [1, {m}], got {idx}")
-    return idx
-
-
-def _need_finite(t: dict, field: str, k: int) -> float:
-    val = _need(t, field, (int, float), f"element term {k}")
-    # an exact comparison: NaN fails it, and so does an int past the float range
-    if not abs(val) <= sys.float_info.max:
-        raise FormatError(f"field 'terms[{k}].{field}' is not finite: {val}")
-    return val
-
-
-def element_from_dict(d: dict) -> GrassmannElement:
-    from .algebra import make_element
-
-    m = _need_m(d, "element")
-    raw = _need(d, "terms", list, "element")
-    triples = []
-    for k, t in enumerate(raw):
-        if not isinstance(t, dict):
-            raise FormatError(f"field 'terms[{k}]' in element is not an object")
-        bar = _need_indices(t, "bar", k, m)
-        unbar = _need_indices(t, "unbar", k, m)
-        triples.append((bar, unbar, complex(_need_finite(t, "re", k), _need_finite(t, "im", k))))
-    try:
-        return make_element(m, triples)
-    except ValueError as exc:
-        raise FormatError(f"element terms invalid: {exc}") from exc
 
 
 def matrix_to_dict(mat: np.ndarray, kind: str, m: int) -> dict:

@@ -49,21 +49,32 @@ as written, against which the forms derived from the words are checked.
 The quasifree references are the per-word Wick pairing recursion in the
 eigenbasis, `wick_expectation`, against which the batched Wick side is
 checked, and the diagonal build from mode occupations.
+
+The word probes of the condition table as elements, `word_probes`, multiply
+each word's generators with `algebra.multiply`, one word at a time: the
+reference for the star side's term arrays (`conditions._word_terms`) and the
+probes that `quadratic_form_matrix` takes.  The element reader,
+`element_from_dict` with its field checks, reads back what
+`serialize.element_to_dict` and `grdm quasifree --out` write; no command
+reads element files yet.
 """
 
 import functools
+import sys
 from itertools import combinations
 
 import numpy as np
 
 from grdm import quasifree
-from grdm.algebra import (_acc, _merge_sign, _star_monomials_terms, multiply, psi, psibar, star,
-                          star_trace, trace_integral)
-from grdm.closed import CONDITIONS, _index_map, _source, _term_entries, _validate_pair
+from grdm.algebra import (_acc, _merge_sign, _star_monomials_terms, make_element, multiply, psi,
+                          psibar, star, star_trace, trace_integral)
+from grdm.closed import _index_map, _source, _term_entries, _validate_pair
 from grdm.kernel import (GrassmannElement, Monomial, _compound_blocks, _degree_order,
                          _half_pair_sign, _indices)
 from grdm.limits import (BOUNDARY_TOL, FOCK_CAP, _check_m, _coo_apply, _read_only, _require_finite,
                          _scale)
+from grdm.serialize import FormatError, _need, _need_m
+from grdm.table import CONDITIONS
 
 
 def _lift_left(a, m):
@@ -463,6 +474,18 @@ def _coo(entries, m):
             np.array(coeffs, dtype=complex))
 
 
+def word_probes(words, m):
+    """The table words' probes as elements: the product chain of each word's generators, in order."""
+    generators = [psibar(i + 1, m) for i in range(m)] + [psi(i + 1, m) for i in range(m)]
+    probes = []
+    for word in words:
+        probe = generators[word[0]]
+        for g in word[1:]:
+            probe = multiply(probe, generators[g])
+        probes.append(probe)
+    return probes
+
+
 def form_entries_reference(probes, mode, m):
     """conditions._form_entries on term maps: the expanded b_a* * b_b (+ b_b * b_a*) in row a * n + b."""
     n = len(probes)
@@ -804,3 +827,39 @@ def quasifree_from_lambdas(lambdas, m):
     if lam.shape != (m,):
         raise ValueError(f"expected {m} occupations, got shape {lam.shape}")
     return quasifree.build_quasifree(np.diag(lam).astype(complex))
+
+
+def _need_indices(t: dict, field: str, k: int, m: int) -> list:
+    """A term's index list: ints (not bools), strictly ascending, in [1, m]."""
+    idx = _need(t, field, list, f"element term {k}")
+    if not all(type(i) is int for i in idx):
+        raise FormatError(f"field 'terms[{k}].{field}' holds a non-integer index: {idx}")
+    if idx and not (1 <= idx[0] and idx[-1] <= m and all(map(int.__lt__, idx, idx[1:]))):
+        raise FormatError(f"field 'terms[{k}].{field}' must be strictly ascending "
+                          f"indices in [1, {m}], got {idx}")
+    return idx
+
+
+def _need_finite(t: dict, field: str, k: int) -> float:
+    val = _need(t, field, (int, float), f"element term {k}")
+    # an exact comparison: NaN fails it, and so does an int past the float range
+    if not abs(val) <= sys.float_info.max:
+        raise FormatError(f"field 'terms[{k}].{field}' is not finite: {val}")
+    return val
+
+
+def element_from_dict(d: dict) -> GrassmannElement:
+    """An element JSON object as an element; FormatError names the first bad field."""
+    m = _need_m(d, "element")
+    raw = _need(d, "terms", list, "element")
+    triples = []
+    for k, t in enumerate(raw):
+        if not isinstance(t, dict):
+            raise FormatError(f"field 'terms[{k}]' in element is not an object")
+        bar = _need_indices(t, "bar", k, m)
+        unbar = _need_indices(t, "unbar", k, m)
+        triples.append((bar, unbar, complex(_need_finite(t, "re", k), _need_finite(t, "im", k))))
+    try:
+        return make_element(m, triples)
+    except ValueError as exc:
+        raise FormatError(f"element terms invalid: {exc}") from exc

@@ -24,10 +24,11 @@ from grdm.algebra import (
     trace_integral,
     unit,
 )
-from grdm.closed import CONDITIONS, battery
+from grdm.closed import battery
 from grdm.kernel import GrassmannElement, Monomial, _moments
+from grdm.table import CONDITIONS
 from _reference import (change_generators, check_T1, check_T2_generalized, exchange_matrix,
-                        number_operator, slater_state)
+                        number_operator, slater_state, word_probes)
 from conftest import rand_element, random_unitary
 
 
@@ -161,7 +162,8 @@ def test_criterion_07_necessary_condition_suite():
                 Gamma = cond.pdm2_from_density(kappa)
                 tol = 1e-9 * (1.0 + float(np.max(np.abs(Gamma))))
                 moments = _moments(kappa.to_vector(), m)
-                for rep in battery(gamma, Gamma) + cond._star_battery(moments, m):
+                P = cond._star_form("P", moments, m)
+                for rep in battery(gamma, Gamma) + cond._star_battery(moments, m, P):
                     assert rep.margin >= -tol, (m, trial, rep)
                 for name, closed in (("P", cond.check_P(gamma, Gamma)),
                                      ("Q", cond.check_Q(gamma, Gamma)),
@@ -178,7 +180,7 @@ def test_criterion_08_t_scalar_form_cross_check():
         kappa = fock.from_operator(rho)
         gamma = cond.pdm1_from_density(kappa)
         Gamma = cond.pdm2_from_density(kappa)
-        probes = cond._word_probes(CONDITIONS["T1"].words(m), m)
+        probes = word_probes(CONDITIONS["T1"].words(m), m)
         F1 = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
         triples = list(combinations(range(m), 3))
         for _ in range(50):
@@ -193,7 +195,7 @@ def test_criterion_08_t_scalar_form_cross_check():
             form_val = (np.vdot(coords, F1 @ coords) / 3).real
             scalar = check_T1(gamma, Gamma, T)
             assert abs(scalar - form_val) <= 1e-9 * max(1.0, abs(scalar), abs(form_val))
-        probes = cond._word_probes(CONDITIONS["T2"].words(m), m)
+        probes = word_probes(CONDITIONS["T2"].words(m), m)
         F2 = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
         pairs = list(combinations(range(m), 2))
         wrong_order_matches = 0

@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grdm
-from grdm import cli, closed, fock, kernel, quasifree, selftest, serialize
+from grdm import cli, fock, kernel, quasifree, selftest, serialize, table
 from grdm.algebra import make_element
 from grdm.kernel import GrassmannElement
 from grdm.limits import ELEMENT_CAP
+from _reference import element_from_dict
 from conftest import rand_element, random_unitary
 
 _SPECIAL_FLOATS = [-0.0, 0.0, 1e-300, -1e300, 5e-324, float("nan"), float("inf"), float("-inf")]
@@ -74,7 +75,7 @@ class TestSerialize:
         for _ in range(10):
             a = rand_element(rng, 3)
             blob = json.dumps(serialize.element_to_dict(a))
-            back = serialize.element_from_dict(json.loads(blob))
+            back = element_from_dict(json.loads(blob))
             assert back.m == a.m
             assert back.terms == a.terms  # bit-exact for binary64
 
@@ -124,22 +125,22 @@ class TestSerialize:
                 serialize.matrix_from_dict({"kind": "gamma", "m": m, "dim": 1,
                                             "re": [[0.5]], "im": [[0.0]]})
             with pytest.raises(serialize.FormatError, match="'m'"):
-                serialize.element_from_dict({"m": m, "terms": []})
+                element_from_dict({"m": m, "terms": []})
         with pytest.raises(serialize.FormatError, match="'dim'"):
             serialize.matrix_from_dict({"kind": "gamma", "m": 1, "dim": True,
                                         "re": [[0.5]], "im": [[0.0]]})
         with pytest.raises(serialize.FormatError, match="'re'"):
-            serialize.element_from_dict({"m": 1, "terms": [
+            element_from_dict({"m": 1, "terms": [
                 {"bar": [], "unbar": [], "re": False, "im": 0.0}]})
 
     def test_element_errors_non_object_term_and_past_cap(self):
         with pytest.raises(serialize.FormatError,
                            match=r"^field 'terms\[1\]' in element is not an object$"):
-            serialize.element_from_dict({"m": 2, "terms": [
+            element_from_dict({"m": 2, "terms": [
                 {"bar": [1], "unbar": [], "re": 1.0, "im": 0.0}, [1]]})
         with pytest.raises(serialize.FormatError,
                            match=rf"^element terms invalid: .*exceeds cap {ELEMENT_CAP}$"):
-            serialize.element_from_dict({"m": ELEMENT_CAP + 1, "terms": []})
+            element_from_dict({"m": ELEMENT_CAP + 1, "terms": []})
 
     def test_ragged_matrix_rows_name_field(self):
         with pytest.raises(serialize.FormatError, match="^field 're' is not a numeric matrix"):
@@ -169,7 +170,7 @@ class TestSerialize:
         good = {"bar": [1], "unbar": [1, 2], "re": 0.5, "im": -0.25}
         d = {"m": 2, "terms": [good, {**good, **term}]}
         with pytest.raises(serialize.FormatError, match=rf"'terms\[1\]\.{field}'"):
-            serialize.element_from_dict(d)
+            element_from_dict(d)
 
     @pytest.mark.parametrize("field, entry, message", [
         ("re", "0.3", "non-numeric"),       # a numeric string
@@ -423,7 +424,7 @@ class TestFuzz:
     def test_failures_counted_exit_1(self, monkeypatch, capsys):
         # with a pass tolerance of -1 every margin below 1 fails: all six
         # conditions on both trials
-        monkeypatch.setattr(closed, "PSD_REL_TOL", -1.0)
+        monkeypatch.setattr(table, "PSD_REL_TOL", -1.0)
         assert cli.main(["fuzz", "--m", "3", "--trials", "2", "--seed", "1"]) == 1
         out = capsys.readouterr().out
         assert out.endswith("\n  failures: 12\n"), out
@@ -490,7 +491,7 @@ class TestQuasifreeCmd:
         assert rep["pdm1_max_dev"] < 1e-9
         assert rep["wick_max_dev"] < 1e-9
         assert rep["points_checked"] == 64
-        el = serialize.element_from_dict(payload["element"])
+        el = element_from_dict(payload["element"])
         assert el.m == 2
 
     def test_summary_line_without_out(self, tmp_path, capsys):
@@ -834,9 +835,10 @@ def test_import_pulls_no_scipy(tmp_path):
     # grdm depends on numpy alone, and each command loads only the grdm
     # modules it runs: in a fresh process a cold check, fuzz, quasifree or
     # selftest run loads neither scipy nor numpy.ma (about 14 ms cold), check
-    # needs only the closed-form realization, no element kernel, no
-    # star-product side, no Fock oracle and no quasifree module; fuzz adds the
-    # kernel, the star-product side and the oracle, but not the public element
+    # needs only the condition table and the closed-form realization, no
+    # element kernel, no star-product side, no Fock oracle and no quasifree
+    # module; fuzz needs the table, the kernel, the star-product side and the
+    # oracle, but neither the closed-form realization nor the public element
     # API (`algebra`); quasifree needs only the kernel and its module, neither
     # realization of the conditions; no command loads `dataclasses`, and a
     # successful one neither `argparse` nor the `gettext` and `locale` of its
@@ -847,10 +849,11 @@ def test_import_pulls_no_scipy(tmp_path):
                                             "Gamma": serialize.matrix_to_dict(Gamma, "Gamma", 5)})
     serialize.atomic_write_json(str(gpath), serialize.matrix_to_dict(
         np.diag([0.2, 0.4, 0.6, 0.8]), "gamma", 4))
-    check = ["grdm", "grdm.cli", "grdm.closed", "grdm.limits", "grdm.serialize"]
-    runs = [(["check", "--in", str(pair), "--out", str(tmp_path / "r.json")], check),
+    base = ["grdm", "grdm.cli", "grdm.limits", "grdm.serialize", "grdm.table"]
+    runs = [(["check", "--in", str(pair), "--out", str(tmp_path / "r.json")],
+             sorted(base + ["grdm.closed"])),
             (["fuzz", "--m", "3", "--trials", "1", "--out", str(tmp_path / "f.json")],
-             sorted(check + ["grdm.conditions", "grdm.fock", "grdm.kernel"])),
+             sorted(base + ["grdm.conditions", "grdm.fock", "grdm.kernel"])),
             (["quasifree", "--in", str(gpath), "--out", str(tmp_path / "q.json")],
              ["grdm", "grdm.cli", "grdm.kernel", "grdm.limits", "grdm.quasifree",
               "grdm.serialize"]),
@@ -865,6 +868,27 @@ def test_import_pulls_no_scipy(tmp_path):
                 "sorted({'argparse', 'dataclasses', 'gettext', 'locale'} & set(sys.modules))]))"
                 % argv)
         assert _fresh_process(code) == [0, modules, [], []], argv[0]
+
+
+def test_conditions_imports_closed_only_in_its_closed_form_wrappers():
+    # in a fresh process `import grdm.conditions` loads the table, the kernel
+    # and limits but not the closed-form realization; its closed-form
+    # wrappers import `closed` when they run, and their reports then equal
+    # `closed.battery`'s float for float
+    code = ("import json, sys; import grdm.conditions as cond; "
+            "loaded = sorted(k for k in sys.modules if k.split('.')[0] == 'grdm'); "
+            "from grdm import fock; "
+            "gamma, Gamma = fock.pdms_from_rho(fock.random_density(4, 12)); "
+            "P = cond.check_P(gamma, Gamma).as_dict(); "
+            "T2 = cond.report_from_form('T2', cond.t2_form_from_pdms(gamma, Gamma), "
+            "'closed-form').as_dict(); "
+            "after = 'grdm.closed' in sys.modules; from grdm import closed; "
+            "battery = {r.condition: r.as_dict() for r in closed.battery(gamma, Gamma)}; "
+            "print(json.dumps([loaded, after, P, T2, battery['P'], battery['T2']]))")
+    loaded, after, P, T2, battery_P, battery_T2 = _fresh_process(code)
+    assert loaded == ["grdm", "grdm.conditions", "grdm.kernel", "grdm.limits", "grdm.table"]
+    assert after
+    assert (P, T2) == (battery_P, battery_T2)
 
 
 def test_each_name_has_one_import_path():

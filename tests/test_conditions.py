@@ -14,7 +14,6 @@ from grdm.algebra import (
     _star_monomials_terms,
     involution,
     make_element,
-    multiply,
     psi,
     psibar,
     star,
@@ -22,12 +21,14 @@ from grdm.algebra import (
     trace_integral,
     unit,
 )
-from grdm.closed import CONDITIONS, Condition, _index_form, _index_map, _source, _validate_pair
+from grdm.closed import _index_form, _index_map, _source, _validate_pair
 from grdm.kernel import GrassmannElement, Monomial
 from grdm.limits import ELEMENT_CAP, _coo_apply
+from grdm.table import CONDITIONS, Condition, ConditionReport
 from _reference import (_t1_stacks, _t2_stacks, canonical_combine, check_T1, check_T2_generalized,
                         exchange_matrix, form_entries_reference, g_condition_matrix, hand_index_form,
-                        q_condition_matrix, slater_state, t1_bilinear, t2_bilinear, t2a_value)
+                        q_condition_matrix, slater_state, t1_bilinear, t2_bilinear, t2a_value,
+                        word_probes)
 from conftest import rand_element, random_unitary
 
 
@@ -41,7 +42,8 @@ def genuine(m, seed, sector=None):
 def batteries(kappa, gamma, Gamma):
     """The closed battery on (gamma, Gamma), then the star-product battery on kappa's moments."""
     moments = kernel._moments(kappa.to_vector(), kappa.m)
-    return closed.battery(gamma, Gamma) + cond._star_battery(moments, kappa.m)
+    P = cond._star_form("P", moments, kappa.m)
+    return closed.battery(gamma, Gamma) + cond._star_battery(moments, kappa.m, P)
 
 
 def rand_antisym3(rng, m):
@@ -344,7 +346,7 @@ class TestT1:
     def test_scalar_matches_form_evaluation(self, rng):
         m = 4
         _, kappa, gamma, Gamma = genuine(m, 54)
-        probes = cond._word_probes(CONDITIONS["T1"].words(m), m)
+        probes = word_probes(CONDITIONS["T1"].words(m), m)
         F = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
         triples = list(combinations(range(m), 3))
         for _ in range(15):
@@ -357,7 +359,7 @@ class TestT1:
     def test_form_routes_agree(self):
         m = 4
         _, kappa, gamma, Gamma = genuine(m, 55)
-        probes = cond._word_probes(CONDITIONS["T1"].words(m), m)
+        probes = word_probes(CONDITIONS["T1"].words(m), m)
         dens_route = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
         pdm_route = cond.t1_form_from_pdms(gamma, Gamma)
         assert np.max(np.abs(dens_route - pdm_route)) < 1e-10
@@ -407,7 +409,7 @@ class TestT2:
     def test_scalar_matches_form_evaluation(self, rng):
         m = 4
         _, kappa, gamma, Gamma = genuine(m, 62)
-        probes = cond._word_probes(CONDITIONS["T2"].words(m), m)
+        probes = word_probes(CONDITIONS["T2"].words(m), m)
         F = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
         pairs = list(combinations(range(m), 2))
         for _ in range(15):
@@ -425,7 +427,7 @@ class TestT2:
         # slice index order [T_j^(A)]_{i q} instead of [T_j^(A)]_{q i}
         m = 4
         _, kappa, gamma, Gamma = genuine(m, 63)
-        probes = cond._word_probes(CONDITIONS["T2"].words(m), m)
+        probes = word_probes(CONDITIONS["T2"].words(m), m)
         F = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
         pairs = list(combinations(range(m), 2))
         worst = 0.0
@@ -463,7 +465,7 @@ class TestT2:
     def test_form_routes_agree(self):
         m = 3
         _, kappa, gamma, Gamma = genuine(m, 66)
-        probes = cond._word_probes(CONDITIONS["T2"].words(m), m)
+        probes = word_probes(CONDITIONS["T2"].words(m), m)
         dens_route = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
         pdm_route = cond.t2_form_from_pdms(gamma, Gamma)
         assert np.max(np.abs(dens_route - pdm_route)) < 1e-10
@@ -554,7 +556,7 @@ def test_grassmann_forms_match_closed_forms_at_m6(rng):
         assert np.max(np.abs(Gamma - Gamma_o)) <= 1e-10
         for name, from_pdms, full in (("T1", cond.t1_form_from_pdms, cond.check_T1_full),
                                       ("T2", cond.t2_form_from_pdms, cond.check_T2_full)):
-            probes = cond._word_probes(CONDITIONS[name].words(m), m)
+            probes = word_probes(CONDITIONS[name].words(m), m)
             F = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
             C = from_pdms(gamma, Gamma)
             assert np.max(np.abs(F - C)) <= 1e-10, name
@@ -690,7 +692,7 @@ def test_index_forms_match_quasifree_spectra(m, lam):
 
 def test_report_verdict_is_derived():
     # the verdict is the margin against tol, never a stored flag; NaN fails
-    rep = closed.ConditionReport("P", -1e-10, 1e-9, "closed-form")
+    rep = ConditionReport("P", -1e-10, 1e-9, "closed-form")
     assert rep.passed and rep.as_dict()["pass"] is True
     assert "passed" not in rep._fields
     assert not rep._replace(tol=1e-11).passed
@@ -741,8 +743,9 @@ def test_the_batteries_agree(m, slater, rng):
     else:
         rho = fock.random_density(m, 100 + m)
     moments = kernel._moments(fock.from_operator(rho).to_vector(), m)
-    gamma, Gamma = kernel._pdm1(moments, m), cond._pdm2(moments, m)
-    got, want = closed.battery(gamma, Gamma), cond._star_battery(moments, m)
+    P = cond._star_form("P", moments, m)
+    gamma, Gamma = kernel._pdm1(moments, m), P.T
+    got, want = closed.battery(gamma, Gamma), cond._star_battery(moments, m, P)
     assert [(r.condition, r.passed) for r in got] == [(r.condition, r.passed) for r in want]
     tol = 1e-12 * (1 + np.max(np.abs(Gamma)))
     for a, b in zip(got, want):
@@ -762,7 +765,8 @@ def test_grassmann_form_hermiticity_check_fires():
     with pytest.raises(ValueError, match="T2: form matrix is not Hermitian"):
         cond.check_T2_full(bad)
     with pytest.raises(ValueError, match="gamma is not Hermitian"):
-        cond._star_battery(kernel._moments(bad.to_vector(), 3), 3)
+        moments = kernel._moments(bad.to_vector(), 3)
+        cond._star_battery(moments, 3, cond._star_form("P", moments, 3))
 
 
 def test_index_maps_agree_with_grassmann_forms_at_m6():
@@ -782,7 +786,7 @@ def test_index_maps_agree_with_grassmann_forms_at_m6():
 def _assert_form_map_equals_scalar_builder(name, m):
     row = CONDITIONS[name]
     got = cond._probe_set_map(name, m)
-    want = kernel._linear_map(form_entries_reference(cond._word_probes(row.words(m), m), row.mode, m),
+    want = kernel._linear_map(form_entries_reference(word_probes(row.words(m), m), row.mode, m),
                             got.shape, m, shared=True)
     assert got.moments is want.moments
     for g, w in zip(canonical_combine(got), canonical_combine(want)):
@@ -791,20 +795,27 @@ def _assert_form_map_equals_scalar_builder(name, m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_word_probes_equal_generator_products(m):
-    # each table row's words, built in one pass per word length, against the
-    # plain product chain of the same generators, one word at a time
-    generators = [psibar(i + 1, m) for i in range(m)] + [psi(i + 1, m) for i in range(m)]
+    # each table row's term arrays, built in one pass per word length,
+    # against the plain product chain of the same generators (`multiply`),
+    # one word at a time: one term per word in the word's row, the same
+    # monomial and sign, and no row for a word whose product vanishes,
+    # which is a word that repeats a generator
     for name, row in CONDITIONS.items():
         words = row.words(m)
         assert all(type(g) is int for word in words for g in word), name
-        got = cond._word_probes(words, m)
-        assert len(got) == len(words), (name, m)
-        for word, probe in zip(words, got):
-            want = generators[word[0]]
-            for g in word[1:]:
-                want = multiply(want, generators[g])
-            for got_part, want_part in zip(probe.arrays(), want.arrays(), strict=True):
-                assert np.array_equal(got_part, want_part), (name, word)
+        rows, index, coeffs = cond._word_terms(words, m)
+        want_rows, want_index, want_coeffs = [], [], []
+        for k, (word, probe) in enumerate(zip(words, word_probes(words, m), strict=True)):
+            probe_index, probe_coeffs = probe.arrays()
+            assert len(probe_index) == (len(set(word)) == len(word)), (name, word)
+            want_rows += [k] * len(probe_index)
+            want_index += probe_index.tolist()
+            want_coeffs += probe_coeffs.tolist()
+        assert rows.dtype == index.dtype == np.intp and coeffs.dtype == complex, name
+        assert rows.tolist() == want_rows, (name, m)
+        assert index.tolist() == want_index, (name, m)
+        assert coeffs.tolist() == want_coeffs, (name, m)
+        assert set(np.abs(coeffs).tolist()) <= {1.0}, (name, m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])

@@ -67,8 +67,10 @@ def test_scripts_exit_0():
         if script == "start_up.py":
             # a header, then per command its medians, source KB and grdm modules;
             # then a header and per command its stdlib modules beyond numpy's.
-            # check loads the closed-form realization alone, and no `dataclasses`;
-            # no command loads `argparse`, which only help and usage errors need
+            # check loads the table and the closed-form realization, and no
+            # `dataclasses`; fuzz loads the table and the star-product side, not
+            # the closed-form realization; no command loads `argparse`, which
+            # only help and usage errors need
             table, stdlib = ([line.split() for line in block.splitlines()]
                              for block in out.strip().split("\n\n"))
             assert table[0] == ["command", "import", "ms", "cold", "op", "ms", "source", "KB",
@@ -77,7 +79,9 @@ def test_scripts_exit_0():
             for rows in (table, stdlib):
                 assert [row[0] for row in rows[1:]] == ["check", "fuzz", "quasifree", "selftest"]
             assert all(float(x) > 0 for row in table[1:] for x in row[1:4])
-            assert table[1][4:] == ["grdm", "cli", "closed", "limits", "serialize"]
+            assert table[1][4:] == ["grdm", "cli", "closed", "limits", "serialize", "table"]
+            assert table[2][4:] == ["grdm", "cli", "conditions", "fock", "kernel", "limits",
+                                    "serialize", "table"]
             assert "dataclasses" not in stdlib[1]
             assert all("argparse" not in row for row in stdlib[1:])
 
