@@ -42,7 +42,6 @@ import numpy as np
 
 from .kernel import (
     GrassmannElement,
-    Monomial,
     _generators,
     _involution_terms,
     _LinearMap,
@@ -54,15 +53,7 @@ from .kernel import (
     _star_pairs,
     _sum_terms,
 )
-from .limits import (
-    ELEMENT_CAP,
-    FOCK_CAP,
-    FORM_HERMITIAN_TOL,
-    STAR_CAP,
-    _check_m,
-    _require_hermitian,
-    _scale,
-)
+from .limits import FOCK_CAP, FORM_HERMITIAN_TOL, _check_m, _require_hermitian, _scale
 from .table import CONDITIONS, ConditionReport, _first_order, _json_margin, _min_eigenvalue, psd_tolerance
 
 
@@ -88,10 +79,9 @@ def _form_entries(terms: tuple, n: int, mode: str, m: int) -> tuple:
     Every term of every b_a* meets every term of every b_b in the
     `_star_pairs` kernel, one call (in bounded chunks) per product order,
     with no element per pair: a table probe is one monomial up to sign, so a
-    table form is n**2 monomial pairs, cheap at any m; quadratic_form_matrix
-    checks STAR_CAP for any probes itself.  The entries are sorted by
-    (row, t), one per (row, t), and the terms that cancel exactly, such as
-    the anticommutator's three-body terms, are dropped.
+    table form is n**2 monomial pairs, cheap at any m.  The entries are
+    sorted by (row, t), one per (row, t), and the terms that cancel exactly,
+    such as the anticommutator's three-body terms, are dropped.
     """
     rows, index, coeffs = terms
     bstars = (rows * n, *_involution_terms(index, coeffs, m))
@@ -100,14 +90,6 @@ def _form_entries(terms: tuple, n: int, mode: str, m: int) -> tuple:
         more = _pair_sums(_star_pairs, terms, bstars, m)
         keys, coeffs = _sum_terms(np.concatenate((keys, more[0])), np.concatenate((coeffs, more[1])))
     return keys >> (2 * m), keys & ((1 << (2 * m)) - 1), coeffs
-
-
-def _stack_terms(elements: list[GrassmannElement]) -> tuple:
-    """The elements' terms as `_pair_sums` operands: (row, index, coeff), element k's in row k."""
-    empty = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex))
-    index, coeffs = (np.concatenate(part) for part in zip(empty, *(b.arrays() for b in elements)))
-    rows = np.repeat(np.arange(len(elements)), [len(b.arrays()[0]) for b in elements])
-    return rows, index, coeffs
 
 
 def _word_terms(words: list, m: int) -> tuple:
@@ -168,46 +150,6 @@ def pdm1_from_density(kappa: GrassmannElement) -> np.ndarray:
 def pdm2_from_density(kappa: GrassmannElement) -> np.ndarray:
     """Two-body matrix by star-trace against normal-ordered generator words."""
     return _pdm2(_moments(kappa.to_vector(), kappa.m), kappa.m)
-
-
-def quadratic_form_matrix(kappa: GrassmannElement, probes: list[GrassmannElement],
-                          mode: str = "plain") -> np.ndarray:
-    """Form F[a, b] = <b_a* * b_b> (plain) or the anticommutator version.
-
-    Probes may be arbitrary elements over the density's generator count; the
-    form is PSD (up to roundoff) whenever kappa is a genuine Grassmann density.
-    """
-    if mode not in ("plain", "anticommutator"):
-        raise ValueError(f"unknown form mode {mode!r}")
-    if not probes:
-        raise ValueError("probe list is empty")
-    _check_m(kappa.m, STAR_CAP)
-    vec = kappa.to_vector()
-    _moments(vec, kappa.m)  # the trace check
-    for b in probes:
-        if b.m != kappa.m:
-            raise ValueError("probe generator count differs from density")
-    n = len(probes)
-    return _linear_map(_form_entries(_stack_terms(probes), n, mode, kappa.m), (n, n), kappa.m).apply(vec)
-
-
-def monomial_basis(m: int, order: int) -> list[GrassmannElement]:
-    """All basis monomials with at most `order` barred and unbarred indices."""
-    _check_m(m, ELEMENT_CAP)
-    masks = [x for x in range(1 << m) if x.bit_count() <= order]
-    return [GrassmannElement(m, {Monomial(bar, ub): 1 + 0j}) for bar in masks for ub in masks]
-
-
-def order_n_check(kappa: GrassmannElement, n: int) -> ConditionReport:
-    """Positivity of the plain form over the full monomial basis of order n.
-
-    n = 1 scans the one-body block of probes, n = 2 the two-body block; higher
-    orders are out of scope.
-    """
-    if n not in (1, 2):
-        raise ValueError(f"order-{n} checks are not supported (n must be 1 or 2)")
-    F = quadratic_form_matrix(kappa, monomial_basis(kappa.m, n), "plain")
-    return report_from_form(f"order-{n}", F, "grassmann-form")
 
 
 # ---------------------------------------------------------------------------

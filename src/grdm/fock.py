@@ -196,11 +196,14 @@ def pdms_from_rho(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gamma, Gamma
 
 
-def random_density(m: int, seed: int, sector: int | None = None) -> np.ndarray:
+def random_density(m: int, seed: int | np.random.SeedSequence,
+                   sector: int | None = None) -> np.ndarray:
     """Seeded random density rho = B*B / tr(B*B), B complex Gaussian.
 
-    With `sector` set, B*B is zeroed outside the fixed particle-number sector
-    before normalizing, so the result is supported there exactly.
+    `seed` is anything `np.random.default_rng` takes: an int, or a
+    SeedSequence such as a fuzz trial's child.  With `sector` set, B*B is
+    zeroed outside the fixed particle-number sector before normalizing, so
+    the result is supported there exactly.
     """
     _check_m(m, FOCK_CAP)
     rng = np.random.default_rng(seed)

@@ -53,7 +53,9 @@ checked, and the diagonal build from mode occupations.
 The word probes of the condition table as elements, `word_probes`, multiply
 each word's generators with `algebra.multiply`, one word at a time: the
 reference for the star side's term arrays (`conditions._word_terms`) and the
-probes that `quadratic_form_matrix` takes.  The element reader,
+probes that `probe_form` takes.  `probe_form` is the star side's form on
+any element probes, the route the tests take where the table's cached
+word maps do not reach.  The element reader,
 `element_from_dict` with its field checks, reads back what
 `serialize.element_to_dict` and `grdm quasifree --out` write; no command
 reads element files yet.
@@ -69,8 +71,9 @@ from grdm import quasifree
 from grdm.algebra import (_acc, _merge_sign, _star_monomials_terms, make_element, multiply, psi,
                           psibar, star, star_trace, trace_integral)
 from grdm.closed import _index_map, _source, _term_entries, _validate_pair
+from grdm.conditions import _form_entries
 from grdm.kernel import (GrassmannElement, Monomial, _compound_blocks, _degree_order,
-                         _half_pair_sign, _indices)
+                         _half_pair_sign, _indices, _linear_map)
 from grdm.limits import (BOUNDARY_TOL, FOCK_CAP, _check_m, _coo_apply, _read_only, _require_finite,
                          _scale)
 from grdm.serialize import FormatError, _need, _need_m
@@ -484,6 +487,21 @@ def word_probes(words, m):
             probe = multiply(probe, generators[g])
         probes.append(probe)
     return probes
+
+
+def probe_form(kappa, probes, mode="plain"):
+    """F[a, b] = <b_a* * b_b> (plain) or <b_a* * b_b + b_b * b_a*> (anticommutator) on element probes.
+
+    The probes' term arrays are stacked, probe k's in row k, expanded by the
+    star side's `conditions._form_entries` and read off kappa through a map
+    with its own moment rows.
+    """
+    n, m = len(probes), kappa.m
+    arrays = [b.arrays() for b in probes]
+    rows = np.repeat(np.arange(n), [len(index) for index, _ in arrays])
+    index, coeffs = (np.concatenate(part) for part in zip(*arrays))
+    entries = _form_entries((rows, index, coeffs), n, mode, m)
+    return _linear_map(entries, (n, n), m).apply(kappa.to_vector())
 
 
 def form_entries_reference(probes, mode, m):

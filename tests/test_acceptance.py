@@ -28,7 +28,7 @@ from grdm.closed import battery
 from grdm.kernel import GrassmannElement, Monomial, _moments
 from grdm.table import CONDITIONS
 from _reference import (change_generators, check_T1, check_T2_generalized, exchange_matrix,
-                        number_operator, slater_state, word_probes)
+                        number_operator, probe_form, slater_state, word_probes)
 from conftest import rand_element, random_unitary
 
 
@@ -181,7 +181,7 @@ def test_criterion_08_t_scalar_form_cross_check():
         gamma = cond.pdm1_from_density(kappa)
         Gamma = cond.pdm2_from_density(kappa)
         probes = word_probes(CONDITIONS["T1"].words(m), m)
-        F1 = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
+        F1 = probe_form(kappa, probes, "anticommutator")
         triples = list(combinations(range(m), 3))
         for _ in range(50):
             t = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
@@ -196,7 +196,7 @@ def test_criterion_08_t_scalar_form_cross_check():
             scalar = check_T1(gamma, Gamma, T)
             assert abs(scalar - form_val) <= 1e-9 * max(1.0, abs(scalar), abs(form_val))
         probes = word_probes(CONDITIONS["T2"].words(m), m)
-        F2 = cond.quadratic_form_matrix(kappa, probes, "anticommutator")
+        F2 = probe_form(kappa, probes, "anticommutator")
         pairs = list(combinations(range(m), 2))
         wrong_order_matches = 0
         for _ in range(50):

@@ -1,11 +1,16 @@
 """The benchmark harness end to end: every workload, traced, ends with a correct result line.
 
-The traced replays call grdm's public functions the way the CLI ops do, so a
-change to what they read (`len(kappa.terms)`, `check_T1_full(kappa)`, the
-work-size counts) shows here before a benchmark run is spent on it.  The
-result line must carry every per-layer metric BENCHMARK.json declares: the
-harness drops a metric whose source is gone (the `algebra.star_memo_*`
-figures when `algebra._star_monomials_terms` has no memo) and still exits 0.
+The traced replays call grdm's functions by name, so a change to what they
+read (`len(kappa.terms)`, `check_T1_full(kappa)`, the work-size counts)
+shows here before a benchmark run is spent on it.  They do not follow the
+CLI ops call for call: check-m5's replay runs the five closed checks one by
+one, each validating the pair, where `grdm check` runs `closed.battery`,
+and fuzz-m5's runs the closed P, Q and G beside the star T1 and T2, where
+`grdm fuzz` runs the star battery.  The result line must carry every
+per-layer metric BENCHMARK.json declares.  The harness drops a metric whose
+source is gone and still exits 0, so this test is what fails: without the
+memo of `algebra._star_monomials_terms` it fails on the three
+`algebra.star_memo_*` names, and the memo stays while they are declared.
 The three one-second runs go in parallel and take about 5 s on two cores.
 """
 

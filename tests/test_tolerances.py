@@ -129,22 +129,10 @@ def _reached() -> tuple[set, set]:
     return reached - {None}, defined
 
 
-# Module-level functions and classes of src/grdm that the program does not
-# reach, each with the reason it stays; a helper names the kept function that reads it.
-KEPT_FUNCTIONS = {
-    ("conditions", "order_n_check"):
-        "the Fock side of the order-n positivity condition will call it (ROADMAP item 7)",
-    ("conditions", "monomial_basis"): "read only by order_n_check",
-    ("conditions", "quadratic_form_matrix"): "read only by order_n_check",
-    ("conditions", "_stack_terms"): "read only by quadratic_form_matrix",
-}
-
-
 def test_every_function_is_read_outside_the_tests():
-    # a function or class that only tests, or only kept functions, read is
-    # code the program does not run
+    # a function or class that only tests read is code the program does not run
     reached, defined = _reached()
-    assert defined - reached == set(KEPT_FUNCTIONS)
+    assert defined - reached == set()
 
 
 # Parameters with a default that no call in src/grdm, scripts/ or grdmbench/
