@@ -9,9 +9,10 @@ pbar_k read as a+_k and p_k as a_k, into a cached index map on
 and builds the vector those maps read (`_source`); and it holds the battery
 that `grdm check` runs, first-order and then one closed report per row
 (`_report`).  It reads numpy, `limits` and `table` only; the star-product
-realization of the same forms, with its own battery, lives in `conditions`,
-which imports this module only inside its closed-form wrappers, and they
-all call one entry, `pair_form`, one pair's closed form.  Index
+realization of the same forms, with its own battery and a map of the same
+shape on a density's moments, lives in `conditions`, which imports this
+module only inside its closed-form wrappers, and they all call one entry,
+`pair_form`, one pair's closed form.  Index
 conventions (0-based): gamma[k, l] is the expectation of pbar_{l+1} *
 p_{k+1}; two-body indices flatten row-major, (k, l) -> k*m + l, and
 Gamma[(i, j), (k, l)] is the expectation of the normal-ordered word
@@ -142,20 +143,14 @@ def _pattern_terms(condition: str, x: tuple, y: tuple, mode: str) -> list:
     dagger = tuple((not c, s) for s, c in reversed(list(enumerate(cx))))
     probe = tuple((c, n + s) for s, c in enumerate(cy))
     y_runs = [tuple(n + s for s in run) for run in ry]
-    run_of = {s: k for k, run in enumerate(rx + y_runs) for s in run}
-    merged, classes = {}, {}
-    for k, ops in enumerate([dagger + probe] + ([probe + dagger] if mode == "anticommutator" else [])):
+    merged = {}
+    for ops in [dagger + probe] + ([probe + dagger] if mode == "anticommutator" else []):
         for word, pairs, sign in _normal_order(ops):
-            # terms with as many contractions between each two runs relabel each other
-            cls = (k, tuple(sorted([(run_of[s], run_of[t]) for s, t in pairs])))
-            if cls not in classes:
-                if any((s < n) == (t < n) for s, t in pairs):
-                    raise ValueError(f"condition {condition} does not reduce to (gamma, Gamma): "
-                                     "a word that is not normal-ordered contracts inside its probe")
-                key, relabel = _canonical(word, pairs, rx, y_runs)
-                classes[cls] = key, sign * relabel
-            key, scale = classes[cls]
-            merged[key] = merged.get(key, 0) + scale
+            if any((s < n) == (t < n) for s, t in pairs):
+                raise ValueError(f"condition {condition} does not reduce to (gamma, Gamma): "
+                                 "a word that is not normal-ordered contracts inside its probe")
+            key, relabel = _canonical(word, pairs, rx, y_runs)
+            merged[key] = merged.get(key, 0) + sign * relabel
     terms = []
     for (creators, annihilators, links), scale in merged.items():
         letters, source = [], {}  # one letter per link

@@ -11,12 +11,12 @@ normal ordering, with its index maps and its battery, lives in `closed`;
 this module adds the star-product side, whose battery (`_star_battery`) runs
 every row on a density's moments for `grdm fuzz`.  At module level it
 imports the table (`table`), the element kernel (`kernel`) and `limits`, not
-the public element operations (`algebra`), since each form is a cached map
-on the coefficient vector.  `closed` is imported only inside the closed-form
-wrappers (`closed_form_report`, with `check_P/Q/G`, and
+the public element operations (`algebra`), since each form is a cached
+combine of the kernel's moments.  `closed` is imported only inside the
+closed-form wrappers (`closed_form_report`, with `check_P/Q/G`, and
 `t1_form_from_pdms` / `t2_form_from_pdms`), which each call
-`closed.pair_form`, and the Fock oracle (`fock`)
-only inside `fuzz_conditions`, so `grdm fuzz` compiles neither the CAR
+`closed.pair_form`, and the Fock oracle (`fock`) only inside
+`fuzz_conditions`, so `grdm fuzz` compiles neither the CAR
 derivation nor anything `grdm check` alone runs.
 The Grassmann-side pdms and forms are linear in the density, so each is a
 fixed combination of its moments star_trace(kappa, t), |bar| = |unbar| <= 2
@@ -25,7 +25,9 @@ one cached map per m (`kernel._moment_map`, `kernel._moments`); moment 0 is
 the trace that every density check reads, gamma is `kernel._pdm1` of the
 moments, and Gamma is P's form transposed.
 A row's word probes become the kernel's term arrays straight from the words
-(`_word_terms`), and its form is one cached map per m (`_probe_set_map`).
+(`_word_terms`), and its form is one cached COO triple per m on those
+moments (`_probe_set_map`), the shape of the closed side's index map on
+(Gamma, gamma, 1), so both sides build a form by one combine.
 
 Index conventions (0-based in code): gamma[k, l] is the expectation of
 pbar_{l+1} * p_{k+1}; two-body indices flatten row-major, (k, l) -> k*m + l,
@@ -44,8 +46,7 @@ from .kernel import (
     GrassmannElement,
     _generators,
     _involution_terms,
-    _LinearMap,
-    _linear_map,
+    _moment_map,
     _moments,
     _mono_products,
     _pair_sums,
@@ -53,7 +54,15 @@ from .kernel import (
     _star_pairs,
     _sum_terms,
 )
-from .limits import FOCK_CAP, FORM_HERMITIAN_TOL, _check_m, _require_hermitian, _scale
+from .limits import (
+    FOCK_CAP,
+    FORM_HERMITIAN_TOL,
+    _check_m,
+    _coo_apply,
+    _read_only,
+    _require_hermitian,
+    _scale,
+)
 from .table import CONDITIONS, ConditionReport, _first_order, _json_margin, _min_eigenvalue, psd_tolerance
 
 
@@ -116,30 +125,41 @@ def _word_terms(words: list, m: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=16)
-def _probe_set_map(condition: str, m: int) -> _LinearMap:
-    """A table condition's form at one m on its word probes and the shared moments; 16 are cached."""
+def _probe_set_map(condition: str, m: int) -> tuple[tuple, int]:
+    """A table condition's star-product form at m as one COO map on `kernel._moment_map(m)`'s moments.
+
+    Returns the read-only (row, moment, coeff) triple and the probe count n,
+    as `closed._index_map` does: applied to the moments, the raveled n x n
+    form before centring.  A row that is not normal-ordered (the wedge
+    product drops the CAR's contraction) or reads a monomial outside the
+    moment map raises, naming it.  16 are cached.
+    """
     row = CONDITIONS[condition]
     words = row.words(m)
-    n = len(words)
-    return _linear_map(_form_entries(_word_terms(words, m), n, row.mode, m), (n, n), m, shared=True)
+    refusal = f"condition {condition} does not reduce to (gamma, Gamma): "
+    if any(a >= m > b for word in words for a, b in zip(word, word[1:])):
+        raise ValueError(refusal + "a word that is not normal-ordered drops the CAR's contraction")
+    rows, ts, coeffs = _form_entries(_word_terms(words, m), len(words), row.mode, m)
+    monomials = _moment_map(m)[1]
+    order = np.argsort(monomials)
+    cols = order[np.minimum(np.searchsorted(monomials[order], ts), len(order) - 1)]
+    if not np.array_equal(monomials[cols], ts):
+        raise ValueError(refusal + "an entry reads a monomial outside the shared moment map")
+    return _read_only(rows, cols, coeffs), len(words)
 
 
 def _star_form(condition: str, moments: np.ndarray, m: int) -> np.ndarray:
-    """A table condition's star-product form, combined from the shared moments.
+    """A table condition's star-product form, its cached map applied to a density's moments.
 
     A centred condition's form is the plain form minus outer(conj(s), s)
     with s_a = <b_a>, the one-body moments.
     """
-    F = _probe_set_map(condition, m).combine_moments(moments)
+    (rows, cols, coeffs), n = _probe_set_map(condition, m)
+    F = _coo_apply(rows, cols, coeffs, moments, n * n).reshape(n, n)
     if CONDITIONS[condition].centred:
         s = moments[1:1 + m * m]
         F -= np.outer(s.conj(), s)
     return F
-
-
-def _pdm2(moments: np.ndarray, m: int) -> np.ndarray:
-    """Gamma[(i, j), (k, l)] = <pbar_{l+1} pbar_{k+1} p_{i+1} p_{j+1}>, P's form transposed."""
-    return np.ascontiguousarray(_star_form("P", moments, m).T)
 
 
 def pdm1_from_density(kappa: GrassmannElement) -> np.ndarray:
@@ -148,8 +168,8 @@ def pdm1_from_density(kappa: GrassmannElement) -> np.ndarray:
 
 
 def pdm2_from_density(kappa: GrassmannElement) -> np.ndarray:
-    """Two-body matrix by star-trace against normal-ordered generator words."""
-    return _pdm2(_moments(kappa.to_vector(), kappa.m), kappa.m)
+    """Two-body matrix by star-trace: P's form on the density's moments, transposed."""
+    return np.ascontiguousarray(_star_form("P", _moments(kappa.to_vector(), kappa.m), kappa.m).T)
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,13 @@ interlocking enumeration (`_pair_traces`, `_trace_rows`); a product's term
 pairs run through them in bounded chunks (`_pair_sums`).  Every coefficient
 produced from integer inputs is an exact signed power of two.
 
-The moment layer writes a linear functional of a density as a cached sparse
-map on its coefficient vector: `_linear_map` builds one from COO entries
-(row, t, coeff) over the moments star_trace(kappa, t) (`_moment_rows`), and
-`_moment_map` holds, per m, the moments with |bar| = |unbar| <= 2 that the
-pdms and the condition forms read; `_moments` applies it and checks the
-trace, and `_pdm1` reads gamma off the result.  The per-m subset orderings
-and compound matrices (`_degree_order`, `_compound_blocks`) serve the
-quasifree build.
+The moment layer reads a density's moments star_trace(kappa, t) off its
+coefficient vector: `_moment_rows` gives the COO rows of any monomials t,
+and `_moment_map` holds, per m, those of the monomials with |bar| = |unbar|
+<= 2 that the pdms and the condition forms read; `_moments` applies it and
+checks the trace, and `_pdm1` reads gamma off the result.  `conditions`
+combines each table form from those moments, and `quasifree` builds its word
+map on moment rows of its own.
 
 This module imports numpy and `limits` alone, so a module that needs
 elements but not the public element operations (`star`, `involution`, the
@@ -32,13 +31,12 @@ integrals, in `algebra`) compiles no more than it runs.
 
 Elements are immutable after construction and every function here is pure.
 The only shared state is a set of caches keyed by value: the per-m bit
-tables, subset orderings and moment maps.
+tables and moment maps.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, NamedTuple
@@ -437,6 +435,9 @@ def _involution_terms(index: np.ndarray, coeffs: np.ndarray, m: int) -> tuple[np
     return (ub << m) | bar, coeffs.conj() * (1 - 2 * parity)
 
 
+# ---------------------------------------------------------------------------
+# the moment layer: a density's moments star_trace(kappa, t) as COO rows on its coefficients
+
 def _moment_rows(index: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The functionals a -> star_trace(a, t), t the monomials with the given to_vector indices.
 
@@ -446,87 +447,6 @@ def _moment_rows(index: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.
     """
     row, col, val = _trace_rows(*_split(index, m), m)
     return row, col, val.astype(float)
-
-
-@functools.lru_cache(maxsize=ELEMENT_CAP + 1)
-def _degree_order(m: int) -> tuple:
-    """The 2**m subset masks sorted by size, and per size k its (slice, index rows).
-
-    `order[slice]` lists the subsets of size k as bitmasks and `rows` (n_k, k)
-    as ascending 0-based index tuples, in the same order.
-    """
-    groups = []
-    start = 0
-    for k in range(m + 1):
-        subsets = list(combinations(range(m), k))
-        rows = np.array(subsets, dtype=np.intp).reshape(len(subsets), k)
-        rows.setflags(write=False)
-        groups.append((slice(start, start + len(subsets)), rows))
-        start += len(subsets)
-    order = np.concatenate([(1 << rows).sum(axis=1) for _, rows in groups])
-    order.setflags(write=False)
-    return order, tuple(groups)
-
-
-def _compound_blocks(u: np.ndarray) -> list:
-    """The compound matrices of u, one per subset size k, over `_degree_order`'s subsets.
-
-    Block k holds det(u[J, K]) for the k-subsets J (rows) and K (columns),
-    each size's minors from one batched determinant; block 0 is [[1]].
-    """
-    return [np.linalg.det(u[rows[:, None, :, None], rows[None, :, None, :]])
-            for _, rows in _degree_order(len(u))[1]]
-
-
-# ---------------------------------------------------------------------------
-# the moment layer: Grassmann-side quantities as linear maps on a density's coefficients
-
-class _LinearMap(NamedTuple):
-    """A linear map kappa -> array of `shape`: out = W @ (M @ kappa.to_vector()).
-
-    `moments` (M) holds the rows star_trace(kappa, t) of the monomials t the
-    output reads, whose to_vector indices `monomials` lists in row order;
-    `combine` (W) sums them, with coefficients, into the flattened output.
-    Both are read-only COO triples (row, col, val) whose duplicate entries
-    add up; the table maps share `_moment_map`'s M.
-    """
-
-    moments: tuple
-    monomials: np.ndarray
-    combine: tuple
-    shape: tuple
-
-    def combine_moments(self, moments: np.ndarray) -> np.ndarray:
-        """The map on kappa's moments, M @ kappa.to_vector()."""
-        return _coo_apply(*self.combine, moments, math.prod(self.shape)).reshape(self.shape)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """The map on a coefficient vector, kappa.to_vector()."""
-        return self.combine_moments(_coo_apply(*self.moments, vec, len(self.monomials)))
-
-
-def _linear_map(entries: tuple, shape: tuple, m: int, shared: bool = False) -> _LinearMap:
-    """The map out[row] = sum of coeff * star_trace(kappa, t) over COO arrays (row, t, coeff).
-
-    Each t is a monomial's to_vector index.  A shared map reads the moments
-    of `_moment_map(m)`, which must cover every t; any other gets moment
-    rows of just the distinct t its entries name, in ascending order.
-    """
-    rows, ts, coeffs = entries
-    ts = np.asarray(ts, dtype=np.intp)
-    if shared:
-        moments, monomials = _moment_map(m)
-        order = np.argsort(monomials)
-        cols = order[np.minimum(np.searchsorted(monomials[order], ts), len(order) - 1)]
-        if not np.array_equal(monomials[cols], ts):
-            raise ValueError("an entry reads a monomial outside the shared moment map")
-    else:
-        monomials, cols = np.unique(ts, return_inverse=True)
-        moments = _read_only(*_moment_rows(monomials, m))
-        monomials.setflags(write=False)
-    combine = _read_only(np.asarray(rows, dtype=np.intp), cols.astype(np.intp).ravel(),
-                         np.asarray(coeffs, dtype=complex))
-    return _LinearMap(moments, monomials, combine, shape)
 
 
 @functools.lru_cache(maxsize=ELEMENT_CAP)

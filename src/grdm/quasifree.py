@@ -7,7 +7,8 @@ normalized per-mode factors (2 lambda - 1) nbar n + (1 - lambda), which
 holds on all of [0, 1] once eigenvalues within BOUNDARY_TOL of 0 or 1 are
 snapped there, and in the original generators each degree-k block of its
 coefficients is a compound-matrix product: the k x k minors of the
-eigenvectors weighted by the products of those factors over the mode
+eigenvectors (`_compound_blocks`, over the subsets ordered by size in
+`_degree_order`) weighted by the products of those factors over the mode
 subsets; coefficients at or below PRUNE_REL_TOL of the largest, the
 roundoff a degenerate spectrum leaves in its cancelling sums, are dropped.
 The spec keeps the eigenvectors and the eigenvalues, clipped to [0, 1] but
@@ -20,7 +21,8 @@ star-product expectations of the density with Wick pairing sums of its
 one-body matrix; nothing is rotated back.  The star side is linear in the
 density, so for each (m, max_points) it is built once as a sparse map over
 the generator words, from the Grassmann kernels alone (the `_star_pairs`
-kernel level by level, then the pair-trace moment rows), and cached with
+kernel level by level, then `_linear_map` on the pair-trace moment rows of
+the monomials the words reach, `kernel._moment_rows`), and cached with
 the flat two-point indices of every position pair of its even words; the
 Wick side gathers all words of one length with one `take` from those
 indices and sums over the signed perfect matchings.  The tests keep the
@@ -47,12 +49,9 @@ import numpy as np
 
 from .kernel import (
     GrassmannElement,
-    _compound_blocks,
-    _degree_order,
     _generators,
     _half_pair_sign,
-    _LinearMap,
-    _linear_map,
+    _moment_rows,
     _star_pairs,
     _sum_terms,
     prune,
@@ -62,6 +61,7 @@ from .limits import (
     QUASIFREE_CAP,
     QUASIFREE_WORD_CAP,
     _check_m,
+    _coo_apply,
     _index_dtype,
     _read_only,
     _require_hermitian,
@@ -78,6 +78,36 @@ class QuasifreeSpec(NamedTuple):
     m: int
     u: np.ndarray
     lambdas: np.ndarray
+
+
+@functools.lru_cache(maxsize=QUASIFREE_CAP + 1)
+def _degree_order(m: int) -> tuple:
+    """The 2**m subset masks sorted by size, and per size k its (slice, index rows).
+
+    `order[slice]` lists the subsets of size k as bitmasks and `rows` (n_k, k)
+    as ascending 0-based index tuples, in the same order.
+    """
+    groups = []
+    start = 0
+    for k in range(m + 1):
+        subsets = list(combinations(range(m), k))
+        rows = np.array(subsets, dtype=np.intp).reshape(len(subsets), k)
+        rows.setflags(write=False)
+        groups.append((slice(start, start + len(subsets)), rows))
+        start += len(subsets)
+    order = np.concatenate([(1 << rows).sum(axis=1) for _, rows in groups])
+    order.setflags(write=False)
+    return order, tuple(groups)
+
+
+def _compound_blocks(u: np.ndarray) -> list:
+    """The compound matrices of u, one per subset size k, over `_degree_order`'s subsets.
+
+    Block k holds det(u[J, K]) for the k-subsets J (rows) and K (columns),
+    each size's minors from one batched determinant; block 0 is [[1]].
+    """
+    return [np.linalg.det(u[rows[:, None, :, None], rows[None, :, None, :]])
+            for _, rows in _degree_order(len(u))[1]]
 
 
 def build_quasifree(gamma: np.ndarray) -> tuple[QuasifreeSpec, GrassmannElement]:
@@ -129,6 +159,38 @@ def generator_words(m: int, max_points: int):
     gens = [(i, True) for i in range(1, m + 1)] + [(i, False) for i in range(1, m + 1)]
     for k in range(1, max_points + 1):
         yield from permutations(gens, k)
+
+
+class _LinearMap(NamedTuple):
+    """A linear map kappa -> array of `shape`: out = W @ (M @ kappa.to_vector()).
+
+    `moments` (M) holds the rows star_trace(kappa, t) of the monomials t,
+    whose to_vector indices `monomials` lists in row order, and `combine`
+    (W) sums them into the flattened output; both are read-only COO triples.
+    """
+
+    moments: tuple
+    monomials: np.ndarray
+    combine: tuple
+    shape: tuple
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """The map on a coefficient vector, kappa.to_vector()."""
+        moments = _coo_apply(*self.moments, vec, len(self.monomials))
+        return _coo_apply(*self.combine, moments, math.prod(self.shape)).reshape(self.shape)
+
+
+def _linear_map(entries: tuple, shape: tuple, m: int) -> _LinearMap:
+    """The map out[row] = sum of coeff * star_trace(kappa, t) over COO arrays (row, t, coeff).
+
+    Each t is a monomial's to_vector index; the map's moment rows are those
+    of the distinct t, in ascending order (`kernel._moment_rows`).
+    """
+    rows, ts, coeffs = entries
+    monomials, cols = np.unique(np.asarray(ts, dtype=np.intp), return_inverse=True)
+    combine = _read_only(np.asarray(rows, dtype=np.intp), cols.astype(np.intp).ravel(),
+                         np.asarray(coeffs, dtype=complex))
+    return _LinearMap(_read_only(*_moment_rows(monomials, m)), _read_only(monomials)[0], combine, shape)
 
 
 def _word_product_entries(m: int, max_points: int) -> tuple[tuple, tuple]:
@@ -279,13 +341,15 @@ def verify_quasifree(kappa: GrassmannElement, spec: QuasifreeSpec, max_points: i
     (`_star_word_map`); the Wick side evaluates all words of one length at
     once (`_wick_word_values`).  Neither side rotates kappa.  The map has one
     row per word, sum_k (2m)!/(2m-k)! of them, and its cache entry, map and
-    pair tables, grows with that count, at about 60-100 bytes a word: with
-    4 points 0.12 MB for the 2080 words at m = 4, 0.87 MB for the 13,344 at
-    m = 6 and 4.7 MB for the 47,296 at m = 8.  max_points has no default,
-    since that cost is the caller's to choose, and a count past
-    QUASIFREE_WORD_CAP is refused before anything is built: with 6 points
-    m = 8 has 6,337,216 words, whose entry would hold about 0.5 GB at the
-    75-82 bytes a word measured with 6 points at m = 4 and 5.  Raises
+    pair tables, grows with that count, at about 50-100 bytes a word: with
+    4 points 0.1 MB for the 2080 words at m = 4, 0.8 MB for the 13,344 at
+    m = 6 and 4.5 MB for the 47,296 at m = 8.  Its build peaks at 350-600
+    bytes a word above a fresh process's RSS (x86-64, Python 3.11): 440 MB
+    for the 773,664 words at m = 6 with 6 points, so a count just under
+    QUASIFREE_WORD_CAP can take about 0.6 GB.  max_points has no default,
+    since that cost is the caller's to choose, and a count past the cap,
+    such as m = 8's 6,337,216 words with 6 points, is refused before
+    anything is built.  Raises
     ValueError when kappa and spec differ in m, when m > QUASIFREE_CAP,
     when max_points < 1, or when the word count passes QUASIFREE_WORD_CAP;
     a max_points above 2m checks the same words as 2m.

@@ -72,10 +72,10 @@ from grdm.algebra import (_acc, _merge_sign, _star_monomials_terms, make_element
                           psibar, star, star_trace, trace_integral)
 from grdm.closed import _index_map, _source, _term_entries, _validate_pair
 from grdm.conditions import _form_entries
-from grdm.kernel import (GrassmannElement, Monomial, _compound_blocks, _degree_order,
-                         _half_pair_sign, _indices, _linear_map)
+from grdm.kernel import GrassmannElement, Monomial, _half_pair_sign, _indices
 from grdm.limits import (BOUNDARY_TOL, FOCK_CAP, _check_m, _coo_apply, _read_only, _require_finite,
                          _scale)
+from grdm.quasifree import _compound_blocks, _degree_order, _linear_map
 from grdm.serialize import FormatError, _need, _need_m
 from grdm.table import CONDITIONS
 
@@ -546,16 +546,15 @@ def star_word_expectation(kappa, word):
     return star_trace(acc, last)
 
 
-def canonical_combine(linear_map):
-    """A map's combine triple with column c named by its moment's monomial, sorted by (row, monomial).
+def canonical_entries(rows, names, vals):
+    """COO entries (row, monomial, coeff) sorted by (row, monomial).
 
     Two builds of one map may list the terms of a product in different
-    orders, and maps with their own moments may number them differently,
-    but the canonical triples agree.  The sort is only canonical when no
+    orders, and maps on different moments number their columns
+    differently, but once each column is named by its moment's monomial
+    the canonical triples agree.  The sort is only canonical when no
     (row, monomial) pair repeats, which is checked.
     """
-    rows, cols, vals = linear_map.combine
-    names = linear_map.monomials[cols]
     order = np.lexsort((names, rows))
     rows, names, vals = rows[order], names[order], vals[order]
     assert not np.any((rows[1:] == rows[:-1]) & (names[1:] == names[:-1]))

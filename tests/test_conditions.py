@@ -25,7 +25,7 @@ from grdm.closed import _index_form, _index_map, _source, _validate_pair
 from grdm.kernel import GrassmannElement, Monomial
 from grdm.limits import ELEMENT_CAP, PSD_REL_TOL, _coo_apply
 from grdm.table import CONDITIONS, Condition, ConditionReport
-from _reference import (_t1_stacks, _t2_stacks, canonical_combine, check_T1, check_T2_generalized,
+from _reference import (_t1_stacks, _t2_stacks, canonical_entries, check_T1, check_T2_generalized,
                         exchange_matrix, form_entries_reference, g_condition_matrix, hand_index_form,
                         probe_form, q_condition_matrix, slater_state, t1_bilinear, t2_bilinear,
                         t2a_value, word_probes)
@@ -128,12 +128,18 @@ class TestPdmExtraction:
             assert abs(moment0 - trace_integral(a)) <= 1e-12 * (1 << m)
 
     def test_table_maps_share_one_moment_map(self):
-        for m in (2, 3, 5):
-            rows, index = kernel._moment_map(m)
+        # every table form's columns index the moments of the one moment map
+        # at its m, T1's empty row at m <= 2 included
+        for m in (1, 2, 3, 5):
+            _, index = kernel._moment_map(m)
             assert len(index) == 1 + m * m + (m * (m - 1) // 2) ** 2
-            for name in CONDITIONS:
-                table_map = cond._probe_set_map(name, m)
-                assert table_map.moments is rows and table_map.monomials is index
+            for name, row in CONDITIONS.items():
+                (rows, cols, coeffs), n = cond._probe_set_map(name, m)
+                assert n == len(row.words(m)) and (n == 0) == (name == "T1" and m <= 2)
+                assert rows.dtype == cols.dtype == np.intp and coeffs.dtype == complex
+                assert len(rows) == len(cols) == len(coeffs) and (n > 0 or len(rows) == 0)
+                assert np.all((0 <= cols) & (cols < len(index))), (name, m)
+                assert np.all((0 <= rows) & (rows < n * n)), (name, m)
 
     def test_fuzz_trial_converts_density_once(self, monkeypatch):
         calls = []
@@ -613,6 +619,21 @@ def test_a_row_that_does_not_reduce_to_pdms_raises(monkeypatch):
         _index_map.__wrapped__("p pbar", 3)
 
 
+def test_a_row_the_shared_moments_cannot_carry_raises(monkeypatch):
+    # the star-side twin of the closed refusal above: the plain-mode T1
+    # keeps three-body terms, which lie outside the shared moment map, and
+    # the wedge product reorders a word that is not normal-ordered without
+    # the contraction the CAR adds; the map build refuses both, naming the row
+    refusal = r"^condition {} does not reduce to \(gamma, Gamma\): {}"
+    monkeypatch.setitem(CONDITIONS, "T1-plain", Condition(CONDITIONS["T1"].words, "plain", False))
+    with pytest.raises(ValueError, match=refusal.format("T1-plain", "an entry reads a monomial outside")):
+        cond._probe_set_map.__wrapped__("T1-plain", 4)
+    p_pbar = Condition(lambda m: [[m + k, l] for k in range(m) for l in range(m)], "plain", False)
+    monkeypatch.setitem(CONDITIONS, "p pbar", p_pbar)
+    with pytest.raises(ValueError, match=refusal.format("p pbar", "a word that is not normal-ordered")):
+        cond._probe_set_map.__wrapped__("p pbar", 3)
+
+
 def _quasifree_spectra(lam):
     """The analytic P, Q, G and T1 spectra of the quasifree pair of occupations lam.
 
@@ -751,7 +772,7 @@ def test_index_maps_agree_with_grassmann_forms_at_m6():
     _, kappa, gamma, Gamma = genuine(m, 86)
     moments = kernel._moments(kappa.to_vector(), m)
     for name in ("T1", "T2"):
-        F = cond._probe_set_map(name, m).combine_moments(moments)
+        F = cond._star_form(name, moments, m)
         C = _index_form(name, m, _source(gamma, Gamma))
         assert np.max(np.abs(F - C)) <= 1e-10, name
         form = cond.condition_form_report(kappa, name)
@@ -761,12 +782,14 @@ def test_index_maps_agree_with_grassmann_forms_at_m6():
 
 
 def _assert_form_map_equals_scalar_builder(name, m):
+    # the map's columns named by their moments' monomials, against the
+    # element reference's entries on the same monomials
     row = CONDITIONS[name]
-    got = cond._probe_set_map(name, m)
-    want = kernel._linear_map(form_entries_reference(word_probes(row.words(m), m), row.mode, m),
-                            got.shape, m, shared=True)
-    assert got.moments is want.moments
-    for g, w in zip(canonical_combine(got), canonical_combine(want)):
+    (rows, cols, coeffs), n = cond._probe_set_map(name, m)
+    assert n == len(row.words(m))
+    got = rows, kernel._moment_map(m)[1][cols], coeffs
+    want = form_entries_reference(word_probes(row.words(m), m), row.mode, m)
+    for g, w in zip(canonical_entries(*got), canonical_entries(*want)):
         assert g.dtype == w.dtype and np.array_equal(g, w), name
 
 

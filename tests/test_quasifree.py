@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from grdm import conditions as cond
-from grdm import fock, kernel, quasifree as qf
+from grdm import fock, quasifree as qf
 from grdm.algebra import (
     psibar,
     star,
@@ -13,7 +13,7 @@ from grdm.algebra import (
 )
 from grdm.kernel import GrassmannElement, Monomial, prune
 from grdm.limits import BOUNDARY_TOL
-from _reference import (build_quasifree_reference, canonical_combine, change_generators,
+from _reference import (build_quasifree_reference, canonical_entries, change_generators,
                         mode_product_expansion, moment_rows_reference, quasifree_from_lambdas,
                         slater_state, star_word_expectation, wick_expectation,
                         word_product_entries_reference)
@@ -314,15 +314,17 @@ class TestWick:
     def test_word_map_equals_element_reference(self, m, points):
         # the builder runs the star-product kernel level by level; the
         # reference builds each product from its prefix with the scalar
-        # product.  Both number their moments by ascending monomial, and the
-        # moment rows equal the scalar pair-trace loop's.
+        # product.  The map's moments are the distinct monomials the
+        # reference's entries name, ascending, and their rows equal the scalar
+        # pair-trace loop's.
         got = qf._star_word_map(m, points)[0]
-        want = kernel._linear_map(word_product_entries_reference(m, points), got.shape, m)
-        assert np.array_equal(got.monomials, want.monomials)
+        want = word_product_entries_reference(m, points)
+        assert np.array_equal(got.monomials, np.unique(want[1]))
         monomials = [Monomial(t >> m, t & ((1 << m) - 1)) for t in got.monomials.tolist()]
         for g, w in zip(got.moments, moment_rows_reference(monomials, m)):
             assert np.array_equal(g, w)
-        for g, w in zip(canonical_combine(got), canonical_combine(want)):
+        rows, cols, coeffs = got.combine
+        for g, w in zip(canonical_entries(rows, got.monomials[cols], coeffs), canonical_entries(*want)):
             assert g.dtype == w.dtype and np.array_equal(g, w)
 
     def test_pull_through_identity(self):

@@ -82,22 +82,39 @@ def test_tolerance_parameters_are_the_kept_ones():
     assert found == KEPT_KNOBS
 
 
+def _definitions(tree: ast.Module):
+    """(name, node) of each module-level function and class, each class before its methods.
+
+    A class's methods and properties follow it as "Class.method", all but
+    the dunder methods, which the language calls.
+    """
+    for top in tree.body:
+        if isinstance(top, (ast.ClassDef, ast.FunctionDef)):
+            yield top.name, top
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef) and not re.fullmatch(r"__\w+__", node.name):
+                    yield f"{top.name}.{node.name}", node
+
+
 @functools.cache
 def _references() -> tuple:
     """(homes, calls): the names that src/grdm, scripts/ and grdmbench/ read.
 
     `homes[name]` holds (module, definition) for each read inside a
-    module-level definition of src/grdm, and None for a read anywhere else;
-    `calls[name]` holds (positional count, keyword names) for each call of a
-    callee so named, a starred call counting as every position.
+    `_definitions` entry of src/grdm, the innermost one, and None for a read
+    anywhere else; `calls[name]` holds (positional count, keyword names)
+    for each call of a callee so named, a starred call counting as every
+    position.
     """
     homes, calls = {}, {}
     root = SRC.parent.parent
     for path in [*SRC.glob("*.py"), *root.glob("scripts/*.py"), *root.glob("grdmbench/*.py")]:
         tree = ast.parse(path.read_text())
-        owner = {id(node): (path.stem, top.name) for top in tree.body
-                 if path.parent == SRC and isinstance(top, (ast.ClassDef, ast.FunctionDef))
-                 for node in ast.walk(top)}
+        owner = {}
+        if path.parent == SRC:
+            for name, top in _definitions(tree):  # a method's nodes overwrite its class's
+                owner.update(dict.fromkeys(map(id, ast.walk(top)), (path.stem, name)))
         for node in ast.walk(tree):
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
                 name = node.id if isinstance(node, ast.Name) else node.attr
@@ -113,24 +130,26 @@ def _references() -> tuple:
 
 
 def _reached() -> tuple[set, set]:
-    """(reached, defined): the module-level functions and classes of src/grdm, and those reached.
+    """(reached, defined): the `_definitions` of src/grdm, and those reached.
 
-    A read reaches a definition of its name when it lies in module-level
-    code, scripts/ or grdmbench/, or in the body of another definition
-    reached so far; the set grows to a fixpoint.
+    A read of a definition's name, a method's by attribute, reaches it when
+    it lies in module-level code, scripts/ or grdmbench/, or in another
+    definition reached so far; the set grows to a fixpoint.
     """
     homes = _references()[0]
-    defined = {(module, node.name) for module, text in _sources().items()
-               for node in ast.parse(text).body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    defined = {(module, name) for module, text in _sources().items()
+               for name, _ in _definitions(ast.parse(text))}
     reached, more = set(), {None}
     while more:
         reached |= more
-        more = {d for d in defined - reached if (homes.get(d[1], set()) - {d}) & reached}
+        more = {d for d in defined - reached
+                if (homes.get(d[1].rpartition(".")[2], set()) - {d}) & reached}
     return reached - {None}, defined
 
 
 def test_every_function_is_read_outside_the_tests():
-    # a function or class that only tests read is code the program does not run
+    # a function, class, method or property that only tests read is code the
+    # program does not run
     reached, defined = _reached()
     assert defined - reached == set()
 
