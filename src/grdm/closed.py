@@ -9,10 +9,9 @@ pbar_k read as a+_k and p_k as a_k, into a cached index map on
 and builds the vector those maps read (`_source`); and it holds the battery
 that `grdm check` runs, first-order and then one closed report per row
 (`_report`).  It reads numpy, `limits` and `table` only; the star-product
-realization of the same forms, with its own battery and a map of the same
-shape on a density's moments, lives in `conditions`, which imports this
-module only inside its closed-form wrappers, and they all call one entry,
-`pair_form`, one pair's closed form.  Index
+realization of the same forms, with its own battery, lives in `conditions`,
+which imports this module only inside its closed-form wrappers, and they
+all call one entry, `pair_form`, one pair's closed form.  Index
 conventions (0-based): gamma[k, l] is the expectation of pbar_{l+1} *
 p_{k+1}; two-body indices flatten row-major, (k, l) -> k*m + l, and
 Gamma[(i, j), (k, l)] is the expectation of the normal-ordered word

@@ -12,7 +12,7 @@ this module adds the star-product side, whose battery (`_star_battery`) runs
 every row on a density's moments for `grdm fuzz`.  At module level it
 imports the table (`table`), the element kernel (`kernel`) and `limits`, not
 the public element operations (`algebra`), since each form is a cached
-combine of the kernel's moments.  `closed` is imported only inside the
+map on the kernel's moments.  `closed` is imported only inside the
 closed-form wrappers (`closed_form_report`, with `check_P/Q/G`, and
 `t1_form_from_pdms` / `t2_form_from_pdms`), which each call
 `closed.pair_form`, and the Fock oracle (`fock`) only inside
@@ -25,9 +25,8 @@ one cached map per m (`kernel._moment_map`, `kernel._moments`); moment 0 is
 the trace that every density check reads, gamma is `kernel._pdm1` of the
 moments, and Gamma is P's form transposed.
 A row's word probes become the kernel's term arrays straight from the words
-(`_word_terms`), and its form is one cached COO triple per m on those
-moments (`_probe_set_map`), the shape of the closed side's index map on
-(Gamma, gamma, 1), so both sides build a form by one combine.
+(`_word_terms`), and its form is one cached COO map per m on those moments
+(`_probe_set_map`).
 
 Index conventions (0-based in code): gamma[k, l] is the expectation of
 pbar_{l+1} * p_{k+1}; two-body indices flatten row-major, (k, l) -> k*m + l,
@@ -126,13 +125,10 @@ def _word_terms(words: list, m: int) -> tuple:
 
 @functools.lru_cache(maxsize=16)
 def _probe_set_map(condition: str, m: int) -> tuple[tuple, int]:
-    """A table condition's star-product form at m as one COO map on `kernel._moment_map(m)`'s moments.
+    """A table condition's plain form at m, a COO map on `_moment_map(m)`'s moments, and its probe count.
 
-    Returns the read-only (row, moment, coeff) triple and the probe count n,
-    as `closed._index_map` does: applied to the moments, the raveled n x n
-    form before centring.  A row that is not normal-ordered (the wedge
-    product drops the CAR's contraction) or reads a monomial outside the
-    moment map raises, naming it.  16 are cached.
+    A word that is not normal-ordered is refused: its wedge product drops
+    the CAR's contraction.  16 are cached.
     """
     row = CONDITIONS[condition]
     words = row.words(m)
@@ -149,7 +145,7 @@ def _probe_set_map(condition: str, m: int) -> tuple[tuple, int]:
 
 
 def _star_form(condition: str, moments: np.ndarray, m: int) -> np.ndarray:
-    """A table condition's star-product form, its cached map applied to a density's moments.
+    """A table condition's star-product form, combined from the shared moments.
 
     A centred condition's form is the plain form minus outer(conj(s), s)
     with s_a = <b_a>, the one-body moments.

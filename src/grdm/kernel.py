@@ -21,9 +21,7 @@ The moment layer reads a density's moments star_trace(kappa, t) off its
 coefficient vector: `_moment_rows` gives the COO rows of any monomials t,
 and `_moment_map` holds, per m, those of the monomials with |bar| = |unbar|
 <= 2 that the pdms and the condition forms read; `_moments` applies it and
-checks the trace, and `_pdm1` reads gamma off the result.  `conditions`
-combines each table form from those moments, and `quasifree` builds its word
-map on moment rows of its own.
+checks the trace, and `_pdm1` reads gamma off the result.
 
 This module imports numpy and `limits` alone, so a module that needs
 elements but not the public element operations (`star`, `involution`, the

@@ -7,8 +7,7 @@ normalized per-mode factors (2 lambda - 1) nbar n + (1 - lambda), which
 holds on all of [0, 1] once eigenvalues within BOUNDARY_TOL of 0 or 1 are
 snapped there, and in the original generators each degree-k block of its
 coefficients is a compound-matrix product: the k x k minors of the
-eigenvectors (`_compound_blocks`, over the subsets ordered by size in
-`_degree_order`) weighted by the products of those factors over the mode
+eigenvectors weighted by the products of those factors over the mode
 subsets; coefficients at or below PRUNE_REL_TOL of the largest, the
 roundoff a degenerate spectrum leaves in its cancelling sums, are dropped.
 The spec keeps the eigenvectors and the eigenvalues, clipped to [0, 1] but
@@ -21,8 +20,7 @@ star-product expectations of the density with Wick pairing sums of its
 one-body matrix; nothing is rotated back.  The star side is linear in the
 density, so for each (m, max_points) it is built once as a sparse map over
 the generator words, from the Grassmann kernels alone (the `_star_pairs`
-kernel level by level, then `_linear_map` on the pair-trace moment rows of
-the monomials the words reach, `kernel._moment_rows`), and cached with
+kernel level by level, then the pair-trace moment rows), and cached with
 the flat two-point indices of every position pair of its even words; the
 Wick side gathers all words of one length with one `take` from those
 indices and sums over the signed perfect matchings.  The tests keep the
@@ -162,25 +160,25 @@ def generator_words(m: int, max_points: int):
 
 
 class _LinearMap(NamedTuple):
-    """A linear map kappa -> array of `shape`: out = W @ (M @ kappa.to_vector()).
+    """A linear map kappa -> n values: out = W @ (M @ kappa.to_vector()).
 
     `moments` (M) holds the rows star_trace(kappa, t) of the monomials t,
     whose to_vector indices `monomials` lists in row order, and `combine`
-    (W) sums them into the flattened output; both are read-only COO triples.
+    (W) sums them into the output; both are read-only COO triples.
     """
 
     moments: tuple
     monomials: np.ndarray
     combine: tuple
-    shape: tuple
+    n: int
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """The map on a coefficient vector, kappa.to_vector()."""
         moments = _coo_apply(*self.moments, vec, len(self.monomials))
-        return _coo_apply(*self.combine, moments, math.prod(self.shape)).reshape(self.shape)
+        return _coo_apply(*self.combine, moments, self.n)
 
 
-def _linear_map(entries: tuple, shape: tuple, m: int) -> _LinearMap:
+def _linear_map(entries: tuple, n: int, m: int) -> _LinearMap:
     """The map out[row] = sum of coeff * star_trace(kappa, t) over COO arrays (row, t, coeff).
 
     Each t is a monomial's to_vector index; the map's moment rows are those
@@ -190,7 +188,7 @@ def _linear_map(entries: tuple, shape: tuple, m: int) -> _LinearMap:
     monomials, cols = np.unique(np.asarray(ts, dtype=np.intp), return_inverse=True)
     combine = _read_only(np.asarray(rows, dtype=np.intp), cols.astype(np.intp).ravel(),
                          np.asarray(coeffs, dtype=complex))
-    return _LinearMap(_read_only(*_moment_rows(monomials, m)), _read_only(monomials)[0], combine, shape)
+    return _LinearMap(_read_only(*_moment_rows(monomials, m)), _read_only(monomials)[0], combine, n)
 
 
 def _word_product_entries(m: int, max_points: int) -> tuple[tuple, tuple]:
@@ -244,7 +242,7 @@ def _star_word_map(m: int, max_points: int) -> tuple[_LinearMap, tuple]:
     """
     n_words = words_checked(m, max_points)  # checks m, max_points and the word cap first
     entries, pair_tables = _word_product_entries(m, max_points)
-    return _linear_map(entries, (n_words,), m), pair_tables
+    return _linear_map(entries, n_words, m), pair_tables
 
 
 def _clamp_points(m: int, max_points: int) -> int:
@@ -304,7 +302,7 @@ def _wick_word_values(spec: QuasifreeSpec, max_points: int) -> np.ndarray:
     two_point[:m, m:] = gamma.T
     two_point[m:, :m] = np.eye(m) - gamma
     two_point = two_point.ravel()
-    out = np.zeros(word_map.shape[0], dtype=complex)
+    out = np.zeros(word_map.n, dtype=complex)
     for first, k, pairs in pair_tables:
         pair_values = dict(zip(combinations(range(k), 2), two_point.take(pairs)))
         values = out[first:first + pairs.shape[1]]
@@ -343,13 +341,13 @@ def verify_quasifree(kappa: GrassmannElement, spec: QuasifreeSpec, max_points: i
     row per word, sum_k (2m)!/(2m-k)! of them, and its cache entry, map and
     pair tables, grows with that count, at about 50-100 bytes a word: with
     4 points 0.1 MB for the 2080 words at m = 4, 0.8 MB for the 13,344 at
-    m = 6 and 4.5 MB for the 47,296 at m = 8.  Its build peaks at 350-600
-    bytes a word above a fresh process's RSS (x86-64, Python 3.11): 440 MB
-    for the 773,664 words at m = 6 with 6 points, so a count just under
-    QUASIFREE_WORD_CAP can take about 0.6 GB.  max_points has no default,
-    since that cost is the caller's to choose, and a count past the cap,
-    such as m = 8's 6,337,216 words with 6 points, is refused before
-    anything is built.  Raises
+    m = 6 and 4.5 MB for the 47,296 at m = 8.  Its build peaks at 340-600
+    bytes a word above a fresh process's RSS (x86-64, Python 3.11): 35 MB
+    for the 108,384 words at m = 6 with 5 points and 440 MB for the 773,664
+    with 6 points, so a count just under QUASIFREE_WORD_CAP can take about
+    0.6 GB.  max_points has no default, since that cost is the caller's to
+    choose, and a count past the cap, such as m = 8's 6,337,216 words with
+    6 points, is refused before anything is built.  Raises
     ValueError when kappa and spec differ in m, when m > QUASIFREE_CAP,
     when max_points < 1, or when the word count passes QUASIFREE_WORD_CAP;
     a max_points above 2m checks the same words as 2m.

@@ -72,10 +72,10 @@ from grdm.algebra import (_acc, _merge_sign, _star_monomials_terms, make_element
                           psibar, star, star_trace, trace_integral)
 from grdm.closed import _index_map, _source, _term_entries, _validate_pair
 from grdm.conditions import _form_entries
-from grdm.kernel import GrassmannElement, Monomial, _half_pair_sign, _indices
+from grdm.kernel import GrassmannElement, Monomial, _half_pair_sign, _indices, _moment_rows
 from grdm.limits import (BOUNDARY_TOL, FOCK_CAP, _check_m, _coo_apply, _read_only, _require_finite,
                          _scale)
-from grdm.quasifree import _compound_blocks, _degree_order, _linear_map
+from grdm.quasifree import _compound_blocks, _degree_order
 from grdm.serialize import FormatError, _need, _need_m
 from grdm.table import CONDITIONS
 
@@ -493,15 +493,17 @@ def probe_form(kappa, probes, mode="plain"):
     """F[a, b] = <b_a* * b_b> (plain) or <b_a* * b_b + b_b * b_a*> (anticommutator) on element probes.
 
     The probes' term arrays are stacked, probe k's in row k, expanded by the
-    star side's `conditions._form_entries` and read off kappa through a map
-    with its own moment rows.
+    star side's `conditions._form_entries` and read off kappa's moments of
+    just the monomials those entries name.
     """
     n, m = len(probes), kappa.m
     arrays = [b.arrays() for b in probes]
     rows = np.repeat(np.arange(n), [len(index) for index, _ in arrays])
     index, coeffs = (np.concatenate(part) for part in zip(*arrays))
-    entries = _form_entries((rows, index, coeffs), n, mode, m)
-    return _linear_map(entries, (n, n), m).apply(kappa.to_vector())
+    rows, ts, coeffs = _form_entries((rows, index, coeffs), n, mode, m)
+    monomials, cols = np.unique(ts, return_inverse=True)
+    moments = _coo_apply(*_moment_rows(monomials, m), kappa.to_vector(), len(monomials))
+    return _coo_apply(rows, cols.ravel(), coeffs, moments, n * n).reshape(n, n)
 
 
 def form_entries_reference(probes, mode, m):
