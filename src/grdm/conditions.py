@@ -279,9 +279,10 @@ def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -
     spawn_key=(k,)), the k-th child of `SeedSequence(seed).spawn`, built
     when the trial starts.  Each density's moments are computed once and
     serve its battery and the pdms compared with the oracle's; P's form is
-    combined once, read transposed as Gamma and judged in the battery.  The
-    Fock oracle is imported here, its one user in this module, so `grdm
-    check` never loads it.
+    combined once, read transposed as Gamma and judged in the battery.  In
+    a sector of two or more particles the oracle's pdms also check the
+    contraction identity, with N the sector.  The Fock oracle is imported
+    here, its one user in this module, so `grdm check` never loads it.
     """
     from . import fock
 
@@ -303,7 +304,7 @@ def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -
         pdm_dev = max(pdm_dev, float(np.max(np.abs(gamma - gamma_o))),
                       float(np.max(np.abs(Gamma - Gamma_o))))
         if sector is not None and sector >= 2:
-            cdev_max = max(cdev_max, float(fock.contraction_check(rho)))
+            cdev_max = max(cdev_max, fock.contraction_check(gamma_o, Gamma_o, sector))
         for rep in _star_battery(moments, m, P):
             prev = worst.get(rep.condition)
             if prev is None or rep.margin < prev:

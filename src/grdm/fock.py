@@ -16,10 +16,10 @@ of modes whose signs come from the sign functions of the element kernel
 (`kernel`), so the round trip compares two separate sign derivations.
 Everything serves to cross-validate the Grassmann-side computations, up to
 m = FOCK_CAP = 8 in both directions; `contraction_check` tests the
-contraction identity of a one-sector density's pdms in the standard basis,
-since every orthonormal basis gives the same sum.  The dense 2^m x 2^m
-ladder matrices and Slater states live in the tests' references, their only
-users.
+contraction identity on the pdms of a density in a known particle sector,
+summing over the standard basis, since every orthonormal basis gives the
+same sum.  The dense 2^m x 2^m ladder matrices and Slater states live in
+the tests' references, their only users.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import functools
 import numpy as np
 
 from .kernel import GrassmannElement, _merge_parity, _parity, _popcount, prune
-from .limits import (FOCK_CAP, OPERATOR_PRUNE_REL_TOL, SECTOR_TOL, _check_m, _coo_apply,
-                     _index_dtype, _read_only, _require_finite)
+from .limits import (FOCK_CAP, OPERATOR_PRUNE_REL_TOL, _check_m, _coo_apply, _index_dtype,
+                     _read_only)
 
 
 def _infer_m(mat: np.ndarray) -> int:
@@ -221,30 +221,14 @@ def random_density(m: int, seed: int | np.random.SeedSequence,
     return rho / tr
 
 
-def infer_particle_sector(rho: np.ndarray) -> int:
-    """Particle number of a density supported on a single occupation sector."""
-    rho = np.asarray(rho)
-    m = _infer_m(rho)
-    _require_finite(rho, "density")
-    count = _popcount(np.arange(1 << m), m)
-    n = round((count @ np.diagonal(rho)).real)
-    if not np.max(np.abs(count[:, None] * rho - n * rho)) <= SECTOR_TOL:
-        raise ValueError("density is not supported on a single particle-number sector")
-    return n
+def contraction_check(gamma: np.ndarray, Gamma: np.ndarray, n: int) -> float:
+    """Max deviation between gamma and the partial contraction of Gamma / (n-1).
 
-
-def contraction_check(rho: np.ndarray) -> float:
-    """Max deviation between gamma and the partial contraction of Gamma / (N-1).
-
-    Requires a density supported on one N-particle sector with N >= 2; the
-    contraction sums over the standard basis, as every orthonormal basis
-    gives the same sum.
+    (gamma, Gamma) are the pdms of a density supported on one n-particle
+    sector, n >= 2, as `pdms_from_rho` gives them.
     """
-    rho = np.asarray(rho, dtype=complex)
-    m = _infer_m(rho)
-    n = infer_particle_sector(rho)
     if n < 2:
         raise ValueError(f"contraction identity needs N >= 2, got N = {n}")
-    gamma, Gamma = pdms_from_rho(rho)
+    m = gamma.shape[0]
     contracted = np.einsum("iajb,ab->ij", Gamma.reshape(m, m, m, m), np.eye(m))
     return float(np.max(np.abs(gamma - contracted / (n - 1))))

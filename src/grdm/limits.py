@@ -23,7 +23,6 @@ HERMITIAN_INPUT_TOL = 1e-8   # max |X - X*| of a gamma or Gamma input
 FORM_HERMITIAN_TOL = 1e-10   # rel, max |F - F*|: forms not Hermitian by construction, report_from_form
 PSD_REL_TOL = 1e-9           # rel, how far below 0 a passing margin may lie
 BOUNDARY_TOL = 1e-10         # quasifree: eigenvalues this close to 0 or 1 are snapped
-SECTOR_TOL = 1e-8            # max |N rho - n rho| of a one-sector density
 SELFTEST_EXACT_TOL = 1e-12   # grdm selftest: identities exact up to a few roundings
 SELFTEST_RANDOM_TOL = 1e-10  # grdm selftest: identities on random coefficients
 

@@ -11,23 +11,21 @@ eigenvectors weighted by the products of those factors over the mode
 subsets; coefficients at or below PRUNE_REL_TOL of the largest, the
 roundoff a degenerate spectrum leaves in its cancelling sums, are dropped.
 The spec keeps the eigenvectors and the eigenvalues, clipped to [0, 1] but
-not snapped.  The tests keep the composition this replaced, the eigenbasis
-product written as an element and rotated by `change_generators`, as the
-reference for the build.
+not snapped.  The tests' reference for the build is the eigenbasis product
+written as an element and rotated by `change_generators`.
 
 Verification compares, word by word and in the original generators,
 star-product expectations of the density with Wick pairing sums of its
 one-body matrix; nothing is rotated back.  The star side is linear in the
-density, so for each (m, max_points) it is built once as a sparse map over
-the generator words, from the Grassmann kernels alone (the `_star_pairs`
-kernel level by level, then the pair-trace moment rows), and cached with
-the flat two-point indices of every position pair of its even words; the
-Wick side gathers all words of one length with one `take` from those
-indices and sums over the signed perfect matchings.  The tests keep the
-per-word references of both sides, the star fold and the Wick pairing
-recursion.  Everything here runs up to
-QUASIFREE_CAP = 8 generators, past the star product's cap, since no step
-multiplies two full elements.
+density, so for each (m, max_points) it is built once, from the Grassmann
+kernels alone, as two plain COO maps, the density's moments and their
+combine into one value per word, and cached with the flat two-point
+indices of every position pair of its even words; the Wick side gathers
+all words of one length with one `take` from those indices and sums over
+the signed perfect matchings.  The tests keep the per-word references of
+both sides, the star fold and the Wick pairing recursion.  Everything here
+runs up to QUASIFREE_CAP = 8 generators, past the star product's cap, since
+no step multiplies two full elements.
 
 The module imports the element kernel (`kernel`) and `limits` alone: the
 build writes kappa's arrays and the verification reads them, so neither needs
@@ -159,38 +157,6 @@ def generator_words(m: int, max_points: int):
         yield from permutations(gens, k)
 
 
-class _LinearMap(NamedTuple):
-    """A linear map kappa -> n values: out = W @ (M @ kappa.to_vector()).
-
-    `moments` (M) holds the rows star_trace(kappa, t) of the monomials t,
-    whose to_vector indices `monomials` lists in row order, and `combine`
-    (W) sums them into the output; both are read-only COO triples.
-    """
-
-    moments: tuple
-    monomials: np.ndarray
-    combine: tuple
-    n: int
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """The map on a coefficient vector, kappa.to_vector()."""
-        moments = _coo_apply(*self.moments, vec, len(self.monomials))
-        return _coo_apply(*self.combine, moments, self.n)
-
-
-def _linear_map(entries: tuple, n: int, m: int) -> _LinearMap:
-    """The map out[row] = sum of coeff * star_trace(kappa, t) over COO arrays (row, t, coeff).
-
-    Each t is a monomial's to_vector index; the map's moment rows are those
-    of the distinct t, in ascending order (`kernel._moment_rows`).
-    """
-    rows, ts, coeffs = entries
-    monomials, cols = np.unique(np.asarray(ts, dtype=np.intp), return_inverse=True)
-    combine = _read_only(np.asarray(rows, dtype=np.intp), cols.astype(np.intp).ravel(),
-                         np.asarray(coeffs, dtype=complex))
-    return _LinearMap(_read_only(*_moment_rows(monomials, m)), _read_only(monomials)[0], combine, n)
-
-
 def _word_product_entries(m: int, max_points: int) -> tuple[tuple, tuple]:
     """COO arrays (row, t, coeff) of each word product g1 * ... * gk, rows in generator_words order.
 
@@ -235,14 +201,19 @@ def _word_product_entries(m: int, max_points: int) -> tuple[tuple, tuple]:
 
 
 @functools.lru_cache(maxsize=8)
-def _star_word_map(m: int, max_points: int) -> tuple[_LinearMap, tuple]:
-    """kappa -> star_trace(kappa, g1 * ... * gk) over every word, with the even words' pair tables.
+def _star_word_map(m: int, max_points: int) -> tuple[tuple, tuple]:
+    """kappa -> star_trace(kappa, g1 * ... * gk) over every word, as ((moments, combine), pair_tables).
 
-    The Wick side reads the pair tables; the cache holds at most 8 entries.
+    `moments` is (rows, monomials) over the monomials the word products
+    reach, the shape of `kernel._moment_map`; `combine` is (COO triple,
+    n_words), the shape of `conditions._probe_set_map`.  The Wick side reads
+    the pair tables; the cache holds at most 8 entries.
     """
     n_words = words_checked(m, max_points)  # checks m, max_points and the word cap first
-    entries, pair_tables = _word_product_entries(m, max_points)
-    return _linear_map(entries, n_words, m), pair_tables
+    (rows, ts, coeffs), pair_tables = _word_product_entries(m, max_points)
+    monomials, cols = np.unique(ts, return_inverse=True)
+    moments = _read_only(*_moment_rows(monomials, m)), _read_only(monomials)[0]
+    return (moments, (_read_only(rows, cols, coeffs), n_words)), pair_tables
 
 
 def _clamp_points(m: int, max_points: int) -> int:
@@ -296,13 +267,13 @@ def _wick_word_values(spec: QuasifreeSpec, max_points: int) -> np.ndarray:
     matchings of k positions.
     """
     m = spec.m
-    word_map, pair_tables = _star_word_map(m, max_points)
+    (_, (_, n_words)), pair_tables = _star_word_map(m, max_points)
     gamma = (spec.u * spec.lambdas) @ spec.u.conj().T
     two_point = np.zeros((2 * m, 2 * m), dtype=complex)
     two_point[:m, m:] = gamma.T
     two_point[m:, :m] = np.eye(m) - gamma
     two_point = two_point.ravel()
-    out = np.zeros(word_map.n, dtype=complex)
+    out = np.zeros(n_words, dtype=complex)
     for first, k, pairs in pair_tables:
         pair_values = dict(zip(combinations(range(k), 2), two_point.take(pairs)))
         values = out[first:first + pairs.shape[1]]
@@ -335,11 +306,12 @@ def verify_quasifree(kappa: GrassmannElement, spec: QuasifreeSpec, max_points: i
     do not.  The two sides stay independent: Grassmann kernels on kappa
     against pairings of gamma.  By associativity the star side of word
     g1...gk is star_trace(kappa, g1 * ... * gk), a fixed linear functional,
-    so all words are one cached sparse map applied to kappa.to_vector()
-    (`_star_word_map`); the Wick side evaluates all words of one length at
-    once (`_wick_word_values`).  Neither side rotates kappa.  The map has one
-    row per word, sum_k (2m)!/(2m-k)! of them, and its cache entry, map and
-    pair tables, grows with that count, at about 50-100 bytes a word: with
+    so all words are two cached COO maps applied to kappa.to_vector(), its
+    moments and then their combine per word (`_star_word_map`); the Wick
+    side evaluates all words of one length at once (`_wick_word_values`).
+    Neither side rotates kappa.  There is one value per word,
+    sum_k (2m)!/(2m-k)! of them, and the cache entry, maps and pair
+    tables, grows with that count, at about 50-100 bytes a word: with
     4 points 0.1 MB for the 2080 words at m = 4, 0.8 MB for the 13,344 at
     m = 6 and 4.5 MB for the 47,296 at m = 8.  Its build peaks at 340-600
     bytes a word above a fresh process's RSS (x86-64, Python 3.11): 35 MB
@@ -355,6 +327,7 @@ def verify_quasifree(kappa: GrassmannElement, spec: QuasifreeSpec, max_points: i
     if kappa.m != spec.m:
         raise ValueError(f"density has m = {kappa.m} but spec has m = {spec.m}")
     max_points = _clamp_points(spec.m, max_points)
-    lhs = _star_word_map(spec.m, max_points)[0].apply(kappa.to_vector())
+    ((rows, monomials), (combine, n_words)), _ = _star_word_map(spec.m, max_points)
+    lhs = _coo_apply(*combine, _coo_apply(*rows, kappa.to_vector(), len(monomials)), n_words)
     rhs = _wick_word_values(spec, max_points)
     return float(np.max(np.abs(lhs - rhs)))

@@ -137,7 +137,7 @@ def test_criterion_06_pdm_agreement():
         # sector densities: contraction identity
         for m, sector, seed in ((3, 2, 71001), (4, 2, 71002), (4, 3, 71003)):
             rho = fock.random_density(m, seed, sector=sector)
-            assert fock.contraction_check(rho) <= 1e-10
+            assert fock.contraction_check(*fock.pdms_from_rho(rho), sector) <= 1e-10
         # Slater factorization, standard and rotated orbitals
         for m, n, seed in ((3, 2, 72001), (4, 2, 72002), (4, 3, 72003)):
             orbitals = random_unitary(np.random.default_rng(seed), m)[:, :n]

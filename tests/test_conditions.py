@@ -2,7 +2,7 @@
 
 import json
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -632,6 +632,74 @@ def test_a_row_the_shared_moments_cannot_carry_raises(monkeypatch):
     monkeypatch.setitem(CONDITIONS, "p pbar", p_pbar)
     with pytest.raises(ValueError, match=refusal.format("p pbar", "a word that is not normal-ordered")):
         cond._probe_set_map.__wrapped__("p pbar", 3)
+
+
+# The catalogue at degree <= 3: a row is one creator/annihilator pattern of
+# degree 1-3, or an unordered pair of distinct patterns, in either mode, not
+# centred; 2 * (14 + 91) = 210 rows.  A pattern's words are the index tuples
+# whose adjacent same-type generators strictly increase.
+CATALOGUE_PATTERNS = [t for k in (1, 2, 3) for t in product(("pbar", "p"), repeat=k)]
+
+
+def _catalogue_words(patterns, m):
+    words = []
+    for pattern in patterns:
+        for idx in product(range(m), repeat=len(pattern)):
+            if all(i < j for a, b, i, j in zip(pattern, pattern[1:], idx, idx[1:]) if a == b):
+                words.append([i if t == "pbar" else m + i for t, i in zip(pattern, idx)])
+    return words
+
+
+CATALOGUE = {(mode, " + ".join(" ".join(p) for p in group)):
+             Condition(lambda m, group=group: _catalogue_words(group, m), mode, False)
+             for mode in ("plain", "anticommutator")
+             for group in [(p,) for p in CATALOGUE_PATTERNS] + list(combinations(CATALOGUE_PATTERNS, 2))}
+
+# the rows the closed side accepts at every m from 3 to 6: P, Q, G, T1 and
+# T2 are among them, with their adjoint patterns and direct sums
+ACCEPTED = ({("plain", name) for name in ("pbar", "p", "pbar pbar", "pbar p", "p p")}
+            | {("anticommutator", name) for name in (
+                "pbar", "p", "pbar pbar", "pbar p", "p p", "pbar pbar pbar", "pbar pbar p",
+                "pbar p p", "p p p", "pbar + p", "pbar + pbar pbar p", "pbar + p p p",
+                "p + pbar pbar pbar", "p + pbar p p", "pbar pbar pbar + p p p")})
+# the star side also accepts these at small m, where the terms the closed
+# side refuses vanish for want of modes
+STAR_EXTRA = {
+    3: {("plain", "pbar pbar + p p")} | {("anticommutator", name) for name in (
+        "pbar pbar + p p", "pbar pbar + p p p", "p p + pbar pbar pbar",
+        "pbar pbar pbar + pbar p p", "pbar pbar p + p p p")},
+    4: {("anticommutator", "pbar pbar + p p p"), ("anticommutator", "p p + pbar pbar pbar")},
+    5: set(),
+    6: set(),
+}
+REFUSALS = {
+    "closed": ("a word that is not normal-ordered contracts inside its probe", "its term "),
+    "star": ("a word that is not normal-ordered drops the CAR's contraction",
+             "an entry reads a monomial outside the shared moment map"),
+}
+
+
+def test_condition_catalogue_on_both_realizations(monkeypatch):
+    # every row of the catalogue is built on both sides at m = 3-6: the
+    # accepted sets are pinned by name, and every refusal is one of its
+    # side's two documented messages.  The sides differ at m = 3 and 4, so
+    # a candidate row must reduce on both sides at every m before it joins
+    # the table.
+    assert len(CATALOGUE) == 210
+    builders = {"closed": _index_map.__wrapped__, "star": cond._probe_set_map.__wrapped__}
+    prefix = "condition catalogue row does not reduce to (gamma, Gamma): "
+    for m, extra in STAR_EXTRA.items():
+        for side, build in builders.items():
+            accepted = set()
+            for key, row in CATALOGUE.items():
+                monkeypatch.setitem(CONDITIONS, "catalogue row", row)
+                try:
+                    build("catalogue row", m)
+                except ValueError as exc:
+                    assert str(exc).startswith(tuple(prefix + r for r in REFUSALS[side])), (m, side, key, exc)
+                else:
+                    accepted.add(key)
+            assert accepted == (ACCEPTED | extra if side == "star" else ACCEPTED), (m, side)
 
 
 def _quasifree_spectra(lam):

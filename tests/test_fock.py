@@ -308,18 +308,19 @@ class TestContraction:
         m = 3
         state = slater_state(random_unitary(rng, m)[:, :2], m)
         rho = np.outer(state, state.conj())
-        assert fock.contraction_check(rho) < 1e-12
+        assert fock.contraction_check(*fock.pdms_from_rho(rho), 2) < 1e-12
 
     def test_random_sector_density(self):
         rho = fock.random_density(4, 5, sector=3)
-        assert fock.contraction_check(rho) < 1e-10
+        assert fock.contraction_check(*fock.pdms_from_rho(rho), 3) < 1e-10
+
+    def test_wrong_particle_number_deviates(self):
+        # N is an input: the sector-3 contraction is 2 gamma, which N = 2
+        # divides by 1, so the deviation is max|gamma|, far above roundoff
+        gamma, Gamma = fock.pdms_from_rho(fock.random_density(4, 5, sector=3))
+        assert fock.contraction_check(gamma, Gamma, 2) > 0.1
 
     def test_single_particle_rejected(self):
         rho = fock.random_density(3, 4, sector=1)
         with pytest.raises(ValueError, match="N >= 2"):
-            fock.contraction_check(rho)
-
-    def test_mixed_sector_rejected(self):
-        rho = fock.random_density(3, 4)
-        with pytest.raises(ValueError, match="sector"):
-            fock.contraction_check(rho)
+            fock.contraction_check(*fock.pdms_from_rho(rho), 1)

@@ -12,7 +12,7 @@ from grdm.algebra import (
     unit,
 )
 from grdm.kernel import GrassmannElement, Monomial, prune
-from grdm.limits import BOUNDARY_TOL
+from grdm.limits import BOUNDARY_TOL, _coo_apply
 from _reference import (build_quasifree_reference, canonical_entries, change_generators,
                         mode_product_expansion, moment_rows_reference, quasifree_from_lambdas,
                         slater_state, star_word_expectation, wick_expectation,
@@ -304,8 +304,9 @@ class TestWick:
         _, quasi = qf.build_quasifree(random_gamma(rng, m))
         generic = fock.from_operator(fock.random_density(m, 40 + m))
         words = list(qf.generator_words(m, points))
+        ((rows, monomials), (combine, n_words)), _ = qf._star_word_map(m, points)
         for kappa in (quasi, generic):
-            got = qf._star_word_map(m, points)[0].apply(kappa.to_vector())
+            got = _coo_apply(*combine, _coo_apply(*rows, kappa.to_vector(), len(monomials)), n_words)
             assert got.shape == (len(words),)
             want = np.array([star_word_expectation(kappa, list(w)) for w in words])
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -317,14 +318,13 @@ class TestWick:
         # product.  The map's moments are the distinct monomials the
         # reference's entries name, ascending, and their rows equal the scalar
         # pair-trace loop's.
-        got = qf._star_word_map(m, points)[0]
+        ((moments, ts), ((rows, cols, coeffs), _)), _ = qf._star_word_map(m, points)
         want = word_product_entries_reference(m, points)
-        assert np.array_equal(got.monomials, np.unique(want[1]))
-        monomials = [Monomial(t >> m, t & ((1 << m) - 1)) for t in got.monomials.tolist()]
-        for g, w in zip(got.moments, moment_rows_reference(monomials, m)):
+        assert np.array_equal(ts, np.unique(want[1]))
+        monomials = [Monomial(t >> m, t & ((1 << m) - 1)) for t in ts.tolist()]
+        for g, w in zip(moments, moment_rows_reference(monomials, m)):
             assert np.array_equal(g, w)
-        rows, cols, coeffs = got.combine
-        for g, w in zip(canonical_entries(rows, got.monomials[cols], coeffs), canonical_entries(*want)):
+        for g, w in zip(canonical_entries(rows, ts[cols], coeffs), canonical_entries(*want)):
             assert g.dtype == w.dtype and np.array_equal(g, w)
 
     def test_pull_through_identity(self):
