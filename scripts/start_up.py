@@ -7,13 +7,17 @@ For `check` (on an m = 5 gamma/Gamma pair), `fuzz --m 5 --trials 1`,
 a copy of the grdm source with no __pycache__ and under
 PYTHONDONTWRITEBYTECODE=1, so it compiles each grdm module it imports from
 source, as a process on a fresh checkout does.  A child imports numpy, then
-times `from grdm import cli` and the first, cold `cli.main` call.  Prints,
-per command, the median import and cold-op milliseconds, the source size of
-the grdm modules it loaded and their names; then, per command, the standard
-library modules (top-level, public names) that the command loaded beyond
-the interpreter's start and `import numpy`.  The script imports only `sys`
-at the top and everything else inside its functions, so a child holds none
-of the script's own imports when it counts.
+times `from grdm import cli`, the first, cold `cli.main` call and a second,
+warm one on the same argv; cold less warm is what only a process's first op
+pays, its compiles, map builds and first LAPACK calls.  Prints, per
+command, the median import, cold-op and warm-op milliseconds, the source
+size and the code lines of the grdm modules it loaded (lines that hold a
+statement's code: no blank, comment or docstring line), since compile time
+follows code rather than bytes, and their names; then, per command, the
+standard library modules (top-level, public names) that the command loaded
+beyond the interpreter's start and `import numpy`.  The script imports only
+`sys` at the top and everything else inside its functions, so a child holds
+none of the script's own imports when it counts.
 
     python scripts/start_up.py --runs 15
 """
@@ -29,7 +33,7 @@ COMMANDS = {
 
 
 def child(argv: list) -> int:
-    """Print, as one JSON line, the import and cold-op times here and the modules they loaded."""
+    """Print, as one JSON line, the import, cold-op and warm-op times here and the modules loaded."""
     import io
     import os
     import time
@@ -43,20 +47,43 @@ def child(argv: list) -> int:
     sys.stdout, stdout = io.StringIO(), sys.stdout
     try:
         rc = cli.main(argv)
+        done = time.perf_counter()
+        loaded = set(sys.modules) - before
+        warm_rc = cli.main(argv)
+        warm = time.perf_counter()
     finally:
         sys.stdout = stdout
-    done = time.perf_counter()
-    loaded = set(sys.modules) - before
     modules = sorted(name for name in loaded if name.split(".")[0] == "grdm")
     size = sum(os.path.getsize(sys.modules[name].__file__) for name in modules)
     stdlib = sorted({name.split(".")[0] for name in loaded if not name.startswith("_")
                      and name.split(".")[0] in sys.stdlib_module_names})
     import json
 
-    print(json.dumps({"rc": rc, "import_ms": (imported - start) * 1e3,
-                      "op_ms": (done - imported) * 1e3, "modules": modules, "kb": size / 1024,
+    print(json.dumps({"rc": rc or warm_rc, "import_ms": (imported - start) * 1e3,
+                      "op_ms": (done - imported) * 1e3, "warm_ms": (warm - done) * 1e3,
+                      "modules": modules, "kb": size / 1024,
+                      "lines": sum(code_lines(sys.modules[name].__file__) for name in modules),
                       "stdlib": stdlib}))
     return 0
+
+
+def code_lines(path: str) -> int:
+    """The lines of the Python file at `path` that hold code: no blank, comment or docstring line."""
+    import ast
+    import io
+    import tokenize
+
+    with open(path, "rb") as fh:
+        text = fh.read()
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+              tokenize.ENCODING, tokenize.ENDMARKER}
+    lines = {line for tok in tokenize.tokenize(io.BytesIO(text).readline) if tok.type not in layout
+             for line in range(tok.start[0], tok.end[0] + 1)}
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            lines -= set(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return len(lines)
 
 
 def write_inputs(workdir: str) -> None:
@@ -118,12 +145,14 @@ def main() -> int:
                     return 1
                 results[name].append(result)
 
-    print(f"{'command':<10}{'import ms':>10}{'cold op ms':>12}{'source KB':>11}  grdm modules")
+    print(f"{'command':<10}{'import ms':>10}{'cold op ms':>12}{'warm op ms':>12}{'source KB':>11}"
+          f"{'code lines':>12}  grdm modules")
     for name, runs in results.items():
         modules = runs[0]["modules"]
         print(f"{name:<10}{statistics.median(r['import_ms'] for r in runs):>10.1f}"
-              f"{statistics.median(r['op_ms'] for r in runs):>12.1f}{runs[0]['kb']:>11.1f}  "
-              + " ".join(m.removeprefix("grdm.") for m in modules))
+              f"{statistics.median(r['op_ms'] for r in runs):>12.1f}"
+              f"{statistics.median(r['warm_ms'] for r in runs):>12.1f}{runs[0]['kb']:>11.1f}"
+              f"{runs[0]['lines']:>12}  " + " ".join(m.removeprefix("grdm.") for m in modules))
     print(f"\n{'command':<10}stdlib modules beyond numpy")
     for name, runs in results.items():
         print(f"{name:<10}" + " ".join(runs[0]["stdlib"]))

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Time grdm's JSON writer against json's indent-2 encoder on the CLI payloads.
+"""Time `grdm quasifree`'s element writer against json's indent-2 encoder.
 
-For each payload shape the CLI writes (the m = 5 `grdm check` report, the
-m = 5 `grdm fuzz` summary, and the `grdm quasifree` payload with a generic
-quasifree kappa at each requested m), this times `serialize.dumps` on the
-payload as the CLI builds it (κ itself, written from its arrays) and
-`element_to_dict` plus `json.dumps` with `indent` 2.  It exits 1 unless
-both give the same bytes, and prints the median milliseconds over the
-repeats, one row per payload.
+Every other output file is `json.dumps` with `indent` 2 itself; only the
+`grdm quasifree` payload holds an element, which its writer
+(`quasifree._dumps`) renders straight from κ's arrays.  For a generic
+quasifree κ at each requested m, this times that writer on the payload as
+the command builds it (κ itself) and `element_to_dict` plus `json.dumps`
+with `indent` 2.  It exits 1 unless both give the same bytes, and prints
+the median milliseconds over the repeats, one row per payload.
 
     python scripts/write_times.py --m 4 6 8 --repeats 5
 """
@@ -20,19 +20,12 @@ import time
 
 import numpy as np
 
-from grdm import serialize
+from grdm import quasifree, serialize
 from grdm.limits import QUASIFREE_CAP
 
 
 def payloads(ms):
-    """(name, kappa term count or None, payload as the CLI builds it, a builder of its dict form)."""
-    from grdm import closed, conditions as cond, fock, quasifree
-
-    gamma, Gamma = fock.pdms_from_rho(fock.random_density(5, 7))
-    report = [r.as_dict() for r in closed.battery(gamma, Gamma)]
-    yield "check-m5", None, report, lambda: report
-    summary = cond.fuzz_conditions(5, 1, 7).as_dict()
-    yield "fuzz-m5", None, summary, lambda: summary
+    """(name, kappa term count, payload as `grdm quasifree` builds it, a builder of its dict form)."""
     rng = np.random.default_rng(7)
     for m in ms:
         q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
@@ -67,11 +60,10 @@ def main() -> int:
     print(f"{'payload':<14}{'terms':>7}{'json (ms)':>12}{'dumps (ms)':>12}")
     for name, terms, payload, as_dict in payloads(args.m):
         json_ms, want = median_ms(lambda: json.dumps(as_dict(), indent=2), args.repeats)
-        dumps_ms, got = median_ms(lambda: serialize.dumps(payload), args.repeats)
+        dumps_ms, got = median_ms(lambda: quasifree._dumps(payload), args.repeats)
         if got != want:
-            sys.exit(f"{name}: serialize.dumps differs from json.dumps with indent 2")
-        print(f"{name:<14}{'-' if terms is None else terms:>7}"
-              f"{json_ms:>12.3f}{dumps_ms:>12.3f}")
+            sys.exit(f"{name}: quasifree._dumps differs from json.dumps with indent 2")
+        print(f"{name:<14}{terms:>7}{json_ms:>12.3f}{dumps_ms:>12.3f}")
     return 0
 
 

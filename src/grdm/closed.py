@@ -8,10 +8,11 @@ pbar_k read as a+_k and p_k as a_k, into a cached index map on
 (Gamma, gamma) (`_index_map`); it validates a pair once (`_validate_pair`)
 and builds the vector those maps read (`_source`); and it holds the battery
 that `grdm check` runs, first-order and then one closed report per row
-(`_report`).  It reads numpy, `limits` and `table` only; the star-product
-realization of the same forms, with its own battery, lives in `conditions`,
-which imports this module only inside its closed-form wrappers, and they
-all call one entry, `pair_form`, one pair's closed form.  Index
+(`_report`), and that command's body, `run`.  At module level it reads
+numpy, `limits` and `table` only (`run` imports `serialize`); the
+star-product realization of the same forms, with its own battery, lives in
+`conditions`, which imports this module only inside its closed-form
+wrappers, and they all call one entry, `pair_form`, one pair's closed form.  Index
 conventions (0-based): gamma[k, l] is the expectation of pbar_{l+1} *
 p_{k+1}; two-body indices flatten row-major, (k, l) -> k*m + l, and
 Gamma[(i, j), (k, l)] is the expectation of the normal-ordered word
@@ -267,3 +268,21 @@ def battery(gamma: np.ndarray, Gamma: np.ndarray | None = None) -> list[Conditio
     gamma, Gamma, m = _validate_pair(gamma, Gamma)
     source = _source(gamma, Gamma)
     return [_first_order(gamma)] + [_report(name, m, source) for name in CONDITIONS]
+
+
+def run(args) -> int:
+    """`grdm check`: `battery` on the --in pair or bare gamma, its reports printed and written to --out."""
+    from . import serialize
+
+    if args.tol is not None and not 0 <= args.tol < np.inf:
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
+    gamma, Gamma, _ = serialize._load_check_input(args.infile)
+    reports = battery(gamma, Gamma)
+    if args.tol is not None:
+        reports = [r._replace(tol=args.tol) for r in reports]
+    serialize._write_out(args.outfile, [r.as_dict() for r in reports])
+    if args.verbose or not args.outfile:
+        for r in reports:
+            print(f"{'PASS' if r.passed else 'FAIL'} {r.condition:<12} "
+                  f"margin {r.margin:+.3e} (tol {r.tol:.1e}, {r.method})")
+    return 0 if all(r.passed for r in reports) else 1

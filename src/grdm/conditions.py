@@ -9,8 +9,9 @@ of its probes' means on both sides.  The closed-form side, which derives each
 form in the one- and two-body matrices (gamma, Gamma) from the same words by
 normal ordering, with its index maps and its battery, lives in `closed`;
 this module adds the star-product side, whose battery (`_star_battery`) runs
-every row on a density's moments for `grdm fuzz`.  At module level it
-imports the table (`table`), the element kernel (`kernel`) and `limits`, not
+every row on a density's moments for `grdm fuzz`, and that command's body,
+`run`, which imports `serialize` when it runs.  At module level it imports
+the table (`table`), the element kernel (`kernel`) and `limits`, not
 the public element operations (`algebra`), since each form is a cached
 map on the kernel's moments.  `closed` is imported only inside the
 closed-form wrappers (`closed_form_report`, with `check_P/Q/G`, and
@@ -312,3 +313,21 @@ def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -
             if not rep.passed:
                 failures += 1
     return FuzzSummary(m, trials, seed, sector, worst, pdm_dev, cdev_max, failures)
+
+
+def run(args) -> int:
+    """`grdm fuzz`: `fuzz_conditions` with the command's options, its summary printed and written to --out."""
+    from . import serialize
+
+    summary = fuzz_conditions(args.m, args.trials, args.seed, sector=args.sector)
+    serialize._write_out(args.outfile, summary.as_dict())
+    if args.verbose or not args.outfile:
+        print(f"fuzz m={summary.m} trials={summary.trials} seed={summary.seed} "
+              f"sector={summary.sector}")
+        print(f"  pdm max deviation: {summary.pdm_max_dev:.3e}")
+        if summary.sector is not None and summary.sector >= 2:
+            print(f"  contraction max deviation: {summary.contraction_max_dev:.3e}")
+        for name, margin in summary.worst_margins.items():
+            print(f"  worst {name:<12} margin {margin:+.3e}")
+        print(f"  failures: {summary.failures}")
+    return 0 if summary.all_pass else 1

@@ -27,16 +27,19 @@ both sides, the star fold and the Wick pairing recursion.  Everything here
 runs up to QUASIFREE_CAP = 8 generators, past the star product's cap, since
 no step multiplies two full elements.
 
-The module imports the element kernel (`kernel`) and `limits` alone: the
-build writes kappa's arrays and the verification reads them, so neither needs
-the public element operations (`algebra`) or a realization of the
-conditions.  The spec is a NamedTuple, so the module does not import
-`dataclasses`.
+`run` is `grdm quasifree`'s body, and its writer (`_dumps`, `_element`)
+is the one element JSON leaf, which no other command compiles.  At module
+level the module imports the element kernel (`kernel`) and `limits` alone
+(`run` imports `serialize`): the build writes kappa's arrays and the
+verification reads them, so neither needs the public element operations
+(`algebra`) or a realization of the conditions.  The spec is a NamedTuple,
+so the module does not import `dataclasses`.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 from itertools import combinations, permutations
 from typing import NamedTuple
@@ -47,7 +50,11 @@ from .kernel import (
     GrassmannElement,
     _generators,
     _half_pair_sign,
+    _indices,
     _moment_rows,
+    _moments,
+    _pdm1,
+    _split_index,
     _star_pairs,
     _sum_terms,
     prune,
@@ -331,3 +338,56 @@ def verify_quasifree(kappa: GrassmannElement, spec: QuasifreeSpec, max_points: i
     lhs = _coo_apply(*combine, _coo_apply(*rows, kappa.to_vector(), len(monomials)), n_words)
     rhs = _wick_word_values(spec, max_points)
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def _element(kappa: GrassmannElement) -> str:
+    """`serialize.element_to_dict(kappa)` as indent-2 JSON at depth 1, straight from kappa's arrays.
+
+    Each mask's index list is rendered once.
+    """
+    i1, i2, i3, i4 = ("\n" + "  " * k for k in range(2, 6))
+    index, coeffs = kappa.arrays()
+    if not index.size:
+        return f'{{{i1}"m": {kappa.m},{i1}"terms": []\n  }}'
+    bar, unbar = _split_index(index, kappa.m)
+    lists = {k: f"[{i4}{(',' + i4).join(map(str, _indices(k)))}{i3}]" if k else "[]"
+             for k in set(bar).union(unbar)}
+    re, im = coeffs.real.tolist(), coeffs.imag.tolist()
+    if not np.isfinite(coeffs).all():
+        re, im = map(json.dumps, re), map(json.dumps, im)
+    # str(x) of a float is float.__repr__(x), as json writes it
+    terms = f",{i2}".join(
+        f'{{{i3}"bar": {lists[b]},{i3}"unbar": {lists[u]},{i3}"re": {r},{i3}"im": {j}{i2}}}'
+        for b, u, r, j in zip(bar, unbar, re, im))
+    return f'{{{i1}"m": {kappa.m},{i1}"terms": [{i2}{terms}{i1}]\n  }}'
+
+
+def _dumps(payload: dict) -> str:
+    """`run`'s {"element": kappa, "report": ...} as json's indent-2 text of kappa's element_to_dict.
+
+    kappa goes through `_element` and the report through json.
+    """
+    report = json.dumps(payload["report"], indent=2).replace("\n", "\n  ")
+    return f'{{\n  "element": {_element(payload["element"])},\n  "report": {report}\n}}'
+
+
+def run(args) -> int:
+    """`grdm quasifree`: build kappa from the --in gamma, verify it, and write both to --out.
+
+    A pair's Gamma is checked like `grdm check`'s and otherwise not used.
+    """
+    from . import serialize
+
+    gamma, Gamma, m = serialize._load_check_input(args.infile)
+    spec, kappa = build_quasifree(gamma)
+    if Gamma is not None:
+        _require_hermitian(Gamma, "Gamma")
+    pdm_dev = float(np.max(np.abs(_pdm1(_moments(kappa.to_vector(), m), m) - gamma)))
+    wick_dev = verify_quasifree(kappa, spec, max_points=args.max_points)
+    points = words_checked(m, args.max_points)
+    report = {"pdm1_max_dev": pdm_dev, "wick_max_dev": wick_dev, "points_checked": points}
+    serialize._write_out(args.outfile, {"element": kappa, "report": report}, _dumps)
+    if args.verbose or not args.outfile:
+        print(f"quasifree m={m}: pdm1_max_dev {pdm_dev:.3e}, "
+              f"wick_max_dev {wick_dev:.3e} over {points} words")
+    return 0

@@ -3,13 +3,15 @@
 Trace anchors (closed form, the definition through the trace weight, and the
 Fock oracle), the pair integral against the star product of monomials, the
 CAR relations, cyclicity and positivity of the trace form, and the splicing
-of generator star products into wedge products.  Imported only by the
-selftest command, so the other commands never load the Fock oracle for it.
+of generator star products into wedge products.  `run` is the body of
+`grdm selftest`, and `cli` imports this module only for that command, so
+the other commands never load the Fock oracle or `algebra` for it.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from itertools import product
 
 import numpy as np
@@ -116,3 +118,22 @@ def identities(rng: random.Random):
             plain = multiply(plain, g)
         worst = max(worst, (folded - plain).norm_max())
     yield "splicing", worst, SELFTEST_EXACT_TOL
+
+
+def run(args) -> int:
+    """`grdm selftest`: every identity on a seeded generator, failures (all with --verbose) printed."""
+    rng = random.Random(args.seed)
+    start = time.time()
+    failed = None
+    for name, dev, tol in identities(rng):
+        ok = dev <= tol
+        if args.verbose or not ok:
+            print(f"{'PASS' if ok else 'FAIL'} {name:<14} max deviation {dev:.3e} (tol {tol:.0e})")
+        if not ok and failed is None:
+            failed = name
+    elapsed = time.time() - start
+    if failed is not None:
+        print(f"selftest FAILED at identity '{failed}' ({elapsed:.1f}s)")
+        return 1
+    print(f"selftest passed ({elapsed:.1f}s)")
+    return 0

@@ -4,20 +4,18 @@ All artifacts are plain JSON so fixtures stay human-diffable; writes go
 through a temp file plus rename so readers never observe partial output.
 Coefficients round-trip bit-exactly for binary64 values.
 
-`dumps` is the one writer, and json is its encoder: every file is json's
-two-space indented output (`json.dumps` with `indent` 2).  The one thing
-json cannot take is a `GrassmannElement` as a value of a top-level dict,
-which is how `grdm quasifree` hands over its density: `dumps` writes such
-an element straight from its arrays (`_element`), as the same bytes that
-json would give for `element_to_dict(a)` there, without building the dict.
-An element anywhere else raises TypeError, as json does for any type it
-does not know.
+Every file is json's two-space indented output (`json.dumps` with `indent`
+2) plus a newline.  `grdm quasifree`'s payload holds its density as an
+element, so that command passes its own writer (`quasifree._dumps`), which
+gives the bytes json gives for `element_to_dict`.  The commands share the
+reader of a check or quasifree input (`_load_check_input`) and the `--out`
+writer (`_write_out`).
 
 At module level this imports only the standard library and numpy, since
-matrices and reports need no element code.  Elements are only written here:
-the writer imports the element kernel (`kernel`) inside its functions, and
-no command reads an element file, so the element reader with its field
-checks is a test reference (`element_from_dict` in `tests/_reference.py`).
+matrices and reports need no element code; `element_to_dict` imports the
+element kernel (`kernel`) when it runs.  No command reads an element file,
+so the element reader with its field checks is a test reference
+(`element_from_dict` in `tests/_reference.py`).
 """
 
 from __future__ import annotations
@@ -132,60 +130,18 @@ def matrix_from_dict(d: dict, expect_kind: str | None = None) -> tuple[np.ndarra
     return parts["re"] + 1j * parts["im"], kind, m
 
 
-_PLAIN = (dict, list, tuple, str, int, float, bool, type(None))
+def atomic_write_json(path: str, obj, dumps=None) -> None:
+    """Write `dumps(obj)`, by default json's indent-2 text, and a newline to path.
 
-
-def _element(a: GrassmannElement, nl: str) -> str:
-    """element_to_dict(a) as indent-2 JSON whose first line sits at indent `nl`."""
-    from .kernel import _indices, _split_index
-
-    i1, i2, i3, i4 = (nl + "  " * k for k in range(1, 5))
-    index, coeffs = a.arrays()
-    if not index.size:
-        return f'{{{i1}"m": {a.m},{i1}"terms": []{nl}}}'
-    bar, unbar = _split_index(index, a.m)
-    lists = {k: f"[{i4}{(',' + i4).join(map(str, _indices(k)))}{i3}]" if k else "[]"
-             for k in set(bar).union(unbar)}
-    re, im = coeffs.real.tolist(), coeffs.imag.tolist()
-    if not np.isfinite(coeffs).all():
-        re, im = map(json.dumps, re), map(json.dumps, im)
-    # str(x) of a float is float.__repr__(x), as json writes it
-    terms = f",{i2}".join(
-        f'{{{i3}"bar": {lists[b]},{i3}"unbar": {lists[u]},{i3}"re": {r},{i3}"im": {j}{i2}}}'
-        for b, u, r, j in zip(bar, unbar, re, im))
-    return f'{{{i1}"m": {a.m},{i1}"terms": [{i2}{terms}{i1}]{nl}}}'
-
-
-def dumps(obj) -> str:
-    """`json.dumps(obj, indent=2)`; an element value of a top-level dict is written as its element_to_dict.
-
-    Such an element is rendered straight from its arrays, without building
-    the dict, and the dict's other values go through json one by one.  An
-    element anywhere else, or a non-str key beside one, raises TypeError.
+    By way of a temp file and a rename, with open()'s mode 0666 & ~umask; an
+    `obj` that cannot be written raises before the temp file is made.
     """
-    if isinstance(obj, dict) and not all(isinstance(v, _PLAIN) for v in obj.values()):
-        from .kernel import GrassmannElement
-
-        if any(isinstance(v, GrassmannElement) for v in obj.values()):
-            items = []
-            for k, v in obj.items():
-                if not isinstance(k, str):
-                    raise TypeError(f"keys beside an element must be str, not {type(k).__name__}")
-                # json escapes every newline inside a string, so this indents lines alone
-                text = (_element(v, "\n  ") if isinstance(v, GrassmannElement)
-                        else json.dumps(v, indent=2).replace("\n", "\n  "))
-                items.append(f"{json.dumps(k)}: {text}")
-            return "{\n  " + ",\n  ".join(items) + "\n}"
-    return json.dumps(obj, indent=2)
-
-
-def atomic_write_json(path: str, obj) -> None:
-    """Write `dumps(obj)` to path by way of a temp file and a rename, with open()'s mode 0666 & ~umask."""
+    text = dumps(obj) if dumps else json.dumps(obj, indent=2)
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(dumps(obj) + "\n")
+            fh.write(text + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -204,3 +160,34 @@ def load_json(path: str):
             raise FormatError(f"JSON nested too deeply: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise FormatError(f"not valid JSON: {exc}") from exc
+
+
+def _load_check_input(path: str):
+    """(gamma, Gamma or None, m) of a check or quasifree input.
+
+    An object with `kind` and no `gamma` is a bare gamma matrix; any other
+    object is a pair and needs `gamma`.
+    """
+    data = load_json(path)
+    if not isinstance(data, dict) or ("kind" in data and "gamma" not in data):
+        gamma, _, m = matrix_from_dict(data, "gamma")
+        return gamma, None, m
+    if "gamma" not in data:
+        raise FormatError("missing field 'gamma' in pair")
+    gamma, _, m = matrix_from_dict(data["gamma"], "gamma")
+    Gamma = None
+    if "Gamma" in data:
+        Gamma, _, m2 = matrix_from_dict(data["Gamma"], "Gamma")
+        if m2 != m:
+            raise FormatError(f"field 'Gamma' has m = {m2}, gamma has m = {m}")
+    return gamma, Gamma, m
+
+
+def _write_out(path: str | None, payload, dumps=None) -> None:
+    """`atomic_write_json` to the --out path, if one is given; ValueError when it cannot be written."""
+    if not path:
+        return
+    try:
+        atomic_write_json(path, payload, dumps)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc.strerror or exc}") from exc

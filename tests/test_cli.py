@@ -44,11 +44,6 @@ def _small_elements(draw):
     return GrassmannElement.from_vector(m, vec)
 
 
-# an element is written as a value of a top-level dict with str keys
-_element_dicts = st.dictionaries(st.one_of(st.text(), st.sampled_from(_SPECIAL_TEXT)),
-                                 st.one_of(_small_elements(), json_trees), max_size=4)
-
-
 def _write_pdms(path, m, seed):
     gamma, Gamma = fock.pdms_from_rho(fock.random_density(m, seed))
     serialize.atomic_write_json(str(path), {
@@ -195,26 +190,29 @@ class TestSerialize:
         mat, _, _ = serialize.matrix_from_dict(d)
         assert np.array_equal(mat, [[1, 0.5j], [-0.5j, 1e300]])
 
+    # `grdm quasifree`'s writer (`quasifree._dumps`) renders its element
+    # straight from the arrays; its bytes are json's for the dict form
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(json_trees, _element_dicts))
-    def test_dumps_equals_json_indent_2(self, tree):
-        # plain trees, and top-level dicts whose values may be elements,
-        # written as json writes their element_to_dict
-        plain = ({k: serialize.element_to_dict(v) if isinstance(v, GrassmannElement) else v
-                  for k, v in tree.items()} if isinstance(tree, dict) else tree)
-        assert serialize.dumps(tree) == json.dumps(plain, indent=2)
+    @given(_small_elements(), json_trees)
+    def test_dumps_equals_json_indent_2(self, a, report):
+        # any JSON tree as the report beside the element
+        want = json.dumps({"element": serialize.element_to_dict(a), "report": report}, indent=2)
+        assert quasifree._dumps({"element": a, "report": report}) == want
 
     def test_dumps_rejects_what_json_rejects(self):
-        for bad in (np.int64(3), np.bool_(True), {1, 2}, b"x", 1j, GrassmannElement):
+        # the report goes through json, so the writer raises where json does
+        a = make_element(2, [((1,), (2,), 0.5 - 2j)])
+        for bad in (np.int64(3), np.bool_(True), {1, 2}, b"x", 1j, GrassmannElement, a):
             with pytest.raises(TypeError, match="not JSON serializable"):
-                serialize.dumps({"a": [bad]})
+                quasifree._dumps({"element": a, "report": {"a": [bad]}})
             with pytest.raises(TypeError):
                 json.dumps({"a": [bad]}, indent=2)
         with pytest.raises(TypeError, match="keys must be"):
-            serialize.dumps({(1, 2): 0})
+            quasifree._dumps({"element": a, "report": {(1, 2): 0}})
         # numpy float64 is a float subclass, written as float.__repr__ writes it
         tree = {"x": np.float64(0.1), np.float64(2.5): [np.float64("nan")]}
-        assert serialize.dumps(tree) == json.dumps(tree, indent=2)
+        want = json.dumps({"element": serialize.element_to_dict(a), "report": tree}, indent=2)
+        assert quasifree._dumps({"element": a, "report": tree}) == want
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_dumps_element_leaf_at_depths(self, rng, m):
@@ -229,13 +227,8 @@ class TestSerialize:
         for a in (GrassmannElement.from_vector(m, vec),
                   GrassmannElement.from_vector(m, np.zeros_like(vec))):
             d = serialize.element_to_dict(a)
-            got = serialize.dumps({"element": a, "report": report})
+            got = quasifree._dumps({"element": a, "report": report})
             assert got == json.dumps({"element": d, "report": report}, indent=2)
-            # an element is written only as a value of a top-level dict
-            with pytest.raises(TypeError, match="not JSON serializable"):
-                serialize.dumps({"element": a, "x": [a, 1]})
-            with pytest.raises(TypeError, match="keys"):
-                serialize.dumps({"element": a, 1: 0})
 
     def test_atomic_write_no_partial(self, tmp_path):
         path = tmp_path / "out.json"
@@ -729,8 +722,13 @@ def _gamma_dict(m, **fields):
     ("quasifree", _gamma_dict(2, im=[[0.0, 0.0]]), "field 'im' has shape (1, 2), expected (2, 2)"),
     ("check", "{not json", "not valid JSON"),
     ("quasifree", "", "not valid JSON"),
+    # a pair's Gamma is checked under both commands, though quasifree reads only gamma
+    *((command, {"gamma": _gamma_dict(2),
+                 "Gamma": serialize.matrix_to_dict(np.eye(4, k=1) / 2, "Gamma", 2)},
+       "Gamma is not Hermitian: max deviation 5.000e-01") for command in ("check", "quasifree")),
 ], ids=["Gamma-m", "unknown-kind", "unknown-kind-quasifree", "mismatched-kind",
-        "mismatched-kind-quasifree", "re-shape", "im-shape", "not-json", "empty-file"])
+        "mismatched-kind-quasifree", "re-shape", "im-shape", "not-json", "empty-file",
+        "skew-Gamma", "skew-Gamma-quasifree"])
 def test_bad_input_exit_2_names_field(tmp_path, capsys, command, data, message):
     # exit 2, one error line, no verdict and no output file
     path, out = tmp_path / "in.json", tmp_path / "out.json"
@@ -743,23 +741,27 @@ def test_bad_input_exit_2_names_field(tmp_path, capsys, command, data, message):
 
 
 def test_only_main_decides_exit_2():
-    # the commands raise OSError or ValueError on bad input; `main` alone
-    # prints it as an error line and returns 2
-    path = os.path.join(os.path.dirname(os.path.abspath(cli.__file__)), "cli.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    main = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "main")
-    in_main = {id(node) for node in ast.walk(main)}
+    # the commands, whose bodies live in their modules, raise OSError or
+    # ValueError on bad input; `cli.main` alone prints it as an error line
+    # and returns 2
+    package = os.path.dirname(os.path.abspath(cli.__file__))
     found = []
-    for node in ast.walk(tree):
-        if id(node) in in_main:
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
             continue
-        if (isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
-                and node.value.value == 2):
-            found.append(f"line {node.lineno}: return 2")
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "print" and "error:" in ast.unparse(node)):
-            found.append(f"line {node.lineno}: print of error:")
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        in_main = {id(node) for f in tree.body if name == "cli.py"
+                   and isinstance(f, ast.FunctionDef) and f.name == "main" for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if id(node) in in_main:
+                continue
+            if (isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+                    and node.value.value == 2):
+                found.append(f"{name}:{node.lineno}: return 2")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "print" and "error:" in ast.unparse(node)):
+                found.append(f"{name}:{node.lineno}: print of error:")
     assert found == []
 
 
@@ -840,9 +842,12 @@ def test_import_pulls_no_scipy(tmp_path):
     # module; fuzz needs the table, the kernel, the star-product side and the
     # oracle, but neither the closed-form realization nor the public element
     # API (`algebra`); quasifree needs only the kernel and its module, neither
-    # realization of the conditions; no command loads `dataclasses`, and a
-    # successful one neither `argparse` nor the `gettext` and `locale` of its
-    # messages
+    # realization of the conditions; selftest needs no reader or writer; no
+    # command loads `dataclasses`, and a successful one neither `argparse`
+    # nor the `gettext` and `locale` of its messages.  Each command compiles
+    # only its own body: of the loaded grdm modules only the command's own
+    # defines a command entry (`run`), and only quasifree loads the element
+    # JSON leaf (`_element`)
     gamma, Gamma = fock.pdms_from_rho(fock.random_density(5, 11))
     pair, gpath = tmp_path / "pair.json", tmp_path / "gamma.json"
     serialize.atomic_write_json(str(pair), {"gamma": serialize.matrix_to_dict(gamma, "gamma", 5),
@@ -851,23 +856,27 @@ def test_import_pulls_no_scipy(tmp_path):
         np.diag([0.2, 0.4, 0.6, 0.8]), "gamma", 4))
     base = ["grdm", "grdm.cli", "grdm.limits", "grdm.serialize", "grdm.table"]
     runs = [(["check", "--in", str(pair), "--out", str(tmp_path / "r.json")],
-             sorted(base + ["grdm.closed"])),
+             sorted(base + ["grdm.closed"]), []),
             (["fuzz", "--m", "3", "--trials", "1", "--out", str(tmp_path / "f.json")],
-             sorted(base + ["grdm.conditions", "grdm.fock", "grdm.kernel"])),
+             sorted(base + ["grdm.conditions", "grdm.fock", "grdm.kernel"]), []),
             (["quasifree", "--in", str(gpath), "--out", str(tmp_path / "q.json")],
              ["grdm", "grdm.cli", "grdm.kernel", "grdm.limits", "grdm.quasifree",
-              "grdm.serialize"]),
+              "grdm.serialize"], ["grdm.quasifree"]),
             (["selftest"], ["grdm", "grdm.algebra", "grdm.cli", "grdm.fock", "grdm.kernel",
-                            "grdm.limits", "grdm.selftest", "grdm.serialize"])]
-    for argv, modules in runs:
+                            "grdm.limits", "grdm.selftest"], [])]
+    for argv, modules, leaves in runs:
         code = ("import io, json, sys; from grdm import cli; "
                 "sys.stdout, out = io.StringIO(), sys.stdout; rc = cli.main(%r); sys.stdout = out; "
-                "print(json.dumps([rc, sorted(k for k in sys.modules if k.split('.')[0] == 'grdm'), "
+                "grdm = sorted(k for k in sys.modules if k.split('.')[0] == 'grdm'); "
+                "print(json.dumps([rc, grdm, "
                 "sorted(k for k in sys.modules "
                 "if k.split('.')[0] == 'scipy' or k.split('.')[:2] == ['numpy', 'ma']), "
-                "sorted({'argparse', 'dataclasses', 'gettext', 'locale'} & set(sys.modules))]))"
+                "sorted({'argparse', 'dataclasses', 'gettext', 'locale'} & set(sys.modules)), "
+                "[k for k in grdm if callable(getattr(sys.modules[k], 'run', None))], "
+                "[k for k in grdm if hasattr(sys.modules[k], '_element')]]))"
                 % argv)
-        assert _fresh_process(code) == [0, modules, [], []], argv[0]
+        entries = [f"grdm.{cli.COMMANDS[argv[0]][0]}"]
+        assert _fresh_process(code) == [0, modules, [], [], entries, leaves], argv[0]
 
 
 def test_conditions_imports_closed_only_in_its_closed_form_wrappers():

@@ -61,26 +61,28 @@ def test_scripts_exit_0():
         if script == "write_times.py":
             # the script asserts byte identity itself; one row per payload shape
             rows = [line.split() for line in out.strip().splitlines()]
-            assert [row[0] for row in rows[1:]] == ["check-m5", "fuzz-m5", "quasifree-m4"]
+            assert [row[0] for row in rows[1:]] == ["quasifree-m4"]
             assert all(len(row) == 4 for row in rows[1:])
             assert rows[-1][1] == "70"
         if script == "start_up.py":
-            # a header, then per command its medians, source KB and grdm modules;
-            # then a header and per command its stdlib modules beyond numpy's.
-            # check loads the table and the closed-form realization, and no
-            # `dataclasses`; fuzz loads the table and the star-product side, not
-            # the closed-form realization; no command loads `argparse`, which
-            # only help and usage errors need
+            # a header, then per command its median import, cold-op and warm-op
+            # ms, source KB, code lines and grdm modules; then a header and per
+            # command its stdlib modules beyond numpy's.  check loads the table
+            # and the closed-form realization, and no `dataclasses`; fuzz loads
+            # the table and the star-product side, not the closed-form
+            # realization; no command loads `argparse`, which only help and
+            # usage errors need
             table, stdlib = ([line.split() for line in block.splitlines()]
                              for block in out.strip().split("\n\n"))
-            assert table[0] == ["command", "import", "ms", "cold", "op", "ms", "source", "KB",
-                                "grdm", "modules"]
+            assert table[0] == ["command", "import", "ms", "cold", "op", "ms", "warm", "op", "ms",
+                                "source", "KB", "code", "lines", "grdm", "modules"]
             assert stdlib[0] == ["command", "stdlib", "modules", "beyond", "numpy"]
             for rows in (table, stdlib):
                 assert [row[0] for row in rows[1:]] == ["check", "fuzz", "quasifree", "selftest"]
-            assert all(float(x) > 0 for row in table[1:] for x in row[1:4])
-            assert table[1][4:] == ["grdm", "cli", "closed", "limits", "serialize", "table"]
-            assert table[2][4:] == ["grdm", "cli", "conditions", "fock", "kernel", "limits",
+            assert all(float(x) > 0 for row in table[1:] for x in row[1:5])
+            assert all(int(row[5]) > 0 for row in table[1:])
+            assert table[1][6:] == ["grdm", "cli", "closed", "limits", "serialize", "table"]
+            assert table[2][6:] == ["grdm", "cli", "conditions", "fock", "kernel", "limits",
                                     "serialize", "table"]
             assert "dataclasses" not in stdlib[1]
             assert all("argparse" not in row for row in stdlib[1:])
