@@ -1,9 +1,11 @@
-"""Command-line front end: parsing and dispatch of the four `grdm` commands.
+"""Command-line front end: parsing and dispatch of the four `grdm` commands, and their --out writer.
 
 Exit codes: 0 all checks pass, 1 a condition failed, 2 usage or input error,
 an --out path that cannot be written included.  The commands raise OSError or
 ValueError (serialize.FormatError among them) on bad input, and `main` alone
-prints it as `error: ...` and returns 2.  Output files are written atomically.
+prints it as `error: ...` and returns 2.  `cli` owns the one atomic writer,
+`atomic_write`; each command's `run` hands its rendered text to `write_out`,
+which names --out when the write fails.
 `main` parses a plain argv itself (`_parse`): the command name, then that
 command's options, each spelled in full with its value as a separate token.
 Anything else, help and every usage error included, goes to argparse, which
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import importlib
+import os
 import sys
 import types
 from typing import TYPE_CHECKING
@@ -101,6 +104,30 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
     return parser
+
+
+def atomic_write(path: str, text: str) -> None:
+    """Write text and a newline to path through a temp file and a rename, mode 0666 & ~umask."""
+    # abspath("") is the working directory, so an empty path's temp file would land in its parent
+    folder = os.path.dirname(os.path.abspath(path)) if path else os.curdir
+    tmp = os.path.join(folder, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_out(path: str, text: str) -> None:
+    """`atomic_write` to the --out path; ValueError when it cannot be written, an empty path too."""
+    try:
+        atomic_write(path, text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
 
 def main(argv=None) -> int:

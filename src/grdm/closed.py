@@ -9,11 +9,11 @@ pbar_k read as a+_k and p_k as a_k, into a cached index map on
 and builds the vector those maps read (`_source`); and it holds the battery
 that `grdm check` runs, first-order and then one closed report per row
 (`_report`), and that command's body, `run`.  At module level it reads
-numpy, `limits` and `table` only (`run` imports `serialize`); the
-star-product realization of the same forms, with its own battery, lives in
-`conditions`, which imports this module only inside its closed-form
-wrappers, and they all call one entry, `pair_form`, one pair's closed form.  Index
-conventions (0-based): gamma[k, l] is the expectation of pbar_{l+1} *
+json, numpy, `limits` and `table` only (`run` adds `serialize` and `cli`);
+the star-product realization of the same forms, with its own battery, lives
+in `conditions`, which imports this module only inside its closed-form
+wrappers, and they all call one entry, `pair_form`, one pair's closed form.
+Index conventions (0-based): gamma[k, l] is the expectation of pbar_{l+1} *
 p_{k+1}; two-body indices flatten row-major, (k, l) -> k*m + l, and
 Gamma[(i, j), (k, l)] is the expectation of the normal-ordered word
 pbar_{l+1} pbar_{k+1} p_{i+1} p_{j+1}.
@@ -22,6 +22,7 @@ pbar_{l+1} pbar_{k+1} p_{i+1} p_{j+1}.
 from __future__ import annotations
 
 import functools
+import json
 from itertools import combinations, groupby, permutations
 
 import numpy as np
@@ -273,6 +274,7 @@ def battery(gamma: np.ndarray, Gamma: np.ndarray | None = None) -> list[Conditio
 def run(args) -> int:
     """`grdm check`: `battery` on the --in pair or bare gamma, its reports printed and written to --out."""
     from . import serialize
+    from .cli import write_out
 
     if args.tol is not None and not 0 <= args.tol < np.inf:
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
@@ -280,8 +282,9 @@ def run(args) -> int:
     reports = battery(gamma, Gamma)
     if args.tol is not None:
         reports = [r._replace(tol=args.tol) for r in reports]
-    serialize._write_out(args.outfile, [r.as_dict() for r in reports])
-    if args.verbose or not args.outfile:
+    if args.outfile is not None:
+        write_out(args.outfile, json.dumps([r.as_dict() for r in reports], indent=2))
+    if args.verbose or args.outfile is None:
         for r in reports:
             print(f"{'PASS' if r.passed else 'FAIL'} {r.condition:<12} "
                   f"margin {r.margin:+.3e} (tol {r.tol:.1e}, {r.method})")

@@ -10,13 +10,13 @@ form in the one- and two-body matrices (gamma, Gamma) from the same words by
 normal ordering, with its index maps and its battery, lives in `closed`;
 this module adds the star-product side, whose battery (`_star_battery`) runs
 every row on a density's moments for `grdm fuzz`, and that command's body,
-`run`, which imports `serialize` when it runs.  At module level it imports
-the table (`table`), the element kernel (`kernel`) and `limits`, not
-the public element operations (`algebra`), since each form is a cached
-map on the kernel's moments.  `closed` is imported only inside the
-closed-form wrappers (`closed_form_report`, with `check_P/Q/G`, and
-`t1_form_from_pdms` / `t2_form_from_pdms`), which each call
-`closed.pair_form`, and the Fock oracle (`fock`) only inside
+`run`, which writes through `cli.write_out` and loads no `serialize`.  At
+module level it imports json, the table (`table`), the element kernel
+(`kernel`) and `limits`, not the public element operations (`algebra`),
+since each form is a cached map on the kernel's moments.  `closed` is
+imported only inside the closed-form wrappers (`closed_form_report`, with
+`check_P/Q/G`, and `t1_form_from_pdms` / `t2_form_from_pdms`), which each
+call `closed.pair_form`, and the Fock oracle (`fock`) only inside
 `fuzz_conditions`, so `grdm fuzz` compiles neither the CAR
 derivation nor anything `grdm check` alone runs.
 The Grassmann-side pdms and forms are linear in the density, so each is a
@@ -38,6 +38,7 @@ pbar_{l+1} pbar_{k+1} p_{i+1} p_{j+1}.
 from __future__ import annotations
 
 import functools
+import json
 from typing import NamedTuple
 
 import numpy as np
@@ -317,11 +318,12 @@ def fuzz_conditions(m: int, trials: int, seed: int, sector: int | None = None) -
 
 def run(args) -> int:
     """`grdm fuzz`: `fuzz_conditions` with the command's options, its summary printed and written to --out."""
-    from . import serialize
+    from .cli import write_out
 
     summary = fuzz_conditions(args.m, args.trials, args.seed, sector=args.sector)
-    serialize._write_out(args.outfile, summary.as_dict())
-    if args.verbose or not args.outfile:
+    if args.outfile is not None:
+        write_out(args.outfile, json.dumps(summary.as_dict(), indent=2))
+    if args.verbose or args.outfile is None:
         print(f"fuzz m={summary.m} trials={summary.trials} seed={summary.seed} "
               f"sector={summary.sector}")
         print(f"  pdm max deviation: {summary.pdm_max_dev:.3e}")

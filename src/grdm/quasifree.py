@@ -27,13 +27,13 @@ both sides, the star fold and the Wick pairing recursion.  Everything here
 runs up to QUASIFREE_CAP = 8 generators, past the star product's cap, since
 no step multiplies two full elements.
 
-`run` is `grdm quasifree`'s body, and its writer (`_dumps`, `_element`)
-is the one element JSON leaf, which no other command compiles.  At module
-level the module imports the element kernel (`kernel`) and `limits` alone
-(`run` imports `serialize`): the build writes kappa's arrays and the
-verification reads them, so neither needs the public element operations
-(`algebra`) or a realization of the conditions.  The spec is a NamedTuple,
-so the module does not import `dataclasses`.
+`run` is `grdm quasifree`'s body, and its writer (`_dumps`, `_element`) is
+the one element JSON leaf, which no other command compiles.  At module level
+the module imports the element kernel (`kernel`) and `limits` alone (`run`
+imports `serialize`'s reader and `cli`'s writer): the build writes kappa's
+arrays and the verification reads them, so neither needs the public element
+operations (`algebra`) or a realization of the conditions.  The spec is a
+NamedTuple, so the module does not import `dataclasses`.
 """
 
 from __future__ import annotations
@@ -377,6 +377,7 @@ def run(args) -> int:
     A pair's Gamma is checked like `grdm check`'s and otherwise not used.
     """
     from . import serialize
+    from .cli import write_out
 
     gamma, Gamma, m = serialize._load_check_input(args.infile)
     spec, kappa = build_quasifree(gamma)
@@ -386,8 +387,9 @@ def run(args) -> int:
     wick_dev = verify_quasifree(kappa, spec, max_points=args.max_points)
     points = words_checked(m, args.max_points)
     report = {"pdm1_max_dev": pdm_dev, "wick_max_dev": wick_dev, "points_checked": points}
-    serialize._write_out(args.outfile, {"element": kappa, "report": report}, _dumps)
-    if args.verbose or not args.outfile:
+    if args.outfile is not None:
+        write_out(args.outfile, _dumps({"element": kappa, "report": report}))
+    if args.verbose or args.outfile is None:
         print(f"quasifree m={m}: pdm1_max_dev {pdm_dev:.3e}, "
               f"wick_max_dev {wick_dev:.3e} over {points} words")
     return 0

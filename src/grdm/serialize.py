@@ -1,30 +1,29 @@
 """JSON schemas for elements, matrices, and condition reports.
 
 All artifacts are plain JSON so fixtures stay human-diffable; writes go
-through a temp file plus rename so readers never observe partial output.
-Coefficients round-trip bit-exactly for binary64 values.
+through `cli.atomic_write`, a temp file plus rename, so readers never observe
+partial output.  Coefficients round-trip bit-exactly for binary64 values.
 
 Every file is json's two-space indented output (`json.dumps` with `indent`
-2) plus a newline.  `grdm quasifree`'s payload holds its density as an
-element, so that command passes its own writer (`quasifree._dumps`), which
-gives the bytes json gives for `element_to_dict`.  The commands share the
-reader of a check or quasifree input (`_load_check_input`) and the `--out`
-writer (`_write_out`).
+2) plus a newline.  check and quasifree share the reader of their input
+(`_load_check_input`); each command renders its own --out text, quasifree
+its element through `quasifree._dumps`, and `cli.write_out` writes it.
 
-At module level this imports only the standard library and numpy, since
-matrices and reports need no element code; `element_to_dict` imports the
-element kernel (`kernel`) when it runs.  No command reads an element file,
-so the element reader with its field checks is a test reference
-(`element_from_dict` in `tests/_reference.py`).
+At module level this imports only the standard library, numpy and `cli`'s
+writer, since matrices and reports need no element code; `element_to_dict`
+imports the element kernel (`kernel`) when it runs.  No command reads an
+element file, so the element reader with its field checks is a test
+reference (`element_from_dict` in `tests/_reference.py`).
 """
 
 from __future__ import annotations
 
 import json
-import os
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .cli import atomic_write
 
 if TYPE_CHECKING:
     from .kernel import GrassmannElement
@@ -130,23 +129,9 @@ def matrix_from_dict(d: dict, expect_kind: str | None = None) -> tuple[np.ndarra
     return parts["re"] + 1j * parts["im"], kind, m
 
 
-def atomic_write_json(path: str, obj, dumps=None) -> None:
-    """Write `dumps(obj)`, by default json's indent-2 text, and a newline to path.
-
-    By way of a temp file and a rename, with open()'s mode 0666 & ~umask; an
-    `obj` that cannot be written raises before the temp file is made.
-    """
-    text = dumps(obj) if dumps else json.dumps(obj, indent=2)
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def atomic_write_json(path: str, obj) -> None:
+    """json's indent-2 text of obj, written by `cli.atomic_write`; what json cannot write raises first."""
+    atomic_write(path, json.dumps(obj, indent=2))
 
 
 def load_json(path: str):
@@ -181,13 +166,3 @@ def _load_check_input(path: str):
         if m2 != m:
             raise FormatError(f"field 'Gamma' has m = {m2}, gamma has m = {m}")
     return gamma, Gamma, m
-
-
-def _write_out(path: str | None, payload, dumps=None) -> None:
-    """`atomic_write_json` to the --out path, if one is given; ValueError when it cannot be written."""
-    if not path:
-        return
-    try:
-        atomic_write_json(path, payload, dumps)
-    except OSError as exc:
-        raise ValueError(f"cannot write --out {path}: {exc.strerror or exc}") from exc

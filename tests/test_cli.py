@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grdm
-from grdm import cli, fock, kernel, quasifree, selftest, serialize, table
+from grdm import cli, closed, conditions, fock, kernel, quasifree, selftest, serialize, table
 from grdm.algebra import make_element
 from grdm.kernel import GrassmannElement
 from grdm.limits import ELEMENT_CAP
@@ -56,6 +56,12 @@ def _write_pdms(path, m, seed):
 @pytest.fixture
 def pdm_file(tmp_path):
     return _write_pdms(tmp_path / "pdms.json", 3, 5)
+
+
+def _quick_argvs(pair) -> list:
+    """A quick check, fuzz and quasifree argv, each without --out; `pair` is a check input."""
+    return [["check", "--in", str(pair)], ["fuzz", "--m", "2", "--trials", "1"],
+            ["quasifree", "--in", str(pair)]]
 
 
 def _strict_json(text: str):
@@ -238,23 +244,30 @@ class TestSerialize:
         assert not leftovers
 
     def test_atomic_write_mode_follows_umask(self, pdm_file, tmp_path):
-        # the report gets open()'s mode 0666 & ~umask, not a private 0600
-        path, _, _ = pdm_file
-        out = tmp_path / "report.json"
-        old = os.umask(0o022)
-        try:
-            assert cli.main(["check", "--in", str(path), "--out", str(out)]) == 0
-        finally:
-            os.umask(old)
-        assert os.stat(out).st_mode & 0o777 == 0o644
+        # every command's --out gets open()'s mode 0666 & ~umask, not a private 0600
+        for k, argv in enumerate(_quick_argvs(pdm_file[0])):
+            out = tmp_path / f"out{k}.json"
+            old = os.umask(0o022)
+            try:
+                assert cli.main(argv + ["--out", str(out)]) == 0, argv[0]
+            finally:
+                os.umask(old)
+            assert os.stat(out).st_mode & 0o777 == 0o644, argv[0]
 
-    def test_failed_atomic_write_removes_temp_file(self, tmp_path):
-        # a failure while writing and one at the rename onto a directory
-        (tmp_path / "dir.json").mkdir()
+    def test_failed_atomic_write_removes_temp_file(self, pdm_file, tmp_path, capsys):
+        # a failure while writing and one at the rename onto a directory, the
+        # latter also as every command's --out, which exits 2
+        folder = tmp_path / "out"
+        (folder / "dir.json").mkdir(parents=True)
         for name, obj in (("out.json", {"x": object()}), ("dir.json", {"x": 1})):
             with pytest.raises((TypeError, OSError)):
-                serialize.atomic_write_json(str(tmp_path / name), obj)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir.json"]
+                serialize.atomic_write_json(str(folder / name), obj)
+        for argv in _quick_argvs(pdm_file[0]):
+            assert cli.main(argv + ["--out", str(folder / "dir.json")]) == 2, argv[0]
+            assert capsys.readouterr() == ("", f"error: cannot write --out {folder / 'dir.json'}: "
+                                               "Is a directory\n")
+        assert sorted(p.name for p in folder.iterdir()) == ["dir.json"]
+        assert not any((folder / "dir.json").iterdir())
 
     def test_atomic_write_bytes(self, tmp_path, rng):
         path = tmp_path / "out.json"
@@ -372,6 +385,13 @@ class TestCheck:
         assert capsys.readouterr().err == (f"error: cannot write --out {out}: "
                                            "No such file or directory\n")
 
+    def test_output_bytes_are_json_indent_2(self, pdm_file, tmp_path):
+        path, gamma, Gamma = pdm_file
+        out = tmp_path / "report.json"
+        assert cli.main(["check", "--in", str(path), "--out", str(out)]) == 0
+        reports = [r.as_dict() for r in closed.battery(gamma, Gamma)]
+        assert out.read_bytes() == (json.dumps(reports, indent=2) + "\n").encode()
+
     def test_boolean_m_exit_2(self, pdm_file, tmp_path, capsys):
         data = json.loads(pdm_file[0].read_text())
         for part in ("gamma", "Gamma"):
@@ -442,6 +462,13 @@ class TestFuzz:
         assert cli.main(["fuzz", "--m", "2", "--trials", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (f"error: cannot write --out {out}: "
                                            "No such file or directory\n")
+
+    def test_output_bytes_are_json_indent_2(self, tmp_path):
+        out = tmp_path / "fuzz.json"
+        assert cli.main(["fuzz", "--m", "3", "--trials", "2", "--seed", "4", "--sector", "1",
+                         "--out", str(out)]) == 0
+        summary = conditions.fuzz_conditions(3, 2, 4, sector=1).as_dict()
+        assert out.read_bytes() == (json.dumps(summary, indent=2) + "\n").encode()
 
     @pytest.mark.parametrize("m, sector", [(2, None), (3, 2)])
     def test_summary_lines_without_out(self, capsys, m, sector):
@@ -740,6 +767,22 @@ def test_bad_input_exit_2_names_field(tmp_path, capsys, command, data, message):
     assert not out.exists()
 
 
+def test_empty_out_exit_2(pdm_file, tmp_path, monkeypatch, capsys):
+    # an empty --out is a path that cannot be written, on the plain argv and
+    # on argparse's `--out=`: exit 2, one error line, no verdict and no file,
+    # neither in the working directory nor in its parent
+    work = tmp_path / "work" / "here"
+    work.mkdir(parents=True)
+    monkeypatch.chdir(work)
+    for argv in _quick_argvs(pdm_file[0]):
+        for out in (["--out", ""], ["--out="]):
+            assert cli.main(argv + out) == 2, argv + out
+            assert capsys.readouterr() == ("", "error: cannot write --out : "
+                                               "No such file or directory\n")
+    assert [p.name for p in work.parent.iterdir()] == ["here"]
+    assert not any(work.iterdir())
+
+
 def test_only_main_decides_exit_2():
     # the commands, whose bodies live in their modules, raise OSError or
     # ValueError on bad input; `cli.main` alone prints it as an error line
@@ -841,10 +884,11 @@ def test_import_pulls_no_scipy(tmp_path):
     # element kernel, no star-product side, no Fock oracle and no quasifree
     # module; fuzz needs the table, the kernel, the star-product side and the
     # oracle, but neither the closed-form realization nor the public element
-    # API (`algebra`); quasifree needs only the kernel and its module, neither
-    # realization of the conditions; selftest needs no reader or writer; no
-    # command loads `dataclasses`, and a successful one neither `argparse`
-    # nor the `gettext` and `locale` of its messages.  Each command compiles
+    # API (`algebra`), and it reads no file, so it loads no `serialize`: its
+    # --out goes through `cli`'s writer; quasifree needs only the kernel and
+    # its module, neither realization of the conditions; selftest needs no
+    # reader or writer; no command loads `dataclasses`, and a successful one
+    # neither `argparse` nor the `gettext` and `locale` of its messages.  Each command compiles
     # only its own body: of the loaded grdm modules only the command's own
     # defines a command entry (`run`), and only quasifree loads the element
     # JSON leaf (`_element`)
@@ -858,7 +902,8 @@ def test_import_pulls_no_scipy(tmp_path):
     runs = [(["check", "--in", str(pair), "--out", str(tmp_path / "r.json")],
              sorted(base + ["grdm.closed"]), []),
             (["fuzz", "--m", "3", "--trials", "1", "--out", str(tmp_path / "f.json")],
-             sorted(base + ["grdm.conditions", "grdm.fock", "grdm.kernel"]), []),
+             ["grdm", "grdm.cli", "grdm.conditions", "grdm.fock", "grdm.kernel", "grdm.limits",
+              "grdm.table"], []),
             (["quasifree", "--in", str(gpath), "--out", str(tmp_path / "q.json")],
              ["grdm", "grdm.cli", "grdm.kernel", "grdm.limits", "grdm.quasifree",
               "grdm.serialize"], ["grdm.quasifree"]),

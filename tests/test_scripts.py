@@ -70,8 +70,8 @@ def test_scripts_exit_0():
             # command its stdlib modules beyond numpy's.  check loads the table
             # and the closed-form realization, and no `dataclasses`; fuzz loads
             # the table and the star-product side, not the closed-form
-            # realization; no command loads `argparse`, which only help and
-            # usage errors need
+            # realization, and no `serialize`, since it reads no file; no
+            # command loads `argparse`, which only help and usage errors need
             table, stdlib = ([line.split() for line in block.splitlines()]
                              for block in out.strip().split("\n\n"))
             assert table[0] == ["command", "import", "ms", "cold", "op", "ms", "warm", "op", "ms",
@@ -83,7 +83,7 @@ def test_scripts_exit_0():
             assert all(int(row[5]) > 0 for row in table[1:])
             assert table[1][6:] == ["grdm", "cli", "closed", "limits", "serialize", "table"]
             assert table[2][6:] == ["grdm", "cli", "conditions", "fock", "kernel", "limits",
-                                    "serialize", "table"]
+                                    "table"]
             assert "dataclasses" not in stdlib[1]
             assert all("argparse" not in row for row in stdlib[1:])
 
