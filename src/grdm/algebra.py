@@ -5,14 +5,13 @@ the star product, which mirrors operator composition on the
 2^m-dimensional Fock space, the involution, the two integration functionals
 (top-coefficient extraction and the weighted trace form) and `star_trace`.
 They import the element type and its array sign kernels from `kernel`
-(`_mono_products`, `_star_pairs`, `_trace_rows`, `_pair_sums`), and the caps
-and `_check_m` from `limits`.
-
-Beside them this module keeps the sign rules in scalar form, on one monomial
-pair at a time (`_merge_sign`, `_mono_mul`), and the memo of the scalar
-monomial star product behind `star_monomials` (`_star_monomials_terms`),
-which is also the reference the kernel is tested against.  That memo is the
-only state kept here, and every operation is a pure function.
+(`_mono_products`, `_star_pairs`, `_trace_rows`, `_pair_sums`,
+`_half_pair_sign`), and the caps and `_check_m` from `limits`; this module
+writes no sign rule of its own.  `star_monomials` runs `_star_pairs` on its
+one pair, memoised per pair (`_star_monomials_terms`).  That memo is the only
+state kept here, and every operation is a pure function.  The sign rules in
+scalar form, the references the kernel is tested against, are in
+`tests/_reference.py`.
 """
 
 from __future__ import annotations
@@ -36,27 +35,7 @@ from .kernel import (
     _star_pairs,
     _trace_rows,
 )
-from .limits import ELEMENT_CAP, STAR_CAP, _check_m
-
-
-def _merge_sign(a: int, b: int) -> int:
-    """Sign for sorting the concatenation of two disjoint ascending blocks."""
-    par = 0
-    y = b
-    while y:
-        low = y & -y
-        par ^= (a >> low.bit_length()).bit_count() & 1
-        y ^= low
-    return -1 if par else 1
-
-
-def _mono_mul(bar1: int, ub1: int, bar2: int, ub2: int):
-    """Plain (wedge) product of two canonical monomials; None when it vanishes."""
-    if bar1 & bar2 or ub1 & ub2:
-        return None
-    sign = -1 if (ub1.bit_count() & bar2.bit_count() & 1) else 1
-    sign *= _merge_sign(bar1, bar2) * _merge_sign(ub1, ub2)
-    return sign, bar1 | bar2, ub1 | ub2
+from .limits import ELEMENT_CAP, STAR_CAP, _check_m, _read_only
 
 
 def _acc(d: dict, key: Monomial, val: complex) -> None:
@@ -110,46 +89,23 @@ def _rows(a: GrassmannElement) -> tuple:
     return np.zeros(len(index), dtype=np.intp), index, coeffs
 
 
-@functools.lru_cache(maxsize=1 << 18)
-def _star_monomials_terms(bar_a: int, ub_a: int, bar_b: int, ub_b: int, m: int):
-    """Expansion of one monomial star product as a tuple of (monomial, coeff)."""
-    I, J, K, L = bar_a, ub_a, bar_b, ub_b
-    S = J & K
-    ns = S.bit_count()
-    # reordering signs of the integrated block: sigma_JS then sigma_S
-    exp_js = ns * (J & ~S).bit_count() + ns * (ns - 1) // 2
-    sign = -1 if exp_js & 1 else 1
-    sign *= _merge_sign(S, J & ~S) * _merge_sign(S, K & ~S)
-    core = _mono_mul(I, J & ~S, K & ~S, L)
-    if core is None:
-        return ()
-    csign, cbar, cub = core
-    sign *= csign
-    # remaining factor: prod over J|K of (1 - pbar p), expanded over subsets
-    avail = (J | K) & ~(cbar | cub)
-    out = []
-    sub = avail
-    while True:
-        nb = sub.bit_count()
-        b_sign = -1 if (nb + nb * (nb - 1) // 2) & 1 else 1
-        msign, mbar, mub = _mono_mul(cbar, cub, sub, sub)
-        out.append((Monomial(mbar, mub), complex(sign * b_sign * msign)))
-        if sub == 0:
-            break
-        sub = (sub - 1) & avail
-    return tuple(out)
-
-
 def star_monomials(a: Monomial, b: Monomial, m: int) -> GrassmannElement:
     """Star product of two basis monomials, fully expanded.
 
-    Evaluates the Gaussian-convolution product directly on the monomial pair:
-    the reordered normal core times the expanded commuting weight over the
-    contracted index block.  Index collisions give the zero element.
+    The element constructor checks m and both monomials; the pair runs through
+    `_star_pairs`, memoised (`_star_monomials_terms`).  Index collisions give
+    the zero element.
     """
-    _check_m(m, ELEMENT_CAP)
-    terms = _star_monomials_terms(a.bar, a.unbar, b.bar, b.unbar, m)
-    return GrassmannElement(m, dict(terms))
+    ia, ib = (int(GrassmannElement(m, {x: 1 + 0j}).arrays()[0][0]) for x in (a, b))
+    return GrassmannElement._from_arrays(m, *_star_monomials_terms(ia, ib, m))
+
+
+@functools.lru_cache(maxsize=1 << 18)
+def _star_monomials_terms(ia: int, ib: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted (index, coeffs) of the star product of the monomials with to_vector indices ia, ib."""
+    _, index, sign = _star_pairs(np.array([ia]), np.array([ib]), m)
+    order = np.argsort(index)
+    return _read_only(index[order], sign[order].astype(complex))
 
 
 def star(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
@@ -187,23 +143,15 @@ def raw_integral(a: GrassmannElement) -> complex:
     index, coeffs = a.arrays()
     if not index.size or index[-1] != (1 << (2 * m)) - 1:  # the top monomial sorts last
         return 0j
-    sign = -1 if (m * (m + 1) // 2) & 1 else 1
-    return sign * complex(coeffs[-1])
+    return _half_pair_sign(m + 1) * complex(coeffs[-1])
 
 
 def trace_weight(m: int) -> GrassmannElement:
     """The commuting weight prod_alpha (1 + 2 pbar_alpha p_alpha), expanded."""
     _check_m(m, ELEMENT_CAP)
-    out = {}
-    full = (1 << m) - 1
-    sub = full
-    while True:
-        k = sub.bit_count()
-        out[Monomial(sub, sub)] = complex(_half_pair_sign(k) * (1 << k))
-        if sub == 0:
-            break
-        sub = (sub - 1) & full
-    return GrassmannElement(m, out)
+    sub = np.arange(1 << m)
+    k = _popcount(sub, m)
+    return GrassmannElement._from_arrays(m, (sub << m) | sub, (_half_pair_sign(k) << k).astype(complex))
 
 
 def trace_integral(a: GrassmannElement) -> complex:
@@ -219,7 +167,7 @@ def trace_integral(a: GrassmannElement) -> complex:
     bar, ub = _split(index, m)
     diagonal = np.flatnonzero(bar == ub)
     k = _popcount(bar[diagonal], m)
-    return complex(coeffs[diagonal] @ ((1 - 2 * ((k >> 1) & 1)) << (m - k)))
+    return complex(coeffs[diagonal] @ (_half_pair_sign(k) << (m - k)))
 
 
 def pair_integral_closed_form(a: Monomial, b: Monomial, m: int) -> complex:

@@ -15,7 +15,9 @@ wedge product (`_mono_products`), the monomial-pair star product expanded
 over its contracted subsets (`_star_pairs`) and the pair trace with its
 interlocking enumeration (`_pair_traces`, `_trace_rows`); a product's term
 pairs run through them in bounded chunks (`_pair_sums`).  Every coefficient
-produced from integer inputs is an exact signed power of two.
+produced from integer inputs is an exact signed power of two, and
+`_half_pair_sign` is (-1)**(n(n-1)/2) of counts n.  The same rules in scalar
+form, one monomial pair at a time, are test references (`tests/_reference.py`).
 
 The moment layer reads a density's moments star_trace(kappa, t) off its
 coefficient vector: `_moment_rows` gives the COO rows of any monomials t,
@@ -121,7 +123,7 @@ def _parity(x: np.ndarray, m: int) -> np.ndarray:
 def _merge_parity(blocks: list, m: int) -> np.ndarray:
     """The parity (0 or 1) of the pairs (i in a, j in b) with i > j, summed over the (a, b) blocks.
 
-    For one pair of disjoint blocks it is the parity of `algebra._merge_sign`:
+    For one pair of disjoint blocks it is the parity of the merge sign:
     sorting the concatenation of two ascending blocks takes one transposition
     per such pair, so bit j of b counts the bits of a above it.  That count
     is linear over XOR in a and in b, and so is parity, so several merges
@@ -186,9 +188,8 @@ def _star_pairs(ia: np.ndarray, ib: np.ndarray, m: int):
     """Star products of the monomial pairs (ia[p], ib[p]), to_vector indices, fully expanded.
 
     Returns (pair, index, sign), one entry per term: pair p's terms follow
-    one another, in the order and with the signs of
-    `algebra._star_monomials_terms`, and a pair whose product vanishes has
-    none.  For (I, J) * (K, L) with
+    one another, their expanded subsets descending, and a pair whose
+    product vanishes has none.  For (I, J) * (K, L) with
     S = J & K the contracted block: the core pbar_I p_{J-S} * pbar_{K-S} p_L,
     reordered past S, times the commuting weight prod over the free bits of
     J | K of (1 - pbar p), expanded over the subsets of those bits.
@@ -294,9 +295,9 @@ def _pair_sums(kernel, a: tuple, b: tuple, m: int) -> tuple[np.ndarray, np.ndarr
     return _sum_terms(*(np.concatenate(part) for part in zip(*parts)))
 
 
-def _half_pair_sign(n: int) -> int:
-    """(-1)**(n*(n-1)/2)."""
-    return -1 if (n * (n - 1) // 2) & 1 else 1
+def _half_pair_sign(n):
+    """(-1)**(n(n-1)/2) of an int or of each entry of an int array: n(n-1)/2 is odd when n & 2."""
+    return 1 - 2 * ((n >> 1) & 1)
 
 
 class GrassmannElement:

@@ -1,11 +1,12 @@
 """The pinned identities of `grdm selftest`, each checked on two independent paths.
 
 Trace anchors (closed form, the definition through the trace weight, and the
-Fock oracle), the pair integral against the star product of monomials, the
+Fock oracle), the pair integral's closed form against `star_monomials`, the
 CAR relations, cyclicity and positivity of the trace form, and the splicing
-of generator star products into wedge products.  `run` is the body of
-`grdm selftest`, and `cli` imports this module only for that command, so
-the other commands never load the Fock oracle or `algebra` for it.
+of generator star products into wedge products; every star product runs
+the kernel that fuzz and quasifree run (`kernel._star_pairs`).  `run` is the
+body of `grdm selftest`, and `cli` imports this module only for that command,
+so the other commands never load the Fock oracle or `algebra` for it.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def identities(rng: random.Random):
 def run(args) -> int:
     """`grdm selftest`: every identity on a seeded generator, failures (all with --verbose) printed."""
     rng = random.Random(args.seed)
-    start = time.time()
+    start = time.perf_counter()
     failed = None
     for name, dev, tol in identities(rng):
         ok = dev <= tol
@@ -131,7 +132,7 @@ def run(args) -> int:
             print(f"{'PASS' if ok else 'FAIL'} {name:<14} max deviation {dev:.3e} (tol {tol:.0e})")
         if not ok and failed is None:
             failed = name
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     if failed is not None:
         print(f"selftest FAILED at identity '{failed}' ({elapsed:.1f}s)")
         return 1

@@ -18,10 +18,14 @@ replaced: the eigenbasis mode product written down by
 `mode_product_expansion`, normalized by its trace and rotated to the
 original generators by `change_generators`.
 
-The scalar references walk monomial pairs in Python, one at a time: the
-star product of two term maps over the memoised scalar monomial product
-`algebra._star_monomials_terms`, and the pair trace with its interlocking
-enumeration, which build the moment rows.  The map-build references expand
+The scalar references walk monomial pairs in Python, one at a time.  The
+sign rules in scalar form, `_merge_sign` and the wedge product `_mono_mul`,
+are the references of the kernel's array sign rules, and the memoised
+scalar monomial star product `_star_monomials_terms` is the reference of
+`kernel._star_pairs` and, through `star_monomials_reference`, of
+`algebra.star_monomials`.  On them rest the star product of two term maps,
+and the pair trace with its interlocking enumeration, which build the
+moment rows.  The map-build references expand
 the condition forms and the quasifree word products on them, one term map
 per product, and hand the builders' COO arrays back.  The per-word star
 fold folds a word into the density with the public star product.
@@ -68,8 +72,7 @@ from itertools import combinations
 import numpy as np
 
 from grdm import quasifree
-from grdm.algebra import (_acc, _merge_sign, _star_monomials_terms, make_element, multiply, psi,
-                          psibar, star, star_trace, trace_integral)
+from grdm.algebra import _acc, make_element, multiply, psi, psibar, star, star_trace, trace_integral
 from grdm.closed import _index_map, _source, _term_entries, _validate_pair
 from grdm.conditions import _form_entries
 from grdm.kernel import GrassmannElement, Monomial, _half_pair_sign, _indices, _moment_rows
@@ -379,6 +382,64 @@ def pdms_from_rho_reference(rho):
     return gamma, Gamma
 
 
+# ---------------------------------------------------------------------------
+# the sign rules in scalar form, on one monomial pair at a time
+
+def _merge_sign(a: int, b: int) -> int:
+    """Sign for sorting the concatenation of two disjoint ascending blocks."""
+    par = 0
+    y = b
+    while y:
+        low = y & -y
+        par ^= (a >> low.bit_length()).bit_count() & 1
+        y ^= low
+    return -1 if par else 1
+
+
+def _mono_mul(bar1: int, ub1: int, bar2: int, ub2: int):
+    """Plain (wedge) product of two canonical monomials; None when it vanishes."""
+    if bar1 & bar2 or ub1 & ub2:
+        return None
+    sign = -1 if (ub1.bit_count() & bar2.bit_count() & 1) else 1
+    sign *= _merge_sign(bar1, bar2) * _merge_sign(ub1, ub2)
+    return sign, bar1 | bar2, ub1 | ub2
+
+
+@functools.lru_cache(maxsize=1 << 18)
+def _star_monomials_terms(bar_a: int, ub_a: int, bar_b: int, ub_b: int, m: int):
+    """Expansion of one monomial star product as a tuple of (monomial, coeff)."""
+    I, J, K, L = bar_a, ub_a, bar_b, ub_b
+    S = J & K
+    ns = S.bit_count()
+    # reordering signs of the integrated block: sigma_JS then sigma_S
+    exp_js = ns * (J & ~S).bit_count() + ns * (ns - 1) // 2
+    sign = -1 if exp_js & 1 else 1
+    sign *= _merge_sign(S, J & ~S) * _merge_sign(S, K & ~S)
+    core = _mono_mul(I, J & ~S, K & ~S, L)
+    if core is None:
+        return ()
+    csign, cbar, cub = core
+    sign *= csign
+    # remaining factor: prod over J|K of (1 - pbar p), expanded over subsets
+    avail = (J | K) & ~(cbar | cub)
+    out = []
+    sub = avail
+    while True:
+        nb = sub.bit_count()
+        b_sign = -1 if (nb + nb * (nb - 1) // 2) & 1 else 1
+        msign, mbar, mub = _mono_mul(cbar, cub, sub, sub)
+        out.append((Monomial(mbar, mub), complex(sign * b_sign * msign)))
+        if sub == 0:
+            break
+        sub = (sub - 1) & avail
+    return tuple(out)
+
+
+def star_monomials_reference(a, b, m):
+    """algebra.star_monomials from the scalar monomial product."""
+    return GrassmannElement(m, dict(_star_monomials_terms(a.bar, a.unbar, b.bar, b.unbar, m)))
+
+
 def element_map_reference(m):
     """fock._element_map as a loop: (dst, src, sign) per (x, y) and Z disjoint from x | y.
 
@@ -406,7 +467,7 @@ def element_map_reference(m):
 
 
 def pair_trace(I, J, K, L, m):
-    """trace_integral(star_monomials((I, J), (K, L))) as an exact integer, pair by pair.
+    """trace_integral(star_monomials_reference((I, J), (K, L))) as an exact integer, pair by pair.
 
     Zero unless the index sets interlock (I - T = J - S and L - T = K - S for
     S = J & K, T = I & L); otherwise a signed power of two.

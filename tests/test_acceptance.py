@@ -19,7 +19,6 @@ from grdm.algebra import (
     psi,
     psibar,
     star,
-    star_monomials,
     star_trace,
     trace_integral,
     unit,
@@ -28,7 +27,8 @@ from grdm.closed import battery
 from grdm.kernel import GrassmannElement, Monomial, _moments
 from grdm.table import CONDITIONS
 from _reference import (change_generators, check_T1, check_T2_generalized, exchange_matrix,
-                        number_operator, probe_form, slater_state, word_probes)
+                        number_operator, probe_form, slater_state, star_monomials_reference,
+                        word_probes)
 from conftest import rand_element, random_unitary
 
 
@@ -65,7 +65,7 @@ def test_criterion_02_pair_integral_anchor():
             for I, J, K, L in product(range(1 << m), repeat=4):
                 a, b = Monomial(I, J), Monomial(K, L)
                 closed = pair_integral_closed_form(a, b, m)
-                direct = trace_integral(star_monomials(a, b, m))
+                direct = trace_integral(star_monomials_reference(a, b, m))
                 assert abs(closed - direct) <= 1e-12, (m, a, b, closed, direct)
 
 

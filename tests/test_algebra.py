@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 
 from grdm import fock, kernel
 from grdm.algebra import (
-    _merge_sign,
-    _mono_mul,
-    _star_monomials_terms,
     involution,
     make_element,
     multiply,
@@ -36,7 +33,8 @@ from grdm.kernel import (
     _star_pairs,
     prune,
 )
-from _reference import (change_generators, change_generators_reference, moment_rows_reference,
+from _reference import (_merge_sign, _mono_mul, _star_monomials_terms, change_generators,
+                        change_generators_reference, moment_rows_reference, star_monomials_reference,
                         star_reference)
 from conftest import rand_element, random_unitary
 
@@ -58,18 +56,26 @@ class TestConstruction:
         for bar, unbar in (((3,), ()), ((), (0,)), ((1,), (3,))):
             with pytest.raises(ValueError, match="outside"):
                 make_element(2, [(bar, unbar, 1.0)])
+        # star_monomials checks both monomials as the constructor does, a
+        # pair whose product vanishes too
+        inside, outside = Monomial(1, 2), Monomial(0b100, 0)
+        for a, b in ((outside, inside), (inside, outside), (outside, outside)):
+            with pytest.raises(ValueError, match=r"references generators outside \[1, 2\]"):
+                star_monomials(a, b, 2)
 
     def test_bad_generator_count(self):
         # every constructor checks m itself, the array one the vector's length too
         for build in (lambda: make_element(0, []), lambda: unit(2.5),
                       lambda: GrassmannElement(-1, {Monomial(0, 0): 1 + 0j}),
                       lambda: GrassmannElement(0, {}), lambda: GrassmannElement(2.5, {}),
-                      lambda: GrassmannElement.from_vector(0, np.ones(1))):
+                      lambda: GrassmannElement.from_vector(0, np.ones(1)),
+                      lambda: star_monomials(Monomial(0, 0), Monomial(0, 0), 0)):
             with pytest.raises(ValueError, match="positive integer"):
                 build()
         for build in (lambda: make_element(11, []), lambda: unit(11),
                       lambda: GrassmannElement(11, {}),
-                      lambda: GrassmannElement.from_vector(11, np.zeros(4))):
+                      lambda: GrassmannElement.from_vector(11, np.zeros(4)),
+                      lambda: star_monomials(Monomial(0, 0), Monomial(0, 0), 11)):
             with pytest.raises(ValueError, match="cap 10"):
                 build()
         # m = 1 with 8 entries would hold bar masks 2 and 3, generators outside [1, 1]
@@ -198,7 +204,7 @@ def _scalar_star_pairs(ia, ib, m):
 
 
 class TestKernel:
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
     def test_star_pairs_equal_scalar_product_term_for_term(self, m):
         # every pair at m <= 3, 2000 seeded pairs above; vanishing pairs have no terms
         ia, ib = _all_pairs(m) if m <= 3 else _seeded_pairs(m)
@@ -207,6 +213,15 @@ class TestKernel:
         assert 0 < len(np.unique(got[0])) < len(ia)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 10])
+    def test_star_monomials_equal_scalar_product(self, m):
+        # every pair at m <= 3, 200 seeded pairs above, up to ELEMENT_CAP
+        ia, ib = _all_pairs(m) if m <= 3 else _seeded_pairs(m, 200)
+        low = (1 << m) - 1
+        for a, b in zip(ia.tolist(), ib.tolist()):
+            a, b = Monomial(a >> m, a & low), Monomial(b >> m, b & low)
+            assert star_monomials(a, b, m) == star_monomials_reference(a, b, m), (a, b)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 6])
     def test_mono_products_equal_scalar_product(self, m):
@@ -410,7 +425,7 @@ class TestIntegrals:
             for I, J, K, L in product(range(1 << m), repeat=4):
                 a, b = Monomial(I, J), Monomial(K, L)
                 closed = pair_integral_closed_form(a, b, m)
-                direct = trace_integral(star_monomials(a, b, m))
+                direct = trace_integral(star_monomials_reference(a, b, m))
                 assert closed == direct
 
     def test_moment_rows_exhaustive(self):
@@ -425,7 +440,7 @@ class TestIntegrals:
             for r, t in enumerate(monos):
                 assert np.count_nonzero(dense[r]) == 2 ** (m - (t.bar ^ t.unbar).bit_count())
                 for k in monos:
-                    want = trace_integral(star_monomials(k, t, m))
+                    want = trace_integral(star_monomials_reference(k, t, m))
                     assert dense[r, (k.bar << m) | k.unbar] == want
                     assert star_trace(GrassmannElement(m, {k: 1 + 0j}),
                                       GrassmannElement(m, {t: 1 + 0j})) == want
@@ -439,7 +454,7 @@ class TestIntegrals:
             # every stored entry is a nonzero pair trace ...
             for (r, c), v in stored.items():
                 k = Monomial(c >> m, c & ((1 << m) - 1))
-                assert v != 0 and v == trace_integral(star_monomials(k, monos[r], m))
+                assert v != 0 and v == trace_integral(star_monomials_reference(k, monos[r], m))
             # ... and random pairs missing from the rows trace to zero
             for r, t in enumerate(monos):
                 for _ in range(10):

@@ -9,7 +9,8 @@ and fuzz-m5's runs the closed P, Q and G beside the star T1 and T2, where
 `grdm fuzz` runs the star battery.  The result line must carry every
 per-layer metric BENCHMARK.json declares.  The harness drops a metric whose
 source is gone and still exits 0, so this test is what fails: without the
-memo of `algebra._star_monomials_terms` it fails on the three
+memo of `algebra._star_monomials_terms` (the per-pair memo of the star
+kernel behind `star_monomials`) it fails on the three
 `algebra.star_memo_*` names, and the memo stays while they are declared.
 The three one-second runs go in parallel and take about 5 s on two cores.
 """

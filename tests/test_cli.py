@@ -3,11 +3,13 @@
 import ast
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grdm
-from grdm import cli, closed, conditions, fock, kernel, quasifree, selftest, serialize, table
+from grdm import algebra, cli, closed, conditions, fock, kernel, quasifree, selftest, serialize, table
 from grdm.algebra import make_element
 from grdm.kernel import GrassmannElement
 from grdm.limits import ELEMENT_CAP
@@ -633,6 +635,48 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "FAIL trace-anchor" in out
         assert "FAILED at identity 'trace-anchor'" in out
+
+    def test_flipped_contraction_sign_fails_at_pair_integral(self, monkeypatch, capsys):
+        # the negative control of the pair integral: the star kernel with the
+        # sign of every pair that contracts a generator flipped; the pair
+        # integral is the first identity that runs the kernel, through
+        # star_monomials and its memo
+        star_pairs = algebra._star_pairs
+
+        def flipped(ia, ib, m):
+            pair, index, sign = star_pairs(ia, ib, m)
+            contracted = ((ia & ((1 << m) - 1)) & (ib >> m))[pair] != 0
+            return pair, index, np.where(contracted, -sign, sign)
+
+        algebra._star_monomials_terms.cache_clear()
+        monkeypatch.setattr(algebra, "_star_pairs", flipped)
+        try:
+            assert cli.main(["selftest"]) == 1
+        finally:
+            algebra._star_monomials_terms.cache_clear()
+        out = capsys.readouterr().out
+        assert "FAIL pair-integral" in out
+        assert "selftest FAILED at identity 'pair-integral'" in out
+
+    def test_elapsed_time_ignores_wall_clock_steps(self, monkeypatch, capsys):
+        # a wall clock that steps back a minute on every read
+        clock = itertools.count(1e9, -60.0)
+        monkeypatch.setattr(time, "time", lambda: next(clock))
+        assert cli.main(["selftest"]) == 0
+        elapsed = re.fullmatch(r"selftest passed \((.*)s\)\n", capsys.readouterr().out).group(1)
+        assert float(elapsed) >= 0
+
+
+def test_console_main_exits_with_the_code_of_main(monkeypatch, capsys):
+    # the `grdm` script of [project.scripts]: 0, 2 on a usage error, 1 on a failed selftest
+    raw_integral = selftest.raw_integral
+    monkeypatch.setattr(selftest, "raw_integral", lambda el: -raw_integral(el))
+    for argv, code in ((["--help"], 0), (["check"], 2), (["selftest"], 1)):
+        monkeypatch.setattr(sys, "argv", ["grdm", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.console_main()
+        assert exc.value.code == cli.main(argv) == code, argv
+    capsys.readouterr()
 
 
 def test_usage_error_exit_2():

@@ -11,7 +11,6 @@ from grdm import closed
 from grdm import conditions as cond
 from grdm import fock, kernel, quasifree
 from grdm.algebra import (
-    _star_monomials_terms,
     involution,
     make_element,
     psi,
@@ -25,10 +24,10 @@ from grdm.closed import _index_form, _index_map, _source, _validate_pair
 from grdm.kernel import GrassmannElement, Monomial
 from grdm.limits import ELEMENT_CAP, PSD_REL_TOL, _coo_apply
 from grdm.table import CONDITIONS, Condition, ConditionReport
-from _reference import (_t1_stacks, _t2_stacks, canonical_entries, check_T1, check_T2_generalized,
-                        exchange_matrix, form_entries_reference, g_condition_matrix, hand_index_form,
-                        probe_form, q_condition_matrix, slater_state, t1_bilinear, t2_bilinear,
-                        t2a_value, word_probes)
+from _reference import (_star_monomials_terms, _t1_stacks, _t2_stacks, canonical_entries, check_T1,
+                        check_T2_generalized, exchange_matrix, form_entries_reference,
+                        g_condition_matrix, hand_index_form, probe_form, q_condition_matrix,
+                        slater_state, t1_bilinear, t2_bilinear, t2a_value, word_probes)
 from conftest import rand_element, random_unitary
 
 
